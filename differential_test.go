@@ -1,0 +1,192 @@
+package cypress
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/merge"
+	"repro/internal/npb"
+	"repro/internal/trace"
+)
+
+// readPath is one way a stored trace comes back as a Result: a container, a
+// decoder and, for the corpus rows, a store in between. open builds its
+// Result fresh from the in-memory run's bytes — never by copying mem, whose
+// streamOnce may have fired, which would silently replay the in-memory tree.
+// A new read path is one more row of readPaths.
+type readPath struct {
+	name string
+	open func(t *testing.T, mem *Result) (res *Result, release func())
+}
+
+// fromBytes is a read path that writes mem with write and reads it back with
+// read.
+func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error),
+	read func(data []byte) (*merge.Merged, error)) readPath {
+	return readPath{name, func(t *testing.T, mem *Result) (*Result, func()) {
+		var buf bytes.Buffer
+		if _, err := write(mem, &buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		m, err := read(buf.Bytes())
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		return &Result{Merged: m, params: mem.params}, func() {}
+	}}
+}
+
+// fromCorpus is a read path that ingests mem into an empty corpus and serves
+// it back cold with get.
+func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), error)) readPath {
+	return readPath{name, func(t *testing.T, mem *Result) (*Result, func()) {
+		c, err := OpenCorpus(t.TempDir(), CorpusOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := c.Ingest(mem)
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		res, release, err := get(c, id)
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		return res, func() {
+			release()
+			if err := c.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}
+	}}
+}
+
+func writePlain(mem *Result, w io.Writer) (int64, error)   { return mem.WriteTrace(w, false) }
+func writeGzip(mem *Result, w io.Writer) (int64, error)    { return mem.WriteTrace(w, true) }
+func writeBlocked(mem *Result, w io.Writer) (int64, error) { return mem.WriteTraceBlocked(w, 1) }
+func writeIndexed(mem *Result, w io.Writer) (int64, error) { return mem.WriteTraceIndexed(w, false) }
+func writeIndexedGzip(mem *Result, w io.Writer) (int64, error) {
+	return mem.WriteTraceIndexed(w, true)
+}
+
+func readFull(data []byte) (*merge.Merged, error) { return ReadTrace(bytes.NewReader(data)) }
+
+// readProjected pushes a rank projection into the decode. Every rank is
+// replayed afterwards either way: with rank 1 selected it is served from
+// eagerly decoded sections and most others from lazily filled ones; with
+// nothing selected every section, rank 1's included, is a lazy fill.
+func readProjected(ranks ...int) func(data []byte) (*merge.Merged, error) {
+	return func(data []byte) (*merge.Merged, error) { return ReadTraceProjected(data, 1, ranks...) }
+}
+
+var readPaths = []readPath{
+	fromBytes("decode/plain", writePlain, readFull),
+	fromBytes("decode/gzip", writeGzip, readFull),
+	fromBytes("decode/cypb", writeBlocked, readFull),
+	fromBytes("select/indexed/rank1", writeIndexed, readProjected(1)),
+	fromBytes("select/indexed/none", writeIndexed, readProjected()),
+	fromBytes("select/indexed-gzip/rank1", writeIndexedGzip, readProjected(1)),
+	fromBytes("select/plain/rank1", writePlain, readProjected(1)),
+	fromBytes("select/plain/none", writePlain, readProjected()),
+	fromBytes("select/cypb/rank1", writeBlocked, readProjected(1)),
+	fromCorpus("corpus/get", func(c *Corpus, id TraceID) (*Result, func(), error) { return c.Get(id) }),
+	fromCorpus("corpus/get-projected", func(c *Corpus, id TraceID) (*Result, func(), error) {
+		return c.GetProjected(id, 1)
+	}),
+}
+
+// diffEvents compares two replayed sequences field for field. Request lists
+// compare by value: a record built by the compressor may hold an empty
+// non-nil list where a decoded one holds nil.
+func diffEvents(want, got []trace.Event) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("%d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		a, b := &want[i], &got[i]
+		if a.Op != b.Op || a.GID != b.GID || a.Size != b.Size || a.Peer != b.Peer ||
+			a.Tag != b.Tag || a.Comm != b.Comm || a.Wildcard != b.Wildcard || a.ReqID != b.ReqID ||
+			!slices.Equal(a.Reqs, b.Reqs) || !slices.Equal(a.ReqSrcs, b.ReqSrcs) ||
+			a.DurationNS != b.DurationNS || a.ComputeNS != b.ComputeNS {
+			return fmt.Errorf("event %d:\n got %s\nwant %s", i, fields(b), fields(a))
+		}
+	}
+	return nil
+}
+
+// fields spells out what diffEvents compares (Event's String names only the
+// operation).
+func fields(e *trace.Event) string {
+	return fmt.Sprintf("%v gid=%d size=%d peer=%d tag=%d comm=%d wild=%v req=%d reqs=%v srcs=%v dur=%v compute=%v",
+		e.Op, e.GID, e.Size, e.Peer, e.Tag, e.Comm, e.Wildcard, e.ReqID, e.Reqs, e.ReqSrcs,
+		e.DurationNS, e.ComputeNS)
+}
+
+// TestDecodedMatchesInMemory is the one differential test for "decoded ≡
+// in-memory": for every npb workload and every read path, each rank's replay
+// equals the in-memory tree's replay in every field — including the call-site
+// GID, which is not on the wire — and the LogGP prediction is bit-equal.
+// Prediction is where a lost GID shows: a wait whose requests name GIDs that
+// no replayed Irecv carries does not wait for its messages.
+func TestDecodedMatchesInMemory(t *testing.T) {
+	for _, w := range npb.All() {
+		for _, n := range []int{16, 64} {
+			if !w.ValidProcs(n) {
+				t.Fatalf("%s does not run on %d ranks", w.Name, n)
+			}
+			t.Run(fmt.Sprintf("%s/n%d", w.Name, n), func(t *testing.T) {
+				p, err := Compile(w.Source(n, npb.Small))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem, err := p.Trace(n, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSeqs := make([][]trace.Event, n)
+				for rank := range wantSeqs {
+					if wantSeqs[rank], err = mem.Replay(rank); err != nil {
+						t.Fatal(err)
+					}
+					for i := range wantSeqs[rank] {
+						if wantSeqs[rank][i].GID < 0 {
+							t.Fatalf("rank %d event %d: in-memory replay carries GID %d",
+								rank, i, wantSeqs[rank][i].GID)
+						}
+					}
+				}
+				wantPred, err := mem.PredictPar(1)
+				if err != nil {
+					t.Fatalf("in-memory predict: %v", err)
+				}
+				for _, rp := range readPaths {
+					t.Run(rp.name, func(t *testing.T) {
+						res, release := rp.open(t, mem)
+						defer release()
+						for rank := 0; rank < n; rank++ {
+							got, err := res.Replay(rank)
+							if err != nil {
+								t.Fatalf("rank %d: %v", rank, err)
+							}
+							if err := diffEvents(wantSeqs[rank], got); err != nil {
+								t.Fatalf("rank %d: %v", rank, err)
+							}
+						}
+						gotPred, err := res.PredictPar(1)
+						if err != nil {
+							t.Fatalf("predict: %v", err)
+						}
+						if !reflect.DeepEqual(wantPred, gotPred) {
+							t.Fatalf("prediction differs from in-memory: total %v vs %v ns",
+								gotPred.TotalNS, wantPred.TotalNS)
+						}
+					})
+				}
+			})
+		}
+	}
+}

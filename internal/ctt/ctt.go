@@ -30,6 +30,12 @@ import (
 // (Peer absolute, Reqs rewritten to poster GIDs, times zeroed); PeerRel holds
 // the rank-relative peer encoding used for inter-process merging.
 type CommRecord struct {
+	// Ev.GID is always the GID of the vertex the record is stored under — the
+	// root for MPI_Init/MPI_Finalize — on every path that builds records: the
+	// compressor stamps it, and the decoders restore it from the vertex being
+	// decoded (it is implicit in the layout, so it is not serialized). Replay
+	// copies Ev, which is how a completion's Reqs (poster GIDs) find the
+	// Irecv that posted them in the simulator.
 	Ev      trace.Event
 	PeerRel int
 	Count   int64
@@ -542,6 +548,7 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	d := c.d(v)
 	dur := ev.DurationNS
 	canon := *ev
+	canon.GID = v.GID // the CommRecord.Ev invariant; raw Init/Finalize arrive with -1
 	canon.DurationNS = 0
 	canon.ComputeNS = 0
 	canon.ReqID = -1

@@ -531,7 +531,7 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 			b := umin(rem, decodeEager)
 			chunk := d.entries(int(b))
 			for k := range chunk {
-				d.entry(&chunk[k], mode)
+				d.entry(&chunk[k], int32(gid), mode)
 				if d.err != nil {
 					return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
 				}
@@ -555,14 +555,17 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 	return m, nil
 }
 
-// entry decodes one vertex-data entry in place.
-func (d *decoder) entry(e *Entry, mode timestat.Mode) {
+// entry decodes one vertex-data entry of vertex gid in place.
+func (d *decoder) entry(e *Entry, gid int32, mode timestat.Mode) {
 	e.Ranks.Load(d.setRuns())
 	e.Data = d.vdata()
-	d.decodeVData(e.Data, mode)
+	d.decodeVData(e.Data, gid, mode)
 }
 
-func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode) {
+// decodeVData decodes one payload section of vertex gid. The GID is not on
+// the wire — a record's call site is the vertex it is stored under — so every
+// decode path passes it down and record restores Ev.GID from it.
+func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 	for _, run := range d.runs() {
 		vd.Counts.AppendRun(run)
 	}
@@ -607,7 +610,7 @@ func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode) {
 		b := umin(rem, decodeEager)
 		chunk := d.arena.Alloc(int(b))
 		for _, rec := range chunk {
-			d.record(rec, mode)
+			d.record(rec, gid, mode)
 			if d.err != nil {
 				return
 			}
@@ -621,8 +624,9 @@ func (d *decoder) decodeVData(vd *ctt.VData, mode timestat.Mode) {
 	}
 }
 
-// record decodes one comm record in place.
-func (d *decoder) record(rec *ctt.CommRecord, mode timestat.Mode) {
+// record decodes one comm record of vertex gid in place.
+func (d *decoder) record(rec *ctt.CommRecord, gid int32, mode timestat.Mode) {
+	rec.Ev.GID = gid
 	rec.Ev.Op = trace.Op(d.u())
 	flags := d.u()
 	rec.Ev.Wildcard = flags&1 != 0

@@ -97,6 +97,8 @@ const (
 	SimWindows           // lookahead windows (sequential sweeps count too)
 	SimBarrierStalls     // rank visits that reached the window barrier with no progress
 	SimMatchDepthPeak    // peak per-key match-table depth (gauge)
+	SimPendingPeak       // peak posted-but-uncompleted receives on any one rank (gauge)
+	SimUnmatchedRecvs    // posted receives never completed by a wait when their rank drained
 
 	// Content-addressed corpus (internal/corpus).
 	CorpusIngests      // traces offered to Store.Ingest
@@ -181,6 +183,8 @@ var counterNames = [NumCounters]string{
 	SimWindows:           "sim_windows",
 	SimBarrierStalls:     "sim_barrier_stalls",
 	SimMatchDepthPeak:    "sim_match_table_peak",
+	SimPendingPeak:       "sim_pending_peak",
+	SimUnmatchedRecvs:    "sim_unmatched_recvs",
 	CorpusIngests:        "corpus_ingests",
 	CorpusDuplicates:     "corpus_duplicates",
 	CorpusDeltaRuns:      "corpus_delta_runs",

@@ -95,6 +95,8 @@ func TestReportContents(t *testing.T) {
 	s.Add(MergeExhaustiveWalks, 10)
 	s.Add(PoolGzipGets, 4)
 	s.Add(PoolGzipNews, 1)
+	s.SetMax(SimPendingPeak, 2)
+	s.SetMax(SimPendingPeak, 1)
 	for i := 0; i < 100; i++ {
 		s.Observe(HistReqOccupancy, int64(i%7))
 	}
@@ -107,6 +109,15 @@ func TestReportContents(t *testing.T) {
 	}
 	if _, ok := r.Counters["sim_blocked_copies"]; ok {
 		t.Error("zero counter should be omitted")
+	}
+	// The simulator's request accounting goes by stable names: the gauge
+	// keeps its peak, and a clean run's zero sim_unmatched_recvs is omitted
+	// like any zero counter.
+	if got := r.Counters["sim_pending_peak"]; got != 2 {
+		t.Errorf("sim_pending_peak = %d, want 2", got)
+	}
+	if _, ok := r.Counters["sim_unmatched_recvs"]; ok {
+		t.Error("zero sim_unmatched_recvs should be omitted")
 	}
 	if got := r.Rates["comp_fold_rate"]; got != 0.9 {
 		t.Errorf("comp_fold_rate = %v, want 0.9", got)
@@ -148,7 +159,7 @@ func TestReportContents(t *testing.T) {
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"counters:", "rates:", "stages:", "histograms:", "comp_events", "merge_fp_fast_rate"} {
+	for _, want := range []string{"counters:", "rates:", "stages:", "histograms:", "comp_events", "merge_fp_fast_rate", "sim_pending_peak"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, buf.String())
 		}

@@ -4,29 +4,39 @@ import (
 	"testing"
 
 	"repro/internal/mpisim"
+	"repro/internal/trace"
 )
 
 // TestSimulateAllocsSteadyState pins the engine's allocation shape: all
 // allocation happens at setup (ranks, shards, worker pool) or scales with
 // peak state (match-queue capacity, collective groups), and the steady-state
-// window loop allocates nothing. The fixture is the chain halo exchange: its
+// window loop allocates nothing. The fixtures are chain halo exchanges: the
 // per-iteration waitall keeps neighbor drift — and with it match-queue
-// depth — bounded by a constant, so 10x more iterations must leave
+// depth — bounded by a constant, so 4x more iterations must leave
 // allocs/run essentially unchanged, at workers=1 (the sequential driver)
-// and workers=4 (the epoch-parallel driver) alike.
+// and workers=4 (the epoch-parallel driver) alike. The decoded fixture is
+// the same shape served through encode/decode: there the bound also covers
+// each rank's pending-receive list, which stays at the two outstanding
+// receives only while decoded completions find their posters.
 func TestSimulateAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
+	for _, fx := range []traceFixture{{"chain", chainTrace}, decodedFixture(t)} {
+		t.Run(fx.name, func(t *testing.T) { allocsSteadyState(t, fx.gen) })
+	}
+}
+
+func allocsSteadyState(t *testing.T, gen func(n, iters int) [][]trace.Event) {
 	params := mpisim.DefaultParams()
-	measure := func(workers, iters int) float64 {
-		seqs := chainTrace(64, iters)
+	measure := func(workers int, seqs [][]trace.Event) float64 {
 		return testing.AllocsPerRun(5, func() {
 			if _, err := SimulatePar(seqs, params, workers); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+	short, full := gen(64, 80), gen(64, 320)
 	var seqWarm float64
 	for _, w := range []int{1, 4} {
 		// 80 iterations is past the warm-up knee (queue buffers and scratch
@@ -34,8 +44,8 @@ func TestSimulateAllocsSteadyState(t *testing.T) {
 		// count by the measurement floor (a few GC-cycle allocations), and
 		// the absolute ceiling rules out even 0.05 allocs/event across the
 		// run's ~100k events.
-		warm := measure(w, 80)
-		long := measure(w, 320)
+		warm := measure(w, short)
+		long := measure(w, full)
 		if long > warm+64 {
 			t.Errorf("workers=%d: 4x work moved allocs/run from %.0f to %.0f; window loop is allocating",
 				w, warm, long)

@@ -107,19 +107,26 @@ func fuzzSeqs(data []byte) [][]trace.Event {
 // FuzzSimulateParallel is the cross-worker-count fuzz gate: for any generated
 // trace, the parallel engine at 2 and 4 workers must agree bit-for-bit with
 // the sequential schedule, and error presence (stall) must match exactly.
+// With decoded set, the first two bytes instead pick the rank and iteration
+// counts of a real traced program (haloSrc) served through encode/decode, so
+// the identity is also fuzzed where file-served waits block on their receives.
 func FuzzSimulateParallel(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add([]byte{0, 7, 1, 0, 2, 50, 8, 2, 1, 9, 3, 0, 16, 14, 3, 2, 7, 0, 1})
-	f.Add([]byte{4, 3, 1, 10, 2, 3, 17, 21, 2, 2, 30, 3, 2, 8, 1, 1, 0, 5, 40})
-	f.Add([]byte{2, 6, 0, 1, 6, 13, 0}) // plants an unmatched recv → stall
+	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false)
+	f.Add([]byte{0, 7, 1, 0, 2, 50, 8, 2, 1, 9, 3, 0, 16, 14, 3, 2, 7, 0, 1}, false)
+	f.Add([]byte{4, 3, 1, 10, 2, 3, 17, 21, 2, 2, 30, 3, 2, 8, 1, 1, 0, 5, 40}, false)
+	f.Add([]byte{2, 6, 0, 1, 6, 13, 0}, false) // plants an unmatched recv → stall
+	f.Add([]byte{3, 5}, true)
 	params := mpisim.DefaultParams()
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, decoded bool) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
 		seqs := fuzzSeqs(data)
 		if seqs == nil {
 			return
+		}
+		if decoded {
+			seqs = decodedSeqs(t, haloSrc(1+int(data[1]%8)), len(seqs))
 		}
 		want, wantErr := Simulate(seqs, params)
 		for _, w := range []int{2, 4} {

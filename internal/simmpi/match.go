@@ -4,11 +4,15 @@ import "sync"
 
 // matchKey identifies one point-to-point match chain inside a destination
 // shard: messages from one source rank carrying one tag. The destination is
-// implicit in the shard index, so the per-map key is one int narrower than
-// the historical global queueMap's (src, dst, tag) key and every destination
-// hashes over a map holding only its own senders.
-type matchKey struct {
-	src, tag int
+// implicit in the shard index, so every destination hashes over a map holding
+// only its own senders. Source and tag (32-bit quantities in MPI) pack into
+// one word so shard maps take the runtime's 64-bit fast path instead of
+// hashing and comparing a two-int struct — the map access is the engine's
+// hottest instruction sequence once completions match.
+type matchKey uint64
+
+func mkKey(src, tag int) matchKey {
+	return matchKey(uint64(uint32(src))<<32 | uint64(uint32(tag)))
 }
 
 // msgQueue is a FIFO of in-flight message arrival times. Pointer-valued map

@@ -107,10 +107,20 @@ func shiftTrace(n, iters int) [][]trace.Event {
 	return seqs
 }
 
-var parFixtures = []struct {
+type traceFixture struct {
 	name string
 	gen  func(n, iters int) [][]trace.Event
-}{
+}
+
+// decodedFixture is a real program's trace served through encode/decode
+// (the haloSrc exchange), so file-served waits block on their receives.
+func decodedFixture(t testing.TB) traceFixture {
+	return traceFixture{"decoded", func(n, iters int) [][]trace.Event {
+		return decodedSeqs(t, haloSrc(iters), n)
+	}}
+}
+
+var parFixtures = []traceFixture{
 	{"ring", ringTrace},
 	{"chain", chainTrace},
 	{"shift", shiftTrace},
@@ -121,13 +131,14 @@ var parFixtures = []struct {
 // times) at every worker count, on every fixture, at 7/64/256/1024 ranks.
 func TestParallelEquivalence(t *testing.T) {
 	params := mpisim.DefaultParams()
+	fixtures := append([]traceFixture{decodedFixture(t)}, parFixtures...)
 	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, n := range []int{7, 64, 256, 1024} {
 		iters := 12
 		if n >= 1024 {
 			iters = 6
 		}
-		for _, fx := range parFixtures {
+		for _, fx := range fixtures {
 			t.Run(fmt.Sprintf("%s/n%d", fx.name, n), func(t *testing.T) {
 				seqs := fx.gen(n, iters)
 				want, err := Simulate(seqs, params)

@@ -52,11 +52,11 @@ func (r Result) CommFraction() float64 {
 	return comm / tot
 }
 
+// pendingRecv is one posted, not yet completed Irecv: the poster's call-site
+// GID (what a completion's Reqs name) and the match chain it will pop.
 type pendingRecv struct {
-	gid  int32
-	peer int
-	tag  int
-	size int
+	gid int32
+	key matchKey
 }
 
 type simRank struct {
@@ -70,6 +70,7 @@ type simRank struct {
 	comm    float64
 	compute float64
 	pending []pendingRecv
+	pendMax int // peak len(pending); bounded by the program's outstanding receives
 	collIdx int
 	inColl  bool
 
@@ -299,15 +300,25 @@ func (en *engine) result() Result {
 		CommNS:    make([]float64, en.n),
 		ComputeNS: make([]float64, en.n),
 	}
-	var processed int64
+	// Every source has drained, so a receive still pending was never waited
+	// for. mpisim does not forbid abandoning a request, so that is accounting,
+	// not an error — but a pending list that outgrows the program's
+	// outstanding requests means completions are not finding their posters.
+	var processed, unmatched int64
+	pendPeak := 0
 	for i := range en.ranks {
-		res.PerRankNS[i] = en.ranks[i].clock
-		res.CommNS[i] = en.ranks[i].comm
-		res.ComputeNS[i] = en.ranks[i].compute
-		res.TotalNS = math.Max(res.TotalNS, en.ranks[i].clock)
-		processed += int64(en.ranks[i].idx)
+		r := &en.ranks[i]
+		res.PerRankNS[i] = r.clock
+		res.CommNS[i] = r.comm
+		res.ComputeNS[i] = r.compute
+		res.TotalNS = math.Max(res.TotalNS, r.clock)
+		processed += int64(r.idx)
+		unmatched += int64(len(r.pending))
+		pendPeak = max(pendPeak, r.pendMax)
 	}
 	sink.Add(obs.SimEventsProcessed, processed)
+	sink.Add(obs.SimUnmatchedRecvs, unmatched)
+	sink.SetMax(obs.SimPendingPeak, int64(pendPeak))
 	return res
 }
 
@@ -366,19 +377,17 @@ func (en *engine) completeRecvs(rid int, r *simRank) bool {
 		pr := &r.pending[pi]
 		need := 1
 		for _, pj := range r.toComplete[:i] {
-			pq := &r.pending[pj]
-			if pq.peer == pr.peer && pq.tag == pr.tag {
+			if r.pending[pj].key == pr.key {
 				need++
 			}
 		}
-		if sh.depth(matchKey{pr.peer, pr.tag}) < need {
+		if sh.depth(pr.key) < need {
 			return false
 		}
 	}
 	r.avails = r.avails[:0]
 	for _, pi := range r.toComplete {
-		pr := &r.pending[pi]
-		r.avails = append(r.avails, sh.pop(matchKey{pr.peer, pr.tag}))
+		r.avails = append(r.avails, sh.pop(r.pending[pi].key))
 	}
 	return true
 }
@@ -405,7 +414,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.InjectNS(e.Size)
-		depth := en.sendMsg(e.Peer, matchKey{rid, e.Tag}, r.clock+p.LatencyNS)
+		depth := en.sendMsg(e.Peer, mkKey(rid, e.Tag), r.clock+p.LatencyNS)
 		if sink.Enabled() {
 			sink.Observe(obs.HistSimQueueDepth, int64(depth))
 			sink.SetMax(obs.SimMatchDepthPeak, int64(depth))
@@ -416,11 +425,12 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.OverheadNS / 2
-		r.pending = append(r.pending, pendingRecv{gid: e.GID, peer: e.Peer, tag: e.Tag, size: e.Size})
+		r.pending = append(r.pending, pendingRecv{gid: e.GID, key: mkKey(e.Peer, e.Tag)})
+		r.pendMax = max(r.pendMax, len(r.pending))
 		r.comm += r.clock - t0
 		return true, nil
 	case e.Op == trace.OpRecv:
-		avail, ok := en.recvMsg(rid, matchKey{e.Peer, e.Tag})
+		avail, ok := en.recvMsg(rid, mkKey(e.Peer, e.Tag))
 		if !ok {
 			return false, nil // matching send not simulated yet
 		}

@@ -1,6 +1,8 @@
 package simmpi
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,9 +18,9 @@ import (
 	"repro/internal/trace"
 )
 
-// measureAndPredict runs src on n ranks (the "measured" execution), then
-// compresses, merges, decompresses, and simulates the replayed trace.
-func measureAndPredict(t testing.TB, src string, n int) (measured float64, res Result) {
+// traceMerged runs src on n ranks under CYPRESS compression (the "measured"
+// execution) and merges the per-rank trees.
+func traceMerged(t testing.TB, src string, n int) (m *merge.Merged, measured float64) {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -41,8 +43,7 @@ func measureAndPredict(t testing.TB, src string, n int) (measured float64, res R
 		comps[i] = ctt.NewCompressor(tree, i, timestat.ModeMeanStddev)
 		sinks[i] = comps[i]
 	}
-	params := mpisim.DefaultParams()
-	measured, err = mpisim.Run(n, params, sinks, func(r *mpisim.Rank) {
+	measured, err = mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
 		interp.Execute(prog, r)
 	})
 	if err != nil {
@@ -52,18 +53,66 @@ func measureAndPredict(t testing.TB, src string, n int) (measured float64, res R
 	for i, c := range comps {
 		ctts[i] = c.Finish()
 	}
-	m, err := merge.All(ctts, 0)
+	m, err = merge.All(ctts, 0)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	seqs := make([][]trace.Event, n)
-	for rank := 0; rank < n; rank++ {
-		seqs[rank], err = replay.Sequence(m.ForRank(rank), rank)
-		if err != nil {
+	return m, measured
+}
+
+// replaySeqs decompresses every rank of m.
+func replaySeqs(t testing.TB, m *merge.Merged) [][]trace.Event {
+	t.Helper()
+	seqs := make([][]trace.Event, m.NumRanks)
+	for rank := range seqs {
+		var err error
+		if seqs[rank], err = replay.Sequence(m.ForRank(rank), rank); err != nil {
 			t.Fatalf("replay rank %d: %v", rank, err)
 		}
 	}
-	res, err = Simulate(seqs, params)
+	return seqs
+}
+
+// decodedSeqs is the file-served pipeline: trace src on n ranks, encode the
+// merged tree, decode the bytes, and replay the decoded tree. Completions in
+// these sequences find their receives only if the decoder restored the
+// call-site GIDs, which the wire format leaves implicit.
+func decodedSeqs(t testing.TB, src string, n int) [][]trace.Event {
+	t.Helper()
+	m, _ := traceMerged(t, src, n)
+	var buf bytes.Buffer
+	if _, err := m.Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	dec, err := merge.Decode(&buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return replaySeqs(t, dec)
+}
+
+// haloSrc is an open-chain non-blocking halo exchange (the jacobi shape) with
+// two receives outstanding at each waitall on interior ranks.
+func haloSrc(iters int) string {
+	return fmt.Sprintf(`
+func main() {
+	for var k = 0; k < %d; k = k + 1 {
+		if rank > 0 { isend(rank - 1, 2048, 1); }
+		if rank < size - 1 { isend(rank + 1, 2048, 2); }
+		if rank > 0 { irecv(rank - 1, 2048, 2); }
+		if rank < size - 1 { irecv(rank + 1, 2048, 1); }
+		waitall();
+		compute(20000 + rank * 130);
+	}
+}`, iters)
+}
+
+// measureAndPredict runs src on n ranks (the "measured" execution), then
+// compresses, merges, decompresses, and simulates the replayed trace.
+func measureAndPredict(t testing.TB, src string, n int) (measured float64, res Result) {
+	t.Helper()
+	m, measured := traceMerged(t, src, n)
+	res, err := Simulate(replaySeqs(t, m), mpisim.DefaultParams())
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}

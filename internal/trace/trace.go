@@ -157,7 +157,7 @@ type Event struct {
 	Peer int   // source/dest rank for p2p, root rank for rooted collectives, NoPeer otherwise
 	Tag  int   // message tag, 0 for collectives
 	Comm int   // communicator id (0 = world)
-	GID  int32 // CST vertex id of the call site; -1 when uninstrumented
+	GID  int32 // CST vertex id of the call site; -1 only on raw, uninstrumented events, never on a replayed one (see ctt.CommRecord)
 
 	// Wildcard is set on receives posted with AnySource; Peer then holds the
 	// actual matched source (resolved at completion for non-blocking ops).

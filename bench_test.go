@@ -57,6 +57,12 @@ func BenchmarkMergeAll1024(b *testing.B)       { bench.BenchMergeAll1024(b) }
 func BenchmarkMergeAll4096(b *testing.B)       { bench.BenchMergeAll4096(b) }
 func BenchmarkDecode(b *testing.B)             { bench.BenchDecode(b) }
 
+// Marker-bound and wide-fan-out streams: where the cursor's child lookup,
+// not record folding, is the cost.
+
+func BenchmarkCompressorMarkers(b *testing.B)   { bench.BenchCompressorMarkers(b) }
+func BenchmarkCompressorEventWide(b *testing.B) { bench.BenchCompressorEventWide(b) }
+
 // Block-parallel container benchmarks (bodies in internal/bench/micro.go):
 // the gzip baseline beside the CYPB worker sweep. The emitted container bytes
 // are identical at every worker count, so the sweep isolates coordination

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/blockio"
@@ -262,16 +263,7 @@ func runRanks(b *testing.B, src string, n int) []*ctt.RankCTT {
 // BenchCompressorEvent measures the full Compressor.Event hot path on a
 // mixed non-blocking stream (irecv/isend/wait ring). One op replays the
 // whole recorded stream into a fresh compressor.
-func BenchCompressorEvent(b *testing.B) {
-	tree, stream := mustStream(b, ringSrc, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := ctt.NewCompressor(tree, 0, timestat.ModeMeanStddev)
-		stream.Replay(c)
-	}
-	b.ReportMetric(float64(stream.Events()), "events/op")
-}
+func BenchCompressorEvent(b *testing.B) { benchCompressorStream(b, ringSrc, 4) }
 
 // BenchCompressorEventObs is BenchCompressorEvent with a live metrics sink
 // attached to the compressor. Comparing the pair quantifies the cost of the
@@ -290,10 +282,54 @@ func BenchCompressorEventObs(b *testing.B) {
 	b.ReportMetric(float64(stream.Events()), "events/op")
 }
 
-// BenchRecordMerge measures the run-length record-merge fast path: repeated
-// identical events folding into one record.
-func BenchRecordMerge(b *testing.B) {
-	tree, stream := mustStream(b, bcastSrc, 2)
+// markersSrc is LU's wavefront shape on a 4x4 grid: four else-less ifs per
+// inner iteration, so rank 0's stream is dominated by BranchEnter/BranchSkip/
+// LoopIter markers (two arms taken, two skipped, per sweep step) rather than
+// by record folding.
+const markersSrc = `
+func main() {
+	var px = 4;
+	var row = rank / px;
+	var col = rank % px;
+	for var it = 0; it < 8; it = it + 1 {
+		for var k = 0; k < 32; k = k + 1 {
+			if row > 0 { recv((row - 1) * px + col, 512, 50); }
+			if col > 0 { recv(rank - 1, 512, 51); }
+			if row < px - 1 { send((row + 1) * px + col, 512, 50); }
+			if col < px - 1 { send(rank + 1, 512, 51); }
+		}
+		for var k = 0; k < 32; k = k + 1 {
+			if row < px - 1 { recv((row + 1) * px + col, 512, 52); }
+			if col < px - 1 { recv(rank + 1, 512, 53); }
+			if row > 0 { send((row - 1) * px + col, 512, 52); }
+			if col > 0 { send(rank - 1, 512, 53); }
+		}
+		allreduce(40);
+	}
+}`
+
+// wideFanout is the number of comm sites under CompressorEventWide's loop:
+// four times the widest vertex of any npb CST at paper scale (Leslie3d, 16).
+const wideFanout = 64
+
+// wideSrc puts wideFanout distinct comm sites under one loop vertex and
+// visits them in program order, so the cursor's child lookup is paid at every
+// position of a wide child list.
+var wideSrc = "func main() {\n\tfor var k = 0; k < 64; k = k + 1 {\n" +
+	strings.Repeat("\t\tallreduce(8);\n", wideFanout) + "\t}\n}"
+
+// BenchCompressorMarkers measures the structure-marker paths (cursor descent
+// and branch reach counting) on a branch- and loop-heavy stream.
+func BenchCompressorMarkers(b *testing.B) { benchCompressorStream(b, markersSrc, 16) }
+
+// BenchCompressorEventWide measures Compressor.Event under a parent with
+// wideFanout comm-site children.
+func BenchCompressorEventWide(b *testing.B) { benchCompressorStream(b, wideSrc, 2) }
+
+// benchCompressorStream replays rank 0's recorded stream of src on n ranks
+// into a fresh compressor per op.
+func benchCompressorStream(b *testing.B, src string, n int) {
+	tree, stream := mustStream(b, src, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -302,6 +338,10 @@ func BenchRecordMerge(b *testing.B) {
 	}
 	b.ReportMetric(float64(stream.Events()), "events/op")
 }
+
+// BenchRecordMerge measures the run-length record-merge fast path: repeated
+// identical events folding into one record.
+func BenchRecordMerge(b *testing.B) { benchCompressorStream(b, bcastSrc, 2) }
 
 // BenchMergePair measures the lockstep pairwise CTT merge.
 func BenchMergePair(b *testing.B) {
@@ -558,6 +598,8 @@ func Micros() []Micro {
 	return []Micro{
 		{"CompressorEvent", BenchCompressorEvent},
 		{"CompressorEventObs", BenchCompressorEventObs},
+		{"CompressorMarkers", BenchCompressorMarkers},
+		{"CompressorEventWide", BenchCompressorEventWide},
 		{"RecordMerge", BenchRecordMerge},
 		{"MergePair", BenchMergePair},
 		{"Encode", BenchEncode},

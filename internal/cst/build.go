@@ -45,7 +45,9 @@ func Build(p *ir.Program) (*Tree, error) {
 	prune(root)
 	t := &Tree{Root: root, FuncName: "main"}
 	assignGIDs(t)
-	root.buildIndex()
+	if err := root.checkChildren(map[uint64]bool{}); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

@@ -85,22 +85,21 @@ type Vertex struct {
 	Parent   *Vertex
 	Children []*Vertex
 
-	childIdx map[childKey]*Vertex
-	hasComm  bool
-}
-
-type childKey struct {
-	site lang.NodeID
-	arm  int8
+	hasComm bool
 }
 
 // Child returns the child with the given site and arm, or nil. The runtime
 // cursor uses this for descent; nil means the subtree was pruned (comm-free).
+// It scans Children in program order: the widest vertex of any npb CST at
+// paper scale has 16 children (DESIGN.md §5), where a scan beats hashing the
+// key, and markers arrive in program order, so hits come early.
 func (v *Vertex) Child(site lang.NodeID, arm int8) *Vertex {
-	if v.childIdx == nil {
-		return nil
+	for _, c := range v.Children {
+		if c.Site == site && c.Arm == arm {
+			return c
+		}
 	}
-	return v.childIdx[childKey{site, arm}]
+	return nil
 }
 
 func (v *Vertex) addChild(c *Vertex) *Vertex {
@@ -109,32 +108,32 @@ func (v *Vertex) addChild(c *Vertex) *Vertex {
 	return c
 }
 
-func (v *Vertex) buildIndex() {
-	if err := v.buildIndexChecked(); err != nil {
-		// Build-time callers construct the tree themselves, so a duplicate
-		// child key is an internal invariant violation there. The decoder,
-		// which consumes untrusted files, uses buildIndexChecked directly.
-		panic(err.Error())
-	}
-}
-
-func (v *Vertex) buildIndexChecked() error {
-	if len(v.Children) == 0 {
-		return nil
-	}
-	v.childIdx = make(map[childKey]*Vertex, len(v.Children))
-	for _, c := range v.Children {
-		key := childKey{c.Site, c.Arm}
-		if _, dup := v.childIdx[key]; dup {
-			// Comm leaves may repeat a site only if the same call expression
-			// appears twice under one parent, which the expansion never
-			// produces.
-			return fmt.Errorf("cst: duplicate child key %+v under GID %d", key, v.GID)
+// checkChildren verifies, for v and every descendant, what Child and the
+// branch reach counters rely on: (site, arm) keys are unique under one parent,
+// and the arms of one if site are adjacent siblings, because the site's reach
+// counter lives at the first of them (ctt.Compressor.BranchEnter, replay's
+// walkBody). Build emits arm 0 then arm 1 and never repeats a call expression
+// under one parent, so only a decoded file fails here. seen is scratch.
+func (v *Vertex) checkChildren(seen map[uint64]bool) error {
+	clear(seen)
+	for i, c := range v.Children {
+		key := uint64(uint32(c.Site))<<8 | uint64(uint8(c.Arm))
+		if seen[key] {
+			return fmt.Errorf("cst: duplicate child key {site:%d arm:%d} under GID %d", c.Site, c.Arm, v.GID)
 		}
-		v.childIdx[key] = c
+		seen[key] = true
+		if c.Kind != KindBranch || i > 0 && v.Children[i-1].Kind == KindBranch && v.Children[i-1].Site == c.Site {
+			continue
+		}
+		// c opens a run of arms; a site may open only one.
+		run := uint64(uint32(c.Site)) | 1<<40
+		if seen[run] {
+			return fmt.Errorf("cst: arms of branch site %d are not adjacent under GID %d", c.Site, v.GID)
+		}
+		seen[run] = true
 	}
 	for _, c := range v.Children {
-		if err := c.buildIndexChecked(); err != nil {
+		if err := c.checkChildren(seen); err != nil {
 			return err
 		}
 	}

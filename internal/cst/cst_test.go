@@ -10,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-func build(t *testing.T, src string) *Tree {
+func build(t testing.TB, src string) *Tree {
 	t.Helper()
 	ast, err := lang.Parse(src)
 	if err != nil {

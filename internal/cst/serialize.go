@@ -212,7 +212,7 @@ func Decode(r io.Reader) (*Tree, error) {
 		}
 		v.Target = t.ByGID[tg]
 	}
-	if err := t.Root.buildIndexChecked(); err != nil {
+	if err := t.Root.checkChildren(map[uint64]bool{}); err != nil {
 		return nil, err
 	}
 	return t, nil

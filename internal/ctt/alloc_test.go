@@ -1,8 +1,11 @@
 package ctt
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/cst"
 	"repro/internal/obs"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -145,4 +148,79 @@ func main() {
 	if allocs > 1 {
 		t.Errorf("steady-state wildcard irecv+wait allocates %.1f allocs/op, want <= 1", allocs)
 	}
+}
+
+// TestStructureMarkersNoAllocs pins the marker paths the way the tests above
+// pin Event: descent is a scan of the cursor's children and a branch site's
+// reach counter is a field of its first arm's VData, so neither a steady
+// stream of markers nor the first visit to a branch site touches the heap.
+func TestStructureMarkersNoAllocs(t *testing.T) {
+	t.Run("steady", func(t *testing.T) {
+		_, tree := compile(t, `
+func main() {
+	for var i = 0; i < 4; i = i + 1 {
+		if i % 2 == 0 { barrier(); } else { compute(1); }
+		if i % 2 == 0 { compute(1); } else { allreduce(8); }
+		if i == 9 { bcast(0, 8); }
+		halo();
+	}
+}
+func halo() { for var k = 0; k < 2; k = k + 1 { barrier(); } }`)
+		loop := tree.Root.Children[0]
+		kids := loop.Children
+		if len(kids) != 4 || kids[0].Arm != 0 || kids[1].Arm != 1 || kids[3].Kind != cst.KindCall {
+			t.Fatalf("unexpected tree:\n%s", tree.Dump())
+		}
+		thenOnly, elseOnly, skipped, call := int32(kids[0].Site), int32(kids[1].Site), int32(kids[2].Site), int32(kids[3].Site)
+		inner := int32(kids[3].Children[0].Site)
+		c := NewCompressor(tree, 0, timestat.ModeMeanStddev)
+		c.LoopEnter(int32(loop.Site))
+		// One even and one odd iteration of the outer loop: each if takes its
+		// kept arm once and its pruned arm once, the third is never taken.
+		step := func() {
+			for arm := int8(0); arm < 2; arm++ {
+				c.LoopIter(int32(loop.Site))
+				c.BranchEnter(thenOnly, arm)
+				c.StructExit()
+				c.BranchEnter(elseOnly, arm)
+				c.StructExit()
+				c.BranchSkip(skipped)
+				c.CallEnter(call)
+				c.LoopEnter(inner)
+				c.LoopIter(inner)
+				c.LoopIter(inner)
+				c.StructExit()
+				c.StructExit()
+			}
+		}
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+			t.Errorf("steady-state structure markers allocate %.1f allocs/op, want 0", allocs)
+		}
+	})
+
+	// Eight loops, each holding an if that is reached for the first time
+	// inside the measured calls.
+	t.Run("first-reach", func(t *testing.T) {
+		_, tree := compile(t, "func main() {\n"+strings.Repeat(
+			"\tfor var i = 0; i < 2; i = i + 1 { if rank < 0 { barrier(); } }\n", 8)+"}")
+		c := NewCompressor(tree, 0, timestat.ModeMeanStddev)
+		c.stack = make([]frame, 0, 4)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		for _, loop := range tree.Root.Children {
+			c.LoopEnter(int32(loop.Site))
+			site := int32(loop.Children[0].Site)
+			runtime.ReadMemStats(&before)
+			c.BranchSkip(site)
+			c.BranchSkip(site)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("first BranchSkip under loop %d allocates %d objects, want 0", loop.GID, n)
+			}
+			c.StructExit()
+		}
+	})
 }

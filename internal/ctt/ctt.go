@@ -119,9 +119,11 @@ type VData struct {
 	open int64
 	// cyc tracks in-progress record-cycle folding.
 	cyc cycleState
-	// reach maps branch sites to their reach counters (stored on the parent
-	// vertex of the arms). Dropped after Finish; replay recomputes them.
-	reach map[lang.NodeID]int64
+	// reach counts how often the branch site was reached. It is used only on
+	// the site's first arm vertex (arm 0, or arm 1 when arm 0 was pruned), the
+	// one place both the compressor and replay can name without a lookup table;
+	// replay recomputes it, so it is not part of the finished tree.
+	reach int64
 	// slab backs the records pointed at by Records: records are carved out
 	// of chunked arrays instead of being allocated one by one, so appending
 	// a record costs one heap allocation per chunk instead of three per
@@ -352,21 +354,20 @@ func (c *Compressor) BranchEnter(site int32, arm int8) {
 		c.stack = append(c.stack, frame{kind: fSkip})
 		return
 	}
-	s := lang.NodeID(site)
-	armV := c.cursor.Child(s, arm)
-	other := c.cursor.Child(s, 1-arm)
-	if armV == nil && other == nil {
+	first := c.firstArm(site)
+	if first == nil {
 		// Whole branch pruned: no reach bookkeeping needed.
 		c.skip++
 		c.stack = append(c.stack, frame{kind: fSkip})
 		return
 	}
-	pd := c.d(c.cursor)
-	if pd.reach == nil {
-		pd.reach = map[lang.NodeID]int64{}
+	fd := c.d(first)
+	idx := fd.reach
+	fd.reach++
+	armV := first
+	if first.Arm != arm {
+		armV = c.cursor.Child(lang.NodeID(site), arm)
 	}
-	idx := pd.reach[s]
-	pd.reach[s] = idx + 1
 	if armV == nil {
 		// This arm was pruned (comm-free); the reach counter still advanced.
 		c.skip++
@@ -383,15 +384,18 @@ func (c *Compressor) BranchSkip(site int32) {
 	if c.skip > 0 {
 		return
 	}
-	s := lang.NodeID(site)
-	if c.cursor.Child(s, 0) == nil && c.cursor.Child(s, 1) == nil {
-		return
+	if first := c.firstArm(site); first != nil {
+		c.d(first).reach++
 	}
-	pd := c.d(c.cursor)
-	if pd.reach == nil {
-		pd.reach = map[lang.NodeID]int64{}
+}
+
+// firstArm returns the vertex that holds the reach counter of a branch site
+// under the cursor: its then-arm, else its else-arm, nil when both are pruned.
+func (c *Compressor) firstArm(site int32) *cst.Vertex {
+	if v := c.cursor.Child(lang.NodeID(site), 0); v != nil {
+		return v
 	}
-	pd.reach[s]++
+	return c.cursor.Child(lang.NodeID(site), 1)
 }
 
 // CallEnter implements trace.Sink.
@@ -474,11 +478,8 @@ func (c *Compressor) Event(e *trace.Event) {
 	if leaf == nil || leaf.Kind != cst.KindComm {
 		panic(fmt.Sprintf("ctt: no comm leaf for site under vertex %d (op %v)", c.cursor.GID, e.Op))
 	}
-	ev := *e
-	ev.GID = leaf.GID
-
-	if ev.Op.IsNonBlocking() {
-		c.reqs.put(ev.ReqID, leaf.GID)
+	if e.Op.IsNonBlocking() {
+		c.reqs.put(e.ReqID, leaf.GID)
 		if c.obs != nil {
 			occ := int64(c.reqs.live)
 			c.tal.reqOcc.Observe(occ)
@@ -486,12 +487,12 @@ func (c *Compressor) Event(e *trace.Event) {
 				c.tal.reqPeak = occ
 			}
 		}
-		if ev.Op == trace.OpIrecv && ev.Wildcard {
+		if e.Op == trace.OpIrecv && e.Wildcard {
 			// Paper Section IV-A, non-deterministic events: cache wildcard
 			// receives; compression is delayed until the checking function
 			// resolves the source. The cache copies the event into recycled
 			// slot storage, so repeated wildcard receives do not allocate.
-			c.reqs.putWild(ev.ReqID, &ev)
+			c.reqs.putWild(e.ReqID, e)
 			if c.obs != nil {
 				c.tal.wildCached++
 				depth := int64(c.reqs.wildLive)
@@ -503,10 +504,15 @@ func (c *Compressor) Event(e *trace.Event) {
 			return
 		}
 	}
-	if ev.Op.IsCompletion() {
+	if e.Op.IsCompletion() {
+		// The one copy on this path: resolution rewrites the request lists,
+		// and the caller's event is not ours to change.
+		ev := *e
 		c.resolveCompletion(&ev)
+		c.record(leaf, &ev)
+		return
 	}
-	c.record(leaf, &ev)
+	c.record(leaf, e)
 }
 
 // resolveCompletion rewrites request ids to poster GIDs and flushes any
@@ -529,11 +535,10 @@ func (c *Compressor) resolveCompletion(ev *trace.Event) {
 				panic("ctt: wildcard completion without resolved sources")
 			}
 			cached.Peer = int(ev.ReqSrcs[i])
-			leaf := c.tree.ByGID[cached.GID]
 			c.tal.wildResolved++
 			rec.Instant(ftrace.CatCompress, ftrace.NameWildcard,
-				int32(c.rank), int64(cached.GID), int64(c.reqs.wildLive))
-			c.record(leaf, &cached)
+				int32(c.rank), int64(gid), int64(c.reqs.wildLive))
+			c.record(c.tree.ByGID[gid], &cached)
 		}
 		c.reqs.del(id)
 	}
@@ -543,19 +548,15 @@ func (c *Compressor) resolveCompletion(ev *trace.Event) {
 	ev.ReqSrcs = nil
 }
 
-// record merges ev into the last record of v or appends a new one.
+// record merges ev into the last record of v or appends a new one. ev is
+// only read: the comparisons below ignore GID, request id and times, so the
+// event takes its canonical form only when a new record retains it.
 func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	d := c.d(v)
-	dur := ev.DurationNS
-	canon := *ev
-	canon.GID = v.GID // the CommRecord.Ev invariant; raw Init/Finalize arrive with -1
-	canon.DurationNS = 0
-	canon.ComputeNS = 0
-	canon.ReqID = -1
-	comp := ev.ComputeNS
+	dur, comp := ev.DurationNS, ev.ComputeNS
 	// Open record cycles consume matching events first; a mismatch closes
 	// the cycle and falls through to the ordinary paths.
-	if d.cyc.open != nil && d.tryFoldCycle(&d.cyc, &canon, dur, comp) {
+	if d.cyc.open != nil && d.tryFoldCycle(&d.cyc, ev, dur, comp) {
 		c.tal.cycleFolds++
 		return
 	}
@@ -569,7 +570,7 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	}
 	for i := n - 1; i >= lo; i-- {
 		cand := d.Records[i]
-		if cand.Peers == nil && cand.Ev.SameParams(&canon) {
+		if cand.Peers == nil && cand.Ev.SameParams(ev) {
 			cand.Count++
 			cand.Time.Add(dur)
 			cand.Compute.Add(comp)
@@ -578,15 +579,15 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 		}
 	}
 	rel := 0
-	if canon.Op.IsPointToPoint() {
-		rel = canon.Peer - c.rank
+	if ev.Op.IsPointToPoint() {
+		rel = ev.Peer - c.rank
 	}
 	// Peer-pattern folding: a point-to-point record whose parameters match
 	// except for the partner extends the last record's peer cycle instead
 	// of opening a new record (CG butterflies, MG level neighbors).
-	if n > d.cyc.frozen && n > 0 && canon.Op.IsPointToPoint() {
+	if n > d.cyc.frozen && n > 0 && ev.Op.IsPointToPoint() {
 		last := d.Records[n-1]
-		if last.Ev.Op.IsPointToPoint() && last.Ev.SameParamsExceptPeer(&canon) {
+		if last.Ev.Op.IsPointToPoint() && last.Ev.SameParamsExceptPeer(ev) {
 			if last.Peers == nil {
 				last.Peers = newPeerPattern(int32(last.PeerRel), last.Count)
 			}
@@ -601,12 +602,16 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 		}
 	}
 	rec := d.NewRecord()
-	rec.Ev = canon
-	if len(canon.Reqs) > 0 {
-		// canon.Reqs may alias the compressor's completion scratch buffer;
-		// a retained record must own its copy. New records are rare (cold
+	rec.Ev = *ev
+	rec.Ev.GID = v.GID // the CommRecord.Ev invariant; raw Init/Finalize arrive with -1
+	rec.Ev.DurationNS = 0
+	rec.Ev.ComputeNS = 0
+	rec.Ev.ReqID = -1
+	if len(ev.Reqs) > 0 {
+		// ev.Reqs may alias the compressor's completion scratch buffer; a
+		// retained record must own its copy. New records are rare (cold
 		// path), so this copy does not affect steady-state allocation.
-		rec.Ev.Reqs = append([]int32(nil), canon.Reqs...)
+		rec.Ev.Reqs = append([]int32(nil), ev.Reqs...)
 	}
 	rec.PeerRel = rel
 	rec.Count = 1
@@ -641,7 +646,7 @@ func (c *Compressor) Finish() *RankCTT {
 	exec := 0
 	for i := range c.data {
 		d := &c.data[i]
-		d.reach = nil
+		d.reach = 0
 		if d.cyc.open != nil {
 			d.closeCycle(&d.cyc)
 		}
@@ -714,10 +719,9 @@ func (c *Compressor) strideStats(v *stride.Vector) {
 // MemoryBytes estimates the live memory the compressor holds, for the
 // intra-process overhead experiment (paper Figure 16's memory curves).
 func (c *Compressor) MemoryBytes() int64 {
-	var n int64 = int64(len(c.data)) * 64 // VData headers
+	var n int64 = int64(len(c.data)) * 72 // VData headers: 64 + the reach counter
 	for i := range c.data {
 		n += c.data[i].SizeBytes()
-		n += int64(len(c.data[i].reach)) * 16
 	}
 	n += int64(len(c.stack)) * 24
 	n += c.reqs.memoryBytes()

@@ -54,13 +54,13 @@ func recordsCycleEqual(a, b *CommRecord) bool {
 
 // tryFoldCycle attempts to consume ev as the next occurrence of an open
 // cycle. It reports whether the event was absorbed.
-func (d *VData) tryFoldCycle(cs *cycleState, canon *trace.Event, dur, comp float64) bool {
+func (d *VData) tryFoldCycle(cs *cycleState, ev *trace.Event, dur, comp float64) bool {
 	oc := cs.open
 	if oc == nil {
 		return false
 	}
 	target := d.Records[oc.start+oc.pos]
-	if target.Peers != nil || !target.Ev.SameParams(canon) {
+	if target.Peers != nil || !target.Ev.SameParams(ev) {
 		d.closeCycle(cs)
 		return false
 	}

@@ -3,6 +3,8 @@ package merge
 import (
 	"bytes"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/replay"
@@ -47,6 +49,68 @@ func main() {
 	return seeds
 }
 
+// brokenCSTSeeds returns two encodings of one traced run whose embedded CST
+// text was edited in place (same length, so the length prefix still frames
+// it) into the sibling lists cst.Decode refuses: a repeated (site, arm) key,
+// and an if site whose two arms are no longer adjacent.
+func brokenCSTSeeds(t testing.TB) (dup, split []byte) {
+	t.Helper()
+	_, ctts, _ := collect(t, `
+func main() {
+	var even = rank % 2 == 0;
+	var lo = rank - 1;
+	var hi = rank + 1;
+	if even { send(hi, 8, 0); } else { recv(lo, 8, 0); }
+	if even { recv(hi, 8, 1); } else { send(lo, 8, 1); }
+}`, 2)
+	m, err := All(ctts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	// Vertex lines read "gid kind site arm ..."; kind 2 is a branch arm. The
+	// root's children are then/else of the first if, then/else of the second.
+	arms := regexp.MustCompile(`(?m)^\d+ 2 (\d+ [01]) `).FindAllSubmatchIndex(enc, -1)
+	if len(arms) != 4 {
+		t.Fatalf("found %d branch-arm lines in the embedded CST, want 4", len(arms))
+	}
+	key := func(i int) []byte { return enc[arms[i][2]:arms[i][3]] }
+	if len(key(1)) != len(key(2)) {
+		t.Fatalf("site numbers %q and %q differ in width", key(1), key(2))
+	}
+	dup = bytes.Clone(enc)
+	copy(dup[arms[1][2]:], key(0)) // then, then, ...
+	split = bytes.Clone(enc)
+	copy(split[arms[1][2]:], key(2)) // then A, then B, else A, else B
+	copy(split[arms[2][2]:], key(1))
+	return dup, split
+}
+
+// TestDecodeRejectsBrokenCST: a file whose CST would make the cursor's
+// first-match child lookup or the per-site reach counter ambiguous is an
+// error at decode, on the full and the projected path, never a panic.
+func TestDecodeRejectsBrokenCST(t *testing.T) {
+	dup, split := brokenCSTSeeds(t)
+	for _, tc := range []struct {
+		enc  []byte
+		want string
+	}{
+		{dup, "duplicate child key"},
+		{split, "are not adjacent"},
+	} {
+		if _, err := Decode(bytes.NewReader(tc.enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Decode = %v, want error containing %q", err, tc.want)
+		}
+		if _, err := DecodeSelect(tc.enc, SelectRanks(0)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeSelect = %v, want error containing %q", err, tc.want)
+		}
+	}
+}
+
 // FuzzDecodeRoundTrip feeds arbitrary bytes to the slab-backed decoder and
 // checks two properties:
 //
@@ -64,6 +128,9 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
+	dup, split := brokenCSTSeeds(f)
+	f.Add(dup)
+	f.Add(split)
 	f.Add([]byte{})
 	f.Add([]byte("CYPRESS-MERGE"))
 	f.Fuzz(func(t *testing.T, in []byte) {

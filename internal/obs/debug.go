@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -53,7 +54,11 @@ type DebugServer struct {
 	ln   net.Listener
 	Addr string // concrete listen address (resolves ":0")
 
-	quit      chan struct{} // closed by Close; long-running handlers must watch it
+	quit chan struct{} // closed by Close; long-running handlers must watch it
+	// waiting gets one token (dropped when full, so the handler never blocks
+	// on it) each time a live capture starts its wait; tests sync on it.
+	waiting chan struct{}
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -83,6 +88,7 @@ func ServeDebug(addr string, s *Sink) (*DebugServer, error) {
 func ServeDebugTrace(addr string, s *Sink, rec *ftrace.Recorder) (*DebugServer, error) {
 	s.Publish("cypress")
 	quit := make(chan struct{})
+	waiting := make(chan struct{}, 1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -116,6 +122,10 @@ func ServeDebugTrace(addr string, s *Sink, rec *ftrace.Recorder) (*DebugServer, 
 			t := time.NewTimer(time.Duration(sec) * time.Second)
 			defer t.Stop()
 			select {
+			case waiting <- struct{}{}:
+			default:
+			}
+			select {
 			case <-t.C:
 			case <-quit:
 				http.Error(w, "debug server closing", http.StatusServiceUnavailable)
@@ -132,10 +142,11 @@ func ServeDebugTrace(addr string, s *Sink, rec *ftrace.Recorder) (*DebugServer, 
 		return nil, err
 	}
 	ds := &DebugServer{
-		srv:  &http.Server{Handler: mux},
-		ln:   ln,
-		Addr: ln.Addr().String(),
-		quit: quit,
+		srv:     &http.Server{Handler: mux},
+		ln:      ln,
+		Addr:    ln.Addr().String(),
+		quit:    quit,
+		waiting: waiting,
 	}
 	go func() { _ = ds.srv.Serve(ln) }()
 	return ds, nil
@@ -155,6 +166,13 @@ func (d *DebugServer) Close() error {
 		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer cancel()
 		err := d.srv.Shutdown(ctx)
+		if errors.Is(err, net.ErrClosed) {
+			// Shutdown drained every handler and then reported that its own
+			// close of the listener, closed above, came second. Which close
+			// wins depends on whether the serve goroutine has already seen
+			// the first one and let go of the listener.
+			err = nil
+		}
 		if err != nil {
 			// Deadline hit with handlers still running: sever them.
 			if cerr := d.srv.Close(); err == context.DeadlineExceeded && cerr != nil {

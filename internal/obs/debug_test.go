@@ -153,7 +153,13 @@ func TestDebugServerCloseAbortsPendingCapture(t *testing.T) {
 		done <- result{status: resp.StatusCode, body: sb.String()}
 	}()
 
-	time.Sleep(100 * time.Millisecond) // let the capture enter its wait
+	select {
+	case <-ds.waiting: // the handler is about to block on its 60 s window
+	case r := <-done:
+		t.Fatalf("capture request ended before its wait began: status %d, err %v", r.status, r.err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("capture request never reached its wait")
+	}
 	start := time.Now()
 	if err := ds.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -183,15 +183,16 @@ func synthesize(ev *trace.Event, rec *ctt.CommRecord, rank int, k int64) {
 // walkSteps drives the pre-order tree walk, invoking step for each record
 // occurrence in original program order.
 func walkSteps(src Source, rank int, step func(rec *ctt.CommRecord, k int64)) error {
+	tree := src.Tree()
+	n := tree.NumVertices()
 	r := &replayer{
 		src:   src,
 		rank:  rank,
 		step:  step,
-		rec:   map[int32]*recCursor{},
-		act:   map[int32]int64{},
-		reach: map[reachKey]int64{},
+		rec:   make([]recCursor, n),
+		act:   make([]int64, n),
+		reach: make([]int64, n),
 	}
-	tree := src.Tree()
 	// MPI_Init lives first on the root's record list, MPI_Finalize second.
 	if err := r.emitLeaf(tree.Root); err != nil {
 		return err
@@ -205,33 +206,29 @@ func walkSteps(src Source, rank int, step func(rec *ctt.CommRecord, k int64)) er
 	return nil
 }
 
-type reachKey struct {
-	parent int32
-	site   int32
-}
-
 type recCursor struct {
 	idx      int
 	consumed int64
 	rep      int64 // completed repetitions of the active record cycle
 }
 
+// replayer is one rank's walk. Its per-vertex state is indexed by GID, like
+// the compressor's: the tree is known before the walk starts.
 type replayer struct {
-	src   Source
-	rank  int
-	step  func(rec *ctt.CommRecord, k int64)
-	rec   map[int32]*recCursor
-	act   map[int32]int64 // next activation index per loop vertex
-	reach map[reachKey]int64
+	src  Source
+	rank int
+	step func(rec *ctt.CommRecord, k int64)
+	rec  []recCursor // record cursor per comm leaf (and the root)
+	act  []int64     // next activation index per loop vertex
+	// reach counts how often each branch site was reached, at the GID of the
+	// site's first arm vertex — where the compressor keeps the counter whose
+	// values the arms' taken sets hold.
+	reach []int64
 }
 
 func (r *replayer) emitLeaf(v *cst.Vertex) error {
 	records := r.src.Records(v.GID)
-	cur := r.rec[v.GID]
-	if cur == nil {
-		cur = &recCursor{}
-		r.rec[v.GID] = cur
-	}
+	cur := &r.rec[v.GID]
 	if cur.idx >= len(records) {
 		return fmt.Errorf("replay: rank %d: leaf %d (%v) out of records", r.rank, v.GID, v.Op)
 	}
@@ -307,9 +304,8 @@ func (r *replayer) walkBody(v *cst.Vertex) (bool, error) {
 			for j < len(children) && children[j].Kind == cst.KindBranch && children[j].Site == c.Site {
 				j++
 			}
-			key := reachKey{v.GID, int32(c.Site)}
-			idx := r.reach[key]
-			r.reach[key] = idx + 1
+			idx := r.reach[c.GID]
+			r.reach[c.GID]++
 			for _, arm := range children[i:j] {
 				taken := r.src.Taken(arm.GID)
 				if taken != nil && taken.Contains(idx) {

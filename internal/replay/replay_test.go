@@ -2,6 +2,7 @@ package replay
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cst"
@@ -30,9 +31,9 @@ func (t tee) CommSite(s int32)            { t.comp.CommSite(s) }
 func (t tee) Event(e *trace.Event)        { t.raw.Event(e); t.comp.Event(e) }
 func (t tee) Finalize()                   { t.comp.Finalize() }
 
-// roundTrip runs src on n ranks, compresses, decompresses, and returns both
-// raw and replayed sequences per rank.
-func roundTrip(t *testing.T, src string, n int) (raw [][]trace.Event, rep [][]trace.Event) {
+// compress runs src on n ranks and returns each rank's raw sequence and
+// finished CTT.
+func compress(t *testing.T, src string, n int) (raw [][]trace.Event, ctts []*ctt.RankCTT) {
 	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
@@ -63,16 +64,56 @@ func roundTrip(t *testing.T, src string, n int) (raw [][]trace.Event, rep [][]tr
 		t.Fatalf("run: %v", err)
 	}
 	raw = make([][]trace.Event, n)
-	rep = make([][]trace.Event, n)
+	ctts = make([]*ctt.RankCTT, n)
 	for i := range sinks {
 		raw[i] = raws[i].Events
-		seq, err := Sequence(RankSource{comps[i].Finish()}, i)
+		ctts[i] = comps[i].Finish()
+	}
+	return raw, ctts
+}
+
+// roundTrip runs src on n ranks, compresses, decompresses, and returns both
+// raw and replayed sequences per rank.
+func roundTrip(t *testing.T, src string, n int) (raw [][]trace.Event, rep [][]trace.Event) {
+	t.Helper()
+	raw, ctts := compress(t, src, n)
+	rep = make([][]trace.Event, n)
+	for i, c := range ctts {
+		seq, err := Sequence(RankSource{c}, i)
 		if err != nil {
-			t.Fatalf("rank %d replay: %v\n%s", i, err, tree.Dump())
+			t.Fatalf("rank %d replay: %v\n%s", i, err, c.Tree.Dump())
 		}
 		rep[i] = seq
 	}
 	return raw, rep
+}
+
+// TestReplayerStateDense: a walk keeps its per-vertex cursors in slices
+// indexed by GID, sized once from the tree, so the number of allocations of
+// one walk does not depend on how many leaves, loops and branch sites it
+// visits.
+func TestReplayerStateDense(t *testing.T) {
+	walkAllocs := func(sites int) float64 {
+		_, ctts := compress(t, "func main() {\n\tfor var i = 0; i < 3; i = i + 1 {\n"+strings.Repeat(
+			"\t\tif i < 2 { barrier(); } else { allreduce(8); }\n\t\tfor var k = 0; k < 2; k = k + 1 { bcast(0, 8); }\n",
+			sites)+"\t}\n}", 2)
+		src := RankSource{ctts[0]}
+		events := 0
+		step := func(*ctt.CommRecord, int64) { events++ }
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := walkSteps(src, 0, step); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := 11 * (2 + 3*3*sites); events != want { // Init, Finalize, 3 iterations of 3 events per site
+			t.Fatalf("%d sites: walked %d events, want %d", sites, events, want)
+		}
+		return allocs
+	}
+	few, many := walkAllocs(2), walkAllocs(128)
+	if many != few || many > 4 {
+		t.Errorf("one walk allocates %.0f objects over 2 sites and %.0f over 128, want the same small number", few, many)
+	}
 }
 
 func assertLossless(t *testing.T, src string, n int) {

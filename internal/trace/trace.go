@@ -194,7 +194,15 @@ type Event struct {
 // CYPRESS uses when comparing an incoming operation with the last record of
 // the same CTT vertex (paper: "all but the communication time").
 func (e *Event) SameParams(o *Event) bool {
-	if e.Op != o.Op || e.Size != o.Size || e.Peer != o.Peer ||
+	return e.Peer == o.Peer && e.SameParamsExceptPeer(o)
+}
+
+// SameParamsExceptPeer is SameParams with the peer excluded, used by the
+// CYPRESS leaf compressor to detect records that differ only in their
+// communication partner (peer-pattern folding). Like SameParams it only
+// reads both events; the receiver is usually a stored record.
+func (e *Event) SameParamsExceptPeer(o *Event) bool {
+	if e.Op != o.Op || e.Size != o.Size ||
 		e.Tag != o.Tag || e.Comm != o.Comm || e.Wildcard != o.Wildcard ||
 		len(e.Reqs) != len(o.Reqs) || len(e.ReqSrcs) != len(o.ReqSrcs) {
 		return false
@@ -210,16 +218,6 @@ func (e *Event) SameParams(o *Event) bool {
 		}
 	}
 	return true
-}
-
-// SameParamsExceptPeer is SameParams with the peer excluded, used by the
-// CYPRESS leaf compressor to detect records that differ only in their
-// communication partner (peer-pattern folding).
-func (e *Event) SameParamsExceptPeer(o *Event) bool {
-	saved := e.Peer
-	defer func() { e.Peer = saved }()
-	e.Peer = o.Peer
-	return e.SameParams(o)
 }
 
 func (e Event) String() string {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +96,65 @@ func TestSameParams(t *testing.T) {
 	if !r1.SameParams(&r2) {
 		t.Fatal("ReqID must not affect SameParams")
 	}
+}
+
+// TestSameParamsExceptPeerIsPure: the comparison differs from SameParams in
+// the peer alone, and leaves its receiver — a stored record on the
+// compressor's fold path — exactly as it found it, match or no match.
+func TestSameParamsExceptPeerIsPure(t *testing.T) {
+	stored := Event{Op: OpWaitall, Size: 64, Peer: 3, Tag: 7, Comm: 1, GID: 12, ReqID: -1,
+		Reqs: []int32{4, 5}, ReqSrcs: []int32{1, -1}, DurationNS: 10, ComputeNS: 20}
+	before := stored
+	before.Reqs = append([]int32(nil), stored.Reqs...)
+	before.ReqSrcs = append([]int32(nil), stored.ReqSrcs...)
+	for name, mut := range map[string]func(*Event){
+		"same":    func(*Event) {},
+		"peer":    func(e *Event) { e.Peer = 9 },
+		"op":      func(e *Event) { e.Op = OpWaitsome },
+		"size":    func(e *Event) { e.Size++ },
+		"tag":     func(e *Event) { e.Tag++ },
+		"comm":    func(e *Event) { e.Comm++ },
+		"wild":    func(e *Event) { e.Wildcard = true },
+		"reqs":    func(e *Event) { e.Reqs = []int32{4, 6} },
+		"reqsrcs": func(e *Event) { e.ReqSrcs = nil },
+		"ignored": func(e *Event) { e.DurationNS, e.ComputeNS, e.ReqID, e.GID = 1, 2, 3, 4 },
+	} {
+		o := before
+		mut(&o)
+		wantSame := name == "same" || name == "ignored"
+		if got := stored.SameParams(&o); got != wantSame {
+			t.Errorf("%s: SameParams = %v, want %v", name, got, wantSame)
+		}
+		if got, want := stored.SameParamsExceptPeer(&o), wantSame || name == "peer"; got != want {
+			t.Errorf("%s: SameParamsExceptPeer = %v, want %v", name, got, want)
+		}
+		if !reflect.DeepEqual(stored, before) {
+			t.Fatalf("%s: comparison changed its receiver: %+v, was %+v", name, stored, before)
+		}
+	}
+}
+
+// TestSameParamsConcurrentReaders compares one stored record from two
+// goroutines, each against its own peer; run under -race (CI's race job), a
+// comparison that writes to the record fails here.
+func TestSameParamsConcurrentReaders(t *testing.T) {
+	stored := Event{Op: OpSend, Size: 64, Peer: 3, Tag: 7}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(peer int) {
+			defer wg.Done()
+			o := stored
+			o.Peer = peer
+			for i := 0; i < 1000; i++ {
+				if !stored.SameParamsExceptPeer(&o) || stored.SameParams(&o) {
+					t.Errorf("peer %d: wrong comparison result", peer)
+					return
+				}
+			}
+		}(10 + g)
+	}
+	wg.Wait()
 }
 
 func randEvent(rng *rand.Rand) Event {

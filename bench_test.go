@@ -75,12 +75,9 @@ func BenchmarkEncodeBlocked1024W4(b *testing.B) { bench.BenchEncodeBlocked1024W4
 func BenchmarkDecodeBlocked1024W1(b *testing.B) { bench.BenchDecodeBlocked1024W1(b) }
 func BenchmarkDecodeBlocked1024W2(b *testing.B) { bench.BenchDecodeBlocked1024W2(b) }
 
-// Streaming decompression benchmarks (bodies in internal/bench/replaybench.go):
-// each streaming path is paired with its pre-streaming reference
-// (Walk / Materialized) so before/after comparisons stay runnable.
+// Streaming decompression benchmarks (bodies in internal/bench/replaybench.go).
 
 func BenchmarkReplayRank(b *testing.B)     { bench.BenchReplayRank(b) }
-func BenchmarkReplayRankWalk(b *testing.B) { bench.BenchReplayRankWalk(b) }
 func BenchmarkPredict256(b *testing.B)     { bench.BenchPredict256(b) }
 func BenchmarkPredict1024(b *testing.B)    { bench.BenchPredict1024(b) }
 func BenchmarkPredict1024W2(b *testing.B)  { bench.BenchPredict1024W2(b) }
@@ -88,16 +85,7 @@ func BenchmarkPredict1024W4(b *testing.B)  { bench.BenchPredict1024W4(b) }
 func BenchmarkSimulate1024W1(b *testing.B) { bench.BenchSimulate1024W1(b) }
 func BenchmarkSimulate1024W2(b *testing.B) { bench.BenchSimulate1024W2(b) }
 func BenchmarkSimulate1024W4(b *testing.B) { bench.BenchSimulate1024W4(b) }
-func BenchmarkPredictMaterialized256(b *testing.B) {
-	bench.BenchPredictMaterialized256(b)
-}
-func BenchmarkPredictMaterialized1024(b *testing.B) {
-	bench.BenchPredictMaterialized1024(b)
-}
 func BenchmarkCommMatrix1024(b *testing.B) { bench.BenchCommMatrix1024(b) }
-func BenchmarkCommMatrixMaterialized1024(b *testing.B) {
-	bench.BenchCommMatrixMaterialized1024(b)
-}
 
 // Content-addressed corpus benchmarks (bodies in internal/bench/corpusbench.go):
 // cross-run dedup sizing, ingest throughput, and cold-versus-warm serving of

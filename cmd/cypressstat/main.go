@@ -167,7 +167,7 @@ func projectionStats(path string, rank, par int, jsonOut bool) error {
 	s := obs.New()
 	merge.SetObs(s)
 	defer merge.SetObs(nil)
-	m, err := merge.DecodeSelect(payload, merge.SelectRanks(rank))
+	m, err := merge.DecodeSelectAuto(payload, merge.SelectRanks(rank), par)
 	if err != nil {
 		return err
 	}

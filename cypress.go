@@ -189,7 +189,8 @@ func (p *Program) Trace(nprocs int, opts Options) (*Result, error) {
 // Replay decompresses one rank's exact event sequence (paper Section V). It
 // runs through the streaming replayer: the first rank of a selection class
 // pays one tree walk, every later rank of the class is a flat skeleton scan.
-// The sequence is byte-identical to replay.Sequence over Merged.ForRank.
+// The sequence is identical to the test oracle's, replay.Sequence over
+// Merged.ForRank.
 func (r *Result) Replay(rank int) ([]trace.Event, error) {
 	var out []trace.Event
 	err := r.Streamer().Replay(rank, func(e *trace.Event) {
@@ -222,7 +223,7 @@ func (r *Result) Predict() (simmpi.Result, error) {
 // O(classes · events-per-rank) instead of O(ranks · events-per-rank), and the
 // simulator advances ranks concurrently inside conservative lookahead
 // windows. The result is bit-identical at every worker count and identical
-// to simulating materialized sequences.
+// to simulating materialized sequences (simmpi.Simulate, the test oracle).
 func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 	s := r.Streamer()
 	if err := s.Prepare(workers); err != nil {
@@ -239,22 +240,6 @@ func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 	return simmpi.SimulateStreamPar(srcs, r.params, workers)
 }
 
-// PredictMaterialized is the pre-streaming reference implementation of
-// Predict: decompress every rank into a full []trace.Event, then simulate.
-// Kept for verification and benchmarking against the streaming path; both
-// must produce identical results.
-func (r *Result) PredictMaterialized() (simmpi.Result, error) {
-	seqs := make([][]trace.Event, r.Merged.NumRanks)
-	for rank := range seqs {
-		seq, err := replay.Sequence(r.Merged.ForRank(rank), rank)
-		if err != nil {
-			return simmpi.Result{}, err
-		}
-		seqs[rank] = seq
-	}
-	return simmpi.Simulate(seqs, r.params)
-}
-
 // WriteTrace serializes the merged compressed trace; gzip additionally
 // applies stdlib gzip (the paper's "Cypress+Gzip"). It returns the bytes
 // written.
@@ -269,7 +254,7 @@ func (r *Result) WriteTrace(w io.Writer, gzip bool) (int64, error) {
 // section index appended after the standard v1 body (gzip-wrapped when gzip
 // is set). The body bytes are identical to WriteTrace's output and every
 // existing reader decodes them unchanged; indexed files additionally let
-// ReadTraceProjected skip unselected ranks' payload sections in O(1).
+// OpenTrace skip unselected ranks' payload sections in O(1).
 func (r *Result) WriteTraceIndexed(w io.Writer, gzip bool) (int64, error) {
 	if gzip {
 		return r.Merged.EncodeIndexedGzip(w)
@@ -281,36 +266,37 @@ func (r *Result) WriteTraceIndexed(w io.Writer, gzip bool) (int64, error) {
 // block container: sharded deflate frames compressed by a pool of workers
 // (workers <= 0 picks a default from GOMAXPROCS) with a seekable frame index
 // in the footer. The emitted bytes are identical at every worker count.
-// ReadTrace and ReadTracePar load it transparently.
+// OpenTrace loads it transparently.
 func (r *Result) WriteTraceBlocked(w io.Writer, workers int) (int64, error) {
 	return r.Merged.EncodeBlocked(w, workers)
 }
 
-// ReadTrace loads a merged compressed trace written by WriteTrace or
-// WriteTraceBlocked — the container layer (gzip, CYPB, or none) is sniffed
-// from the leading magic. Replay works directly on the result via
-// merge.Merged.ForRank.
-func ReadTrace(rd io.Reader) (*merge.Merged, error) {
-	return merge.Decode(rd)
-}
-
-// ReadTracePar is ReadTrace with an explicit inflate worker count for CYPB
-// containers: workers < 0 inflates inline, 0 picks a default, >= 1 pipelines
-// that many inflate workers behind the parser. The worker count never changes
-// the decoded trace; other formats ignore it.
-func ReadTracePar(rd io.Reader, workers int) (*merge.Merged, error) {
-	return merge.DecodePar(rd, workers)
-}
-
-// ReadTraceProjected loads a trace held in memory (any container ReadTrace
-// accepts) with a rank projection pushed into the decoder: only the listed
-// ranks' timing payloads are materialized, the rest resolve lazily on first
-// touch. Single-rank serving cost then scales with what the query touches,
-// not with trace size; files written by WriteTraceIndexed skip unselected
-// sections by index, others by a grammar walk. The returned tree retains the
-// payload bytes, so the caller must not modify data afterwards.
-func ReadTraceProjected(data []byte, workers int, ranks ...int) (*merge.Merged, error) {
-	return merge.DecodeSelectAuto(data, merge.SelectRanks(ranks...), workers)
+// OpenTrace is the one way a stored trace comes back: it decodes a trace file
+// held in memory — written by WriteTrace, WriteTraceIndexed or
+// WriteTraceBlocked; the container layer (gzip, CYPB, or none) is sniffed from
+// the leading magic — into a Result ready for Replay, Predict and CommMatrix.
+// workers bounds the CYPB inflate pipeline (< 0 inflates inline, 0 picks a
+// default, >= 1 pipelines that many workers); it never changes the decoded
+// trace and other formats ignore it.
+//
+// With no ranks every timing payload is decoded up front. With ranks the
+// projection is pushed into the decoder: only those ranks' payloads are
+// materialized and the rest resolve lazily on first touch, so single-rank
+// serving cost scales with what the query touches, not with trace size; files
+// written by WriteTraceIndexed skip unselected sections by index, others by a
+// grammar walk. Either way every rank replays identically. The Result retains
+// the payload bytes, so the caller must not modify data afterwards, and its
+// prediction parameters are mpisim.DefaultParams(), as for Corpus.Get.
+func OpenTrace(data []byte, workers int, ranks ...int) (*Result, error) {
+	sel := merge.SelectAll()
+	if len(ranks) > 0 {
+		sel = merge.SelectRanks(ranks...)
+	}
+	m, err := merge.DecodeSelectAuto(data, sel, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Merged: m, params: mpisim.DefaultParams()}, nil
 }
 
 // CommMatrix accumulates the communication volume matrix (bytes sent from
@@ -353,35 +339,6 @@ func (r *Result) CommMatrixPar(workers int) ([][]int64, error) {
 	for _, perr := range peerErrs {
 		if perr != nil {
 			return nil, perr
-		}
-	}
-	return mat, nil
-}
-
-// CommMatrixMaterialized is the pre-streaming reference implementation:
-// serial, one fully materialized sequence per rank. Kept for verification and
-// benchmarking against the streaming path; it applies the same out-of-range
-// peer check, and both must produce identical matrices.
-func (r *Result) CommMatrixMaterialized() ([][]int64, error) {
-	n := r.Merged.NumRanks
-	mat := make([][]int64, n)
-	for i := range mat {
-		mat[i] = make([]int64, n)
-	}
-	for rank := 0; rank < n; rank++ {
-		seq, err := replay.Sequence(r.Merged.ForRank(rank), rank)
-		if err != nil {
-			return nil, err
-		}
-		for i := range seq {
-			e := &seq[i]
-			if !e.Op.IsSendLike() {
-				continue
-			}
-			if e.Peer < 0 || e.Peer >= n {
-				return nil, commPeerError(rank, e, n)
-			}
-			mat[rank][e.Peer] += int64(e.Size)
 		}
 	}
 	return mat, nil

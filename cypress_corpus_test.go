@@ -96,11 +96,11 @@ func TestCorpusFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0, err := ReadTrace(bytes.NewReader(encs[0]))
+	opened, err := OpenTrace(encs[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&Result{Merged: m0, params: mpisim.DefaultParams()}).Replay(3)
+	want, err := opened.Replay(3)
 	if err != nil {
 		t.Fatal(err)
 	}

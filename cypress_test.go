@@ -6,8 +6,10 @@ import (
 	"regexp"
 	"testing"
 
+	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/replay"
+	"repro/internal/simmpi"
 	"repro/internal/trace"
 )
 
@@ -51,7 +53,7 @@ func TestObsPipelineWiring(t *testing.T) {
 	if _, err := res.WriteTrace(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadTrace(&buf); err != nil {
+	if _, err := OpenTrace(buf.Bytes(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if s.Value(obs.EncTraces) != 1 || s.Value(obs.DecTraces) != 1 ||
@@ -145,12 +147,12 @@ func TestWriteReadTrace(t *testing.T) {
 	if err != nil || n != int64(buf.Len()) {
 		t.Fatalf("write: %v (%d vs %d)", err, n, buf.Len())
 	}
-	m, err := ReadTrace(&buf)
+	back, err := OpenTrace(buf.Bytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumRanks != 4 {
-		t.Fatalf("NumRanks = %d", m.NumRanks)
+	if back.Merged.NumRanks != 4 {
+		t.Fatalf("NumRanks = %d", back.Merged.NumRanks)
 	}
 	var gz bytes.Buffer
 	zn, err := res.WriteTrace(&gz, true)
@@ -225,10 +227,59 @@ func main() {
 	allreduce(8);
 }`
 
-// TestStreamingMatchesMaterialized pins the tentpole guarantee end to end:
-// the streaming Replay/Predict/CommMatrix paths produce exactly what the
-// pre-streaming materializing implementations produce, at 7 and 64 ranks,
-// for both the open-chain jacobi and the wraparound ring.
+// referenceSequences materializes every rank through the oracle the streaming
+// replayer is held to: replay.Sequence over the rankView tree walk.
+func referenceSequences(m *merge.Merged) ([][]trace.Event, error) {
+	seqs := make([][]trace.Event, m.NumRanks)
+	for rank := range seqs {
+		seq, err := replay.Sequence(m.ForRank(rank), rank)
+		if err != nil {
+			return nil, err
+		}
+		seqs[rank] = seq
+	}
+	return seqs, nil
+}
+
+// referencePredict is the materializing reference for Predict: the oracle's
+// sequences through the slice-fed simulator entry.
+func referencePredict(r *Result) (simmpi.Result, error) {
+	seqs, err := referenceSequences(r.Merged)
+	if err != nil {
+		return simmpi.Result{}, err
+	}
+	return simmpi.Simulate(seqs, r.params)
+}
+
+// referenceCommMatrix is the serial materializing reference for CommMatrix,
+// with the same out-of-range peer check.
+func referenceCommMatrix(m *merge.Merged) ([][]int64, error) {
+	seqs, err := referenceSequences(m)
+	if err != nil {
+		return nil, err
+	}
+	n := m.NumRanks
+	mat := make([][]int64, n)
+	for rank, seq := range seqs {
+		mat[rank] = make([]int64, n)
+		for i := range seq {
+			e := &seq[i]
+			if !e.Op.IsSendLike() {
+				continue
+			}
+			if e.Peer < 0 || e.Peer >= n {
+				return nil, commPeerError(rank, e, n)
+			}
+			mat[rank][e.Peer] += int64(e.Size)
+		}
+	}
+	return mat, nil
+}
+
+// TestStreamingMatchesMaterialized pins the streaming guarantee end to end:
+// the Replay/Predict/CommMatrix paths produce exactly what the materializing
+// references above produce, at 7 and 64 ranks, for both the open-chain jacobi
+// and the wraparound ring.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -269,7 +320,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 					t.Fatalf("rank %d: ReplayEvents emitted %d events, want %d", rank, streamed, len(want))
 				}
 			}
-			wantPred, err := res.PredictMaterialized()
+			wantPred, err := referencePredict(res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +341,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 						workers, parPred, wantPred)
 				}
 			}
-			wantMat, err := res.CommMatrixMaterialized()
+			wantMat, err := referenceCommMatrix(res.Merged)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +383,7 @@ func TestCommMatrixBadPeerSurfaced(t *testing.T) {
 	} else if !wantErr.MatchString(err.Error()) {
 		t.Errorf("streaming CommMatrix error %q does not match %v", err, wantErr)
 	}
-	if _, err := res.CommMatrixMaterialized(); err == nil {
+	if _, err := referenceCommMatrix(res.Merged); err == nil {
 		t.Error("materialized CommMatrix: out-of-range peer not surfaced")
 	} else if !wantErr.MatchString(err.Error()) {
 		t.Errorf("materialized CommMatrix error %q does not match %v", err, wantErr)

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/merge"
 	"repro/internal/npb"
 	"repro/internal/trace"
 )
@@ -23,22 +22,28 @@ type readPath struct {
 	open func(t *testing.T, mem *Result) (res *Result, release func())
 }
 
-// fromBytes is a read path that writes mem with write and reads it back with
-// read.
-func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error),
-	read func(data []byte) (*merge.Merged, error)) readPath {
+// fromBytes is a read path that writes mem with write and opens the bytes
+// with OpenTrace — the constructor the CLIs use. With no ranks every section
+// decodes eagerly. Every rank is replayed afterwards either way: with rank 1
+// projected it is served from eagerly decoded sections and most others from
+// lazily filled ones; with noRank projected nothing is selected, so every
+// section, rank 1's included, is a lazy fill.
+func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error), ranks ...int) readPath {
 	return readPath{name, func(t *testing.T, mem *Result) (*Result, func()) {
 		var buf bytes.Buffer
 		if _, err := write(mem, &buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		m, err := read(buf.Bytes())
+		res, err := OpenTrace(buf.Bytes(), 1, ranks...)
 		if err != nil {
-			t.Fatalf("read: %v", err)
+			t.Fatalf("open: %v", err)
 		}
-		return &Result{Merged: m, params: mem.params}, func() {}
+		return res, func() {}
 	}}
 }
+
+// noRank is a rank no run has: projecting it selects no section.
+const noRank = -1
 
 // fromCorpus is a read path that ingests mem into an empty corpus and serves
 // it back cold with get.
@@ -73,26 +78,16 @@ func writeIndexedGzip(mem *Result, w io.Writer) (int64, error) {
 	return mem.WriteTraceIndexed(w, true)
 }
 
-func readFull(data []byte) (*merge.Merged, error) { return ReadTrace(bytes.NewReader(data)) }
-
-// readProjected pushes a rank projection into the decode. Every rank is
-// replayed afterwards either way: with rank 1 selected it is served from
-// eagerly decoded sections and most others from lazily filled ones; with
-// nothing selected every section, rank 1's included, is a lazy fill.
-func readProjected(ranks ...int) func(data []byte) (*merge.Merged, error) {
-	return func(data []byte) (*merge.Merged, error) { return ReadTraceProjected(data, 1, ranks...) }
-}
-
 var readPaths = []readPath{
-	fromBytes("decode/plain", writePlain, readFull),
-	fromBytes("decode/gzip", writeGzip, readFull),
-	fromBytes("decode/cypb", writeBlocked, readFull),
-	fromBytes("select/indexed/rank1", writeIndexed, readProjected(1)),
-	fromBytes("select/indexed/none", writeIndexed, readProjected()),
-	fromBytes("select/indexed-gzip/rank1", writeIndexedGzip, readProjected(1)),
-	fromBytes("select/plain/rank1", writePlain, readProjected(1)),
-	fromBytes("select/plain/none", writePlain, readProjected()),
-	fromBytes("select/cypb/rank1", writeBlocked, readProjected(1)),
+	fromBytes("decode/plain", writePlain),
+	fromBytes("decode/gzip", writeGzip),
+	fromBytes("decode/cypb", writeBlocked),
+	fromBytes("select/indexed/rank1", writeIndexed, 1),
+	fromBytes("select/indexed/none", writeIndexed, noRank),
+	fromBytes("select/indexed-gzip/rank1", writeIndexedGzip, 1),
+	fromBytes("select/plain/rank1", writePlain, 1),
+	fromBytes("select/plain/none", writePlain, noRank),
+	fromBytes("select/cypb/rank1", writeBlocked, 1),
 	fromCorpus("corpus/get", func(c *Corpus, id TraceID) (*Result, func(), error) { return c.Get(id) }),
 	fromCorpus("corpus/get-projected", func(c *Corpus, id TraceID) (*Result, func(), error) {
 		return c.GetProjected(id, 1)

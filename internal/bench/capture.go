@@ -81,19 +81,7 @@ func TracedPipeline(r *ftrace.Recorder) error {
 		return err
 	}
 	// Replay skeletons + parallel simulation windows.
-	st := merge.NewStreamer(m)
-	if err := st.Prepare(0); err != nil {
-		return err
-	}
-	srcs := make([]simmpi.EventSource, st.NumRanks())
-	for rk := range srcs {
-		cur, err := st.Cursor(rk)
-		if err != nil {
-			return err
-		}
-		srcs[rk] = cur
-	}
-	_, err = simmpi.SimulateStreamPar(srcs, mpisim.DefaultParams(), captureSimWorkers)
+	_, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams(), captureSimWorkers)
 	return err
 }
 

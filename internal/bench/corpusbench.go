@@ -21,7 +21,6 @@ import (
 	"repro/internal/ctt"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
-	"repro/internal/simmpi"
 	"repro/internal/timestat"
 	"repro/internal/trace"
 )
@@ -391,20 +390,7 @@ func benchCorpusPredict(b *testing.B, cacheBytes int64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := tr.Streamer()
-		if err := s.Prepare(0); err != nil {
-			b.Fatal(err)
-		}
-		n := tr.Merged.NumRanks
-		srcs := make([]simmpi.EventSource, n)
-		for rank := range srcs {
-			cur, err := s.Cursor(rank)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srcs[rank] = cur
-		}
-		if _, err := simmpi.SimulateStream(srcs, params); err != nil {
+		if _, err := predictStream(tr.Streamer(), params, 1); err != nil {
 			b.Fatal(err)
 		}
 		tr.Release()

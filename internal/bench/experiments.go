@@ -11,8 +11,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/npb"
-	"repro/internal/replay"
-	"repro/internal/simmpi"
 	"repro/internal/trace"
 
 	"repro/internal/ctt"
@@ -216,21 +214,19 @@ func traceWorkload(wl *npb.Workload, n int, cfg Config) (*merge.Merged, float64,
 }
 
 // commMatrix accumulates sent bytes per (src, dst) from decompressed traces.
-func commMatrix(m *merge.Merged) ([][]int64, error) {
-	n := m.NumRanks
+func commMatrix(s *merge.Streamer) ([][]int64, error) {
+	n := s.NumRanks()
 	mat := make([][]int64, n)
 	for i := range mat {
 		mat[i] = make([]int64, n)
 	}
-	for rank := 0; rank < n; rank++ {
-		err := replay.Events(m.ForRank(rank), rank, func(e *trace.Event) {
-			if e.Op.IsSendLike() && e.Peer >= 0 && e.Peer < n {
-				mat[rank][e.Peer] += int64(e.Size)
-			}
-		})
-		if err != nil {
-			return nil, err
+	err := s.ReplayAll(0, func(rank int, e *trace.Event) {
+		if e.Op.IsSendLike() && e.Peer >= 0 && e.Peer < n {
+			mat[rank][e.Peer] += int64(e.Size)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return mat, nil
 }
@@ -300,7 +296,7 @@ func Fig17(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		mat, err := commMatrix(m)
+		mat, err := commMatrix(merge.NewStreamer(m))
 		if err != nil {
 			return err
 		}
@@ -323,7 +319,8 @@ func Fig20(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		mat, err := commMatrix(m)
+		s := merge.NewStreamer(m)
+		mat, err := commMatrix(s)
 		if err != nil {
 			return err
 		}
@@ -336,7 +333,7 @@ func Fig20(w io.Writer, cfg Config) error {
 			}
 		}
 		sizes := map[int]bool{}
-		err = replay.Events(m.ForRank(0), 0, func(e *trace.Event) {
+		err = s.Replay(0, func(e *trace.Event) {
 			if e.Op.IsPointToPoint() {
 				sizes[e.Size] = true
 			}
@@ -366,14 +363,7 @@ func Fig21(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		seqs := make([][]trace.Event, n)
-		for rank := 0; rank < n; rank++ {
-			seqs[rank], err = replay.Sequence(m.ForRank(rank), rank)
-			if err != nil {
-				return err
-			}
-		}
-		pred, err := simmpi.Simulate(seqs, mpisim.DefaultParams())
+		pred, err := predictStream(merge.NewStreamer(m), mpisim.DefaultParams(), 1)
 		if err != nil {
 			return err
 		}

@@ -614,7 +614,6 @@ func Micros() []Micro {
 		{"DecodeBlocked1024W1", BenchDecodeBlocked1024W1},
 		{"DecodeBlocked1024W2", BenchDecodeBlocked1024W2},
 		{"ReplayRank", BenchReplayRank},
-		{"ReplayRankWalk", BenchReplayRankWalk},
 		{"Predict256", BenchPredict256},
 		{"Predict1024", BenchPredict1024},
 		{"Predict1024W2", BenchPredict1024W2},
@@ -622,10 +621,7 @@ func Micros() []Micro {
 		{"Simulate1024W1", BenchSimulate1024W1},
 		{"Simulate1024W2", BenchSimulate1024W2},
 		{"Simulate1024W4", BenchSimulate1024W4},
-		{"PredictMaterialized256", BenchPredictMaterialized256},
-		{"PredictMaterialized1024", BenchPredictMaterialized1024},
 		{"CommMatrix1024", BenchCommMatrix1024},
-		{"CommMatrixMaterialized1024", BenchCommMatrixMaterialized1024},
 		{"CorpusIngest1024", BenchCorpusIngest1024},
 		{"CorpusBytes1024", BenchCorpusBytes1024},
 		{"CorpusGetCold1024", BenchCorpusGetCold1024},
@@ -706,19 +702,7 @@ func observePipeline(s *obs.Sink) error {
 	if _, err := merge.Decode(&buf); err != nil {
 		return err
 	}
-	st := merge.NewStreamer(m)
-	if err := st.Prepare(0); err != nil {
-		return err
-	}
-	srcs := make([]simmpi.EventSource, st.NumRanks())
-	for r := range srcs {
-		cur, err := st.Cursor(r)
-		if err != nil {
-			return err
-		}
-		srcs[r] = cur
-	}
-	if _, err = simmpi.SimulateStream(srcs, mpisim.DefaultParams()); err != nil {
+	if _, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams(), 1); err != nil {
 		return err
 	}
 	return observeCorpus()

@@ -2,9 +2,7 @@ package bench
 
 // Decompression-side microbenchmarks (paper Section V): streaming replay
 // through resolved views and shared skeletons, and the trace-driven LogGP
-// prediction pipeline, each paired with its pre-streaming reference
-// implementation (the rankView walk / full materialization) so before/after
-// comparisons stay runnable from one tree.
+// prediction pipeline built on it.
 
 import (
 	"fmt"
@@ -119,54 +117,40 @@ func BenchReplayRank(b *testing.B) {
 	b.ReportMetric(events, "events/op")
 }
 
-// BenchReplayRankWalk is the pre-streaming reference: the same single-rank
-// decompression through the rankView tree walk, paying the O(groups) linear
-// scan at all four Source accessors of every vertex visit.
-func BenchReplayRankWalk(b *testing.B) {
-	m := mergedRing(b, 1024, 24)
-	sink := func(*trace.Event) {}
-	events := perRankEvents(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rank := i % 1024
-		if err := replay.Events(m.ForRank(rank), rank, sink); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(events, "events/op")
-}
-
 // perRankEvents reports the mean decompressed events per rank, for the
 // events/op metric.
 func perRankEvents(m *merge.Merged) float64 {
 	return float64(m.EventCount) / float64(m.NumRanks)
 }
 
-// benchPredict measures the full streaming prediction pipeline per op:
-// skeleton preparation (parallel), one pull cursor per rank, and the LogGP
-// simulation — end to end from the merged tree, nothing materialized.
-// workers bounds the simulation's worker pool; the prediction is identical
-// at every value.
+// predictStream is the streaming prediction pipeline end to end from a
+// streamer: skeleton preparation (parallel), one pull cursor per rank, and
+// the LogGP simulation on workers simulation workers — nothing materialized.
+func predictStream(s *merge.Streamer, params mpisim.Params, workers int) (simmpi.Result, error) {
+	if err := s.Prepare(0); err != nil {
+		return simmpi.Result{}, err
+	}
+	srcs := make([]simmpi.EventSource, s.NumRanks())
+	for rank := range srcs {
+		cur, err := s.Cursor(rank)
+		if err != nil {
+			return simmpi.Result{}, err
+		}
+		srcs[rank] = cur
+	}
+	return simmpi.SimulateStreamPar(srcs, params, workers)
+}
+
+// benchPredict measures predictStream per op, from a fresh streamer over the
+// merged tree. workers bounds the simulation's worker pool; the prediction is
+// identical at every value.
 func benchPredict(b *testing.B, n, workers int) {
 	m := mergedRing(b, n, 24)
 	params := mpisim.DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := merge.NewStreamer(m)
-		if err := s.Prepare(0); err != nil {
-			b.Fatal(err)
-		}
-		srcs := make([]simmpi.EventSource, n)
-		for rank := range srcs {
-			cur, err := s.Cursor(rank)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srcs[rank] = cur
-		}
-		if _, err := simmpi.SimulateStreamPar(srcs, params, workers); err != nil {
+		if _, err := predictStream(merge.NewStreamer(m), params, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,41 +218,9 @@ func BenchSimulate1024W2(b *testing.B) { benchSimulate(b, 1024, 2) }
 // parallel across 4 workers.
 func BenchSimulate1024W4(b *testing.B) { benchSimulate(b, 1024, 4) }
 
-// benchPredictMaterialized is the pre-streaming reference pipeline:
-// decompress all n ranks into full event slices through the rankView walk,
-// then simulate.
-func benchPredictMaterialized(b *testing.B, n int) {
-	m := mergedRing(b, n, 24)
-	params := mpisim.DefaultParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seqs := make([][]trace.Event, n)
-		for rank := 0; rank < n; rank++ {
-			seq, err := replay.Sequence(m.ForRank(rank), rank)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seqs[rank] = seq
-		}
-		if _, err := simmpi.Simulate(seqs, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n), "ranks/op")
-}
-
-// BenchPredictMaterialized256 is the 256-rank materializing reference.
-func BenchPredictMaterialized256(b *testing.B) { benchPredictMaterialized(b, 256) }
-
-// BenchPredictMaterialized1024 is the 1024-rank materializing reference (the
-// "before" twin of the PR 3 acceptance benchmark).
-func BenchPredictMaterialized1024(b *testing.B) { benchPredictMaterialized(b, 1024) }
-
-// benchCommMatrix accumulates the 1024-rank send-volume matrix, either
-// through the parallel streaming fan-out (ReplayAll, one row per rank,
-// in-flight) or through the serial materializing reference.
-func benchCommMatrix(b *testing.B, streaming bool) {
+// BenchCommMatrix1024 accumulates the 1024-rank send-volume matrix through
+// the parallel streaming fan-out (ReplayAll, one row per rank, in-flight).
+func BenchCommMatrix1024(b *testing.B) {
 	const n = 1024
 	m := mergedRing(b, n, 24)
 	b.ReportAllocs()
@@ -279,37 +231,15 @@ func benchCommMatrix(b *testing.B, streaming bool) {
 		for r := range mat {
 			mat[r] = rows[r*n : (r+1)*n]
 		}
-		if streaming {
-			s := merge.NewStreamer(m)
-			err := s.ReplayAll(0, func(rank int, e *trace.Event) {
-				if e.Op.IsSendLike() && e.Peer >= 0 && e.Peer < n {
-					mat[rank][e.Peer] += int64(e.Size)
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
+		s := merge.NewStreamer(m)
+		err := s.ReplayAll(0, func(rank int, e *trace.Event) {
+			if e.Op.IsSendLike() && e.Peer >= 0 && e.Peer < n {
+				mat[rank][e.Peer] += int64(e.Size)
 			}
-		} else {
-			for rank := 0; rank < n; rank++ {
-				seq, err := replay.Sequence(m.ForRank(rank), rank)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := range seq {
-					e := &seq[j]
-					if e.Op.IsSendLike() && e.Peer >= 0 && e.Peer < n {
-						mat[rank][e.Peer] += int64(e.Size)
-					}
-				}
-			}
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n), "ranks/op")
 }
-
-// BenchCommMatrix1024 accumulates the communication matrix through the
-// streaming parallel fan-out.
-func BenchCommMatrix1024(b *testing.B) { benchCommMatrix(b, true) }
-
-// BenchCommMatrixMaterialized1024 is the serial materializing reference.
-func BenchCommMatrixMaterialized1024(b *testing.B) { benchCommMatrix(b, false) }

@@ -125,7 +125,7 @@ func selPayloadBytes(b *testing.B, enc []byte, sel merge.Selection) (materialize
 	s := obs.New()
 	merge.SetObs(s)
 	defer merge.SetObs(obsSink) // restore whatever the harness had attached
-	if _, err := merge.DecodeSelect(enc, sel); err != nil {
+	if _, err := merge.DecodeSelectAuto(enc, sel, 1); err != nil {
 		b.Fatal(err)
 	}
 	if s.Value(obs.SelFallbacks) != 0 {
@@ -170,7 +170,7 @@ func BenchDecodeSelect1024Rank1(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := merge.DecodeSelect(indexed, sel); err != nil {
+		if _, err := merge.DecodeSelectAuto(indexed, sel, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func benchReplayRank1024(b *testing.B, projected bool) {
 		var m *merge.Merged
 		var err error
 		if projected {
-			m, err = merge.DecodeSelect(indexed, sel)
+			m, err = merge.DecodeSelectAuto(indexed, sel, 1)
 		} else {
 			rd.Reset(plain)
 			m, err = merge.Decode(&rd)

@@ -652,31 +652,23 @@ func (s *Store) getBytesLocked(hash uint64) ([]byte, error) {
 // then it cannot be evicted. Repeated gets of a resident trace do no decode
 // work.
 func (s *Store) Get(hash uint64) (*Trace, error) {
-	return s.get(hash, decodeFull)
-}
-
-// decodeFull is Get's decode step. A package-level func (not a per-call
-// closure) so the warm path stays allocation-free.
-func decodeFull(enc []byte) (*merge.Merged, error) {
-	return merge.Decode(bytes.NewReader(enc))
+	return s.get(hash, merge.SelectAll())
 }
 
 // GetProjected is Get with a rank projection pushed into the decode: on a
 // cache miss the trace is reconstructed once but only the selected ranks'
-// timing payloads are materialized (merge.DecodeSelect); the rest fill lazily
-// from the retained encoding on first touch. The projected tree enters the
-// same serving cache at the same cost as the full tree (the lazy form retains
-// the whole encoding), so a later Get or differently-ranked GetProjected of a
-// resident trace is a cache hit that self-heals payload coverage on demand.
+// timing payloads are materialized; the rest fill lazily from the retained
+// encoding on first touch. The projected tree enters the same serving cache
+// at the same cost as the full tree (the lazy form retains the whole
+// encoding), so a later Get or differently-ranked GetProjected of a resident
+// trace is a cache hit that self-heals payload coverage on demand.
 func (s *Store) GetProjected(hash uint64, ranks []int) (*Trace, error) {
-	return s.get(hash, func(enc []byte) (*merge.Merged, error) {
-		return merge.DecodeSelect(enc, merge.SelectRanks(ranks...))
-	})
+	return s.get(hash, merge.SelectRanks(ranks...))
 }
 
 // get is the shared body of Get and GetProjected: cache acquire, else
-// reconstruct bytes, decode via decode, and insert.
-func (s *Store) get(hash uint64, decode func([]byte) (*merge.Merged, error)) (*Trace, error) {
+// reconstruct bytes, decode them under sel (merge.DecodeSelectAuto), insert.
+func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 	var t0 time.Time
 	if sink != nil {
 		t0 = time.Now()
@@ -696,7 +688,7 @@ func (s *Store) get(hash uint64, decode func([]byte) (*merge.Merged, error)) (*T
 	if err != nil {
 		return nil, err
 	}
-	m, err := decode(enc)
+	m, err := merge.DecodeSelectAuto(enc, sel, 1) // bare CYPR: nothing to inflate
 	if err != nil {
 		return nil, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 	}

@@ -101,7 +101,7 @@ type Analysis struct {
 // the merged data, never on merge schedule or timing.
 func Analyze(m *merge.Merged) *Analysis {
 	// Analyze reads every payload, so a selectively decoded tree (corpus
-	// GetProjected, merge.DecodeSelect) is materialized up front. A fill
+	// GetProjected, merge.DecodeSelectAuto) is materialized up front. A fill
 	// error leaves that entry's Data nil and the guard below keeps it out
 	// of the tally; trees whose encoding full Decode accepts cannot hit it.
 	_ = m.Materialize()

@@ -190,6 +190,37 @@ func (c *bcur) skipRecordStructure() {
 	}
 }
 
+// walkVData is the one byte-level walk of an entry's VData section (loop
+// counts, taken branches, cycles, then the records), mirroring decodeVData's
+// grammar and plausibility caps without decoding or allocating. The cursor
+// stops at each record's volatile suffix and volatile decides what happens
+// there: the selective decoder skips it in place, SplitEncoded cuts it out to
+// the payload stream, JoinEncoded takes it from the payload cursor. The walk
+// ends at the first latched cursor error.
+func walkVData(c *bcur, volatile func()) {
+	c.skipRuns() // loop counts
+	c.skipRuns() // taken branches
+	nc := c.u()
+	if c.err == nil && nc > 1<<24 {
+		c.fail("merge: implausible cycle count %d", nc)
+	}
+	for j := uint64(0); j < nc && c.err == nil; j++ {
+		c.u()
+		c.u()
+		c.u()
+	}
+	nr := c.u()
+	if c.err == nil && nr > 1<<26 {
+		c.fail("merge: implausible record count %d", nr)
+	}
+	for j := uint64(0); j < nr && c.err == nil; j++ {
+		c.skipRecordStructure()
+		if c.err == nil {
+			volatile()
+		}
+	}
+}
+
 // splitHeader parses the fixed header (through the embedded CST) and returns
 // the vertex count. It is shared by SplitEncoded, which needs the vertex
 // count to bound the section loop, and reused structurally by JoinEncoded,
@@ -210,6 +241,10 @@ func splitHeader(c *bcur, s *SplitTrace, wantTree bool) (nverts int) {
 	histFlag := c.u()
 	treeLen := c.u()
 	if c.err != nil {
+		return 0
+	}
+	if numRanks < 1 || numRanks > maxEntries {
+		c.fail("merge: implausible rank count %d", numRanks)
 		return 0
 	}
 	if s != nil {
@@ -260,46 +295,28 @@ func SplitEncoded(enc []byte) (*SplitTrace, error) {
 	s.HeaderFP = uint64(fp.New().Bytes(s.Structure))
 	s.SectionFP = make([]uint64, nverts)
 	mark := c.off
+	cut := func() {
+		vs := c.off
+		skipVolatile(c, s.Hist)
+		if c.err != nil {
+			return
+		}
+		s.Structure = append(s.Structure, enc[mark:vs]...)
+		s.Payload = append(s.Payload, enc[vs:c.off]...)
+		mark = c.off
+	}
 	for gid := 0; gid < nverts; gid++ {
 		secStart := len(s.Structure)
 		n := c.u()
 		if c.err != nil {
 			return nil, fmt.Errorf("merge: split vertex %d: %w", gid, c.err)
 		}
-		if n > 1<<24 {
+		if n > maxEntries {
 			return nil, fmt.Errorf("merge: split vertex %d: implausible entry count %d", gid, n)
 		}
 		for k := uint64(0); k < n; k++ {
 			c.skipRuns() // rank set
-			c.skipRuns() // counts
-			c.skipRuns() // taken
-			nc := c.u()
-			if c.err == nil && nc > 1<<24 {
-				c.fail("merge: implausible cycle count %d", nc)
-			}
-			for j := uint64(0); j < nc && c.err == nil; j++ {
-				c.u()
-				c.u()
-				c.u()
-			}
-			nr := c.u()
-			if c.err == nil && nr > 1<<26 {
-				c.fail("merge: implausible record count %d", nr)
-			}
-			for j := uint64(0); j < nr && c.err == nil; j++ {
-				c.skipRecordStructure()
-				if c.err != nil {
-					break
-				}
-				vs := c.off
-				skipVolatile(c, s.Hist)
-				if c.err != nil {
-					break
-				}
-				s.Structure = append(s.Structure, enc[mark:vs]...)
-				s.Payload = append(s.Payload, enc[vs:c.off]...)
-				mark = c.off
-			}
+			walkVData(c, cut)
 			if c.err != nil {
 				return nil, fmt.Errorf("merge: split vertex %d entry %d: %w", gid, k, c.err)
 			}
@@ -329,43 +346,26 @@ func JoinEncoded(structure, payload []byte) ([]byte, error) {
 	}
 	pl := &bcur{b: payload}
 	mark := 0
+	take := func() {
+		out = append(out, structure[mark:st.off]...)
+		mark = st.off
+		vs := pl.off
+		skipVolatile(pl, hdr.Hist)
+		out = append(out, payload[vs:pl.off]...)
+		st.err = pl.err // a short payload stream ends the walk
+	}
 	for st.err == nil && st.off < len(structure) {
 		n := st.u()
-		if st.err == nil && n > 1<<24 {
+		if st.err == nil && n > maxEntries {
 			st.fail("merge: implausible entry count %d", n)
 		}
 		for k := uint64(0); k < n && st.err == nil; k++ {
-			st.skipRuns()
-			st.skipRuns()
-			st.skipRuns()
-			nc := st.u()
-			if st.err == nil && nc > 1<<24 {
-				st.fail("merge: implausible cycle count %d", nc)
-			}
-			for j := uint64(0); j < nc && st.err == nil; j++ {
-				st.u()
-				st.u()
-				st.u()
-			}
-			nr := st.u()
-			if st.err == nil && nr > 1<<26 {
-				st.fail("merge: implausible record count %d", nr)
-			}
-			for j := uint64(0); j < nr && st.err == nil; j++ {
-				st.skipRecordStructure()
-				if st.err != nil {
-					break
-				}
-				out = append(out, structure[mark:st.off]...)
-				mark = st.off
-				vs := pl.off
-				skipVolatile(pl, hdr.Hist)
-				if pl.err != nil {
-					return nil, fmt.Errorf("merge: join payload: %w", pl.err)
-				}
-				out = append(out, payload[vs:pl.off]...)
-			}
+			st.skipRuns() // rank set
+			walkVData(st, take)
 		}
+	}
+	if pl.err != nil {
+		return nil, fmt.Errorf("merge: join payload: %w", pl.err)
 	}
 	if st.err != nil {
 		return nil, fmt.Errorf("merge: join structure: %w", st.err)

@@ -2,6 +2,7 @@ package merge
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"regexp"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // fuzzSeeds builds encoded merged traces from representative fixtures to seed
 // the corpus: a stencil with interior/edge divergence, trivial collectives,
 // and a control-flow-divergent pairing where loop counts differ across ranks.
-func fuzzSeeds(f *testing.F) [][]byte {
+func fuzzSeeds(f testing.TB) [][]byte {
 	f.Helper()
 	var seeds [][]byte
 	for _, tc := range []struct {
@@ -105,8 +106,48 @@ func TestDecodeRejectsBrokenCST(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(tc.enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Decode = %v, want error containing %q", err, tc.want)
 		}
-		if _, err := DecodeSelect(tc.enc, SelectRanks(0)); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("DecodeSelect = %v, want error containing %q", err, tc.want)
+		if _, err := DecodeSelectAuto(tc.enc, SelectRanks(0), 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeSelectAuto = %v, want error containing %q", err, tc.want)
+		}
+	}
+}
+
+// hostileRankSeeds returns a valid encoding (the 7-rank stencil) with one
+// varint changed: the header's rank count, rewritten to 1<<62 and to 1<<64-1
+// (-1 once it is an int). Nothing else in the stream depends on it, so before
+// the header check both decoded cleanly and NewStreamer panicked in makeslice.
+func hostileRankSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	enc := fuzzSeeds(t)[0]
+	off := len(fileMagic) + 1 // magic, one-byte version
+	_, n := binary.Uvarint(enc[off:])
+	off += n // tree hash
+	ranks, n := binary.Uvarint(enc[off:])
+	if ranks != 7 {
+		t.Fatalf("header rank count reads %d, want 7", ranks)
+	}
+	var out [][]byte
+	for _, hostile := range []uint64{1 << 62, 1<<64 - 1} {
+		patched := binary.AppendUvarint(bytes.Clone(enc[:off]), hostile)
+		out = append(out, append(patched, enc[off+n:]...))
+	}
+	return out
+}
+
+// TestDecodeRejectsHostileRankCount: every decode entry point refuses a rank
+// count outside [1, maxEntries] with an error, so no consumer ever sizes
+// per-rank state from it.
+func TestDecodeRejectsHostileRankCount(t *testing.T) {
+	const want = "implausible rank count"
+	for _, enc := range hostileRankSeeds(t) {
+		if _, err := Decode(bytes.NewReader(enc)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode = %v, want error containing %q", err, want)
+		}
+		if _, err := DecodeSelectAuto(enc, SelectRanks(0), 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeSelectAuto = %v, want error containing %q", err, want)
+		}
+		if _, err := SplitEncoded(enc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SplitEncoded = %v, want error containing %q", err, want)
 		}
 	}
 }
@@ -133,10 +174,16 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	f.Add(split)
 	f.Add([]byte{})
 	f.Add([]byte("CYPRESS-MERGE"))
+	for _, s := range hostileRankSeeds(f) {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		m, err := Decode(bytes.NewReader(in))
 		if err != nil {
 			return // malformed input must error, not panic
+		}
+		if m.NumRanks < 1 || m.NumRanks > maxEntries {
+			t.Fatalf("decoded rank count %d outside [1, %d]", m.NumRanks, maxEntries)
 		}
 		var b1 bytes.Buffer
 		if _, err := m.Encode(&b1); err != nil {

@@ -120,7 +120,7 @@ func TestEncodeGoldenPinIndexed(t *testing.T) {
 				t.Fatalf("EncodeIndexed output differs from pinned fixture %s (%d vs %d bytes): the sidecar format changed",
 					path, buf.Len(), len(data))
 			}
-			ms, err := DecodeSelect(data, SelectAll())
+			ms, err := DecodeSelectAuto(data, SelectAll(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

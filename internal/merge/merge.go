@@ -67,7 +67,7 @@ type Entry struct {
 	// be extended in place. FromRank shares one Set across all vertices of a
 	// rank, so entries start not owning; the first union copies.
 	owns bool
-	// lazy is non-zero for an entry whose payload DecodeSelect skipped: Data
+	// lazy is non-zero for an entry whose payload DecodeSelectAuto skipped: Data
 	// stays nil until the section is materialized from slot lazy-1 of the
 	// tree's lazyPayloads (see entryData). Zero for eagerly decoded and
 	// merge-built entries.
@@ -98,7 +98,7 @@ type Merged struct {
 	// groups caches GroupCount as an O(1) shape guard for the span compare.
 	groups int
 	// lazy, when non-nil, holds the retained encoding and the byte ranges of
-	// the payload sections a selective decode skipped (see DecodeSelect).
+	// the payload sections a selective decode skipped (see DecodeSelectAuto).
 	lazy *lazyPayloads
 }
 

@@ -21,9 +21,9 @@ import (
 // Selective decode with projection pushdown. The v1 encoding interleaves the
 // (tiny) structure stream — header, CST, rank sets — with the (large) per-entry
 // VData timing payloads, so even a single-rank query historically paid a
-// full-tree payload decode. DecodeSelect pushes the rank projection into the
-// decoder: structure decodes fully, but a payload section is materialized only
-// when its entry's rank set intersects the selection; everything else is
+// full-tree payload decode. DecodeSelectAuto pushes the rank projection into
+// the decoder: structure decodes fully, but a payload section is materialized
+// only when its entry's rank set intersects the selection; everything else is
 // recorded as a byte range against the retained encoding and filled lazily on
 // first touch.
 //
@@ -41,12 +41,13 @@ type Selection struct {
 	ranks []int // sorted, deduplicated
 }
 
-// SelectAll selects every rank: DecodeSelect materializes all payloads
+// SelectAll selects every rank: DecodeSelectAuto materializes all payloads
 // eagerly, matching a full Decode.
 func SelectAll() Selection { return Selection{all: true} }
 
 // SelectRanks selects the given ranks. With no arguments the selection is
-// empty and DecodeSelect decodes structure only, leaving every payload lazy.
+// empty and DecodeSelectAuto decodes structure only, leaving every payload
+// lazy.
 func SelectRanks(ranks ...int) Selection {
 	rs := append([]int(nil), ranks...)
 	sort.Ints(rs)
@@ -94,7 +95,7 @@ func (s Selection) matches(set *rankset.Set) bool {
 //	u32le(sidecar length from magic through last varint)  "IPYC"
 //
 // The fixed 8-byte trailer makes the index discoverable from the END of the
-// encoding, so DecodeSelect needs no body length up front; the validation in
+// encoding, so the decoder needs no body length up front; the validation in
 // parseIndex (magic, version, length walk landing exactly on the trailer)
 // makes body bytes that merely end in "IPYC" fail closed into the index-less
 // path rather than misparse.
@@ -172,7 +173,7 @@ func HasSectionIndex(enc []byte) bool {
 // the CYPI section index and returns the total byte count. The body bytes are
 // identical to Encode's output, so existing decoders read indexed files
 // unchanged (the sidecar rides in the historical trailing-bytes tolerance of
-// raw and gzip streams); DecodeSelect uses the index to skip unselected
+// raw and gzip streams); DecodeSelectAuto uses the index to skip unselected
 // payload sections in O(1) instead of walking their grammar. Indexed output
 // composes with gzip (EncodeIndexedGzip) but not with the CYPB block
 // container, whose footer index already pins the framed payload length.
@@ -216,7 +217,7 @@ type lazySlot struct {
 // the retained body bytes, one slot per skipped entry, and the fill decoder
 // whose slabs every on-demand fill is carved from.
 type lazyPayloads struct {
-	body  []byte // enc[:bodyEnd]; aliases DecodeSelect's input
+	body  []byte // payload[:bodyEnd]; aliases DecodeSelectAuto's unwrapped payload
 	mode  timestat.Mode
 	slots []lazySlot
 	// filled publishes completed fills; entryData's fast path is one atomic
@@ -298,66 +299,23 @@ func (m *Merged) Materialize() error {
 	return nil
 }
 
-// skipVData walks one entry's VData section over the raw bytes without
-// decoding it, mirroring decodeVData's grammar and plausibility caps, so the
-// index-less selective path can derive section boundaries as it goes.
-func skipVData(c *bcur, hist bool) {
-	c.skipRuns() // loop counts
-	c.skipRuns() // taken branches
-	nc := c.u()
-	if c.err != nil {
-		return
-	}
-	if nc > 1<<24 {
-		c.fail("merge: implausible cycle count %d", nc)
-		return
-	}
-	for j := uint64(0); j < nc && c.err == nil; j++ {
-		c.u()
-		c.u()
-		c.u()
-	}
-	nr := c.u()
-	if c.err != nil {
-		return
-	}
-	if nr > 1<<26 {
-		c.fail("merge: implausible record count %d", nr)
-		return
-	}
-	for j := uint64(0); j < nr && c.err == nil; j++ {
-		c.skipRecordStructure()
-		skipVolatile(c, hist)
-	}
-}
-
-// DecodeSelect decodes the standalone encoding enc (bare CYPR or CYPR+CYPI,
-// container already unwrapped — see DecodeSelectAuto) with the rank
-// projection sel pushed into the decoder. The structure stream is decoded
-// fully, but a timing payload is materialized only when its entry's rank set
-// intersects sel; every other entry records its payload's byte range and is
-// filled lazily on first touch through entryData. The returned tree therefore
-// retains enc — the caller must not modify it afterwards.
+// DecodeSelectAuto decodes a trace held in memory — in any container
+// cypresstrace writes: bare CYPR (with or without the CYPI sidecar), gzip, or
+// the CYPB block container (unwrapped via blockio; workers as in DecodePar) —
+// with the rank projection sel pushed into the decoder. Containered inputs pay
+// one unwrap into a fresh payload buffer; bare input is served zero-copy. The
+// structure stream is decoded fully, but a timing payload is materialized only
+// when its entry's rank set intersects sel; every other entry records its
+// payload's byte range and is filled lazily on first touch through entryData.
+// The returned tree therefore retains the payload — the caller must not modify
+// data afterwards.
 //
 // Skipped sections are validated for framing only; their contents are
 // re-validated when (if ever) they are filled, so a projected decode of a
 // corrupt file can surface the corruption at replay time rather than decode
 // time. Any failure in the selective walk itself — including index-less
 // inputs whose grammar walk trips — falls back to a plain full Decode of the
-// same bytes, so DecodeSelect succeeds on everything Decode succeeds on.
-func DecodeSelect(enc []byte, sel Selection) (*Merged, error) {
-	m, err := decodeSelect(enc, sel)
-	if err == nil {
-		return m, nil
-	}
-	sink.Inc(obs.SelFallbacks)
-	return Decode(bytes.NewReader(enc))
-}
-
-// DecodeSelectAuto is DecodeSelect over a trace file held in memory in any
-// container cypresstrace writes: bare CYPR, gzip, or the CYPB block container
-// (unwrapped via blockio; workers as in DecodePar). Containered inputs pay
-// one unwrap into a fresh payload buffer; bare input is served zero-copy.
+// same bytes, so DecodeSelectAuto succeeds on everything Decode succeeds on.
 func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) {
 	if workers == 0 {
 		workers = defaultIOWorkers()
@@ -366,11 +324,89 @@ func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) 
 	if err != nil {
 		return nil, err
 	}
-	return DecodeSelect(payload, sel)
+	m, err := decodeSelect(payload, sel)
+	if err == nil {
+		return m, nil
+	}
+	sink.Inc(obs.SelFallbacks)
+	return Decode(bytes.NewReader(payload))
+}
+
+// projection is the per-call state of a selective decode: the selection, the
+// in-memory reader the decoder consumes (so section offsets are exact and
+// skipped sections can be seeked over), the CYPI section lengths when the
+// encoding carries them, and the lazy arena under construction (decode sets
+// its stat mode from the header).
+type projection struct {
+	sel     Selection
+	br      *bytes.Reader
+	indexed bool
+	lens    []uint64 // consumed in stream order; next is lens[li]
+	li      int
+	lz      *lazyPayloads
+
+	eager, skipped   int64 // entries
+	eagerB, skippedB int64 // payload bytes
+}
+
+func (p *projection) pos() int64 { return int64(len(p.lz.body) - p.br.Len()) }
+
+// section handles entry e's payload section, the reader standing at its first
+// byte: decode it when e's ranks intersect the selection, otherwise find its
+// end — by index, else by grammar walk — seek past it and leave e a lazy slot.
+// Failures latch in d.err.
+func (p *projection) section(d *decoder, e *Entry, gid int32) {
+	body, mode := p.lz.body, p.lz.mode
+	start := p.pos()
+	sectionLen := int64(-1)
+	if p.indexed {
+		if p.li >= len(p.lens) {
+			d.err = fmt.Errorf("section index lists %d entries, stream has more", len(p.lens))
+			return
+		}
+		sectionLen = int64(p.lens[p.li])
+		p.li++
+		if sectionLen < 0 || start+sectionLen > int64(len(body)) {
+			d.err = fmt.Errorf("section index length %d overruns body", sectionLen)
+			return
+		}
+	}
+	if p.sel.matches(e.Ranks) {
+		e.Data = d.vdata()
+		d.decodeVData(e.Data, gid, mode)
+		got := p.pos() - start
+		if d.err == nil && sectionLen >= 0 && got != sectionLen {
+			d.err = fmt.Errorf("section index length %d disagrees with decoded section (%d bytes)", sectionLen, got)
+		}
+		p.eager++
+		p.eagerB += got
+		return
+	}
+	end := start + sectionLen
+	if sectionLen < 0 {
+		// Index-less input: derive the section boundary with a grammar walk
+		// over the raw bytes.
+		c := &bcur{b: body, off: int(start)}
+		hist := mode == timestat.ModeHistogram
+		walkVData(c, func() { skipVolatile(c, hist) })
+		if c.err != nil {
+			d.err = c.err
+			return
+		}
+		end = int64(c.off)
+	}
+	if _, err := p.br.Seek(end, io.SeekStart); err != nil {
+		d.err = err
+		return
+	}
+	p.lz.slots = append(p.lz.slots, lazySlot{start: start, end: end, gid: gid})
+	e.lazy = int32(len(p.lz.slots))
+	p.skipped++
+	p.skippedB += end - start
 }
 
 // decodeSelect is the selective path proper: any error falls back to a full
-// decode in DecodeSelect.
+// decode in DecodeSelectAuto.
 func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 	sp := sink.Start(obs.StageDecode)
 	defer sp.End()
@@ -378,113 +414,26 @@ func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 	lens, bodyEnd, indexed := parseIndex(enc)
 	body := enc[:bodyEnd]
 	br := bytes.NewReader(body)
-	d := &decoder{reader: reader{r: br}}
-	m, mode, err := d.decodeHeader()
-	if err != nil {
-		return nil, err
-	}
-	hist := mode == timestat.ModeHistogram
-	pos := func() int64 { return int64(len(body) - br.Len()) }
-	lz := &lazyPayloads{body: body, mode: mode}
+	lz := &lazyPayloads{body: body}
 	if indexed {
 		// The index bounds the slot count up front; without it the slice
 		// grows with the skip walk.
 		lz.slots = make([]lazySlot, 0, len(lens))
 	}
-	var eager, skipped int64   // entries
-	var eagerB, skippedB int64 // payload bytes
-	li := 0
-	for gid := range m.Entries {
-		n := d.u()
-		if d.err != nil {
-			return nil, fmt.Errorf("merge: vertex %d: %w", gid, d.err)
-		}
-		if n > 1<<24 {
-			return nil, fmt.Errorf("merge: vertex %d: implausible entry count %d", gid, n)
-		}
-		if n == 0 {
-			continue
-		}
-		var es []Entry
-		if n > decodeEager {
-			es = make([]Entry, 0, decodeEager)
-		}
-		decoded := 0
-		for rem := n; rem > 0; {
-			b := umin(rem, decodeEager)
-			chunk := d.entries(int(b))
-			for k := range chunk {
-				e := &chunk[k]
-				e.Ranks.Load(d.setRuns())
-				if d.err != nil {
-					return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
-				}
-				start := pos()
-				sectionLen := int64(-1)
-				if indexed {
-					if li >= len(lens) {
-						return nil, fmt.Errorf("merge: section index lists %d entries, stream has more", len(lens))
-					}
-					sectionLen = int64(lens[li])
-					li++
-					if sectionLen < 0 || start+sectionLen > int64(len(body)) {
-						return nil, fmt.Errorf("merge: section index length %d overruns body", sectionLen)
-					}
-				}
-				if sel.matches(e.Ranks) {
-					e.Data = d.vdata()
-					d.decodeVData(e.Data, int32(gid), mode)
-					if d.err != nil {
-						return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
-					}
-					got := pos() - start
-					if sectionLen >= 0 && got != sectionLen {
-						return nil, fmt.Errorf("merge: section index length %d disagrees with decoded section (%d bytes)", sectionLen, got)
-					}
-					eager++
-					eagerB += got
-					continue
-				}
-				var end int64
-				if sectionLen >= 0 {
-					end = start + sectionLen
-				} else {
-					// Index-less input: derive the section boundary with a
-					// grammar walk over the raw bytes.
-					c := &bcur{b: body, off: int(start)}
-					skipVData(c, hist)
-					if c.err != nil {
-						return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, c.err)
-					}
-					end = int64(c.off)
-				}
-				if _, err := br.Seek(end, io.SeekStart); err != nil {
-					return nil, err
-				}
-				lz.slots = append(lz.slots, lazySlot{start: start, end: end, gid: int32(gid)})
-				e.lazy = int32(len(lz.slots))
-				skipped++
-				skippedB += end - start
-			}
-			if es == nil {
-				es = chunk
-			} else {
-				es = append(es, chunk...)
-			}
-			decoded += int(b)
-			rem -= b
-		}
-		m.Entries[gid] = es
-		d.nEnt += int64(n)
+	p := &projection{sel: sel, br: br, indexed: indexed, lens: lens, lz: lz}
+	d := &decoder{reader: reader{r: br}}
+	m, err := d.decode(p)
+	if err != nil {
+		return nil, err
 	}
 	if indexed {
 		// The index is trusted for seeks, so it must agree with the stream
 		// exactly; mismatches fall back to the full decode.
-		if li != len(lens) {
-			return nil, fmt.Errorf("merge: section index lists %d entries, stream has %d", len(lens), li)
+		if p.li != len(lens) {
+			return nil, fmt.Errorf("merge: section index lists %d entries, stream has %d", len(lens), p.li)
 		}
-		if pos() != int64(len(body)) {
-			return nil, fmt.Errorf("merge: %d stray bytes between entries and section index", int64(len(body))-pos())
+		if rest := br.Len(); rest != 0 {
+			return nil, fmt.Errorf("merge: %d stray bytes between entries and section index", rest)
 		}
 	}
 	if len(lz.slots) > 0 {
@@ -492,15 +441,12 @@ func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 		m.lazy = lz
 	}
 	if sink.Enabled() {
-		sink.Inc(obs.DecTraces)
 		sink.Inc(obs.SelDecodes)
-		sink.Add(obs.DecEntries, d.nEnt)
-		sink.Add(obs.DecRecords, d.nRec)
-		sink.Add(obs.SelEntriesEager, eager)
-		sink.Add(obs.SelEntriesSkipped, skipped)
-		sink.Add(obs.SelBytesMaterialized, eagerB)
-		sink.Add(obs.SelBytesSkipped, skippedB)
+		sink.Add(obs.SelEntriesEager, p.eager)
+		sink.Add(obs.SelEntriesSkipped, p.skipped)
+		sink.Add(obs.SelBytesMaterialized, p.eagerB)
+		sink.Add(obs.SelBytesSkipped, p.skippedB)
 	}
-	tsp.End(eager, skippedB)
+	tsp.End(p.eager, p.skippedB)
 	return m, nil
 }

@@ -210,7 +210,7 @@ func TestDecodeSelectEquivalence(t *testing.T) {
 			for _, sc := range sels {
 				for _, ec := range encs {
 					t.Run(sc.name+"/"+ec.name, func(t *testing.T) {
-						m, err := DecodeSelect(ec.enc, sc.sel)
+						m, err := DecodeSelectAuto(ec.enc, sc.sel, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -266,7 +266,7 @@ func TestDecodeSelectCounters(t *testing.T) {
 	SetObs(s)
 	defer SetObs(nil)
 
-	m, err := DecodeSelect(enc, SelectRanks(0))
+	m, err := DecodeSelectAuto(enc, SelectRanks(0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestDecodeSelectFallback(t *testing.T) {
 		s := obs.New()
 		SetObs(s)
 		defer SetObs(nil)
-		m, err := DecodeSelect(enc, SelectRanks(2))
+		m, err := DecodeSelectAuto(enc, SelectRanks(2), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func TestDecodeSelectStructureAllocs(t *testing.T) {
 	measure := func(ranks int) float64 {
 		enc := encodeIndexed(t, buildMerged(t, jacobiSrc, ranks))
 		step := func() {
-			if _, err := DecodeSelect(enc, SelectRanks()); err != nil {
+			if _, err := DecodeSelectAuto(enc, SelectRanks(), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -421,7 +421,7 @@ func TestDecodeSelectStructureAllocs(t *testing.T) {
 	// structure-only decode replaces every VData materialization with slot
 	// bookkeeping and must come in under the same bound at 4x the ranks.
 	if small > 80 || large > 80 {
-		t.Errorf("structure-only DecodeSelect allocates %.1f (16 ranks) / %.1f (64 ranks) allocs/op, want <= 80", small, large)
+		t.Errorf("structure-only DecodeSelectAuto allocates %.1f (16 ranks) / %.1f (64 ranks) allocs/op, want <= 80", small, large)
 	}
 	if large > small+16 {
 		t.Errorf("structure-only allocs grew with rank count: %.1f at 16 ranks -> %.1f at 64", small, large)
@@ -429,7 +429,7 @@ func TestDecodeSelectStructureAllocs(t *testing.T) {
 }
 
 // FuzzDecodeSelect checks the selective decoder against the full decoder on
-// arbitrary bytes: whenever full Decode accepts an input, DecodeSelect must
+// arbitrary bytes: whenever full Decode accepts an input, DecodeSelectAuto must
 // accept it too (the fallback guarantees this), replay selected ranks
 // identically, and materialize back to the full tree's exact re-encoding.
 // When full Decode rejects an input the only requirement is no panic —
@@ -452,12 +452,12 @@ func FuzzDecodeSelect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte, ra, rb uint8) {
 		full, ferr := Decode(bytes.NewReader(in))
 		sel := SelectRanks(int(ra), int(rb))
-		m, err := DecodeSelect(in, sel)
+		m, err := DecodeSelectAuto(in, sel, 1)
 		if ferr != nil {
 			return // robustness only: neither decoder may panic
 		}
 		if err != nil {
-			t.Fatalf("DecodeSelect rejects input Decode accepts: %v", err)
+			t.Fatalf("DecodeSelectAuto rejects input Decode accepts: %v", err)
 		}
 		if full.NumRanks > 0 && replayBounded(full) {
 			for _, r := range sel.Ranks() {

@@ -284,6 +284,10 @@ const decodeChunk = 64
 // allocation storm. Well-formed lists below the cap take the exact-size path.
 const decodeEager = 4096
 
+// maxEntries caps the entry count one vertex may declare and, because an
+// entry list partitions the ranks, the rank count a header may declare.
+const maxEntries = 1 << 24
+
 func umin(a, b uint64) uint64 {
 	if a < b {
 		return a
@@ -441,7 +445,8 @@ func DecodePar(in io.Reader, workers int) (*Merged, error) {
 		pbr = encpool.GetBufioReader(sn.R)
 		defer encpool.PutBufioReader(pbr)
 	}
-	m, err := decodeStream(pbr)
+	d := &decoder{reader: reader{r: pbr}}
+	m, err := d.decode(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -457,8 +462,7 @@ func DecodePar(in io.Reader, workers int) (*Merged, error) {
 
 // decodeHeader parses the v1 header — magic through the embedded CST — from
 // d's reader into a fresh Merged with its entry lists allocated, returning
-// the stat mode implied by the histogram flag. Shared by the streaming
-// decoder and the selective decoder.
+// the stat mode implied by the histogram flag.
 func (d *decoder) decodeHeader() (*Merged, timestat.Mode, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
@@ -475,7 +479,7 @@ func (d *decoder) decodeHeader() (*Merged, timestat.Mode, error) {
 	}
 	m := &Merged{}
 	m.TreeHash = d.u()
-	m.NumRanks = int(d.u())
+	numRanks := d.u()
 	m.EventCount = int64(d.u())
 	hist := d.u() == 1
 	mode := timestat.ModeMeanStddev
@@ -486,6 +490,12 @@ func (d *decoder) decodeHeader() (*Merged, timestat.Mode, error) {
 	if d.err != nil {
 		return nil, 0, d.err
 	}
+	// Every consumer sizes per-rank state from the header (the streamer's
+	// views, the simulator's cursors), so an implausible count stops here.
+	if numRanks < 1 || numRanks > maxEntries {
+		return nil, 0, fmt.Errorf("merge: implausible rank count %d", numRanks)
+	}
+	m.NumRanks = int(numRanks)
 	if treeLen > 1<<28 {
 		return nil, 0, fmt.Errorf("merge: implausible CST length %d", treeLen)
 	}
@@ -502,19 +512,25 @@ func (d *decoder) decodeHeader() (*Merged, timestat.Mode, error) {
 	return m, mode, nil
 }
 
-// decodeStream parses the bare CYPR payload from br.
-func decodeStream(br *bufio.Reader) (*Merged, error) {
-	d := &decoder{reader: reader{r: br}}
+// decode parses the bare CYPR stream from d's reader — the one loop that
+// decodes vertex entry lists. With a nil projection every payload section is
+// decoded in stream order (the full decode, from any reader). With a
+// projection the reader is the in-memory body: p.section decodes the sections
+// the selection touches and leaves the rest as lazy byte ranges.
+func (d *decoder) decode(p *projection) (*Merged, error) {
 	m, mode, err := d.decodeHeader()
 	if err != nil {
 		return nil, err
+	}
+	if p != nil {
+		p.lz.mode = mode
 	}
 	for gid := range m.Entries {
 		n := d.u()
 		if d.err != nil {
 			return nil, fmt.Errorf("merge: vertex %d: %w", gid, d.err)
 		}
-		if n > 1<<24 {
+		if n > maxEntries {
 			return nil, fmt.Errorf("merge: vertex %d: implausible entry count %d", gid, n)
 		}
 		if n == 0 {
@@ -531,7 +547,14 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 			b := umin(rem, decodeEager)
 			chunk := d.entries(int(b))
 			for k := range chunk {
-				d.entry(&chunk[k], int32(gid), mode)
+				e := &chunk[k]
+				e.Ranks.Load(d.setRuns())
+				if p == nil {
+					e.Data = d.vdata()
+					d.decodeVData(e.Data, int32(gid), mode)
+				} else if d.err == nil {
+					p.section(d, e, int32(gid))
+				}
 				if d.err != nil {
 					return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
 				}
@@ -553,13 +576,6 @@ func decodeStream(br *bufio.Reader) (*Merged, error) {
 		sink.Add(obs.DecRecords, d.nRec)
 	}
 	return m, nil
-}
-
-// entry decodes one vertex-data entry of vertex gid in place.
-func (d *decoder) entry(e *Entry, gid int32, mode timestat.Mode) {
-	e.Ranks.Load(d.setRuns())
-	e.Data = d.vdata()
-	d.decodeVData(e.Data, gid, mode)
 }
 
 // decodeVData decodes one payload section of vertex gid. The GID is not on

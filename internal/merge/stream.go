@@ -270,7 +270,7 @@ func (s *Streamer) Replay(rank int, emit func(e *trace.Event)) error {
 
 // Cursor returns a pull iterator over rank's event sequence, backed by the
 // rank's (possibly shared) replay skeleton: O(1) per-rank state, suitable for
-// feeding simmpi.SimulateStream without materializing the sequence.
+// feeding simmpi.SimulateStreamPar without materializing the sequence.
 func (s *Streamer) Cursor(rank int) (*replay.Cursor, error) {
 	c, _, err := s.classFor(rank, nil)
 	if err != nil {

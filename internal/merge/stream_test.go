@@ -242,7 +242,7 @@ func TestStreamerRing1024(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := simmpi.SimulateStream(srcs, params)
+	got, err := simmpi.SimulateStreamPar(srcs, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,9 @@ const (
 	CorpusCacheMisses  // gets that had to reconstruct and decode
 	CorpusCacheEvicts  // decoded traces evicted from the cache
 
-	// Selective decode with projection pushdown (merge.DecodeSelect).
+	// Selective decode with projection pushdown (merge.DecodeSelectAuto).
 	SelDecodes           // selective decodes served by the projection walk
-	SelFallbacks         // DecodeSelect calls that fell back to a full decode
+	SelFallbacks         // DecodeSelectAuto calls that fell back to a full decode
 	SelEntriesEager      // entries whose payload decoded eagerly (selection hit)
 	SelEntriesSkipped    // entries left as lazy payload offsets
 	SelBytesMaterialized // payload bytes decoded eagerly

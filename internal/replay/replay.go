@@ -119,7 +119,7 @@ func EmitSkeleton(steps []Step, rank int, emit func(e *trace.Event)) {
 }
 
 // Cursor is a pull iterator over a replay skeleton: the per-rank-iterator
-// entry point streaming consumers (simmpi.SimulateStream) drive. It holds
+// entry point streaming consumers (simmpi.SimulateStreamPar) drive. It holds
 // O(1) state per rank on top of the shared skeleton.
 type Cursor struct {
 	steps []Step

@@ -31,7 +31,7 @@ func allocsSteadyState(t *testing.T, gen func(n, iters int) [][]trace.Event) {
 	params := mpisim.DefaultParams()
 	measure := func(workers int, seqs [][]trace.Event) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := SimulatePar(seqs, params, workers); err != nil {
+			if _, err := SimulateStreamPar(sliceSources(seqs), params, workers); err != nil {
 				t.Fatal(err)
 			}
 		})

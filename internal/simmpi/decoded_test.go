@@ -26,7 +26,7 @@ func TestDecodedPendingBounded(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				s := obs.New()
 				SetObs(s)
-				_, err := SimulatePar(seqs, mpisim.DefaultParams(), workers)
+				_, err := SimulateStreamPar(sliceSources(seqs), mpisim.DefaultParams(), workers)
 				SetObs(nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)

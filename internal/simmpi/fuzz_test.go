@@ -130,7 +130,7 @@ func FuzzSimulateParallel(f *testing.F) {
 		}
 		want, wantErr := Simulate(seqs, params)
 		for _, w := range []int{2, 4} {
-			got, err := SimulatePar(seqs, params, w)
+			got, err := SimulateStreamPar(sliceSources(seqs), params, w)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("workers=%d: error mismatch: %v vs sequential %v", w, err, wantErr)
 			}

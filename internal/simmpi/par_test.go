@@ -146,7 +146,7 @@ func TestParallelEquivalence(t *testing.T) {
 					t.Fatalf("sequential: %v", err)
 				}
 				for _, w := range workerCounts {
-					got, err := SimulatePar(seqs, params, w)
+					got, err := SimulateStreamPar(sliceSources(seqs), params, w)
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
@@ -169,7 +169,7 @@ func TestParallelZeroCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	got, err := SimulatePar(seqs, mpisim.Params{}, 4)
+	got, err := SimulateStreamPar(sliceSources(seqs), mpisim.Params{}, 4)
 	if err != nil {
 		t.Fatalf("workers=4: %v", err)
 	}
@@ -202,12 +202,12 @@ func TestParallelErrorEquivalence(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 2, 4} {
-		if _, err := SimulatePar(stallSeqs, params, w); err == nil {
+		if _, err := SimulateStreamPar(sliceSources(stallSeqs), params, w); err == nil {
 			t.Errorf("workers=%d: unmatched recv did not stall", w)
 		} else if !strings.Contains(err.Error(), "stalled") {
 			t.Errorf("workers=%d: want stall error, got %v", w, err)
 		}
-		if _, err := SimulatePar(mismatchSeqs, params, w); err == nil {
+		if _, err := SimulateStreamPar(sliceSources(mismatchSeqs), params, w); err == nil {
 			t.Errorf("workers=%d: collective mismatch not detected", w)
 		} else if !strings.Contains(err.Error(), "collective mismatch") {
 			t.Errorf("workers=%d: want mismatch error, got %v", w, err)
@@ -221,7 +221,7 @@ func TestParallelErrorEquivalence(t *testing.T) {
 func TestParallelEmptyRankStalls(t *testing.T) {
 	seqs := ringTrace(6, 4)
 	seqs[4] = nil
-	if _, err := SimulatePar(seqs, mpisim.DefaultParams(), 4); err == nil {
+	if _, err := SimulateStreamPar(sliceSources(seqs), mpisim.DefaultParams(), 4); err == nil {
 		t.Fatal("empty rank did not stall under the parallel driver")
 	}
 }

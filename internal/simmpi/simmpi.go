@@ -115,39 +115,35 @@ func (s *sliceSource) Next() (*trace.Event, bool) {
 	return e, true
 }
 
-// Simulate predicts execution for the given per-rank event sequences. It is
-// SimulateStream over materialized slices; both entry points share one
-// engine, so their results are identical for identical sequences.
-func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
-	return SimulatePar(seqs, params, 1)
-}
-
-// SimulatePar is Simulate with an explicit simulation worker bound; see
-// SimulateStreamPar for the worker semantics.
-func SimulatePar(seqs [][]trace.Event, params mpisim.Params, workers int) (Result, error) {
+// sliceSources wraps materialized per-rank sequences as event sources.
+func sliceSources(seqs [][]trace.Event) []EventSource {
 	srcs := make([]EventSource, len(seqs))
 	for i := range seqs {
 		srcs[i] = &sliceSource{evs: seqs[i]}
 	}
-	return SimulateStreamPar(srcs, params, workers)
+	return srcs
 }
 
-// SimulateStream predicts execution for per-rank event streams pulled from
+// Simulate predicts execution for the given materialized per-rank event
+// sequences on the sequential driver. It is the slice-fed entry tests use as
+// the oracle; production callers stream through SimulateStreamPar. Both share
+// one engine, so their results are identical for identical sequences.
+func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
+	return SimulateStreamPar(sliceSources(seqs), params, 1)
+}
+
+// SimulateStreamPar predicts execution for per-rank event streams pulled from
 // iterators. Peak memory is O(ranks) cursor state plus the engine's in-flight
 // message queues instead of O(total events): each rank's events are consumed
 // as they are pulled, one at a time. The event an iterator yields is held by
 // value across blocked retries, so sources may reuse their buffers.
-func SimulateStream(srcs []EventSource, params mpisim.Params) (Result, error) {
-	return SimulateStreamPar(srcs, params, 1)
-}
-
-// SimulateStreamPar is SimulateStream with an explicit worker bound for the
-// epoch-parallel engine (workers <= 0 uses GOMAXPROCS; the bound is clamped
-// to the rank count). workers == 1 runs the sequential sweep driver with
-// zero locking; workers > 1 advances ranks concurrently inside conservative
-// lookahead windows. The Result is bit-identical at every worker count.
-// Each source is still consumed by at most one goroutine at a time (window
-// barriers order the hand-offs), so replay cursors need no locking.
+//
+// workers bounds the epoch-parallel engine (workers <= 0 uses GOMAXPROCS; the
+// bound is clamped to the rank count). workers == 1 runs the sequential sweep
+// driver with zero locking; workers > 1 advances ranks concurrently inside
+// conservative lookahead windows. The Result is bit-identical at every worker
+// count. Each source is still consumed by at most one goroutine at a time
+// (window barriers order the hand-offs), so replay cursors need no locking.
 func SimulateStreamPar(srcs []EventSource, params mpisim.Params, workers int) (Result, error) {
 	sp := sink.Start(obs.StageSimulate)
 	defer sp.End()

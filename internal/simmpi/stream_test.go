@@ -64,7 +64,7 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	for i := range seqs {
 		srcs[i] = &reusingSource{evs: seqs[i]}
 	}
-	got, err := SimulateStream(srcs, params)
+	got, err := SimulateStreamPar(srcs, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSimulateStreamEmptyRankStalls(t *testing.T) {
 		&reusingSource{evs: []trace.Event{{Op: trace.OpBarrier, Peer: trace.NoPeer}}},
 		&reusingSource{},
 	}
-	if _, err := SimulateStream(srcs, mpisim.DefaultParams()); err == nil {
+	if _, err := SimulateStreamPar(srcs, mpisim.DefaultParams(), 1); err == nil {
 		t.Fatal("empty-rank stall not detected")
 	}
 }

@@ -55,7 +55,6 @@ func BenchmarkEncode(b *testing.B)             { bench.BenchEncode(b) }
 func BenchmarkMergeAll256(b *testing.B)        { bench.BenchMergeAll256(b) }
 func BenchmarkMergeAll1024(b *testing.B)       { bench.BenchMergeAll1024(b) }
 func BenchmarkMergeAll4096(b *testing.B)       { bench.BenchMergeAll4096(b) }
-func BenchmarkDecode(b *testing.B)             { bench.BenchDecode(b) }
 
 // Marker-bound and wide-fan-out streams: where the cursor's child lookup,
 // not record folding, is the cost.
@@ -72,8 +71,6 @@ func BenchmarkEncodeGzip1024(b *testing.B)      { bench.BenchEncodeGzip1024(b) }
 func BenchmarkEncodeBlocked1024W1(b *testing.B) { bench.BenchEncodeBlocked1024W1(b) }
 func BenchmarkEncodeBlocked1024W2(b *testing.B) { bench.BenchEncodeBlocked1024W2(b) }
 func BenchmarkEncodeBlocked1024W4(b *testing.B) { bench.BenchEncodeBlocked1024W4(b) }
-func BenchmarkDecodeBlocked1024W1(b *testing.B) { bench.BenchDecodeBlocked1024W1(b) }
-func BenchmarkDecodeBlocked1024W2(b *testing.B) { bench.BenchDecodeBlocked1024W2(b) }
 
 // Streaming decompression benchmarks (bodies in internal/bench/replaybench.go).
 

@@ -54,7 +54,7 @@ commands:
 func main() {
 	dir := flag.String("dir", "", "corpus directory (created on first add)")
 	cacheBytes := flag.Int64("cache", 0, "decoded-trace cache budget in bytes (0 = default)")
-	workers := flag.Int("par", 0, "frame codec workers (0 = default)")
+	workers := flag.Int("par", 0, "CYPB frame codec workers for class and segment files (<= 1 inline)")
 	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the command and write Chrome trace-event JSON to this file (load in Perfetto)")
 	flag.Parse()
 	if *dir == "" || flag.NArg() == 0 {

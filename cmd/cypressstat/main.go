@@ -47,7 +47,7 @@ func main() {
 	stats := flag.Bool("stats", false, "also print the pipeline observability report")
 	workload := flag.String("workload", "", "trace a built-in workload in-process instead of reading a file")
 	procs := flag.Int("procs", 8, "ranks for in-process tracing")
-	par := flag.Int("par", 0, "inflate workers for CYPB trace files (0 = default, <0 = inline)")
+	par := flag.Int("par", 0, "inflate workers for CYPB trace files (<= 1 inflates inline)")
 	timeline := flag.String("timeline", "", "render a flight-recorder capture (Chrome trace-event JSON from -trace) as a text timeline, then exit")
 	check := flag.Bool("check", false, "with -timeline: validate the capture against the trace-event schema and require a complete (drop-free) capture")
 	rankProj := flag.Int("rank", -1, "decode a trace file through the rank-projected selective path and report the projection economics, then exit")
@@ -193,9 +193,9 @@ func projectionStats(path string, rank, par int, jsonOut bool) error {
 		return nil
 	}
 	fmt.Printf("selective decode: rank %d of %d (container %s)\n", rank, m.NumRanks, format)
-	yn := "no (grammar-walk skips)"
+	yn := "no"
 	if indexed {
-		yn = "yes"
+		yn = "yes (cross-checked)"
 	}
 	fmt.Printf("  section index    %s\n", yn)
 	if fellBack {
@@ -269,11 +269,10 @@ func traceInProcess(src string, procs int, sink *obs.Sink) *merge.Merged {
 	return res.Merged
 }
 
-// readTraceFile decodes a trace file. The container layer — gzip member,
-// CYPB block container, or bare CYPR stream — is sniffed by the decoder
-// itself (blockio.Sniff), so Cypress, Cypress+Gzip, and blocked files all
-// work; par configures the CYPB inflate pipeline. For bare CYPR files the
-// exact on-disk bytes are returned too (they are the corpus ingest unit);
+// readTraceFile decodes a trace file. blockio.Unwrap strips the container
+// layer — gzip member, CYPB block container (par inflate workers), or none —
+// so Cypress, Cypress+Gzip, and blocked files all work. For bare CYPR files
+// the exact on-disk bytes are returned too (they are the corpus ingest unit);
 // containered inputs return nil raw bytes.
 func readTraceFile(path string, par int, sink *obs.Sink) (*merge.Merged, []byte) {
 	cypress.EnableObs(sink) // decode-side counters
@@ -281,11 +280,15 @@ func readTraceFile(path string, par int, sink *obs.Sink) (*merge.Merged, []byte)
 	if err != nil {
 		fail(err)
 	}
-	m, err := merge.DecodePar(bytes.NewReader(data), par)
+	payload, format, err := blockio.Unwrap(data, par)
 	if err != nil {
 		fail(err)
 	}
-	if bytes.HasPrefix(data, []byte("CYPR")) {
+	m, err := merge.Decode(bytes.NewReader(payload))
+	if err != nil {
+		fail(err)
+	}
+	if format == blockio.FormatRaw {
 		return m, data
 	}
 	return m, nil

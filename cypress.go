@@ -253,8 +253,8 @@ func (r *Result) WriteTrace(w io.Writer, gzip bool) (int64, error) {
 // WriteTraceIndexed serializes the merged compressed trace with the CYPI
 // section index appended after the standard v1 body (gzip-wrapped when gzip
 // is set). The body bytes are identical to WriteTrace's output and every
-// existing reader decodes them unchanged; indexed files additionally let
-// OpenTrace skip unselected ranks' payload sections in O(1).
+// existing reader decodes them unchanged; a rank-projected OpenTrace
+// additionally checks every section boundary it finds against the index.
 func (r *Result) WriteTraceIndexed(w io.Writer, gzip bool) (int64, error) {
 	if gzip {
 		return r.Merged.EncodeIndexedGzip(w)
@@ -275,16 +275,17 @@ func (r *Result) WriteTraceBlocked(w io.Writer, workers int) (int64, error) {
 // held in memory — written by WriteTrace, WriteTraceIndexed or
 // WriteTraceBlocked; the container layer (gzip, CYPB, or none) is sniffed from
 // the leading magic — into a Result ready for Replay, Predict and CommMatrix.
-// workers bounds the CYPB inflate pipeline (< 0 inflates inline, 0 picks a
-// default, >= 1 pipelines that many workers); it never changes the decoded
+// workers is the CYPB inflate worker count (<= 1 inflates inline, more
+// stripes the frames over that many goroutines); it never changes the decoded
 // trace and other formats ignore it.
 //
 // With no ranks every timing payload is decoded up front. With ranks the
 // projection is pushed into the decoder: only those ranks' payloads are
 // materialized and the rest resolve lazily on first touch, so single-rank
-// serving cost scales with what the query touches, not with trace size; files
-// written by WriteTraceIndexed skip unselected sections by index, others by a
-// grammar walk. Either way every rank replays identically. The Result retains
+// serving cost scales with what the query touches, not with trace size;
+// unselected sections are passed over by an allocation-free grammar walk (and
+// checked against the section index of files written by WriteTraceIndexed).
+// Either way every rank replays identically. The Result retains
 // the payload bytes, so the caller must not modify data afterwards, and its
 // prediction parameters are mpisim.DefaultParams(), as for Corpus.Get.
 func OpenTrace(data []byte, workers int, ranks ...int) (*Result, error) {

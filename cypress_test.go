@@ -161,6 +161,58 @@ func TestWriteReadTrace(t *testing.T) {
 	}
 }
 
+// TestOneReaderOneVerdict pins what each container tolerates after its last
+// byte, for every way a file is read: there is one reader under OpenTrace and
+// merge.Decode, so they cannot disagree. Raw tolerates trailing bytes (the
+// CYPI sidecar rides there), gzip needs one complete CRC-valid member and
+// ignores what follows, CYPB is strict — its footer and trailer end the file.
+func TestOneReaderOneVerdict(t *testing.T) {
+	p, err := Compile(jacobi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Trace(4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw, gz, blocked bytes.Buffer
+	if _, err := res.WriteTrace(&raw, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.WriteTrace(&gz, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.WriteTraceBlocked(&blocked, 1); err != nil {
+		t.Fatal(err)
+	}
+	garbage := func(b []byte) []byte { return append(bytes.Clone(b), "garbage!"...) }
+	truncated := func(b []byte) []byte { return b[:len(b)-3] }
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		ok   bool
+	}{
+		{"raw/clean", raw.Bytes(), true},
+		{"raw/garbage", garbage(raw.Bytes()), true},
+		{"raw/truncated", truncated(raw.Bytes()), false},
+		{"gzip/clean", gz.Bytes(), true},
+		{"gzip/garbage", garbage(gz.Bytes()), true},
+		{"gzip/truncated", truncated(gz.Bytes()), false},
+		{"cypb/clean", blocked.Bytes(), true},
+		{"cypb/garbage", garbage(blocked.Bytes()), false},
+		{"cypb/truncated", truncated(blocked.Bytes()), false},
+	} {
+		_, full := OpenTrace(tc.in, 1)
+		_, projected := OpenTrace(tc.in, 2, 0)
+		_, stream := merge.Decode(bytes.NewReader(tc.in))
+		for how, err := range map[string]error{"OpenTrace": full, "OpenTrace(rank 0)": projected, "merge.Decode": stream} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s: %s = %v, want ok=%t", tc.name, how, err, tc.ok)
+			}
+		}
+	}
+}
+
 func TestCommMatrix(t *testing.T) {
 	p, err := Compile(jacobi)
 	if err != nil {

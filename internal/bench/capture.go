@@ -10,7 +10,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/blockio"
@@ -65,7 +64,7 @@ func TracedPipeline(r *ftrace.Recorder) error {
 	if _, err := m.EncodeBlockedFrames(&blocked, captureEncWorkers, captureFrameSize); err != nil {
 		return err
 	}
-	if _, err := merge.DecodePar(bytes.NewReader(blocked.Bytes()), captureDecWorkers); err != nil {
+	if _, err := merge.DecodeSelectAuto(blocked.Bytes(), merge.SelectAll(), captureDecWorkers); err != nil {
 		return err
 	}
 	// The merged fixture trace compresses to under one frame, so the real
@@ -107,14 +106,7 @@ func containerSoak() error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	r, err := blockio.NewReader(bytes.NewReader(buf.Bytes()), blockio.ReaderOptions{Workers: captureDecWorkers})
-	if err != nil {
-		return err
-	}
-	got, err := io.ReadAll(r)
-	if cerr := r.Close(); err == nil {
-		err = cerr
-	}
+	got, _, err := blockio.Unwrap(buf.Bytes(), captureDecWorkers)
 	if err != nil {
 		return err
 	}

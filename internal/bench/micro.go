@@ -469,36 +469,11 @@ func BenchMergeAll1024(b *testing.B) { benchMergeAll(b, 1024) }
 // BenchMergeAll4096 merges 4096 identical-SPMD rank trees.
 func BenchMergeAll4096(b *testing.B) { benchMergeAll(b, 4096) }
 
-// BenchDecode measures deserialization of a merged 64-rank stencil trace
-// (the realistic shape: relative-encoded records, branch arms, collectives).
-func BenchDecode(b *testing.B) {
-	ctts := runRanks(b, stencilSrc, 64)
-	m, err := merge.All(ctts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := m.Encode(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	rd := bytes.NewReader(data)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(data)
-		if _, err := merge.Decode(rd); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(data)), "bytes/op")
-}
-
 // blockedBenchFrame is the frame target of the block-container benchmarks. A
 // merged trace is tiny by design, so the default 128KB frame would put the
 // whole payload in one frame and the worker sweep would measure nothing; 256
 // bytes cuts the 1024-rank SPMD trace into several frames so the encode pool
-// and the decode pipeline actually see per-frame work.
+// actually sees per-frame work.
 const blockedBenchFrame = 256
 
 // spmd1024 builds the 1024-rank SPMD merged tree shared by the container
@@ -560,33 +535,6 @@ func BenchEncodeBlocked1024W2(b *testing.B) { benchEncodeBlocked(b, 2) }
 // BenchEncodeBlocked1024W4 encodes with a four-worker pool.
 func BenchEncodeBlocked1024W4(b *testing.B) { benchEncodeBlocked(b, 4) }
 
-// benchDecodeBlocked measures sniffing decode of the CYPB-wrapped 1024-rank
-// SPMD trace with the given inflate worker count.
-func benchDecodeBlocked(b *testing.B, workers int) {
-	m := spmd1024(b)
-	var buf bytes.Buffer
-	if _, err := m.EncodeBlockedFrames(&buf, 1, blockedBenchFrame); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	rd := bytes.NewReader(data)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(data)
-		if _, err := merge.DecodePar(rd, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(data)), "bytes/op")
-}
-
-// BenchDecodeBlocked1024W1 decodes with a one-worker inflate pipeline.
-func BenchDecodeBlocked1024W1(b *testing.B) { benchDecodeBlocked(b, 1) }
-
-// BenchDecodeBlocked1024W2 decodes with a two-worker inflate pipeline.
-func BenchDecodeBlocked1024W2(b *testing.B) { benchDecodeBlocked(b, 2) }
-
 // Micro is one registered microbenchmark.
 type Micro struct {
 	Name  string
@@ -606,13 +554,10 @@ func Micros() []Micro {
 		{"MergeAll256", BenchMergeAll256},
 		{"MergeAll1024", BenchMergeAll1024},
 		{"MergeAll4096", BenchMergeAll4096},
-		{"Decode", BenchDecode},
 		{"EncodeGzip1024", BenchEncodeGzip1024},
 		{"EncodeBlocked1024W1", BenchEncodeBlocked1024W1},
 		{"EncodeBlocked1024W2", BenchEncodeBlocked1024W2},
 		{"EncodeBlocked1024W4", BenchEncodeBlocked1024W4},
-		{"DecodeBlocked1024W1", BenchDecodeBlocked1024W1},
-		{"DecodeBlocked1024W2", BenchDecodeBlocked1024W2},
 		{"ReplayRank", BenchReplayRank},
 		{"Predict256", BenchPredict256},
 		{"Predict1024", BenchPredict1024},

@@ -157,9 +157,9 @@ func BenchDecodeSharded1024(b *testing.B) {
 }
 
 // BenchDecodeSelect1024Rank1 decodes the same sharded 1024-rank encoding
-// with a single-rank projection against the CYPI section index: structure
-// decodes fully, rank 1's payload sections materialize, the other ~1023/1024
-// of the payload volume is skipped in O(1) per entry.
+// with a single-rank projection, cross-checked against the CYPI section
+// index: structure decodes fully, rank 1's payload sections materialize, the
+// other ~1023/1024 of the payload volume is walked for framing only.
 func BenchDecodeSelect1024Rank1(b *testing.B) {
 	_, indexed := shardedEncodings(b)
 	sel := merge.SelectRanks(1)

@@ -3,10 +3,11 @@
 // CYPR merged-trace encoding) into fixed-target-size frames, compresses each
 // frame independently with raw deflate, and appends a varint frame index in a
 // footer. Because frames are independent, encoding fans out across a bounded
-// worker pool and decoding pipelines (inflate frame N+1 while the consumer
-// parses frame N) — the last single-threaded stage of the pipeline, byte
+// worker pool (Writer) — the last single-threaded stage of the pipeline, byte
 // serialization, becomes block-parallel the way Recorder-style tracing
-// systems and pgzip do it.
+// systems and pgzip do it. The read side is one function over a file held in
+// memory, Unwrap, which also strips the other two layers a trace file can
+// wear (none, gzip).
 //
 // Container layout (all integers varint unless noted):
 //
@@ -26,22 +27,18 @@
 //	"BPYC"  4-byte trailing magic
 //
 // The trailing fixed-width length plus magic make the index reachable from
-// the end of the file (ReadIndex), so a consumer with an io.ReaderAt can
-// seek to, inflate, and verify any single frame without touching the rest.
-// Streaming readers cross-check the footer against the frames they actually
-// consumed, so a mangled index is an error even when every frame inflated.
+// the end of the file, so Unwrap reads a container footer-first: the index
+// sizes the payload and locates every frame before any byte is inflated, each
+// frame header is checked against its index entry, and the frames must tile
+// the span between header and footer exactly — a mangled index is an error
+// even when every frame would inflate.
 //
 // Determinism: frames are cut purely by uncompressed payload offset (every
 // FrameSize bytes) and each frame is compressed at the fixed encpool.FlateLevel,
 // so the emitted container is byte-identical for a given frame size
-// regardless of the worker count or the caller's Write chunking.
+// regardless of the worker count or the caller's Write chunking; the worker
+// count never changes what Unwrap returns either.
 package blockio
-
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-)
 
 // Magic is the 4-byte container header magic.
 var Magic = [4]byte{'C', 'Y', 'P', 'B'}
@@ -69,90 +66,21 @@ const (
 	// maxFrames bounds the declared frame count in the footer.
 	maxFrames = 1 << 24
 
+	// maxInflate is deflate's best possible expansion (1032:1, one bit of
+	// literal/length code plus one of distance code per 258-byte match): a
+	// frame declaring more payload than its compressed bytes could produce is
+	// refused before the payload buffer is sized to the claim.
+	maxInflate = 1032
+
 	// trailerLen is the fixed-width container suffix: the 8-byte footer
 	// length plus the trailing magic.
 	trailerLen = 12
 )
 
-// frameMeta is one frame's index entry as tracked by writers and readers.
+// frameMeta is one frame's index entry as the writer tracks it for the footer.
 type frameMeta struct {
 	off   int64  // container offset of the frame's usize+1 header
 	usize uint32 // uncompressed length
 	csize uint32 // compressed length
 	crc   uint32 // CRC-32 (IEEE) of the uncompressed bytes
-}
-
-// uvarintLen returns the encoded length of x, for offset accounting without
-// re-encoding.
-func uvarintLen(x uint64) int64 {
-	n := int64(1)
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
-// readEarned reads exactly n bytes from r into dst (reused and returned),
-// growing the buffer geometrically so each growth step is earned by bytes
-// actually read: a hostile header declaring a huge length dies with a small
-// allocation when the stream runs dry, instead of sizing a buffer to the lie
-// up front.
-func readEarned(r io.Reader, dst []byte, n int) ([]byte, error) {
-	dst = dst[:0]
-	for len(dst) < n {
-		want := n - len(dst)
-		if want > 64<<10 {
-			want = 64 << 10
-		}
-		if cap(dst)-len(dst) < want {
-			newCap := 2 * cap(dst)
-			if newCap < len(dst)+want {
-				newCap = len(dst) + want
-			}
-			nb := make([]byte, len(dst), newCap)
-			copy(nb, dst)
-			dst = nb
-		}
-		k, err := io.ReadFull(r, dst[len(dst):len(dst)+want])
-		dst = dst[:len(dst)+k]
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return dst, err
-		}
-	}
-	return dst, nil
-}
-
-// byteReader adapts an io.Reader for binary.ReadUvarint without buffering,
-// used on the random-access index path where the source is a section reader.
-type byteReader struct {
-	r   io.Reader
-	n   int64 // bytes consumed
-	one [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	b.n++
-	return b.one[0], nil
-}
-
-// readUvarint reads one uvarint via ReadByte, wrapping overflow errors.
-func readUvarint(br io.ByteReader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err == io.EOF {
-		// EOF mid-structure is truncation from the container's perspective.
-		return 0, io.ErrUnexpectedEOF
-	}
-	return v, err
-}
-
-// frameHeaderError builds the common malformed-header error.
-func frameHeaderError(frame int, what string, v uint64) error {
-	return fmt.Errorf("blockio: frame %d: implausible %s %d", frame, what, v)
 }

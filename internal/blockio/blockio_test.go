@@ -3,9 +3,12 @@ package blockio
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -57,21 +60,22 @@ func encode(t testing.TB, payload []byte, opt WriterOptions) []byte {
 	return buf.Bytes()
 }
 
-// decode reads a container back with the given worker setting.
+// decode reads a CYPB container back with the given worker setting. Damage
+// to the leading magic makes Unwrap sniff some other format; for a caller
+// that expects a container that is as much an error as any other.
 func decode(enc []byte, workers int) ([]byte, error) {
-	r, err := NewReader(bytes.NewReader(enc), ReaderOptions{Workers: workers})
-	if err != nil {
-		return nil, err
+	payload, format, err := Unwrap(enc, workers)
+	if err == nil && format != FormatBlocked {
+		return nil, fmt.Errorf("sniffed %v, want a CYPB container", format)
 	}
-	defer r.Close()
-	return io.ReadAll(r)
+	return payload, err
 }
 
 func TestRoundTripSizes(t *testing.T) {
 	const frame = 4 << 10
 	for _, n := range []int{0, 1, 100, frame - 1, frame, frame + 1, 3 * frame, 10*frame + 137} {
 		for _, encW := range []int{1, 3} {
-			for _, decW := range []int{0, 1, 2} {
+			for _, decW := range []int{0, 1, 2, 5} {
 				payload := testPayload(n)
 				enc := encode(t, payload, WriterOptions{FrameSize: frame, Workers: encW})
 				got, err := decode(enc, decW)
@@ -109,6 +113,14 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	got, err := decode(other, 1)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("16KB-frame container failed to round-trip: %v", err)
+	}
+	// The read side holds the same claim: worker count never changes the
+	// bytes Unwrap returns.
+	for _, workers := range []int{2, 4, 7, 64} {
+		got, err := decode(base, workers)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Unwrap workers=%d differs from workers=1: %v", workers, err)
+		}
 	}
 }
 
@@ -148,22 +160,22 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestMangledFooter verifies the streaming reader cross-checks the footer
-// index against the frames it consumed: every field disagreement errors even
-// though the payload itself inflated fine.
+// TestMangledFooter verifies the footer index is cross-checked against the
+// frames it describes: every field disagreement errors even though each frame
+// would inflate fine.
 func TestMangledFooter(t *testing.T) {
 	payload := testPayload(20 << 10)
 	enc := encode(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: 1})
-	// The footer starts after the body terminator; rewrite its frame count.
-	ix, err := ReadIndex(bytes.NewReader(enc), int64(len(enc)))
+	frames, total, err := readFrames(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Frames) != 3 {
-		t.Fatalf("fixture has %d frames, want 3", len(ix.Frames))
+	if len(frames) != 3 || total != len(payload) {
+		t.Fatalf("fixture has %d frames of %d bytes, want 3 of %d", len(frames), total, len(payload))
 	}
-	// Locate the footer: it spans [len-12-footerLen, len-12).
-	footerLen := int(uint64(enc[len(enc)-12]) | uint64(enc[len(enc)-11])<<8) // small footer: low bytes suffice
+	// The footer spans [len-12-footerLen, len-12); flip every byte of it and
+	// of the trailer.
+	footerLen := int(binary.LittleEndian.Uint64(enc[len(enc)-trailerLen:]))
 	footerStart := len(enc) - trailerLen - footerLen
 	for off := footerStart; off < len(enc); off++ {
 		mut := append([]byte(nil), enc...)
@@ -176,46 +188,152 @@ func TestMangledFooter(t *testing.T) {
 	}
 }
 
-func TestIndexSelectiveDecode(t *testing.T) {
-	payload := testPayload(100<<10 + 77)
-	enc := encode(t, payload, WriterOptions{FrameSize: 16 << 10, Workers: 2})
-	ra := bytes.NewReader(enc)
-	ix, err := ReadIndex(ra, int64(len(enc)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ix.UncompressedSize(), int64(len(payload)); got != want {
-		t.Fatalf("UncompressedSize %d, want %d", got, want)
-	}
-	if ix.FrameTarget != 16<<10 {
-		t.Fatalf("FrameTarget %d, want %d", ix.FrameTarget, 16<<10)
-	}
-	// Read frames out of order; each must verify and match its span.
-	var buf []byte
-	for _, i := range []int{len(ix.Frames) - 1, 0, len(ix.Frames) / 2} {
-		e := ix.Frames[i]
-		buf, err = ix.ReadFrame(ra, i, buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+// TestFrameTiling pins the checks that replace reading frames in stream
+// order: frames must tile the span between header and footer exactly, so an
+// index whose offsets leave a gap, overlap, run outside the file or skip the
+// terminator is refused even though every entry matches a real frame header.
+// It also pins the two checks only inflating can make — exact length and
+// CRC-32 — with a header and index that agree on the lie.
+func TestFrameTiling(t *testing.T) {
+	payload := testPayload(20 << 10)
+	enc := encode(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: 1})
+	// Walk the frames in stream order, independently of readFrames, to
+	// recover the index the writer emitted.
+	var metas []frameMeta
+	var bodies [][]byte       // each frame's deflate bytes
+	pos := len(Magic) + 1 + 2 // magic, one-byte version, two-byte frame target (8KB)
+	for {
+		u, n := binary.Uvarint(enc[pos:])
+		if u == 0 {
+			pos += n
+			break
 		}
-		want := payload[e.UOff : e.UOff+int64(e.USize)]
-		if !bytes.Equal(buf, want) {
-			t.Fatalf("frame %d: payload mismatch", i)
+		csize, cn := binary.Uvarint(enc[pos+n:])
+		crc, kn := binary.Uvarint(enc[pos+n+cn:])
+		metas = append(metas, frameMeta{off: int64(pos), usize: uint32(u - 1), csize: uint32(csize), crc: uint32(crc)})
+		bodies = append(bodies, enc[pos+n+cn+kn:pos+n+cn+kn+int(csize)])
+		pos += n + cn + kn + int(csize)
+	}
+	footerStart := pos
+	if len(metas) != 3 {
+		t.Fatalf("fixture has %d frames, want 3", len(metas))
+	}
+	withFooter := func(body []byte, idx []frameMeta) []byte {
+		out := append([]byte(nil), body...)
+		start := len(out)
+		out = binary.AppendUvarint(out, uint64(len(idx)))
+		for _, m := range idx {
+			out = binary.AppendUvarint(out, uint64(m.off))
+			out = binary.AppendUvarint(out, uint64(m.usize))
+			out = binary.AppendUvarint(out, uint64(m.csize))
+			out = binary.AppendUvarint(out, uint64(m.crc))
+		}
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(out)-start))
+		return append(out, trailerMagic[:]...)
+	}
+	body := enc[:footerStart]
+	if got := withFooter(body, metas); !bytes.Equal(got, enc) {
+		t.Fatal("test helper does not reproduce the writer's container")
+	}
+	// relabel re-emits the container with the first frame's header and index
+	// entry both declaring usize and crc: consistent with each other, so only
+	// the inflate-time checks can catch the lie.
+	relabel := func(usize, crc uint32) []byte {
+		out := append([]byte(nil), enc[:metas[0].off]...)
+		idx := append([]frameMeta(nil), metas...)
+		idx[0].usize, idx[0].crc = usize, crc
+		for i := range idx {
+			idx[i].off = int64(len(out))
+			out = binary.AppendUvarint(out, uint64(idx[i].usize)+1)
+			out = binary.AppendUvarint(out, uint64(idx[i].csize))
+			out = binary.AppendUvarint(out, uint64(idx[i].crc))
+			out = append(out, bodies[i]...)
+		}
+		return withFooter(append(out, 0), idx)
+	}
+	if got := relabel(metas[0].usize, metas[0].crc); !bytes.Equal(got, enc) {
+		t.Fatal("relabel does not reproduce the writer's container")
+	}
+	short := metas[0].usize - 1
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"frame inflates to more than header and index declare", relabel(short, crc32.ChecksumIEEE(payload[:short]))},
+		{"frame inflates to less than header and index declare", relabel(metas[0].usize+1, metas[0].crc)},
+		{"checksum wrong in header and index alike", relabel(metas[0].usize, metas[0].crc^1)},
+		{"gap: index skips the first frame", withFooter(body, metas[1:])},
+		{"overlap: index lists a frame twice", withFooter(body, []frameMeta{metas[0], metas[1], metas[1], metas[2]})},
+		{"short: index stops before the last frame", withFooter(body, metas[:2])},
+		{"no terminator", withFooter(body[:len(body)-1], metas)},
+		{"offset outside the file", withFooter(body, []frameMeta{metas[0], metas[1], {off: 1 << 40, usize: metas[2].usize, csize: metas[2].csize, crc: metas[2].crc}})},
+		{"trailing bytes after the trailer", append(append([]byte(nil), enc...), 0)},
+	} {
+		for _, workers := range []int{1, 4} {
+			if _, err := decode(tc.enc, workers); err == nil {
+				t.Errorf("%s: accepted at workers=%d", tc.name, workers)
+			}
 		}
 	}
-	if _, err := ix.ReadFrame(ra, len(ix.Frames), nil); err == nil {
-		t.Fatal("out-of-range frame index accepted")
+}
+
+// TestHostileSizesStayCheap: footer-first sizing must not let a few bytes buy
+// a large allocation. A sub-100-byte container declaring 2^24 frames of 2^27
+// bytes errors having allocated next to nothing, and a frame claiming more
+// payload than its compressed bytes could inflate to is refused before the
+// payload buffer is made.
+func TestHostileSizesStayCheap(t *testing.T) {
+	head := append(append([]byte(nil), Magic[:]...), version, 0x80, 0x80, 0x08) // frame target 128KB
+	withFooter := func(body, footer []byte) []byte {
+		out := append(append([]byte(nil), body...), footer...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(footer)))
+		return append(out, trailerMagic[:]...)
 	}
-	// Corrupt one frame body: only that frame's selective read fails.
-	mid := ix.Frames[1]
-	mut := append([]byte(nil), enc...)
-	mut[int(mid.Off)+8] ^= 0xff
-	mra := bytes.NewReader(mut)
-	if _, err := ix.ReadFrame(mra, 1, nil); err == nil {
-		t.Fatal("corrupted frame body verified")
+	entry := func(off, usize, csize, crc uint64) []byte {
+		var e []byte
+		for _, v := range []uint64{off, usize, csize, crc} {
+			e = binary.AppendUvarint(e, v)
+		}
+		return e
 	}
-	if _, err := ix.ReadFrame(mra, 0, nil); err != nil {
-		t.Fatalf("untouched frame failed after sibling corruption: %v", err)
+	// 2^24 frames x 2^27 bytes: the count alone outruns the footer bytes.
+	many := binary.AppendUvarint(nil, maxFrames)
+	many = append(many, entry(uint64(len(head)), maxFrameSize, 1, 0)...)
+	// One frame whose 8 compressed bytes claim 128MB.
+	fhdr := binary.AppendUvarint(nil, maxFrameSize+1)
+	fhdr = append(fhdr, 8, 0)
+	big := append(append(append([]byte(nil), head...), fhdr...), make([]byte, 8)...)
+	big = append(big, 0)
+	bigFooter := append([]byte{1}, entry(uint64(len(head)), maxFrameSize, 8, 0)...)
+	// The most the ratio bound lets through: 1032 bytes per compressed byte.
+	const claim = 8 * maxInflate
+	ehdr := binary.AppendUvarint(nil, claim+1)
+	ehdr = append(ehdr, 8, 0)
+	earned := append(append(append([]byte(nil), head...), ehdr...), make([]byte, 8)...)
+	earned = append(earned, 0)
+	earnedFooter := append([]byte{1}, entry(uint64(len(head)), claim, 8, 0)...)
+	for _, tc := range []struct {
+		name   string
+		enc    []byte
+		budget uint64 // bytes Unwrap may allocate before erroring
+	}{
+		{"2^24 frames x 2^27 bytes", withFooter(append(append([]byte(nil), head...), 0), many), 16 << 10},
+		{"8 bytes claim 128MB", withFooter(big, bigFooter), 16 << 10},
+		{"8 bytes claim 8*1032", withFooter(earned, earnedFooter), 64 << 10},
+	} {
+		if len(tc.enc) >= 100 {
+			t.Fatalf("%s: container is %d bytes, want < 100", tc.name, len(tc.enc))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Unwrap(tc.enc, 4)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
+			t.Errorf("%s: allocated %d bytes for a %d-byte input, budget %d (%v)", tc.name, got, len(tc.enc), tc.budget, err)
+		}
 	}
 }
 
@@ -239,75 +357,22 @@ func TestSniffFormats(t *testing.T) {
 		{"short", []byte{'C'}, FormatRaw},
 	}
 	for _, tc := range cases {
-		sn, err := SniffReader(bytes.NewReader(tc.in), 1)
+		got, format, err := Unwrap(tc.in, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if sn.Format != tc.want {
-			t.Fatalf("%s: sniffed %v, want %v", tc.name, sn.Format, tc.want)
+		if format != tc.want {
+			t.Fatalf("%s: sniffed %v, want %v", tc.name, format, tc.want)
 		}
-		if tc.name != "short" {
-			got, err := io.ReadAll(sn.R)
-			if err != nil {
-				t.Fatalf("%s: reading payload: %v", tc.name, err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatalf("%s: payload mismatch", tc.name)
-			}
-			if err := sn.Finish(); err != nil {
-				t.Fatalf("%s: Finish: %v", tc.name, err)
-			}
+		want := payload
+		if tc.name == "short" {
+			// Too short to hold any container magic: handed to the payload
+			// parser raw, whose own magic check produces the canonical error.
+			want = tc.in
 		}
-		if err := sn.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", tc.name, err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: payload mismatch", tc.name)
 		}
-	}
-}
-
-// TestAbandonedReaderShutsDown pins the pipeline teardown path: closing a
-// pipelined reader mid-payload must not deadlock or leak (the race job
-// watches the goroutines).
-func TestAbandonedReaderShutsDown(t *testing.T) {
-	payload := testPayload(256 << 10)
-	enc := encode(t, payload, WriterOptions{FrameSize: 4 << 10, Workers: 2})
-	for _, workers := range []int{1, 4} {
-		r, err := NewReader(bytes.NewReader(enc), ReaderOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first [100]byte
-		if _, err := io.ReadFull(r, first[:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestFinishReportsLateFooterError(t *testing.T) {
-	// A consumer that stops exactly at the payload boundary never reads the
-	// footer through Read; Finish must still surface a mangled index.
-	payload := testPayload(12 << 10)
-	enc := encode(t, payload, WriterOptions{FrameSize: 4 << 10, Workers: 1})
-	mut := append([]byte(nil), enc...)
-	mut[len(mut)-2] ^= 0x40 // inside the trailing magic
-	sn, err := SniffReader(bytes.NewReader(mut), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sn.Close()
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(sn.R, got); err != nil {
-		// The pipelined fetcher may have already tripped on the footer; that
-		// is the same detection, just earlier.
-		return
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload mismatch before footer check")
-	}
-	if err := sn.Finish(); err == nil {
-		t.Fatal("Finish accepted a mangled trailer")
 	}
 }
 
@@ -316,9 +381,7 @@ func ExampleWriter() {
 	w, _ := NewWriter(&buf, WriterOptions{FrameSize: 8 << 10, Workers: 4})
 	io.WriteString(w, "payload bytes")
 	w.Close()
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{Workers: 1})
-	defer r.Close()
-	out, _ := io.ReadAll(r)
-	fmt.Println(string(out))
-	// Output: payload bytes
+	out, format, _ := Unwrap(buf.Bytes(), 1)
+	fmt.Println(format, string(out))
+	// Output: blocked payload bytes
 }

@@ -97,7 +97,7 @@ type Options struct {
 	// the cache.
 	CacheBytes int64
 	// Workers bounds the CYPB frame codecs used for class and segment
-	// containers; 0 picks the blockio default.
+	// containers; values <= 1 deflate and inflate inline.
 	Workers int
 }
 
@@ -397,11 +397,7 @@ func readClassFile(path string, workers int) (*class, error) {
 		}
 		vals[i], b = v, b[n:]
 	}
-	rd, err := blockio.NewReader(bytes.NewReader(b), blockio.ReaderOptions{Workers: workers})
-	if err != nil {
-		return nil, fmt.Errorf("class container: %w", err)
-	}
-	payload, err := io.ReadAll(rd)
+	payload, err := unblock(b, workers)
 	if err != nil {
 		return nil, fmt.Errorf("class container: %w", err)
 	}
@@ -453,15 +449,21 @@ func (s *Store) readSegPayload(n int) ([]byte, error) {
 	if len(raw) < 5 || !bytes.Equal(raw[:4], segMagic[:]) || raw[4] != formatVersion {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: bad header", n)
 	}
-	rd, err := blockio.NewReader(bytes.NewReader(raw[5:]), blockio.ReaderOptions{Workers: s.opt.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
-	}
-	payload, err := io.ReadAll(rd)
+	payload, err := unblock(raw[5:], s.opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
 	}
 	return payload, nil
+}
+
+// unblock inflates the CYPB container a class or segment file carries after
+// its own header. Unwrap sniffs; here any other layer is a damaged file.
+func unblock(b []byte, workers int) ([]byte, error) {
+	payload, format, err := blockio.Unwrap(b, workers)
+	if err == nil && format != blockio.FormatBlocked {
+		return nil, errors.New("not a CYPB container")
+	}
+	return payload, err
 }
 
 // Ingest adds a merged trace, storing it against its structural class, and

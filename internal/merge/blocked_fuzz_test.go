@@ -3,6 +3,8 @@ package merge
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/blockio"
 )
 
 // blockedSeeds wraps the fuzz fixtures in CYPB containers at a small frame
@@ -34,14 +36,15 @@ func blockedSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzDecodeBlocked feeds arbitrary bytes to the sniffing decoder with the
-// CYPB pipeline both inline and parallel, and checks:
+// FuzzDecodeBlocked feeds arbitrary bytes to the one container reader and
+// the decoder behind it, and checks:
 //
-//  1. Robustness: DecodePar never panics; malformed containers (truncated
-//     frames, corrupted bodies, mangled footers) return an error.
-//  2. Pipeline identity: the inline and pipelined decoders accept exactly the
-//     same inputs and produce trees with identical normal forms — worker
-//     count may never change what a container decodes to.
+//  1. Robustness: blockio.Unwrap and the decode never panic; malformed
+//     containers (truncated frames, corrupted bodies, mangled footers) return
+//     an error.
+//  2. Worker identity: Unwrap inline and Unwrap striped over four lanes accept
+//     exactly the same inputs and return identical bytes — worker count may
+//     never change what a container unwraps to.
 func FuzzDecodeBlocked(f *testing.F) {
 	for _, s := range blockedSeeds(f) {
 		f.Add(s)
@@ -49,23 +52,24 @@ func FuzzDecodeBlocked(f *testing.F) {
 	f.Add([]byte("CYPB"))
 	f.Add([]byte("CYPB\x01\x80\x02\x00"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		inline, inlineErr := DecodePar(bytes.NewReader(in), -1)
-		piped, pipedErr := DecodePar(bytes.NewReader(in), 2)
-		if (inlineErr == nil) != (pipedErr == nil) {
-			t.Fatalf("inline err=%v, pipelined err=%v", inlineErr, pipedErr)
+		inline, _, inlineErr := blockio.Unwrap(in, 1)
+		striped, _, stripedErr := blockio.Unwrap(in, 4)
+		if (inlineErr == nil) != (stripedErr == nil) {
+			t.Fatalf("inline err=%v, striped err=%v", inlineErr, stripedErr)
 		}
 		if inlineErr != nil {
 			return
 		}
-		var a, b bytes.Buffer
-		if _, err := inline.Encode(&a); err != nil {
-			t.Fatalf("re-encode of inline decode failed: %v", err)
+		if !bytes.Equal(inline, striped) {
+			t.Fatalf("inline and striped unwraps diverge: %d vs %d bytes", len(inline), len(striped))
 		}
-		if _, err := piped.Encode(&b); err != nil {
-			t.Fatalf("re-encode of pipelined decode failed: %v", err)
+		m, err := DecodeSelectAuto(in, SelectAll(), 4)
+		if err != nil {
+			return
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("inline and pipelined decodes diverge: %d vs %d bytes", a.Len(), b.Len())
+		var re bytes.Buffer
+		if _, err := m.Encode(&re); err != nil {
+			t.Fatalf("re-encode of decoded container failed: %v", err)
 		}
 	})
 }

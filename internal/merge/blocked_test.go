@@ -28,9 +28,9 @@ func blockedFixture(t testing.TB, ranks int) *Merged {
 }
 
 // TestEncodeBlockedRoundTrip pins the tentpole contract at three scales:
-// EncodeBlocked -> Decode yields a tree DeepEqual to the sequential-path
-// decode of the plain encoding, for inline and pipelined readers alike, and
-// the re-encoded bytes agree exactly.
+// EncodeBlocked -> decode yields a tree DeepEqual to the decode of the plain
+// encoding, inflating inline or striped over lanes alike, and the re-encoded
+// bytes agree exactly.
 func TestEncodeBlockedRoundTrip(t *testing.T) {
 	for _, ranks := range []int{7, 64, 1024} {
 		m := blockedFixture(t, ranks)
@@ -57,7 +57,7 @@ func TestEncodeBlockedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{-1, 1, 2} {
-			got, err := DecodePar(bytes.NewReader(blocked.Bytes()), workers)
+			got, err := DecodeSelectAuto(blocked.Bytes(), SelectAll(), workers)
 			if err != nil {
 				t.Fatalf("ranks=%d workers=%d: %v", ranks, workers, err)
 			}
@@ -92,12 +92,12 @@ func TestEncodeBlockedWorkerIdentity(t *testing.T) {
 	}
 	base := enc(1)
 	// Sanity: the fixture must be big enough to exercise multiple frames.
-	ix, err := blockio.ReadIndex(bytes.NewReader(base), int64(len(base)))
-	if err != nil {
+	var raw bytes.Buffer
+	if _, err := m.Encode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Frames) < 2 {
-		t.Fatalf("fixture spans %d frame(s); want >= 2", len(ix.Frames))
+	if raw.Len() <= frame {
+		t.Fatalf("fixture payload is %d bytes; want more than one %d-byte frame", raw.Len(), frame)
 	}
 	for _, workers := range []int{2, 4} {
 		if got := enc(workers); !bytes.Equal(base, got) {
@@ -169,7 +169,7 @@ func TestDecodeBlockedTruncation(t *testing.T) {
 	}
 	enc := buf.Bytes()
 	for cut := 0; cut < len(enc); cut += 61 {
-		if _, err := DecodePar(bytes.NewReader(enc[:cut]), 2); err == nil {
+		if _, err := DecodeSelectAuto(enc[:cut], SelectAll(), 2); err == nil {
 			t.Fatalf("truncation at %d/%d decoded silently", cut, len(enc))
 		}
 	}

@@ -20,13 +20,10 @@ package merge
 // payload stream against a structurally identical representative's.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 
-	"repro/internal/cst"
 	"repro/internal/fp"
 	"repro/internal/timestat"
 )
@@ -67,59 +64,14 @@ func (s *SplitTrace) ClassKey() uint64 {
 	return uint64(h)
 }
 
-// bcur is an error-latching varint cursor over an in-memory buffer — the
-// byte-slice analogue of the serializer's reader, used where the grammar walk
-// needs exact byte offsets rather than streaming reads.
-type bcur struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *bcur) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *bcur) u() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		c.fail("merge: truncated or oversized uvarint at offset %d", c.off)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *bcur) i() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		c.fail("merge: truncated or oversized varint at offset %d", c.off)
-		return 0
-	}
-	c.off += n
-	return v
-}
-
 // skipRuns walks one run-length list (rank sets, loop/taken vectors). The
 // count cap mirrors the decoder's plausibility bound; the walk itself is
 // allocation-free, and each element consumes at least three bytes, so a
 // hostile count degrades into a fast cursor error.
 func (c *bcur) skipRuns() {
 	n := c.u()
-	if c.err != nil {
-		return
-	}
 	if n > 1<<20 {
-		c.fail("merge: implausible run count %d", n)
-		return
+		c.fail("merge: implausible run count %d at offset %d", n, c.off)
 	}
 	for j := uint64(0); j < n && c.err == nil; j++ {
 		c.i()
@@ -140,12 +92,8 @@ func skipVolatile(c *bcur, hist bool) {
 		return
 	}
 	nz := c.u()
-	if c.err != nil {
-		return
-	}
 	if nz > timestat.HistBuckets {
-		c.fail("merge: implausible histogram bucket count %d", nz)
-		return
+		c.fail("merge: implausible histogram bucket count %d at offset %d", nz, c.off)
 	}
 	for j := uint64(0); j < nz && c.err == nil; j++ {
 		c.u()
@@ -165,24 +113,16 @@ func (c *bcur) skipRecordStructure() {
 	c.u() // comm
 	c.u() // count
 	nq := c.u()
-	if c.err != nil {
-		return
-	}
 	if nq > 1<<20 {
-		c.fail("merge: implausible req count %d", nq)
-		return
+		c.fail("merge: implausible req count %d at offset %d", nq, c.off)
 	}
 	for j := uint64(0); j < nq && c.err == nil; j++ {
 		c.i()
 	}
 	if flags&4 != 0 {
 		np := c.u()
-		if c.err != nil {
-			return
-		}
 		if np == 0 || np > 1<<20 {
-			c.fail("merge: implausible peer period %d", np)
-			return
+			c.fail("merge: implausible peer period %d at offset %d", np, c.off)
 		}
 		for j := uint64(0); j < np && c.err == nil; j++ {
 			c.i()
@@ -201,8 +141,8 @@ func walkVData(c *bcur, volatile func()) {
 	c.skipRuns() // loop counts
 	c.skipRuns() // taken branches
 	nc := c.u()
-	if c.err == nil && nc > 1<<24 {
-		c.fail("merge: implausible cycle count %d", nc)
+	if nc > 1<<24 {
+		c.fail("merge: implausible cycle count %d at offset %d", nc, c.off)
 	}
 	for j := uint64(0); j < nc && c.err == nil; j++ {
 		c.u()
@@ -210,8 +150,8 @@ func walkVData(c *bcur, volatile func()) {
 		c.u()
 	}
 	nr := c.u()
-	if c.err == nil && nr > 1<<26 {
-		c.fail("merge: implausible record count %d", nr)
+	if nr > 1<<26 {
+		c.fail("merge: implausible record count %d at offset %d", nr, c.off)
 	}
 	for j := uint64(0); j < nr && c.err == nil; j++ {
 		c.skipRecordStructure()
@@ -221,76 +161,19 @@ func walkVData(c *bcur, volatile func()) {
 	}
 }
 
-// splitHeader parses the fixed header (through the embedded CST) and returns
-// the vertex count. It is shared by SplitEncoded, which needs the vertex
-// count to bound the section loop, and reused structurally by JoinEncoded,
-// which only needs the cursor advanced past the CST bytes.
-func splitHeader(c *bcur, s *SplitTrace, wantTree bool) (nverts int) {
-	if len(c.b) < len(fileMagic) || [4]byte(c.b[:4]) != fileMagic {
-		c.fail("merge: bad magic")
-		return 0
-	}
-	c.off = len(fileMagic)
-	if v := c.u(); c.err == nil && v != fileVersion {
-		c.fail("merge: unsupported version %d", v)
-		return 0
-	}
-	treeHash := c.u()
-	numRanks := c.u()
-	c.u() // event count
-	histFlag := c.u()
-	treeLen := c.u()
-	if c.err != nil {
-		return 0
-	}
-	if numRanks < 1 || numRanks > maxEntries {
-		c.fail("merge: implausible rank count %d", numRanks)
-		return 0
-	}
-	if s != nil {
-		s.TreeHash = treeHash
-		s.NumRanks = int(numRanks)
-		s.Hist = histFlag == 1
-	}
-	if treeLen > 1<<28 || int64(treeLen) > int64(len(c.b)-c.off) {
-		c.fail("merge: implausible CST length %d", treeLen)
-		return 0
-	}
-	treeEnd := c.off + int(treeLen)
-	if wantTree {
-		lr := io.LimitedReader{R: bytes.NewReader(c.b[c.off:treeEnd]), N: int64(treeLen)}
-		tree, err := cst.Decode(&lr)
-		if err != nil {
-			c.fail("merge: embedded CST: %w", err)
-			return 0
-		}
-		// The streaming decoder resumes wherever cst.Decode leaves its reader;
-		// the splitter only accepts streams where that point is the declared
-		// CST boundary, so the structural grammar walk below stays aligned
-		// with what Decode would parse. Ingest falls back to whole-encoding
-		// storage for anything rejected here.
-		if lr.N != 0 {
-			c.fail("merge: embedded CST under-consumed (%d trailing bytes)", lr.N)
-			return 0
-		}
-		nverts = tree.NumVertices()
-	}
-	c.off = treeEnd
-	return nverts
-}
-
 // SplitEncoded partitions a standalone v1 encoding into structure and payload
 // streams (see SplitTrace). It validates the grammar syntactically — counts
 // within the decoder's plausibility caps, varints well-formed, no trailing
 // bytes — but not semantically; a stream that splits cleanly may still fail
 // Decode, and reconstruction fidelity is byte-level either way.
 func SplitEncoded(enc []byte) (*SplitTrace, error) {
-	s := &SplitTrace{}
 	c := &bcur{b: enc}
-	nverts := splitHeader(c, s, true)
+	h := c.header(true)
 	if c.err != nil {
 		return nil, c.err
 	}
+	s := &SplitTrace{TreeHash: h.treeHash, NumRanks: h.numRanks, Hist: h.hist}
+	nverts := h.tree.NumVertices()
 	s.Structure = append(s.Structure, enc[:c.off]...)
 	s.HeaderFP = uint64(fp.New().Bytes(s.Structure))
 	s.SectionFP = make([]uint64, nverts)
@@ -339,8 +222,7 @@ func SplitEncoded(enc []byte) (*SplitTrace, error) {
 func JoinEncoded(structure, payload []byte) ([]byte, error) {
 	out := make([]byte, 0, len(structure)+len(payload))
 	st := &bcur{b: structure}
-	var hdr SplitTrace
-	splitHeader(st, &hdr, false)
+	hdr := st.header(false)
 	if st.err != nil {
 		return nil, st.err
 	}
@@ -350,7 +232,7 @@ func JoinEncoded(structure, payload []byte) ([]byte, error) {
 		out = append(out, structure[mark:st.off]...)
 		mark = st.off
 		vs := pl.off
-		skipVolatile(pl, hdr.Hist)
+		skipVolatile(pl, hdr.hist)
 		out = append(out, payload[vs:pl.off]...)
 		st.err = pl.err // a short payload stream ends the walk
 	}

@@ -2,6 +2,9 @@ package merge
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cst"
@@ -254,13 +257,6 @@ func TestGzipSmallerOrClose(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("NOPE"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	// Truncation anywhere must error, not panic.
 	_, ctts, _ := collect(t, `func main() { barrier(); }`, 2)
 	m, _ := All(ctts, 0)
 	var buf bytes.Buffer
@@ -268,10 +264,58 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{5, 20, len(full) / 2, len(full) - 1} {
-		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+
+	// The header's CST length field, and the encoding re-emitted with that
+	// field declaring pad more bytes than the CST text uses (the pad bytes
+	// inserted so every later offset still lines up). The pad outruns the
+	// 64KB read-ahead cst.Decode buffers, which is what leaves bytes behind
+	// for the exact-consumption check to see.
+	lenOff := len(fileMagic)
+	for i := 0; i < 5; i++ { // version, tree hash, ranks, events, hist flag
+		_, n := binary.Uvarint(full[lenOff:])
+		lenOff += n
+	}
+	treeLen, n := binary.Uvarint(full[lenOff:])
+	treeEnd := lenOff + n + int(treeLen)
+	const pad = 1 << 17
+	slack := binary.AppendUvarint(bytes.Clone(full[:lenOff]), treeLen+pad)
+	slack = append(slack, full[lenOff+n:treeEnd]...)
+	slack = append(slack, make([]byte, pad)...)
+	slack = append(slack, full[treeEnd:]...)
+
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string // substring of the error; "" accepts any
+	}{
+		{"bad magic", []byte("NOPE"), "bad magic"},
+		{"empty input", nil, "bad magic"},
+		// Truncation anywhere must error, not panic.
+		{"cut in header", full[:5], ""},
+		{"cut in CST", full[:20], "runs past the end of the input"},
+		{"cut mid-entries", full[:len(full)/2], ""},
+		// The cursor knows where it stopped: a short read names the offset.
+		{"cut in last varint", full[:len(full)-1], fmt.Sprintf("at offset %d", len(full)-1)},
+		// A CST shorter than its declared length used to decode from
+		// wherever the CST parser's read-ahead ended, while SplitEncoded
+		// refused the same bytes.
+		{"CST under-consumes its declared length", slack, "under-consumed"},
+	} {
+		for name, decode := range map[string]func([]byte) error{
+			"Decode": func(in []byte) error { _, err := Decode(bytes.NewReader(in)); return err },
+			"DecodeSelectAuto": func(in []byte) error {
+				_, err := DecodeSelectAuto(in, SelectRanks(0), 1)
+				return err
+			},
+		} {
+			err := decode(tc.in)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s = %v, want error containing %q", tc.name, name, err, tc.want)
+			}
 		}
+	}
+	if _, err := SplitEncoded(slack); err == nil || !strings.Contains(err.Error(), "under-consumed") {
+		t.Errorf("SplitEncoded of the under-consumed CST = %v, want the decoder's verdict", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -27,12 +26,14 @@ import (
 // recorded as a byte range against the retained encoding and filled lazily on
 // first touch.
 //
-// The section index that makes skipping O(1) per entry is a versioned sidecar
-// appended AFTER the complete v1 body (see EncodeIndexed), so indexed files
-// remain bit-compatible with every existing decoder: raw and gzip streams have
-// always tolerated trailing bytes, and the golden pins cover the body bytes
-// unchanged. Index-less encodings still decode selectively — the skip offsets
-// are derived with an allocation-free grammar walk over the raw bytes.
+// Skipped sections are not decoded, but they are walked: an allocation-free
+// grammar walk over the raw bytes finds each section's end. The CYPI section
+// index — a versioned sidecar appended AFTER the complete v1 body (see
+// EncodeIndexed), so indexed files remain bit-compatible with every existing
+// decoder — lists every section's length and is held against that walk as a
+// cross-check. It is not used to seek: nothing in the v1 format lets a reader
+// confirm a skip it did not parse, and an unconfirmed skip puts every later
+// rank set at an unverified offset.
 
 // Selection names the ranks a selective decode must materialize payloads for.
 // The zero value selects nothing (structure-only decode).
@@ -173,10 +174,10 @@ func HasSectionIndex(enc []byte) bool {
 // the CYPI section index and returns the total byte count. The body bytes are
 // identical to Encode's output, so existing decoders read indexed files
 // unchanged (the sidecar rides in the historical trailing-bytes tolerance of
-// raw and gzip streams); DecodeSelectAuto uses the index to skip unselected
-// payload sections in O(1) instead of walking their grammar. Indexed output
-// composes with gzip (EncodeIndexedGzip) but not with the CYPB block
-// container, whose footer index already pins the framed payload length.
+// raw and gzip streams); DecodeSelectAuto checks every section it parses or
+// walks against the index and falls back to a full decode when they disagree.
+// Indexed output composes with gzip (EncodeIndexedGzip) but not with the CYPB
+// block container, whose footer index already pins the framed payload length.
 func (m *Merged) EncodeIndexed(out io.Writer) (int64, error) {
 	var lens []uint64
 	n, err := m.encode(out, &lens)
@@ -237,16 +238,17 @@ func (lp *lazyPayloads) fill(slot int) (*ctt.VData, error) {
 		return vd, nil
 	}
 	s := lp.slots[slot]
-	br := bytes.NewReader(lp.body[s.start:s.end])
 	d := &lp.dec
-	d.reader = reader{r: br} // resets the latched error from any prior fill
+	// A fresh cursor bounded at the section's end: offsets in errors stay
+	// absolute, and the latched error of any prior fill is gone.
+	d.bcur = bcur{b: lp.body[:s.end], off: int(s.start)}
 	vd := d.vdata()
 	d.decodeVData(vd, s.gid, lp.mode)
 	if d.err != nil {
 		return nil, fmt.Errorf("merge: lazy payload fill: %w", d.err)
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("merge: lazy payload fill: %d trailing bytes in section", br.Len())
+	if rest := int(s.end) - d.off; rest != 0 {
+		return nil, fmt.Errorf("merge: lazy payload fill: %d trailing bytes in section ending at offset %d", rest, s.end)
 	}
 	if sink.Enabled() {
 		sink.Inc(obs.SelLazyFills)
@@ -301,45 +303,42 @@ func (m *Merged) Materialize() error {
 
 // DecodeSelectAuto decodes a trace held in memory — in any container
 // cypresstrace writes: bare CYPR (with or without the CYPI sidecar), gzip, or
-// the CYPB block container (unwrapped via blockio; workers as in DecodePar) —
-// with the rank projection sel pushed into the decoder. Containered inputs pay
-// one unwrap into a fresh payload buffer; bare input is served zero-copy. The
-// structure stream is decoded fully, but a timing payload is materialized only
-// when its entry's rank set intersects sel; every other entry records its
-// payload's byte range and is filled lazily on first touch through entryData.
-// The returned tree therefore retains the payload — the caller must not modify
-// data afterwards.
+// the CYPB block container (see blockio.Unwrap; workers are its inflate
+// lanes, <= 1 inline) — with the rank projection sel pushed into the decoder.
+// Containered inputs pay one unwrap into a fresh payload buffer; bare input
+// is served zero-copy. The structure stream is decoded fully, but a timing
+// payload is materialized only when its entry's rank set intersects sel;
+// every other entry records its payload's byte range and is filled lazily on
+// first touch through entryData. The returned tree therefore retains the
+// payload — the caller must not modify data afterwards.
 //
 // Skipped sections are validated for framing only; their contents are
 // re-validated when (if ever) they are filled, so a projected decode of a
 // corrupt file can surface the corruption at replay time rather than decode
 // time. Any failure in the selective walk itself — including index-less
-// inputs whose grammar walk trips — falls back to a plain full Decode of the
-// same bytes, so DecodeSelectAuto succeeds on everything Decode succeeds on.
+// inputs whose grammar walk trips — reruns the same decoder over the same
+// bytes with the projection off, so DecodeSelectAuto succeeds on everything
+// Decode succeeds on.
 func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) {
-	if workers == 0 {
-		workers = defaultIOWorkers()
-	}
 	payload, _, err := blockio.Unwrap(data, workers)
 	if err != nil {
 		return nil, err
 	}
-	m, err := decodeSelect(payload, sel)
+	m, err := decodePayload(payload, &sel)
 	if err == nil {
 		return m, nil
 	}
 	sink.Inc(obs.SelFallbacks)
-	return Decode(bytes.NewReader(payload))
+	return decodePayload(payload, nil)
 }
 
 // projection is the per-call state of a selective decode: the selection, the
-// in-memory reader the decoder consumes (so section offsets are exact and
-// skipped sections can be seeked over), the CYPI section lengths when the
-// encoding carries them, and the lazy arena under construction (decode sets
-// its stat mode from the header).
+// CYPI section lengths when the encoding carries them, and the lazy arena
+// under construction (decode sets its stat mode from the header). The
+// decoder's cursor runs over lz.body, so the offsets it stops at are the
+// slots' byte ranges.
 type projection struct {
 	sel     Selection
-	br      *bytes.Reader
 	indexed bool
 	lens    []uint64 // consumed in stream order; next is lens[li]
 	li      int
@@ -349,54 +348,57 @@ type projection struct {
 	eagerB, skippedB int64 // payload bytes
 }
 
-func (p *projection) pos() int64 { return int64(len(p.lz.body) - p.br.Len()) }
-
-// section handles entry e's payload section, the reader standing at its first
-// byte: decode it when e's ranks intersect the selection, otherwise find its
-// end — by index, else by grammar walk — seek past it and leave e a lazy slot.
-// Failures latch in d.err.
-func (p *projection) section(d *decoder, e *Entry, gid int32) {
-	body, mode := p.lz.body, p.lz.mode
-	start := p.pos()
-	sectionLen := int64(-1)
-	if p.indexed {
-		if p.li >= len(p.lens) {
-			d.err = fmt.Errorf("section index lists %d entries, stream has more", len(p.lens))
-			return
-		}
-		sectionLen = int64(p.lens[p.li])
-		p.li++
-		if sectionLen < 0 || start+sectionLen > int64(len(body)) {
-			d.err = fmt.Errorf("section index length %d overruns body", sectionLen)
-			return
-		}
+// newProjection cuts a CYPI sidecar, if any, off d's input — the decoder
+// then runs over the body alone — and returns the projection state for sel.
+func newProjection(d *decoder, sel Selection) *projection {
+	lens, bodyEnd, indexed := parseIndex(d.b)
+	d.b = d.b[:bodyEnd]
+	lz := &lazyPayloads{body: d.b}
+	if indexed {
+		// The index bounds the slot count up front; without it the slice
+		// grows with the skip walk.
+		lz.slots = make([]lazySlot, 0, len(lens))
 	}
-	if p.sel.matches(e.Ranks) {
+	return &projection{sel: sel, indexed: indexed, lens: lens, lz: lz}
+}
+
+// section handles entry e's payload section, the cursor standing at its first
+// byte: decode it when e's ranks intersect the selection, otherwise walk its
+// grammar to find its end and leave e a lazy slot. Either way the cursor has
+// parsed its way to the section's true end, which the index entry, when there
+// is one, must name exactly: an index is a cross-check, never a seek, because
+// a skip the stream has not confirmed would have every later rank set parsed
+// from an unverified offset (fuzz-found: lengths wrong one by one but right in
+// sum decoded "cleanly" into a misaligned tree). Failures latch in d.err.
+func (p *projection) section(d *decoder, e *Entry, gid int32) {
+	mode := p.lz.mode
+	start := int64(d.off)
+	eager := p.sel.matches(e.Ranks)
+	if eager {
 		e.Data = d.vdata()
 		d.decodeVData(e.Data, gid, mode)
-		got := p.pos() - start
-		if d.err == nil && sectionLen >= 0 && got != sectionLen {
-			d.err = fmt.Errorf("section index length %d disagrees with decoded section (%d bytes)", sectionLen, got)
-		}
-		p.eager++
-		p.eagerB += got
+	} else {
+		hist := mode == timestat.ModeHistogram
+		walkVData(&d.bcur, func() { skipVolatile(&d.bcur, hist) })
+	}
+	if d.err != nil {
 		return
 	}
-	end := start + sectionLen
-	if sectionLen < 0 {
-		// Index-less input: derive the section boundary with a grammar walk
-		// over the raw bytes.
-		c := &bcur{b: body, off: int(start)}
-		hist := mode == timestat.ModeHistogram
-		walkVData(c, func() { skipVolatile(c, hist) })
-		if c.err != nil {
-			d.err = c.err
+	end := int64(d.off)
+	if p.indexed {
+		if p.li >= len(p.lens) {
+			d.fail("section index lists %d entries, stream has more", len(p.lens))
 			return
 		}
-		end = int64(c.off)
+		if want := p.lens[p.li]; want != uint64(end-start) {
+			d.fail("section index length %d disagrees with the %d-byte section at offset %d", want, end-start, start)
+			return
+		}
+		p.li++
 	}
-	if _, err := p.br.Seek(end, io.SeekStart); err != nil {
-		d.err = err
+	if eager {
+		p.eager++
+		p.eagerB += end - start
 		return
 	}
 	p.lz.slots = append(p.lz.slots, lazySlot{start: start, end: end, gid: gid})
@@ -405,38 +407,19 @@ func (p *projection) section(d *decoder, e *Entry, gid int32) {
 	p.skippedB += end - start
 }
 
-// decodeSelect is the selective path proper: any error falls back to a full
-// decode in DecodeSelectAuto.
-func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
-	sp := sink.Start(obs.StageDecode)
-	defer sp.End()
-	tsp := rec.Begin(ftrace.CatCodec, ftrace.NameDecodeSelect, 0)
-	lens, bodyEnd, indexed := parseIndex(enc)
-	body := enc[:bodyEnd]
-	br := bytes.NewReader(body)
-	lz := &lazyPayloads{body: body}
-	if indexed {
-		// The index bounds the slot count up front; without it the slice
-		// grows with the skip walk.
-		lz.slots = make([]lazySlot, 0, len(lens))
-	}
-	p := &projection{sel: sel, br: br, indexed: indexed, lens: lens, lz: lz}
-	d := &decoder{reader: reader{r: br}}
-	m, err := d.decode(p)
-	if err != nil {
-		return nil, err
-	}
-	if indexed {
-		// The index is trusted for seeks, so it must agree with the stream
-		// exactly; mismatches fall back to the full decode.
-		if p.li != len(lens) {
-			return nil, fmt.Errorf("merge: section index lists %d entries, stream has %d", len(lens), p.li)
+// finish closes a selective decode: the index must list exactly the stream's
+// sections and sit right behind them (a mismatch falls back to the full
+// decode), and the lazy arena is attached when any section was skipped.
+func (p *projection) finish(d *decoder, m *Merged) error {
+	if p.indexed {
+		if p.li != len(p.lens) {
+			return fmt.Errorf("merge: section index lists %d entries, stream has %d", len(p.lens), p.li)
 		}
-		if rest := br.Len(); rest != 0 {
-			return nil, fmt.Errorf("merge: %d stray bytes between entries and section index", rest)
+		if rest := len(d.b) - d.off; rest != 0 {
+			return fmt.Errorf("merge: %d stray bytes between entries and section index", rest)
 		}
 	}
-	if len(lz.slots) > 0 {
+	if lz := p.lz; len(lz.slots) > 0 {
 		lz.filled = make([]atomic.Pointer[ctt.VData], len(lz.slots))
 		m.lazy = lz
 	}
@@ -447,6 +430,5 @@ func decodeSelect(enc []byte, sel Selection) (*Merged, error) {
 		sink.Add(obs.SelBytesMaterialized, p.eagerB)
 		sink.Add(obs.SelBytesSkipped, p.skippedB)
 	}
-	tsp.End(p.eager, p.skippedB)
-	return m, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package merge
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -240,38 +241,50 @@ func (m *Merged) EncodeGzip(out io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// byteScanner is the decoder's input: the streaming paths hand it a pooled
-// *bufio.Reader, the selective decoder an in-memory *bytes.Reader (which it
-// can additionally Seek to skip unselected payload sections).
-type byteScanner interface {
-	io.Reader
-	io.ByteReader
-}
-
-type reader struct {
-	r   byteScanner
+// bcur is the read side's one input: an error-latching varint cursor over an
+// encoding held in memory. Its position is off, a skip is an assignment to
+// off, and every error it raises names the byte offset it stopped at. The
+// decoder embeds it; the selective decoder's skip walk, SplitEncoded and
+// JoinEncoded drive it directly.
+type bcur struct {
+	b   []byte
+	off int
 	err error
 }
 
-func (r *reader) u() uint64 {
-	if r.err != nil {
+func (c *bcur) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (c *bcur) u() uint64 {
+	if c.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	r.err = err
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("merge: truncated or oversized uvarint at offset %d", c.off)
+		return 0
+	}
+	c.off += n
 	return v
 }
 
-func (r *reader) i() int64 {
-	if r.err != nil {
+func (c *bcur) i() int64 {
+	if c.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(r.r)
-	r.err = err
+	v, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("merge: truncated or oversized varint at offset %d", c.off)
+		return 0
+	}
+	c.off += n
 	return v
 }
 
-func (r *reader) f() float64 { return math.Float64frombits(r.u()) }
+func (c *bcur) f() float64 { return math.Float64frombits(c.u()) }
 
 // decodeChunk is the allocation granularity of the decoder's slabs.
 const decodeChunk = 64
@@ -288,21 +301,14 @@ const decodeEager = 4096
 // entry list partitions the ranks, the rank count a header may declare.
 const maxEntries = 1 << 24
 
-func umin(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// decoder carries the varint reader plus the slab arenas the decoded tree is
+// decoder carries the varint cursor plus the slab arenas the decoded tree is
 // carved from. A merged trace is decoded into a handful of shared chunks —
 // entries, rank sets, vertex payloads, records, int32 lists — instead of a
 // few heap objects per entry, mirroring the slab economics of the merge's
 // encode side. The scratch run buffer is reused across every run list in the
 // file; callers consume it before the next read.
 type decoder struct {
-	reader
+	bcur
 	runsBuf []stride.Run
 	entSlab []Entry
 	setSlab []rankset.Set
@@ -319,10 +325,10 @@ type decoder struct {
 // until the next call.
 func (d *decoder) runs() []stride.Run {
 	n := d.u()
-	if d.err != nil || n > 1<<20 {
-		if d.err == nil {
-			d.err = fmt.Errorf("merge: implausible run count %d", n)
-		}
+	if n > 1<<20 {
+		d.fail("merge: implausible run count %d at offset %d", n, d.off)
+	}
+	if d.err != nil {
 		return nil
 	}
 	if uint64(cap(d.runsBuf)) < n {
@@ -337,7 +343,7 @@ func (d *decoder) runs() []stride.Run {
 			return nil
 		}
 		if out[i].Count < 1 {
-			d.err = fmt.Errorf("merge: malformed run count %d", out[i].Count)
+			d.fail("merge: malformed run count %d at offset %d", out[i].Count, d.off)
 			return nil
 		}
 	}
@@ -356,11 +362,11 @@ func (d *decoder) setRuns() []stride.Run {
 	for i := range runs {
 		r := runs[i]
 		if r.Count > 1 && r.Stride < 1 {
-			d.err = fmt.Errorf("merge: malformed set run stride %d", r.Stride)
+			d.fail("merge: malformed set run stride %d at offset %d", r.Stride, d.off)
 			return nil
 		}
 		if i > 0 && r.First <= runs[i-1].Last() {
-			d.err = fmt.Errorf("merge: set runs out of order at %d", i)
+			d.fail("merge: set runs out of order at run %d, offset %d", i, d.off)
 			return nil
 		}
 	}
@@ -411,116 +417,144 @@ func (d *decoder) ints(n int) []int32 {
 	return out
 }
 
-// Decode reads a merged tree written by Encode, EncodeGzip, or EncodeBlocked
-// — the container layer (gzip member, CYPB block container, or none) is
-// sniffed from the leading magic. The buffered reader is pooled and the
-// result is slab-backed (see decoder), so decoding allocates a few chunks per
-// tree rather than a few objects per entry.
+// Decode reads a merged tree written by any encoder — the container layer
+// (gzip member, CYPB block container, or none) is sniffed from the leading
+// magic — and decodes every payload. The input is read to the end first: a
+// trace is a []byte, and this is DecodeSelectAuto's full decode for callers
+// that hold a stream. The result is slab-backed (see decoder), so decoding
+// allocates a few chunks per tree rather than a few objects per entry.
 func Decode(in io.Reader) (*Merged, error) {
-	return DecodePar(in, 0)
-}
-
-// DecodePar is Decode with an explicit inflate worker count for CYPB inputs:
-// workers < 0 inflates inline on the caller, 0 picks a default from
-// GOMAXPROCS, and >= 1 pipelines that many workers so frame N+1 decompresses
-// while the parser consumes frame N (see blockio.ReaderOptions). The worker
-// count never changes the decoded tree; raw and gzip inputs ignore it.
-func DecodePar(in io.Reader, workers int) (*Merged, error) {
-	sp := sink.Start(obs.StageDecode)
-	defer sp.End()
-	tsp := rec.Begin(ftrace.CatCodec, ftrace.NameDecode, 0)
-	if workers == 0 {
-		workers = defaultIOWorkers()
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return nil, fmt.Errorf("merge: reading trace: %w", err)
 	}
-	br := encpool.GetBufioReader(in)
-	defer encpool.PutBufioReader(br)
-	sn, err := blockio.Sniff(br, workers)
+	payload, _, err := blockio.Unwrap(data, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer sn.Close()
-	pbr := br
-	if sn.Format != blockio.FormatRaw {
-		// The unwrapped payload needs its own varint buffering.
-		pbr = encpool.GetBufioReader(sn.R)
-		defer encpool.PutBufioReader(pbr)
-	}
-	d := &decoder{reader: reader{r: pbr}}
-	m, err := d.decode(nil)
-	if err != nil {
-		return nil, err
-	}
-	// A CYPB container's footer index must validate even when the payload
-	// parser stopped at its own logical end; raw and gzip streams keep their
-	// historical trailing-garbage tolerance.
-	if err := sn.Finish(); err != nil {
-		return nil, err
-	}
-	tsp.End(int64(len(m.Entries)), int64(m.EventCount))
-	return m, nil
+	return decodePayload(payload, nil)
 }
 
-// decodeHeader parses the v1 header — magic through the embedded CST — from
-// d's reader into a fresh Merged with its entry lists allocated, returning
-// the stat mode implied by the histogram flag.
-func (d *decoder) decodeHeader() (*Merged, timestat.Mode, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
-		return nil, 0, fmt.Errorf("merge: reading magic: %w", err)
+// header is the fixed v1 prefix of an encoding, magic through the embedded
+// CST.
+type header struct {
+	treeHash uint64
+	numRanks int
+	events   int64
+	hist     bool
+	tree     *cst.Tree // nil unless asked for
+}
+
+// header parses the v1 prefix and leaves the cursor on the first vertex
+// section. It is the one header parser: the decoder and SplitEncoded ask for
+// the tree, JoinEncoded (whose structure stream opens with the same bytes)
+// only needs the flags and the cursor advanced past the CST. Failures latch
+// in c.err.
+func (c *bcur) header(wantTree bool) (h header) {
+	if len(c.b) < len(fileMagic) || [4]byte(c.b[:4]) != fileMagic {
+		c.fail("merge: bad magic %q", c.b[:min(len(c.b), len(fileMagic))])
+		return h
 	}
-	if magic != fileMagic {
-		return nil, 0, fmt.Errorf("merge: bad magic %q", magic)
+	c.off = len(fileMagic)
+	if v := c.u(); c.err == nil && v != fileVersion {
+		c.fail("merge: unsupported version %d", v)
 	}
-	if v := d.u(); v != fileVersion {
-		if d.err != nil {
-			return nil, 0, d.err
-		}
-		return nil, 0, fmt.Errorf("merge: unsupported version %d", v)
-	}
-	m := &Merged{}
-	m.TreeHash = d.u()
-	numRanks := d.u()
-	m.EventCount = int64(d.u())
-	hist := d.u() == 1
-	mode := timestat.ModeMeanStddev
-	if hist {
-		mode = timestat.ModeHistogram
-	}
-	treeLen := d.u()
-	if d.err != nil {
-		return nil, 0, d.err
+	h.treeHash = c.u()
+	numRanks := c.u()
+	h.events = int64(c.u())
+	h.hist = c.u() == 1
+	treeLen := c.u()
+	if c.err != nil {
+		return h
 	}
 	// Every consumer sizes per-rank state from the header (the streamer's
 	// views, the simulator's cursors), so an implausible count stops here.
 	if numRanks < 1 || numRanks > maxEntries {
-		return nil, 0, fmt.Errorf("merge: implausible rank count %d", numRanks)
+		c.fail("merge: implausible rank count %d", numRanks)
+		return h
 	}
-	m.NumRanks = int(numRanks)
+	h.numRanks = int(numRanks)
 	if treeLen > 1<<28 {
-		return nil, 0, fmt.Errorf("merge: implausible CST length %d", treeLen)
+		c.fail("merge: implausible CST length %d", treeLen)
+		return h
 	}
-	lr := io.LimitedReader{R: d.r, N: int64(treeLen)}
-	tree, err := cst.Decode(&lr)
-	if err != nil {
-		return nil, 0, fmt.Errorf("merge: embedded CST: %w", err)
+	if treeLen > uint64(len(c.b)-c.off) {
+		c.fail("merge: embedded CST of %d bytes at offset %d runs past the end of the input", treeLen, c.off)
+		return h
 	}
-	m.Tree = tree
-	if got := tree.Hash(); got != m.TreeHash {
-		return nil, 0, fmt.Errorf("merge: CST hash mismatch: header %x vs decoded %x", m.TreeHash, got)
+	treeEnd := c.off + int(treeLen)
+	if wantTree {
+		rd := bytes.NewReader(c.b[c.off:treeEnd])
+		tree, err := cst.Decode(rd)
+		if err != nil {
+			c.fail("merge: embedded CST at offset %d: %w", c.off, err)
+			return h
+		}
+		// The vertex sections start at the declared CST boundary, so a CST
+		// that stops short of it leaves bytes no grammar accounts for.
+		if rd.Len() != 0 {
+			c.fail("merge: embedded CST at offset %d under-consumed (%d trailing bytes)", c.off, rd.Len())
+			return h
+		}
+		if got := tree.Hash(); got != h.treeHash {
+			c.fail("merge: CST hash mismatch: header %x vs decoded %x", h.treeHash, got)
+			return h
+		}
+		h.tree = tree
 	}
-	m.Entries = make([][]Entry, tree.NumVertices())
-	return m, mode, nil
+	c.off = treeEnd
+	return h
 }
 
-// decode parses the bare CYPR stream from d's reader — the one loop that
-// decodes vertex entry lists. With a nil projection every payload section is
-// decoded in stream order (the full decode, from any reader). With a
-// projection the reader is the in-memory body: p.section decodes the sections
-// the selection touches and leaves the rest as lazy byte ranges.
-func (d *decoder) decode(p *projection) (*Merged, error) {
-	m, mode, err := d.decodeHeader()
+// decodePayload decodes a bare CYPR encoding (container already unwrapped).
+// With sel nil every payload section is decoded in stream order and bytes
+// after the last vertex section are tolerated (the CYPI sidecar rides there).
+// With a selection, the sections it touches decode and the rest stay lazy
+// byte ranges against payload, which the returned tree then retains.
+func decodePayload(payload []byte, sel *Selection) (*Merged, error) {
+	sp := sink.Start(obs.StageDecode)
+	defer sp.End()
+	name := ftrace.NameDecode
+	if sel != nil {
+		name = ftrace.NameDecodeSelect
+	}
+	tsp := rec.Begin(ftrace.CatCodec, name, 0)
+	d := &decoder{bcur: bcur{b: payload}}
+	var p *projection
+	if sel != nil {
+		p = newProjection(d, *sel)
+	}
+	m, err := d.decode(p)
 	if err != nil {
 		return nil, err
+	}
+	if p == nil {
+		tsp.End(int64(len(m.Entries)), m.EventCount)
+		return m, nil
+	}
+	if err := p.finish(d, m); err != nil {
+		return nil, err
+	}
+	tsp.End(p.eager, p.skippedB)
+	return m, nil
+}
+
+// decode parses the bare CYPR stream under d's cursor — the one loop that
+// decodes vertex entry lists. With a nil projection every payload section is
+// decoded in stream order; with one, p.section decodes the sections the
+// selection touches and leaves the rest as lazy byte ranges.
+func (d *decoder) decode(p *projection) (*Merged, error) {
+	h := d.header(true)
+	if d.err != nil {
+		return nil, d.err
+	}
+	m := &Merged{
+		TreeHash: h.treeHash, NumRanks: h.numRanks, EventCount: h.events,
+		Tree: h.tree, Entries: make([][]Entry, h.tree.NumVertices()),
+	}
+	mode := timestat.ModeMeanStddev
+	if h.hist {
+		mode = timestat.ModeHistogram
 	}
 	if p != nil {
 		p.lz.mode = mode
@@ -531,7 +565,7 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 			return nil, fmt.Errorf("merge: vertex %d: %w", gid, d.err)
 		}
 		if n > maxEntries {
-			return nil, fmt.Errorf("merge: vertex %d: implausible entry count %d", gid, n)
+			return nil, fmt.Errorf("merge: vertex %d: implausible entry count %d at offset %d", gid, n, d.off)
 		}
 		if n == 0 {
 			continue
@@ -544,7 +578,7 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 		}
 		decoded := 0
 		for rem := n; rem > 0; {
-			b := umin(rem, decodeEager)
+			b := min(rem, decodeEager)
 			chunk := d.entries(int(b))
 			for k := range chunk {
 				e := &chunk[k]
@@ -589,14 +623,14 @@ func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 		vd.Taken.AppendRun(run)
 	}
 	nc := d.u()
-	if d.err != nil || nc > 1<<24 {
-		if d.err == nil {
-			d.err = fmt.Errorf("implausible cycle count %d", nc)
-		}
+	if nc > 1<<24 {
+		d.fail("implausible cycle count %d at offset %d", nc, d.off)
+	}
+	if d.err != nil {
 		return
 	}
 	if nc > 0 {
-		vd.Cycles = make([]ctt.Cycle, 0, umin(nc, decodeEager))
+		vd.Cycles = make([]ctt.Cycle, 0, min(nc, decodeEager))
 		for j := uint64(0); j < nc; j++ {
 			cy := ctt.Cycle{
 				Start: int32(d.u()), Len: int32(d.u()), Reps: int64(d.u()),
@@ -608,10 +642,10 @@ func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 		}
 	}
 	n := d.u()
-	if d.err != nil || n > 1<<26 {
-		if d.err == nil {
-			d.err = fmt.Errorf("implausible record count %d", n)
-		}
+	if n > 1<<26 {
+		d.fail("implausible record count %d at offset %d", n, d.off)
+	}
+	if d.err != nil {
 		return
 	}
 	d.nRec += int64(n)
@@ -623,7 +657,7 @@ func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 		vd.Records = make([]*ctt.CommRecord, 0, decodeEager)
 	}
 	for rem := n; rem > 0; {
-		b := umin(rem, decodeEager)
+		b := min(rem, decodeEager)
 		chunk := d.arena.Alloc(int(b))
 		for _, rec := range chunk {
 			d.record(rec, gid, mode)
@@ -656,10 +690,10 @@ func (d *decoder) record(rec *ctt.CommRecord, gid int32, mode timestat.Mode) {
 	rec.Count = int64(d.u())
 	rec.Ev.ReqID = -1
 	nq := d.u()
-	if d.err != nil || nq > 1<<20 {
-		if d.err == nil {
-			d.err = fmt.Errorf("implausible req count %d", nq)
-		}
+	if nq > 1<<20 {
+		d.fail("implausible req count %d at offset %d", nq, d.off)
+	}
+	if d.err != nil {
 		return
 	}
 	if nq > 0 {
@@ -670,10 +704,10 @@ func (d *decoder) record(rec *ctt.CommRecord, gid int32, mode timestat.Mode) {
 	}
 	if hasPeers {
 		np := d.u()
-		if d.err != nil || np == 0 || np > 1<<20 {
-			if d.err == nil {
-				d.err = fmt.Errorf("implausible peer period %d", np)
-			}
+		if np == 0 || np > 1<<20 {
+			d.fail("implausible peer period %d at offset %d", np, d.off)
+		}
+		if d.err != nil {
 			return
 		}
 		period := d.ints(int(np))
@@ -691,10 +725,10 @@ func (d *decoder) record(rec *ctt.CommRecord, gid int32, mode timestat.Mode) {
 	rec.Compute = timestat.MeanSeeded(d.f(), st.N)
 	if mode == timestat.ModeHistogram {
 		nz := d.u()
-		if d.err != nil || nz > timestat.HistBuckets {
-			if d.err == nil {
-				d.err = fmt.Errorf("implausible histogram bucket count %d", nz)
-			}
+		if nz > timestat.HistBuckets {
+			d.fail("implausible histogram bucket count %d at offset %d", nz, d.off)
+		}
+		if d.err != nil {
 			return
 		}
 		for j := uint64(0); j < nz; j++ {

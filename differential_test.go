@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/trace"
 )
@@ -16,10 +17,12 @@ import (
 // decoder and, for the corpus rows, a store in between. open builds its
 // Result fresh from the in-memory run's bytes — never by copying mem, whose
 // streamOnce may have fired, which would silently replay the in-memory tree.
-// A new read path is one more row of readPaths.
+// prior is another run of the same program on a slightly different network:
+// the same structural class, other timings. A new read path is one more row
+// of readPaths.
 type readPath struct {
 	name string
-	open func(t *testing.T, mem *Result) (res *Result, release func())
+	open func(t *testing.T, mem, prior *Result) (res *Result, release func())
 }
 
 // fromBytes is a read path that writes mem with write and opens the bytes
@@ -29,7 +32,7 @@ type readPath struct {
 // lazily filled ones; with noRank projected nothing is selected, so every
 // section, rank 1's included, is a lazy fill.
 func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error), ranks ...int) readPath {
-	return readPath{name, func(t *testing.T, mem *Result) (*Result, func()) {
+	return readPath{name, func(t *testing.T, mem, _ *Result) (*Result, func()) {
 		var buf bytes.Buffer
 		if _, err := write(mem, &buf); err != nil {
 			t.Fatalf("write: %v", err)
@@ -48,7 +51,7 @@ const noRank = -1
 // fromCorpus is a read path that ingests mem into an empty corpus and serves
 // it back cold with get.
 func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), error)) readPath {
-	return readPath{name, func(t *testing.T, mem *Result) (*Result, func()) {
+	return readPath{name, func(t *testing.T, mem, _ *Result) (*Result, func()) {
 		c, err := OpenCorpus(t.TempDir(), CorpusOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -58,6 +61,47 @@ func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), e
 			t.Fatalf("ingest: %v", err)
 		}
 		res, release, err := get(c, id)
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		return res, func() {
+			release()
+			if err := c.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}
+	}}
+}
+
+// fromCorpusDelta is the read path of a run that is not the first of its
+// class: prior is ingested first and becomes the class representative, mem is
+// stored as a delta against it, and the corpus is closed and reopened before
+// mem is served cold with rank 1 projected — so the class's read plan is built
+// from the class file and the record comes out of a sealed segment.
+func fromCorpusDelta(name string) readPath {
+	return readPath{name, func(t *testing.T, mem, prior *Result) (*Result, func()) {
+		dir := t.TempDir()
+		c, err := OpenCorpus(dir, CorpusOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Ingest(prior); err != nil {
+			t.Fatalf("ingest prior: %v", err)
+		}
+		id, err := c.Ingest(mem)
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		if st, err := c.Stats(); err != nil || st.Classes != 1 || st.DeltaRuns != 2 {
+			t.Fatalf("the two runs are not two deltas of one class: %+v, %v", st, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if c, err = OpenCorpus(dir, CorpusOptions{}); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		res, release, err := c.GetProjected(id, 1)
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
@@ -92,6 +136,10 @@ var readPaths = []readPath{
 	fromCorpus("corpus/get-projected", func(c *Corpus, id TraceID) (*Result, func(), error) {
 		return c.GetProjected(id, 1)
 	}),
+	fromCorpus("corpus/get-projected/none", func(c *Corpus, id TraceID) (*Result, func(), error) {
+		return c.GetProjected(id, noRank)
+	}),
+	fromCorpusDelta("corpus/get-projected/delta"),
 }
 
 // diffEvents compares two replayed sequences field for field. Request lists
@@ -158,9 +206,16 @@ func TestDecodedMatchesInMemory(t *testing.T) {
 				if err != nil {
 					t.Fatalf("in-memory predict: %v", err)
 				}
+				net := mpisim.DefaultParams()
+				net.LatencyNS += 3
+				net.OverheadNS++
+				prior, err := p.Trace(n, Options{Params: &net})
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, rp := range readPaths {
 					t.Run(rp.name, func(t *testing.T) {
-						res, release := rp.open(t, mem)
+						res, release := rp.open(t, mem, prior)
 						defer release()
 						for rank := 0; rank < n; rank++ {
 							got, err := res.Replay(rank)

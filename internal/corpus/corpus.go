@@ -9,9 +9,15 @@
 // Every later run of the class stores only merge.DeltaPayload against the
 // representative payload — typically a few bytes per volatile field. Byte
 // identity is unconditional: ingest re-derives the standalone encoding from
-// what it is about to store (patch + join) and falls back to storing the full
-// encoding verbatim whenever the reconstruction is not byte-identical (odd
-// producers, non-minimal varints, fingerprint collisions).
+// what it is about to store (the same merge.Plan.Reassemble every read runs)
+// and falls back to storing the full encoding verbatim whenever the
+// reconstruction is not byte-identical (odd producers, non-minimal varints,
+// fingerprint collisions).
+//
+// The structure of a class is walked once, when the class enters memory
+// (ingest of its first run, or Open): the walk leaves a merge.Plan, and every
+// read of every run of the class reassembles along it without parsing the
+// structure again.
 //
 // On-disk layout (all inside one directory):
 //
@@ -30,7 +36,7 @@
 //
 // The read side is Get: a size-bounded, ref-counted LRU of decoded traces
 // (see Cache) fronts reconstruction, so repeated Predict/CommMatrix/replay
-// on a hot trace skip the patch+join+decode entirely.
+// on a hot trace skip the reassembly and the decode entirely.
 package corpus
 
 import (
@@ -101,10 +107,11 @@ type Options struct {
 	Workers int
 }
 
-// class is one structural equivalence class resident in memory.
+// class is one structural equivalence class resident in memory: the read
+// plan of its structure stream (which holds the stream and the class key) and
+// the representative payload every run of the class is a delta against.
 type class struct {
-	key        uint64
-	structure  []byte
+	plan       *merge.Plan
 	repPayload []byte
 }
 
@@ -192,7 +199,7 @@ func (s *Store) load() error {
 			if err != nil {
 				return fmt.Errorf("corpus: %s: %w", name, err)
 			}
-			s.classes[c.key] = c
+			s.classes[c.plan.ClassKey()] = c
 		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".cypd"):
 			var n int
 			if _, err := fmt.Sscanf(name, "seg-%d.cypd", &n); err != nil {
@@ -379,7 +386,10 @@ func (s *Store) dropAccounting(loc runLoc) {
 	}
 }
 
-// readClassFile loads and validates one class file.
+// readClassFile loads and validates one class file. The CYPB frames guard the
+// streams; the declared key sits outside them, and what guards it is the walk
+// that builds the class's plan: the structure must walk to its last byte and
+// fold to the key the file declares.
 func readClassFile(path string, workers int) (*class, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -405,14 +415,14 @@ func readClassFile(path string, workers int) (*class, error) {
 	if structLen+repLen != len(payload) {
 		return nil, errors.New("class payload length mismatch")
 	}
-	c := &class{key: vals[0], structure: payload[:structLen], repPayload: payload[structLen:]}
-	// The declared key must match the structure it carries — a mismatch means
-	// the file was corrupted in a crc-colliding way or renamed.
-	sp, err := merge.SplitEncoded(append(append([]byte{}, c.structure...), c.repPayload...))
-	if err == nil && sp.ClassKey() != c.key {
+	plan, err := merge.PlanStructure(payload[:structLen])
+	if err != nil {
+		return nil, err
+	}
+	if plan.ClassKey() != vals[0] {
 		return nil, errors.New("class key does not match stored structure")
 	}
-	return c, nil
+	return &class{plan: plan, repPayload: payload[structLen:]}, nil
 }
 
 // writeClassFile persists a new class.
@@ -421,14 +431,15 @@ func (s *Store) writeClassFile(c *class) error {
 	buf.Write(classMagic[:])
 	buf.WriteByte(formatVersion)
 	var tmp [binary.MaxVarintLen64]byte
-	for _, v := range []uint64{c.key, uint64(len(c.structure)), uint64(len(c.repPayload))} {
+	structure := c.plan.Structure()
+	for _, v := range []uint64{c.plan.ClassKey(), uint64(len(structure)), uint64(len(c.repPayload))} {
 		buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 	}
 	w, err := blockio.NewWriter(&buf, blockio.WriterOptions{Workers: s.opt.Workers})
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(c.structure); err != nil {
+	if _, err := w.Write(structure); err != nil {
 		return err
 	}
 	if _, err := w.Write(c.repPayload); err != nil {
@@ -437,7 +448,7 @@ func (s *Store) writeClassFile(c *class) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	return os.WriteFile(s.classPath(c.key), buf.Bytes(), 0o644)
+	return os.WriteFile(s.classPath(c.plan.ClassKey()), buf.Bytes(), 0o644)
 }
 
 // readSegPayload inflates one sealed segment's record stream.
@@ -499,7 +510,7 @@ func (s *Store) IngestBytes(enc []byte) (uint64, error) {
 		key := sp.ClassKey()
 		c, ok := s.classes[key]
 		switch {
-		case ok && bytes.Equal(c.structure, sp.Structure):
+		case ok && bytes.Equal(c.plan.Structure(), sp.Structure):
 			// Established class: store the payload residue.
 			if d, err := merge.DeltaPayload(sp.Payload, c.repPayload); err == nil &&
 				s.verifyDelta(c, d, enc) {
@@ -508,7 +519,7 @@ func (s *Store) IngestBytes(enc []byte) (uint64, error) {
 		case !ok:
 			// First run of its class: the class file carries the structure and
 			// this payload as representative; the run itself is a self-delta.
-			c = &class{key: key, structure: sp.Structure, repPayload: sp.Payload}
+			c = &class{plan: sp.Plan, repPayload: sp.Payload}
 			if d, err := merge.DeltaPayload(sp.Payload, c.repPayload); err == nil &&
 				s.verifyDelta(c, d, enc) {
 				if err := s.writeClassFile(c); err != nil {
@@ -548,12 +559,8 @@ func (s *Store) IngestBytes(enc []byte) (uint64, error) {
 // verifyDelta proves byte identity before committing to delta storage: the
 // exact reconstruction path of Get must reproduce enc.
 func (s *Store) verifyDelta(c *class, delta, enc []byte) bool {
-	p, err := merge.PatchPayload(delta, c.repPayload)
-	if err != nil {
-		return false
-	}
-	got, err := merge.JoinEncoded(c.structure, p)
-	return err == nil && bytes.Equal(got, enc)
+	j, err := c.plan.Reassemble(c.repPayload, delta, len(enc))
+	return err == nil && bytes.Equal(j.Enc, enc)
 }
 
 // appendActive writes one record to the active log and returns its location.
@@ -604,49 +611,48 @@ func (s *Store) readRecordAt(loc runLoc) (record, error) {
 // hash. The result is byte-identical to the ingested encoding; any
 // divergence (corrupt store) is an error.
 func (s *Store) GetBytes(hash uint64) ([]byte, error) {
-	sink.Inc(obs.CorpusGets)
-	s.mu.RLock()
-	enc, err := s.getBytesLocked(hash)
-	s.mu.RUnlock()
-	return enc, err
+	j, err := s.reassemble(hash)
+	return j.Enc, err
 }
 
-func (s *Store) getBytesLocked(hash uint64) ([]byte, error) {
+// reassemble is the one reconstruction behind GetBytes, Get and GetProjected:
+// the record re-validated, a delta run rejoined along its class's plan, and
+// the result held to its content hash before anything decodes it. A run
+// stored in full has no plan; its Joined is the bare bytes.
+func (s *Store) reassemble(hash uint64) (merge.Joined, error) {
+	sink.Inc(obs.CorpusGets)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	loc, ok := s.index[hash]
 	if !ok {
-		return nil, fmt.Errorf("corpus: no trace %016x", hash)
+		return merge.Joined{}, fmt.Errorf("corpus: no trace %016x", hash)
 	}
 	rec, err := s.readRecordAt(loc)
 	if err != nil {
-		return nil, err
+		return merge.Joined{}, err
 	}
 	if rec.hash != hash {
-		return nil, fmt.Errorf("corpus: record hash %016x does not match requested %016x", rec.hash, hash)
+		return merge.Joined{}, fmt.Errorf("corpus: record hash %016x does not match requested %016x", rec.hash, hash)
 	}
-	var enc []byte
+	var j merge.Joined
 	switch {
 	case rec.flags&flagFull != 0:
-		enc = append([]byte{}, rec.body...)
+		j.Enc = append([]byte{}, rec.body...)
 	case rec.flags&flagDelta != 0:
 		c, ok := s.classes[rec.classK]
 		if !ok {
-			return nil, fmt.Errorf("corpus: trace %016x references missing class %016x", hash, rec.classK)
+			return merge.Joined{}, fmt.Errorf("corpus: trace %016x references missing class %016x", hash, rec.classK)
 		}
-		p, err := merge.PatchPayload(rec.body, c.repPayload)
-		if err != nil {
-			return nil, fmt.Errorf("corpus: trace %016x: %w", hash, err)
-		}
-		enc, err = merge.JoinEncoded(c.structure, p)
-		if err != nil {
-			return nil, fmt.Errorf("corpus: trace %016x: %w", hash, err)
+		if j, err = c.plan.Reassemble(c.repPayload, rec.body, rec.fullLen); err != nil {
+			return merge.Joined{}, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 		}
 	default:
-		return nil, fmt.Errorf("corpus: trace %016x has no stored form (flags %#x)", hash, rec.flags)
+		return merge.Joined{}, fmt.Errorf("corpus: trace %016x has no stored form (flags %#x)", hash, rec.flags)
 	}
-	if ContentHash(enc) != hash {
-		return nil, fmt.Errorf("corpus: trace %016x reconstruction does not match its content hash", hash)
+	if ContentHash(j.Enc) != hash {
+		return merge.Joined{}, fmt.Errorf("corpus: trace %016x reconstruction does not match its content hash", hash)
 	}
-	return enc, nil
+	return j, nil
 }
 
 // Get returns the decoded trace addressed by hash, pinned in the serving
@@ -669,7 +675,7 @@ func (s *Store) GetProjected(hash uint64, ranks []int) (*Trace, error) {
 }
 
 // get is the shared body of Get and GetProjected: cache acquire, else
-// reconstruct bytes, decode them under sel (merge.DecodeSelectAuto), insert.
+// reassemble the bytes, decode them under sel (merge.Joined.Decode), insert.
 func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 	var t0 time.Time
 	if sink != nil {
@@ -686,19 +692,19 @@ func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 		return t, nil
 	}
 	sink.Inc(obs.CorpusCacheMisses)
-	enc, err := s.GetBytes(hash)
+	j, err := s.reassemble(hash)
 	if err != nil {
 		return nil, err
 	}
-	m, err := merge.DecodeSelectAuto(enc, sel, 1) // bare CYPR: nothing to inflate
+	m, err := j.Decode(sel)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 	}
-	t := s.cache.Insert(hash, m, int64(len(enc)))
+	t := s.cache.Insert(hash, m, int64(len(j.Enc)))
 	if sink != nil {
 		sink.Observe(obs.HistCorpusGetNS, time.Since(t0).Nanoseconds())
 	}
-	tsp.End(0, int64(len(enc)))
+	tsp.End(0, int64(len(j.Enc)))
 	return t, nil
 }
 

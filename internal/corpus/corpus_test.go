@@ -2,9 +2,12 @@ package corpus_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -563,24 +566,152 @@ func TestWarmGetNoAllocs(t *testing.T) {
 	}
 }
 
+// shardSrc is a workload whose records do not fold across ranks (every rank
+// sends its own message size, the SP case), so the encoding and its entry
+// count grow with the rank count.
+const shardSrc = `
+func main() {
+	for var k = 0; k < 4; k = k + 1 {
+		send((rank + 1) % size, 64 + 8 * rank, 1);
+		recv((rank + size - 1) % size, 64 + 8 * ((rank + size - 1) % size), 1);
+		send((rank + 2) % size, 32 + 8 * rank, 2);
+		recv((rank + size - 2) % size, 32 + 8 * ((rank + size - 2) % size), 2);
+		allreduce(8);
+	}
+	barrier();
+}`
+
+// TestColdProjectedGetAllocs bounds what a cold single-rank get of a delta
+// run allocates: the reassembled encoding once (fullLen), a small constant
+// multiple of the entry count (the entry and rank-set slabs, the section
+// lengths, the lazy slots), and a constant (CST, slab chunks). No term in the
+// payload's word count and no second copy of the encoding — the two-pass read
+// path this replaced decoded the representative into a []uint64 and built an
+// intermediate payload on every get, 2.3 MB here where the budget is 1.4 MB.
+func TestColdProjectedGetAllocs(t *testing.T) {
+	const (
+		perEntry = 256
+		fixed    = 160 << 10
+	)
+	st, err := corpus.Open(t.TempDir(), corpus.Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := simMerged(t, shardSrc, 1024, 0)
+	enc := encodeBytes(t, m)
+	h, err := st.IngestBytes(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := st.Stats(); err != nil || stats.DeltaRuns != 1 {
+		t.Fatalf("fixture was not stored as a delta run: %+v, %v", stats, err)
+	}
+	get := func() {
+		tr, err := st.GetProjected(h, []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Release()
+	}
+	get()
+	const gets = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	got := int64(after.TotalAlloc-before.TotalAlloc) / gets
+	entries := int64(m.GroupCount())
+	budget := int64(len(enc)) + perEntry*entries + fixed
+	t.Logf("cold projected get: %d B/op; fullLen %d, %d entries, budget %d", got, len(enc), entries, budget)
+	if got > budget {
+		t.Fatalf("cold projected get allocates %d B/op, budget %d (fullLen %d + %d x %d entries + %d)",
+			got, budget, len(enc), perEntry, entries, fixed)
+	}
+}
+
+// rankSequences replays every rank of m through a fresh streamer; the first
+// replay error ends it.
+func rankSequences(m *merge.Merged) ([][]trace.Event, error) {
+	seqs := make([][]trace.Event, m.NumRanks)
+	s := merge.NewStreamer(m)
+	for rank := range seqs {
+		if err := s.Replay(rank, func(e *trace.Event) {
+			seqs[rank] = append(seqs[rank], *e)
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return seqs, nil
+}
+
 // TestCorruptStoreErrors: flipping or truncating store files makes Open or
-// Get fail with an error — never a panic, never silently wrong bytes.
+// the read fail with an error — never a panic, never silently wrong bytes,
+// and never a wrong trace: whatever GetBytes, Get or a cold GetProjected (the
+// path that seeks over unselected sections) still serves is exactly what was
+// ingested, through the replay of every rank. Both runs of the class are
+// read: the representative and the delta against it.
 func TestCorruptStoreErrors(t *testing.T) {
 	dir := t.TempDir()
 	st, err := corpus.Open(dir, corpus.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := encodeBytes(t, simMerged(t, multiPhaseSrc, 7, 0))
-	h, err := st.IngestBytes(enc)
-	if err != nil {
-		t.Fatal(err)
+	type run struct {
+		hash uint64
+		enc  []byte
+		seqs [][]trace.Event
 	}
-	if _, err := st.IngestBytes(encodeBytes(t, simMerged(t, multiPhaseSrc, 7, 1))); err != nil {
-		t.Fatal(err)
+	var runs []run
+	for i := 0; i < 2; i++ {
+		m := simMerged(t, multiPhaseSrc, 7, i)
+		enc := encodeBytes(t, m)
+		h, err := st.IngestBytes(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs, err := rankSequences(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{h, enc, seqs})
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// check opens the damaged store with the serving cache off, so that every
+	// read is cold, and holds every read that succeeds to the ingested run.
+	check := func(what string) {
+		st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
+		if err != nil {
+			return
+		}
+		defer st.Close()
+		for i, r := range runs {
+			if got, err := st.GetBytes(r.hash); err == nil && !bytes.Equal(got, r.enc) {
+				t.Fatalf("%s: run %d: corrupt store served wrong bytes", what, i)
+			}
+			for _, get := range []struct {
+				name string
+				fn   func() (*corpus.Trace, error)
+			}{
+				{"Get", func() (*corpus.Trace, error) { return st.Get(r.hash) }},
+				{"GetProjected", func() (*corpus.Trace, error) { return st.GetProjected(r.hash, []int{1}) }},
+			} {
+				tr, err := get.fn()
+				if err != nil {
+					continue
+				}
+				seqs, err := rankSequences(tr.Merged)
+				tr.Release()
+				if err == nil && !reflect.DeepEqual(seqs, r.seqs) {
+					t.Fatalf("%s: run %d: %s of a corrupt store replays a wrong trace", what, i, get.name)
+				}
+			}
+		}
 	}
 
 	ents, err := os.ReadDir(dir)
@@ -599,31 +730,94 @@ func TestCorruptStoreErrors(t *testing.T) {
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st, err := corpus.Open(dir, corpus.Options{})
-			if err == nil {
-				got, gerr := st.GetBytes(h)
-				if gerr == nil && !bytes.Equal(got, enc) {
-					t.Fatalf("%s pos %d: corrupt store served wrong bytes", e.Name(), pos)
-				}
-				st.Close()
-			}
+			check(fmt.Sprintf("%s pos %d", e.Name(), pos))
 		}
 		for _, cut := range []int{0, 3, len(orig) / 2, len(orig) - 1} {
 			if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st, err := corpus.Open(dir, corpus.Options{})
-			if err == nil {
-				if got, gerr := st.GetBytes(h); gerr == nil && !bytes.Equal(got, enc) {
-					t.Fatalf("%s cut %d: truncated store served wrong bytes", e.Name(), cut)
-				}
-				st.Close()
-			}
+			check(fmt.Sprintf("%s cut %d", e.Name(), cut))
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The sweep means something only if the undamaged store serves it all.
+	st, err = corpus.Open(dir, corpus.Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, r := range runs {
+		tr, err := st.GetProjected(r.hash, []int{1})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		seqs, err := rankSequences(tr.Merged)
+		tr.Release()
+		if err != nil || !reflect.DeepEqual(seqs, r.seqs) {
+			t.Fatalf("run %d: the restored store does not replay the ingested trace (%v)", i, err)
+		}
+	}
+}
+
+// TestClassKeyChecked: the class key a class file declares sits in its header,
+// outside the CRC-guarded CYPB frames, so what guards it is the structure it
+// must be the key of. A file whose declared key was rewritten — under its old
+// name or renamed to match — does not open.
+func TestClassKeyChecked(t *testing.T) {
+	dir := t.TempDir()
+	st, err := corpus.Open(dir, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.IngestBytes(encodeBytes(t, simMerged(t, multiPhaseSrc, 7, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "class-*.cyps"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("class files: %v, %v", names, err)
+	}
+	orig, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "CYPS", version, then the key as a uvarint.
+	key, n := binary.Uvarint(orig[5:])
+	if n <= 0 {
+		t.Fatal("class header has no key")
+	}
+	forged := binary.AppendUvarint(bytes.Clone(orig[:5]), key^1)
+	forged = append(forged, orig[5+n:]...)
+	for _, name := range []string{names[0], filepath.Join(dir, fmt.Sprintf("class-%016x.cyps", key^1))} {
+		if err := os.Remove(names[0]); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := corpus.Open(dir, corpus.Options{})
+		if err == nil {
+			st.Close()
+			t.Fatalf("%s: a class file declaring the wrong key opened", filepath.Base(name))
+		}
+		if !strings.Contains(err.Error(), "class key does not match") {
+			t.Fatalf("%s: Open = %v, want the class-key verdict", filepath.Base(name), err)
+		}
+		if err := os.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(names[0], orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = corpus.Open(dir, corpus.Options{}); err != nil {
+		t.Fatalf("the restored class file does not open: %v", err)
+	}
+	st.Close()
 }
 
 // replayRank replays one rank of a served trace through its shared streamer.

@@ -11,13 +11,18 @@ package merge
 // of the program and the rank count.
 //
 // SplitEncoded walks the v1 grammar over the raw bytes and partitions them
-// into a structure stream and a payload stream without re-encoding anything;
-// JoinEncoded interleaves the two streams back. Join(Split(x)) == x holds for
-// every stream the walker accepts because both sides copy byte ranges of the
-// original — no value round-trips through a decode/encode cycle, so the
-// decoder's normalizations (it drops the second timing moment) cannot leak
-// into reconstruction. DeltaPayload/PatchPayload then compress one run's
-// payload stream against a structurally identical representative's.
+// into a structure stream and a payload stream without re-encoding anything,
+// and the same walk leaves the structure's Plan: where every volatile suffix
+// was cut out and where every VData section lies. The structure of a class
+// does not change between runs, so that walk is the only one it ever gets —
+// Plan.Reassemble interleaves a payload back along the plan's tables without
+// parsing a structure byte. Reassembling a split reproduces the input exactly
+// because both sides copy byte ranges of the original structure — no
+// structural value round-trips through a decode/encode cycle, so the decoder's
+// normalizations (it drops the second timing moment) cannot leak into
+// reconstruction. The payload travels as DeltaPayload against the class
+// representative's, one run's words XORed onto another's; Reassemble undoes
+// that in the same pass.
 
 import (
 	"encoding/binary"
@@ -32,8 +37,8 @@ import (
 // its volatile payload. Structure holds every byte that is a function of the
 // program and rank count (header, CST, rank sets, control vectors, record
 // parameters) in stream order; Payload holds the per-record time-statistic
-// suffixes, also in stream order. Concatenating the two streams back in
-// grammar order (JoinEncoded) reproduces the original bytes exactly.
+// suffixes, also in stream order. Interleaving the two streams back in grammar
+// order (Plan.Reassemble) reproduces the original bytes exactly.
 type SplitTrace struct {
 	// TreeHash and NumRanks are lifted from the header for indexing.
 	TreeHash uint64
@@ -45,23 +50,109 @@ type SplitTrace struct {
 	Structure []byte
 	Payload   []byte
 
-	// HeaderFP fingerprints the header-plus-CST prefix of the structure
-	// stream; SectionFP[gid] fingerprints vertex gid's structural section.
-	// ClassKey folds them all, so two encodings share a class key exactly when
-	// their structure streams are byte-identical (modulo a 2^-64 collision,
-	// which ingest guards against by comparing the streams).
-	HeaderFP  uint64
-	SectionFP []uint64
+	// Plan is the read plan of Structure, a by-product of the walk that cut
+	// the two streams apart.
+	Plan *Plan
 }
 
+// ClassKey is the structural class key of the encoding (see Plan.ClassKey).
+func (s *SplitTrace) ClassKey() uint64 { return s.Plan.key }
+
+// Plan is what one walk of a structural class's structure stream learns, kept
+// so that no read of the class has to walk it again: where every record's
+// volatile suffix goes back in (the cut table), where every entry's VData
+// section lies (the section table), whether suffixes carry histogram buckets,
+// and the class key. The offsets only mean something against the stream they
+// were taken from, so the plan holds it.
+type Plan struct {
+	structure []byte
+	key       uint64
+	hist      bool
+	cuts      []int         // structure offset of each record's volatile suffix, stream order
+	secs      []planSection // one per entry, stream order
+}
+
+// planSection is one entry's VData section in structure coordinates, and how
+// many records (cuts) it holds.
+type planSection struct {
+	start, end, ncuts int
+}
+
+// Structure returns the structure stream the plan was built from. The caller
+// must not modify it.
+func (p *Plan) Structure() []byte { return p.structure }
+
 // ClassKey folds the whole-tree structural fingerprint: the header/CST prefix
-// fingerprint plus every per-vertex section fingerprint in vertex order.
-func (s *SplitTrace) ClassKey() uint64 {
-	h := fp.New().Word(s.HeaderFP)
-	for _, sf := range s.SectionFP {
-		h = h.Word(sf)
+// fingerprint plus every per-vertex structure section fingerprint in vertex
+// order. Two encodings share a class key exactly when their structure streams
+// are byte-identical (modulo a 2^-64 collision, which ingest guards against
+// by comparing the streams).
+func (p *Plan) ClassKey() uint64 { return p.key }
+
+// PlanStructure builds the plan of a structure stream produced by
+// SplitEncoded with one walk of it, validating the grammar on the way: a
+// stream that does not walk to its last byte has no plan.
+func PlanStructure(structure []byte) (*Plan, error) {
+	c := &bcur{b: structure}
+	h := c.header(false)
+	if c.err != nil {
+		return nil, c.err
 	}
-	return uint64(h)
+	p := &Plan{hist: h.hist}
+	verts := p.walk(c, -1, nil)
+	if c.err != nil {
+		return nil, fmt.Errorf("merge: structure stream: %w", c.err)
+	}
+	p.seal(structure, verts)
+	return p, nil
+}
+
+// walk is the one loop that builds the cut and section tables. It walks the
+// vertex sections under c, which stands behind the header: nverts of them, or
+// as many as the input holds when nverts is negative. A structure stream is
+// walked as it is (volatile nil); SplitEncoded's input still interleaves the
+// volatile suffixes, so its volatile consumes one at every cut and the bytes
+// it consumes are subtracted from every offset recorded afterwards. walk
+// returns the structure offset each vertex section starts at; failures latch
+// in c.err.
+func (p *Plan) walk(c *bcur, nverts int, volatile func()) (verts []int) {
+	removed := 0 // volatile bytes consumed so far
+	cut := func() {
+		p.cuts = append(p.cuts, c.off-removed)
+		if volatile != nil {
+			at := c.off
+			volatile()
+			removed += c.off - at
+		}
+	}
+	for gid := 0; c.err == nil && (gid < nverts || nverts < 0 && c.off < len(c.b)); gid++ {
+		verts = append(verts, c.off-removed)
+		n := c.u()
+		if c.err == nil && n > maxEntries {
+			c.fail("merge: implausible entry count %d at offset %d", n, c.off)
+		}
+		for k := uint64(0); k < n && c.err == nil; k++ {
+			c.skipRuns() // rank set
+			sec := planSection{start: c.off - removed, ncuts: len(p.cuts)}
+			walkVData(c, cut)
+			sec.end, sec.ncuts = c.off-removed, len(p.cuts)-sec.ncuts
+			p.secs = append(p.secs, sec)
+		}
+	}
+	return verts
+}
+
+// seal attaches the finished structure stream and folds the class key over
+// it: verts[0] is where the header/CST prefix ends and each vertex section
+// runs to the start of the next.
+func (p *Plan) seal(structure []byte, verts []int) {
+	p.structure = structure
+	verts = append(verts, len(structure))
+	h := fp.New().Word(uint64(fp.New().Bytes(structure[:verts[0]])))
+	for i := 1; i < len(verts); i++ {
+		h = h.Word(uint64(fp.New().Bytes(structure[verts[i-1]:verts[i]])))
+	}
+	p.key = uint64(h)
 }
 
 // skipRuns walks one run-length list (rank sets, loop/taken vectors). The
@@ -135,8 +226,8 @@ func (c *bcur) skipRecordStructure() {
 // grammar and plausibility caps without decoding or allocating. The cursor
 // stops at each record's volatile suffix and volatile decides what happens
 // there: the selective decoder skips it in place, SplitEncoded cuts it out to
-// the payload stream, JoinEncoded takes it from the payload cursor. The walk
-// ends at the first latched cursor error.
+// the payload stream, PlanStructure (whose stream has none) only notes the
+// place. The walk ends at the first latched cursor error.
 func walkVData(c *bcur, volatile func()) {
 	c.skipRuns() // loop counts
 	c.skipRuns() // taken branches
@@ -162,105 +253,53 @@ func walkVData(c *bcur, volatile func()) {
 }
 
 // SplitEncoded partitions a standalone v1 encoding into structure and payload
-// streams (see SplitTrace). It validates the grammar syntactically — counts
-// within the decoder's plausibility caps, varints well-formed, no trailing
-// bytes — but not semantically; a stream that splits cleanly may still fail
-// Decode, and reconstruction fidelity is byte-level either way.
+// streams (see SplitTrace) and builds the structure's read plan on the way.
+// It validates the grammar syntactically — counts within the decoder's
+// plausibility caps, varints well-formed, no trailing bytes — but not
+// semantically; a stream that splits cleanly may still fail Decode, and
+// reconstruction fidelity is byte-level either way.
 func SplitEncoded(enc []byte) (*SplitTrace, error) {
 	c := &bcur{b: enc}
 	h := c.header(true)
 	if c.err != nil {
 		return nil, c.err
 	}
-	s := &SplitTrace{TreeHash: h.treeHash, NumRanks: h.numRanks, Hist: h.hist}
-	nverts := h.tree.NumVertices()
-	s.Structure = append(s.Structure, enc[:c.off]...)
-	s.HeaderFP = uint64(fp.New().Bytes(s.Structure))
-	s.SectionFP = make([]uint64, nverts)
-	mark := c.off
-	cut := func() {
-		vs := c.off
-		skipVolatile(c, s.Hist)
-		if c.err != nil {
-			return
-		}
-		s.Structure = append(s.Structure, enc[mark:vs]...)
-		s.Payload = append(s.Payload, enc[vs:c.off]...)
-		mark = c.off
-	}
-	for gid := 0; gid < nverts; gid++ {
-		secStart := len(s.Structure)
-		n := c.u()
-		if c.err != nil {
-			return nil, fmt.Errorf("merge: split vertex %d: %w", gid, c.err)
-		}
-		if n > maxEntries {
-			return nil, fmt.Errorf("merge: split vertex %d: implausible entry count %d", gid, n)
-		}
-		for k := uint64(0); k < n; k++ {
-			c.skipRuns() // rank set
-			walkVData(c, cut)
-			if c.err != nil {
-				return nil, fmt.Errorf("merge: split vertex %d entry %d: %w", gid, k, c.err)
-			}
-		}
+	s := &SplitTrace{TreeHash: h.treeHash, NumRanks: h.numRanks, Hist: h.hist, Plan: &Plan{hist: h.hist}}
+	mark := 0 // enc[mark:c.off] is structure not yet copied out
+	verts := s.Plan.walk(c, h.tree.NumVertices(), func() {
 		s.Structure = append(s.Structure, enc[mark:c.off]...)
 		mark = c.off
-		s.SectionFP[gid] = uint64(fp.New().Bytes(s.Structure[secStart:]))
+		skipVolatile(c, h.hist)
+		if c.err == nil {
+			s.Payload = append(s.Payload, enc[mark:c.off]...)
+			mark = c.off
+		}
+	})
+	if c.err != nil {
+		return nil, fmt.Errorf("merge: split: %w", c.err)
 	}
 	if c.off != len(enc) {
 		return nil, fmt.Errorf("merge: split: %d trailing bytes", len(enc)-c.off)
 	}
+	s.Structure = append(s.Structure, enc[mark:]...)
+	s.Plan.seal(s.Structure, verts)
 	return s, nil
 }
 
-// JoinEncoded reassembles the standalone encoding from a structure stream and
-// a payload stream produced by SplitEncoded. Both streams must be consumed
-// exactly; leftover bytes on either side or a grammar violation is an error.
-// The result is
-// byte-identical to the original input of SplitEncoded by construction.
-func JoinEncoded(structure, payload []byte) ([]byte, error) {
-	out := make([]byte, 0, len(structure)+len(payload))
-	st := &bcur{b: structure}
-	hdr := st.header(false)
-	if st.err != nil {
-		return nil, st.err
-	}
-	pl := &bcur{b: payload}
-	mark := 0
-	take := func() {
-		out = append(out, structure[mark:st.off]...)
-		mark = st.off
-		vs := pl.off
-		skipVolatile(pl, hdr.hist)
-		out = append(out, payload[vs:pl.off]...)
-		st.err = pl.err // a short payload stream ends the walk
-	}
-	for st.err == nil && st.off < len(structure) {
-		n := st.u()
-		if st.err == nil && n > maxEntries {
-			st.fail("merge: implausible entry count %d", n)
-		}
-		for k := uint64(0); k < n && st.err == nil; k++ {
-			st.skipRuns() // rank set
-			walkVData(st, take)
-		}
-	}
-	if pl.err != nil {
-		return nil, fmt.Errorf("merge: join payload: %w", pl.err)
-	}
-	if st.err != nil {
-		return nil, fmt.Errorf("merge: join structure: %w", st.err)
-	}
-	out = append(out, structure[mark:]...)
-	if pl.off != len(payload) {
-		return nil, fmt.Errorf("merge: join: %d unconsumed payload bytes", len(payload)-pl.off)
-	}
-	return out, nil
+// Joined is a standalone v1 encoding written by Plan.Reassemble, together
+// with what the pass that wrote it knows about its layout. Decode uses that
+// knowledge; it never leaves the package and is never read from anywhere, so
+// a Joined built by hand ({Enc: bytes}) simply has none.
+type Joined struct {
+	Enc []byte
+
+	// lens is the byte length of every entry's VData section in Enc, in
+	// stream order — nil when Enc was not written by Reassemble.
+	lens []uint64
 }
 
 // Payload streams are pure uvarint vectors (skipVolatile's invariant), which
-// makes the delta codec grammar-free: decode both vectors, XOR element-wise
+// makes the delta codec grammar-free: walk both vectors, XOR element-wise
 // against the representative, and pack each difference word as
 //
 //	0                 — identical words (the common case between runs)
@@ -272,28 +311,47 @@ func JoinEncoded(structure, payload []byte) ([]byte, error) {
 // — in the high bits above a run of trailing zeros, where a bare uvarint of
 // the XOR would spend its full ten bytes. Word alignment between run and
 // representative is a compression heuristic, not a correctness requirement:
-// a misaligned pair just XORs unrelated words and encodes longer.
+// a misaligned pair just XORs unrelated words and encodes longer. A
+// representative with fewer words than the run reads as zero past its end.
+
+// refWord reads the representative's next word: zero once it is exhausted.
+func refWord(r *bcur) uint64 {
+	if r.off == len(r.b) {
+		return 0
+	}
+	return r.u()
+}
+
+// refRest walks whatever the run left of the representative, so that a
+// representative is either a well-formed uvarint vector from end to end or an
+// error, whichever run it is read against.
+func refRest(r *bcur) error {
+	for r.err == nil && r.off < len(r.b) {
+		r.u()
+	}
+	if r.err != nil {
+		return fmt.Errorf("merge: delta ref: %w", r.err)
+	}
+	return nil
+}
 
 // DeltaPayload encodes payload as a word-wise XOR delta against ref. Both
 // arguments must be well-formed uvarint streams (SplitEncoded payloads always
-// are). PatchPayload(DeltaPayload(p, ref), ref) == p whenever p is minimally
-// encoded — corpus ingest verifies that round trip before committing a delta.
+// are). Reassembling the delta against the same ref reproduces payload
+// whenever payload is minimally encoded — corpus ingest verifies that round
+// trip before committing a delta.
 func DeltaPayload(payload, ref []byte) ([]byte, error) {
-	pw, err := uvarintWords(payload)
-	if err != nil {
-		return nil, fmt.Errorf("merge: delta payload: %w", err)
-	}
-	rw, err := uvarintWords(ref)
-	if err != nil {
-		return nil, fmt.Errorf("merge: delta ref: %w", err)
-	}
-	out := binary.AppendUvarint(nil, uint64(len(pw)))
-	for i, v := range pw {
-		var r uint64
-		if i < len(rw) {
-			r = rw[i]
+	// The word count leads the delta but is known last: the body is written
+	// behind room for the longest count and the count is laid right before it.
+	const room = binary.MaxVarintLen64
+	out := make([]byte, room, room+len(payload)/4)
+	pc, rc := &bcur{b: payload}, &bcur{b: ref}
+	words := uint64(0)
+	for ; pc.off < len(payload); words++ {
+		x := pc.u() ^ refWord(rc)
+		if pc.err != nil {
+			return nil, fmt.Errorf("merge: delta payload: %w", pc.err)
 		}
-		x := v ^ r
 		if x == 0 {
 			out = append(out, 0)
 			continue
@@ -302,72 +360,119 @@ func DeltaPayload(payload, ref []byte) ([]byte, error) {
 		out = binary.AppendUvarint(out, uint64(ntz)+1)
 		out = binary.AppendUvarint(out, x>>uint(ntz))
 	}
-	return out, nil
+	if err := refRest(rc); err != nil {
+		return nil, err
+	}
+	var count [room]byte
+	start := room - binary.PutUvarint(count[:], words)
+	copy(out[start:room], count[:])
+	return out[start:], nil
 }
 
-// PatchPayload reconstructs a payload stream from its delta and the same
-// representative stream DeltaPayload ran against.
-func PatchPayload(delta, ref []byte) ([]byte, error) {
-	rw, err := uvarintWords(ref)
-	if err != nil {
-		return nil, fmt.Errorf("merge: patch ref: %w", err)
-	}
-	c := &bcur{b: delta}
-	n := c.u()
-	if c.err != nil {
-		return nil, c.err
-	}
-	// Every encoded word consumes at least one delta byte.
-	if n > uint64(len(delta)) {
-		return nil, fmt.Errorf("merge: patch: implausible word count %d", n)
-	}
-	out := make([]byte, 0, len(ref)+len(delta))
-	for i := uint64(0); i < n; i++ {
-		t := c.u()
-		var x uint64
-		if t != 0 {
-			if t > 64 {
-				c.fail("merge: patch: shift %d out of range", t)
-			}
-			m := c.u()
-			if c.err != nil {
-				return nil, c.err
-			}
-			sh := uint(t - 1)
-			if sh > 0 && m>>(64-sh) != 0 {
-				return nil, fmt.Errorf("merge: patch: word %d overflows shift %d", i, sh)
-			}
-			x = m << sh
-		}
-		if c.err != nil {
-			return nil, c.err
-		}
-		var r uint64
-		if i < uint64(len(rw)) {
-			r = rw[i]
-		}
-		out = binary.AppendUvarint(out, x^r)
-	}
-	if c.off != len(delta) {
-		return nil, fmt.Errorf("merge: patch: %d trailing delta bytes", len(delta)-c.off)
-	}
-	return out, nil
+// patcher streams the words of a delta-coded payload: each is the delta's
+// next token XORed onto the representative's next word. Failures latch in the
+// two cursors; left counts the words the delta still declares.
+type patcher struct {
+	d, r bcur
+	left uint64
 }
 
-// uvarintWords decodes a whole buffer as a uvarint vector.
-func uvarintWords(b []byte) ([]uint64, error) {
-	cap0 := len(b)
-	if cap0 > 4096 {
-		cap0 = 4096
+func (w *patcher) word() uint64 {
+	if w.left == 0 {
+		w.d.fail("merge: patch: the delta holds fewer words than the structure has volatile fields")
+		return 0
 	}
-	out := make([]uint64, 0, cap0)
-	for off := 0; off < len(b); {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("malformed uvarint at offset %d", off)
+	w.left--
+	if d := &w.d; d.err == nil && d.off < len(d.b) && d.b[d.off] == 0 {
+		d.off++ // the one-byte token of an unchanged word, by far the commonest
+		return refWord(&w.r)
+	}
+	var x uint64
+	if t := w.d.u(); t != 0 {
+		m := w.d.u()
+		sh := uint(t - 1)
+		switch {
+		case t > 64:
+			w.d.fail("merge: patch: shift %d out of range", t)
+		case sh > 0 && m>>(64-sh) != 0:
+			w.d.fail("merge: patch: word overflows shift %d at offset %d", sh, w.d.off)
 		}
-		out = append(out, v)
-		off += n
+		x = m << sh
 	}
-	return out, nil
+	return x ^ refWord(&w.r)
+}
+
+// volatile appends one record's volatile suffix (skipVolatile's grammar) to
+// out, every word re-encoded minimally.
+func (w *patcher) volatile(out []byte, hist bool) []byte {
+	for k := 0; k < 6; k++ {
+		out = binary.AppendUvarint(out, w.word())
+	}
+	if !hist {
+		return out
+	}
+	nz := w.word()
+	out = binary.AppendUvarint(out, nz)
+	if nz > timestat.HistBuckets {
+		w.d.fail("merge: patch: implausible histogram bucket count %d", nz)
+	}
+	for j := uint64(0); j < 2*nz && w.d.err == nil; j++ {
+		out = binary.AppendUvarint(out, w.word())
+	}
+	return out
+}
+
+// Reassemble rebuilds the standalone encoding of one run of the plan's class
+// from the class representative's payload stream and the run's DeltaPayload
+// against it, in one pass: representative words, delta tokens and structure
+// runs stream straight into the output, which is allocated once at sizeHint
+// (the run's recorded encoding length; a wrong hint costs a regrow, nothing
+// else). The delta must be consumed exactly and declare exactly as many words
+// as the structure has volatile fields, and the representative must be a
+// well-formed uvarint vector to its end, or it is an error. The result is
+// byte-identical to SplitEncoded's input whenever that input's payload was
+// minimally encoded, and carries the length of every VData section as this
+// pass wrote it.
+func (p *Plan) Reassemble(ref, delta []byte, sizeHint int) (Joined, error) {
+	w := patcher{d: bcur{b: delta}, r: bcur{b: ref}}
+	w.left = w.d.u()
+	// Every word costs the delta at least one byte and the output at most ten.
+	if w.d.err == nil && w.left > uint64(len(delta)) {
+		w.d.fail("merge: patch: implausible word count %d", w.left)
+	}
+	if w.d.err != nil {
+		return Joined{}, w.d.err
+	}
+	st := p.structure
+	out := make([]byte, 0, min(max(sizeHint, 0), len(st)+binary.MaxVarintLen64*int(w.left)))
+	lens := make([]uint64, len(p.secs))
+	pos, cuts := 0, p.cuts
+	for i, sec := range p.secs {
+		out = append(out, st[pos:sec.start]...)
+		pos = sec.start
+		begin := len(out)
+		for _, cut := range cuts[:sec.ncuts] {
+			out = append(out, st[pos:cut]...)
+			pos = cut
+			out = w.volatile(out, p.hist)
+			if w.d.err != nil {
+				return Joined{}, w.d.err
+			}
+		}
+		cuts = cuts[sec.ncuts:]
+		out = append(out, st[pos:sec.end]...)
+		pos = sec.end
+		lens[i] = uint64(len(out) - begin)
+	}
+	out = append(out, st[pos:]...)
+	if w.left != 0 {
+		return Joined{}, fmt.Errorf("merge: patch: %d delta words beyond the structure's volatile fields", w.left)
+	}
+	if rest := len(delta) - w.d.off; rest != 0 {
+		return Joined{}, fmt.Errorf("merge: patch: %d trailing delta bytes", rest)
+	}
+	if err := refRest(&w.r); err != nil {
+		return Joined{}, err
+	}
+	return Joined{Enc: out, lens: lens}, nil
 }

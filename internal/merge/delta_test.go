@@ -2,7 +2,13 @@ package merge
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/timestat"
 )
 
 // deltaEncBytes is the standalone v1 encoding of m.
@@ -79,8 +85,8 @@ func TestSplitClassKeyStability(t *testing.T) {
 	if sp1.ClassKey() != sp2.ClassKey() {
 		t.Fatal("class key differs across identical re-encodes")
 	}
-	if len(sp1.SectionFP) == 0 {
-		t.Fatal("no per-vertex section fingerprints")
+	if len(sp1.Plan.secs) == 0 || len(sp1.Plan.cuts) == 0 {
+		t.Fatal("the split left no plan")
 	}
 
 	_, ctts13, _ := collect(t, jacobiSrc, 13)
@@ -188,4 +194,321 @@ func TestSplitRejectsCorrupt(t *testing.T) {
 			t.Fatalf("pos=%d: split accepted a non-rejoinable mutation", pos)
 		}
 	}
+}
+
+// sectionLens is the index-less skip-walk of a standalone encoding: the VData
+// section lengths the projected decoder finds when nothing tells it where
+// sections end.
+func sectionLens(enc []byte) ([]uint64, error) {
+	c := &bcur{b: enc}
+	h := c.header(false)
+	var lens []uint64
+	for c.err == nil && c.off < len(enc) {
+		n := c.u()
+		for k := uint64(0); k < n && c.err == nil; k++ {
+			c.skipRuns()
+			start := c.off
+			walkVData(c, func() { skipVolatile(c, h.hist) })
+			lens = append(lens, uint64(c.off-start))
+		}
+	}
+	return lens, c.err
+}
+
+// reassembleBoth runs Plan.Reassemble and the two-pass reference over the
+// same three streams and holds them to one verdict: both fail, or both
+// produce the same bytes, and the section lengths the fused pass reports are
+// the ones a skip-walk of those bytes finds. It returns the bytes, nil when
+// both failed.
+func reassembleBoth(t testing.TB, structure, ref, delta []byte) []byte {
+	t.Helper()
+	var got Joined
+	plan, gerr := PlanStructure(structure)
+	if gerr == nil {
+		got, gerr = plan.Reassemble(ref, delta, len(structure)+len(ref))
+	}
+	var want []byte
+	payload, werr := PatchPayload(delta, ref)
+	if werr == nil {
+		want, werr = JoinEncoded(structure, payload)
+	}
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("verdicts differ: Reassemble %v, PatchPayload+JoinEncoded %v", gerr, werr)
+	}
+	if gerr != nil {
+		return nil
+	}
+	if !bytes.Equal(got.Enc, want) {
+		t.Fatalf("Reassemble wrote %d bytes that differ from the reference's %d", len(got.Enc), len(want))
+	}
+	lens, err := sectionLens(want)
+	if err != nil {
+		t.Fatalf("skip-walk of the reassembled bytes: %v", err)
+	}
+	if !slices.Equal(got.lens, lens) {
+		t.Fatalf("Reassemble reports section lengths %v, a skip-walk finds %v", got.lens, lens)
+	}
+	return want
+}
+
+// perturb returns payload (a uvarint vector) with every third word changed:
+// low bits, high bits, or both, the three shapes the delta tokens take.
+func perturb(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	words, err := uvarintWords(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for i, w := range words {
+		switch i % 9 {
+		case 0:
+			w ^= 5
+		case 3:
+			w ^= 1 << 52
+		case 6:
+			w = ^w
+		}
+		out = binary.AppendUvarint(out, w)
+	}
+	return out
+}
+
+// reassembleSeeds are (structure, ref, delta) triples from traced runs: a
+// self-delta, a delta against a perturbed representative, against an empty
+// and a foreign one, in mean/stddev and in histogram mode.
+func reassembleSeeds(t testing.TB) [][3][]byte {
+	t.Helper()
+	var seeds [][3][]byte
+	_, foreign, _ := collect(t, `func main() { barrier(); }`, 2)
+	mf, err := All(foreign, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spf, err := SplitEncoded(deltaEncBytes(t, mf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []timestat.Mode{timestat.ModeMeanStddev, timestat.ModeHistogram} {
+		_, ctts, _ := collectMode(t, jacobiSrc, 7, mode)
+		m, err := All(ctts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := SplitEncoded(deltaEncBytes(t, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Hist != (mode == timestat.ModeHistogram) {
+			t.Fatalf("mode %v encoded with histogram flag %v", mode, sp.Hist)
+		}
+		refs := [][]byte{sp.Payload, nil, spf.Payload}
+		if mode == timestat.ModeMeanStddev {
+			// In histogram mode a word is also a bucket count, and a perturbed
+			// one is another grammar, not another run.
+			refs = append(refs, perturb(t, sp.Payload))
+		}
+		for _, ref := range refs {
+			d, err := DeltaPayload(sp.Payload, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds = append(seeds, [3][]byte{sp.Structure, ref, d})
+		}
+	}
+	return seeds
+}
+
+// TestReassembleMatchesReference: on every seed the fused pass succeeds, is
+// byte-identical to the two-pass reference and to the encoding that was split,
+// and the plan a structure-only walk builds is the plan the split left.
+func TestReassembleMatchesReference(t *testing.T) {
+	for i, seed := range reassembleSeeds(t) {
+		enc := reassembleBoth(t, seed[0], seed[1], seed[2])
+		if enc == nil {
+			t.Fatalf("seed %d: reassembly failed", i)
+		}
+		sp, err := SplitEncoded(enc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if !bytes.Equal(sp.Structure, seed[0]) {
+			t.Fatalf("seed %d: reassembled bytes split to another structure", i)
+		}
+		plan, err := PlanStructure(sp.Structure)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(plan, sp.Plan) {
+			t.Fatalf("seed %d: PlanStructure and SplitEncoded disagree on the plan", i)
+		}
+	}
+}
+
+// TestReassembleRejects: what the fused pass must refuse, each refused by the
+// reference too — a delta with a word too few or too many, trailing delta
+// bytes, a shift out of range, a representative that is not a uvarint vector
+// (even past the words the run uses), a structure stream cut short.
+func TestReassembleRejects(t *testing.T) {
+	seed := reassembleSeeds(t)[0]
+	structure, ref, delta := seed[0], seed[1], seed[2]
+	words, n := binary.Uvarint(delta)
+	recount := func(w uint64) []byte { return append(binary.AppendUvarint(nil, w), delta[n:]...) }
+	for _, tc := range []struct {
+		name                  string
+		structure, ref, delta []byte
+	}{
+		{"word short", structure, ref, recount(words - 1)},
+		{"word over", structure, ref, append(recount(words+1), 0)},
+		{"trailing delta byte", structure, ref, append(bytes.Clone(delta), 0)},
+		{"shift out of range", structure, ref, append(binary.AppendUvarint(nil, words), append([]byte{65, 1}, delta[n+1:]...)...)},
+		{"shift overflow", structure, ref, append(binary.AppendUvarint(nil, words), append([]byte{64, 2}, delta[n+1:]...)...)},
+		{"malformed ref", structure, []byte{0x80}, delta},
+		{"malformed ref tail", structure, append(bytes.Clone(ref), 0x80), delta},
+		{"short structure", structure[:len(structure)-1], ref, delta},
+		{"empty delta", structure, ref, nil},
+	} {
+		if enc := reassembleBoth(t, tc.structure, tc.ref, tc.delta); enc != nil {
+			t.Errorf("%s: reassembled %d bytes", tc.name, len(enc))
+		}
+	}
+	// Not an error: a representative whose varints are not minimal reads as
+	// the same words, and the output is minimal either way.
+	if ref[0] >= 0x80 {
+		t.Fatal("the representative's first word (a sample count) is not one byte")
+	}
+	if enc := reassembleBoth(t, structure, append([]byte{ref[0] | 0x80, 0}, ref[1:]...), delta); enc == nil {
+		t.Error("a non-minimal representative varint was refused")
+	}
+}
+
+// FuzzReassemble holds Plan.Reassemble to the two-pass reference on arbitrary
+// (structure, ref, delta) triples: one verdict, identical bytes, and section
+// lengths equal to those of an index-less skip-walk of the result.
+func FuzzReassemble(f *testing.F) {
+	for _, s := range reassembleSeeds(f) {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, structure, ref, delta []byte) {
+		reassembleBoth(t, structure, ref, delta)
+	})
+}
+
+// The two-pass reference Plan.Reassemble is held against: decode the whole
+// representative into words and patch the payload stream (PatchPayload), then
+// walk the structure stream's grammar and interleave (JoinEncoded). It was the
+// production read path until the plan made the structure walk a once-per-class
+// affair; it stays here, unchanged, as the oracle of TestReassembleMatchesReference
+// and FuzzReassemble.
+
+// JoinEncoded reassembles the standalone encoding from a structure stream and
+// a payload stream produced by SplitEncoded. Both streams must be consumed
+// exactly; leftover bytes on either side or a grammar violation is an error.
+// The result is
+// byte-identical to the original input of SplitEncoded by construction.
+func JoinEncoded(structure, payload []byte) ([]byte, error) {
+	out := make([]byte, 0, len(structure)+len(payload))
+	st := &bcur{b: structure}
+	hdr := st.header(false)
+	if st.err != nil {
+		return nil, st.err
+	}
+	pl := &bcur{b: payload}
+	mark := 0
+	take := func() {
+		out = append(out, structure[mark:st.off]...)
+		mark = st.off
+		vs := pl.off
+		skipVolatile(pl, hdr.hist)
+		out = append(out, payload[vs:pl.off]...)
+		st.err = pl.err // a short payload stream ends the walk
+	}
+	for st.err == nil && st.off < len(structure) {
+		n := st.u()
+		if st.err == nil && n > maxEntries {
+			st.fail("merge: implausible entry count %d", n)
+		}
+		for k := uint64(0); k < n && st.err == nil; k++ {
+			st.skipRuns() // rank set
+			walkVData(st, take)
+		}
+	}
+	if pl.err != nil {
+		return nil, fmt.Errorf("merge: join payload: %w", pl.err)
+	}
+	if st.err != nil {
+		return nil, fmt.Errorf("merge: join structure: %w", st.err)
+	}
+	out = append(out, structure[mark:]...)
+	if pl.off != len(payload) {
+		return nil, fmt.Errorf("merge: join: %d unconsumed payload bytes", len(payload)-pl.off)
+	}
+	return out, nil
+}
+
+// PatchPayload reconstructs a payload stream from its delta and the same
+// representative stream DeltaPayload ran against.
+func PatchPayload(delta, ref []byte) ([]byte, error) {
+	rw, err := uvarintWords(ref)
+	if err != nil {
+		return nil, fmt.Errorf("merge: patch ref: %w", err)
+	}
+	c := &bcur{b: delta}
+	n := c.u()
+	if c.err != nil {
+		return nil, c.err
+	}
+	// Every encoded word consumes at least one delta byte.
+	if n > uint64(len(delta)) {
+		return nil, fmt.Errorf("merge: patch: implausible word count %d", n)
+	}
+	out := make([]byte, 0, len(ref)+len(delta))
+	for i := uint64(0); i < n; i++ {
+		t := c.u()
+		var x uint64
+		if t != 0 {
+			if t > 64 {
+				c.fail("merge: patch: shift %d out of range", t)
+			}
+			m := c.u()
+			if c.err != nil {
+				return nil, c.err
+			}
+			sh := uint(t - 1)
+			if sh > 0 && m>>(64-sh) != 0 {
+				return nil, fmt.Errorf("merge: patch: word %d overflows shift %d", i, sh)
+			}
+			x = m << sh
+		}
+		if c.err != nil {
+			return nil, c.err
+		}
+		var r uint64
+		if i < uint64(len(rw)) {
+			r = rw[i]
+		}
+		out = binary.AppendUvarint(out, x^r)
+	}
+	if c.off != len(delta) {
+		return nil, fmt.Errorf("merge: patch: %d trailing delta bytes", len(delta)-c.off)
+	}
+	return out, nil
+}
+
+// uvarintWords decodes a whole buffer as a uvarint vector.
+func uvarintWords(b []byte) ([]uint64, error) {
+	cap0 := len(b)
+	if cap0 > 4096 {
+		cap0 = 4096
+	}
+	out := make([]uint64, 0, cap0)
+	for off := 0; off < len(b); {
+		v, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			return nil, fmt.Errorf("malformed uvarint at offset %d", off)
+		}
+		out = append(out, v)
+		off += n
+	}
+	return out, nil
 }

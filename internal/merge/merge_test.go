@@ -32,6 +32,12 @@ func main() {
 // collect runs src on n ranks under CYPRESS compression.
 func collect(t testing.TB, src string, n int) (*cst.Tree, []*ctt.RankCTT, [][]trace.Event) {
 	t.Helper()
+	return collectMode(t, src, n, timestat.ModeMeanStddev)
+}
+
+// collectMode is collect with the compressors' time-statistic mode chosen.
+func collectMode(t testing.TB, src string, n int, mode timestat.Mode) (*cst.Tree, []*ctt.RankCTT, [][]trace.Event) {
+	t.Helper()
 	prog, err := lang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -51,7 +57,7 @@ func collect(t testing.TB, src string, n int) (*cst.Tree, []*ctt.RankCTT, [][]tr
 	raws := make([]*trace.CollectorSink, n)
 	sinks := make([]trace.Sink, n)
 	for i := range sinks {
-		comps[i] = ctt.NewCompressor(tree, i, timestat.ModeMeanStddev)
+		comps[i] = ctt.NewCompressor(tree, i, mode)
 		raws[i] = &trace.CollectorSink{}
 		sinks[i] = teeSink{raws[i], comps[i]}
 	}

@@ -26,14 +26,16 @@ import (
 // recorded as a byte range against the retained encoding and filled lazily on
 // first touch.
 //
-// Skipped sections are not decoded, but they are walked: an allocation-free
-// grammar walk over the raw bytes finds each section's end. The CYPI section
-// index — a versioned sidecar appended AFTER the complete v1 body (see
-// EncodeIndexed), so indexed files remain bit-compatible with every existing
-// decoder — lists every section's length and is held against that walk as a
-// cross-check. It is not used to seek: nothing in the v1 format lets a reader
-// confirm a skip it did not parse, and an unconfirmed skip puts every later
-// rank set at an unverified offset.
+// Skipped sections of a file are not decoded, but they are walked: an
+// allocation-free grammar walk over the raw bytes finds each section's end.
+// The CYPI section index — a versioned sidecar appended AFTER the complete v1
+// body (see EncodeIndexed), so indexed files remain bit-compatible with every
+// existing decoder — lists every section's length and is held against that
+// walk as a cross-check. It is not used to seek: nothing in the v1 format lets
+// a reader confirm a skip it did not parse, and an unconfirmed skip puts every
+// later rank set at an unverified offset. The one table the decoder does seek
+// by is the one it did not read: the section lengths Plan.Reassemble observed
+// while writing the very bytes being decoded (Joined.Decode).
 
 // Selection names the ranks a selective decode must materialize payloads for.
 // The zero value selects nothing (structure-only decode).
@@ -324,7 +326,35 @@ func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) 
 	if err != nil {
 		return nil, err
 	}
-	m, err := decodePayload(payload, &sel)
+	// A CYPI sidecar, if any, is cut off: the decoder runs over the body alone.
+	lens, bodyEnd, indexed := parseIndex(payload)
+	return decodeProjected(payload, &projection{
+		sel: sel, indexed: indexed, lens: lens, lz: &lazyPayloads{body: payload[:bodyEnd]},
+	})
+}
+
+// Decode is DecodeSelectAuto over the joined encoding, except that sections
+// outside the selection are not walked: the decoder seeks over each by the
+// length Reassemble observed while writing it. That is sound where seeking by
+// a CYPI sidecar is not, because the table is not input — it was produced by
+// the pass that produced the bytes, from a structure stream whose grammar was
+// walked when its plan was built. It is still held to everything an index is:
+// a section that is parsed must end where the table says, the table and the
+// stream must end together, and any disagreement reruns the full decode.
+func (j Joined) Decode(sel Selection) (*Merged, error) {
+	if j.lens == nil {
+		return DecodeSelectAuto(j.Enc, sel, 1)
+	}
+	return decodeProjected(j.Enc, &projection{
+		sel: sel, indexed: true, seek: true, lens: j.lens, lz: &lazyPayloads{body: j.Enc},
+	})
+}
+
+// decodeProjected decodes p's body under p and, should the selective walk
+// fail for any reason — including index-less inputs whose grammar walk trips —
+// reruns the same decoder over payload with the projection off.
+func decodeProjected(payload []byte, p *projection) (*Merged, error) {
+	m, err := decodePayload(p.lz.body, p)
 	if err == nil {
 		return m, nil
 	}
@@ -333,13 +363,14 @@ func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) 
 }
 
 // projection is the per-call state of a selective decode: the selection, the
-// CYPI section lengths when the encoding carries them, and the lazy arena
-// under construction (decode sets its stat mode from the header). The
-// decoder's cursor runs over lz.body, so the offsets it stops at are the
-// slots' byte ranges.
+// section lengths when the encoding comes with them (a CYPI sidecar, or the
+// lengths Reassemble observed), and the lazy arena under construction (decode
+// sets its stat mode from the header). The decoder's cursor runs over
+// lz.body, so the offsets it stops at are the slots' byte ranges.
 type projection struct {
 	sel     Selection
 	indexed bool
+	seek    bool     // lens may move the cursor over unselected sections
 	lens    []uint64 // consumed in stream order; next is lens[li]
 	li      int
 	lz      *lazyPayloads
@@ -348,36 +379,27 @@ type projection struct {
 	eagerB, skippedB int64 // payload bytes
 }
 
-// newProjection cuts a CYPI sidecar, if any, off d's input — the decoder
-// then runs over the body alone — and returns the projection state for sel.
-func newProjection(d *decoder, sel Selection) *projection {
-	lens, bodyEnd, indexed := parseIndex(d.b)
-	d.b = d.b[:bodyEnd]
-	lz := &lazyPayloads{body: d.b}
-	if indexed {
-		// The index bounds the slot count up front; without it the slice
-		// grows with the skip walk.
-		lz.slots = make([]lazySlot, 0, len(lens))
-	}
-	return &projection{sel: sel, indexed: indexed, lens: lens, lz: lz}
-}
-
 // section handles entry e's payload section, the cursor standing at its first
-// byte: decode it when e's ranks intersect the selection, otherwise walk its
-// grammar to find its end and leave e a lazy slot. Either way the cursor has
-// parsed its way to the section's true end, which the index entry, when there
-// is one, must name exactly: an index is a cross-check, never a seek, because
-// a skip the stream has not confirmed would have every later rank set parsed
-// from an unverified offset (fuzz-found: lengths wrong one by one but right in
-// sum decoded "cleanly" into a misaligned tree). Failures latch in d.err.
+// byte: decode it when e's ranks intersect the selection, otherwise find its
+// end and leave e a lazy slot. The end of a skipped section is found by
+// walking its grammar, and the index entry, when there is one, must name
+// exactly where the walk stopped: a table that came with the input is a
+// cross-check, never a seek, because a skip the stream has not confirmed would
+// have every later rank set parsed from an unverified offset (fuzz-found:
+// lengths wrong one by one but right in sum decoded "cleanly" into a
+// misaligned tree). Only Reassemble's own table (p.seek) moves the cursor
+// without a walk. Failures latch in d.err.
 func (p *projection) section(d *decoder, e *Entry, gid int32) {
 	mode := p.lz.mode
 	start := int64(d.off)
 	eager := p.sel.matches(e.Ranks)
-	if eager {
+	switch {
+	case eager:
 		e.Data = d.vdata()
 		d.decodeVData(e.Data, gid, mode)
-	} else {
+	case p.seek && p.li < len(p.lens) && p.lens[p.li] <= uint64(len(d.b)-d.off):
+		d.off += int(p.lens[p.li])
+	default:
 		hist := mode == timestat.ModeHistogram
 		walkVData(&d.bcur, func() { skipVolatile(&d.bcur, hist) })
 	}

@@ -244,8 +244,8 @@ func (m *Merged) EncodeGzip(out io.Writer) (int64, error) {
 // bcur is the read side's one input: an error-latching varint cursor over an
 // encoding held in memory. Its position is off, a skip is an assignment to
 // off, and every error it raises names the byte offset it stopped at. The
-// decoder embeds it; the selective decoder's skip walk, SplitEncoded and
-// JoinEncoded drive it directly.
+// decoder embeds it; the selective decoder's skip walk, the plan walk under
+// SplitEncoded and PlanStructure, and the delta codec drive it directly.
 type bcur struct {
 	b   []byte
 	off int
@@ -447,7 +447,7 @@ type header struct {
 
 // header parses the v1 prefix and leaves the cursor on the first vertex
 // section. It is the one header parser: the decoder and SplitEncoded ask for
-// the tree, JoinEncoded (whose structure stream opens with the same bytes)
+// the tree, PlanStructure (whose structure stream opens with the same bytes)
 // only needs the flags and the cursor advanced past the CST. Failures latch
 // in c.err.
 func (c *bcur) header(wantTree bool) (h header) {
@@ -507,23 +507,25 @@ func (c *bcur) header(wantTree bool) (h header) {
 }
 
 // decodePayload decodes a bare CYPR encoding (container already unwrapped).
-// With sel nil every payload section is decoded in stream order and bytes
+// With p nil every payload section is decoded in stream order and bytes
 // after the last vertex section are tolerated (the CYPI sidecar rides there).
-// With a selection, the sections it touches decode and the rest stay lazy
-// byte ranges against payload, which the returned tree then retains.
-func decodePayload(payload []byte, sel *Selection) (*Merged, error) {
+// With a projection, payload is its body (the encoding less any sidecar): the
+// sections the selection touches decode and the rest stay lazy byte ranges
+// against the body, which the returned tree then retains.
+func decodePayload(payload []byte, p *projection) (*Merged, error) {
 	sp := sink.Start(obs.StageDecode)
 	defer sp.End()
 	name := ftrace.NameDecode
-	if sel != nil {
+	if p != nil {
 		name = ftrace.NameDecodeSelect
+		if p.indexed && !p.sel.all {
+			// The table bounds the slot count up front; without one the slice
+			// grows with the skip walk.
+			p.lz.slots = make([]lazySlot, 0, len(p.lens))
+		}
 	}
 	tsp := rec.Begin(ftrace.CatCodec, name, 0)
 	d := &decoder{bcur: bcur{b: payload}}
-	var p *projection
-	if sel != nil {
-		p = newProjection(d, *sel)
-	}
 	m, err := d.decode(p)
 	if err != nil {
 		return nil, err

@@ -134,6 +134,10 @@ type VData struct {
 	// fingerprint (RelUnsafe poisoning).
 	fpc   fp.Hash
 	fpcOK bool
+	// keyOK marks key as the memoized InvariantKey (see InvariantKeyCached).
+	// Nothing the merge does changes that key, so it is never invalidated.
+	keyOK bool
+	key   fp.Hash
 }
 
 // recordChunkMax caps slab chunk growth.

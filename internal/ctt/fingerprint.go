@@ -22,6 +22,18 @@
 //     only valid while no plain p2p record is rel-encoded (once one is, its
 //     absolute peer is stale); validity is returned alongside the hash.
 //
+// A third hash, InvariantKey, answers the opposite question. It folds exactly
+// the fields merge.compatible requires equal under EITHER encoding — control
+// vectors, cycles, record count, and per record the operation signature, run
+// length, wildcard flag, request list, pattern presence (p2p) or absolute
+// peer (collectives) — and nothing an encoding decides (PeerRel, p2p peers,
+// pattern periods, the RelEncoded/RelUnsafe marks) or compatible ignores (stat
+// storage shape). Compatible payloads therefore always have equal keys, so
+// unequal keys PROVE incompatibility: unlike the two fingerprints, a key
+// mismatch is a decision. And because unification only rewrites the excluded
+// fields, a payload's key never changes for the life of the reduction, so it
+// is memoized on the payload without an invalidation path.
+//
 // Volatile payload — the time statistics folded together by unification — is
 // deliberately excluded (only the storage shape is folded, so histogram and
 // moment-only records defer to the exhaustive path instead of fast-merging
@@ -44,15 +56,28 @@ const (
 	fpClassAbsPeer    = 5 // p2p under the absolute fingerprint
 )
 
+// hashSignature folds what every unification requires equal whatever the peer
+// encoding: the operation signature, run length, the caller's flag word and
+// the request list.
+func (r *CommRecord) hashSignature(h fp.Hash, flags uint64) fp.Hash {
+	e := &r.Ev
+	h = h.Int(int64(e.Op)).Int(int64(e.Size)).Int(int64(e.Tag)).
+		Int(int64(e.Comm)).Int(r.Count).Word(flags)
+	h = h.Word(uint64(len(e.Reqs)))
+	for _, q := range e.Reqs {
+		h = h.Int(int64(q))
+	}
+	return h
+}
+
 // hashCommon folds the parameters every unification class requires to match:
 // the full operation signature, run length, request list, and stat shape.
 // The four booleans (wildcard, the two stat storage shapes, pattern
 // presence) pack into disjoint bits of one word — injective, and three
 // fewer mix rounds per record on the FromRank hot path.
 func (r *CommRecord) hashCommon(h fp.Hash) fp.Hash {
-	e := &r.Ev
 	var flags uint64
-	if e.Wildcard {
+	if r.Ev.Wildcard {
 		flags |= 1
 	}
 	if r.Time.Hist != nil {
@@ -64,13 +89,24 @@ func (r *CommRecord) hashCommon(h fp.Hash) fp.Hash {
 	if r.Peers != nil {
 		flags |= 8
 	}
-	h = h.Int(int64(e.Op)).Int(int64(e.Size)).Int(int64(e.Tag)).
-		Int(int64(e.Comm)).Int(r.Count).Word(flags)
-	h = h.Word(uint64(len(e.Reqs)))
-	for _, q := range e.Reqs {
-		h = h.Int(int64(q))
+	return r.hashSignature(h, flags)
+}
+
+// hashInvariant folds the record's share of InvariantKey: the signature, and
+// the one peer fact both encodings agree on — whether a p2p record is a
+// pattern, which absolute peer a collective names.
+func (r *CommRecord) hashInvariant(h fp.Hash) fp.Hash {
+	var flags uint64
+	if r.Ev.Wildcard {
+		flags |= 1
 	}
-	return h
+	if !r.Ev.Op.IsPointToPoint() {
+		return r.hashSignature(h, flags).Int(int64(r.Ev.Peer))
+	}
+	if r.Peers != nil {
+		flags |= 8
+	}
+	return r.hashSignature(h, flags)
 }
 
 // hashPattern folds a peer-pattern's smallest period, the exact value
@@ -152,7 +188,7 @@ func (c *RankCTT) SpanRel() fp.Hash {
 }
 
 // hashControl folds the control-flow payload and record/cycle shape shared by
-// both fingerprints.
+// both fingerprints and the invariant key.
 func (d *VData) hashControl(h fp.Hash) fp.Hash {
 	// Manual empty-vector folds: comm leaves — the bulk of all vertices —
 	// have empty Counts and Taken, and the single length word the Hash
@@ -218,4 +254,26 @@ func (d *VData) FingerprintAbs() (_ fp.Hash, ok bool) {
 		}
 	}
 	return h, true
+}
+
+// InvariantKey returns the payload's encoding-invariant key (see the file
+// header): payloads merge.compatible accepts have equal keys, and no
+// unification changes a payload's key.
+func (d *VData) InvariantKey() fp.Hash {
+	h := d.hashControl(fp.New())
+	for _, r := range d.Records {
+		h = r.hashInvariant(h)
+	}
+	return h
+}
+
+// InvariantKeyCached returns InvariantKey, memoized on the payload. Like
+// FingerprintRelCached it is for finished vertex data only; unlike it, it
+// needs no invalidation, since unification leaves the key alone.
+func (d *VData) InvariantKeyCached() fp.Hash {
+	if !d.keyOK {
+		d.key = d.InvariantKey()
+		d.keyOK = true
+	}
+	return d.key
 }

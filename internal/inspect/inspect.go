@@ -13,6 +13,7 @@ import (
 	"io"
 
 	"repro/internal/cst"
+	"repro/internal/fp"
 	"repro/internal/merge"
 )
 
@@ -42,6 +43,12 @@ type LeafRow struct {
 	Op  string `json:"op"`
 	// Groups is the number of rank groups at this leaf (1 = perfectly SPMD).
 	Groups int `json:"groups"`
+	// Keys is the number of distinct encoding-invariant keys
+	// (ctt.VData.InvariantKey) among those groups, and says why the leaf
+	// split: Keys == Groups means every group differs in an operation
+	// parameter (size, tag, count, request list) and no peer encoding could
+	// have folded them; Keys == 1 means the groups differ in peer only.
+	Keys int `json:"keys"`
 	// Records is the number of stored records summed over groups.
 	Records int64 `json:"records"`
 	// Events is the number of original events the leaf's records stand for,
@@ -110,6 +117,7 @@ func Analyze(m *merge.Merged) *Analysis {
 	a.Summary.EventCount = m.EventCount
 	a.Summary.Vertices = len(m.Entries)
 	groupsOf := map[int]int{}
+	keys := map[fp.Hash]struct{}{} // distinct invariant keys of the vertex at hand
 	for gid, es := range m.Entries {
 		if len(es) == 0 {
 			continue
@@ -121,10 +129,12 @@ func Analyze(m *merge.Merged) *Analysis {
 
 		var leaf LeafRow
 		var st StrideRow
+		clear(keys)
 		for _, e := range es {
 			if e.Data == nil {
 				continue
 			}
+			keys[e.Data.InvariantKey()] = struct{}{}
 			nr := e.Ranks.Len()
 			a.Summary.SizeBytes += e.Data.SizeBytes() + e.Ranks.SizeBytes()
 			for _, r := range e.Data.Records {
@@ -155,6 +165,7 @@ func Analyze(m *merge.Merged) *Analysis {
 			leaf.GID = int32(gid)
 			leaf.Op = leafOp(v)
 			leaf.Groups = len(es)
+			leaf.Keys = len(keys)
 			leaf.Ratio = ratio(leaf.Events, leaf.Records)
 			leaf.Ranks = es[0].Ranks.String()
 			if len(es) > 1 {
@@ -217,11 +228,11 @@ func (a *Analysis) WriteText(w io.Writer) error {
 
 	if len(a.Leaves) > 0 {
 		fmt.Fprintf(w, "\nleaves:\n")
-		fmt.Fprintf(w, "  %6s %-12s %7s %8s %10s %8s %5s %5s %9s  %s\n",
-			"gid", "op", "groups", "records", "events", "ratio", "rel", "pat", "bytes", "ranks")
+		fmt.Fprintf(w, "  %6s %-12s %7s %5s %8s %10s %8s %5s %5s %9s  %s\n",
+			"gid", "op", "groups", "keys", "records", "events", "ratio", "rel", "pat", "bytes", "ranks")
 		for _, l := range a.Leaves {
-			fmt.Fprintf(w, "  %6d %-12s %7d %8d %10d %8.1f %5d %5d %9d  %s\n",
-				l.GID, l.Op, l.Groups, l.Records, l.Events, l.Ratio,
+			fmt.Fprintf(w, "  %6d %-12s %7d %5d %8d %10d %8.1f %5d %5d %9d  %s\n",
+				l.GID, l.Op, l.Groups, l.Keys, l.Records, l.Events, l.Ratio,
 				l.RelEncoded, l.Patterns, l.Bytes, l.Ranks)
 		}
 	}

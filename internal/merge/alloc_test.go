@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/ctt"
 	"repro/internal/obs"
+	"repro/internal/rankset"
+	"repro/internal/timestat"
+	"repro/internal/trace"
 )
 
 // TestDecodeAllocs pins the slab-backed decode path. Decoding a merged trace
@@ -115,5 +119,51 @@ func TestPairFingerprintFastPathAllocs(t *testing.T) {
 	// recycled, and the fast-path pair itself allocates nothing.
 	if allocs > 8 {
 		t.Errorf("fingerprint fast-path pair allocates %.1f allocs/op, want <= 8", allocs)
+	}
+}
+
+// TestPairFragmentedSteadyStateAllocs pins where the key index lives. A
+// vertex with 64 groups on the left and 8 new ones on the right — no two
+// alike, the SP shape — sends every right entry through the index and
+// appends it. The index (one map, one chain slice) belongs to the lane's
+// leafCtx and is cleared, not reallocated, per vertex, so once it has grown
+// to the list's size a Pair costs no allocation of its own: the left list
+// here has room for the appended entries, which leaves nothing else to
+// allocate.
+func TestPairFragmentedSteadyStateAllocs(t *testing.T) {
+	const nl, nr = 64, 8
+	entries := func(n, rank0, size0 int) []Entry {
+		es := make([]Entry, n)
+		for i := range es {
+			d := &ctt.VData{Records: []*ctt.CommRecord{{
+				Ev:      trace.Event{Op: trace.OpSend, Size: size0 + i, Peer: rank0 + i + 1},
+				PeerRel: 1, Count: 10,
+				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev),
+			}}}
+			es[i] = Entry{Ranks: rankset.Single(rank0 + i), Data: d, owns: true,
+				fpRel: d.FingerprintRelCached(), fpOK: true}
+		}
+		return es
+	}
+	left := append(make([]Entry, 0, nl+nr), entries(nl, 0, 1000)...)
+	a := &Merged{Entries: [][]Entry{nil}}
+	b := &Merged{Entries: [][]Entry{entries(nr, nl, 2000)}, NumRanks: nr}
+	x := &leafCtx{}
+	step := func() {
+		a.Entries[0], a.NumRanks = left, nl
+		m, err := x.pair(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Entries[0]) != nl+nr {
+			t.Fatalf("%d groups after the pair, want %d: the fixture folded", len(m.Entries[0]), nl+nr)
+		}
+	}
+	step()
+	if len(x.probe.next) != nl+nr {
+		t.Fatalf("index holds %d entries, want %d: the pair did not go through it", len(x.probe.next), nl+nr)
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
+		t.Errorf("steady-state fragmented pair allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ctt"
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/npb"
 	"repro/internal/replay"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -23,7 +24,7 @@ func setFingerprint(t *testing.T, on bool) {
 	t.Cleanup(func() { fingerprintEnabled = prev })
 }
 
-func encodeBytes(t *testing.T, m *Merged) []byte {
+func encodeBytes(t testing.TB, m *Merged) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := m.Encode(&buf); err != nil {
@@ -219,5 +220,43 @@ func TestFingerprintEquivalence1000(t *testing.T) {
 	}
 	if split < 3 {
 		t.Fatalf("only %d vertices split into 4 groups; loop divergence not captured", split)
+	}
+}
+
+// TestFingerprintEquivalenceNPB holds the keyed probe to the exhaustive scan
+// on the three workloads that fragment, each for its own reason: SP splits
+// every leaf by message size (one key per group: the index rejects almost
+// every probe), CG splits by peer alone (one key per leaf: the index rejects
+// nothing and every chain is the whole list), DT mixes wildcard receives with
+// a shuffled graph. All at 1 and 4 workers and Serial must encode to exactly
+// the bytes of the fingerprintEnabled=false run of the same schedule, which
+// consults neither fingerprints nor keys and so stays the oracle.
+func TestFingerprintEquivalenceNPB(t *testing.T) {
+	for _, name := range []string{"SP", "CG", "DT"} {
+		for _, n := range []int{64, 256} {
+			src := npb.Get(name).Source(n, npb.Small)
+			// Pair consumes its operands: every merge gets fresh trees.
+			merged := func(fpOn bool, merge func([]*ctt.RankCTT) (*Merged, error)) []byte {
+				setFingerprint(t, fpOn)
+				_, ctts, _ := collect(t, src, n)
+				m, err := merge(ctts)
+				if err != nil {
+					t.Fatalf("%s-%d: %v", name, n, err)
+				}
+				return encodeBytes(t, m)
+			}
+			all := func(workers int) func([]*ctt.RankCTT) (*Merged, error) {
+				return func(c []*ctt.RankCTT) (*Merged, error) { return All(c, workers) }
+			}
+			refAll, refSerial := merged(false, all(1)), merged(false, Serial)
+			for _, workers := range []int{1, 4} {
+				if !bytes.Equal(merged(true, all(workers)), refAll) {
+					t.Errorf("%s-%d: All(%d workers) differs from the exhaustive reference", name, n, workers)
+				}
+			}
+			if !bytes.Equal(merged(true, Serial), refSerial) {
+				t.Errorf("%s-%d: Serial differs from the exhaustive reference", name, n)
+			}
+		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rankset"
 	"repro/internal/replay"
+	"repro/internal/stride"
 	"repro/internal/trace"
 )
 
@@ -152,6 +154,49 @@ func TestDecodeRejectsHostileRankCount(t *testing.T) {
 	}
 }
 
+// hostileRankSetSeeds returns encodings the decoder accepts whose rank sets
+// break what the Streamer's rank table might be tempted to assume: setRuns
+// checks a set's run order and strides, but neither that its members lie in
+// [0, NumRanks) nor that the sets of one vertex are disjoint. Each seed is
+// the 8-rank divergent fixture with the first two rank sets of a multi-group
+// vertex replaced: a run of 2^62 members (a table filled by counting to
+// Count never returns), the same with a stride whose last member overflows
+// int64, a member past NumRanks (an out-of-range cell), a run starting below
+// zero, and two entries that both claim ranks 2 and 3 (the first must win,
+// as it does in the scan).
+func hostileRankSetSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	fixture := fuzzSeeds(t)[2]
+	for _, sets := range [][2][]stride.Run{
+		{{{First: 0, Stride: 1, Count: 1 << 62}}, {{First: 1, Stride: 2, Count: 2}}},
+		{{{First: 1, Stride: 3, Count: 1 << 62}}, {{First: 0, Stride: 2, Count: 3}}},
+		{{{First: 0, Stride: 2, Count: 3}}, {{First: 5, Stride: 1, Count: 10}}},
+		{{{First: -4, Stride: 2, Count: 5}}, {{First: 1, Stride: 2, Count: 3}}},
+		{{{First: 0, Stride: 1, Count: 4}}, {{First: 2, Stride: 1, Count: 4}}},
+	} {
+		m, err := Decode(bytes.NewReader(fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gid := -1
+		for g, es := range m.Entries {
+			if len(es) >= 2 {
+				gid = g
+				break
+			}
+		}
+		if gid < 0 {
+			t.Fatal("divergent fixture has no multi-group vertex")
+		}
+		for i, runs := range sets {
+			m.Entries[gid][i].Ranks = rankset.FromRuns(runs)
+		}
+		out = append(out, encodeBytes(t, m))
+	}
+	return out
+}
+
 // FuzzDecodeRoundTrip feeds arbitrary bytes to the slab-backed decoder and
 // checks two properties:
 //
@@ -245,6 +290,10 @@ func replayBounded(m *Merged) bool {
 	return true
 }
 
+// replayAllBudget caps the rank count up to which FuzzReplayDecoded also
+// replays every rank through ReplayAll (the path that builds the rank table).
+const replayAllBudget = 64
+
 // FuzzReplayDecoded replays decoded (possibly adversarial) merged trees
 // through both decompression paths and checks:
 //
@@ -255,9 +304,14 @@ func replayBounded(m *Merged) bool {
 //  2. Identity: whenever the reference rankView walk replays a rank, the
 //     Streamer replays the identical event sequence, and both fail together
 //     otherwise — the skeleton-sharing fast path may not diverge from the
-//     per-rank walk even on hostile inputs.
+//     per-rank walk even on hostile inputs. This holds for a rank resolved on
+//     its own (Replay on a fresh Streamer: the Contains scan) and for all
+//     ranks resolved through the rank table (ReplayAll on another).
 func FuzzReplayDecoded(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range hostileRankSetSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -269,14 +323,15 @@ func FuzzReplayDecoded(f *testing.F) {
 			return
 		}
 		nr := m.NumRanks
-		if nr > 8 {
+		if nr > replayAllBudget {
 			nr = 8
 		}
+		want := make([][]trace.Event, nr)
+		firstBad := nr // first rank the reference cannot replay
 		s := NewStreamer(m)
 		for rank := 0; rank < nr; rank++ {
-			var want []trace.Event
 			wantErr := replay.Events(m.ForRank(rank), rank, func(e *trace.Event) {
-				want = append(want, *e)
+				want[rank] = append(want[rank], *e)
 			})
 			var got []trace.Event
 			gotErr := s.Replay(rank, func(e *trace.Event) {
@@ -286,11 +341,32 @@ func FuzzReplayDecoded(f *testing.F) {
 				t.Fatalf("rank %d: rankView err=%v, streamer err=%v", rank, wantErr, gotErr)
 			}
 			if wantErr != nil {
+				if firstBad == nr {
+					firstBad = rank
+				}
 				continue
 			}
-			if !reflect.DeepEqual(want, got) {
+			if !reflect.DeepEqual(want[rank], got) {
 				t.Fatalf("rank %d: streamer sequence differs from rankView (%d vs %d events)",
-					rank, len(got), len(want))
+					rank, len(got), len(want[rank]))
+			}
+		}
+		if m.NumRanks > replayAllBudget {
+			return
+		}
+		// One worker visits ranks in order and stops at the first error, so
+		// everything before the reference's first failure must have arrived.
+		got := make([][]trace.Event, nr)
+		err = NewStreamer(m).ReplayAll(1, func(rank int, e *trace.Event) {
+			got[rank] = append(got[rank], *e)
+		})
+		if (err != nil) != (firstBad < nr) {
+			t.Fatalf("ReplayAll err=%v, but the reference first fails at rank %d of %d", err, firstBad, nr)
+		}
+		for rank := 0; rank < firstBad; rank++ {
+			if !reflect.DeepEqual(want[rank], got[rank]) {
+				t.Fatalf("rank %d: ReplayAll sequence differs from rankView (%d vs %d events)",
+					rank, len(got[rank]), len(want[rank]))
 			}
 		}
 	})

@@ -1,0 +1,445 @@
+package merge
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/ctt"
+	"repro/internal/fp"
+	"repro/internal/npb"
+	"repro/internal/obs"
+	"repro/internal/rankset"
+	"repro/internal/timestat"
+	"repro/internal/trace"
+)
+
+// The probe index skips a left entry because its key differs from the right
+// entry's, without looking at it. That is sound only if compatible() could
+// not have accepted the pair — compatible(a, b) ⇒ key(a) == key(b) — and only
+// if a key memoized before earlier right entries were unified into a left
+// entry still describes it. Byte-identity
+// against the exhaustive reference (fingerprint_equiv_test.go) checks the
+// outcome on real workloads; the tests here check those two obligations
+// directly, on payloads built to sit close to every line of compatible().
+
+var keyOps = []trace.Op{
+	trace.OpSend, trace.OpRecv, trace.OpIsend, trace.OpIrecv,
+	trace.OpReduce, trace.OpAllreduce, trace.OpWaitall,
+}
+
+func randStat(rng *rand.Rand) timestat.Stat {
+	mode := timestat.ModeMeanStddev
+	if rng.Intn(3) == 0 {
+		mode = timestat.ModeHistogram
+	}
+	s := timestat.Make(mode)
+	s.Add(float64(100 + rng.Intn(900)))
+	return s
+}
+
+// randRecord draws a record from a deliberately small parameter space, so
+// two independent draws agree on a field often enough for whole payloads to
+// be compatible now and then.
+func randRecord(rng *rand.Rand) *ctt.CommRecord {
+	r := &ctt.CommRecord{
+		Ev: trace.Event{
+			Op:   keyOps[rng.Intn(len(keyOps))],
+			Size: 64 << rng.Intn(2),
+			Tag:  rng.Intn(2),
+			Comm: rng.Intn(2),
+			Peer: rng.Intn(3),
+		},
+		PeerRel: rng.Intn(3) - 1,
+		Count:   int64(1 + rng.Intn(2)),
+		Time:    randStat(rng),
+		Compute: randStat(rng),
+	}
+	if r.Ev.Op == trace.OpWaitall {
+		for k := rng.Intn(3); k > 0; k-- {
+			r.Ev.Reqs = append(r.Ev.Reqs, int32(rng.Intn(2)))
+		}
+	}
+	if r.Ev.Op.IsPointToPoint() {
+		r.Ev.Wildcard = r.Ev.Op == trace.OpRecv && rng.Intn(4) == 0
+		switch rng.Intn(5) {
+		case 0:
+			r.Peers = &ctt.PeerPattern{Period: []int32{1, int32(rng.Intn(2)) - 1}}
+		case 1:
+			r.RelEncoded = true
+		case 2:
+			r.RelUnsafe = true
+		}
+	}
+	return r
+}
+
+func randVData(rng *rand.Rand) *ctt.VData {
+	d := &ctt.VData{}
+	for k := rng.Intn(3); k > 0; k-- {
+		d.Counts.Append(int64(rng.Intn(3)))
+	}
+	for k, x := rng.Intn(3), int64(0); k > 0; k-- {
+		x += int64(1 + rng.Intn(2))
+		d.Taken.Add(x)
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		d.Records = append(d.Records, randRecord(rng))
+	}
+	if len(d.Records) > 1 && rng.Intn(3) == 0 {
+		d.Cycles = []ctt.Cycle{{Start: 0, Len: int32(len(d.Records)), Reps: int64(2 + rng.Intn(2))}}
+	}
+	return d
+}
+
+// cloneVData deep-copies everything compatible() and the unifiers read or
+// write.
+func cloneVData(d *ctt.VData) *ctt.VData {
+	c := &ctt.VData{Cycles: append([]ctt.Cycle(nil), d.Cycles...)}
+	for _, x := range d.Counts.Values() {
+		c.Counts.Append(x)
+	}
+	for _, x := range d.Taken.Values() {
+		c.Taken.Add(x)
+	}
+	for _, r := range d.Records {
+		cr := *r
+		cr.Ev.Reqs = append([]int32(nil), r.Ev.Reqs...)
+		cr.Time, cr.Compute = *r.Time.Clone(), *r.Compute.Clone()
+		if r.Peers != nil {
+			cr.Peers = &ctt.PeerPattern{Period: append([]int32(nil), r.Peers.Period...)}
+		}
+		c.Records = append(c.Records, &cr)
+	}
+	return c
+}
+
+// mutate changes one thing about d: a field compatible() compares, a field
+// only one encoding compares, or a field it ignores.
+func mutate(rng *rand.Rand, d *ctt.VData) {
+	if len(d.Records) == 0 || rng.Intn(8) == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			d.Counts.Append(int64(rng.Intn(3)))
+		case 1:
+			d.Records = append(d.Records, randRecord(rng))
+		case 2:
+			d.Cycles = append(d.Cycles, ctt.Cycle{Len: 1, Reps: 2})
+		}
+		return
+	}
+	r := d.Records[rng.Intn(len(d.Records))]
+	switch rng.Intn(13) {
+	case 0:
+		r.Ev.Size++
+	case 1:
+		r.Ev.Tag++
+	case 2:
+		r.Ev.Comm++
+	case 3:
+		r.Count++
+	case 4:
+		r.Ev.Wildcard = !r.Ev.Wildcard
+	case 5:
+		r.Ev.Reqs = append(r.Ev.Reqs, 1)
+	case 6:
+		r.Ev.Peer++
+	case 7:
+		r.PeerRel++
+	case 8:
+		r.RelEncoded, r.RelUnsafe = !r.RelEncoded, false
+	case 9:
+		r.RelUnsafe, r.RelEncoded = !r.RelUnsafe, false
+	case 10:
+		if r.Peers == nil && r.Ev.Op.IsPointToPoint() {
+			r.Peers = &ctt.PeerPattern{Period: []int32{1, -1}}
+		} else if r.Peers != nil {
+			r.Peers.Period[0]++
+		}
+	case 11:
+		r.Time = timestat.Make(timestat.ModeHistogram)
+	case 12:
+		r.Ev.Op = keyOps[rng.Intn(len(keyOps))]
+	}
+}
+
+// TestCompatibleImpliesEqualKeys is the necessity half: whatever pair
+// compatible() accepts, under either noRel setting, has equal keys. It also
+// requires a healthy share of accepted pairs and of unequal keys, so a
+// generator drifting into all-incompatible (or a key that hashes nothing)
+// fails the test instead of passing it vacuously.
+func TestCompatibleImpliesEqualKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var sc probeScratch
+	const trials = 40000
+	accepted, distinct := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		a := randVData(rng)
+		var b *ctt.VData
+		switch rng.Intn(4) {
+		case 0:
+			b = randVData(rng)
+		case 1:
+			b = cloneVData(a)
+		default:
+			b = cloneVData(a)
+			mutate(rng, b)
+		}
+		ka, kb := a.InvariantKey(), b.InvariantKey()
+		if ka != kb {
+			distinct++
+		}
+		for _, noRel := range []bool{false, true} {
+			st := mergeState{noRel: noRel, sc: &sc}
+			if _, ok := st.compatible(a, b); ok {
+				accepted++
+				if ka != kb {
+					t.Fatalf("trial %d noRel=%v: compatible payloads have keys %x and %x\na: %s\nb: %s",
+						trial, noRel, ka, kb, dumpVData(a), dumpVData(b))
+				}
+			}
+		}
+	}
+	if accepted < trials/10 || distinct < trials/10 {
+		t.Fatalf("generator too lopsided to mean anything: %d accepted verdicts, %d unequal key pairs in %d trials",
+			accepted, distinct, trials)
+	}
+}
+
+// TestUnifyKeepsKey is the stability half: no unifier — the walk's or either
+// fingerprint fast path's — changes the key of the payload it folds into.
+// The fast unifiers are run on every same-shape pair, not only on pairs the
+// fingerprints would route to them: they touch encoding marks and statistics
+// whatever they are given, and the key must not depend on either.
+func TestUnifyKeepsKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	var sc probeScratch
+	walked := 0
+	for trial := 0; trial < 20000; trial++ {
+		a := randVData(rng)
+		b := cloneVData(a)
+		if rng.Intn(2) == 0 {
+			mutate(rng, b)
+		}
+		if len(a.Records) != len(b.Records) {
+			continue
+		}
+		want := a.InvariantKey()
+		check := func(how string, d *ctt.VData) {
+			if got := d.InvariantKey(); got != want {
+				t.Fatalf("trial %d: %s moved the key %x -> %x\nbefore: %s\nafter:  %s\nother:  %s",
+					trial, how, want, got, dumpVData(a), dumpVData(d), dumpVData(b))
+			}
+		}
+		for _, noRel := range []bool{false, true} {
+			st := mergeState{noRel: noRel, sc: &sc}
+			if rel, ok := st.compatible(a, b); ok {
+				walked++
+				d := cloneVData(a)
+				unify(d, b, rel)
+				check(fmt.Sprintf("unify(noRel=%v)", noRel), d)
+			}
+		}
+		d := cloneVData(a)
+		unifyFastRel(d, b)
+		check("unifyFastRel", d)
+		d = cloneVData(a)
+		unifyFastAbs(d, b)
+		check("unifyFastAbs", d)
+	}
+	if walked < 1000 {
+		t.Fatalf("only %d compatible pairs reached unify", walked)
+	}
+}
+
+func dumpVData(d *ctt.VData) string {
+	s := fmt.Sprintf("counts=%v taken=%v cycles=%v", d.Counts.String(), d.Taken.String(), d.Cycles)
+	for _, r := range d.Records {
+		s += fmt.Sprintf(" {op=%v size=%d tag=%d comm=%d peer=%d rel=%d n=%d wild=%v reqs=%v enc=%v unsafe=%v pat=%v hist=%v/%v}",
+			r.Ev.Op, r.Ev.Size, r.Ev.Tag, r.Ev.Comm, r.Ev.Peer, r.PeerRel, r.Count, r.Ev.Wildcard,
+			r.Ev.Reqs, r.RelEncoded, r.RelUnsafe, r.Peers, r.Time.Hist != nil, r.Compute.Hist != nil)
+	}
+	return s
+}
+
+// TestEntryListsMatchesScan runs the probe routine itself against its own
+// unindexed scan on random entry lists drawn from the small parameter space
+// above, where a right entry often has several compatible left entries (a
+// poisoned absolute record and a rel-encoded one both accept a plain record
+// that agrees with each) and right entries are often compatible with one
+// another. Which left entry wins, and that an appended right entry is there
+// for the next one to find, is then visible in the result: same groups, same
+// ranks, same encoding marks, and tallies that add up to the scan's walks.
+func TestEntryListsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	build := func(ds []*ctt.VData, base int) []Entry {
+		es := make([]Entry, len(ds))
+		for i, d := range ds {
+			es[i] = Entry{Ranks: rankset.Single(base + i), Data: cloneVData(d), owns: true}
+		}
+		return es
+	}
+	render := func(es []Entry) string {
+		var out string
+		for _, e := range es {
+			out += e.Ranks.String() + " " + dumpVData(e.Data) + "\n"
+		}
+		return out
+	}
+	var indexedLists, multiChoice int
+	for trial := 0; trial < 3000; trial++ {
+		// A few templates, mutated, so that keys repeat within a list.
+		templates := []*ctt.VData{randVData(rng), randVData(rng), randVData(rng)}
+		draw := func(n int) []*ctt.VData {
+			ds := make([]*ctt.VData, n)
+			for i := range ds {
+				ds[i] = cloneVData(templates[rng.Intn(len(templates))])
+				if rng.Intn(3) > 0 {
+					mutate(rng, ds[i])
+				}
+			}
+			return ds
+		}
+		lds, rds := draw(rng.Intn(3*indexMin)), draw(1+rng.Intn(2*indexMin))
+		noRel := rng.Intn(4) == 0
+
+		scan := mergeState{noRel: noRel, sc: new(probeScratch)}
+		want := scan.entryLists(build(lds, 0), build(rds, 100))
+		keyed := mergeState{noRel: noRel, keyOn: true, sc: new(probeScratch)}
+		got := keyed.entryLists(build(lds, 0), build(rds, 100))
+
+		if render(got) != render(want) {
+			t.Fatalf("trial %d (noRel=%v): keyed probe and scan disagree\nkeyed:\n%sscan:\n%s", trial, noRel, render(got), render(want))
+		}
+		if keyed.walks+keyed.keyRejects != scan.walks || keyed.unmerged != scan.unmerged {
+			t.Fatalf("trial %d: keyed %d walks + %d rejects, %d unmerged; scan %d walks, %d unmerged",
+				trial, keyed.walks, keyed.keyRejects, keyed.unmerged, scan.walks, scan.unmerged)
+		}
+		if len(keyed.sc.next) > 0 {
+			indexedLists++
+		}
+		// Count trials where the winner was a choice: some right entry is
+		// compatible with two or more of the original left entries.
+		for _, r := range rds {
+			n := 0
+			for _, l := range lds {
+				if _, ok := scan.compatible(l, r); ok {
+					n++
+				}
+			}
+			if n > 1 && len(lds) >= indexMin {
+				multiChoice++
+				break
+			}
+		}
+	}
+	if indexedLists < 500 || multiChoice < 200 {
+		t.Fatalf("generator too tame: %d trials used the index, %d offered a choice of winner", indexedLists, multiChoice)
+	}
+}
+
+// mergeCounters runs one All over freshly collected trees of an npb workload
+// with a sink attached and returns the sink.
+func mergeCounters(t *testing.T, name string, n int) *obs.Sink {
+	t.Helper()
+	_, ctts, _ := collect(t, npb.Get(name).Source(n, npb.Small), n)
+	s := obs.New()
+	SetObs(s)
+	defer SetObs(nil)
+	if _, err := All(ctts, 1); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestMergeWalksFollowGroups is the scaling claim as exact counts. On SP no
+// two ranks' leaves fold, so every right entry ends up appended as a group of
+// its own; the exhaustive scan walked it against every group already there —
+// walks grow with the square of the group count — where every group of an SP
+// leaf has a key of its own and the keyed probe walks none of them. The walks
+// must stay under the number of entries placed, at every size, and the three
+// tallies must still add up to the probes the scan makes (counted by running
+// the scan: with fingerprints off every probe is a walk).
+func TestMergeWalksFollowGroups(t *testing.T) {
+	for _, n := range []int{64, 256, 1024} {
+		s := mergeCounters(t, "SP", n)
+		walks, unmerged := s.Value(obs.MergeExhaustiveWalks), s.Value(obs.MergeEntriesUnmerged)
+		hits := s.Value(obs.MergeFPRelHits) + s.Value(obs.MergeFPAbsHits)
+		rejects := s.Value(obs.MergeKeyRejects)
+		t.Logf("SP-%d: %d walks, %d key rejects, %d fingerprint hits, %d entries unmerged", n, walks, rejects, hits, unmerged)
+		if unmerged == 0 || rejects == 0 {
+			t.Fatalf("SP-%d: %d unmerged entries, %d key rejects; the workload no longer fragments", n, unmerged, rejects)
+		}
+		if walks > unmerged {
+			t.Errorf("SP-%d: %d exhaustive walks for %d unmerged entries", n, walks, unmerged)
+		}
+		if n > 256 {
+			continue // the quadratic reference is the slow part
+		}
+		setFingerprint(t, false)
+		ref := mergeCounters(t, "SP", n)
+		setFingerprint(t, true)
+		if probes := ref.Value(obs.MergeExhaustiveWalks); hits+rejects+walks != probes {
+			t.Errorf("SP-%d: %d hits + %d key rejects + %d walks != %d probes of the exhaustive scan",
+				n, hits, rejects, walks, probes)
+		}
+		if ref.Value(obs.MergeKeyRejects) != 0 {
+			t.Errorf("SP-%d: the exhaustive reference consulted the key index", n)
+		}
+	}
+}
+
+// TestInvariantKeyIgnoresWhatCompatibleIgnores pins the key's exclusions one
+// by one: stat storage shape, both peer encodings of a p2p record, the
+// encoding marks and the pattern period must not move it; pattern presence,
+// a collective's root and every signature field must.
+func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
+	base := func() *ctt.VData {
+		return &ctt.VData{Records: []*ctt.CommRecord{
+			{Ev: trace.Event{Op: trace.OpSend, Size: 64, Peer: 3, Tag: 1}, PeerRel: 1, Count: 2,
+				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
+			{Ev: trace.Event{Op: trace.OpReduce, Size: 8, Peer: 0}, Count: 1,
+				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
+		}}
+	}
+	want := base().InvariantKey()
+	for _, tc := range []struct {
+		name string
+		edit func(d *ctt.VData)
+		same bool
+	}{
+		{"histogram stats", func(d *ctt.VData) { d.Records[0].Time = timestat.Make(timestat.ModeHistogram) }, true},
+		{"p2p absolute peer", func(d *ctt.VData) { d.Records[0].Ev.Peer = 9 }, true},
+		{"p2p relative peer", func(d *ctt.VData) { d.Records[0].PeerRel = -4 }, true},
+		{"rel-encoded", func(d *ctt.VData) { d.Records[0].RelEncoded = true }, true},
+		{"rel-unsafe", func(d *ctt.VData) { d.Records[0].RelUnsafe = true }, true},
+		{"pattern presence", func(d *ctt.VData) { d.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}} }, false},
+		{"collective root", func(d *ctt.VData) { d.Records[1].Ev.Peer = 1 }, false},
+		{"size", func(d *ctt.VData) { d.Records[0].Ev.Size = 65 }, false},
+		{"tag", func(d *ctt.VData) { d.Records[0].Ev.Tag = 2 }, false},
+		{"comm", func(d *ctt.VData) { d.Records[0].Ev.Comm = 1 }, false},
+		{"run length", func(d *ctt.VData) { d.Records[0].Count = 3 }, false},
+		{"wildcard", func(d *ctt.VData) { d.Records[0].Ev.Wildcard = true }, false},
+		{"request list", func(d *ctt.VData) { d.Records[1].Ev.Reqs = []int32{4} }, false},
+		{"loop counts", func(d *ctt.VData) { d.Counts.Append(5) }, false},
+		{"taken set", func(d *ctt.VData) { d.Taken.Add(2) }, false},
+		{"cycles", func(d *ctt.VData) { d.Cycles = []ctt.Cycle{{Len: 2, Reps: 3}} }, false},
+	} {
+		d := base()
+		tc.edit(d)
+		if got := d.InvariantKey(); (got == want) != tc.same {
+			t.Errorf("%s: key equal = %v, want %v", tc.name, got == want, tc.same)
+		}
+	}
+	// Two patterns with different periods: same key, the period is a peer fact.
+	p, q := base(), base()
+	p.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}}
+	q.Records[0].Peers = &ctt.PeerPattern{Period: []int32{2, -2}}
+	if p.InvariantKey() != q.InvariantKey() {
+		t.Error("pattern period moved the key")
+	}
+	var zero fp.Hash
+	if want == zero {
+		t.Error("degenerate key")
+	}
+}

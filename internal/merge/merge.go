@@ -16,7 +16,11 @@
 // instead of walking every record. Fingerprint equality plus O(1) shape
 // guards implies the exhaustive walk would succeed with identical per-record
 // decisions; a mismatch falls back to the walk, so fingerprinting never
-// changes grouping, only the cost of discovering it. Whole trees carry a
+// changes grouping, only the cost of discovering it. A third hash, the
+// encoding-invariant key, works the other way round: unequal keys prove two
+// payloads incompatible, so a vertex with many rank groups indexes its left
+// entries by key and a right entry probes only the ones that share its own
+// (see entryLists), instead of walking every group. Whole trees carry a
 // span fingerprint over their entry fingerprints, letting a reduction step
 // over two uniform trees skip even the per-vertex compatibility checks.
 package merge
@@ -214,6 +218,9 @@ type leafCtx struct {
 	scratchLists   [][]Entry
 	scratchEntries []Entry
 	scratchSets    []rankset.Set
+
+	// probe is the lane's entryLists scratch, reused by every Pair on it.
+	probe probeScratch
 }
 
 // durableLeaf builds rank i's leaf tree out of the chunked slabs.
@@ -270,7 +277,7 @@ func (x *leafCtx) scratchLeaf(i int) *Merged {
 // pair merges b into a, retiring the scratch tree when an unmergeable
 // scratch entry escaped into the survivor.
 func (x *leafCtx) pair(a, b *Merged) (*Merged, error) {
-	m, escaped, err := pairEsc(a, b)
+	m, escaped, err := pairEsc(a, b, &x.probe)
 	if escaped && b == x.scratch {
 		x.scratch = nil
 		sink.Inc(obs.MergeScratchRetires)
@@ -311,15 +318,16 @@ func (m *Merged) refreshSummary() {
 // Pair merges b into a and returns a. Both operands are consumed: the
 // result aliases and mutates their data. Trees must be identical (SPMD).
 func Pair(a, b *Merged) (*Merged, error) {
-	m, _, err := pairEsc(a, b)
+	m, _, err := pairEsc(a, b, new(probeScratch))
 	return m, err
 }
 
 // pairEsc is Pair, additionally reporting whether any of b's entries escaped
 // into the survivor (an unmergeable entry copied by the exhaustive fallback,
 // whose rank-set pointer then stays reachable from a). The reduction uses
-// this to decide whether b's scratch storage is safe to recycle.
-func pairEsc(a, b *Merged) (_ *Merged, escaped bool, _ error) {
+// this to decide whether b's scratch storage is safe to recycle. sc is
+// working storage the caller may hand to its next Pair.
+func pairEsc(a, b *Merged, sc *probeScratch) (_ *Merged, escaped bool, _ error) {
 	if a.TreeHash != b.TreeHash {
 		return nil, false, fmt.Errorf("merge: CST hash mismatch: %x vs %x", a.TreeHash, b.TreeHash)
 	}
@@ -336,7 +344,7 @@ func pairEsc(a, b *Merged) (_ *Merged, escaped bool, _ error) {
 	}
 	noRel := a.noRel || b.noRel
 	a.noRel = noRel
-	st := mergeState{noRel: noRel, fpOn: fingerprintEnabled && !noRel}
+	st := mergeState{noRel: noRel, fpOn: fingerprintEnabled && !noRel, keyOn: fingerprintEnabled, sc: sc}
 	sink.Inc(obs.MergePairs)
 	ranks := a.NumRanks + b.NumRanks
 	// Lane = reduction depth (log2 of the merged span), so Perfetto renders
@@ -370,23 +378,86 @@ func pairEsc(a, b *Merged) (_ *Merged, escaped bool, _ error) {
 	return a, st.escaped, nil
 }
 
-// mergeState carries per-Pair scratch: the reusable rel buffer of the
-// exhaustive compatibility walk (previously allocated per comparison) and
-// the fast-path configuration.
+// mergeState carries one Pair's configuration and tallies; sc is the
+// longer-lived scratch behind it.
 type mergeState struct {
-	noRel   bool
-	fpOn    bool
+	noRel bool
+	fpOn  bool
+	// keyOn lets key inequality reject a probe, one at a time in tryMerge
+	// and wholesale through entryLists' index. It follows fingerprintEnabled
+	// alone — the key holds under noRel too — so the exhaustive reference
+	// bypasses it together with the fingerprints.
+	keyOn   bool
 	dirty   bool // entry structure changed; whole-tree span needs refresh
 	escaped bool // an entry of b was copied into a (see pairEsc)
-	relBuf  []bool
+	sc      *probeScratch
 
 	// Per-Pair observation tallies, accumulated in plain fields on the hot
 	// entry loops and flushed to the package sink once per Pair (see obs.go).
 	fpRelHits  int64 // relative-fingerprint fast-path unifications
 	fpAbsHits  int64 // absolute-fingerprint fast-path unifications
+	keyRejects int64 // probes settled by key inequality, made or skipped by the index
 	walks      int64 // comparisons that fell back to the exhaustive walk
 	unmerged   int64 // right entries appended unmerged (new rank group)
 	poisonings int64 // records poisoned RelUnsafe by an absolute unification
+}
+
+// indexMin is the left-list length from which entryLists probes through the
+// key index instead of scanning. A scan already settles each probe by two
+// memoized keys, so on a short list it beats the map operations that build
+// the index, and a one-entry list — every vertex of a job that folds — must
+// touch no map at all. merge.All, ms, SP-1024 / MG-512 (parent 207 / 5.2):
+// 2 → 14.3 / 4.4, 4 → 12.1 / 3.9, 8 → 10.6 / 3.6, 16 → 10.8 / 3.5, 32 → 11.2
+// / 3.6; LU-128 never has eight groups at a vertex and stays on the scan.
+const indexMin = 8
+
+// probeScratch is entryLists' working storage: the rel buffer of the
+// exhaustive walk and the key index of the vertex being merged. One per
+// reduction lane (leafCtx), so a steady-state Pair allocates none of it.
+type probeScratch struct {
+	relBuf []bool
+	// chains maps a key to the first and last left index carrying it; next
+	// links each left index to the following one with the same key (-1 ends
+	// the chain), so a chain lists its entries in ascending order — the order
+	// the scan probes them in.
+	chains map[fp.Hash]chain
+	next   []int32
+}
+
+type chain struct{ head, tail int32 }
+
+// index rebuilds the key index over left.
+func (sc *probeScratch) index(left []Entry) {
+	if sc.chains == nil {
+		sc.chains = make(map[fp.Hash]chain)
+	}
+	clear(sc.chains)
+	sc.next = sc.next[:0]
+	for i := range left {
+		sc.add(left[i].Data.InvariantKeyCached())
+	}
+}
+
+// add indexes the next left entry: the list grows only at its end.
+func (sc *probeScratch) add(key fp.Hash) {
+	i := int32(len(sc.next))
+	sc.next = append(sc.next, -1)
+	c, ok := sc.chains[key]
+	if ok {
+		sc.next[c.tail] = i
+		c.tail = i
+	} else {
+		c = chain{head: i, tail: i}
+	}
+	sc.chains[key] = c
+}
+
+// first returns the lowest left index whose key is key, or -1.
+func (sc *probeScratch) first(key fp.Hash) int32 {
+	if c, ok := sc.chains[key]; ok {
+		return c.head
+	}
+	return -1
 }
 
 // pairFast merges two uniform trees whose span fingerprints matched. Every
@@ -421,17 +492,48 @@ func (st *mergeState) pairFast(a, b *Merged) {
 // entryLists folds right-hand entries into the left-hand list, unifying
 // rank groups whose data is compatible. Left entries are probed in order and
 // the first compatible one wins, exactly as the exhaustive-only merge did.
+// From indexMin left entries on, a right entry probes only the left entries
+// that share its invariant key: every entry the index leaves out has an
+// unequal key and so would have been rejected, which makes the winner, each
+// rel/abs/poison decision and the output bytes those of the full scan. The
+// entries left out are tallied as key rejects, so hits, rejects and walks
+// still add up to the probes the scan would have made.
 func (st *mergeState) entryLists(left, right []Entry) []Entry {
+	sc := st.sc
+	indexed := false
 	for ri := range right {
 		re := &right[ri]
-		merged := false
-		for i := range left {
-			if st.tryMerge(&left[i], re) {
-				merged = true
-				break
+		at := -1
+		if st.keyOn && len(left) >= indexMin {
+			if !indexed {
+				sc.index(left)
+				indexed = true
+			}
+			key := re.Data.InvariantKeyCached()
+			tried := 0
+			for i := sc.first(key); i >= 0; i = sc.next[i] {
+				tried++
+				if st.tryMerge(&left[i], re) {
+					at = int(i)
+					break
+				}
+			}
+			scanned := len(left)
+			if at >= 0 {
+				scanned = at + 1
+			} else {
+				sc.add(key)
+			}
+			st.keyRejects += int64(scanned - tried)
+		} else {
+			for i := range left {
+				if st.tryMerge(&left[i], re) {
+					at = i
+					break
+				}
 			}
 		}
-		if !merged {
+		if at < 0 {
 			left = append(left, *re)
 			st.escaped = true
 			st.unmerged++
@@ -449,19 +551,26 @@ func shapeEq(a, b *ctt.VData) bool {
 }
 
 // tryMerge unifies re into le when their payloads are compatible, reporting
-// whether it did. Fingerprint equality takes the O(1) fast paths; any
-// mismatch falls back to the exhaustive walk, so the merge decision is
-// always exactly the one compatible() would make.
+// whether it did. Three outcomes: fingerprint equality takes the O(1) fast
+// paths; key inequality proves the payloads incompatible; anything else
+// falls back to the exhaustive walk. The merge decision is always exactly
+// the one compatible() would make.
 func (st *mergeState) tryMerge(le, re *Entry) bool {
-	if st.fpOn && le.fpOK && re.fpOK && shapeEq(le.Data, re.Data) {
-		if le.fpRel == re.fpRel {
-			if unifyFastRel(le.Data, re.Data) {
-				le.invalidateAbs()
-			}
-			mergeRanks(le, re)
-			st.fpRelHits++
-			return true
+	fast := st.fpOn && le.fpOK && re.fpOK && shapeEq(le.Data, re.Data)
+	if fast && le.fpRel == re.fpRel {
+		if unifyFastRel(le.Data, re.Data) {
+			le.invalidateAbs()
 		}
+		mergeRanks(le, re)
+		st.fpRelHits++
+		return true
+	}
+	// Ahead of the absolute fingerprints, which a rejected pair need not hash.
+	if st.keyOn && le.Data.InvariantKeyCached() != re.Data.InvariantKeyCached() {
+		st.keyRejects++
+		return false
+	}
+	if fast {
 		le.ensureAbs()
 		re.ensureAbs()
 		if le.absOK && re.absOK && le.fpAbs == re.fpAbs {
@@ -595,10 +704,10 @@ func (st *mergeState) compatible(a, b *ctt.VData) ([]bool, bool) {
 			return nil, false
 		}
 	}
-	if cap(st.relBuf) < len(a.Records) {
-		st.relBuf = make([]bool, len(a.Records))
+	if cap(st.sc.relBuf) < len(a.Records) {
+		st.sc.relBuf = make([]bool, len(a.Records))
 	}
-	rel := st.relBuf[:len(a.Records)]
+	rel := st.sc.relBuf[:len(a.Records)]
 	for i := range a.Records {
 		r, ok := recordCompatible(a.Records[i], b.Records[i], st.noRel)
 		if !ok {
@@ -775,9 +884,10 @@ func Serial(ctts []*ctt.RankCTT) (*Merged, error) {
 		return nil, fmt.Errorf("merge: no trees")
 	}
 	acc := FromRank(ctts[0])
+	var sc probeScratch
 	for _, c := range ctts[1:] {
 		var err error
-		acc, err = Pair(acc, FromRank(c))
+		acc, _, err = pairEsc(acc, FromRank(c), &sc)
 		if err != nil {
 			return nil, err
 		}

@@ -42,6 +42,7 @@ func (st *mergeState) flush() {
 	}
 	sink.Add(obs.MergeFPRelHits, st.fpRelHits)
 	sink.Add(obs.MergeFPAbsHits, st.fpAbsHits)
+	sink.Add(obs.MergeKeyRejects, st.keyRejects)
 	sink.Add(obs.MergeExhaustiveWalks, st.walks)
 	sink.Add(obs.MergeEntriesUnmerged, st.unmerged)
 	sink.Add(obs.MergePoisonings, st.poisonings)

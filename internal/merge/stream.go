@@ -17,8 +17,19 @@
 // memoizes one REPLAY SKELETON ([]replay.Step) per selection class and
 // replays all other ranks of the class by a flat scan over the shared steps
 // (replay.EmitSkeleton / replay.Cursor), skipping the tree walk entirely.
-// For a P-rank SPMD job with k classes (k ≈ 1–3 in practice) the tree is
-// walked k times instead of P times.
+// For a P-rank job with k classes the tree is walked k times instead of P
+// times. k is a handful for a job that folds (a ring 3, LU-128 9, MG-512 18)
+// and P for one that does not: SP and CG at 1024 ranks have 1024 classes,
+// every rank its own, and there the resolve pass is most of Prepare.
+//
+// That pass costs O(groups) Contains calls per multi-group vertex when one
+// rank is resolved on its own, which is what a single-rank Replay or Cursor
+// on a projected tree does. The all-rank paths (Prepare, ReplayAll) would pay
+// it P times over, P × G in all, so they first build a RANK TABLE: for each
+// multi-group vertex one []int32 of NumRanks cells naming the entry each rank
+// belongs to, filled in one pass over the entries' rank runs (O(P + G) per
+// vertex). resolve then indexes instead of scanning. The table reads rank
+// sets only, so building it fills no lazy payload.
 //
 // Sequence preservation: a skeleton build IS the ordinary replay walk (the
 // same walkSteps recursion Events uses), and walk decisions depend only on
@@ -32,6 +43,7 @@ package merge
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -112,7 +124,8 @@ type resolveScratch struct {
 // Memory: the Streamer retains one selection vector (4 bytes per vertex) and
 // one skeleton (16 bytes per event of one rank's sequence) per class — for
 // SPMD jobs a constant independent of P, and always at most the cost of
-// materializing the distinct per-rank sequences once.
+// materializing the distinct per-rank sequences once — plus, after an
+// all-rank call, the rank table: 4 bytes per rank per multi-group vertex.
 type Streamer struct {
 	m       *Merged
 	scratch sync.Pool // *resolveScratch
@@ -120,7 +133,21 @@ type Streamer struct {
 	mu      sync.Mutex
 	classes map[fp.Hash][]*replayClass // hash → collision chain
 	byRank  []*replayClass             // memoized rank → class
+
+	// table is the rank table (file header): (*table)[gid][rank] is the index
+	// of the first entry of vertex gid whose rank set contains rank, -1 when
+	// none does. A nil row — every single-group vertex, and any vertex
+	// tableRow or the cell budget declined — means resolve scans. Built once,
+	// by the first all-rank call; nil before that.
+	tableOnce sync.Once
+	table     atomic.Pointer[[][]int32]
 }
+
+// maxTableCells bounds the rank table (4 bytes a cell, 256 MB). A decoded
+// header may claim 2^24 ranks whatever the file's size, and a dense row per
+// multi-group vertex of such a tree must not be what runs the process out of
+// memory; vertices past the budget keep the scan.
+const maxTableCells = 1 << 26
 
 // NewStreamer returns a streaming replayer for m. The Streamer aliases m's
 // entries; m must not be merged further while the Streamer is in use.
@@ -143,28 +170,88 @@ func (s *Streamer) NumRanks() int { return s.m.NumRanks }
 // EventCount returns the total event count of the underlying tree.
 func (s *Streamer) EventCount() int64 { return s.m.EventCount }
 
+// buildTable builds the rank table on first call.
+func (s *Streamer) buildTable() {
+	s.tableOnce.Do(func() {
+		n := s.m.NumRanks
+		tab := make([][]int32, len(s.m.Entries))
+		cells := 0
+		for gid, es := range s.m.Entries {
+			if len(es) < 2 || cells+n > maxTableCells {
+				continue
+			}
+			if tab[gid] = tableRow(es, n); tab[gid] != nil {
+				cells += n
+			}
+		}
+		s.table.Store(&tab)
+	})
+}
+
+// tableRow maps each of n ranks to the first entry of es containing it, by
+// walking every entry's runs, at most n steps into any one of them. Nothing
+// promises that a decoded vertex's rank sets are disjoint or lie inside
+// [0, n): a cell once filled is kept, which is the entry the scan would
+// return, and members from n up match no rank and are never reached. A run
+// that starts below zero or whose last member overflows int64 is one whose
+// Contains arithmetic wraps; the row is then declined (nil) and the vertex
+// stays with the scan, wrap and all, so table and scan never disagree.
+func tableRow(es []Entry, n int) []int32 {
+	row := make([]int32, n)
+	for i := range row {
+		row[i] = -1
+	}
+	for i := range es {
+		for _, r := range es[i].Ranks.Runs() {
+			if r.First < 0 || r.Count > 1 && (r.Stride < 1 || r.Stride > (math.MaxInt64-r.First)/(r.Count-1)) {
+				return nil
+			}
+			for k, x := int64(0), r.First; k < r.Count && x < int64(n); k, x = k+1, x+r.Stride {
+				if row[x] < 0 {
+					row[x] = int32(i)
+				}
+			}
+		}
+	}
+	return row
+}
+
 // resolve fills sc with rank's resolved view and selection vector and returns
-// the selection fingerprint. One pass over the entry lists: O(groups scanned)
-// total, instead of O(groups) per accessor call during the walk. On a
-// selectively decoded tree this is where lazy payload sections are filled
-// (and where a corrupt skipped section surfaces its error).
+// the selection fingerprint. One pass over the vertices: an index into the
+// rank table where it has a row, else a scan of the vertex's entry list for
+// the first one containing rank. On a selectively decoded tree this is where
+// lazy payload sections are filled (and where a corrupt skipped section
+// surfaces its error).
 func (s *Streamer) resolve(rank int, sc *resolveScratch) (fp.Hash, error) {
+	var tab [][]int32
+	if t := s.table.Load(); t != nil {
+		tab = *t
+	}
 	h := fp.New()
 	for gid, es := range s.m.Entries {
 		sc.data[gid] = nil
 		sc.sel[gid] = -1
-		for i := range es {
-			if es[i].Ranks.Contains(rank) {
-				d, err := s.m.entryData(&es[i])
-				if err != nil {
-					return h, fmt.Errorf("merge: resolving rank %d at vertex %d: %w", rank, gid, err)
+		i := -1
+		if tab != nil && tab[gid] != nil {
+			i = int(tab[gid][rank])
+		} else {
+			for k := range es {
+				if es[k].Ranks.Contains(rank) {
+					i = k
+					break
 				}
-				sc.data[gid] = d
-				sc.sel[gid] = int32(i)
-				h = h.Word(uint64(gid)).Word(uint64(i))
-				break
 			}
 		}
+		if i < 0 {
+			continue
+		}
+		d, err := s.m.entryData(&es[i])
+		if err != nil {
+			return h, fmt.Errorf("merge: resolving rank %d at vertex %d: %w", rank, gid, err)
+		}
+		sc.data[gid] = d
+		sc.sel[gid] = int32(i)
+		h = h.Word(uint64(gid)).Word(uint64(i))
 	}
 	return h, nil
 }
@@ -279,11 +366,13 @@ func (s *Streamer) Cursor(rank int) (*replay.Cursor, error) {
 	return replay.NewCursor(c.steps, rank), nil
 }
 
-// Prepare resolves every rank and builds every selection class's skeleton
-// under a bounded worker pool (workers <= 0 uses GOMAXPROCS). Calling it
-// first makes subsequent Cursor calls O(1); Replay and Cursor also build
-// lazily, so Prepare is an optimization, not a requirement.
+// Prepare builds the rank table, then resolves every rank and builds every
+// selection class's skeleton under a bounded worker pool (workers <= 0 uses
+// GOMAXPROCS). Calling it first makes subsequent Cursor calls O(1); Replay
+// and Cursor also build lazily, so Prepare is an optimization, not a
+// requirement.
 func (s *Streamer) Prepare(workers int) error {
+	s.buildTable()
 	return s.forEachRank(workers, func(rank int) error {
 		_, _, err := s.classFor(rank, nil)
 		return err
@@ -296,6 +385,7 @@ func (s *Streamer) Prepare(workers int) error {
 // per-rank accumulation (one matrix row per rank, say) needs no locking. The
 // first error stops no other lanes but is the one returned.
 func (s *Streamer) ReplayAll(workers int, fn func(rank int, e *trace.Event)) error {
+	s.buildTable()
 	return s.forEachRank(workers, func(rank int) error {
 		return s.Replay(rank, func(e *trace.Event) { fn(rank, e) })
 	})

@@ -1,7 +1,9 @@
 package merge
 
 import (
+	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cst"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
+	"repro/internal/npb"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
 	"repro/internal/timestat"
@@ -330,5 +333,166 @@ func TestStreamerSteadyStateAllocs(t *testing.T) {
 	})
 	if cursorAllocs > 1 {
 		t.Errorf("steady-state Cursor allocates %.1f allocs/op, want <= 1", cursorAllocs)
+	}
+}
+
+// scanRow is the reference for tableRow: the first entry whose rank set
+// contains the rank, by the Contains scan rankView and single-rank resolves
+// use.
+func scanRow(es []Entry, n int) []int32 {
+	row := make([]int32, n)
+	for rank := range row {
+		row[rank] = -1
+		for i := range es {
+			if es[i].Ranks.Contains(rank) {
+				row[rank] = int32(i)
+				break
+			}
+		}
+	}
+	return row
+}
+
+// TestRankTableHostileRankSets holds the rank table to the scan on rank sets
+// no merge produces but the decoder lets through (hostileRankSetSeeds): a row
+// is either cell-for-cell what the scan answers or declined, and it is
+// declined exactly for the two seeds whose run arithmetic wraps. Returning at
+// all is the check on the 2^62-member run.
+func TestRankTableHostileRankSets(t *testing.T) {
+	declined := 0
+	for k, enc := range hostileRankSetSeeds(t) {
+		m, err := Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("seed %d does not decode, so it tests nothing: %v", k, err)
+		}
+		if !replayBounded(m) {
+			t.Fatalf("seed %d is outside the fuzz target's replay budget", k)
+		}
+		for gid, es := range m.Entries {
+			if len(es) < 2 {
+				continue
+			}
+			row := tableRow(es, m.NumRanks)
+			if row == nil {
+				declined++
+				continue
+			}
+			if want := scanRow(es, m.NumRanks); !reflect.DeepEqual(row, want) {
+				t.Errorf("seed %d vertex %d: table row %v, scan %v", k, gid, row, want)
+			}
+		}
+	}
+	if declined != 2 {
+		t.Errorf("%d rows declined, want 2 (the overflowing run and the negative one)", declined)
+	}
+}
+
+// TestStreamerReplayAllFragmented replays SP — every comm leaf split into
+// one group per rank or nearly, so every rank its own class — through
+// ReplayAll at 1 and 4 workers on a fresh Streamer each, against the rankView
+// walk. A fresh Streamer per worker count makes each run build the rank
+// table, and single-rank Replays racing the 4-worker run read the table
+// pointer while it is being published: the one-time build is what the race
+// job is here to watch.
+func TestStreamerReplayAllFragmented(t *testing.T) {
+	const n = 64
+	_, ctts, _ := collect(t, npb.Get("SP").Source(n, npb.Small), n)
+	m, err := All(ctts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]trace.Event, n)
+	for rank := range want {
+		want[rank] = rankViewSeq(t, m, rank)
+	}
+	for _, workers := range []int{1, 4} {
+		s := NewStreamer(m)
+		if err := s.Replay(n/2, func(*trace.Event) {}); err != nil {
+			t.Fatal(err)
+		}
+		if s.table.Load() != nil {
+			t.Fatal("a single-rank Replay built the rank table")
+		}
+		var side sync.WaitGroup
+		side.Add(1)
+		go func() {
+			defer side.Done()
+			for rank := 0; rank < n; rank += 7 {
+				var got []trace.Event
+				if err := s.Replay(rank, func(e *trace.Event) { got = append(got, *e) }); err != nil {
+					t.Errorf("workers=%d: concurrent Replay(%d): %v", workers, rank, err)
+				} else if !reflect.DeepEqual(want[rank], got) {
+					t.Errorf("workers=%d: concurrent Replay(%d) differs from rankView", workers, rank)
+				}
+			}
+		}()
+		got := make([][]trace.Event, n)
+		err := s.ReplayAll(workers, func(rank int, e *trace.Event) {
+			got[rank] = append(got[rank], *e)
+		})
+		side.Wait()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: ReplayAll differs from rankView", workers)
+		}
+		rows := 0
+		for gid, row := range *s.table.Load() {
+			if (row != nil) != (len(m.Entries[gid]) >= 2) {
+				t.Errorf("workers=%d: vertex %d has %d groups, table row present = %v",
+					workers, gid, len(m.Entries[gid]), row != nil)
+			}
+			if row != nil {
+				rows++
+			}
+		}
+		if rows == 0 || s.ClassCount() < n/2 {
+			t.Fatalf("workers=%d: %d table rows, %d classes: SP-%d no longer fragments", workers, rows, s.ClassCount(), n)
+		}
+	}
+}
+
+// TestStreamerTableAllocs is TestStreamerSteadyStateAllocs on a tree that
+// has a rank table: once Prepare has built it, resolving a rank through it
+// and replaying a rank allocate nothing.
+func TestStreamerTableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
+	}
+	const n = 16
+	_, ctts, _ := collect(t, npb.Get("SP").Source(n, npb.Small), n)
+	m, err := All(ctts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStreamer(m)
+	if err := s.Prepare(1); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, row := range *s.table.Load() {
+		if row != nil {
+			rows++
+		}
+	}
+	if rows == 0 {
+		t.Fatal("SP-16 built no table rows")
+	}
+	sc := s.scratch.Get().(*resolveScratch)
+	defer s.scratch.Put(sc)
+	emit := func(e *trace.Event) {}
+	allocs := testing.AllocsPerRun(100, func() {
+		for rank := 0; rank < n; rank++ {
+			if _, err := s.resolve(rank, sc); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Replay(rank, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("table resolve + Replay over %d ranks allocates %.1f allocs/op, want 0", n, allocs)
 	}
 }

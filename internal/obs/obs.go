@@ -51,6 +51,7 @@ const (
 	MergeTreeFastHits    // whole-tree span fast-path pairs
 	MergeFPRelHits       // per-entry relative-fingerprint fast-path unifications
 	MergeFPAbsHits       // per-entry absolute-fingerprint fast-path unifications
+	MergeKeyRejects      // entry comparisons settled by invariant-key inequality (proven incompatible)
 	MergeExhaustiveWalks // entry comparisons that fell back to the full walk
 	MergeEntriesUnmerged // right-hand entries appended unmerged (new rank group)
 	MergePoisonings      // abs-merge RelUnsafe poisonings
@@ -144,6 +145,7 @@ var counterNames = [NumCounters]string{
 	MergeTreeFastHits:    "merge_tree_fast_hits",
 	MergeFPRelHits:       "merge_fp_rel_hits",
 	MergeFPAbsHits:       "merge_fp_abs_hits",
+	MergeKeyRejects:      "merge_key_rejects",
 	MergeExhaustiveWalks: "merge_exhaustive_walks",
 	MergeEntriesUnmerged: "merge_entries_unmerged",
 	MergePoisonings:      "merge_abs_poisonings",

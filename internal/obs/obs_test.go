@@ -93,6 +93,7 @@ func TestReportContents(t *testing.T) {
 	s.Add(CompNewRecords, 10)
 	s.Add(MergeFPRelHits, 30)
 	s.Add(MergeExhaustiveWalks, 10)
+	s.Add(MergeKeyRejects, 40)
 	s.Add(PoolGzipGets, 4)
 	s.Add(PoolGzipNews, 1)
 	s.SetMax(SimPendingPeak, 2)
@@ -122,8 +123,12 @@ func TestReportContents(t *testing.T) {
 	if got := r.Rates["comp_fold_rate"]; got != 0.9 {
 		t.Errorf("comp_fold_rate = %v, want 0.9", got)
 	}
-	if got := r.Rates["merge_fp_fast_rate"]; got != 0.75 {
-		t.Errorf("merge_fp_fast_rate = %v, want 0.75", got)
+	// Hits, key rejects and walks share one denominator: all probes.
+	if got := r.Rates["merge_fp_fast_rate"]; got != 0.375 {
+		t.Errorf("merge_fp_fast_rate = %v, want 0.375", got)
+	}
+	if got := r.Rates["merge_key_reject_rate"]; got != 0.5 {
+		t.Errorf("merge_key_reject_rate = %v, want 0.5", got)
 	}
 	if got := r.Rates["pool_gzip_hit_rate"]; got != 0.75 {
 		t.Errorf("pool_gzip_hit_rate = %v, want 0.75", got)

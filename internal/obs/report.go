@@ -82,8 +82,15 @@ func (s *Sink) Report() *Report {
 	}
 	addRate("comp_fold_rate",
 		vals[CompMergeHits]+vals[CompPeerPatternFolds]+vals[CompCycleFolds], vals[CompEvents])
+	// Every probe of a right entry against a left one ends one of three ways
+	// — fingerprint hit, key reject, walk — and the rates are shares of all
+	// three. A low fast rate beside a high key-reject rate reads "the groups
+	// differ in an operation parameter and cannot fold"; a low one with no
+	// key rejects to explain it, "they differ only in peer".
 	fpHits := vals[MergeFPRelHits] + vals[MergeFPAbsHits]
-	addRate("merge_fp_fast_rate", fpHits, fpHits+vals[MergeExhaustiveWalks])
+	probes := fpHits + vals[MergeKeyRejects] + vals[MergeExhaustiveWalks]
+	addRate("merge_fp_fast_rate", fpHits, probes)
+	addRate("merge_key_reject_rate", vals[MergeKeyRejects], probes)
 	addRate("merge_tree_fast_rate", vals[MergeTreeFastHits], vals[MergePairs])
 	skHits := vals[ReplayRankMemoHits] + vals[ReplayClassReuses]
 	addRate("replay_skeleton_hit_rate", skHits, skHits+vals[ReplaySkeletonBuilds])

@@ -127,8 +127,8 @@ type Result struct {
 }
 
 // Streamer returns the lazily-built streaming replayer over the merged tree.
-// It is shared by Replay, Predict, and CommMatrix, so selection classes and
-// replay skeletons are discovered once and reused across every consumer.
+// It is shared by Replay, Predict, and CommMatrix, so replay classes and
+// their skeletons are discovered once and reused across every consumer.
 func (r *Result) Streamer() *merge.Streamer {
 	r.streamOnce.Do(func() {
 		if r.streamFn != nil {
@@ -187,7 +187,7 @@ func (p *Program) Trace(nprocs int, opts Options) (*Result, error) {
 }
 
 // Replay decompresses one rank's exact event sequence (paper Section V). It
-// runs through the streaming replayer: the first rank of a selection class
+// runs through the streaming replayer: the first rank of a replay class
 // pays one tree walk, every later rank of the class is a flat skeleton scan.
 // The sequence is identical to the test oracle's, replay.Sequence over
 // Merged.ForRank.

@@ -265,9 +265,10 @@ func TestHistogramTimeMode(t *testing.T) {
 	}
 }
 
-// ringExchange is a simulatable wraparound exchange with three selection
-// classes (interior ranks plus the two wraparound edges), used to check the
-// streaming pipeline against the materializing reference implementations.
+// ringExchange is a simulatable wraparound exchange with three rank groups
+// (interior ranks plus the two wraparound edges, which differ in peer only and
+// so replay as one class), used to check the streaming pipeline against the
+// materializing reference implementations.
 const ringExchange = `
 func main() {
 	for var k = 0; k < 6; k = k + 1 {

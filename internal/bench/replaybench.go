@@ -21,9 +21,9 @@ import (
 // ringCTTs builds n per-rank CTTs for a wraparound ring by driving each
 // compressor directly, like spmdCTTs but with peers taken modulo n: every
 // recv has a matching send, so the merged trace is simulatable under simmpi,
-// and the wraparound edges split the ranks into three selection classes
-// (interior, rank 0, rank n-1) — the realistic SPMD shape for streaming
-// replay benchmarks.
+// and the wraparound edges split the ranks into three rank groups (interior,
+// rank 0, rank n-1) that differ in peer only, so one replay class — the
+// realistic SPMD shape for streaming replay benchmarks.
 func ringCTTs(n, iters int) ([]*ctt.RankCTT, error) {
 	return ringCTTsOff(n, iters, 0)
 }

@@ -31,7 +31,7 @@ type Trace struct {
 func (t *Trace) Hash() uint64 { return t.hash }
 
 // Streamer returns the trace's memoized streaming replayer. All holders of
-// the same cached trace share one streamer, so selection classes and replay
+// the same cached trace share one streamer, so replay classes and their
 // skeletons are discovered once per residency, not once per Get.
 func (t *Trace) Streamer() *merge.Streamer {
 	t.streamOnce.Do(func() { t.stream = merge.NewStreamer(t.Merged) })

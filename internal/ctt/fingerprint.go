@@ -34,6 +34,14 @@
 // fields, a payload's key never changes for the life of the reduction, so it
 // is memoized on the payload without an invalidation path.
 //
+// A fourth, ShapeKey, is for decompression rather than the merge. It folds
+// exactly what the replay walk reads of a payload — the control vectors,
+// cycles and record count of hashControl, and each record's run length —
+// and nothing the walk only copies into an event (operation, size, tag, peer,
+// requests, timing). Payloads of one vertex that are SameShape make the walk
+// take the same decisions, so the ranks holding them can share one replay
+// skeleton (merge.Streamer); the key routes, SameShape confirms.
+//
 // Volatile payload — the time statistics folded together by unification — is
 // deliberately excluded (only the storage shape is folded, so histogram and
 // moment-only records defer to the exhaustive path instead of fast-merging
@@ -276,4 +284,37 @@ func (d *VData) InvariantKeyCached() fp.Hash {
 		d.keyOK = true
 	}
 	return d.key
+}
+
+// ShapeKey returns the payload's replay-shape key (see the file header):
+// payloads that are SameShape have equal keys.
+func (d *VData) ShapeKey() fp.Hash {
+	h := d.hashControl(fp.New())
+	for _, r := range d.Records {
+		h = h.Int(r.Count)
+	}
+	return h
+}
+
+// SameShape reports whether d and o agree on everything the replay walk
+// reads: Counts, Taken, Cycles, the number of records and each record's
+// Count. The vectors compare run-wise, as stride.Vector.Equal does, so two
+// decoded payloads that spell one sequence in different runs are not the same
+// shape — which costs a shared skeleton, never a wrong one.
+func (d *VData) SameShape(o *VData) bool {
+	if len(d.Records) != len(o.Records) || len(d.Cycles) != len(o.Cycles) ||
+		!d.Counts.Equal(&o.Counts) || !d.Taken.Vector.Equal(&o.Taken.Vector) {
+		return false
+	}
+	for i, c := range d.Cycles {
+		if c != o.Cycles[i] {
+			return false
+		}
+	}
+	for i, r := range d.Records {
+		if r.Count != o.Records[i].Count {
+			return false
+		}
+	}
+	return true
 }

@@ -49,6 +49,12 @@ type LeafRow struct {
 	// parameter (size, tag, count, request list) and no peer encoding could
 	// have folded them; Keys == 1 means the groups differ in peer only.
 	Keys int `json:"keys"`
+	// Shapes is the number of distinct replay shapes (ctt.VData.ShapeKey)
+	// among the groups: what the decompression walk can tell apart. Shapes ==
+	// 1 with Keys == Groups means the leaf is split by a scalar only — a
+	// rank-indexed parameter vector would fold it; Shapes == Groups means
+	// the groups' control flow really differs.
+	Shapes int `json:"shapes"`
 	// Records is the number of stored records summed over groups.
 	Records int64 `json:"records"`
 	// Events is the number of original events the leaf's records stand for,
@@ -117,7 +123,8 @@ func Analyze(m *merge.Merged) *Analysis {
 	a.Summary.EventCount = m.EventCount
 	a.Summary.Vertices = len(m.Entries)
 	groupsOf := map[int]int{}
-	keys := map[fp.Hash]struct{}{} // distinct invariant keys of the vertex at hand
+	keys := map[fp.Hash]struct{}{}   // distinct invariant keys of the vertex at hand
+	shapes := map[fp.Hash]struct{}{} // distinct replay shapes
 	for gid, es := range m.Entries {
 		if len(es) == 0 {
 			continue
@@ -130,11 +137,13 @@ func Analyze(m *merge.Merged) *Analysis {
 		var leaf LeafRow
 		var st StrideRow
 		clear(keys)
+		clear(shapes)
 		for _, e := range es {
 			if e.Data == nil {
 				continue
 			}
 			keys[e.Data.InvariantKey()] = struct{}{}
+			shapes[e.Data.ShapeKey()] = struct{}{}
 			nr := e.Ranks.Len()
 			a.Summary.SizeBytes += e.Data.SizeBytes() + e.Ranks.SizeBytes()
 			for _, r := range e.Data.Records {
@@ -166,6 +175,7 @@ func Analyze(m *merge.Merged) *Analysis {
 			leaf.Op = leafOp(v)
 			leaf.Groups = len(es)
 			leaf.Keys = len(keys)
+			leaf.Shapes = len(shapes)
 			leaf.Ratio = ratio(leaf.Events, leaf.Records)
 			leaf.Ranks = es[0].Ranks.String()
 			if len(es) > 1 {
@@ -228,11 +238,11 @@ func (a *Analysis) WriteText(w io.Writer) error {
 
 	if len(a.Leaves) > 0 {
 		fmt.Fprintf(w, "\nleaves:\n")
-		fmt.Fprintf(w, "  %6s %-12s %7s %5s %8s %10s %8s %5s %5s %9s  %s\n",
-			"gid", "op", "groups", "keys", "records", "events", "ratio", "rel", "pat", "bytes", "ranks")
+		fmt.Fprintf(w, "  %6s %-12s %7s %5s %6s %8s %10s %8s %5s %5s %9s  %s\n",
+			"gid", "op", "groups", "keys", "shapes", "records", "events", "ratio", "rel", "pat", "bytes", "ranks")
 		for _, l := range a.Leaves {
-			fmt.Fprintf(w, "  %6d %-12s %7d %5d %8d %10d %8.1f %5d %5d %9d  %s\n",
-				l.GID, l.Op, l.Groups, l.Keys, l.Records, l.Events, l.Ratio,
+			fmt.Fprintf(w, "  %6d %-12s %7d %5d %6d %8d %10d %8.1f %5d %5d %9d  %s\n",
+				l.GID, l.Op, l.Groups, l.Keys, l.Shapes, l.Records, l.Events, l.Ratio,
 				l.RelEncoded, l.Patterns, l.Bytes, l.Ranks)
 		}
 	}

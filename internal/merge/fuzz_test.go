@@ -197,6 +197,81 @@ func hostileRankSetSeeds(t testing.TB) [][]byte {
 	return out
 }
 
+// shapeSplitSrc splits each of its two comm leaves into one rank group per
+// rank, two records of two occurrences each, by message size and absolute
+// peer: four entries a vertex that no merge folds and one replay shape.
+const shapeSplitSrc = `
+func main() {
+	for var i = 0; i < 4; i = i + 1 {
+		if rank % 2 == 0 {
+			send(rank + 1, 64 + rank * 8 + i / 2, 0);
+		} else {
+			recv(rank - 1, 64 + (rank - 1) * 8 + i / 2, 0);
+		}
+	}
+}`
+
+// shapeSeeds are the inputs the replay classes must tell apart or may not:
+// the 8-rank shapeSplitSrc fixture as traced (entries of one vertex with equal
+// shape but different size and peer: one class a leaf), the same with one
+// entry's run lengths moved from 2+2 to 1+3 (equal control vectors, cycles
+// and record count, one Count apart: must not share, and replays 1+3), and
+// with one run length 2^33 (a K past 32 bits is an error from the skeleton
+// build or never reached — here the loop stops at 4 — but never wrapped).
+func shapeSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	fixture := encodeBytes(t, buildMerged(t, shapeSplitSrc, 8))
+	out := [][]byte{fixture}
+	for _, counts := range [][2]int64{{1, 3}, {1 << 33, 2}} {
+		m, err := Decode(bytes.NewReader(fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := false
+		for _, es := range m.Entries {
+			if len(es) == 4 && len(es[1].Data.Records) == 2 {
+				es[1].Data.Records[0].Count, es[1].Data.Records[1].Count = counts[0], counts[1]
+				edited = true
+				break
+			}
+		}
+		if !edited {
+			t.Fatal("shapeSplitSrc no longer splits a leaf into four two-record entries")
+		}
+		out = append(out, encodeBytes(t, m))
+	}
+	return out
+}
+
+// TestShapeSeedsShareOnlyShapes replays the shape seeds through ReplayAll
+// against the rankView walk and pins how many classes each may form: senders
+// and receivers, and one more for the entry whose run lengths were edited.
+func TestShapeSeedsShareOnlyShapes(t *testing.T) {
+	for k, enc := range shapeSeeds(t) {
+		m, err := Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("seed %d: %v", k, err)
+		}
+		s := NewStreamer(m)
+		got := make([][]trace.Event, m.NumRanks)
+		if err := s.ReplayAll(1, func(rank int, e *trace.Event) { got[rank] = append(got[rank], *e) }); err != nil {
+			t.Fatalf("seed %d: %v", k, err)
+		}
+		for rank := range got {
+			if want := rankViewSeq(t, m, rank); !reflect.DeepEqual(want, got[rank]) {
+				t.Errorf("seed %d: rank %d differs from rankView", k, rank)
+			}
+		}
+		want := 2
+		if k > 0 {
+			want = 3
+		}
+		if cc := s.ClassCount(); cc != want {
+			t.Errorf("seed %d: %d replay classes, want %d", k, cc, want)
+		}
+	}
+}
+
 // FuzzDecodeRoundTrip feeds arbitrary bytes to the slab-backed decoder and
 // checks two properties:
 //
@@ -305,13 +380,18 @@ const replayAllBudget = 64
 //     Streamer replays the identical event sequence, and both fail together
 //     otherwise — the skeleton-sharing fast path may not diverge from the
 //     per-rank walk even on hostile inputs. This holds for a rank resolved on
-//     its own (Replay on a fresh Streamer: the Contains scan) and for all
-//     ranks resolved through the rank table (ReplayAll on another).
+//     its own (Replay on a fresh Streamer: the Contains scan, raw selection
+//     vectors) and for all ranks resolved through the rank table and the
+//     canonical rows — ReplayAll on another fresh Streamer, and on the first,
+//     where canonical vectors meet the raw ones already memoized.
 func FuzzReplayDecoded(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	for _, s := range hostileRankSetSeeds(f) {
+		f.Add(s)
+	}
+	for _, s := range shapeSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -356,17 +436,19 @@ func FuzzReplayDecoded(f *testing.F) {
 		}
 		// One worker visits ranks in order and stops at the first error, so
 		// everything before the reference's first failure must have arrived.
-		got := make([][]trace.Event, nr)
-		err = NewStreamer(m).ReplayAll(1, func(rank int, e *trace.Event) {
-			got[rank] = append(got[rank], *e)
-		})
-		if (err != nil) != (firstBad < nr) {
-			t.Fatalf("ReplayAll err=%v, but the reference first fails at rank %d of %d", err, firstBad, nr)
-		}
-		for rank := 0; rank < firstBad; rank++ {
-			if !reflect.DeepEqual(want[rank], got[rank]) {
-				t.Fatalf("rank %d: ReplayAll sequence differs from rankView (%d vs %d events)",
-					rank, len(got[rank]), len(want[rank]))
+		for _, s := range []*Streamer{NewStreamer(m), s} {
+			got := make([][]trace.Event, nr)
+			err = s.ReplayAll(1, func(rank int, e *trace.Event) {
+				got[rank] = append(got[rank], *e)
+			})
+			if (err != nil) != (firstBad < nr) {
+				t.Fatalf("ReplayAll err=%v, but the reference first fails at rank %d of %d", err, firstBad, nr)
+			}
+			for rank := 0; rank < firstBad; rank++ {
+				if !reflect.DeepEqual(want[rank], got[rank]) {
+					t.Fatalf("rank %d: ReplayAll sequence differs from rankView (%d vs %d events)",
+						rank, len(got[rank]), len(want[rank]))
+				}
 			}
 		}
 	})

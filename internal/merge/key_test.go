@@ -443,3 +443,50 @@ func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
 		t.Error("degenerate key")
 	}
 }
+
+// TestShapeKeyReadsWhatTheWalkReads pins the replay shape field by field, on
+// the key and on the exact comparison alike: everything replay.walkSteps
+// reads moves both, and nothing it only copies into an event moves either —
+// which is what lets ranks split by a size, a tag or a peer share a skeleton.
+func TestShapeKeyReadsWhatTheWalkReads(t *testing.T) {
+	base := func() *ctt.VData {
+		return &ctt.VData{Records: []*ctt.CommRecord{
+			{Ev: trace.Event{Op: trace.OpSend, Size: 64, Peer: 3, Tag: 1}, PeerRel: 1, Count: 2,
+				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
+			{Ev: trace.Event{Op: trace.OpReduce, Size: 8, Peer: 0}, Count: 1,
+				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
+		}}
+	}
+	want := base()
+	for _, tc := range []struct {
+		name string
+		edit func(d *ctt.VData)
+		same bool
+	}{
+		{"operation", func(d *ctt.VData) { d.Records[0].Ev.Op = trace.OpIsend }, true},
+		{"size", func(d *ctt.VData) { d.Records[0].Ev.Size = 65 }, true},
+		{"tag", func(d *ctt.VData) { d.Records[0].Ev.Tag = 2 }, true},
+		{"comm", func(d *ctt.VData) { d.Records[0].Ev.Comm = 1 }, true},
+		{"absolute peer", func(d *ctt.VData) { d.Records[0].Ev.Peer = 9 }, true},
+		{"relative peer", func(d *ctt.VData) { d.Records[0].PeerRel = -4 }, true},
+		{"peer pattern", func(d *ctt.VData) { d.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}} }, true},
+		{"wildcard", func(d *ctt.VData) { d.Records[0].Ev.Wildcard = true }, true},
+		{"request list", func(d *ctt.VData) { d.Records[1].Ev.Reqs = []int32{4} }, true},
+		{"histogram stats", func(d *ctt.VData) { d.Records[0].Time = timestat.Make(timestat.ModeHistogram) }, true},
+		{"run length", func(d *ctt.VData) { d.Records[0].Count = 3 }, false},
+		{"run lengths swapped", func(d *ctt.VData) { d.Records[0].Count, d.Records[1].Count = 1, 2 }, false},
+		{"record count", func(d *ctt.VData) { d.Records = d.Records[:1] }, false},
+		{"loop counts", func(d *ctt.VData) { d.Counts.Append(5) }, false},
+		{"taken set", func(d *ctt.VData) { d.Taken.Add(2) }, false},
+		{"cycles", func(d *ctt.VData) { d.Cycles = []ctt.Cycle{{Len: 2, Reps: 3}} }, false},
+	} {
+		d := base()
+		tc.edit(d)
+		if got := d.ShapeKey() == want.ShapeKey(); got != tc.same {
+			t.Errorf("%s: key equal = %v, want %v", tc.name, got, tc.same)
+		}
+		if got := d.SameShape(want) && want.SameShape(d); got != tc.same {
+			t.Errorf("%s: SameShape = %v, want %v", tc.name, got, tc.same)
+		}
+	}
+}

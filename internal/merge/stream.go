@@ -9,36 +9,51 @@
 // View storage is pooled and reused across ranks, so resolving rank r+1
 // costs zero allocations after rank r.
 //
-// The resolver also exploits the SPMD structure the merge itself discovered:
-// while resolving it records WHICH entry each vertex selected (the selection
-// vector). Ranks with identical selection vectors see identical resolved
-// data, so their tree walks emit the same sequence of (record, occurrence)
-// steps — only the rank-relative peer fields differ. The Streamer therefore
-// memoizes one REPLAY SKELETON ([]replay.Step) per selection class and
-// replays all other ranks of the class by a flat scan over the shared steps
-// (replay.EmitSkeleton / replay.Cursor), skipping the tree walk entirely.
-// For a P-rank job with k classes the tree is walked k times instead of P
-// times. k is a handful for a job that folds (a ring 3, LU-128 9, MG-512 18)
-// and P for one that does not: SP and CG at 1024 ranks have 1024 classes,
-// every rank its own, and there the resolve pass is most of Prepare.
+// Replay CLASSES are SHAPES. The replay walk reads exactly Counts, Taken,
+// Cycles, the number of records of a vertex and each record's Count — never a
+// size, tag, peer, request list or timing (replay.Step). Two payloads of one
+// vertex that agree on those have the same shape (ctt.VData.SameShape), and
+// ranks whose views have the same shape vertex by vertex take the same walk:
+// the same sequence of (slot, occurrence) steps, a slot numbering the (gid,
+// record index) pairs of a view in GID order. The Streamer memoizes one REPLAY
+// SKELETON ([]replay.Step) per class, and every rank synthesizes its events
+// from the shared steps through its own BOUND TABLE, slot → *ctt.CommRecord:
+// the records of the rank's own resolved view, vertex after vertex. For a
+// P-rank job with k classes the tree is walked k times instead of P times,
+// and k counts control flows: a ring 1, LU-128 9, MG-512 18, and SP and CG 9
+// and 1 at any rank count — their rank groups differ in message size and in
+// peer only, which no walk reads.
 //
-// That pass costs O(groups) Contains calls per multi-group vertex when one
-// rank is resolved on its own, which is what a single-rank Replay or Cursor
-// on a projected tree does. The all-rank paths (Prepare, ReplayAll) would pay
-// it P times over, P × G in all, so they first build a RANK TABLE: for each
-// multi-group vertex one []int32 of NumRanks cells naming the entry each rank
-// belongs to, filled in one pass over the entries' rank runs (O(P + G) per
-// vertex). resolve then indexes instead of scanning. The table reads rank
-// sets only, so building it fills no lazy payload.
+// Classes are keyed by the selection vector — which entry each vertex
+// resolved to — exactly: a 64-bit fingerprint routes, an element-wise compare
+// confirms. Resolving one rank on its own (a single-rank Replay or Cursor,
+// say on a projected tree) costs O(groups) Contains calls per multi-group
+// vertex, builds no table and fills no payload but the rank's own. The
+// all-rank paths (Prepare, ReplayAll) would pay that scan P times over, so
+// they first build two tables, once:
 //
-// Sequence preservation: a skeleton build IS the ordinary replay walk (the
-// same walkSteps recursion Events uses), and walk decisions depend only on
-// the resolved payloads — Counts, Taken, Records, Cycles — never on the rank
-// itself (the rank only parameterizes PeerForAt and error text). Skeleton
-// classes are keyed by the exact selection vector (a 64-bit fingerprint
-// routes to a class; membership is confirmed by comparing the vectors
-// element-wise), so two ranks share steps only when their resolved views are
-// identical, and the emitted sequences are byte-identical to per-rank walks.
+//   - the RANK TABLE: per multi-group vertex one []int32 of NumRanks cells
+//     naming the entry each rank belongs to, filled in one pass over the
+//     entries' rank runs (O(P + G) per vertex); resolve indexes instead of
+//     scanning. It reads rank sets only.
+//   - the CANONICAL-ENTRY ROWS: per multi-group vertex, entry i → the first
+//     entry of the vertex with the same shape (ShapeKey routes, SameShape
+//     confirms). resolve writes the canonical index, not the rank's own, into
+//     the vector it hashes and compares, which is all it takes to turn the
+//     exact-vector lookup into a same-shape lookup. Building the rows reads
+//     every payload of the vertex, as the all-rank replay behind it is about
+//     to. A lazy payload that fails to fill maps to itself, and the error
+//     surfaces from resolve, for exactly the ranks that select it.
+//
+// Soundness: every element of a selection vector names an entry whose shape
+// equals the shape of the rank's own entry at that vertex, whichever path
+// wrote it — the canonicalising all-rank one, or the single-rank scan, which
+// names the rank's own entry. So equal vectors ⇒ equal shapes ⇒ identical
+// step sequences, also between a vector memoized before the rows existed and
+// one resolved after; and a table is always bound from the rank's OWN view,
+// so every emitted field is the rank's. A skeleton build IS the ordinary
+// replay walk (the walkSteps recursion Events uses), so the emitted sequences
+// are byte-identical to per-rank walks.
 package merge
 
 import (
@@ -64,7 +79,6 @@ import (
 type Resolved struct {
 	tree *cst.Tree
 	data []*ctt.VData // indexed by gid; nil when the rank never executed it
-	rank int
 }
 
 // Tree implements replay.Source.
@@ -102,37 +116,76 @@ func (r *Resolved) Cycles(gid int32) []ctt.Cycle {
 	return nil
 }
 
-// replayClass is one selection class: the set of ranks whose resolved views
-// are identical, sharing one memoized replay skeleton.
+// replayClass is one replay class: the ranks whose resolved views have one
+// shape, sharing one memoized replay skeleton.
 type replayClass struct {
-	sel   []int32       // entry index per gid (-1 = not executed); exact identity
-	steps []replay.Step // memoized skeleton (record, occurrence) sequence
+	sel   []int32       // canonical entry per gid (-1 = not executed); exact identity
+	steps []replay.Step // memoized skeleton (slot, occurrence) sequence
 }
 
-// resolveScratch is the pooled per-resolve working set.
+// rankMemo is what the Streamer remembers of a resolved rank: its class and
+// its bound table, one pointer per record of the rank.
+type rankMemo struct {
+	class *replayClass
+	recs  []*ctt.CommRecord
+}
+
+// resolveScratch is the pooled per-resolve working set: the rank's view, its
+// selection vector, and how many records the view holds.
 type resolveScratch struct {
-	data []*ctt.VData
+	view Resolved
 	sel  []int32
+	nrec int
+	// slab is the chunk the scratch carves bound tables from, so that an
+	// all-rank call pays an allocation per chunk, not per rank. The memo's
+	// tables keep the chunks alive.
+	slab []*ctt.CommRecord
+
+	// emit hands an event to fn under rank: ReplayAll's callback in the shape
+	// a skeleton build takes, one closure made with the scratch instead of one
+	// per rank.
+	rank int
+	fn   func(rank int, e *trace.Event)
+	emit func(e *trace.Event)
+}
+
+// maxSlab caps a chunk at 32 KB of pointers.
+const maxSlab = 1 << 12
+
+// table binds the resolved view: its records, vertex after vertex in GID
+// order — the slot order of replay.Step — carved from the chunk. A chunk is
+// the size of the table that opens it or twice the chunk before, so a
+// single-rank replay on a fresh Streamer allocates what it binds and no more.
+func (sc *resolveScratch) table() []*ctt.CommRecord {
+	if cap(sc.slab)-len(sc.slab) < sc.nrec {
+		sc.slab = make([]*ctt.CommRecord, 0, max(sc.nrec, min(2*cap(sc.slab), maxSlab)))
+	}
+	start := len(sc.slab)
+	for _, d := range sc.view.data {
+		if d != nil {
+			sc.slab = append(sc.slab, d.Records...)
+		}
+	}
+	return sc.slab[start:len(sc.slab):len(sc.slab)]
 }
 
 // Streamer replays ranks of a merged tree through resolved views and
-// memoized, group-shared replay skeletons. It is safe for concurrent use;
-// scratch storage is pooled and skeletons are built at most once per
-// selection class (modulo benign warm-up races, where the first stored
-// skeleton wins).
+// memoized, shape-shared replay skeletons. It is safe for concurrent use;
+// scratch storage is pooled and skeletons are built at most once per class
+// (modulo benign warm-up races, where the first stored skeleton wins).
 //
 // Memory: the Streamer retains one selection vector (4 bytes per vertex) and
-// one skeleton (16 bytes per event of one rank's sequence) per class — for
-// SPMD jobs a constant independent of P, and always at most the cost of
-// materializing the distinct per-rank sequences once — plus, after an
-// all-rank call, the rank table: 4 bytes per rank per multi-group vertex.
+// one skeleton (8 bytes per event of one rank's sequence) per shape — for
+// SPMD jobs a constant independent of P — plus one pointer per record per
+// resolved rank and, after an all-rank call, the two tables: 4 bytes per rank
+// and 4 bytes per entry for each multi-group vertex.
 type Streamer struct {
 	m       *Merged
 	scratch sync.Pool // *resolveScratch
 
 	mu      sync.Mutex
 	classes map[fp.Hash][]*replayClass // hash → collision chain
-	byRank  []*replayClass             // memoized rank → class
+	byRank  []rankMemo                 // memoized rank → class, bound table
 
 	// table is the rank table (file header): (*table)[gid][rank] is the index
 	// of the first entry of vertex gid whose rank set contains rank, -1 when
@@ -141,6 +194,11 @@ type Streamer struct {
 	// by the first all-rank call; nil before that.
 	tableOnce sync.Once
 	table     atomic.Pointer[[][]int32]
+	// canon holds the canonical-entry rows (file header): canon[gid][i] is the
+	// first entry of vertex gid with entry i's shape. A nil row means every
+	// entry is its own shape. Written before table is stored and read only
+	// after table is seen, which is what publishes it.
+	canon [][]int32
 }
 
 // maxTableCells bounds the rank table (4 bytes a cell, 256 MB). A decoded
@@ -155,11 +213,13 @@ func NewStreamer(m *Merged) *Streamer {
 	s := &Streamer{
 		m:       m,
 		classes: make(map[fp.Hash][]*replayClass),
-		byRank:  make([]*replayClass, m.NumRanks),
+		byRank:  make([]rankMemo, m.NumRanks),
 	}
 	nv := len(m.Entries)
 	s.scratch.New = func() any {
-		return &resolveScratch{data: make([]*ctt.VData, nv), sel: make([]int32, nv)}
+		sc := &resolveScratch{view: Resolved{tree: m.Tree, data: make([]*ctt.VData, nv)}, sel: make([]int32, nv)}
+		sc.emit = func(e *trace.Event) { sc.fn(sc.rank, e) }
+		return sc
 	}
 	return s
 }
@@ -170,22 +230,71 @@ func (s *Streamer) NumRanks() int { return s.m.NumRanks }
 // EventCount returns the total event count of the underlying tree.
 func (s *Streamer) EventCount() int64 { return s.m.EventCount }
 
-// buildTable builds the rank table on first call.
+// buildTable builds the rank table and the canonical-entry rows on first call.
 func (s *Streamer) buildTable() {
 	s.tableOnce.Do(func() {
 		n := s.m.NumRanks
 		tab := make([][]int32, len(s.m.Entries))
+		canon := make([][]int32, len(s.m.Entries))
+		byKey := make(map[fp.Hash]int32)
 		cells := 0
 		for gid, es := range s.m.Entries {
-			if len(es) < 2 || cells+n > maxTableCells {
+			if len(es) < 2 {
+				continue
+			}
+			canon[gid] = s.canonRow(es, byKey)
+			if cells+n > maxTableCells {
 				continue
 			}
 			if tab[gid] = tableRow(es, n); tab[gid] != nil {
 				cells += n
 			}
 		}
+		s.canon = canon
 		s.table.Store(&tab)
 	})
+}
+
+// canonRow maps each entry of one vertex to the first entry of the same
+// replay shape; nil when no two entries share one. The common case needs no
+// index: every entry has entry 0's shape (rank groups split by a message size
+// or a peer). Otherwise byKey — the caller's map, cleared and reused from
+// vertex to vertex — holds the first entry of each ShapeKey. An entry whose
+// payload does not fill maps to itself.
+func (s *Streamer) canonRow(es []Entry, byKey map[fp.Hash]int32) []int32 {
+	row := make([]int32, len(es))
+	d0, err := s.m.entryData(&es[0])
+	one := err == nil
+	for i := 1; one && i < len(es); i++ {
+		d, err := s.m.entryData(&es[i])
+		one = err == nil && d.SameShape(d0)
+	}
+	if one {
+		sink.Add(obs.ReplayShapeFolds, int64(len(es)-1))
+		return row // all zero
+	}
+	clear(byKey)
+	folds := 0
+	for i := range es {
+		row[i] = int32(i)
+		d, err := s.m.entryData(&es[i])
+		if err != nil {
+			continue
+		}
+		key := d.ShapeKey()
+		j, seen := byKey[key]
+		if !seen {
+			byKey[key] = int32(i)
+		} else if dj, _ := s.m.entryData(&es[j]); d.SameShape(dj) { // es[j] filled when it was indexed
+			row[i] = j
+			folds++
+		}
+	}
+	if folds == 0 {
+		return nil
+	}
+	sink.Add(obs.ReplayShapeFolds, int64(folds))
+	return row
 }
 
 // tableRow maps each of n ranks to the first entry of es containing it, by
@@ -219,17 +328,20 @@ func tableRow(es []Entry, n int) []int32 {
 // resolve fills sc with rank's resolved view and selection vector and returns
 // the selection fingerprint. One pass over the vertices: an index into the
 // rank table where it has a row, else a scan of the vertex's entry list for
-// the first one containing rank. On a selectively decoded tree this is where
-// lazy payload sections are filled (and where a corrupt skipped section
-// surfaces its error).
+// the first one containing rank. The view holds the rank's own payload; the
+// vector names the rank's canonical entry where the vertex has a canonical
+// row. On a selectively decoded tree this is where lazy payload sections are
+// filled (and where a corrupt skipped section surfaces its error).
 func (s *Streamer) resolve(rank int, sc *resolveScratch) (fp.Hash, error) {
-	var tab [][]int32
+	var tab, canon [][]int32
 	if t := s.table.Load(); t != nil {
-		tab = *t
+		tab, canon = *t, s.canon
 	}
+	data := sc.view.data
+	sc.nrec = 0
 	h := fp.New()
 	for gid, es := range s.m.Entries {
-		sc.data[gid] = nil
+		data[gid] = nil
 		sc.sel[gid] = -1
 		i := -1
 		if tab != nil && tab[gid] != nil {
@@ -249,7 +361,11 @@ func (s *Streamer) resolve(rank int, sc *resolveScratch) (fp.Hash, error) {
 		if err != nil {
 			return h, fmt.Errorf("merge: resolving rank %d at vertex %d: %w", rank, gid, err)
 		}
-		sc.data[gid] = d
+		data[gid] = d
+		sc.nrec += len(d.Records)
+		if canon != nil && canon[gid] != nil {
+			i = int(canon[gid][i])
+		}
 		sc.sel[gid] = int32(i)
 		h = h.Word(uint64(gid)).Word(uint64(i))
 	}
@@ -279,102 +395,103 @@ func selEqual(a, b []int32) bool {
 	return true
 }
 
-// classFor resolves rank and returns its selection class, building and
-// memoizing the replay skeleton on first contact with the class. When emit is
-// non-nil and the class was not yet memoized, the skeleton-building walk
-// streams rank's events into emit and the returned bool is true (the caller
-// must not emit again).
-func (s *Streamer) classFor(rank int, emit func(*trace.Event)) (*replayClass, bool, error) {
+// bound returns rank's class and bound table, from the rank memo or, on
+// first contact with the rank, by resolving it into sc; first contact with
+// its class builds and memoizes the skeleton. When emit is non-nil and the
+// class was not yet memoized, the skeleton-building walk streams rank's
+// events into emit and the returned bool is true (the caller must not emit
+// again).
+func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) (rankMemo, bool, error) {
 	if rank < 0 || rank >= s.m.NumRanks {
-		return nil, false, fmt.Errorf("merge: replay rank %d out of range [0,%d)", rank, s.m.NumRanks)
+		return rankMemo{}, false, fmt.Errorf("merge: replay rank %d out of range [0,%d)", rank, s.m.NumRanks)
 	}
 	s.mu.Lock()
-	if c := s.byRank[rank]; c != nil {
-		s.mu.Unlock()
+	m := s.byRank[rank]
+	s.mu.Unlock()
+	if m.class != nil {
 		sink.Inc(obs.ReplayRankMemoHits)
 		rec.Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, int64(rank), memoHitRank)
-		return c, false, nil
+		return m, false, nil
 	}
-	s.mu.Unlock()
 
-	sc := s.scratch.Get().(*resolveScratch)
-	defer s.scratch.Put(sc)
 	h, err := s.resolve(rank, sc)
 	if err != nil {
-		return nil, false, err
+		return rankMemo{}, false, err
 	}
-
+	m.recs = sc.table()
+	built := false
 	s.mu.Lock()
-	if c := s.lookup(h, sc.sel); c != nil {
-		s.byRank[rank] = c
+	if m.class = s.lookup(h, sc.sel); m.class == nil {
+		// Build outside the lock: skeleton construction is the expensive part
+		// and other classes' ranks should not serialize behind it. A
+		// concurrent builder of the same class loses the insert race below
+		// and discards its duplicate — correctness is unaffected (both walks
+		// produce equal steps).
 		s.mu.Unlock()
+		bsp := sink.Start(obs.StageSkeleton)
+		tsp := rec.Begin(ftrace.CatReplay, ftrace.NameSkeleton, 0)
+		steps, err := replay.Skeleton(&sc.view, rank, emit)
+		tsp.End(int64(rank), int64(len(steps)))
+		bsp.End()
+		sink.Inc(obs.ReplaySkeletonBuilds)
+		if err != nil {
+			return rankMemo{}, emit != nil, err
+		}
+		built = true
+		s.mu.Lock()
+		if m.class = s.lookup(h, sc.sel); m.class == nil {
+			m.class = &replayClass{sel: append([]int32(nil), sc.sel...), steps: steps}
+			s.classes[h] = append(s.classes[h], m.class)
+		}
+	}
+	s.byRank[rank] = m
+	s.mu.Unlock()
+	if !built {
 		sink.Inc(obs.ReplayClassReuses)
 		rec.Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, int64(rank), memoHitClass)
-		return c, false, nil
 	}
-	s.mu.Unlock()
-
-	// Build outside the lock: skeleton construction is the expensive part and
-	// other classes' ranks should not serialize behind it. A concurrent
-	// builder of the same class loses the insert race below and discards its
-	// duplicate — correctness is unaffected (both walks produce equal steps).
-	view := &Resolved{tree: s.m.Tree, data: sc.data, rank: rank}
-	bsp := sink.Start(obs.StageSkeleton)
-	tsp := rec.Begin(ftrace.CatReplay, ftrace.NameSkeleton, 0)
-	steps, err := replay.Skeleton(view, rank, emit)
-	tsp.End(int64(rank), int64(len(steps)))
-	bsp.End()
-	sink.Inc(obs.ReplaySkeletonBuilds)
-	if err != nil {
-		return nil, emit != nil, err
-	}
-	c := &replayClass{sel: append([]int32(nil), sc.sel...), steps: steps}
-
-	s.mu.Lock()
-	if prior := s.lookup(h, sc.sel); prior != nil {
-		c = prior
-	} else {
-		s.classes[h] = append(s.classes[h], c)
-	}
-	s.byRank[rank] = c
-	s.mu.Unlock()
-	return c, emit != nil, nil
+	return m, built && emit != nil, nil
 }
 
 // Replay streams rank's exact event sequence into emit. The first rank of
-// each selection class pays one tree walk (which doubles as the skeleton
-// build); every later rank of the class is a flat scan over the shared
-// skeleton. The event pointer is only valid during the callback. The emitted
-// sequence is byte-identical to replay.Events over ForRank(rank).
+// each class pays one tree walk (which doubles as the skeleton build); every
+// later rank of the class is a flat scan over the shared skeleton through its
+// own bound records. The event pointer is only valid during the callback.
+// The emitted sequence is byte-identical to replay.Events over ForRank(rank).
 func (s *Streamer) Replay(rank int, emit func(e *trace.Event)) error {
-	c, emitted, err := s.classFor(rank, emit)
+	sc := s.scratch.Get().(*resolveScratch)
+	m, emitted, err := s.bound(rank, sc, emit)
+	s.scratch.Put(sc)
 	if err != nil || emitted {
 		return err
 	}
-	replay.EmitSkeleton(c.steps, rank, emit)
+	replay.EmitSkeleton(m.class.steps, m.recs, rank, emit)
 	return nil
 }
 
 // Cursor returns a pull iterator over rank's event sequence, backed by the
-// rank's (possibly shared) replay skeleton: O(1) per-rank state, suitable for
-// feeding simmpi.SimulateStreamPar without materializing the sequence.
+// rank's (possibly shared) replay skeleton and its own bound table: O(1)
+// per-rank state beyond those, suitable for feeding simmpi.SimulateStreamPar
+// without materializing the sequence.
 func (s *Streamer) Cursor(rank int) (*replay.Cursor, error) {
-	c, _, err := s.classFor(rank, nil)
+	sc := s.scratch.Get().(*resolveScratch)
+	m, _, err := s.bound(rank, sc, nil)
+	s.scratch.Put(sc)
 	if err != nil {
 		return nil, err
 	}
-	return replay.NewCursor(c.steps, rank), nil
+	return replay.NewCursor(m.class.steps, m.recs, rank), nil
 }
 
-// Prepare builds the rank table, then resolves every rank and builds every
-// selection class's skeleton under a bounded worker pool (workers <= 0 uses
-// GOMAXPROCS). Calling it first makes subsequent Cursor calls O(1); Replay
-// and Cursor also build lazily, so Prepare is an optimization, not a
-// requirement.
+// Prepare builds the rank table and the canonical-entry rows, then resolves
+// every rank, binds its table and builds every class's skeleton under a
+// bounded worker pool (workers <= 0 uses GOMAXPROCS). Calling it first makes
+// subsequent Cursor and Replay calls O(1) in the tree; both also build
+// lazily, so Prepare is an optimization, not a requirement.
 func (s *Streamer) Prepare(workers int) error {
 	s.buildTable()
-	return s.forEachRank(workers, func(rank int) error {
-		_, _, err := s.classFor(rank, nil)
+	return s.forEachRank(workers, nil, func(s *Streamer, rank int, sc *resolveScratch) error {
+		_, _, err := s.bound(rank, sc, nil)
 		return err
 	})
 }
@@ -386,14 +503,25 @@ func (s *Streamer) Prepare(workers int) error {
 // first error stops no other lanes but is the one returned.
 func (s *Streamer) ReplayAll(workers int, fn func(rank int, e *trace.Event)) error {
 	s.buildTable()
-	return s.forEachRank(workers, func(rank int) error {
-		return s.Replay(rank, func(e *trace.Event) { fn(rank, e) })
+	return s.forEachRank(workers, fn, func(s *Streamer, rank int, sc *resolveScratch) error {
+		sc.rank = rank
+		m, emitted, err := s.bound(rank, sc, sc.emit)
+		if err != nil || emitted {
+			return err
+		}
+		// A closure EmitSkeleton only calls stays on the stack; sc.emit, which
+		// a skeleton build retains, is the one that has to be made ahead.
+		fn := sc.fn
+		replay.EmitSkeleton(m.class.steps, m.recs, rank, func(e *trace.Event) { fn(rank, e) })
+		return nil
 	})
 }
 
-// forEachRank fans fn out over ranks with an atomic work counter, so
-// stragglers do not serialize behind a static partition.
-func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
+// forEachRank fans each out over ranks with an atomic work counter, so
+// stragglers do not serialize behind a static partition. A lane holds one
+// scratch for all its ranks, with fn behind the scratch's emit; each captures
+// nothing, so a serial all-rank call allocates nothing of its own.
+func (s *Streamer) forEachRank(workers int, fn func(rank int, e *trace.Event), each func(s *Streamer, rank int, sc *resolveScratch) error) error {
 	n := s.m.NumRanks
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -402,12 +530,15 @@ func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
 		workers = n
 	}
 	if workers <= 1 {
-		for rank := 0; rank < n; rank++ {
-			if err := fn(rank); err != nil {
-				return err
-			}
+		sc := s.scratch.Get().(*resolveScratch)
+		sc.fn = fn
+		var err error
+		for rank := 0; rank < n && err == nil; rank++ {
+			err = each(s, rank, sc)
 		}
-		return nil
+		sc.fn = nil
+		s.scratch.Put(sc)
+		return err
 	}
 	var next atomic.Int64
 	next.Store(-1)
@@ -417,15 +548,15 @@ func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				rank := int(next.Add(1))
-				if rank >= n {
-					return
-				}
-				if err := fn(rank); err != nil {
+			sc := s.scratch.Get().(*resolveScratch)
+			sc.fn = fn
+			for rank := int(next.Add(1)); rank < n; rank = int(next.Add(1)) {
+				if err := each(s, rank, sc); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 				}
 			}
+			sc.fn = nil
+			s.scratch.Put(sc)
 		}()
 	}
 	wg.Wait()
@@ -435,8 +566,8 @@ func (s *Streamer) forEachRank(workers int, fn func(rank int) error) error {
 	return nil
 }
 
-// ClassCount reports how many selection classes have been discovered so far
-// (a measure of SPMD uniformity: 1 means every resolved rank shares one
+// ClassCount reports how many replay classes have been discovered so far (a
+// measure of SPMD uniformity: 1 means every resolved rank shares one
 // skeleton). Only ranks already replayed or prepared are counted.
 func (s *Streamer) ClassCount() int {
 	s.mu.Lock()

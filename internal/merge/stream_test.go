@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
+	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
 	"repro/internal/timestat"
@@ -21,8 +23,9 @@ import (
 // ringSrcStream is the wraparound-ring shape behind the large-rank streaming
 // tests: every rank sends to (rank+1)%size and receives from (rank-1+size)%size,
 // so the trace both simulates under simmpi (sends complete locally; every recv
-// has a matching send) and splits into three selection classes (interior,
-// rank 0, rank size-1 — the wraparound edges break the relative encoding).
+// has a matching send) and splits into three rank groups (interior, rank 0,
+// rank size-1 — the wraparound edges break the relative encoding) of one
+// replay shape.
 const ringSrcStream = `
 func main() {
 	for var i = 0; i < 16; i = i + 1 {
@@ -115,6 +118,17 @@ func rankViewSeq(t testing.TB, m *Merged, rank int) []trace.Event {
 	return seq
 }
 
+// npbMerged traces an npb workload on n ranks at npb.Small and merges it.
+func npbMerged(t testing.TB, name string, n int) *Merged {
+	t.Helper()
+	_, ctts, _ := collect(t, npb.Get(name).Source(n, npb.Small), n)
+	m, err := All(ctts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // streamerSeqs materializes every rank's sequence three ways through s —
 // callback Replay, pull Cursor — and checks them against each other before
 // returning the Replay result.
@@ -163,7 +177,7 @@ func TestStreamerMatchesRankView(t *testing.T) {
 		}{name: "jacobi", m: m})
 	}
 	{
-		// Divergent iteration counts: multiple selection classes with
+		// Divergent iteration counts: multiple replay classes with
 		// interleaved rank sets.
 		src := `
 func main() {
@@ -204,9 +218,11 @@ func main() {
 }
 
 // TestStreamerRing1024 is the at-scale identity check: 1024 synthetic ring
-// ranks must replay byte-identically through the Streamer and collapse to the
-// three wraparound selection classes, and the streaming simulation over pull
-// cursors must produce exactly the result of the materializing simulation.
+// ranks must replay byte-identically through the Streamer and collapse to one
+// replay class — the two wraparound edges are rank groups of their own, but
+// they differ from the interior in peer only, which no walk reads — and the
+// streaming simulation over pull cursors must produce exactly the result of
+// the materializing simulation.
 func TestStreamerRing1024(t *testing.T) {
 	const n = 1024
 	ctts := ringCTTs(t, n, 16)
@@ -218,8 +234,8 @@ func TestStreamerRing1024(t *testing.T) {
 	if err := s.Prepare(0); err != nil {
 		t.Fatal(err)
 	}
-	if cc := s.ClassCount(); cc != 3 {
-		t.Errorf("ring ClassCount = %d, want 3 (interior + two wraparound edges)", cc)
+	if cc := s.ClassCount(); cc != 1 {
+		t.Errorf("ring ClassCount = %d, want 1 (the wraparound edges differ in peer only)", cc)
 	}
 	// Spot-check full sequences at the class boundaries and a few interiors.
 	for _, rank := range []int{0, 1, 2, 511, 1022, 1023} {
@@ -299,7 +315,7 @@ func TestStreamerRankOutOfRange(t *testing.T) {
 }
 
 // TestStreamerSteadyStateAllocs pins the streaming replay's steady state:
-// once every selection class's skeleton is memoized, replaying a rank must
+// once every replay class's skeleton is memoized, replaying a rank must
 // not allocate at all — the walk is a flat scan over shared steps with one
 // stack-reused event buffer — and opening a cursor costs exactly the cursor.
 func TestStreamerSteadyStateAllocs(t *testing.T) {
@@ -388,19 +404,15 @@ func TestRankTableHostileRankSets(t *testing.T) {
 }
 
 // TestStreamerReplayAllFragmented replays SP — every comm leaf split into
-// one group per rank or nearly, so every rank its own class — through
-// ReplayAll at 1 and 4 workers on a fresh Streamer each, against the rankView
-// walk. A fresh Streamer per worker count makes each run build the rank
+// one group per rank or nearly, by message size alone, so many groups and few
+// replay classes — through ReplayAll at 1 and 4 workers on a fresh Streamer
+// each, against the rankView walk. A fresh Streamer per worker count makes each run build the rank
 // table, and single-rank Replays racing the 4-worker run read the table
 // pointer while it is being published: the one-time build is what the race
 // job is here to watch.
 func TestStreamerReplayAllFragmented(t *testing.T) {
 	const n = 64
-	_, ctts, _ := collect(t, npb.Get("SP").Source(n, npb.Small), n)
-	m, err := All(ctts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := npbMerged(t, "SP", n)
 	want := make([][]trace.Event, n)
 	for rank := range want {
 		want[rank] = rankViewSeq(t, m, rank)
@@ -447,8 +459,13 @@ func TestStreamerReplayAllFragmented(t *testing.T) {
 				rows++
 			}
 		}
-		if rows == 0 || s.ClassCount() < n/2 {
-			t.Fatalf("workers=%d: %d table rows, %d classes: SP-%d no longer fragments", workers, rows, s.ClassCount(), n)
+		if rows == 0 || m.GroupCount() < n/2*rows {
+			t.Fatalf("workers=%d: %d table rows, %d groups: SP-%d no longer fragments", workers, rows, m.GroupCount(), n)
+		}
+		// 9 shapes, and at most one more for each of the 11 single-rank
+		// Replays that memoized a raw vector before the canonical rows existed.
+		if cc := s.ClassCount(); cc >= n/2 {
+			t.Errorf("workers=%d: %d replay classes on SP-%d, want at most 20: groups split by size alone share a shape", workers, cc, n)
 		}
 	}
 }
@@ -461,11 +478,7 @@ func TestStreamerTableAllocs(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
 	}
 	const n = 16
-	_, ctts, _ := collect(t, npb.Get("SP").Source(n, npb.Small), n)
-	m, err := All(ctts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := npbMerged(t, "SP", n)
 	s := NewStreamer(m)
 	if err := s.Prepare(1); err != nil {
 		t.Fatal(err)
@@ -494,5 +507,214 @@ func TestStreamerTableAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("table resolve + Replay over %d ranks allocates %.1f allocs/op, want 0", n, allocs)
+	}
+}
+
+// TestStreamerShapeClassAllocs is the steady state of a job whose ranks share
+// skeletons without sharing entries: on SP-16 after Prepare every rank has
+// its class and its bound table, and a full ReplayAll allocates nothing.
+func TestStreamerShapeClassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
+	}
+	const n = 16
+	m := npbMerged(t, "SP", n)
+	s := NewStreamer(m)
+	if err := s.Prepare(1); err != nil {
+		t.Fatal(err)
+	}
+	if cc := s.ClassCount(); cc >= n {
+		t.Fatalf("SP-%d: %d classes, no rank shares a skeleton", n, cc)
+	}
+	events := 0
+	fn := func(int, *trace.Event) { events++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.ReplayAll(1, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("ReplayAll(1) over %d prepared ranks allocates %.1f allocs/op, want 0", n, allocs)
+	}
+}
+
+// TestStreamerOrderIndependence is the mixed-vector case of the soundness
+// argument in stream.go: a rank replayed on its own before the first all-rank
+// call memoizes a raw selection vector, every rank after it a canonical one,
+// and both kinds then meet in one class table. Single ranks first and
+// ReplayAll after, and the reverse, on SP (groups split by size) and CG
+// (split by peer) at 1 and 4 workers: every rank, through every entry point,
+// must replay what the rankView walk replays.
+func TestStreamerOrderIndependence(t *testing.T) {
+	const n = 64
+	for name, shapes := range map[string]int{"SP": 9, "CG": 1} {
+		m := npbMerged(t, name, n)
+		want := make([][]trace.Event, n)
+		for rank := range want {
+			want[rank] = rankViewSeq(t, m, rank)
+		}
+		singles := func(s *Streamer) {
+			for _, rank := range []int{n / 2, 0, n - 1, 7} {
+				if got := streamerSeqs(t, s, rank); !reflect.DeepEqual(want[rank], got) {
+					t.Fatalf("%s: single-rank replay of rank %d differs from rankView", name, rank)
+				}
+			}
+		}
+		all := func(s *Streamer, workers int) {
+			got := make([][]trace.Event, n)
+			if err := s.ReplayAll(workers, func(rank int, e *trace.Event) {
+				got[rank] = append(got[rank], *e)
+			}); err != nil {
+				t.Fatalf("%s: workers=%d: %v", name, workers, err)
+			}
+			for rank := range got {
+				if !reflect.DeepEqual(want[rank], got[rank]) {
+					t.Fatalf("%s: workers=%d: ReplayAll rank %d differs from rankView", name, workers, rank)
+				}
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			s := NewStreamer(m)
+			singles(s)
+			all(s, workers)
+			singles(s)
+
+			s = NewStreamer(m)
+			all(s, workers)
+			singles(s)
+			all(s, workers)
+			if cc := s.ClassCount(); cc != shapes {
+				t.Errorf("%s-%d: %d replay classes when the all-rank replay came first, want %d", name, n, cc, shapes)
+			}
+		}
+	}
+}
+
+// replayClasses traces an npb workload on n ranks and returns the class count
+// after one all-rank replay.
+func replayClasses(t *testing.T, name string, n int) int {
+	t.Helper()
+	m := npbMerged(t, name, n)
+	s := NewStreamer(m)
+	if err := s.ReplayAll(1, func(int, *trace.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	return s.ClassCount()
+}
+
+// TestReplayClassesFollowShapes is the scaling claim as exact counts: SP's
+// rank groups differ in message size and CG's in peer, neither of which the
+// walk reads, so their class counts are the number of distinct control flows
+// — the same at 64, 256 and 1024 ranks — while the workloads that split by
+// control flow keep the counts they had when a class was a set of entries.
+func TestReplayClassesFollowShapes(t *testing.T) {
+	for _, name := range []string{"SP", "CG"} {
+		at64 := replayClasses(t, name, 64)
+		for _, n := range []int{256, 1024} {
+			if cc := replayClasses(t, name, n); cc != at64 {
+				t.Errorf("%s-%d: %d replay classes, %s-64 has %d: the count follows P", name, n, cc, name, at64)
+			}
+		}
+		t.Logf("%s: %d replay classes at 64, 256 and 1024 ranks", name, at64)
+	}
+	for _, tc := range []struct {
+		name    string
+		n, want int
+	}{{"LU", 128, 9}, {"MG", 512, 18}, {"BT", 64, 9}} {
+		if cc := replayClasses(t, tc.name, tc.n); cc != tc.want {
+			t.Errorf("%s-%d: %d replay classes, want %d", tc.name, tc.n, cc, tc.want)
+		}
+	}
+}
+
+// TestCanonRowsSurviveFailedFill breaks one lazy payload section of a
+// rank-projected tree and builds the canonical rows over it. The entry whose
+// payload cannot fill maps to itself, the build neither fails nor panics, and
+// the error comes out of resolve for exactly the ranks that select the entry:
+// every other rank replays what it replays on the intact tree.
+func TestCanonRowsSurviveFailedFill(t *testing.T) {
+	enc := encodePlain(t, buildMerged(t, shapeSplitSrc, 8))
+	intact := mustDecode(t, enc)
+	m, err := DecodeSelectAuto(enc, SelectRanks(0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var broken *Entry
+	gid := -1
+	for g, es := range m.Entries {
+		if len(es) == 4 && es[2].lazy != 0 {
+			gid, broken = g, &es[2]
+			break
+		}
+	}
+	if broken == nil {
+		t.Fatal("rank-0 projection of shapeSplitSrc left no four-entry leaf lazy")
+	}
+	m.lazy.slots[broken.lazy-1].end-- // the section now ends inside its last field
+
+	s := NewStreamer(m)
+	s.buildTable()
+	if row := s.canon[gid]; row == nil || row[0] != 0 || row[1] != 0 || row[2] != 2 || row[3] != 0 {
+		t.Fatalf("canonical row %v, want [0 0 2 0]: the entry that cannot fill stands for itself", row)
+	}
+	for rank := 0; rank < m.NumRanks; rank++ {
+		var got []trace.Event
+		err := s.Replay(rank, func(e *trace.Event) { got = append(got, *e) })
+		if broken.Ranks.Contains(rank) {
+			if err == nil || !strings.Contains(err.Error(), "lazy payload fill") {
+				t.Errorf("rank %d selects the broken section: err = %v, want its fill error", rank, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("rank %d does not select the broken section: %v", rank, err)
+		} else if !reflect.DeepEqual(rankViewSeq(t, intact, rank), got) {
+			t.Errorf("rank %d differs from the intact tree's replay", rank)
+		}
+	}
+	if err := NewStreamer(m).ReplayAll(1, func(int, *trace.Event) {}); err == nil {
+		t.Error("ReplayAll over a tree with a broken section returned no error")
+	}
+}
+
+// TestSingleRankReplayFillsOwnSectionsOnly: on a rank-projected tree a
+// single-rank Replay or Cursor builds no table and no canonical rows, so the
+// only lazy sections it fills are the ones its rank's own entries hold.
+func TestSingleRankReplayFillsOwnSectionsOnly(t *testing.T) {
+	const n, rank = 16, 5
+	m0 := npbMerged(t, "SP", n)
+	m, err := DecodeSelectAuto(encodePlain(t, m0), SelectRanks(0), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var own int64
+	for _, es := range m.Entries {
+		for i := range es {
+			if es[i].Ranks.Contains(rank) {
+				if es[i].lazy != 0 {
+					own++
+				}
+				break
+			}
+		}
+	}
+	if own == 0 || own == int64(countEntries(m)) {
+		t.Fatalf("rank %d owns %d lazy sections of %d entries: the projection tests nothing", rank, own, countEntries(m))
+	}
+	sk := obs.New()
+	SetObs(sk)
+	defer SetObs(nil)
+	s := NewStreamer(m)
+	if err := s.Replay(rank, func(*trace.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Cursor(rank); err != nil {
+		t.Fatal(err)
+	}
+	if got := sk.Value(obs.SelLazyFills); got != own {
+		t.Errorf("single-rank replay filled %d lazy sections, rank %d owns %d", got, rank, own)
+	}
+	if s.table.Load() != nil || s.canon != nil {
+		t.Error("a single-rank replay built the all-rank tables")
 	}
 }

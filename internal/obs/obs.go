@@ -92,6 +92,7 @@ const (
 	ReplayRankMemoHits   // ranks answered from the rank→class memo
 	ReplayClassReuses    // resolved ranks that joined an existing class
 	ReplaySkeletonBuilds // replay skeletons built (one tree walk each)
+	ReplayShapeFolds     // entries mapped to an earlier entry of their vertex with the same replay shape
 	ReplayEventsEmitted  // events synthesized by replay paths
 	SimEventsProcessed   // events consumed by the LogGP engine
 	SimBlockedCopies     // blocked events copied into rank-local buffers
@@ -179,6 +180,7 @@ var counterNames = [NumCounters]string{
 	ReplayRankMemoHits:   "replay_rank_memo_hits",
 	ReplayClassReuses:    "replay_class_reuses",
 	ReplaySkeletonBuilds: "replay_skeleton_builds",
+	ReplayShapeFolds:     "replay_shape_folds",
 	ReplayEventsEmitted:  "replay_events_emitted",
 	SimEventsProcessed:   "sim_events_processed",
 	SimBlockedCopies:     "sim_blocked_copies",

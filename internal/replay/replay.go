@@ -7,6 +7,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/cst"
@@ -58,38 +59,58 @@ func (s RankSource) Cycles(gid int32) []ctt.Cycle { return s.C.Data[gid].Cycles 
 func Events(src Source, rank int, emit func(e *trace.Event)) error {
 	var ev trace.Event
 	var n int64
-	err := walkSteps(src, rank, func(rec *ctt.CommRecord, k int64) {
+	err := walkSteps(src, rank, func(_ int32, _ int, rec *ctt.CommRecord, k int64) error {
 		synthesize(&ev, rec, rank, k)
 		emit(&ev)
 		n++
+		return nil
 	})
 	sink.Add(obs.ReplayEventsEmitted, n)
 	return err
 }
 
-// Step is one emitted event of a replay skeleton: the source record and the
-// occurrence index within it. A skeleton captures everything about a rank's
-// tree walk except the rank-relative fields (peer, which PeerForAt derives
-// per rank), so ranks whose resolved views are identical can share one
-// skeleton and skip the tree walk entirely (see merge.Streamer).
+// Step is one emitted event of a replay skeleton: the slot of the source
+// record and the occurrence index within it. Slots number the (gid, record
+// index) pairs of a view in GID order, so a rank's records concatenated
+// vertex after vertex are the table its slots index. A skeleton therefore
+// holds only what the walk decided — and the walk reads Counts, Taken,
+// Cycles, the number of records of a vertex and each record's Count, never a
+// size, tag, peer, request list or timing — so ranks whose views agree on
+// those (ctt.VData.SameShape, vertex by vertex) share one skeleton and each
+// synthesizes from its own records (see merge.Streamer).
 type Step struct {
-	Rec *ctt.CommRecord
-	K   int64
+	Slot uint32
+	K    uint32
 }
 
 // Skeleton walks src once and returns rank's replay skeleton. When emit is
 // non-nil, events are additionally synthesized and emitted during the walk,
 // exactly as Events would — building a skeleton for the first rank of a
-// group costs no second pass.
+// group costs no second pass. A view with more than 2^32 records, or a walk
+// that reaches an occurrence index past 2^32, is an error: a Step never holds
+// a truncated slot or K.
 func Skeleton(src Source, rank int, emit func(e *trace.Event)) ([]Step, error) {
+	base := make([]uint32, src.Tree().NumVertices())
+	var slots uint64
+	for gid := range base {
+		base[gid] = uint32(slots)
+		slots += uint64(len(src.Records(int32(gid))))
+	}
+	if slots > math.MaxUint32 {
+		return nil, fmt.Errorf("replay: rank %d: %d records do not fit a 32-bit slot", rank, slots)
+	}
 	var steps []Step
 	var ev trace.Event
-	err := walkSteps(src, rank, func(rec *ctt.CommRecord, k int64) {
-		steps = append(steps, Step{Rec: rec, K: k})
+	err := walkSteps(src, rank, func(gid int32, idx int, rec *ctt.CommRecord, k int64) error {
+		if k > math.MaxUint32 {
+			return fmt.Errorf("replay: rank %d: leaf %d occurrence %d does not fit a 32-bit step", rank, gid, k)
+		}
+		steps = append(steps, Step{Slot: base[gid] + uint32(idx), K: uint32(k)})
 		if emit != nil {
 			synthesize(&ev, rec, rank, k)
 			emit(&ev)
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -104,13 +125,14 @@ func Skeleton(src Source, rank int, emit func(e *trace.Event)) ([]Step, error) {
 var evPool = sync.Pool{New: func() any { return new(trace.Event) }}
 
 // EmitSkeleton synthesizes the events of a skeleton from rank's perspective,
-// in order. Only the rank-relative fields (peer) are re-evaluated; the
-// emitted sequence is byte-identical to a full Events walk of the same
-// resolved data. The event pointer is only valid during the callback.
-func EmitSkeleton(steps []Step, rank int, emit func(e *trace.Event)) {
+// in order, out of recs — rank's own records in slot order, from a view of
+// the skeleton's shape, whichever rank's walk built it. The emitted sequence
+// is byte-identical to a full Events walk of that view. The event pointer is
+// only valid during the callback.
+func EmitSkeleton(steps []Step, recs []*ctt.CommRecord, rank int, emit func(e *trace.Event)) {
 	ev := evPool.Get().(*trace.Event)
-	for i := range steps {
-		synthesize(ev, steps[i].Rec, rank, steps[i].K)
+	for _, st := range steps {
+		synthesize(ev, recs[st.Slot], rank, int64(st.K))
 		emit(ev)
 	}
 	*ev = trace.Event{} // drop record-aliased slices before pooling
@@ -120,9 +142,11 @@ func EmitSkeleton(steps []Step, rank int, emit func(e *trace.Event)) {
 
 // Cursor is a pull iterator over a replay skeleton: the per-rank-iterator
 // entry point streaming consumers (simmpi.SimulateStreamPar) drive. It holds
-// O(1) state per rank on top of the shared skeleton.
+// O(1) state per rank on top of the shared skeleton and the rank's bound
+// records.
 type Cursor struct {
 	steps []Step
+	recs  []*ctt.CommRecord
 	rank  int
 	i     int
 	ev    trace.Event
@@ -131,9 +155,10 @@ type Cursor struct {
 	counted bool
 }
 
-// NewCursor returns a cursor over steps from rank's perspective.
-func NewCursor(steps []Step, rank int) *Cursor {
-	return &Cursor{steps: steps, rank: rank}
+// NewCursor returns a cursor over steps from rank's perspective; recs is as
+// for EmitSkeleton and must stay unchanged while the cursor is in use.
+func NewCursor(steps []Step, recs []*ctt.CommRecord, rank int) *Cursor {
+	return &Cursor{steps: steps, recs: recs, rank: rank}
 }
 
 // Next returns the next event, or false when the sequence is exhausted. The
@@ -146,9 +171,9 @@ func (c *Cursor) Next() (*trace.Event, bool) {
 		}
 		return nil, false
 	}
-	st := &c.steps[c.i]
+	st := c.steps[c.i]
 	c.i++
-	synthesize(&c.ev, st.Rec, c.rank, st.K)
+	synthesize(&c.ev, c.recs[st.Slot], c.rank, int64(st.K))
 	return &c.ev, true
 }
 
@@ -163,11 +188,11 @@ func (c *Cursor) Rewind() {
 	c.counted = false
 }
 
-// Clone returns an independent cursor over the same shared skeleton,
-// positioned at the start. Clones share no mutable state, so concurrent
-// consumers can walk one memoized class skeleton side by side.
+// Clone returns an independent cursor over the same shared skeleton and
+// records, positioned at the start. Clones share no mutable state, so
+// concurrent consumers can walk one memoized class skeleton side by side.
 func (c *Cursor) Clone() *Cursor {
-	return NewCursor(c.steps, c.rank)
+	return NewCursor(c.steps, c.recs, c.rank)
 }
 
 // synthesize materializes one replayed event from a record occurrence; the
@@ -180,9 +205,14 @@ func synthesize(ev *trace.Event, rec *ctt.CommRecord, rank int, k int64) {
 	ev.ComputeNS = rec.Compute.Mean
 }
 
+// stepFunc receives one record occurrence of the walk: the leaf's gid, the
+// record's index on the leaf's list, the record, and the occurrence index
+// within it. An error ends the walk.
+type stepFunc func(gid int32, idx int, rec *ctt.CommRecord, k int64) error
+
 // walkSteps drives the pre-order tree walk, invoking step for each record
 // occurrence in original program order.
-func walkSteps(src Source, rank int, step func(rec *ctt.CommRecord, k int64)) error {
+func walkSteps(src Source, rank int, step stepFunc) error {
 	tree := src.Tree()
 	n := tree.NumVertices()
 	r := &replayer{
@@ -217,7 +247,7 @@ type recCursor struct {
 type replayer struct {
 	src  Source
 	rank int
-	step func(rec *ctt.CommRecord, k int64)
+	step stepFunc
 	rec  []recCursor // record cursor per comm leaf (and the root)
 	act  []int64     // next activation index per loop vertex
 	// reach counts how often each branch site was reached, at the GID of the
@@ -233,7 +263,9 @@ func (r *replayer) emitLeaf(v *cst.Vertex) error {
 		return fmt.Errorf("replay: rank %d: leaf %d (%v) out of records", r.rank, v.GID, v.Op)
 	}
 	rec := records[cur.idx]
-	r.step(rec, cur.consumed)
+	if err := r.step(v.GID, cur.idx, rec, cur.consumed); err != nil {
+		return err
+	}
 	cur.consumed++
 	if cur.consumed >= rec.Count {
 		cur.idx++

@@ -99,7 +99,7 @@ func TestReplayerStateDense(t *testing.T) {
 			sites)+"\t}\n}", 2)
 		src := RankSource{ctts[0]}
 		events := 0
-		step := func(*ctt.CommRecord, int64) { events++ }
+		step := func(int32, int, *ctt.CommRecord, int64) error { events++; return nil }
 		allocs := testing.AllocsPerRun(10, func() {
 			if err := walkSteps(src, 0, step); err != nil {
 				t.Fatal(err)

@@ -76,9 +76,10 @@ func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), e
 // fromCorpusDelta is the read path of a run that is not the first of its
 // class: prior is ingested first and becomes the class representative, mem is
 // stored as a delta against it, and the corpus is closed and reopened before
-// mem is served cold with rank 1 projected — so the class's read plan is built
-// from the class file and the record comes out of a sealed segment.
-func fromCorpusDelta(name string) readPath {
+// mem is served cold with get — so the class's read plan is built from the
+// class file, and the record is read out of a sealed segment that holds two,
+// by the frames that cover it.
+func fromCorpusDelta(name string, get func(c *Corpus, id TraceID) (*Result, func(), error)) readPath {
 	return readPath{name, func(t *testing.T, mem, prior *Result) (*Result, func()) {
 		dir := t.TempDir()
 		c, err := OpenCorpus(dir, CorpusOptions{})
@@ -101,7 +102,10 @@ func fromCorpusDelta(name string) readPath {
 		if c, err = OpenCorpus(dir, CorpusOptions{}); err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		res, release, err := c.GetProjected(id, 1)
+		if st, err := c.Stats(); err != nil || st.Segments != 1 || st.Runs != 2 {
+			t.Fatalf("the two runs are not in one sealed segment: %+v, %v", st, err)
+		}
+		res, release, err := get(c, id)
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
@@ -113,6 +117,9 @@ func fromCorpusDelta(name string) readPath {
 		}
 	}}
 }
+
+func getWhole(c *Corpus, id TraceID) (*Result, func(), error) { return c.Get(id) }
+func getRank1(c *Corpus, id TraceID) (*Result, func(), error) { return c.GetProjected(id, 1) }
 
 func writePlain(mem *Result, w io.Writer) (int64, error)   { return mem.WriteTrace(w, false) }
 func writeGzip(mem *Result, w io.Writer) (int64, error)    { return mem.WriteTrace(w, true) }
@@ -132,14 +139,13 @@ var readPaths = []readPath{
 	fromBytes("select/plain/rank1", writePlain, 1),
 	fromBytes("select/plain/none", writePlain, noRank),
 	fromBytes("select/cypb/rank1", writeBlocked, 1),
-	fromCorpus("corpus/get", func(c *Corpus, id TraceID) (*Result, func(), error) { return c.Get(id) }),
-	fromCorpus("corpus/get-projected", func(c *Corpus, id TraceID) (*Result, func(), error) {
-		return c.GetProjected(id, 1)
-	}),
+	fromCorpus("corpus/get", getWhole),
+	fromCorpus("corpus/get-projected", getRank1),
 	fromCorpus("corpus/get-projected/none", func(c *Corpus, id TraceID) (*Result, func(), error) {
 		return c.GetProjected(id, noRank)
 	}),
-	fromCorpusDelta("corpus/get-projected/delta"),
+	fromCorpusDelta("corpus/get/delta", getWhole),
+	fromCorpusDelta("corpus/get-projected/delta", getRank1),
 }
 
 // diffEvents compares two replayed sequences field for field. Request lists

@@ -7,13 +7,13 @@
 // serialization, becomes block-parallel the way Recorder-style tracing
 // systems and pgzip do it. The read side is one function over a file held in
 // memory, Unwrap, which also strips the other two layers a trace file can
-// wear (none, gzip).
+// wear (none, gzip); Scan and ReadRange read one piece of a container on disk.
 //
 // Container layout (all integers varint unless noted):
 //
 //	"CYPB"  4-byte magic
 //	version         (currently 1)
-//	frame target    (uncompressed bytes per frame the writer aimed for)
+//	frame target    (most uncompressed bytes the writer put in one frame)
 //	frame*          repeated, in payload order:
 //	    usize+1     uncompressed frame length plus one (0 terminates)
 //	    csize       compressed length
@@ -33,11 +33,20 @@
 // the span between header and footer exactly — a mangled index is an error
 // even when every frame would inflate.
 //
-// Determinism: frames are cut purely by uncompressed payload offset (every
-// FrameSize bytes) and each frame is compressed at the fixed encpool.FlateLevel,
-// so the emitted container is byte-identical for a given frame size
-// regardless of the worker count or the caller's Write chunking; the worker
-// count never changes what Unwrap returns either.
+// Frame boundaries: a frame ends when it holds FrameSize bytes or where the
+// writer's caller says so (Writer.Cut, a no-op on an empty frame). The layout
+// does not record which, so a reader that predates Cut accepts a cut container
+// like any other: frames of any length up to the target, tiling the payload.
+// What a cut buys is on the read side: Scan keeps the frame table and
+// Index.ReadRange inflates just the frames covering a payload range — exactly
+// the range, when the writer cut at both its ends.
+//
+// Determinism: the boundaries are a function of FrameSize and the payload
+// offsets at which Cut was called (the Cut positions are part of the input)
+// and each frame is compressed at the fixed encpool.FlateLevel, so the
+// emitted container is byte-identical for that input regardless of the worker
+// count or the caller's Write chunking; the worker count never changes what
+// Unwrap or ReadRange return either.
 package blockio
 
 // Magic is the 4-byte container header magic.

@@ -62,13 +62,83 @@ func encode(t testing.TB, payload []byte, opt WriterOptions) []byte {
 
 // decode reads a CYPB container back with the given worker setting. Damage
 // to the leading magic makes Unwrap sniff some other format; for a caller
-// that expects a container that is as much an error as any other.
-func decode(enc []byte, workers int) ([]byte, error) {
+// that expects a container that is as much an error as any other. Every
+// container any test decodes is also read whole through the range reader,
+// which must reach Unwrap's verdict: refuse what it refuses, and return the
+// same bytes for what it accepts.
+func decode(t testing.TB, enc []byte, workers int) ([]byte, error) {
+	t.Helper()
 	payload, format, err := Unwrap(enc, workers)
 	if err == nil && format != FormatBlocked {
-		return nil, fmt.Errorf("sniffed %v, want a CYPB container", format)
+		err = fmt.Errorf("sniffed %v, want a CYPB container", format)
+	}
+	ranged, rerr := readRange(enc, 0, -1, workers)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("workers=%d: Unwrap says %v, the range reader %v", workers, err, rerr)
+	}
+	if err == nil && !bytes.Equal(ranged, payload) {
+		t.Fatalf("workers=%d: Unwrap and a whole-payload range read return different bytes", workers)
 	}
 	return payload, err
+}
+
+// readRange is the range reader end to end over a container held in memory:
+// Scan, then ReadRange of [off, off+n), sliced down to the range. n < 0 asks
+// for everything from off on.
+func readRange(enc []byte, off, n, workers int) ([]byte, error) {
+	x, err := Scan(enc)
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		n = x.Len() - off
+	}
+	p, at, err := x.ReadRange(bytes.NewReader(enc), off, n, workers)
+	if err != nil {
+		return nil, err
+	}
+	return p[off-at:][:n], nil
+}
+
+// encodeCuts writes payload in chunk-byte Writes, calling Cut at each of the
+// payload offsets in cuts (ascending; repeats are repeated Cuts).
+func encodeCuts(t testing.TB, payload []byte, opt WriterOptions, chunk int, cuts []int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; ; {
+		for len(cuts) > 0 && cuts[0] == off {
+			w.Cut()
+			cuts = cuts[1:]
+		}
+		if off == len(payload) {
+			break
+		}
+		end := min(off+chunk, len(payload))
+		if len(cuts) > 0 {
+			end = min(end, cuts[0])
+		}
+		if _, err := w.Write(payload[off:end]); err != nil {
+			t.Fatal(err)
+		}
+		off = end
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// every returns the multiples of k in (0, n].
+func every(k, n int) []int {
+	var out []int
+	for c := k; c <= n; c += k {
+		out = append(out, c)
+	}
+	return out
 }
 
 func TestRoundTripSizes(t *testing.T) {
@@ -78,7 +148,7 @@ func TestRoundTripSizes(t *testing.T) {
 			for _, decW := range []int{0, 1, 2, 5} {
 				payload := testPayload(n)
 				enc := encode(t, payload, WriterOptions{FrameSize: frame, Workers: encW})
-				got, err := decode(enc, decW)
+				got, err := decode(t, enc, decW)
 				if err != nil {
 					t.Fatalf("n=%d encW=%d decW=%d: %v", n, encW, decW, err)
 				}
@@ -110,14 +180,14 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if bytes.Equal(base, other) {
 		t.Fatal("different frame sizes produced identical containers")
 	}
-	got, err := decode(other, 1)
+	got, err := decode(t, other, 1)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("16KB-frame container failed to round-trip: %v", err)
 	}
 	// The read side holds the same claim: worker count never changes the
 	// bytes Unwrap returns.
 	for _, workers := range []int{2, 4, 7, 64} {
-		got, err := decode(base, workers)
+		got, err := decode(t, base, workers)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("Unwrap workers=%d differs from workers=1: %v", workers, err)
 		}
@@ -132,7 +202,7 @@ func TestCorruptionDetected(t *testing.T) {
 		for _, off := range []int{0, 3, 10, len(enc) / 4, len(enc) / 2, len(enc) - 20, len(enc) - 3} {
 			mut := append([]byte(nil), enc...)
 			mut[off] ^= 0x5a
-			got, err := decode(mut, workers)
+			got, err := decode(t, mut, workers)
 			if err == nil && bytes.Equal(got, payload) {
 				// Flips inside deflate padding bits can be harmless; only a
 				// silent wrong payload is a failure.
@@ -151,7 +221,7 @@ func TestTruncationDetected(t *testing.T) {
 	enc := encode(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: 1})
 	for _, workers := range []int{0, 1} {
 		for cut := 0; cut < len(enc); cut += 97 {
-			got, err := decode(enc[:cut], workers)
+			got, err := decode(t, enc[:cut], workers)
 			if err == nil {
 				t.Fatalf("workers=%d: truncation at %d/%d decoded silently (%d bytes)",
 					workers, cut, len(enc), len(got))
@@ -166,12 +236,12 @@ func TestTruncationDetected(t *testing.T) {
 func TestMangledFooter(t *testing.T) {
 	payload := testPayload(20 << 10)
 	enc := encode(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: 1})
-	frames, total, err := readFrames(enc)
+	x, err := Scan(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != 3 || total != len(payload) {
-		t.Fatalf("fixture has %d frames of %d bytes, want 3 of %d", len(frames), total, len(payload))
+	if len(x.frames) != 3 || x.Len() != len(payload) {
+		t.Fatalf("fixture has %d frames of %d bytes, want 3 of %d", len(x.frames), x.Len(), len(payload))
 	}
 	// The footer spans [len-12-footerLen, len-12); flip every byte of it and
 	// of the trailer.
@@ -181,7 +251,7 @@ func TestMangledFooter(t *testing.T) {
 		mut := append([]byte(nil), enc...)
 		mut[off] ^= 0x11
 		for _, workers := range []int{0, 2} {
-			if _, err := decode(mut, workers); err == nil {
+			if _, err := decode(t, mut, workers); err == nil {
 				t.Fatalf("workers=%d: mangled footer byte %d accepted", workers, off)
 			}
 		}
@@ -270,7 +340,7 @@ func TestFrameTiling(t *testing.T) {
 		{"trailing bytes after the trailer", append(append([]byte(nil), enc...), 0)},
 	} {
 		for _, workers := range []int{1, 4} {
-			if _, err := decode(tc.enc, workers); err == nil {
+			if _, err := decode(t, tc.enc, workers); err == nil {
 				t.Errorf("%s: accepted at workers=%d", tc.name, workers)
 			}
 		}
@@ -324,15 +394,23 @@ func TestHostileSizesStayCheap(t *testing.T) {
 		if len(tc.enc) >= 100 {
 			t.Fatalf("%s: container is %d bytes, want < 100", tc.name, len(tc.enc))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, err := Unwrap(tc.enc, 4)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s: accepted", tc.name)
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
-			t.Errorf("%s: allocated %d bytes for a %d-byte input, budget %d (%v)", tc.name, got, len(tc.enc), tc.budget, err)
+		for _, read := range []struct {
+			name string
+			fn   func() error
+		}{
+			{"Unwrap", func() error { _, _, err := Unwrap(tc.enc, 4); return err }},
+			{"range read", func() error { _, err := readRange(tc.enc, 0, -1, 4); return err }},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read.fn()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%s: %s accepted", tc.name, read.name)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
+				t.Errorf("%s: %s allocated %d bytes for a %d-byte input, budget %d (%v)", tc.name, read.name, got, len(tc.enc), tc.budget, err)
+			}
 		}
 	}
 }
@@ -384,4 +462,173 @@ func ExampleWriter() {
 	out, format, _ := Unwrap(buf.Bytes(), 1)
 	fmt.Println(format, string(out))
 	// Output: blocked payload bytes
+}
+
+// cutLayouts is every way a writer can come to its frame boundaries: by the
+// frame size alone, by cuts alone, by both, by cuts that fall where a frame
+// ended anyway, by a cut repeated, and around no payload at all.
+func cutLayouts() []struct {
+	name    string
+	payload []byte
+	frame   int
+	cuts    []int
+} {
+	small := testPayload(300)
+	return []struct {
+		name    string
+		payload []byte
+		frame   int
+		cuts    []int
+	}{
+		{"default frame size", testPayload(300 << 10), 0, nil},
+		{"default frame size, three records", testPayload(300 << 10), 0, []int{1000, 150 << 10, 300 << 10}},
+		{"tiny frames", small, 16, nil},
+		{"cut every 7 bytes", small, 64, every(7, len(small))},
+		{"cut every 100 bytes, frames of 64", small, 64, every(100, len(small))},
+		{"cuts on frame boundaries", small, 64, every(64, len(small))},
+		{"every cut doubled", small, 64, []int{0, 0, 50, 50, 130, 130, 300, 300}},
+		{"zero-length payload", nil, 64, nil},
+		{"zero-length payload, cut", nil, 64, []int{0, 0}},
+	}
+}
+
+// TestReadRangeMatchesUnwrap: whatever the frame layout, every range read
+// returns the same bytes as that slice of what Unwrap returns, at either
+// worker setting on either side.
+func TestReadRangeMatchesUnwrap(t *testing.T) {
+	for _, lay := range cutLayouts() {
+		enc := encodeCuts(t, lay.payload, WriterOptions{FrameSize: lay.frame, Workers: 2}, 1000, lay.cuts)
+		for _, workers := range []int{1, 4} {
+			whole, err := decode(t, enc, workers)
+			if err != nil || !bytes.Equal(whole, lay.payload) {
+				t.Fatalf("%s: workers=%d: container does not round-trip: %v", lay.name, workers, err)
+			}
+			x, err := Scan(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Offsets worth reading from and to: both ends, and either side of
+			// every frame boundary.
+			seen := map[int]bool{}
+			var marks []int
+			for _, f := range x.frames {
+				for _, m := range []int{f.uoff - 1, f.uoff, f.uoff + 1, f.uoff + f.usize - 1, f.uoff + f.usize} {
+					if m >= 0 && m <= len(whole) && !seen[m] {
+						seen[m] = true
+						marks = append(marks, m)
+					}
+				}
+			}
+			if len(x.frames) == 0 {
+				marks = []int{0}
+			}
+			// Few enough marks: all pairs. The 4-worker pass over a dense
+			// layout reads every third pair.
+			step := 1
+			if workers > 1 && len(marks) > 64 {
+				step = 3
+			}
+			src, reads := bytes.NewReader(enc), 0
+			for i, off := range marks {
+				for j := i; j < len(marks); j += step {
+					n := marks[j] - off
+					if n < 0 {
+						continue
+					}
+					p, at, err := x.ReadRange(src, off, n, workers)
+					if err != nil {
+						t.Fatalf("%s: workers=%d: [%d, +%d): %v", lay.name, workers, off, n, err)
+					}
+					if got := p[off-at:][:n]; !bytes.Equal(got, whole[off:off+n]) {
+						t.Fatalf("%s: workers=%d: [%d, +%d) differs from Unwrap's slice", lay.name, workers, off, n)
+					}
+					reads++
+				}
+			}
+			if reads == 0 {
+				t.Fatalf("%s: no range was read", lay.name)
+			}
+			for _, bad := range [][2]int{{-1, 1}, {0, -1}, {0, len(whole) + 1}, {len(whole), 1}, {len(whole) + 1, 0}} {
+				if _, _, err := x.ReadRange(src, bad[0], bad[1], workers); err == nil {
+					t.Fatalf("%s: range [%d, +%d) of a %d-byte payload accepted", lay.name, bad[0], bad[1], len(whole))
+				}
+			}
+		}
+	}
+}
+
+// TestReadRangeReadsItsFramesOnly: a range that a writer cut out inflates to
+// itself and nothing else, and damage to any other frame is not its problem —
+// while a range the damaged frame covers is refused, never served wrong.
+func TestReadRangeReadsItsFramesOnly(t *testing.T) {
+	payload := testPayload(5000)
+	cuts := []int{700, 1900, 2000, 4100, 5000}
+	enc := encodeCuts(t, payload, WriterOptions{FrameSize: 1 << 10, Workers: 1}, 333, cuts)
+	x, err := Scan(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 700 | 1024 + 176 | 100 | 1024 + 1024 + 52 | 900
+	if len(x.frames) != 8 {
+		t.Fatalf("fixture has %d frames, want 8", len(x.frames))
+	}
+	src := bytes.NewReader(enc)
+	for i, start := 0, 0; i < len(cuts); start, i = cuts[i], i+1 {
+		p, at, err := x.ReadRange(src, start, cuts[i]-start, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at != start || !bytes.Equal(p, payload[start:cuts[i]]) {
+			t.Fatalf("record %d: read [%d, +%d), want exactly [%d, %d)", i, at, len(p), start, cuts[i])
+		}
+	}
+	for k := range x.frames {
+		fk := &x.frames[k]
+		for pos := fk.off; pos < fk.boff+fk.csize; pos++ {
+			mut := append([]byte(nil), enc...)
+			mut[pos] ^= 0xff
+			msrc := bytes.NewReader(mut)
+			for j := range x.frames {
+				fj := &x.frames[j]
+				p, _, err := x.ReadRange(msrc, fj.uoff, fj.usize, 1)
+				switch {
+				case err == nil && !bytes.Equal(p, payload[fj.uoff:][:fj.usize]):
+					t.Fatalf("byte %d of frame %d flipped: frame %d read back wrong", pos, k, j)
+				case j == k && err == nil:
+					t.Fatalf("byte %d of frame %d flipped: the frame still reads", pos, k)
+				case j != k && err != nil:
+					t.Fatalf("byte %d of frame %d flipped: frame %d no longer reads: %v", pos, k, j, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCutDeterministic: the container is a function of the payload, the frame
+// size and the Cut positions — not of the worker count, and not of how the
+// payload was chunked into Write calls. Cuts that fall where a frame ended
+// anyway change nothing; any other cut does.
+func TestCutDeterministic(t *testing.T) {
+	payload := testPayload(40 << 10)
+	cuts := []int{1, 5000, 5000, 8 << 10, 20000, 40 << 10}
+	opt := WriterOptions{FrameSize: 8 << 10, Workers: 1}
+	base := encodeCuts(t, payload, opt, 1000, cuts)
+	for _, workers := range []int{1, 2, 4, 7} {
+		for _, chunk := range []int{1, 333, 8 << 10, len(payload)} {
+			got := encodeCuts(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: workers}, chunk, cuts)
+			if !bytes.Equal(got, base) {
+				t.Fatalf("workers=%d chunk=%d: container differs (%d vs %d bytes)", workers, chunk, len(got), len(base))
+			}
+		}
+	}
+	plain := encode(t, payload, opt)
+	if bytes.Equal(base, plain) {
+		t.Fatal("cutting changed nothing")
+	}
+	if got := encodeCuts(t, payload, opt, 1000, append([]int{0}, every(8<<10, len(payload))...)); !bytes.Equal(got, plain) {
+		t.Fatal("cuts at offset 0 and on frame boundaries changed the container")
+	}
+	if got := encodeCuts(t, payload, opt, 1000, []int{1, 5000, 8 << 10, 20001, 40 << 10}); bytes.Equal(got, base) {
+		t.Fatal("moving a cut changed nothing")
+	}
 }

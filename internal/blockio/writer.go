@@ -16,9 +16,10 @@ import (
 
 // WriterOptions configures a container writer.
 type WriterOptions struct {
-	// FrameSize is the target uncompressed bytes per frame; 0 means
-	// DefaultFrameSize. The emitted bytes depend on this value (it decides
-	// the frame boundaries) but never on Workers.
+	// FrameSize is the most uncompressed bytes a frame holds; 0 means
+	// DefaultFrameSize. The emitted bytes depend on this value and on where
+	// the caller Cuts (together they decide the frame boundaries) but never
+	// on Workers.
 	FrameSize int
 	// Workers bounds the concurrent frame compressors. Values <= 1 compress
 	// inline on the caller's goroutine with no pool at all — the bytes are
@@ -121,9 +122,9 @@ func (w *Writer) raw(p []byte) {
 	w.off += int64(len(p))
 }
 
-// Write cuts p into frames at FrameSize boundaries. Frame boundaries depend
-// only on the cumulative payload offset, never on the chunking of Write
-// calls.
+// Write appends p to the open frame, ending it whenever it holds FrameSize
+// bytes. Frame boundaries depend only on the payload offsets of the Cut calls
+// so far, never on the chunking of Write calls.
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.done {
 		return 0, fmt.Errorf("blockio: write after Close")
@@ -145,6 +146,16 @@ func (w *Writer) Write(p []byte) (int, error) {
 		}
 	}
 	return n, w.err
+}
+
+// Cut ends the open frame at the current payload offset, so that what was
+// written since the last boundary can be read back on its own (Index.ReadRange)
+// and what follows has a full FrameSize ahead of it. On an empty frame — twice
+// in a row, or right after Write filled one — it does nothing.
+func (w *Writer) Cut() {
+	if !w.done && w.err == nil && len(w.buf) > 0 {
+		w.flushFrame()
+	}
 }
 
 // flushFrame hands the current accumulator to the compressor and starts a

@@ -70,6 +70,7 @@ var (
 
 const (
 	formatVersion = 1
+	segHeaderLen  = 5 // segment and active log file header: magic, version
 
 	flagDelta     = 1 // body is DeltaPayload against the class representative
 	flagFull      = 2 // body is the complete standalone encoding
@@ -121,14 +122,32 @@ type class struct {
 type runLoc struct {
 	seg     int // -1 = active log
 	off     int64
+	rawLen  int // the whole record, length prefix to crc
 	flags   uint64
 	classK  uint64
 	fullLen int
 	bodyLen int
 }
 
+// locate is the location of r, whose raw bytes sit at off in seg.
+func (r *record) locate(seg int, off int64) runLoc {
+	return runLoc{
+		seg: seg, off: off, rawLen: len(r.raw), flags: r.flags, classK: r.classK,
+		fullLen: r.fullLen, bodyLen: len(r.body),
+	}
+}
+
 // Store is an open corpus directory. All methods are safe for concurrent
 // use.
+//
+// Reads cost what they return: a sealed segment is a CYPB container cut
+// between records (writeSegment) whose frame table the store keeps from Open,
+// so a cold get reads and inflates the frames of its own record and no other
+// (all of a segment's, where an older binary sealed it in one frame). Damage
+// reaches as far: Open checks every frame and record and refuses the store if
+// one fails; a frame that goes bad under an open store fails every get of the
+// record it holds — an error, never wrong bytes: frame header, length, CRC-32,
+// record CRC and content hash stand in the way — and no get of any other.
 type Store struct {
 	dir string
 	opt Options
@@ -136,7 +155,8 @@ type Store struct {
 	mu      sync.RWMutex
 	classes map[uint64]*class
 	index   map[uint64]runLoc
-	segs    []int // sealed segment numbers, ascending
+	segs    []int                  // sealed segment numbers, ascending
+	frames  map[int]*blockio.Index // each sealed segment's frame table
 	nextSeg int
 
 	activeF   *os.File
@@ -166,6 +186,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		opt:     opt,
 		classes: make(map[uint64]*class),
 		index:   make(map[uint64]runLoc),
+		frames:  make(map[int]*blockio.Index),
 		cache:   NewCache(cacheBytes),
 	}
 	if err := s.load(); err != nil {
@@ -213,7 +234,7 @@ func (s *Store) load() error {
 	}
 	sort.Ints(s.segs)
 	for _, n := range s.segs {
-		payload, err := s.readSegPayload(n)
+		payload, err := s.readSegment(n)
 		if err != nil {
 			return err
 		}
@@ -221,10 +242,7 @@ func (s *Store) load() error {
 			return fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
 		}
 	}
-	if err := s.openActive(); err != nil {
-		return err
-	}
-	return nil
+	return s.openActive()
 }
 
 // openActive opens (creating if absent) the active log, verifies its header,
@@ -350,10 +368,7 @@ func (s *Store) indexRecords(b []byte, seg int, base int64) error {
 			if old, ok := s.index[r.hash]; ok {
 				s.dropAccounting(old)
 			}
-			loc := runLoc{
-				seg: seg, off: off, flags: r.flags, classK: r.classK,
-				fullLen: r.fullLen, bodyLen: len(r.body),
-			}
+			loc := r.locate(seg, off)
 			s.index[r.hash] = loc
 			s.addAccounting(loc)
 		}
@@ -407,7 +422,7 @@ func readClassFile(path string, workers int) (*class, error) {
 		}
 		vals[i], b = v, b[n:]
 	}
-	payload, err := unblock(b, workers)
+	payload, _, err := unblock(b, workers)
 	if err != nil {
 		return nil, fmt.Errorf("class container: %w", err)
 	}
@@ -451,30 +466,49 @@ func (s *Store) writeClassFile(c *class) error {
 	return os.WriteFile(s.classPath(c.plan.ClassKey()), buf.Bytes(), 0o644)
 }
 
-// readSegPayload inflates one sealed segment's record stream.
-func (s *Store) readSegPayload(n int) ([]byte, error) {
+// readSegment reads one sealed segment whole, every frame checked, and keeps
+// its frame table for the reads that want one record of it (readSealed).
+func (s *Store) readSegment(n int) ([]byte, error) {
 	raw, err := os.ReadFile(s.segPath(n))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	if len(raw) < 5 || !bytes.Equal(raw[:4], segMagic[:]) || raw[4] != formatVersion {
+	if len(raw) < segHeaderLen || !bytes.Equal(raw[:4], segMagic[:]) || raw[4] != formatVersion {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: bad header", n)
 	}
-	payload, err := unblock(raw[5:], s.opt.Workers)
+	payload, idx, err := unblock(raw[segHeaderLen:], s.opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
 	}
+	s.frames[n] = idx
 	return payload, nil
 }
 
-// unblock inflates the CYPB container a class or segment file carries after
-// its own header. Unwrap sniffs; here any other layer is a damaged file.
-func unblock(b []byte, workers int) ([]byte, error) {
-	payload, format, err := blockio.Unwrap(b, workers)
-	if err == nil && format != blockio.FormatBlocked {
-		return nil, errors.New("not a CYPB container")
+// readSealed reads the rawLen bytes at off of sealed segment n's record
+// stream by inflating only the frames that cover them.
+func (s *Store) readSealed(n int, off int64, rawLen int) ([]byte, error) {
+	f, err := os.Open(s.segPath(n))
+	if err != nil {
+		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	return payload, err
+	defer f.Close()
+	p, at, err := s.frames[n].ReadRange(io.NewSectionReader(f, segHeaderLen, 1<<62), int(off), rawLen, s.opt.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
+	}
+	sink.Add(obs.CorpusSegInflated, int64(len(p)))
+	return p[int(off)-at:][:rawLen], nil
+}
+
+// unblock inflates the CYPB container a class or segment file carries after
+// its own header — Scan refuses any other layer — and returns its frame table.
+func unblock(b []byte, workers int) ([]byte, *blockio.Index, error) {
+	idx, err := blockio.Scan(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	payload, _, err := blockio.Unwrap(b, workers)
+	return payload, idx, err
 }
 
 // Ingest adds a merged trace, storing it against its structural class, and
@@ -565,42 +599,31 @@ func (s *Store) verifyDelta(c *class, delta, enc []byte) bool {
 
 // appendActive writes one record to the active log and returns its location.
 func (s *Store) appendActive(rec record) (runLoc, error) {
-	raw := appendRecord(nil, rec)
-	if _, err := s.activeF.WriteAt(raw, s.activeOff); err != nil {
+	rec.raw = appendRecord(nil, rec)
+	if _, err := s.activeF.WriteAt(rec.raw, s.activeOff); err != nil {
 		return runLoc{}, err
 	}
-	loc := runLoc{
-		seg: -1, off: s.activeOff, flags: rec.flags, classK: rec.classK,
-		fullLen: rec.fullLen, bodyLen: len(rec.body),
-	}
-	s.activeOff += int64(len(raw))
+	loc := rec.locate(-1, s.activeOff)
+	s.activeOff += int64(len(rec.raw))
 	return loc, nil
 }
 
-// readRecordAt fetches and re-validates the record at loc.
+// readRecordAt fetches and re-validates the record at loc, reading no more
+// than its bytes of the active log or the frames of its segment that cover it.
 func (s *Store) readRecordAt(loc runLoc) (record, error) {
-	var stream []byte
+	var raw []byte
 	if loc.seg < 0 {
-		// Active log: read just this record. Its full length is bounded by
-		// the serialized form of loc.
-		max := int64(binary.MaxVarintLen64+12+3*binary.MaxVarintLen64) + int64(loc.bodyLen) + binary.MaxVarintLen64
-		buf := make([]byte, max)
-		n, err := s.activeF.ReadAt(buf, loc.off)
-		if err != nil && err != io.EOF {
+		raw = make([]byte, loc.rawLen)
+		if _, err := s.activeF.ReadAt(raw, loc.off); err != nil {
 			return record{}, fmt.Errorf("corpus: active log: %w", err)
 		}
-		stream = buf[:n]
 	} else {
-		payload, err := s.readSegPayload(loc.seg)
-		if err != nil {
+		var err error
+		if raw, err = s.readSealed(loc.seg, loc.off, loc.rawLen); err != nil {
 			return record{}, err
 		}
-		if loc.off > int64(len(payload)) {
-			return record{}, errors.New("corpus: record offset past segment end")
-		}
-		stream = payload[loc.off:]
 	}
-	rec, _, err := parseRecord(stream)
+	rec, _, err := parseRecord(raw)
 	if err != nil {
 		return record{}, fmt.Errorf("corpus: record: %w", err)
 	}
@@ -729,54 +752,93 @@ func (s *Store) Delete(hash uint64) error {
 	return nil
 }
 
-// seal moves the active log's records into a new CYPB segment and truncates
-// the log. Callers hold s.mu.
-func (s *Store) seal() error {
-	if s.activeOff <= 5 {
-		return nil
-	}
-	raw := make([]byte, s.activeOff-5)
-	if _, err := s.activeF.ReadAt(raw, 5); err != nil {
-		return err
-	}
+// cutMin is the payload a segment frame may hold before the next record starts
+// a frame of its own: a longer record always sits alone, shorter ones share a
+// frame up to it. A frame costs 19 bytes of header and index entry plus a cold
+// deflate context — 77 B on 340-byte records, 150–380 B on MG-512's 12 KB —
+// and a neighbour about 4 µs/KB to inflate. 32 runs of a 64-rank exchange,
+// 370 B a record (store bytes / cold GetProjected): cut at every record 6953 /
+// 63 µs, 1 KB 5842 / 69, 2 KB 4941 / 75, 4 KB 4445 / 85, 8 KB 4275 / 85, never
+// 4031 / 102. archive-mg512x8, records of 3 and 12 KB: +1.2 … +2.9 % per run.
+const cutMin = 4 << 10
+
+// writeSegment seals stream, whole run records end to end, into the next
+// segment file and registers it. It is the one place a segment's layout is
+// decided: a CYPB frame boundary between records (see cutMin), so readSealed
+// inflates a record without its neighbours. Readers only ever asked frames to
+// tile the payload: older binaries open this, their one-frame segments open here.
+func (s *Store) writeSegment(stream []byte) (int, error) {
 	n := s.nextSeg
 	var buf bytes.Buffer
 	buf.Write(segMagic[:])
 	buf.WriteByte(formatVersion)
 	w, err := blockio.NewWriter(&buf, blockio.WriterOptions{Workers: s.opt.Workers})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := w.Write(raw); err != nil {
-		return err
+	for open := 0; len(stream) > 0; {
+		r, rest, err := parseRecord(stream)
+		if err != nil {
+			return 0, fmt.Errorf("record: %w", err)
+		}
+		if open+len(r.raw) > cutMin {
+			w.Cut()
+			open = 0
+		}
+		if _, err := w.Write(r.raw); err != nil {
+			return 0, err
+		}
+		open, stream = open+len(r.raw), rest
 	}
 	if err := w.Close(); err != nil {
-		return err
+		return 0, err
+	}
+	idx, err := blockio.Scan(buf.Bytes()[segHeaderLen:])
+	if err != nil {
+		return 0, err
 	}
 	if err := os.WriteFile(s.segPath(n), buf.Bytes(), 0o644); err != nil {
-		return err
+		return 0, err
 	}
 	s.nextSeg++
 	s.segs = append(s.segs, n)
+	s.frames[n] = idx
+	return n, nil
+}
+
+// seal moves the active log's records into a new CYPB segment and truncates
+// the log. Callers hold s.mu.
+func (s *Store) seal() error {
+	if s.activeOff <= segHeaderLen {
+		return nil
+	}
+	stream := make([]byte, s.activeOff-segHeaderLen)
+	if _, err := s.activeF.ReadAt(stream, segHeaderLen); err != nil {
+		return err
+	}
+	n, err := s.writeSegment(stream)
+	if err != nil {
+		return err
+	}
 	// Live locations in the log keep their record offsets relative to the
 	// stream start; the segment payload is that stream verbatim.
 	for h, loc := range s.index {
 		if loc.seg < 0 {
-			loc.seg, loc.off = n, loc.off-5
+			loc.seg, loc.off = n, loc.off-segHeaderLen
 			s.index[h] = loc
 		}
 	}
-	if err := s.activeF.Truncate(5); err != nil {
+	if err := s.activeF.Truncate(segHeaderLen); err != nil {
 		return err
 	}
-	s.activeOff = 5
+	s.activeOff = segHeaderLen
 	return nil
 }
 
 // GC seals the active log, then compacts the corpus: live run records are
 // rewritten into one fresh segment, tombstones and superseded records are
 // dropped, and class files no longer referenced by any delta run are
-// deleted.
+// deleted. Each old segment is read once, however many live records it holds.
 func (s *Store) GC() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -788,15 +850,27 @@ func (s *Store) GC() error {
 	}
 	type liveRun struct {
 		hash uint64
-		rec  record
+		loc  runLoc
+		raw  []byte
 	}
-	var live []liveRun
+	live := make([]liveRun, 0, len(s.index))
 	for h, loc := range s.index {
-		rec, err := s.readRecordAt(loc)
-		if err != nil {
-			return fmt.Errorf("corpus: gc: trace %016x: %w", h, err)
+		live = append(live, liveRun{hash: h, loc: loc})
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].loc.seg < live[j].loc.seg })
+	var payload []byte
+	for i := range live {
+		lr := &live[i]
+		if i == 0 || lr.loc.seg != live[i-1].loc.seg {
+			var err error
+			if payload, err = s.readSegment(lr.loc.seg); err != nil {
+				return fmt.Errorf("corpus: gc: %w", err)
+			}
 		}
-		live = append(live, liveRun{h, rec})
+		if end := lr.loc.off + int64(lr.loc.rawLen); end > int64(len(payload)) {
+			return fmt.Errorf("corpus: gc: trace %016x: record ends past its segment", lr.hash)
+		}
+		lr.raw = payload[lr.loc.off:][:lr.loc.rawLen]
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].hash < live[j].hash })
 
@@ -804,37 +878,19 @@ func (s *Store) GC() error {
 	s.segs = nil
 	newIndex := make(map[uint64]runLoc, len(live))
 	if len(live) > 0 {
-		n := s.nextSeg
 		var stream []byte
 		for _, lr := range live {
-			off := int64(len(stream))
-			stream = append(stream, lr.rec.raw...)
-			newIndex[lr.hash] = runLoc{
-				seg: n, off: off, flags: lr.rec.flags, classK: lr.rec.classK,
-				fullLen: lr.rec.fullLen, bodyLen: len(lr.rec.body),
-			}
+			lr.loc.seg, lr.loc.off = s.nextSeg, int64(len(stream))
+			newIndex[lr.hash] = lr.loc
+			stream = append(stream, lr.raw...)
 		}
-		var buf bytes.Buffer
-		buf.Write(segMagic[:])
-		buf.WriteByte(formatVersion)
-		w, err := blockio.NewWriter(&buf, blockio.WriterOptions{Workers: s.opt.Workers})
-		if err != nil {
+		if _, err := s.writeSegment(stream); err != nil {
 			return fmt.Errorf("corpus: gc: %w", err)
 		}
-		if _, err := w.Write(stream); err != nil {
-			return fmt.Errorf("corpus: gc: %w", err)
-		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("corpus: gc: %w", err)
-		}
-		if err := os.WriteFile(s.segPath(n), buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("corpus: gc: %w", err)
-		}
-		s.nextSeg++
-		s.segs = []int{n}
 	}
 	s.index = newIndex
 	for _, n := range oldSegs {
+		delete(s.frames, n)
 		if err := os.Remove(s.segPath(n)); err != nil {
 			return fmt.Errorf("corpus: gc: %w", err)
 		}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/blockio"
 	"repro/internal/corpus"
 	"repro/internal/cst"
 	"repro/internal/ctt"
@@ -647,40 +648,173 @@ func rankSequences(m *merge.Merged) ([][]trace.Event, error) {
 	return seqs, nil
 }
 
-// TestCorruptStoreErrors: flipping or truncating store files makes Open or
-// the read fail with an error — never a panic, never silently wrong bytes,
-// and never a wrong trace: whatever GetBytes, Get or a cold GetProjected (the
-// path that seeks over unselected sections) still serves is exactly what was
-// ingested, through the replay of every rank. Both runs of the class are
-// read: the representative and the delta against it.
-func TestCorruptStoreErrors(t *testing.T) {
+// storedRun is one ingested run and what every read of it must return.
+type storedRun struct {
+	hash uint64
+	enc  []byte
+	seqs [][]trace.Event
+}
+
+// sealedStore ingests nruns runs of shardSrc on 128 ranks — one class, delta
+// records of several KB each, so a sealed segment gives every one a frame of
+// its own — and closes the store, which seals them into one segment.
+func sealedStore(t testing.TB, nruns int) (string, []storedRun) {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := corpus.Open(dir, corpus.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type run struct {
-		hash uint64
-		enc  []byte
-		seqs [][]trace.Event
+	runs := make([]storedRun, nruns)
+	for i := range runs {
+		m := simMerged(t, shardSrc, 128, i)
+		r := &runs[i]
+		r.enc = encodeBytes(t, m)
+		if r.hash, err = st.IngestBytes(r.enc); err != nil {
+			t.Fatal(err)
+		}
+		if r.seqs, err = rankSequences(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var runs []run
-	for i := 0; i < 2; i++ {
-		m := simMerged(t, multiPhaseSrc, 7, i)
-		enc := encodeBytes(t, m)
-		h, err := st.IngestBytes(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs, err := rankSequences(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, run{h, enc, seqs})
+	if stats, err := st.Stats(); err != nil || stats.Classes != 1 || stats.DeltaRuns != nruns {
+		t.Fatalf("fixture is not %d delta runs of one class: %+v, %v", nruns, stats, err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, runs
+}
+
+// segFrame is one CYPB frame of a segment file: the file bytes it occupies,
+// header included, and the bytes of the record stream it inflates to.
+type segFrame struct {
+	off, end   int // file offsets
+	uoff, ulen int // payload range
+}
+
+// segmentFrames walks the one segment file of dir in stream order — magic and
+// version of the segment, magic, version and frame target of the container,
+// then frames up to the terminator — independently of blockio's reader.
+func segmentFrames(t testing.TB, dir string) (string, []segFrame) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.cypd"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segment files: %v, %v", names, err)
+	}
+	raw, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 5 + 4
+	u := func() int {
+		v, n := binary.Uvarint(raw[pos:])
+		if n <= 0 {
+			t.Fatalf("%s: bad varint at %d", names[0], pos)
+		}
+		pos += n
+		return int(v)
+	}
+	u() // version
+	u() // frame target
+	var frames []segFrame
+	for uoff := 0; ; {
+		f := segFrame{off: pos, uoff: uoff}
+		usize1 := u()
+		if usize1 == 0 {
+			return names[0], frames
+		}
+		csize := u()
+		u() // crc
+		pos += csize
+		f.end, f.ulen = pos, usize1-1
+		frames = append(frames, f)
+		uoff += f.ulen
+	}
+}
+
+// resealUncut rewrites the segment of dir the way a binary that predates
+// Writer.Cut sealed it: the same record stream in a container cut by frame
+// size alone, which for these fixtures is one frame.
+func resealUncut(t testing.TB, dir string) {
+	t.Helper()
+	name, _ := segmentFrames(t, dir)
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, format, err := blockio.Unwrap(raw[5:], 1)
+	if err != nil || format != blockio.FormatBlocked {
+		t.Fatalf("segment container: %v, %v", format, err)
+	}
+	out := bytes.NewBuffer(append([]byte(nil), raw[:5]...))
+	w, err := blockio.NewWriter(out, blockio.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(name, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, frames := segmentFrames(t, dir); len(frames) != 1 {
+		t.Fatalf("uncut segment has %d frames, want 1", len(frames))
+	}
+}
+
+// serves reports whether every read of r from st is the ingested run: the
+// bytes, and the replay of every rank through Get and through a cold
+// GetProjected. A read that fails is returned as the error; a read that
+// succeeds with anything else fails the test there and then.
+func serves(t testing.TB, what string, st *corpus.Store, r *storedRun) error {
+	t.Helper()
+	got, err := st.GetBytes(r.hash)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, r.enc) {
+		t.Fatalf("%s: GetBytes served wrong bytes", what)
+	}
+	for _, get := range []struct {
+		name string
+		fn   func() (*corpus.Trace, error)
+	}{
+		{"Get", func() (*corpus.Trace, error) { return st.Get(r.hash) }},
+		{"GetProjected", func() (*corpus.Trace, error) { return st.GetProjected(r.hash, []int{1}) }},
+	} {
+		tr, err := get.fn()
+		if err != nil {
+			return err
+		}
+		seqs, err := rankSequences(tr.Merged)
+		tr.Release()
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(seqs, r.seqs) {
+			t.Fatalf("%s: %s replays a wrong trace", what, get.name)
+		}
+	}
+	return nil
+}
+
+// TestCorruptStoreErrors: flipping or truncating store files makes Open or
+// the read fail with an error — never a panic, never silently wrong bytes,
+// and never a wrong trace: whatever GetBytes, Get or a cold GetProjected (the
+// path that seeks over unselected sections) still serves is exactly what was
+// ingested, through the replay of every rank. The store holds eight runs of
+// one class in one sealed segment, the representative and seven deltas
+// against it.
+//
+// The second half is the isolation contract of a segment cut at every record:
+// a byte of record k's frame that goes bad under an open store fails every
+// get of k and no get of any other record, and the store no longer opens.
+func TestCorruptStoreErrors(t *testing.T) {
+	dir, runs := sealedStore(t, 8)
 
 	// check opens the damaged store with the serving cache off, so that every
 	// read is cold, and holds every read that succeeds to the ingested run.
@@ -690,27 +824,8 @@ func TestCorruptStoreErrors(t *testing.T) {
 			return
 		}
 		defer st.Close()
-		for i, r := range runs {
-			if got, err := st.GetBytes(r.hash); err == nil && !bytes.Equal(got, r.enc) {
-				t.Fatalf("%s: run %d: corrupt store served wrong bytes", what, i)
-			}
-			for _, get := range []struct {
-				name string
-				fn   func() (*corpus.Trace, error)
-			}{
-				{"Get", func() (*corpus.Trace, error) { return st.Get(r.hash) }},
-				{"GetProjected", func() (*corpus.Trace, error) { return st.GetProjected(r.hash, []int{1}) }},
-			} {
-				tr, err := get.fn()
-				if err != nil {
-					continue
-				}
-				seqs, err := rankSequences(tr.Merged)
-				tr.Release()
-				if err == nil && !reflect.DeepEqual(seqs, r.seqs) {
-					t.Fatalf("%s: run %d: %s of a corrupt store replays a wrong trace", what, i, get.name)
-				}
-			}
+		for i := range runs {
+			serves(t, fmt.Sprintf("%s: run %d", what, i), st, &runs[i])
 		}
 	}
 
@@ -742,22 +857,199 @@ func TestCorruptStoreErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
 	// The sweep means something only if the undamaged store serves it all.
-	st, err = corpus.Open(dir, corpus.Options{CacheBytes: -1})
+	st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	for i, r := range runs {
-		tr, err := st.GetProjected(r.hash, []int{1})
+	for i := range runs {
+		if err := serves(t, fmt.Sprintf("restored store: run %d", i), st, &runs[i]); err != nil {
+			t.Fatalf("run %d: the restored store does not serve the ingested trace: %v", i, err)
+		}
+	}
+
+	// Damage under the open store, one byte at a time. Frame k holds record k:
+	// the segment was sealed in ingest order, one frame a record.
+	seg, frames := segmentFrames(t, dir)
+	if len(frames) != len(runs) {
+		t.Fatalf("sealed segment has %d frames for %d records", len(frames), len(runs))
+	}
+	orig, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range frames {
+		// Every byte of the frame header and of the stream's end, a stride
+		// through the body between.
+		for pos := f.off; pos < f.end; pos++ {
+			if pos >= f.off+12 && pos < f.end-8 && (pos-f.off)%(1+(f.end-f.off)/24) != 0 {
+				continue
+			}
+			mut := append([]byte(nil), orig...)
+			mut[pos] ^= 0xff
+			if err := os.WriteFile(seg, mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("byte %d of frame %d flipped", pos-f.off, k)
+			for j := range runs {
+				got, err := st.GetBytes(runs[j].hash)
+				switch {
+				case err == nil && !bytes.Equal(got, runs[j].enc):
+					t.Fatalf("%s: run %d served wrong bytes", what, j)
+				case j == k && err == nil:
+					t.Fatalf("%s: the record it holds is still served", what)
+				case j != k && err != nil:
+					t.Fatalf("%s: run %d no longer reads: %v", what, j, err)
+				}
+			}
+			if tr, err := st.Get(runs[k].hash); err == nil {
+				tr.Release()
+				t.Fatalf("%s: Get still serves the record it holds", what)
+			}
+			if tr, err := st.GetProjected(runs[k].hash, []int{1}); err == nil {
+				tr.Release()
+				t.Fatalf("%s: GetProjected still serves the record it holds", what)
+			}
+			if pos%7 == 0 {
+				if st2, err := corpus.Open(dir, corpus.Options{}); err == nil {
+					st2.Close()
+					t.Fatalf("%s: the store still opens", what)
+				}
+			}
+		}
+	}
+	if err := os.WriteFile(seg, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldSegmentLayout: a segment sealed without cuts — eight records in one
+// frame, what every store written before segments were cut holds — opens and
+// serves the same bytes and the same traces through every read, and compacts.
+// Only the cost differs: each cold get inflates the shared frame whole.
+func TestOldSegmentLayout(t *testing.T) {
+	dir, runs := sealedStore(t, 8)
+	_, frames := segmentFrames(t, dir)
+	if len(frames) != len(runs) {
+		t.Fatalf("sealed segment has %d frames for %d records", len(frames), len(runs))
+	}
+	resealUncut(t, dir)
+
+	s := obs.New()
+	corpus.SetObs(s)
+	defer corpus.SetObs(nil)
+	st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatalf("a store with an uncut segment does not open: %v", err)
+	}
+	defer st.Close()
+	for i := range runs {
+		if err := serves(t, fmt.Sprintf("uncut segment: run %d", i), st, &runs[i]); err != nil {
+			t.Fatalf("uncut segment: run %d: %v", i, err)
+		}
+	}
+	// Three reads a run, each of the whole record stream.
+	_, frames = segmentFrames(t, dir)
+	if got, want := s.Value(obs.CorpusSegInflated), int64(3*len(runs)*frames[0].ulen); got != want {
+		t.Fatalf("reads of an uncut segment inflated %d bytes, want the whole segment each time (%d)", got, want)
+	}
+	if err := st.Delete(runs[3].hash); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.GC(); err != nil {
+		t.Fatalf("gc of an uncut segment: %v", err)
+	}
+	if _, frames = segmentFrames(t, dir); len(frames) != len(runs)-1 {
+		t.Fatalf("compacted segment has %d frames for %d records", len(frames), len(runs)-1)
+	}
+	for i := range runs {
+		err := serves(t, fmt.Sprintf("after gc: run %d", i), st, &runs[i])
+		if (err != nil) != (i == 3) {
+			t.Fatalf("after gc: run %d: %v", i, err)
+		}
+	}
+}
+
+// TestColdGetInflatesOwnFrames pins what a cold get of a sealed record reads:
+// its own frame, once, and not a byte of the seven records sealed beside it.
+func TestColdGetInflatesOwnFrames(t *testing.T) {
+	dir, runs := sealedStore(t, 8)
+	_, frames := segmentFrames(t, dir)
+	if len(frames) != len(runs) {
+		t.Fatalf("sealed segment has %d frames for %d records", len(frames), len(runs))
+	}
+	st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	s := obs.New()
+	corpus.SetObs(s)
+	blockio.SetObs(s)
+	defer corpus.SetObs(nil)
+	defer blockio.SetObs(nil)
+	for k := range runs {
+		framesBefore, bytesBefore := s.Value(obs.IOFramesDec), s.Value(obs.CorpusSegInflated)
+		tr, err := st.GetProjected(runs[k].hash, []int{1})
 		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+			t.Fatal(err)
 		}
-		seqs, err := rankSequences(tr.Merged)
 		tr.Release()
-		if err != nil || !reflect.DeepEqual(seqs, r.seqs) {
-			t.Fatalf("run %d: the restored store does not replay the ingested trace (%v)", i, err)
+		if got := s.Value(obs.IOFramesDec) - framesBefore; got != 1 {
+			t.Fatalf("cold get of record %d inflated %d frames, want 1", k, got)
 		}
+		if got, want := s.Value(obs.CorpusSegInflated)-bytesBefore, int64(frames[k].ulen); got != want {
+			t.Fatalf("cold get of record %d inflated %d bytes, its record is %d", k, got, want)
+		}
+	}
+}
+
+// TestColdGetSegmentAllocs bounds what a cold read of a sealed record
+// allocates on its way to the standalone encoding: the encoding (fullLen), the
+// record, and a constant for the frame's compressed bytes, the section table
+// and the file handle — nothing that grows with the records sealed beside it.
+// Reading the segment whole cost the 8-run store 47 KB a get more than the
+// 2-run store.
+func TestColdGetSegmentAllocs(t *testing.T) {
+	const fixed = 64 << 10
+	perGet := map[int]int64{}
+	for _, nruns := range []int{2, 8} {
+		dir, runs := sealedStore(t, nruns)
+		_, frames := segmentFrames(t, dir)
+		if len(frames) != nruns {
+			t.Fatalf("sealed segment has %d frames for %d records", len(frames), nruns)
+		}
+		st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		get := func() {
+			if _, err := st.GetBytes(runs[1].hash); err != nil {
+				t.Fatal(err)
+			}
+		}
+		get()
+		const gets = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < gets; i++ {
+			get()
+		}
+		runtime.ReadMemStats(&after)
+		st.Close()
+		got := int64(after.TotalAlloc-before.TotalAlloc) / gets
+		budget := int64(len(runs[1].enc)) + int64(frames[1].ulen) + fixed
+		t.Logf("%d records sealed: cold get %d B/op; fullLen %d, record %d, budget %d", nruns, got, len(runs[1].enc), frames[1].ulen, budget)
+		if got > budget {
+			t.Fatalf("%d records sealed: cold get allocates %d B/op, budget %d", nruns, got, budget)
+		}
+		perGet[nruns] = got
+	}
+	if perGet[8] > perGet[2]+8<<10 {
+		t.Fatalf("cold get allocates %d B/op beside seven records, %d beside one", perGet[8], perGet[2])
 	}
 }
 

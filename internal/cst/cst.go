@@ -29,6 +29,7 @@ package cst
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/lang"
 	"repro/internal/trace"
@@ -147,6 +148,9 @@ type Tree struct {
 	ByGID []*Vertex
 	// FuncName records the program entry function ("main").
 	FuncName string
+
+	hashOnce sync.Once // guards hash, see Hash
+	hash     uint64
 }
 
 // NumVertices returns the number of vertices after pruning.

@@ -3,10 +3,12 @@ package cst
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/lang"
+	"repro/internal/npb"
 	"repro/internal/trace"
 )
 
@@ -353,5 +355,55 @@ func main() {
 		if c.Kind != KindBranch || len(c.Children) != 1 || c.Children[0].Kind != KindComm {
 			t.Fatalf("jacobi arm malformed:\n%s", tree.Dump())
 		}
+	}
+}
+
+// TestTreeHashMemoMatchesRecompute: Hash walks a tree once and remembers the
+// answer, and the answer is the walk's — on every way a tree comes to be
+// (Build, Decode, by hand), asked once or many times, from one goroutine or
+// several. The values themselves are pinned where they are serialized (the
+// golden traces, cypressstat's fingerprint golden).
+func TestTreeHashMemoMatchesRecompute(t *testing.T) {
+	trees := map[string]*Tree{
+		"fig5":    build(t, fig5Src),
+		"literal": handTree(arm(1, 0), arm(1, 1), comm(7)),
+	}
+	for _, w := range npb.All() {
+		n := 16
+		if !w.ValidProcs(n) {
+			t.Fatalf("%s does not run on %d ranks", w.Name, n)
+		}
+		trees[w.Name] = build(t, w.Source(n, npb.Small))
+	}
+	if len(trees) != 11 {
+		t.Fatalf("%d trees, want the nine npb skeletons and two more", len(trees))
+	}
+	seen := map[uint64]string{}
+	for name, tree := range trees {
+		want := tree.computeHash()
+		decoded, err := Decode(bytes.NewReader(encoded(t, tree)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, tr := range []*Tree{tree, decoded} {
+					if got := tr.Hash(); got != want {
+						t.Errorf("%s: Hash() = %x, the walk gives %x", name, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := decoded.computeHash(); got != want {
+			t.Errorf("%s: decoded tree walks to %x, the original to %x", name, got, want)
+		}
+		if other, dup := seen[want]; dup {
+			t.Errorf("%s and %s share hash %x", name, other, want)
+		}
+		seen[want] = name
 	}
 }

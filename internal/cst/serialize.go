@@ -223,8 +223,18 @@ func Decode(r io.Reader) (*Tree, error) {
 var quotedEmpty = []byte(`""`)
 
 // Hash returns a structural fingerprint. All ranks of an SPMD job share one
-// binary, hence one CST; merge refuses trees with different hashes.
+// binary, hence one CST; merge refuses trees with different hashes. A tree
+// does not change once Build or Decode has returned it, so the walk is taken
+// once, on first use, however many ranks then ask (Compressor.Finish does for
+// every rank of a job).
 func (t *Tree) Hash() uint64 {
+	t.hashOnce.Do(func() { t.hash = t.computeHash() })
+	return t.hash
+}
+
+// computeHash is the walk behind Hash. The value is serialized in every v1
+// trace header, so the bytes hashed here are pinned.
+func (t *Tree) computeHash() uint64 {
 	h := fnv.New64a()
 	t.Walk(func(v *Vertex, d int) {
 		target := int32(-1)

@@ -114,6 +114,10 @@ const (
 	CorpusCacheHits    // gets served by the decoded-trace cache
 	CorpusCacheMisses  // gets that had to reconstruct and decode
 	CorpusCacheEvicts  // decoded traces evicted from the cache
+	// CorpusSegInflated counts segment payload bytes inflated to read
+	// single records of sealed segments; with IOFramesDec it says whether a
+	// cold get paid for its record or for its neighbours too.
+	CorpusSegInflated
 
 	// Selective decode with projection pushdown (merge.DecodeSelectAuto).
 	SelDecodes           // selective decodes served by the projection walk
@@ -200,6 +204,7 @@ var counterNames = [NumCounters]string{
 	CorpusCacheHits:      "corpus_cache_hits",
 	CorpusCacheMisses:    "corpus_cache_misses",
 	CorpusCacheEvicts:    "corpus_cache_evicts",
+	CorpusSegInflated:    "corpus_seg_inflated_bytes",
 	SelDecodes:           "sel_decodes",
 	SelFallbacks:         "sel_fallbacks",
 	SelEntriesEager:      "sel_entries_eager",

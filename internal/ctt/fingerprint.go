@@ -25,14 +25,19 @@
 // A third hash, InvariantKey, answers the opposite question. It folds exactly
 // the fields merge.compatible requires equal under EITHER encoding — control
 // vectors, cycles, record count, and per record the operation signature, run
-// length, wildcard flag, request list, pattern presence (p2p) or absolute
-// peer (collectives) — and nothing an encoding decides (PeerRel, p2p peers,
-// pattern periods, the RelEncoded/RelUnsafe marks) or compatible ignores (stat
-// storage shape). Compatible payloads therefore always have equal keys, so
-// unequal keys PROVE incompatibility: unlike the two fingerprints, a key
-// mismatch is a decision. And because unification only rewrites the excluded
-// fields, a payload's key never changes for the life of the reduction, so it
-// is memoized on the payload without an invalidation path.
+// length, wildcard flag, request list, pattern period (p2p: the pattern's
+// Period, or that there is none) or absolute peer (collectives) — and nothing
+// an encoding decides (PeerRel, a plain p2p record's peer, the
+// RelEncoded/RelUnsafe marks) or compatible ignores (stat storage shape). A
+// pattern period is not an encoding: recordCompatible accepts a pattern pair
+// only through PeerPattern.Equal, which compares Period verbatim, so
+// compatible patterns have equal periods whether or not a period is minimal.
+// Compatible payloads therefore always have equal keys, so unequal keys PROVE
+// incompatibility: unlike the two fingerprints, a key mismatch is a decision.
+// And because unification only rewrites fields the key excludes (it never
+// writes Peers), a payload's key never changes for the life of the
+// reduction, so it is memoized on the payload without an invalidation path.
+// What the key cannot separate is a plain p2p peer, which has two encodings.
 //
 // A fourth, ShapeKey, is for decompression rather than the merge. It folds
 // exactly what the replay walk reads of a payload — the control vectors,
@@ -101,8 +106,8 @@ func (r *CommRecord) hashCommon(h fp.Hash) fp.Hash {
 }
 
 // hashInvariant folds the record's share of InvariantKey: the signature, and
-// the one peer fact both encodings agree on — whether a p2p record is a
-// pattern, which absolute peer a collective names.
+// the peer facts both encodings agree on — a p2p record's pattern period (or
+// that it has none), which absolute peer a collective names.
 func (r *CommRecord) hashInvariant(h fp.Hash) fp.Hash {
 	var flags uint64
 	if r.Ev.Wildcard {
@@ -112,7 +117,7 @@ func (r *CommRecord) hashInvariant(h fp.Hash) fp.Hash {
 		return r.hashSignature(h, flags).Int(int64(r.Ev.Peer))
 	}
 	if r.Peers != nil {
-		flags |= 8
+		return hashPattern(r.hashSignature(h, flags|8), r.Peers)
 	}
 	return r.hashSignature(h, flags)
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	cypress "repro"
+	"repro/internal/npb"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -31,7 +31,13 @@ func main() {
 // analyzeFixture traces jacobi at n ranks and analyzes the merged tree.
 func analyzeFixture(t *testing.T, n int) *Analysis {
 	t.Helper()
-	p, err := cypress.Compile(jacobi)
+	return analyzeSource(t, jacobi, n)
+}
+
+// analyzeSource traces src at n ranks and analyzes the merged tree.
+func analyzeSource(t *testing.T, src string, n int) *Analysis {
+	t.Helper()
+	p, err := cypress.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +71,32 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestGolden pins the inspector's text and JSON output on the 7- and 64-rank
-// jacobi fixtures. The analysis reports only structural counts, so the output
-// is byte-stable across merge schedules and machines.
+// jacobi fixtures and on CG at 64 ranks, whose butterfly leaves split into one
+// rank group per peer-pattern period (one key per group, one replay shape).
+// The analysis reports only structural counts, so the output is byte-stable
+// across merge schedules and machines.
 func TestGolden(t *testing.T) {
-	for _, n := range []int{7, 64} {
-		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
-			a := analyzeFixture(t, n)
+	for _, tc := range []struct {
+		run, file string
+		src       string
+		n         int
+	}{
+		{"ranks=7", "jacobi7", jacobi, 7},
+		{"ranks=64", "jacobi64", jacobi, 64},
+		{"CG/ranks=64", "cg64", npb.CG().Source(64, npb.Small), 64},
+	} {
+		t.Run(tc.run, func(t *testing.T) {
+			a := analyzeSource(t, tc.src, tc.n)
 			var txt bytes.Buffer
 			if err := a.WriteText(&txt); err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, fmt.Sprintf("jacobi%d.txt", n), txt.Bytes())
+			checkGolden(t, tc.file+".txt", txt.Bytes())
 			var js bytes.Buffer
 			if err := a.WriteJSON(&js); err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, fmt.Sprintf("jacobi%d.json", n), js.Bytes())
+			checkGolden(t, tc.file+".json", js.Bytes())
 		})
 	}
 }

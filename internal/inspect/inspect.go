@@ -46,8 +46,9 @@ type LeafRow struct {
 	// Keys is the number of distinct encoding-invariant keys
 	// (ctt.VData.InvariantKey) among those groups, and says why the leaf
 	// split: Keys == Groups means every group differs in an operation
-	// parameter (size, tag, count, request list) and no peer encoding could
-	// have folded them; Keys == 1 means the groups differ in peer only.
+	// parameter (size, tag, count, request list) or a peer-pattern period and
+	// no peer encoding could have folded them; Keys == 1 means the groups
+	// differ in a plain point-to-point peer only.
 	Keys int `json:"keys"`
 	// Shapes is the number of distinct replay shapes (ctt.VData.ShapeKey)
 	// among the groups: what the decompression walk can tell apart. Shapes ==

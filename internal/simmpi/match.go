@@ -63,24 +63,23 @@ type matchShard struct {
 	_  [64 - 16]byte
 }
 
-// push appends an arrival time to k's FIFO and returns the depth after the
-// push (for the queue-depth histogram).
-func (s *matchShard) push(k matchKey, t float64) int {
+// chain returns k's FIFO, creating it empty on first use. A chain is never
+// removed, so a receive posted on it may hold the pointer until completion.
+func (s *matchShard) chain(k matchKey) *msgQueue {
 	q := s.q[k]
 	if q == nil {
 		q = &msgQueue{}
 		s.q[k] = q
 	}
-	q.push(t)
-	return q.len()
+	return q
 }
 
-// depth returns the number of queued arrivals for k.
-func (s *matchShard) depth(k matchKey) int {
-	if q := s.q[k]; q != nil {
-		return q.len()
-	}
-	return 0
+// push appends an arrival time to k's FIFO and returns the depth after the
+// push (for the queue-depth histogram).
+func (s *matchShard) push(k matchKey, t float64) int {
+	q := s.chain(k)
+	q.push(t)
+	return q.len()
 }
 
 // tryPop removes and returns the head arrival for k, if one is queued.
@@ -90,9 +89,4 @@ func (s *matchShard) tryPop(k matchKey) (float64, bool) {
 		return 0, false
 	}
 	return q.pop(), true
-}
-
-// pop removes and returns the head arrival for k, which must be non-empty.
-func (s *matchShard) pop(k matchKey) float64 {
-	return s.q[k].pop()
 }

@@ -56,7 +56,7 @@ func (r Result) CommFraction() float64 {
 // GID (what a completion's Reqs name) and the match chain it will pop.
 type pendingRecv struct {
 	gid int32
-	key matchKey
+	q   *msgQueue
 }
 
 type simRank struct {
@@ -333,9 +333,7 @@ func (en *engine) sendMsg(dst int, k matchKey, t float64) int {
 	sh := &en.shards[dst]
 	if en.par {
 		sh.mu.Lock()
-		d := sh.push(k, t)
-		sh.mu.Unlock()
-		return d
+		defer sh.mu.Unlock()
 	}
 	return sh.push(k, t)
 }
@@ -348,42 +346,50 @@ func (en *engine) recvMsg(dst int, k matchKey) (float64, bool) {
 	sh := &en.shards[dst]
 	if en.par {
 		sh.mu.Lock()
-		t, ok := sh.tryPop(k)
-		sh.mu.Unlock()
-		return t, ok
+		defer sh.mu.Unlock()
 	}
 	return sh.tryPop(k)
 }
 
-// completeRecvs checks, in one shard critical section, that every receive in
-// r.toComplete has a queued message at rid's shard, and if so pops them all
-// in completion order into r.avails. All keys live in rank rid's own shard,
-// and only rid pops it, so a concurrent push between check and pop can only
-// add availability, never steal a counted message.
-func (en *engine) completeRecvs(rid int, r *simRank) bool {
+// recvChain returns rid's match chain for k, creating it if needed.
+func (en *engine) recvChain(rid int, k matchKey) *msgQueue {
 	sh := &en.shards[rid]
 	if en.par {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-	// Entry i needs the queue for its key to hold every earlier same-key
-	// completion plus itself. Pending lists are short, so the quadratic scan
-	// beats the historical per-event count map.
+	return sh.chain(k)
+}
+
+// completeRecvs checks, in one shard critical section, that every receive in
+// r.toComplete has a queued message on its chain, and if so pops them all in
+// completion order into r.avails. All chains live in rank rid's own shard,
+// and only rid pops it, so a concurrent push between check and pop can only
+// add availability, never steal a counted message.
+func (en *engine) completeRecvs(rid int, r *simRank) bool {
+	if en.par {
+		sh := &en.shards[rid]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	// Entry i needs its chain to hold every earlier same-chain completion
+	// plus itself. Pending lists are short, so the quadratic scan beats the
+	// historical per-event count map.
 	for i, pi := range r.toComplete {
-		pr := &r.pending[pi]
+		q := r.pending[pi].q
 		need := 1
 		for _, pj := range r.toComplete[:i] {
-			if r.pending[pj].key == pr.key {
+			if r.pending[pj].q == q {
 				need++
 			}
 		}
-		if sh.depth(pr.key) < need {
+		if q.len() < need {
 			return false
 		}
 	}
 	r.avails = r.avails[:0]
 	for _, pi := range r.toComplete {
-		r.avails = append(r.avails, sh.pop(r.pending[pi].key))
+		r.avails = append(r.avails, r.pending[pi].q.pop())
 	}
 	return true
 }
@@ -421,7 +427,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.OverheadNS / 2
-		r.pending = append(r.pending, pendingRecv{gid: e.GID, key: mkKey(e.Peer, e.Tag)})
+		r.pending = append(r.pending, pendingRecv{gid: e.GID, q: en.recvChain(rid, mkKey(e.Peer, e.Tag))})
 		r.pendMax = max(r.pendMax, len(r.pending))
 		r.comm += r.clock - t0
 		return true, nil

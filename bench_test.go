@@ -77,11 +77,7 @@ func BenchmarkEncodeBlocked1024W4(b *testing.B) { bench.BenchEncodeBlocked1024W4
 func BenchmarkReplayRank(b *testing.B)     { bench.BenchReplayRank(b) }
 func BenchmarkPredict256(b *testing.B)     { bench.BenchPredict256(b) }
 func BenchmarkPredict1024(b *testing.B)    { bench.BenchPredict1024(b) }
-func BenchmarkPredict1024W2(b *testing.B)  { bench.BenchPredict1024W2(b) }
-func BenchmarkPredict1024W4(b *testing.B)  { bench.BenchPredict1024W4(b) }
 func BenchmarkSimulate1024W1(b *testing.B) { bench.BenchSimulate1024W1(b) }
-func BenchmarkSimulate1024W2(b *testing.B) { bench.BenchSimulate1024W2(b) }
-func BenchmarkSimulate1024W4(b *testing.B) { bench.BenchSimulate1024W4(b) }
 func BenchmarkCommMatrix1024(b *testing.B) { bench.BenchCommMatrix1024(b) }
 
 // Content-addressed corpus benchmarks (bodies in internal/bench/corpusbench.go):

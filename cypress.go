@@ -210,20 +210,19 @@ func (r *Result) ReplayEvents(rank int, emit func(e *trace.Event)) error {
 
 // Predict decompresses every rank and runs the LogGP trace-driven simulator,
 // returning the predicted job performance (paper Figure 14's pipeline). It is
-// PredictPar with the default worker count (GOMAXPROCS); the result does not
-// depend on the worker count.
+// PredictPar with the default worker count (GOMAXPROCS) for skeleton
+// preparation.
 func (r *Result) Predict() (simmpi.Result, error) {
 	return r.PredictPar(0)
 }
 
-// PredictPar is Predict with an explicit worker bound covering both parallel
-// phases (workers <= 0 uses GOMAXPROCS): skeleton preparation and the
-// epoch-parallel LogGP simulation itself. Rank sequences are fed to the
-// simulator as pull iterators over shared replay skeletons, so peak memory is
-// O(classes · events-per-rank) instead of O(ranks · events-per-rank), and the
-// simulator advances ranks concurrently inside conservative lookahead
-// windows. The result is bit-identical at every worker count and identical
-// to simulating materialized sequences (simmpi.Simulate, the test oracle).
+// PredictPar is Predict with an explicit worker bound on skeleton
+// preparation (workers <= 0 uses GOMAXPROCS); the LogGP simulation that
+// follows is one sequential sweep. Rank sequences are fed to the simulator
+// as pull iterators over shared replay skeletons, so peak memory is
+// O(classes · events-per-rank) instead of O(ranks · events-per-rank). The
+// result is identical at every worker count and identical to simulating
+// materialized sequences (simmpi.Simulate, the test oracle).
 func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 	s := r.Streamer()
 	if err := s.Prepare(workers); err != nil {
@@ -303,9 +302,10 @@ func OpenTrace(data []byte, workers int, ranks ...int) (*Result, error) {
 // CommMatrix accumulates the communication volume matrix (bytes sent from
 // row to column) from the decompressed trace — the analysis behind the
 // paper's Figures 17 and 20. It is CommMatrixPar with the default worker
-// count. A send event whose peer lies outside [0, ranks) is an error, not a
-// silently dropped sample: replayed sends always carry a concrete peer, so an
-// out-of-range peer means the trace and the rank count disagree.
+// count (GOMAXPROCS) for the rank fan-out. A send event whose peer lies
+// outside [0, ranks) is an error, not a silently dropped sample: replayed
+// sends always carry a concrete peer, so an out-of-range peer means the trace
+// and the rank count disagree.
 func (r *Result) CommMatrix() ([][]int64, error) {
 	return r.CommMatrixPar(0)
 }
@@ -369,7 +369,7 @@ func EnableObs(s *obs.Sink) {
 // EnableTrace installs r as the process-wide flight recorder of every
 // pipeline layer: compressor finishes and wildcard resolutions, merge pairs,
 // codec encode/decode, blockio frame workers, corpus ingest/get, replay
-// skeleton/memo events, and simulator windows. Passing nil disables
+// skeleton/memo events, and simulator sweeps. Passing nil disables
 // recording everywhere. Call at startup, before the pipeline runs — the
 // recorders are plain package variables, read without synchronization. Export
 // the capture afterwards with r.WriteChromeJSON (Perfetto) or r.WriteText.

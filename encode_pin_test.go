@@ -53,9 +53,9 @@ func walk(n) {
 	if n % 3 == 0 { barrier(); }
 }`
 
-// pinRow traces src on n ranks with the given leaf window and returns one
-// table line: sha256 of the Encode and of the EncodeIndexed output.
-func pinRow(t *testing.T, name, src string, n, window int) string {
+// pinRow traces src on n ranks and returns one table line: sha256 of the
+// Encode and of the EncodeIndexed output.
+func pinRow(t *testing.T, name, src string, n int) string {
 	t.Helper()
 	p, err := Compile(src)
 	if err != nil {
@@ -65,7 +65,6 @@ func pinRow(t *testing.T, name, src string, n, window int) string {
 	sinks := make([]trace.Sink, n)
 	for i := range sinks {
 		comps[i] = ctt.NewCompressor(p.CST, i, TimeMeanStddev)
-		comps[i].SetWindow(window)
 		sinks[i] = comps[i]
 	}
 	if _, err := mpisim.Run(n, pinParams, sinks, func(r *mpisim.Rank) {
@@ -92,27 +91,23 @@ func pinRow(t *testing.T, name, src string, n, window int) string {
 }
 
 // TestEncodePinNPB pins the encoded bytes of whole traced runs: every npb
-// workload at 16 and 64 ranks, the same at a leaf window of 4, and the branch
-// shapes above. The golden fixtures in internal/merge pin the codec on two
-// jacobi traces; this table pins what the compressor feeds it, so a change to
-// the per-event paths (cursor descent, reach counting, record folding) that
-// alters one record, one taken index or their order fails here by name.
+// workload at 16 and 64 ranks, and the branch shapes above. The golden
+// fixtures in internal/merge pin the codec on two jacobi traces; this table
+// pins what the compressor feeds it, so a change to the per-event paths
+// (cursor descent, reach counting, record folding) that alters one record,
+// one taken index or their order fails here by name. Row names keep the
+// "/w1" suffix of the leaf window the rows were first pinned under.
 //
 //	go test -run TestEncodePinNPB -update .
 func TestEncodePinNPB(t *testing.T) {
 	var rows []string
-	for _, window := range []int{1, 4} {
-		for _, w := range npb.All() {
-			for _, n := range []int{16, 64} {
-				if window > 1 && n > 16 {
-					continue
-				}
-				name := fmt.Sprintf("%s/n%d/w%d", w.Name, n, window)
-				rows = append(rows, pinRow(t, name, w.Source(n, npb.Small), n, window))
-			}
+	for _, w := range npb.All() {
+		for _, n := range []int{16, 64} {
+			name := fmt.Sprintf("%s/n%d/w1", w.Name, n)
+			rows = append(rows, pinRow(t, name, w.Source(n, npb.Small), n))
 		}
-		rows = append(rows, pinRow(t, fmt.Sprintf("shapes/n16/w%d", window), branchShapes, 16, window))
 	}
+	rows = append(rows, pinRow(t, "shapes/n16/w1", branchShapes, 16))
 	got := strings.Join(rows, "\n") + "\n"
 	if *updatePin {
 		if err := os.WriteFile(pinTable, []byte(got), 0o644); err != nil {

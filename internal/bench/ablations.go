@@ -16,18 +16,12 @@ import (
 
 // Ablations quantifies the design choices DESIGN.md calls out:
 //
-//  1. leaf sliding-window width (paper's mentioned extension): compression
-//     gain vs the lossless window of 1 on SP, whose per-iteration parameter
-//     variation is exactly the case a wider window helps;
-//  2. relative ranking encoding on/off: merged size and rank-group count on
+//  1. relative ranking encoding on/off: merged size and rank-group count on
 //     a stencil workload, where the encoding does all the work;
-//  3. parallel vs serial P-way merge: wall time of the reduction;
-//  4. histogram vs mean/stddev time recording: trace size cost of the
+//  2. parallel vs serial P-way merge: wall time of the reduction;
+//  3. histogram vs mean/stddev time recording: trace size cost of the
 //     richer timing mode.
 func Ablations(w io.Writer, cfg Config) error {
-	if err := ablateWindow(w, cfg); err != nil {
-		return err
-	}
 	if err := ablateRelative(w, cfg); err != nil {
 		return err
 	}
@@ -38,7 +32,7 @@ func Ablations(w io.Writer, cfg Config) error {
 }
 
 // runCTTs executes a workload under CYPRESS, returning the per-rank trees.
-func runCTTs(wl *npb.Workload, n int, cfg Config, mode timestat.Mode, window int) ([]*ctt.RankCTT, error) {
+func runCTTs(wl *npb.Workload, n int, cfg Config, mode timestat.Mode) ([]*ctt.RankCTT, error) {
 	prog, tree, err := compileWorkload(wl, n, cfg.scale())
 	if err != nil {
 		return nil, err
@@ -48,7 +42,6 @@ func runCTTs(wl *npb.Workload, n int, cfg Config, mode timestat.Mode, window int
 	for i := range sinks {
 		comps[i] = ctt.NewCompressor(tree, i, mode)
 		comps[i].SetObs(obsSink)
-		comps[i].SetWindow(window)
 		sinks[i] = comps[i]
 	}
 	if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
@@ -72,34 +65,11 @@ func mergedSize(ctts []*ctt.RankCTT, workers int) (int64, int, error) {
 	return sz, m.GroupCount(), err
 }
 
-func ablateWindow(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 1: leaf sliding-window width on SP (window 1 is lossless)")
-	wl := npb.Get("SP")
-	n := cfg.procsFor(wl)[0]
-	for _, window := range []int{1, 4, 16} {
-		ctts, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev, window)
-		if err != nil {
-			return err
-		}
-		var perRank int64
-		for _, c := range ctts {
-			perRank += c.SizeBytes()
-		}
-		sz, groups, err := mergedSize(ctts, cfg.Workers)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  window=%2d  per-rank CTT total=%8.1fKB  merged=%8.1fKB  groups=%d\n",
-			window, kb(perRank), kb(sz), groups)
-	}
-	return nil
-}
-
 func ablateRelative(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 2: relative ranking encoding (LESlie3d stencil)")
+	fmt.Fprintln(w, "Ablation 1: relative ranking encoding (LESlie3d stencil)")
 	wl := npb.Get("LESlie3d")
 	n := cfg.procsFor(wl)[0]
-	withRel, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev, 1)
+	withRel, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
 	if err != nil {
 		return err
 	}
@@ -111,7 +81,7 @@ func ablateRelative(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	withoutRel, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev, 1)
+	withoutRel, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
 	if err != nil {
 		return err
 	}
@@ -130,10 +100,10 @@ func ablateRelative(w io.Writer, cfg Config) error {
 }
 
 func ablateParallelMerge(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 3: parallel vs serial P-way merge (LU)")
+	fmt.Fprintln(w, "Ablation 2: parallel vs serial P-way merge (LU)")
 	wl := npb.Get("LU")
 	n := cfg.procsFor(wl)[len(cfg.procsFor(wl))-1]
-	par, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev, 1)
+	par, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
 	if err != nil {
 		return err
 	}
@@ -142,7 +112,7 @@ func ablateParallelMerge(w io.Writer, cfg Config) error {
 		return err
 	}
 	parSec := time.Since(t0).Seconds()
-	ser, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev, 1)
+	ser, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
 	if err != nil {
 		return err
 	}
@@ -157,11 +127,11 @@ func ablateParallelMerge(w io.Writer, cfg Config) error {
 }
 
 func ablateTimeMode(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 4: time recording mode (CG)")
+	fmt.Fprintln(w, "Ablation 3: time recording mode (CG)")
 	wl := npb.Get("CG")
 	n := cfg.procsFor(wl)[0]
 	for _, mode := range []timestat.Mode{timestat.ModeMeanStddev, timestat.ModeHistogram} {
-		ctts, err := runCTTs(wl, n, cfg, mode, 1)
+		ctts, err := runCTTs(wl, n, cfg, mode)
 		if err != nil {
 			return err
 		}

@@ -4,8 +4,8 @@ package bench
 // wraparound-ring pass that backs the -benchjson obs report, but with a
 // trace recorder wired into every stage so the result is a Perfetto-loadable
 // timeline exercising every category (compress, merge, codec, blockio
-// enc/dec, corpus, replay, sim) with real worker swimlanes. Shared by
-// `cypressbench -trace` and the fixture-capture CI test.
+// enc/dec, corpus, replay, sim) with real worker swimlanes for the parallel
+// stages. Shared by `cypressbench -trace` and the fixture-capture CI test.
 
 import (
 	"bytes"
@@ -37,13 +37,12 @@ func EnableTrace(r *ftrace.Recorder) {
 const (
 	captureEncWorkers = 4
 	captureDecWorkers = 2
-	captureSimWorkers = 4
 	captureFrameSize  = 1 << 12 // small frames so several flow through every worker
 )
 
 // TracedPipeline runs one full pipeline pass — compress, merge, blocked
 // container encode/decode (parallel frame workers), corpus ingest/get,
-// streaming replay, parallel LogGP simulation — with r recording, and
+// streaming replay, LogGP simulation — with r recording, and
 // detaches the recorder before returning. The pass mirrors observePipeline;
 // it is deliberately its traced twin so the timeline corresponds to the
 // counters the obs report shows.
@@ -79,8 +78,8 @@ func TracedPipeline(r *ftrace.Recorder) error {
 	if err := tracedCorpus(); err != nil {
 		return err
 	}
-	// Replay skeletons + parallel simulation windows.
-	_, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams(), captureSimWorkers)
+	// Replay skeletons + the LogGP simulation sweeps.
+	_, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams())
 	return err
 }
 

@@ -390,7 +390,7 @@ func benchCorpusPredict(b *testing.B, cacheBytes int64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := predictStream(tr.Streamer(), params, 1); err != nil {
+		if _, err := predictStream(tr.Streamer(), params); err != nil {
 			b.Fatal(err)
 		}
 		tr.Release()

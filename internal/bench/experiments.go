@@ -363,7 +363,7 @@ func Fig21(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		pred, err := predictStream(merge.NewStreamer(m), mpisim.DefaultParams(), 1)
+		pred, err := predictStream(merge.NewStreamer(m), mpisim.DefaultParams())
 		if err != nil {
 			return err
 		}

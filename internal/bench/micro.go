@@ -561,11 +561,7 @@ func Micros() []Micro {
 		{"ReplayRank", BenchReplayRank},
 		{"Predict256", BenchPredict256},
 		{"Predict1024", BenchPredict1024},
-		{"Predict1024W2", BenchPredict1024W2},
-		{"Predict1024W4", BenchPredict1024W4},
 		{"Simulate1024W1", BenchSimulate1024W1},
-		{"Simulate1024W2", BenchSimulate1024W2},
-		{"Simulate1024W4", BenchSimulate1024W4},
 		{"CommMatrix1024", BenchCommMatrix1024},
 		{"CorpusIngest1024", BenchCorpusIngest1024},
 		{"CorpusBytes1024", BenchCorpusBytes1024},
@@ -647,7 +643,7 @@ func observePipeline(s *obs.Sink) error {
 	if _, err := merge.Decode(&buf); err != nil {
 		return err
 	}
-	if _, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams(), 1); err != nil {
+	if _, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams()); err != nil {
 		return err
 	}
 	return observeCorpus()

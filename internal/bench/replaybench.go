@@ -125,8 +125,8 @@ func perRankEvents(m *merge.Merged) float64 {
 
 // predictStream is the streaming prediction pipeline end to end from a
 // streamer: skeleton preparation (parallel), one pull cursor per rank, and
-// the LogGP simulation on workers simulation workers — nothing materialized.
-func predictStream(s *merge.Streamer, params mpisim.Params, workers int) (simmpi.Result, error) {
+// the LogGP simulation — nothing materialized.
+func predictStream(s *merge.Streamer, params mpisim.Params) (simmpi.Result, error) {
 	if err := s.Prepare(0); err != nil {
 		return simmpi.Result{}, err
 	}
@@ -138,19 +138,18 @@ func predictStream(s *merge.Streamer, params mpisim.Params, workers int) (simmpi
 		}
 		srcs[rank] = cur
 	}
-	return simmpi.SimulateStreamPar(srcs, params, workers)
+	return simmpi.SimulateStreamPar(srcs, params, 1)
 }
 
 // benchPredict measures predictStream per op, from a fresh streamer over the
-// merged tree. workers bounds the simulation's worker pool; the prediction is
-// identical at every value.
-func benchPredict(b *testing.B, n, workers int) {
+// merged tree.
+func benchPredict(b *testing.B, n int) {
 	m := mergedRing(b, n, 24)
 	params := mpisim.DefaultParams()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := predictStream(merge.NewStreamer(m), params, workers); err != nil {
+		if _, err := predictStream(merge.NewStreamer(m), params); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,25 +157,16 @@ func benchPredict(b *testing.B, n, workers int) {
 }
 
 // BenchPredict256 predicts a 256-rank ring from the merged trace.
-func BenchPredict256(b *testing.B) { benchPredict(b, 256, 1) }
+func BenchPredict256(b *testing.B) { benchPredict(b, 256) }
 
 // BenchPredict1024 predicts a 1024-rank ring from the merged trace (the PR 3
-// acceptance benchmark; workers=1 keeps it comparable across PRs).
-func BenchPredict1024(b *testing.B) { benchPredict(b, 1024, 1) }
-
-// BenchPredict1024W2 is BenchPredict1024 with the simulation epoch-parallel
-// across 2 workers.
-func BenchPredict1024W2(b *testing.B) { benchPredict(b, 1024, 2) }
-
-// BenchPredict1024W4 is BenchPredict1024 with the simulation epoch-parallel
-// across 4 workers.
-func BenchPredict1024W4(b *testing.B) { benchPredict(b, 1024, 4) }
+// acceptance benchmark).
+func BenchPredict1024(b *testing.B) { benchPredict(b, 1024) }
 
 // benchSimulate isolates the LogGP engine from skeleton preparation: cursors
 // are prepared once and rewound every op, so the measured loop is purely the
-// simulator's event processing, matching, and (for workers > 1) window
-// scheduling.
-func benchSimulate(b *testing.B, n, workers int) {
+// simulator's event processing and matching.
+func benchSimulate(b *testing.B, n int) {
 	m := mergedRing(b, n, 24)
 	s := merge.NewStreamer(m)
 	if err := s.Prepare(0); err != nil {
@@ -199,24 +189,16 @@ func benchSimulate(b *testing.B, n, workers int) {
 		for _, c := range curs {
 			c.Rewind()
 		}
-		if _, err := simmpi.SimulateStreamPar(srcs, params, workers); err != nil {
+		if _, err := simmpi.SimulateStreamPar(srcs, params, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n), "ranks/op")
 }
 
-// BenchSimulate1024W1 runs the engine-only 1024-rank simulation on the
-// sequential driver.
-func BenchSimulate1024W1(b *testing.B) { benchSimulate(b, 1024, 1) }
-
-// BenchSimulate1024W2 runs the engine-only 1024-rank simulation epoch-
-// parallel across 2 workers.
-func BenchSimulate1024W2(b *testing.B) { benchSimulate(b, 1024, 2) }
-
-// BenchSimulate1024W4 runs the engine-only 1024-rank simulation epoch-
-// parallel across 4 workers.
-func BenchSimulate1024W4(b *testing.B) { benchSimulate(b, 1024, 4) }
+// BenchSimulate1024W1 runs the engine-only 1024-rank simulation. The name
+// keeps its W1 suffix so the series stays comparable across BENCH_pr files.
+func BenchSimulate1024W1(b *testing.B) { benchSimulate(b, 1024) }
 
 // BenchCommMatrix1024 accumulates the 1024-rank send-volume matrix through
 // the parallel streaming fan-out (ReplayAll, one row per rank, in-flight).

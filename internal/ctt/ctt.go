@@ -243,10 +243,9 @@ type frame struct {
 
 // Compressor is the per-rank intra-process compression sink.
 type Compressor struct {
-	tree   *cst.Tree
-	rank   int
-	mode   timestat.Mode
-	window int
+	tree *cst.Tree
+	rank int
+	mode timestat.Mode
 
 	data   []VData
 	cursor *cst.Vertex
@@ -292,25 +291,10 @@ func NewCompressor(tree *cst.Tree, rank int, mode timestat.Mode) *Compressor {
 		tree:   tree,
 		rank:   rank,
 		mode:   mode,
-		window: 1,
 		data:   make([]VData, tree.NumVertices()),
 		cursor: tree.Root,
 		site:   -1,
 	}
-}
-
-// SetWindow widens the per-leaf record matching window (paper Section IV-A:
-// "Potentially one can set a larger sliding window for each leaf vertex, to
-// find more similar communication patterns. There is clearly a trade-off
-// between cost and compression effectiveness."). Windows larger than 1 merge
-// an incoming event into any of the last k records, which improves
-// compression for alternating parameters but makes the replayed ordering of
-// those records approximate. The default window of 1 is lossless.
-func (c *Compressor) SetWindow(k int) {
-	if k < 1 {
-		k = 1
-	}
-	c.window = k
 }
 
 // SetObs attaches a metrics sink. A nil sink (the default) disables
@@ -565,19 +549,13 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 		return
 	}
 	n := len(d.Records)
-	lo := n - c.window
-	if lo < d.cyc.frozen {
-		lo = d.cyc.frozen
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	for i := n - 1; i >= lo; i-- {
-		cand := d.Records[i]
-		if cand.Peers == nil && cand.Ev.SameParams(ev) {
-			cand.Count++
-			cand.Time.Add(dur)
-			cand.Compute.Add(comp)
+	// Only the last unfrozen record is a merge candidate: the paper's
+	// window of one, the width that keeps replay order exact.
+	if n > d.cyc.frozen && n > 0 {
+		if last := d.Records[n-1]; last.Peers == nil && last.Ev.SameParams(ev) {
+			last.Count++
+			last.Time.Add(dur)
+			last.Compute.Add(comp)
 			c.tal.mergeHits++
 			return
 		}

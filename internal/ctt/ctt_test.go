@@ -492,38 +492,6 @@ func main() {
 	}
 }
 
-func TestSlidingWindowMergesAlternatingParams(t *testing.T) {
-	// Window 1 keeps SP-style alternating sizes as separate records (further
-	// folded by record cycles); a wider window merges across the alternation
-	// at the cost of exact ordering — the paper's stated tradeoff.
-	srcAlt := `
-func main() {
-	for var i = 0; i < 30; i = i + 1 {
-		bcast(0, 100 + (i % 2) * 100);
-	}
-}`
-	progAlt, treeAlt := compile(t, srcAlt)
-	countAlt := func(window int) int {
-		comp := NewCompressor(treeAlt, 0, timestat.ModeMeanStddev)
-		comp.SetWindow(window)
-		if _, err := mpisim.Run(1, mpisim.Params{}, []trace.Sink{comp}, func(r *mpisim.Rank) {
-			interp.Execute(progAlt, r)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		c := comp.Finish()
-		leaf := findLeaf(treeAlt, trace.OpBcast)
-		return len(c.Data[leaf.GID].Records)
-	}
-	w1, w4 := countAlt(1), countAlt(4)
-	if w4 > w1 {
-		t.Fatalf("wider window must not increase records: w1=%d w4=%d", w1, w4)
-	}
-	if w4 != 2 {
-		t.Fatalf("window 4 should merge the alternation into 2 records, got %d", w4)
-	}
-}
-
 func TestDeepRecursionGuard(t *testing.T) {
 	prog, tree := compile(t, `
 func main() { f(100000); }

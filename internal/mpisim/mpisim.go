@@ -44,14 +44,6 @@ func (p Params) InjectNS(size int) float64 {
 	return p.OverheadNS + p.GapPerByteNS*float64(size)
 }
 
-// LookaheadNS is the conservative parallel-simulation lookahead: a message
-// injected at local virtual time t is never visible to its receiver before
-// t + o + L, so simulated ranks whose clocks sit inside a window of this
-// span can be advanced concurrently without ever missing a message that an
-// in-window rank could still produce for an earlier in-window consumer
-// (see simmpi's epoch-parallel engine).
-func (p Params) LookaheadNS() float64 { return p.OverheadNS + p.LatencyNS }
-
 // ErrDeadlock is returned by Run when no rank can make progress.
 var ErrDeadlock = errors.New("mpisim: deadlock: all active ranks blocked")
 

@@ -71,7 +71,7 @@ func TestDebugServerCloseNoGoroutineLeak(t *testing.T) {
 // the endpoint answers 404.
 func TestDebugTraceEndpoint(t *testing.T) {
 	rec := ftrace.New(0)
-	rec.Instant(ftrace.CatSim, ftrace.NameTurn, 0, 1, 2)
+	rec.Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, 1, 2)
 	ds, err := ServeDebugTrace("127.0.0.1:0", New(), rec)
 	if err != nil {
 		t.Fatal(err)

@@ -96,8 +96,7 @@ const (
 	ReplayEventsEmitted  // events synthesized by replay paths
 	SimEventsProcessed   // events consumed by the LogGP engine
 	SimBlockedCopies     // blocked events copied into rank-local buffers
-	SimWindows           // lookahead windows (sequential sweeps count too)
-	SimBarrierStalls     // rank visits that reached the window barrier with no progress
+	SimWindows           // simulator sweeps over every rank
 	SimMatchDepthPeak    // peak per-key match-table depth (gauge)
 	SimPendingPeak       // peak posted-but-uncompleted receives on any one rank (gauge)
 	SimUnmatchedRecvs    // posted receives never completed by a wait when their rank drained
@@ -189,7 +188,6 @@ var counterNames = [NumCounters]string{
 	SimEventsProcessed:   "sim_events_processed",
 	SimBlockedCopies:     "sim_blocked_copies",
 	SimWindows:           "sim_windows",
-	SimBarrierStalls:     "sim_barrier_stalls",
 	SimMatchDepthPeak:    "sim_match_table_peak",
 	SimPendingPeak:       "sim_pending_peak",
 	SimUnmatchedRecvs:    "sim_unmatched_recvs",
@@ -230,8 +228,7 @@ const (
 	HistReqOccupancy    Hist = iota // live requests at each non-blocking post
 	HistWildcardDepth               // cached wildcard events at each cache insert
 	HistSimQueueDepth               // in-flight message queue depth at each send
-	HistSimWindowEvents             // events processed per lookahead window
-	HistSimWindowNS                 // wall time per lookahead window
+	HistSimWindowEvents             // events processed per simulator sweep
 	HistIOFrameBytes                // compressed bytes per CYPB frame
 	HistIOCompressNS                // wall time deflating one frame
 	HistIOInflateNS                 // wall time inflating one frame
@@ -257,7 +254,6 @@ var histNames = [NumHists]string{
 	HistWildcardDepth:       "wildcard_cache_depth",
 	HistSimQueueDepth:       "sim_queue_depth",
 	HistSimWindowEvents:     "sim_window_events",
-	HistSimWindowNS:         "sim_window_ns",
 	HistIOFrameBytes:        "io_frame_bytes",
 	HistIOCompressNS:        "io_compress_ns",
 	HistIOInflateNS:         "io_inflate_ns",

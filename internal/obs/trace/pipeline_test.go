@@ -58,16 +58,14 @@ func TestTracedPipelineFixtureCapture(t *testing.T) {
 	}
 
 	// Parallel stages must show real per-worker swimlanes, not one collapsed
-	// lane. The pipeline pins 4 enc / 2 dec / 4 sim workers and frames small
-	// enough that several flow through each.
+	// lane. The pipeline pins 4 enc / 2 dec workers and frames small enough
+	// that several flow through each. The simulator is one sequential sweep,
+	// so "sim" is only required as a category above.
 	if lanes := c.Lanes("blockio.enc"); len(lanes) < 2 {
 		t.Errorf("blockio.enc has lanes %v, want >= 2 worker lanes", lanes)
 	}
 	if lanes := c.Lanes("blockio.dec"); len(lanes) < 2 {
 		t.Errorf("blockio.dec has lanes %v, want >= 2 worker lanes", lanes)
-	}
-	if lanes := c.Lanes("sim"); len(lanes) < 2 {
-		t.Errorf("sim has lanes %v, want >= 2 worker lanes", lanes)
 	}
 
 	// Every lane of every category must carry thread_name metadata so

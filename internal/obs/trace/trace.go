@@ -42,7 +42,7 @@ const (
 	CatIODec               // CYPB frame inflate: lane = reader worker
 	CatCorpus              // content-addressed store: lane 0
 	CatReplay              // streaming replay (skeletons, memo): lane 0
-	CatSim                 // LogGP simulation: lane = engine worker
+	CatSim                 // LogGP simulation: lane 0
 	NumCats                // sentinel; must be last
 )
 
@@ -81,8 +81,7 @@ const (
 	NameCorpusGet         // corpus get: args cache hit (1/0), bytes served
 	NameSkeleton          // replay skeleton build: args rank, skeleton events
 	NameMemoHit           // replay class memo hit (instant): args rank, 0
-	NameWindow            // one worker's share of a lookahead window: args rank visits, events
-	NameTurn              // window barrier turn: args window events, live ranks
+	NameWindow            // one simulator sweep over every rank: args rank visits, events
 	NameDecodeSelect      // selective decode: args entries materialized, payload bytes skipped
 	NameLazyFill          // lazy payload fill (instant): args slot, section bytes
 	NumNames              // sentinel; must be last
@@ -102,7 +101,6 @@ var nameStrings = [NumNames]string{
 	NameSkeleton:     "skeleton",
 	NameMemoHit:      "memo_hit",
 	NameWindow:       "window",
-	NameTurn:         "window_turn",
 	NameDecodeSelect: "decode_select",
 	NameLazyFill:     "lazy_fill",
 }
@@ -129,7 +127,6 @@ var argNames = [NumNames][2]string{
 	NameSkeleton:     {"rank", "events"},
 	NameMemoHit:      {"rank", "arg1"},
 	NameWindow:       {"visits", "events"},
-	NameTurn:         {"events", "active"},
 	NameDecodeSelect: {"eager", "skipped_bytes"},
 	NameLazyFill:     {"slot", "bytes"},
 }

@@ -17,7 +17,7 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 	sp := r.Begin(CatMerge, NamePair, 3)
 	sp.End(1, 2) // must not panic
-	r.Instant(CatSim, NameTurn, 0, 1, 2)
+	r.Instant(CatReplay, NameMemoHit, 0, 1, 2)
 	if evs := r.Snapshot(); evs != nil {
 		t.Fatalf("nil recorder Snapshot = %v, want nil", evs)
 	}
@@ -165,7 +165,7 @@ func TestConcurrentWriters(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				v := int64(g)<<32 | int64(i)
 				if i%3 == 0 {
-					r.Instant(CatSim, NameTurn, int32(g), v, v)
+					r.Instant(CatReplay, NameMemoHit, int32(g), v, v)
 				} else {
 					sp := r.Begin(CatMerge, NamePair, int32(g))
 					sp.End(v, v)
@@ -268,9 +268,9 @@ func TestTruncatedCaptureHeader(t *testing.T) {
 
 func TestWriteChromeJSONSince(t *testing.T) {
 	r := New(minCapacity)
-	r.Instant(CatSim, NameTurn, 0, 1, 1)
+	r.Instant(CatReplay, NameMemoHit, 0, 1, 1)
 	mark := r.Now()
-	r.Instant(CatSim, NameTurn, 0, 2, 2)
+	r.Instant(CatReplay, NameMemoHit, 0, 2, 2)
 	var buf bytes.Buffer
 	if err := r.WriteChromeJSONSince(&buf, mark); err != nil {
 		t.Fatalf("WriteChromeJSONSince: %v", err)
@@ -282,7 +282,7 @@ func TestWriteChromeJSONSince(t *testing.T) {
 	if len(c.Events) != 1 {
 		t.Fatalf("since-export kept %d events, want 1", len(c.Events))
 	}
-	if c.Events[0].Args["events"] != 2 {
+	if c.Events[0].Args["rank"] != 2 {
 		t.Fatalf("since-export kept the wrong event: %v", c.Events[0].Args)
 	}
 }

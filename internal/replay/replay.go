@@ -181,18 +181,11 @@ func (c *Cursor) Next() (*trace.Event, bool) {
 func (c *Cursor) Len() int { return len(c.steps) }
 
 // Rewind resets the cursor to the start of its skeleton, so one prepared
-// cursor can feed repeated simulations (worker sweeps, benchmarks) without
+// cursor can feed repeated simulations (benchmarks, probes) without
 // re-resolving the rank. Each pass counts toward the sink's emission tally.
 func (c *Cursor) Rewind() {
 	c.i = 0
 	c.counted = false
-}
-
-// Clone returns an independent cursor over the same shared skeleton and
-// records, positioned at the start. Clones share no mutable state, so
-// concurrent consumers can walk one memoized class skeleton side by side.
-func (c *Cursor) Clone() *Cursor {
-	return NewCursor(c.steps, c.recs, c.rank)
 }
 
 // synthesize materializes one replayed event from a record occurrence; the

@@ -8,16 +8,15 @@ import (
 )
 
 // TestSimulateAllocsSteadyState pins the engine's allocation shape: all
-// allocation happens at setup (ranks, shards, worker pool) or scales with
-// peak state (match-queue capacity, collective groups), and the steady-state
-// window loop allocates nothing. The fixtures are chain halo exchanges: the
+// allocation happens at setup (ranks, match tables) or scales with peak
+// state (match-queue capacity, collective groups), and the steady-state
+// sweep loop allocates nothing. The fixtures are chain halo exchanges: the
 // per-iteration waitall keeps neighbor drift — and with it match-queue
 // depth — bounded by a constant, so 4x more iterations must leave
-// allocs/run essentially unchanged, at workers=1 (the sequential driver)
-// and workers=4 (the epoch-parallel driver) alike. The decoded fixture is
-// the same shape served through encode/decode: there the bound also covers
-// each rank's pending-receive list, which stays at the two outstanding
-// receives only while decoded completions find their posters.
+// allocs/run essentially unchanged. The decoded fixture is the same shape
+// served through encode/decode: there the bound also covers each rank's
+// pending-receive list, which stays at the two outstanding receives only
+// while decoded completions find their posters.
 func TestSimulateAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -29,36 +28,23 @@ func TestSimulateAllocsSteadyState(t *testing.T) {
 
 func allocsSteadyState(t *testing.T, gen func(n, iters int) [][]trace.Event) {
 	params := mpisim.DefaultParams()
-	measure := func(workers int, seqs [][]trace.Event) float64 {
+	measure := func(seqs [][]trace.Event) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := SimulateStreamPar(sliceSources(seqs), params, workers); err != nil {
+			if _, err := Simulate(seqs, params); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	short, full := gen(64, 80), gen(64, 320)
-	var seqWarm float64
-	for _, w := range []int{1, 4} {
-		// 80 iterations is past the warm-up knee (queue buffers and scratch
-		// at full capacity); from there, 4x more work may only move the
-		// count by the measurement floor (a few GC-cycle allocations), and
-		// the absolute ceiling rules out even 0.05 allocs/event across the
-		// run's ~100k events.
-		warm := measure(w, short)
-		long := measure(w, full)
-		if long > warm+64 {
-			t.Errorf("workers=%d: 4x work moved allocs/run from %.0f to %.0f; window loop is allocating",
-				w, warm, long)
-		}
-		if long > 2048 {
-			t.Errorf("workers=%d: allocs/run %.0f exceeds budget 2048", w, long)
-		}
-		if w == 1 {
-			seqWarm = warm
-		} else if warm > seqWarm+128 {
-			// The parallel driver's overhead over the sequential one
-			// (goroutines, barrier, active list) is a small constant.
-			t.Errorf("parallel driver allocates %.0f/run vs sequential %.0f", warm, seqWarm)
-		}
+	// 80 iterations is past the warm-up knee (queue buffers and scratch at
+	// full capacity); from there, 4x more work may only move the count by
+	// the measurement floor (a few GC-cycle allocations), and the absolute
+	// ceiling rules out even 0.05 allocs/event across the run's ~100k events.
+	warm := measure(gen(64, 80))
+	long := measure(gen(64, 320))
+	if long > warm+64 {
+		t.Errorf("4x work moved allocs/run from %.0f to %.0f; sweep loop is allocating", warm, long)
+	}
+	if long > 2048 {
+		t.Errorf("allocs/run %.0f exceeds budget 2048", long)
 	}
 }

@@ -23,21 +23,19 @@ func TestDecodedPendingBounded(t *testing.T) {
 	} {
 		t.Run(tc.workload, func(t *testing.T) {
 			seqs := decodedSeqs(t, npb.Get(tc.workload).Source(64, npb.Small), 64)
-			for _, workers := range []int{1, 4} {
-				s := obs.New()
-				SetObs(s)
-				_, err := SimulateStreamPar(sliceSources(seqs), mpisim.DefaultParams(), workers)
-				SetObs(nil)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				// peak < 1 would mean the fixture posts no Irecv at all.
-				if peak := s.Value(obs.SimPendingPeak); peak < 1 || peak > tc.outstanding {
-					t.Errorf("workers=%d: sim_pending_peak = %d, want 1..%d", workers, peak, tc.outstanding)
-				}
-				if un := s.Value(obs.SimUnmatchedRecvs); un != 0 {
-					t.Errorf("workers=%d: sim_unmatched_recvs = %d, want 0", workers, un)
-				}
+			s := obs.New()
+			SetObs(s)
+			_, err := Simulate(seqs, mpisim.DefaultParams())
+			SetObs(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// peak < 1 would mean the fixture posts no Irecv at all.
+			if peak := s.Value(obs.SimPendingPeak); peak < 1 || peak > tc.outstanding {
+				t.Errorf("sim_pending_peak = %d, want 1..%d", peak, tc.outstanding)
+			}
+			if un := s.Value(obs.SimUnmatchedRecvs); un != 0 {
+				t.Errorf("sim_unmatched_recvs = %d, want 0", un)
 			}
 		})
 	}

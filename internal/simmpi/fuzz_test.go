@@ -11,7 +11,7 @@ import (
 // fuzzSeqs decodes fuzz bytes into a structurally well-formed multi-rank
 // trace: every generated receive is paired with a send in program order, so
 // the trace simulates cleanly — with one deliberate exception, opcode 6,
-// which rarely plants an unmatched receive that must stall every engine.
+// which rarely plants an unmatched receive that must stall the simulation.
 func fuzzSeqs(data []byte) [][]trace.Event {
 	if len(data) < 2 {
 		return nil
@@ -104,13 +104,14 @@ func fuzzSeqs(data []byte) [][]trace.Event {
 	return seqs
 }
 
-// FuzzSimulateParallel is the cross-worker-count fuzz gate: for any generated
-// trace, the parallel engine at 2 and 4 workers must agree bit-for-bit with
-// the sequential schedule, and error presence (stall) must match exactly.
-// With decoded set, the first two bytes instead pick the rank and iteration
-// counts of a real traced program (haloSrc) served through encode/decode, so
-// the identity is also fuzzed where file-served waits block on their receives.
-func FuzzSimulateParallel(f *testing.F) {
+// FuzzSimulate is the streaming-source fuzz gate: for any generated trace,
+// SimulateStreamPar pulling through buffer-reusing sources must agree
+// bit-for-bit with Simulate on the same slices, and error presence (stall)
+// must match exactly. With decoded set, the first two bytes instead pick the
+// rank and iteration counts of a real traced program (haloSrc) served through
+// encode/decode, so the identity is also fuzzed where file-served waits block
+// on their receives.
+func FuzzSimulate(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false)
 	f.Add([]byte{0, 7, 1, 0, 2, 50, 8, 2, 1, 9, 3, 0, 16, 14, 3, 2, 7, 0, 1}, false)
 	f.Add([]byte{4, 3, 1, 10, 2, 3, 17, 21, 2, 2, 30, 3, 2, 8, 1, 1, 0, 5, 40}, false)
@@ -129,15 +130,12 @@ func FuzzSimulateParallel(f *testing.F) {
 			seqs = decodedSeqs(t, haloSrc(1+int(data[1]%8)), len(seqs))
 		}
 		want, wantErr := Simulate(seqs, params)
-		for _, w := range []int{2, 4} {
-			got, err := SimulateStreamPar(sliceSources(seqs), params, w)
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("workers=%d: error mismatch: %v vs sequential %v", w, err, wantErr)
-			}
-			if wantErr == nil && !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d: result diverges from sequential (%v vs %v)",
-					w, got.TotalNS, want.TotalNS)
-			}
+		got, err := SimulateStreamPar(reusingSources(seqs), params, 1)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("error mismatch: stream %v vs slices %v", err, wantErr)
+		}
+		if wantErr == nil && !reflect.DeepEqual(want, got) {
+			t.Fatalf("stream result diverges from slices (%v vs %v)", got.TotalNS, want.TotalNS)
 		}
 	})
 }

@@ -1,14 +1,12 @@
 package simmpi
 
-import "sync"
-
-// matchKey identifies one point-to-point match chain inside a destination
-// shard: messages from one source rank carrying one tag. The destination is
-// implicit in the shard index, so every destination hashes over a map holding
-// only its own senders. Source and tag (32-bit quantities in MPI) pack into
-// one word so shard maps take the runtime's 64-bit fast path instead of
-// hashing and comparing a two-int struct — the map access is the engine's
-// hottest instruction sequence once completions match.
+// matchKey identifies one point-to-point match chain inside a destination's
+// match table: messages from one source rank carrying one tag. The
+// destination is implicit in the table index, so every destination hashes
+// over a map holding only its own senders. Source and tag (32-bit quantities
+// in MPI) pack into one word so the maps take Go's 64-bit key fast path
+// instead of hashing and comparing a two-int struct — the map access is the
+// engine's hottest instruction sequence once completions match.
 type matchKey uint64
 
 func mkKey(src, tag int) matchKey {
@@ -49,18 +47,11 @@ func (q *msgQueue) pop() float64 {
 }
 
 // matchShard is one destination rank's match table: (source, tag)-keyed FIFO
-// queues of in-flight arrival times. A shard is written by every rank that
-// sends to the destination and drained only by the destination itself, so
-// the i-th push on a key always pairs with the i-th pop regardless of the
-// schedule that interleaved them — the property the parallel engine's
-// determinism rests on. The engine serializes shard access with mu only when
-// it runs more than one worker; the sequential path calls the same methods
-// lock-free. The trailing pad keeps adjacent shards in the engine's slice
-// off each other's cache line.
+// queues of in-flight arrival times. Senders push in their program order and
+// the destination pops in its own, so the i-th send on a key pairs with the
+// i-th receive, as MPI's non-overtaking rule requires.
 type matchShard struct {
-	mu sync.Mutex
-	q  map[matchKey]*msgQueue
-	_  [64 - 16]byte
+	q map[matchKey]*msgQueue
 }
 
 // chain returns k's FIFO, creating it empty on first use. A chain is never

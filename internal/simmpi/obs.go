@@ -14,9 +14,8 @@ var sink *obs.Sink
 // with a running simulation.
 func SetObs(s *obs.Sink) { sink = s }
 
-// rec is the package's attached flight recorder: one span per worker per
-// lookahead window on the "sim" track (lane = worker index) plus one instant
-// per barrier turn. nil records nothing.
+// rec is the package's attached flight recorder: one span per sweep over the
+// ranks on the "sim" track (lane 0). nil records nothing.
 var rec *ftrace.Recorder
 
 // SetTrace attaches a flight recorder to the simulation engine. Not safe to

@@ -6,20 +6,15 @@
 // The simulator is a conservative discrete-event engine: each rank advances a
 // local clock through its event sequence; point-to-point completions couple
 // to the matching sender's injection time plus latency, and collectives
-// synchronize all ranks with the binomial-tree cost model shared with the
-// mpisim runtime. Point-to-point matches resolve through per-destination
-// match-table shards keyed by (source, tag), and one engine serves both
-// drivers: the sequential sweep (workers = 1) and the epoch-parallel
-// lookahead-window driver in engine.go (workers > 1). Results are
-// bit-identical at every worker count — see DESIGN.md "Parallel simulation"
-// for the determinism argument.
+// join all ranks under the binomial-tree cost model shared with package
+// mpisim. Point-to-point matches resolve through per-destination match
+// tables keyed by (source, tag). One sequential sweep drives the engine —
+// see DESIGN.md "Simulation".
 package simmpi
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/mpisim"
 	"repro/internal/obs"
@@ -125,9 +120,9 @@ func sliceSources(seqs [][]trace.Event) []EventSource {
 }
 
 // Simulate predicts execution for the given materialized per-rank event
-// sequences on the sequential driver. It is the slice-fed entry tests use as
-// the oracle; production callers stream through SimulateStreamPar. Both share
-// one engine, so their results are identical for identical sequences.
+// sequences. It is the slice-fed entry tests use as the oracle; production
+// callers stream through SimulateStreamPar. Both run one engine, so their
+// results are identical for identical sequences.
 func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
 	return SimulateStreamPar(sliceSources(seqs), params, 1)
 }
@@ -138,59 +133,33 @@ func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
 // as they are pulled, one at a time. The event an iterator yields is held by
 // value across blocked retries, so sources may reuse their buffers.
 //
-// workers bounds the epoch-parallel engine (workers <= 0 uses GOMAXPROCS; the
-// bound is clamped to the rank count). workers == 1 runs the sequential sweep
-// driver with zero locking; workers > 1 advances ranks concurrently inside
-// conservative lookahead windows. The Result is bit-identical at every worker
-// count. Each source is still consumed by at most one goroutine at a time
-// (window barriers order the hand-offs), so replay cursors need no locking.
+// workers is ignored: the simulation is one sequential sweep on the calling
+// goroutine. The parameter stays so existing callers keep compiling.
 func SimulateStreamPar(srcs []EventSource, params mpisim.Params, workers int) (Result, error) {
 	sp := sink.Start(obs.StageSimulate)
 	defer sp.End()
-	n := len(srcs)
-	if n == 0 {
+	if len(srcs) == 0 {
 		return Result{}, fmt.Errorf("simmpi: no ranks")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	en := newEngine(srcs, params, workers > 1)
-	var err error
-	if en.par {
-		err = en.runParallel(workers)
-	} else {
-		err = en.runSequential()
-	}
-	if err != nil {
+	en := newEngine(srcs, params)
+	if err := en.run(); err != nil {
 		return Result{}, err
 	}
 	return en.result(), nil
 }
 
-// engine is the shared simulation state of both drivers. The par flag
-// selects whether shard and collective access takes locks; with a single
-// worker every lock is skipped, keeping the sequential path's per-event cost
-// identical to the historical engine's.
+// engine is the simulation state: per-rank cursors and clocks, one match
+// table per destination rank, and the collective groups in occurrence order.
 type engine struct {
 	params mpisim.Params
 	n      int
-	par    bool
 	ranks  []simRank
 	shards []matchShard
-
-	collMu sync.Mutex
 	colls  []*collGroup
-
-	// ps is the parallel driver's scheduling state (engine.go); untouched by
-	// the sequential driver.
-	ps parState
 }
 
-func newEngine(srcs []EventSource, params mpisim.Params, par bool) *engine {
-	en := &engine{params: params, n: len(srcs), par: par}
+func newEngine(srcs []EventSource, params mpisim.Params) *engine {
+	en := &engine{params: params, n: len(srcs)}
 	en.ranks = make([]simRank, en.n)
 	for i := range en.ranks {
 		en.ranks[i].src = srcs[i]
@@ -202,17 +171,16 @@ func newEngine(srcs []EventSource, params mpisim.Params, par bool) *engine {
 	return en
 }
 
-// runSequential is the workers == 1 driver: sweep every rank in order, each
-// processing events until it blocks, until all sources are drained or no
-// sweep makes progress. Each sweep is reported as one window so the
-// per-window metrics stay meaningful across drivers.
-func (en *engine) runSequential() error {
+// run sweeps every rank in order, each processing events until it blocks,
+// until all sources are drained or a sweep makes no progress. Each sweep is
+// reported as one sim window span and counted in sim_windows.
+func (en *engine) run() error {
 	for {
 		wsp := rec.Begin(ftrace.CatSim, ftrace.NameWindow, 0)
 		progressed := 0
 		remaining := 0
 		for rid := range en.ranks {
-			p, err := en.advance(rid, math.Inf(1))
+			p, err := en.advance(rid)
 			if err != nil {
 				return err
 			}
@@ -235,12 +203,9 @@ func (en *engine) runSequential() error {
 	}
 }
 
-// advance drains rank rid: it processes events until the rank blocks, its
-// source is exhausted, or its clock passes windowEnd — checked only after at
-// least one event processed, so every unblocked rank is guaranteed progress
-// per visit (the liveness bound of the parallel driver). It returns the
-// number of events processed.
-func (en *engine) advance(rid int, windowEnd float64) (int, error) {
+// advance drains rank rid: it processes events until the rank blocks or its
+// source is exhausted, and returns the number of events processed.
+func (en *engine) advance(rid int) (int, error) {
 	r := &en.ranks[rid]
 	processed := 0
 	for {
@@ -282,9 +247,6 @@ func (en *engine) advance(rid int, windowEnd float64) (int, error) {
 		r.have = false
 		r.idx++
 		processed++
-		if r.clock >= windowEnd {
-			break
-		}
 	}
 	return processed, nil
 }
@@ -318,7 +280,15 @@ func (en *engine) result() Result {
 	return res
 }
 
+// stallState names the rank a stall is reported against. A rank whose source
+// never yielded comes first: its peers block on it, so the first blocked rank
+// is usually a victim rather than the cause.
 func stallState(ranks []simRank) string {
+	for i := range ranks {
+		if !ranks[i].started {
+			return fmt.Sprintf("rank %d yielded no events", i)
+		}
+	}
 	for i := range ranks {
 		if ranks[i].have {
 			return fmt.Sprintf("rank %d stuck at event %d (%v)", i, ranks[i].idx, ranks[i].cur.Op)
@@ -327,51 +297,10 @@ func stallState(ranks []simRank) string {
 	return "all done"
 }
 
-// sendMsg publishes one message arrival into the destination's shard and
-// returns the key's queue depth after the push.
-func (en *engine) sendMsg(dst int, k matchKey, t float64) int {
-	sh := &en.shards[dst]
-	if en.par {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	return sh.push(k, t)
-}
-
-// recvMsg pops the head arrival for k at dst's shard, if one is queued.
-// Popping before the clock advances is equivalent to the historical
-// check-then-pop: the pop commits the step, and compute accumulation does
-// not interact with the shard.
-func (en *engine) recvMsg(dst int, k matchKey) (float64, bool) {
-	sh := &en.shards[dst]
-	if en.par {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	return sh.tryPop(k)
-}
-
-// recvChain returns rid's match chain for k, creating it if needed.
-func (en *engine) recvChain(rid int, k matchKey) *msgQueue {
-	sh := &en.shards[rid]
-	if en.par {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	return sh.chain(k)
-}
-
-// completeRecvs checks, in one shard critical section, that every receive in
-// r.toComplete has a queued message on its chain, and if so pops them all in
-// completion order into r.avails. All chains live in rank rid's own shard,
-// and only rid pops it, so a concurrent push between check and pop can only
-// add availability, never steal a counted message.
-func (en *engine) completeRecvs(rid int, r *simRank) bool {
-	if en.par {
-		sh := &en.shards[rid]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+// completeRecvs checks that every receive in r.toComplete has a queued
+// message on its chain, and if so pops them all in completion order into
+// r.avails. It pops nothing unless the whole completion can finish.
+func completeRecvs(r *simRank) bool {
 	// Entry i needs its chain to hold every earlier same-chain completion
 	// plus itself. Pending lists are short, so the quadratic scan beats the
 	// historical per-event count map.
@@ -396,9 +325,8 @@ func (en *engine) completeRecvs(rid int, r *simRank) bool {
 
 // step attempts to process one event; it returns false when the event must
 // wait for progress elsewhere. Every clock/comm/compute update is a function
-// of rank-local state plus values read from the rank's own match shard or
-// collective group, so the outcome is invariant under the schedule that
-// interleaved other ranks' steps (see DESIGN.md "Parallel simulation").
+// of rank-local state plus values read from the rank's own match table or
+// collective group.
 func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 	p := en.params
 	// Compute time precedes the call.
@@ -416,7 +344,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.InjectNS(e.Size)
-		depth := en.sendMsg(e.Peer, mkKey(rid, e.Tag), r.clock+p.LatencyNS)
+		depth := en.shards[e.Peer].push(mkKey(rid, e.Tag), r.clock+p.LatencyNS)
 		if sink.Enabled() {
 			sink.Observe(obs.HistSimQueueDepth, int64(depth))
 			sink.SetMax(obs.SimMatchDepthPeak, int64(depth))
@@ -427,12 +355,12 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		advCompute()
 		t0 := r.clock
 		r.clock += p.OverheadNS / 2
-		r.pending = append(r.pending, pendingRecv{gid: e.GID, q: en.recvChain(rid, mkKey(e.Peer, e.Tag))})
+		r.pending = append(r.pending, pendingRecv{gid: e.GID, q: en.shards[rid].chain(mkKey(e.Peer, e.Tag))})
 		r.pendMax = max(r.pendMax, len(r.pending))
 		r.comm += r.clock - t0
 		return true, nil
 	case e.Op == trace.OpRecv:
-		avail, ok := en.recvMsg(rid, mkKey(e.Peer, e.Tag))
+		avail, ok := en.shards[rid].tryPop(mkKey(e.Peer, e.Tag))
 		if !ok {
 			return false, nil // matching send not simulated yet
 		}
@@ -460,7 +388,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 			// GIDs without a pending receive are completed sends: no wait.
 		}
 		// All needed messages must be available before the wait can finish.
-		if !en.completeRecvs(rid, r) {
+		if !completeRecvs(r) {
 			return false, nil
 		}
 		advCompute()
@@ -491,15 +419,10 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 }
 
 // stepColl folds one rank's arrival into its next collective group. The
-// group's entry time is a max over arrival clocks — order-independent, so
-// the finish time is schedule-invariant. Which participant's mismatch is
-// reported can vary with the schedule; whether one is reported cannot,
-// since every participant eventually arrives and compares.
+// group's entry time is the max over arrival clocks; the group finishes once
+// every rank has arrived. A rank whose op or size disagrees with the first
+// arrival's is a collective mismatch.
 func (en *engine) stepColl(r *simRank, rid int, e *trace.Event) (bool, error) {
-	if en.par {
-		en.collMu.Lock()
-		defer en.collMu.Unlock()
-	}
 	g := en.coll(r.collIdx)
 	if !r.inColl {
 		r.clock += e.ComputeNS

@@ -1,7 +1,9 @@
 package simmpi
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mpisim"
@@ -26,6 +28,15 @@ func (s *reusingSource) Next() (*trace.Event, bool) {
 	// Poison the previous hand-out: anyone aliasing the pointer across calls
 	// sees garbage, so identity with the slice path proves value semantics.
 	return &s.buf, true
+}
+
+// reusingSources wraps each sequence in a buffer-reusing source.
+func reusingSources(seqs [][]trace.Event) []EventSource {
+	srcs := make([]EventSource, len(seqs))
+	for i := range seqs {
+		srcs[i] = &reusingSource{evs: seqs[i]}
+	}
+	return srcs
 }
 
 // exchangeSeqs is a 3-rank fixture that forces blocked retries: rank 0's recv
@@ -60,11 +71,7 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := make([]EventSource, len(seqs))
-	for i := range seqs {
-		srcs[i] = &reusingSource{evs: seqs[i]}
-	}
-	got, err := SimulateStreamPar(srcs, params, 1)
+	got, err := SimulateStreamPar(reusingSources(seqs), params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +82,27 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 
 // TestSimulateStreamEmptyRankStalls pins the historical semantics the stream
 // engine must preserve: a rank whose sequence is empty from the start is
-// reported as a stall, exactly like the materializing engine always did.
+// reported as a stall, exactly like the materializing engine always did. The
+// report names the empty rank, not the first of the peers blocked on it.
 func TestSimulateStreamEmptyRankStalls(t *testing.T) {
-	srcs := []EventSource{
-		&reusingSource{evs: []trace.Event{{Op: trace.OpBarrier, Peer: trace.NoPeer}}},
-		&reusingSource{},
-	}
-	if _, err := SimulateStreamPar(srcs, mpisim.DefaultParams(), 1); err == nil {
-		t.Fatal("empty-rank stall not detected")
+	barrierOnly := [][]trace.Event{{{Op: trace.OpBarrier, Peer: trace.NoPeer}}, nil}
+	ring := ringTrace(6, 4)
+	ring[4] = nil
+	for _, tc := range []struct {
+		name  string
+		seqs  [][]trace.Event
+		empty int
+	}{
+		{"barrier", barrierOnly, 1},
+		{"ring", ring, 4},
+	} {
+		_, err := SimulateStreamPar(reusingSources(tc.seqs), mpisim.DefaultParams(), 1)
+		if err == nil {
+			t.Fatalf("%s: empty-rank stall not detected", tc.name)
+		}
+		want := fmt.Sprintf("stalled (mismatched trace?): rank %d yielded no events", tc.empty)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: stall report %q does not name the empty rank %d", tc.name, err, tc.empty)
+		}
 	}
 }

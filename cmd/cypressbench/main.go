@@ -6,8 +6,8 @@
 //	cypressbench -exp all              # everything, default scale
 //	cypressbench -exp fig18 -full      # extend to the paper's largest P
 //	cypressbench -exp fig16 -quick     # smoke-test scale
-//	cypressbench -exp fig15 -par       # fan out (workload, procs) cells
-//	cypressbench -benchjson bench.json # component microbenchmarks as JSON
+//	cypressbench -exp none -stats      # one observed pipeline pass, counters to stderr
+//	cypressbench -exp none -trace t.json  # the same pass as a Perfetto timeline
 //	cypressbench -exp fig15 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
 // Experiments: table1, fig15, fig16, fig17, fig18, fig19, fig20, fig21,
@@ -16,13 +16,8 @@
 // Profiling: -cpuprofile writes a pprof CPU profile covering the whole run;
 // -memprofile writes an allocation profile captured at exit (after a GC, so
 // it reflects live heap plus cumulative allocs). Inspect either with
-// `go tool pprof`. -benchjson runs the registered microbenchmarks via
-// testing.Benchmark and writes machine-readable results for trajectory
-// tracking; it composes with -exp (benchmarks run first) and with the
-// profile flags, but the usual mode is -benchjson alone with -exp none. The
-// registry includes the trace-I/O suite (Encode, EncodeGzip1024, the
-// EncodeBlocked/DecodeBlocked CYPB worker sweeps), so container-format
-// regressions show up in the same trajectory file.
+// `go tool pprof`. Performance claims are measured by the paired ledger in
+// benchmark/ (see benchmark/README.md), not by this command.
 package main
 
 import (
@@ -39,23 +34,18 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id, 'all', or 'none'")
+	exp := flag.String("exp", "all", "experiment id, 'all', or 'none' (with -stats or -trace: one pipeline pass over the 64-rank ring)")
 	quick := flag.Bool("quick", false, "smoke-test scale (small iterations, few ranks)")
 	full := flag.Bool("full", false, "extend to the paper's largest process counts")
 	workers := flag.Int("workers", 0, "merge/finish parallelism (0 = GOMAXPROCS)")
-	par := flag.Bool("par", false, "evaluate independent (workload, procs) cells concurrently (size figures only; timing columns get noisy)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	benchjson := flag.String("benchjson", "", "run component microbenchmarks and write JSON results to this file ('-' = stdout)")
-	compare := flag.String("compare", "", "diff a fresh microbenchmark run against this baseline JSON (BENCH_pr*.json or an earlier -benchjson report)")
-	threshold := flag.Float64("threshold", 0.25, "ns/op regression threshold for -compare, as a fraction (0.25 = +25%)")
-	strict := flag.Bool("compare-strict", false, "exit non-zero when -compare finds regressions (default report-only)")
-	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto; with -exp none and no -benchjson, captures one traced pipeline pass)")
+	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
 	stats := flag.Bool("stats", false, "print the pipeline observability report to stderr at exit")
 	debugAddr := flag.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	if err := mainErr(*exp, *quick, *full, *workers, *par, *cpuprofile, *memprofile, *benchjson, *compare, *threshold, *strict, *traceFile, *stats, *debugAddr); err != nil {
+	if err := mainErr(*exp, *quick, *full, *workers, *cpuprofile, *memprofile, *traceFile, *stats, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "cypressbench:", err)
 		os.Exit(1)
 	}
@@ -63,9 +53,8 @@ func main() {
 
 // mainErr is the flag-free body, separated so deferred profile writers run
 // before the process exits (os.Exit skips defers).
-func mainErr(exp string, quick, full bool, workers int, par bool, cpuprofile, memprofile, benchjson, compare string, threshold float64, strict bool, traceFile string, stats bool, debugAddr string) error {
+func mainErr(exp string, quick, full bool, workers int, cpuprofile, memprofile, traceFile string, stats bool, debugAddr string) error {
 	var rec *ftrace.Recorder
-	tracedRun := false // a pipeline stage ran with the recorder attached
 	if traceFile != "" {
 		rec = ftrace.New(0)
 		bench.EnableTrace(rec)
@@ -117,56 +106,17 @@ func mainErr(exp string, quick, full bool, workers int, par bool, cpuprofile, me
 		}()
 	}
 
-	if benchjson != "" || compare != "" {
-		fmt.Fprintln(os.Stderr, "cypressbench: running component microbenchmarks...")
-		rep, err := bench.RunMicroReport()
-		if err != nil {
-			return err
-		}
-		tracedRun = true // RunMicroReport's observed pass runs the pipeline
-		if benchjson != "" {
-			out := os.Stdout
-			if benchjson != "-" {
-				f, err := os.Create(benchjson)
-				if err != nil {
-					return fmt.Errorf("-benchjson: %w", err)
-				}
-				defer f.Close()
-				out = f
-			}
-			if err := bench.WriteMicroReport(out, rep); err != nil {
-				return fmt.Errorf("-benchjson: %w", err)
-			}
-		}
-		if compare != "" {
-			base, err := bench.ParseBenchFile(compare)
-			if err != nil {
-				return fmt.Errorf("-compare: %w", err)
-			}
-			regressed, err := bench.Diff(base, bench.PointsOf(rep.Benchmarks)).WriteText(os.Stdout, threshold, 0)
-			if err != nil {
-				return fmt.Errorf("-compare: %w", err)
-			}
-			if regressed > 0 && strict {
-				return fmt.Errorf("-compare: %d benchmark(s) regressed beyond +%.0f%%", regressed, threshold*100)
-			}
-		}
-		if exp == "all" {
-			// -benchjson/-compare alone should not drag in the experiments.
-			exp = "none"
-		}
-	}
 	if exp == "none" {
-		if rec.Enabled() && !tracedRun {
-			// Nothing else exercised the pipeline; capture one traced pass so
-			// -trace alone still yields a full timeline.
-			fmt.Fprintln(os.Stderr, "cypressbench: capturing one traced pipeline pass...")
-			return bench.TracedPipeline(rec)
+		if stats || traceFile != "" {
+			// Nothing else exercises the pipeline; run one pass so -stats and
+			// -trace alone still report every stage.
+			fmt.Fprintln(os.Stderr, "cypressbench: running one pipeline pass...")
+			return bench.Pipeline()
 		}
 		return nil
 	}
 
-	cfg := bench.Config{Quick: quick, Full: full, Workers: workers, ParallelCells: par}
+	cfg := bench.Config{Quick: quick, Full: full, Workers: workers}
 	run := func(e bench.Experiment) error {
 		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
 		t0 := time.Now()

@@ -26,7 +26,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
@@ -43,11 +42,6 @@ type Config struct {
 	Full bool
 	// Workers bounds merge parallelism (0 = GOMAXPROCS).
 	Workers int
-	// ParallelCells evaluates independent (workload, procs) cells of the
-	// size figures concurrently. Off by default: the timing columns of
-	// Figures 16 and 18 are only meaningful when cells do not compete for
-	// cores, so fan-out is an explicit opt-in for size-only runs.
-	ParallelCells bool
 }
 
 // procsFor selects the process-count axis for a workload.
@@ -309,21 +303,9 @@ func (f fanout) Finalize() {
 
 // compileWorkload builds the CST for a workload instance.
 func compileWorkload(w *npb.Workload, n int, s npb.Scale) (*lang.Program, *cst.Tree, error) {
-	src := w.Source(n, s)
-	prog, err := lang.Parse(src)
+	prog, tree, err := compileSrc(w.Source(n, s))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%d: parse: %w", w.Name, n, err)
-	}
-	if _, err := lang.Check(prog); err != nil {
-		return nil, nil, fmt.Errorf("%s/%d: check: %w", w.Name, n, err)
-	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%d: lower: %w", w.Name, n, err)
-	}
-	tree, err := cst.Build(irProg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%d: cst: %w", w.Name, n, err)
+		return nil, nil, fmt.Errorf("%s/%d: %w", w.Name, n, err)
 	}
 	return prog, tree, nil
 }
@@ -468,54 +450,18 @@ func parallelRanks(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// cell is one (workload, process count) point of an experiment grid.
-type cell struct {
-	wl *npb.Workload
-	n  int
-}
-
-// cells expands the configured process-count axis of each workload.
-func cells(wls []*npb.Workload, cfg Config) []cell {
-	var out []cell
+// measureAll runs Measure over each workload's configured process counts, one
+// cell at a time so the merge timings of one cell never compete with another.
+func measureAll(wls []*npb.Workload, cfg Config) ([]*Measured, error) {
+	var out []*Measured
 	for _, wl := range wls {
 		for _, n := range cfg.procsFor(wl) {
-			out = append(out, cell{wl, n})
-		}
-	}
-	return out
-}
-
-// measureCells evaluates every cell under Measure and returns results in
-// input order. Sequential by default; with cfg.ParallelCells the cells run
-// under a bounded worker pool (cfg.Workers, 0 = GOMAXPROCS). Parallel cells
-// contend for cores, so the InterSec timings of concurrent cells are noisy —
-// callers that print timing columns should document that -par trades timing
-// fidelity for wall-clock speed. The first error wins; remaining cells still
-// finish (each worker drains its queue) but their results are discarded.
-func measureCells(cs []cell, cfg Config) ([]*Measured, error) {
-	out := make([]*Measured, len(cs))
-	if !cfg.ParallelCells || len(cs) < 2 {
-		for i, c := range cs {
-			m, err := Measure(c.wl, c.n, cfg)
+			m, err := Measure(wl, n, cfg)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = m
+			out = append(out, m)
 		}
-		return out, nil
-	}
-	var firstErr atomic.Pointer[error]
-	parallelRanks(len(cs), cfg.Workers, func(i int) {
-		m, err := Measure(cs[i].wl, cs[i].n, cfg)
-		if err != nil {
-			err = fmt.Errorf("%s/%d: %w", cs[i].wl.Name, cs[i].n, err)
-			firstErr.CompareAndSwap(nil, &err)
-			return
-		}
-		out[i] = m
-	})
-	if ep := firstErr.Load(); ep != nil {
-		return nil, *ep
 	}
 	return out, nil
 }

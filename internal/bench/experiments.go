@@ -92,8 +92,7 @@ func Fig15(w io.Writer, cfg Config) error {
 		}
 		wls = append(wls, wl)
 	}
-	// Size-only figure: safe to fan out cells with -par.
-	ms, err := measureCells(cells(wls, cfg), cfg)
+	ms, err := measureAll(wls, cfg)
 	if err != nil {
 		return err
 	}
@@ -136,10 +135,7 @@ func Fig16(w io.Writer, cfg Config) error {
 	return tw.Flush()
 }
 
-// Fig18 regenerates the inter-process merge cost comparison. The merge
-// timings are only clean when cells run one at a time, so this figure always
-// measures sequentially even under -par (the cell fan-out would make
-// concurrent cells compete for the cores the parallel reduction itself uses).
+// Fig18 regenerates the inter-process merge cost comparison.
 func Fig18(w io.Writer, cfg Config) error {
 	fmt.Fprintln(w, "Figure 18: inter-process trace compression overhead (seconds)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
@@ -149,9 +145,7 @@ func Fig18(w io.Writer, cfg Config) error {
 	for _, name := range subjects {
 		wls = append(wls, npb.Get(name))
 	}
-	seqCfg := cfg
-	seqCfg.ParallelCells = false
-	ms, err := measureCells(cells(wls, cfg), seqCfg)
+	ms, err := measureAll(wls, cfg)
 	if err != nil {
 		return err
 	}
@@ -169,9 +163,7 @@ func Fig19(w io.Writer, cfg Config) error {
 	fmt.Fprintln(w, "Figure 19: LESlie3d compressed trace sizes (KB)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "Procs\tGzip\tScalaTrace\tCypress\tCypress+Gzip\t")
-	wl := npb.Get("LESlie3d")
-	// Size-only figure: safe to fan out cells with -par.
-	ms, err := measureCells(cells([]*npb.Workload{wl}, cfg), cfg)
+	ms, err := measureAll([]*npb.Workload{npb.Get("LESlie3d")}, cfg)
 	if err != nil {
 		return err
 	}

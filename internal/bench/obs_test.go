@@ -1,22 +1,23 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestObservePipelineReport checks the -benchjson observation pass: one ring
-// run through compress→merge→encode→decode→replay→simulate must light up
-// every stage's counters, and the harness must detach the sink afterwards so
-// subsequent timed benchmarks run sink-off.
+// TestObservePipelineReport checks the pass behind `cypressbench -exp none
+// -stats`: one Pipeline run with a sink attached must light up every stage's
+// counters, and once EnableObs(nil) detaches it, a second run must add
+// nothing to the sink.
 func TestObservePipelineReport(t *testing.T) {
 	s := obs.New()
-	if err := observePipeline(s); err != nil {
+	EnableObs(s)
+	err := Pipeline()
+	EnableObs(nil)
+	if err != nil {
 		t.Fatal(err)
-	}
-	if obsSink != nil {
-		t.Error("observePipeline left obsSink attached")
 	}
 	r := s.Report()
 	for _, key := range []string{
@@ -31,5 +32,12 @@ func TestObservePipelineReport(t *testing.T) {
 	}
 	if len(r.Stages) == 0 {
 		t.Error("observation pass recorded no stage timings")
+	}
+
+	if err := Pipeline(); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Report(); !reflect.DeepEqual(after.Counters, r.Counters) {
+		t.Error("a pass after EnableObs(nil) still counted into the detached sink")
 	}
 }

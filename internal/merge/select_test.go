@@ -289,6 +289,17 @@ func TestDecodeSelectCounters(t *testing.T) {
 	if b := s.Value(obs.SelBytesMaterialized); b == 0 {
 		t.Fatal("sel_bytes_materialized = 0 with eager entries")
 	}
+	// Selecting every rank skips nothing.
+	skippedB := s.Value(obs.SelBytesSkipped)
+	if _, err := DecodeSelectAuto(enc, SelectAll(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if s.Value(obs.SelEntriesSkipped) != skipped || s.Value(obs.SelBytesSkipped) != skippedB {
+		t.Fatal("SelectAll decode skipped payload sections")
+	}
+	if got := s.Value(obs.SelFallbacks); got != 0 {
+		t.Fatalf("sel_fallbacks = %d after SelectAll, want 0", got)
+	}
 
 	// Touching an unselected rank fills its payloads from the retained bytes.
 	streamSeq(t, m, 3)

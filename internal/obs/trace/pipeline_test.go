@@ -1,8 +1,8 @@
 package trace_test
 
-// Fixture capture test: run the traced 64-rank pipeline pass that backs
-// `cypressbench -trace` and assert the capture the CI job ships to Perfetto
-// is complete and structurally rich — every stage category present, real
+// Fixture capture test: run the 64-rank pipeline pass that backs
+// `cypressbench -exp none -trace` and assert the capture the CI job ships to
+// Perfetto is complete and structurally rich — every stage category present, real
 // per-worker swimlanes for the parallel stages, zero drops, and a clean
 // export → parse → validate round-trip. This is the in-process twin of the
 // CI fixture job's CLI-level check (cypressstat -timeline -check).
@@ -17,8 +17,11 @@ import (
 
 func TestTracedPipelineFixtureCapture(t *testing.T) {
 	rec := ftrace.New(0)
-	if err := bench.TracedPipeline(rec); err != nil {
-		t.Fatalf("TracedPipeline: %v", err)
+	bench.EnableTrace(rec)
+	err := bench.Pipeline()
+	bench.EnableTrace(nil)
+	if err != nil {
+		t.Fatalf("Pipeline: %v", err)
 	}
 	if d := rec.Drops(); d != 0 {
 		t.Fatalf("fixture capture dropped %d of %d events; ring too small for the fixture", d, rec.Total())

@@ -29,7 +29,7 @@ import (
 
 	cypress "repro"
 	"repro/internal/merge"
-	ftrace "repro/internal/obs/trace"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -60,11 +60,11 @@ func main() {
 	if *dir == "" || flag.NArg() == 0 {
 		usage()
 	}
-	if *traceFile != "" {
-		rec := ftrace.New(0)
-		cypress.EnableTrace(rec)
-		defer writeTraceFile(rec, *traceFile)
+	stop, err := obs.Capture("cypressarchive", os.Stderr, false, *traceFile, "")
+	if err != nil {
+		fail(err)
 	}
+	defer stop(os.Stderr)
 
 	c, err := cypress.OpenCorpus(*dir, cypress.CorpusOptions{CacheBytes: *cacheBytes, Workers: *workers})
 	if err != nil {
@@ -214,20 +214,4 @@ func parseHash(s string) cypress.TraceID {
 		os.Exit(2)
 	}
 	return h
-}
-
-// writeTraceFile exports the flight recorder as Chrome trace-event JSON.
-func writeTraceFile(rec *ftrace.Recorder, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypressarchive: -trace:", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.WriteChromeJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "cypressarchive: -trace:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cypressarchive: flight-recorder trace: %d events (%d dropped) -> %s\n",
-		rec.Total(), rec.Drops(), path)
 }

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs"
-	ftrace "repro/internal/obs/trace"
 )
 
 func main() {
@@ -54,32 +53,11 @@ func main() {
 // mainErr is the flag-free body, separated so deferred profile writers run
 // before the process exits (os.Exit skips defers).
 func mainErr(exp string, quick, full bool, workers int, cpuprofile, memprofile, traceFile string, stats bool, debugAddr string) error {
-	var rec *ftrace.Recorder
-	if traceFile != "" {
-		rec = ftrace.New(0)
-		bench.EnableTrace(rec)
-		defer bench.EnableTrace(nil)
-		defer func() { writeTraceFile(rec, traceFile) }()
+	stop, err := obs.Capture("cypressbench", os.Stderr, stats, traceFile, debugAddr)
+	if err != nil {
+		return err
 	}
-	if stats || debugAddr != "" {
-		sink := obs.New()
-		bench.EnableObs(sink)
-		defer bench.EnableObs(nil)
-		if debugAddr != "" {
-			srv, err := obs.ServeDebugTrace(debugAddr, sink, rec)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "cypressbench: debug server on http://%s/debug/pprof/\n", srv.Addr)
-		}
-		if stats {
-			defer func() {
-				fmt.Fprintln(os.Stderr)
-				sink.Report().WriteText(os.Stderr)
-			}()
-		}
-	}
+	defer stop(os.Stderr)
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -140,20 +118,4 @@ func mainErr(exp string, quick, full bool, workers int, cpuprofile, memprofile, 
 		return err
 	}
 	return run(e)
-}
-
-// writeTraceFile exports the flight recorder as Chrome trace-event JSON.
-func writeTraceFile(rec *ftrace.Recorder, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypressbench: -trace:", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.WriteChromeJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "cypressbench: -trace:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cypressbench: flight-recorder trace: %d events (%d dropped) -> %s\n",
-		rec.Total(), rec.Drops(), path)
 }

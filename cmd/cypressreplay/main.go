@@ -33,7 +33,6 @@ import (
 
 	cypress "repro"
 	"repro/internal/obs"
-	ftrace "repro/internal/obs/trace"
 	"repro/internal/trace"
 )
 
@@ -67,30 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: cypressreplay [flags] trace.cyp")
 		return 2
 	}
-	var rec *ftrace.Recorder
-	if *traceFile != "" {
-		rec = ftrace.New(0)
-		cypress.EnableTrace(rec)
-		defer writeTraceFile(stderr, rec, *traceFile)
+	stop, err := obs.Capture("cypressreplay", stderr, *stats, *traceFile, *debugAddr)
+	if err != nil {
+		return fail(err)
 	}
-	if *stats || *debugAddr != "" {
-		sink := obs.New()
-		cypress.EnableObs(sink)
-		if *debugAddr != "" {
-			srv, err := obs.ServeDebugTrace(*debugAddr, sink, rec)
-			if err != nil {
-				return fail(err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(stderr, "cypressreplay: debug server on http://%s/debug/pprof/\n", srv.Addr)
-		}
-		if *stats {
-			defer func() {
-				fmt.Fprintln(stderr)
-				sink.Report().WriteText(stderr)
-			}()
-		}
-	}
+	defer stop(stderr)
 	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return fail(err)
@@ -190,20 +170,4 @@ func printAll(stdout io.Writer, res *cypress.Result, par, limit int) error {
 		stdout.Write(bufs[rank].Bytes())
 	}
 	return nil
-}
-
-// writeTraceFile exports the flight recorder as Chrome trace-event JSON.
-func writeTraceFile(stderr io.Writer, rec *ftrace.Recorder, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "cypressreplay: -trace:", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.WriteChromeJSON(f); err != nil {
-		fmt.Fprintln(stderr, "cypressreplay: -trace:", err)
-		return
-	}
-	fmt.Fprintf(stderr, "cypressreplay: flight-recorder trace: %d events (%d dropped) -> %s\n",
-		rec.Total(), rec.Drops(), path)
 }

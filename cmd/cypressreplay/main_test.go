@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/merge"
+	"repro/internal/obs"
+	ftrace "repro/internal/obs/trace"
 )
 
 const goldenDir = "../../internal/merge/testdata/golden"
@@ -118,5 +121,44 @@ func TestUsageErrors(t *testing.T) {
 		if status != 2 || !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q", tc.args, status, stderr, tc.want)
 		}
+	}
+}
+
+// TestStatsAndTraceCapture drives -stats and -trace through run: the stderr
+// report must show the decode, replay and simulation layers reporting, the
+// capture must be a valid drop-free Chrome trace, and nothing may stay
+// attached after the command returns.
+func TestStatsAndTraceCapture(t *testing.T) {
+	capture := filepath.Join(t.TempDir(), "capture.json")
+	stdout, stderr, status := cli("-stats", "-trace", capture, "-predict", filepath.Join(goldenDir, "jacobi7.cyp"))
+	if status != 0 {
+		t.Fatalf("exit %d: %s", status, stderr)
+	}
+	if !strings.Contains(stdout, "predicted execution time") {
+		t.Errorf("no prediction on stdout:\n%s", stdout)
+	}
+	for _, key := range []string{"dec_traces", "replay_events_emitted", "sim_events_processed"} {
+		m := regexp.MustCompile(`(?m)^\s+` + key + `\s+(\d+)$`).FindStringSubmatch(stderr)
+		if m == nil || m[1] == "0" {
+			t.Errorf("-stats report has no non-zero %s:\n%s", key, stderr)
+		}
+	}
+	f, err := os.Open(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := ftrace.ReadChromeJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(true); err != nil {
+		t.Error(err)
+	}
+	if len(c.Events) == 0 {
+		t.Error("capture recorded no events")
+	}
+	if obs.Attached() != nil || obs.AttachedRecorder() != nil {
+		t.Error("sink or recorder still attached after run returned")
 	}
 }

@@ -72,15 +72,11 @@ func main() {
 		return
 	}
 
-	sink := obs.New()
-	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr, sink)
-		if err != nil {
-			fail(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "cypressstat: debug server on http://%s/debug/pprof/\n", srv.Addr)
+	stop, err := obs.Capture("cypressstat", os.Stderr, *stats, "", *debugAddr)
+	if err != nil {
+		fail(err)
 	}
+	defer stop(nil) // -stats reports on stdout, below the analysis
 
 	var m *merge.Merged
 	var rawCYPR []byte // exact file bytes when the input is a bare CYPR stream
@@ -95,15 +91,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cypressstat: %s does not support %d processes\n", w.Name, *procs)
 			os.Exit(2)
 		}
-		m = traceInProcess(w.Source(*procs, npb.Paper), *procs, sink)
+		m = traceInProcess(w.Source(*procs, npb.Paper), *procs)
 	case flag.NArg() == 1 && isMPL(flag.Arg(0)):
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fail(err)
 		}
-		m = traceInProcess(string(data), *procs, sink)
+		m = traceInProcess(string(data), *procs)
 	case flag.NArg() == 1:
-		m, rawCYPR = readTraceFile(flag.Arg(0), *par, sink)
+		m, rawCYPR = readTraceFile(flag.Arg(0), *par)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: cypressstat [flags] trace.cyp | prog.mpl  (or -workload NAME)")
 		os.Exit(2)
@@ -139,7 +135,7 @@ func main() {
 		fail(err)
 	}
 	if *stats {
-		r := sink.Report()
+		r := obs.Attached().Report()
 		fmt.Println()
 		if *jsonOut {
 			if err := r.WriteJSON(os.Stdout); err != nil {
@@ -165,8 +161,8 @@ func projectionStats(path string, rank, par int, jsonOut bool) error {
 		return err
 	}
 	s := obs.New()
-	merge.SetObs(s)
-	defer merge.SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 	m, err := merge.DecodeSelectAuto(payload, merge.SelectRanks(rank), par)
 	if err != nil {
 		return err
@@ -254,15 +250,15 @@ func isMPL(path string) bool {
 	return false
 }
 
-// traceInProcess compiles and traces src with the sink attached, so the
+// traceInProcess compiles and traces src in this process, so the
 // compression-side counters (compressor intake, stride runs, merge
 // fingerprint hits) are live in the -stats report.
-func traceInProcess(src string, procs int, sink *obs.Sink) *merge.Merged {
+func traceInProcess(src string, procs int) *merge.Merged {
 	prog, err := cypress.Compile(src)
 	if err != nil {
 		fail(err)
 	}
-	res, err := prog.Trace(procs, cypress.Options{Obs: sink})
+	res, err := prog.Trace(procs, cypress.Options{})
 	if err != nil {
 		fail(err)
 	}
@@ -274,8 +270,7 @@ func traceInProcess(src string, procs int, sink *obs.Sink) *merge.Merged {
 // so Cypress, Cypress+Gzip, and blocked files all work. For bare CYPR files
 // the exact on-disk bytes are returned too (they are the corpus ingest unit);
 // containered inputs return nil raw bytes.
-func readTraceFile(path string, par int, sink *obs.Sink) (*merge.Merged, []byte) {
-	cypress.EnableObs(sink) // decode-side counters
+func readTraceFile(path string, par int) (*merge.Merged, []byte) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)

@@ -20,7 +20,6 @@ import (
 	cypress "repro"
 	"repro/internal/npb"
 	"repro/internal/obs"
-	ftrace "repro/internal/obs/trace"
 )
 
 func main() {
@@ -47,31 +46,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var rec *ftrace.Recorder
-	if *traceFile != "" {
-		rec = ftrace.New(0)
-		cypress.EnableTrace(rec)
-		defer writeTraceFile(rec, *traceFile)
+	stop, err := obs.Capture("cypresstrace", os.Stderr, *stats, *traceFile, *debugAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cypresstrace:", err)
+		os.Exit(1)
 	}
-	var sink *obs.Sink
-	if *stats || *debugAddr != "" {
-		sink = obs.New()
-	}
-	if *debugAddr != "" {
-		srv, err := obs.ServeDebugTrace(*debugAddr, sink, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "cypresstrace: debug server on http://%s/debug/pprof/\n", srv.Addr)
-	}
-	if *stats {
-		defer func() {
-			fmt.Fprintln(os.Stderr)
-			sink.Report().WriteText(os.Stderr)
-		}()
-	}
+	defer stop(os.Stderr)
 
 	var src string
 	switch {
@@ -103,7 +83,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cypresstrace:", err)
 		os.Exit(1)
 	}
-	opts := cypress.Options{Obs: sink}
+	var opts cypress.Options
 	if *hist {
 		opts.TimeMode = cypress.TimeHistogram
 	}
@@ -145,20 +125,4 @@ func main() {
 	}
 	fmt.Printf("compressed trace: %d bytes -> %s (%.1f bytes/event)\n",
 		n, where, float64(n)/float64(res.Merged.EventCount))
-}
-
-// writeTraceFile exports the flight recorder as Chrome trace-event JSON.
-func writeTraceFile(rec *ftrace.Recorder, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypresstrace: -trace:", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.WriteChromeJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, "cypresstrace: -trace:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cypresstrace: flight-recorder trace: %d events (%d dropped) -> %s\n",
-		rec.Total(), rec.Drops(), path)
 }

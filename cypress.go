@@ -21,11 +21,9 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/blockio"
 	"repro/internal/corpus"
 	"repro/internal/cst"
 	"repro/internal/ctt"
-	"repro/internal/encpool"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -33,8 +31,6 @@ import (
 	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/obs"
-	ftrace "repro/internal/obs/trace"
-	"repro/internal/replay"
 	"repro/internal/simmpi"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -94,11 +90,6 @@ type Options struct {
 	// KeepRaw additionally collects the raw per-rank event streams (for
 	// verification and comparison); costs memory proportional to the trace.
 	KeepRaw bool
-	// Obs, when non-nil, collects pipeline metrics for this run: it is
-	// attached to every per-rank compressor and installed as the process-wide
-	// sink of the merge/replay/simulation/pool layers (see EnableObs). A nil
-	// sink keeps every hot path on its allocation-free disabled fast path.
-	Obs *obs.Sink
 }
 
 func (o *Options) params() mpisim.Params {
@@ -141,18 +132,16 @@ func (r *Result) Streamer() *merge.Streamer {
 }
 
 // Trace executes the program on nprocs simulated ranks under CYPRESS
-// compression and merges the per-rank trees (paper Section IV).
+// compression and merges the per-rank trees (paper Section IV). Every stage
+// reports into the metrics sink and flight recorder attached with
+// obs.Attach; none is attached by default.
 func (p *Program) Trace(nprocs int, opts Options) (*Result, error) {
-	if opts.Obs != nil {
-		EnableObs(opts.Obs)
-	}
 	params := opts.params()
 	comps := make([]*ctt.Compressor, nprocs)
 	raws := make([]*trace.CollectorSink, nprocs)
 	sinks := make([]trace.Sink, nprocs)
 	for i := range sinks {
 		comps[i] = ctt.NewCompressor(p.CST, i, opts.TimeMode)
-		comps[i].SetObs(opts.Obs)
 		if opts.KeepRaw {
 			raws[i] = &trace.CollectorSink{}
 			sinks[i] = teeSink{raws[i], comps[i]}
@@ -160,7 +149,7 @@ func (p *Program) Trace(nprocs int, opts Options) (*Result, error) {
 			sinks[i] = comps[i]
 		}
 	}
-	csp := opts.Obs.Start(obs.StageCompress)
+	csp := obs.Attached().Start(obs.StageCompress)
 	simNS, err := mpisim.Run(nprocs, params, sinks, func(r *mpisim.Rank) {
 		interp.Execute(p.AST, r)
 	})
@@ -348,37 +337,6 @@ func (r *Result) CommMatrixPar(workers int) ([][]int64, error) {
 func commPeerError(rank int, e *trace.Event, n int) error {
 	return fmt.Errorf("cypress: comm matrix: rank %d %v at gid %d to peer %d outside [0,%d)",
 		rank, e.Op, e.GID, e.Peer, n)
-}
-
-// EnableObs installs s as the process-wide metrics sink of every pipeline
-// layer that is not owned by a single run: the inter-process merge and its
-// codec/streamer, the replay engine, the LogGP simulator, and the encode
-// pools. Per-run compressors are attached via Options.Obs (Trace calls
-// EnableObs automatically when Options.Obs is set). Passing nil disables
-// observation everywhere. Call at startup — the sinks are plain package
-// variables, read by the pipeline without synchronization.
-func EnableObs(s *obs.Sink) {
-	merge.SetObs(s)
-	replay.SetObs(s)
-	simmpi.SetObs(s)
-	encpool.SetObs(s)
-	blockio.SetObs(s)
-	corpus.SetObs(s)
-}
-
-// EnableTrace installs r as the process-wide flight recorder of every
-// pipeline layer: compressor finishes and wildcard resolutions, merge pairs,
-// codec encode/decode, blockio frame workers, corpus ingest/get, replay
-// skeleton/memo events, and simulator sweeps. Passing nil disables
-// recording everywhere. Call at startup, before the pipeline runs — the
-// recorders are plain package variables, read without synchronization. Export
-// the capture afterwards with r.WriteChromeJSON (Perfetto) or r.WriteText.
-func EnableTrace(r *ftrace.Recorder) {
-	ctt.SetTrace(r)
-	merge.SetTrace(r)
-	simmpi.SetTrace(r)
-	blockio.SetTrace(r)
-	corpus.SetTrace(r)
 }
 
 // TraceID is the content address of a trace in a corpus: a fingerprint of

@@ -14,8 +14,8 @@ import (
 // warm cache sharing (including the memoized streamer), and obs visibility.
 func TestCorpusFacade(t *testing.T) {
 	s := obs.New()
-	EnableObs(s)
-	defer EnableObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 
 	p, err := Compile(jacobi)
 	if err != nil {

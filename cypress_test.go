@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/merge"
+	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
@@ -18,13 +19,14 @@ import (
 // merge reduction, encode/decode, streaming replay, and simulation.
 func TestObsPipelineWiring(t *testing.T) {
 	s := obs.New()
-	defer EnableObs(nil) // restore the disabled state for other tests
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil) // restore the disabled state for other tests
 
 	p, err := Compile(jacobi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Trace(7, Options{Obs: s})
+	res, err := p.Trace(7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +70,36 @@ func TestObsPipelineWiring(t *testing.T) {
 	r := s.Report()
 	if len(r.Stages) == 0 || len(r.Counters) == 0 {
 		t.Errorf("report empty: %+v", r)
+	}
+}
+
+// TestDetachedSinkStaysQuiet: a sink attached for one traced run hears from
+// both the compressors and the merge, and once detached it hears nothing
+// from a second run — no layer keeps a sink of its own past the switch.
+func TestDetachedSinkStaysQuiet(t *testing.T) {
+	w := npb.Get("CG")
+	p, err := Compile(w.Source(16, npb.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := obs.New()
+	obs.Attach(s, nil)
+	_, err = p.Trace(16, Options{})
+	obs.Attach(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached := s.Report()
+	for _, key := range []string{"comp_events", "merge_pairs"} {
+		if attached.Counters[key] == 0 {
+			t.Errorf("attached run left %s empty", key)
+		}
+	}
+	if _, err := p.Trace(16, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Report(); !reflect.DeepEqual(after.Counters, attached.Counters) {
+		t.Errorf("detached sink moved: before %v, after %v", attached.Counters, after.Counters)
 	}
 }
 

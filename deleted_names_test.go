@@ -47,6 +47,14 @@ var deletedNames = []struct {
 		why:     "micro-report harness",
 		pattern: regexp.MustCompile(`ParseBenchJSON|MicroReport|benchdiff|ParallelCells|observePipeline`),
 	},
+	{
+		// One switch for observability: every layer reads the sink and
+		// recorder obs.Attach installed, and obs.Capture is the commands'
+		// one capture path. The per-layer setters, the fan-out lists that
+		// had to name the same packages and the per-command copies are gone.
+		why:     "per-layer observability wiring",
+		pattern: regexp.MustCompile(`SetObs\(|SetTrace\(|EnableObs\(|EnableTrace\(|ServeDebugTrace|writeTraceFile|obsSink`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

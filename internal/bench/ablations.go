@@ -33,19 +33,18 @@ func Ablations(w io.Writer, cfg Config) error {
 
 // runCTTs executes a workload under CYPRESS, returning the per-rank trees.
 func runCTTs(wl *npb.Workload, n int, cfg Config, mode timestat.Mode) ([]*ctt.RankCTT, error) {
-	prog, tree, err := compileWorkload(wl, n, cfg.scale())
+	p, err := compileWorkload(wl, n, cfg.scale())
 	if err != nil {
 		return nil, err
 	}
 	comps := make([]*ctt.Compressor, n)
 	sinks := make([]trace.Sink, n)
 	for i := range sinks {
-		comps[i] = ctt.NewCompressor(tree, i, mode)
-		comps[i].SetObs(obsSink)
+		comps[i] = ctt.NewCompressor(p.CST, i, mode)
 		sinks[i] = comps[i]
 	}
 	if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
-		interp.Execute(prog, r)
+		interp.Execute(p.AST, r)
 	}); err != nil {
 		return nil, err
 	}

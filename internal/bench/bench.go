@@ -21,12 +21,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	cypress "repro"
 	"repro/internal/baseline/rawgzip"
 	"repro/internal/baseline/scalatrace"
-	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/lang"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
@@ -147,7 +146,7 @@ type IntraMeasured struct {
 // reporting wall-clock slowdowns. Each timed run is repeated and the minimum
 // is kept, which suppresses scheduler noise.
 func MeasureIntra(w *npb.Workload, n int, cfg Config) (*IntraMeasured, error) {
-	prog, tree, err := compileWorkload(w, n, cfg.scale())
+	p, err := compileWorkload(w, n, cfg.scale())
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +169,7 @@ func MeasureIntra(w *npb.Workload, n int, cfg Config) (*IntraMeasured, error) {
 			}
 			t0 := time.Now()
 			if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
-				interp.Execute(prog, r)
+				interp.Execute(p.AST, r)
 			}); err != nil {
 				return 0, err
 			}
@@ -204,8 +203,7 @@ func MeasureIntra(w *npb.Workload, n int, cfg Config) (*IntraMeasured, error) {
 		mk    func(rank int) trace.Sink
 	}{
 		{MCypress, func() { lastCyp = lastCyp[:0] }, func(rank int) trace.Sink {
-			c := ctt.NewCompressor(tree, rank, timestat.ModeMeanStddev)
-			c.SetObs(obsSink)
+			c := ctt.NewCompressor(p.CST, rank, timestat.ModeMeanStddev)
 			lastCyp = append(lastCyp, c)
 			return c
 		}},
@@ -301,18 +299,18 @@ func (f fanout) Finalize() {
 	}
 }
 
-// compileWorkload builds the CST for a workload instance.
-func compileWorkload(w *npb.Workload, n int, s npb.Scale) (*lang.Program, *cst.Tree, error) {
-	prog, tree, err := compileSrc(w.Source(n, s))
+// compileWorkload compiles a workload instance.
+func compileWorkload(w *npb.Workload, n int, s npb.Scale) (*cypress.Program, error) {
+	p, err := cypress.Compile(w.Source(n, s))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%d: %w", w.Name, n, err)
+		return nil, fmt.Errorf("%s/%d: %w", w.Name, n, err)
 	}
-	return prog, tree, nil
+	return p, nil
 }
 
 // Measure runs one workload at one process count under every method.
 func Measure(w *npb.Workload, n int, cfg Config) (*Measured, error) {
-	prog, tree, err := compileWorkload(w, n, cfg.scale())
+	p, err := compileWorkload(w, n, cfg.scale())
 	if err != nil {
 		return nil, err
 	}
@@ -322,15 +320,14 @@ func Measure(w *npb.Workload, n int, cfg Config) (*Measured, error) {
 	gz := make([]*rawgzip.Writer, n)
 	sinks := make([]trace.Sink, n)
 	for i := 0; i < n; i++ {
-		cyp[i] = ctt.NewCompressor(tree, i, timestat.ModeMeanStddev)
-		cyp[i].SetObs(obsSink)
+		cyp[i] = ctt.NewCompressor(p.CST, i, timestat.ModeMeanStddev)
 		st1[i] = scalatrace.NewCompressor(scalatrace.V1, i, 0)
 		st2[i] = scalatrace.NewCompressor(scalatrace.V2, i, 0)
 		gz[i] = rawgzip.NewWriter()
 		sinks[i] = fanout{cyp[i], st1[i], st2[i], gz[i]}
 	}
 	simNS, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
-		interp.Execute(prog, r)
+		interp.Execute(p.AST, r)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%d: run: %w", w.Name, n, err)

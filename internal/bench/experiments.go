@@ -4,20 +4,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"text/tabwriter"
 	"time"
 
+	cypress "repro"
 	"repro/internal/cst"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/npb"
 	"repro/internal/trace"
-
-	"repro/internal/ctt"
-	"repro/internal/interp"
-	"repro/internal/merge"
-	"repro/internal/mpisim"
-	"repro/internal/timestat"
 )
 
 // nominal CLASS-D-ish application footprints (bytes, whole job) used to
@@ -174,53 +170,14 @@ func Fig19(w io.Writer, cfg Config) error {
 	return tw.Flush()
 }
 
-// traceWorkload runs one workload under CYPRESS only and returns the merged
-// tree plus the simulated time (helper for matrix and prediction figures).
-func traceWorkload(wl *npb.Workload, n int, cfg Config) (*merge.Merged, float64, error) {
-	prog, tree, err := compileWorkload(wl, n, cfg.scale())
-	if err != nil {
-		return nil, 0, err
-	}
-	comps := make([]*ctt.Compressor, n)
-	sinks := make([]trace.Sink, n)
-	for i := range sinks {
-		comps[i] = ctt.NewCompressor(tree, i, timestat.ModeMeanStddev)
-		comps[i].SetObs(obsSink)
-		sinks[i] = comps[i]
-	}
-	simNS, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
-		interp.Execute(prog, r)
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	ctts := make([]*ctt.RankCTT, n)
-	for i, c := range comps {
-		ctts[i] = c.Finish()
-	}
-	m, err := merge.All(ctts, cfg.Workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, simNS, nil
-}
-
-// commMatrix accumulates sent bytes per (src, dst) from decompressed traces.
-func commMatrix(s *merge.Streamer) ([][]int64, error) {
-	n := s.NumRanks()
-	mat := make([][]int64, n)
-	for i := range mat {
-		mat[i] = make([]int64, n)
-	}
-	err := s.ReplayAll(0, func(rank int, e *trace.Event) {
-		if e.Op.IsSendLike() && e.Peer >= 0 && e.Peer < n {
-			mat[rank][e.Peer] += int64(e.Size)
-		}
-	})
+// traceWorkload traces one workload under CYPRESS only (helper for the
+// matrix and prediction figures).
+func traceWorkload(wl *npb.Workload, n int, cfg Config) (*cypress.Result, error) {
+	p, err := compileWorkload(wl, n, cfg.scale())
 	if err != nil {
 		return nil, err
 	}
-	return mat, nil
+	return p.Trace(n, cypress.Options{MergeWorkers: cfg.Workers})
 }
 
 // renderMatrix prints an ASCII heat map of the communication volume matrix,
@@ -284,11 +241,11 @@ func Fig17(w io.Writer, cfg Config) error {
 		if !wl.ValidProcs(pn) {
 			pn = wl.Procs[0]
 		}
-		m, _, err := traceWorkload(wl, pn, cfg)
+		res, err := traceWorkload(wl, pn, cfg)
 		if err != nil {
 			return err
 		}
-		mat, err := commMatrix(merge.NewStreamer(m))
+		mat, err := res.CommMatrix()
 		if err != nil {
 			return err
 		}
@@ -307,12 +264,11 @@ func Fig20(w io.Writer, cfg Config) error {
 		procs = []int{8, 16}
 	}
 	for _, n := range procs {
-		m, _, err := traceWorkload(wl, n, cfg)
+		res, err := traceWorkload(wl, n, cfg)
 		if err != nil {
 			return err
 		}
-		s := merge.NewStreamer(m)
-		mat, err := commMatrix(s)
+		mat, err := res.CommMatrix()
 		if err != nil {
 			return err
 		}
@@ -324,17 +280,17 @@ func Fig20(w io.Writer, cfg Config) error {
 				neighbors++
 			}
 		}
-		sizes := map[int]bool{}
-		err = s.Replay(0, func(e *trace.Event) {
-			if e.Op.IsPointToPoint() {
-				sizes[e.Size] = true
+		var sizes []int // in order of first appearance, so the line is stable
+		err = res.ReplayEvents(0, func(e *trace.Event) {
+			if e.Op.IsPointToPoint() && !slices.Contains(sizes, e.Size) {
+				sizes = append(sizes, e.Size)
 			}
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "  rank 0 communicates with %d peers; %d distinct message sizes: ", neighbors, len(sizes))
-		for s := range sizes {
+		for _, s := range sizes {
 			fmt.Fprintf(w, "%.0fKB ", kb(int64(s)))
 		}
 		fmt.Fprintln(w)
@@ -351,14 +307,15 @@ func Fig21(w io.Writer, cfg Config) error {
 	var sumErr float64
 	var rows int
 	for _, n := range cfg.procsFor(wl) {
-		m, simNS, err := traceWorkload(wl, n, cfg)
+		res, err := traceWorkload(wl, n, cfg)
 		if err != nil {
 			return err
 		}
-		pred, err := predictStream(merge.NewStreamer(m), mpisim.DefaultParams())
+		pred, err := res.Predict()
 		if err != nil {
 			return err
 		}
+		simNS := res.SimulatedNS
 		errPct := 100 * math.Abs(pred.TotalNS-simNS) / simNS
 		sumErr += errPct
 		rows++

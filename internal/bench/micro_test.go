@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	cypress "repro"
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
@@ -122,7 +123,7 @@ func (r *recorder) Finalize() { r.s.ops = append(r.s.ops, sinkOp{kind: kFinalize
 // CST plus rank 0's recorded sink stream.
 func recordStream(b *testing.B, src string, n int) (*cst.Tree, *sinkStream) {
 	b.Helper()
-	prog, tree, err := compileSrc(src)
+	p, err := cypress.Compile(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func recordStream(b *testing.B, src string, n int) (*cst.Tree, *sinkStream) {
 		sinks[i] = recs[i]
 	}
 	if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
-		interp.Execute(prog, r)
+		interp.Execute(p.AST, r)
 	}); err != nil {
 		b.Fatal(err)
 	}
-	return tree, &recs[0].s
+	return p.CST, &recs[0].s
 }
 
 // isendRingSrc exercises the non-blocking hot path: every iteration posts an
@@ -213,11 +214,12 @@ var wideSrc = "func main() {\n\tfor var k = 0; k < 64; k = k + 1 {\n" +
 // into a fresh compressor per op, with s (nil = none) attached.
 func benchCompressorStream(b *testing.B, src string, n int, s *obs.Sink) {
 	tree, stream := recordStream(b, src, n)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := ctt.NewCompressor(tree, 0, timestat.ModeMeanStddev)
-		c.SetObs(s)
 		stream.replay(c)
 	}
 	b.ReportMetric(float64(stream.events), "events/op")
@@ -251,7 +253,7 @@ func BenchmarkRecordMerge(b *testing.B) { benchCompressorStream(b, bcastSrc, 2, 
 // BenchmarkMergePair measures the lockstep pairwise CTT merge of two interior
 // ranks of the stencil.
 func BenchmarkMergePair(b *testing.B) {
-	prog, tree, err := compileSrc(stencilSrc)
+	p, err := cypress.Compile(stencilSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,11 +261,11 @@ func BenchmarkMergePair(b *testing.B) {
 	comps := make([]*ctt.Compressor, n)
 	sinks := make([]trace.Sink, n)
 	for i := range sinks {
-		comps[i] = ctt.NewCompressor(tree, i, timestat.ModeMeanStddev)
+		comps[i] = ctt.NewCompressor(p.CST, i, timestat.ModeMeanStddev)
 		sinks[i] = comps[i]
 	}
 	if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
-		interp.Execute(prog, r)
+		interp.Execute(p.AST, r)
 	}); err != nil {
 		b.Fatal(err)
 	}

@@ -9,13 +9,13 @@ import (
 
 // TestObservePipelineReport checks the pass behind `cypressbench -exp none
 // -stats`: one Pipeline run with a sink attached must light up every stage's
-// counters, and once EnableObs(nil) detaches it, a second run must add
-// nothing to the sink.
+// counters — one per layer that reads the attached sink — and once
+// obs.Attach(nil, nil) detaches it, a second run must add nothing to it.
 func TestObservePipelineReport(t *testing.T) {
 	s := obs.New()
-	EnableObs(s)
+	obs.Attach(s, nil)
 	err := Pipeline()
-	EnableObs(nil)
+	obs.Attach(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +25,8 @@ func TestObservePipelineReport(t *testing.T) {
 		"enc_traces", "dec_traces", "sim_events_processed",
 		"corpus_ingests", "corpus_delta_runs", "corpus_stored_bytes",
 		"corpus_cache_hits", "corpus_cache_misses",
+		"replay_events_emitted", "io_frames_encoded", "io_frames_decoded",
+		"pool_flate_gets",
 	} {
 		if r.Counters[key] == 0 {
 			t.Errorf("observation pass left %s empty", key)
@@ -38,6 +40,6 @@ func TestObservePipelineReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := s.Report(); !reflect.DeepEqual(after.Counters, r.Counters) {
-		t.Error("a pass after EnableObs(nil) still counted into the detached sink")
+		t.Error("a pass after obs.Attach(nil, nil) still counted into the detached sink")
 	}
 }

@@ -11,49 +11,15 @@ import (
 	"fmt"
 	"os"
 
+	cypress "repro"
 	"repro/internal/blockio"
 	"repro/internal/corpus"
 	"repro/internal/cst"
 	"repro/internal/ctt"
-	"repro/internal/encpool"
-	"repro/internal/ir"
-	"repro/internal/lang"
 	"repro/internal/merge"
-	"repro/internal/mpisim"
-	"repro/internal/obs"
-	ftrace "repro/internal/obs/trace"
-	"repro/internal/replay"
-	"repro/internal/simmpi"
 	"repro/internal/timestat"
 	"repro/internal/trace"
 )
-
-// obsSink is attached to every compressor the harness builds; EnableObs sets
-// it.
-var obsSink *obs.Sink
-
-// EnableObs attaches s to every pipeline stage the bench harness exercises:
-// the package-level sinks (merge, replay, simmpi, encpool, blockio, corpus)
-// and the compressors the harness constructs afterwards. Pass nil to detach.
-func EnableObs(s *obs.Sink) {
-	obsSink = s
-	merge.SetObs(s)
-	replay.SetObs(s)
-	simmpi.SetObs(s)
-	encpool.SetObs(s)
-	blockio.SetObs(s)
-	corpus.SetObs(s)
-}
-
-// EnableTrace attaches r to every pipeline stage the bench harness
-// exercises, mirroring EnableObs. Pass nil to detach.
-func EnableTrace(r *ftrace.Recorder) {
-	ctt.SetTrace(r)
-	merge.SetTrace(r)
-	simmpi.SetTrace(r)
-	blockio.SetTrace(r)
-	corpus.SetTrace(r)
-}
 
 // Worker counts of the pipeline's parallel stages. Small fixed values rather
 // than GOMAXPROCS so the captured swimlane set is stable across machines (the
@@ -64,11 +30,12 @@ const (
 	pipeFrameSize  = 1 << 12 // small frames so several flow through every worker
 )
 
-// Pipeline runs one pass over every stage with whatever EnableObs and
-// EnableTrace attached: compress and merge the 64-rank ring, round-trip it
-// through the blocked container on parallel frame workers, ingest it and a
+// Pipeline runs one pass over every stage with whatever obs.Attach
+// attached: compress and merge the 64-rank ring, round-trip it through the
+// blocked container on parallel frame workers, ingest it and a
 // timing-shifted rerun into a fresh corpus (full, then delta) and get the
-// latter twice (miss, then hit), then replay it into the LogGP simulator.
+// latter twice (miss, then hit), then replay the round-tripped trace into
+// the LogGP simulator.
 func Pipeline() error {
 	ctts, err := ringCTTs(64, 24, 0)
 	if err != nil {
@@ -82,7 +49,8 @@ func Pipeline() error {
 	if _, err := m.EncodeBlockedFrames(&blocked, pipeEncWorkers, pipeFrameSize); err != nil {
 		return err
 	}
-	if _, err := merge.DecodeSelectAuto(blocked.Bytes(), merge.SelectAll(), pipeDecWorkers); err != nil {
+	res, err := cypress.OpenTrace(blocked.Bytes(), pipeDecWorkers)
+	if err != nil {
 		return err
 	}
 	// The merged ring compresses to under one frame, so the round-trip above
@@ -94,7 +62,7 @@ func Pipeline() error {
 	if err := pipelineCorpus(m); err != nil {
 		return err
 	}
-	_, err = predictStream(merge.NewStreamer(m), mpisim.DefaultParams())
+	_, err = res.Predict()
 	return err
 }
 
@@ -169,26 +137,6 @@ func pipelineCorpus(m *merge.Merged) error {
 	return nil
 }
 
-// compileSrc builds the CST for an MPL source string.
-func compileSrc(src string) (*lang.Program, *cst.Tree, error) {
-	prog, err := lang.Parse(src)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parse: %w", err)
-	}
-	if _, err := lang.Check(prog); err != nil {
-		return nil, nil, fmt.Errorf("check: %w", err)
-	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lower: %w", err)
-	}
-	tree, err := cst.Build(irProg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cst: %w", err)
-	}
-	return prog, tree, nil
-}
-
 // ringSrc is the program shape behind ringCTTs: a stencil whose peers are
 // rank-relative constants plus one collective.
 const ringSrc = `
@@ -208,10 +156,11 @@ func main() {
 // only, so one replay class. Distinct offsets model reruns of one workload
 // on slightly different machines: identical structure, shifted timing.
 func ringCTTs(n, iters int, offNS int64) ([]*ctt.RankCTT, error) {
-	_, tree, err := compileSrc(ringSrc)
+	p, err := cypress.Compile(ringSrc)
 	if err != nil {
 		return nil, err
 	}
+	tree := p.CST
 	var loop, sendLeaf, recvLeaf, redLeaf *cst.Vertex
 	tree.Walk(func(v *cst.Vertex, _ int) {
 		switch {
@@ -233,7 +182,6 @@ func ringCTTs(n, iters int, offNS int64) ([]*ctt.RankCTT, error) {
 	var ev trace.Event
 	for r := 0; r < n; r++ {
 		c := ctt.NewCompressor(tree, r, timestat.ModeMeanStddev)
-		c.SetObs(obsSink)
 		ev = trace.Event{Op: trace.OpInit, Peer: trace.NoPeer, ReqID: -1, DurationNS: 120 + off, ComputeNS: 10}
 		c.Event(&ev)
 		c.LoopEnter(int32(loop.Site))
@@ -256,22 +204,4 @@ func ringCTTs(n, iters int, offNS int64) ([]*ctt.RankCTT, error) {
 		out[r] = c.Finish()
 	}
 	return out, nil
-}
-
-// predictStream is the streaming prediction pipeline end to end from a
-// streamer: skeleton preparation (parallel), one pull cursor per rank, and
-// the LogGP simulation — nothing materialized.
-func predictStream(s *merge.Streamer, params mpisim.Params) (simmpi.Result, error) {
-	if err := s.Prepare(0); err != nil {
-		return simmpi.Result{}, err
-	}
-	srcs := make([]simmpi.EventSource, s.NumRanks())
-	for rank := range srcs {
-		cur, err := s.Cursor(rank)
-		if err != nil {
-			return simmpi.Result{}, err
-		}
-		srcs[rank] = cur
-	}
-	return simmpi.SimulateStreamPar(srcs, params, 1)
 }

@@ -226,11 +226,12 @@ type lane struct {
 // verified payload: it decompresses body straight into dst, which is sized to
 // the declared length, and verifies that exact length and the checksum.
 func (l *lane) inflate(f *frame, body, dst []byte) error {
+	sink := obs.Attached()
 	var t0 time.Time
 	if sink.Enabled() {
 		t0 = time.Now()
 	}
-	tsp := rec.Begin(ftrace.CatIODec, ftrace.NameInflate, l.id)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatIODec, ftrace.NameInflate, l.id)
 	l.src.Reset(body)
 	fr := encpool.GetFlateReader(&l.src)
 	_, err := io.ReadFull(fr, dst)

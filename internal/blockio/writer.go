@@ -215,7 +215,7 @@ func (w *Writer) writeFrame(j *encJob) {
 	}
 	w.idx = append(w.idx, meta)
 	w.nFrames++
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		w.frameLH.Observe(int64(meta.csize))
 	}
 }
@@ -224,11 +224,12 @@ func (w *Writer) writeFrame(j *encJob) {
 // checksum. Runs on pool workers (or inline for Workers <= 1); lane is the
 // worker index for the flight-recorder swimlane (0 inline).
 func compressFrame(j *encJob, lane int32) {
+	sink := obs.Attached()
 	var t0 time.Time
 	if sink.Enabled() {
 		t0 = time.Now()
 	}
-	tsp := rec.Begin(ftrace.CatIOEnc, ftrace.NameDeflate, lane)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatIOEnc, ftrace.NameDeflate, lane)
 	j.dst.Reset()
 	fw := encpool.GetFlate(&j.dst)
 	_, werr := fw.Write(j.src)
@@ -305,7 +306,7 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(trailer[:8], uint64(w.off-footerStart))
 	copy(trailer[8:], trailerMagic[:])
 	w.raw(trailer[:])
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Add(obs.IOFramesEnc, w.nFrames)
 		sink.FlushHist(obs.HistIOFrameBytes, &w.frameLH)
 	}

@@ -158,7 +158,7 @@ func (c *Cache) evictLocked() {
 		delete(c.entries, t.hash)
 		c.used -= t.cost
 		t.cache = nil
-		sink.Inc(obs.CorpusCacheEvicts)
+		obs.Attached().Inc(obs.CorpusCacheEvicts)
 	}
 }
 

@@ -80,19 +80,6 @@ const (
 	maxRecordLen = 1 << 30
 )
 
-var sink *obs.Sink
-
-// SetObs installs the package-wide metrics sink (nil disables).
-func SetObs(s *obs.Sink) { sink = s }
-
-// frec is the package's attached flight recorder: one span per ingest
-// (annotated full/delta/dup) and per get (annotated hit/miss) on the
-// "corpus" track. nil records nothing.
-var frec *ftrace.Recorder
-
-// SetTrace installs the package-wide flight recorder (nil disables).
-func SetTrace(r *ftrace.Recorder) { frec = r }
-
 // ContentHash is the content address of one ingested trace: a fingerprint
 // fold over its exact standalone v1 encoding bytes.
 func ContentHash(enc []byte) uint64 { return uint64(fp.New().Bytes(enc)) }
@@ -496,7 +483,7 @@ func (s *Store) readSealed(n int, off int64, rawLen int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
 	}
-	sink.Add(obs.CorpusSegInflated, int64(len(p)))
+	obs.Attached().Add(obs.CorpusSegInflated, int64(len(p)))
 	return p[int(off)-at:][:rawLen], nil
 }
 
@@ -525,8 +512,9 @@ func (s *Store) Ingest(m *merge.Merged) (uint64, error) {
 // IngestBytes adds a trace given its standalone v1 encoding. The bytes are
 // the unit of identity: Get and GetBytes reproduce them exactly.
 func (s *Store) IngestBytes(enc []byte) (uint64, error) {
+	sink := obs.Attached()
 	sink.Inc(obs.CorpusIngests)
-	tsp := frec.Begin(ftrace.CatCorpus, ftrace.NameIngest, 0)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatCorpus, ftrace.NameIngest, 0)
 	h := ContentHash(enc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -643,7 +631,7 @@ func (s *Store) GetBytes(hash uint64) ([]byte, error) {
 // the result held to its content hash before anything decodes it. A run
 // stored in full has no plan; its Joined is the bare bytes.
 func (s *Store) reassemble(hash uint64) (merge.Joined, error) {
-	sink.Inc(obs.CorpusGets)
+	obs.Attached().Inc(obs.CorpusGets)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	loc, ok := s.index[hash]
@@ -700,11 +688,12 @@ func (s *Store) GetProjected(hash uint64, ranks []int) (*Trace, error) {
 // get is the shared body of Get and GetProjected: cache acquire, else
 // reassemble the bytes, decode them under sel (merge.Joined.Decode), insert.
 func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
+	sink := obs.Attached()
 	var t0 time.Time
 	if sink != nil {
 		t0 = time.Now()
 	}
-	tsp := frec.Begin(ftrace.CatCorpus, ftrace.NameCorpusGet, 0)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatCorpus, ftrace.NameCorpusGet, 0)
 	if t, ok := s.cache.Acquire(hash); ok {
 		sink.Inc(obs.CorpusGets)
 		sink.Inc(obs.CorpusCacheHits)

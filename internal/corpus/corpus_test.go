@@ -465,8 +465,8 @@ func TestDeleteGC(t *testing.T) {
 // pressure, pinned traces never are, and hits share the resident decode.
 func TestCacheLRU(t *testing.T) {
 	s := obs.New()
-	corpus.SetObs(s)
-	defer corpus.SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 
 	var encs [][]byte
 	for run := 0; run < 3; run++ {
@@ -938,8 +938,8 @@ func TestOldSegmentLayout(t *testing.T) {
 	resealUncut(t, dir)
 
 	s := obs.New()
-	corpus.SetObs(s)
-	defer corpus.SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 	st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
 	if err != nil {
 		t.Fatalf("a store with an uncut segment does not open: %v", err)
@@ -987,10 +987,8 @@ func TestColdGetInflatesOwnFrames(t *testing.T) {
 	defer st.Close()
 
 	s := obs.New()
-	corpus.SetObs(s)
-	blockio.SetObs(s)
-	defer corpus.SetObs(nil)
-	defer blockio.SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 	for k := range runs {
 		framesBefore, bytesBefore := s.Value(obs.IOFramesDec), s.Value(obs.CorpusSegInflated)
 		tr, err := st.GetProjected(runs[k].hash, []int{1})
@@ -1141,8 +1139,8 @@ func TestGetProjected(t *testing.T) {
 	}
 
 	s := obs.New()
-	corpus.SetObs(s)
-	defer corpus.SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 
 	// Cold projected get: decodes selectively, enters the serving cache.
 	proj, err := st.GetProjected(h, []int{3})

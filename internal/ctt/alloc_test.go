@@ -74,8 +74,9 @@ func main() {
 	if leaf == nil {
 		t.Fatal("no send leaf")
 	}
+	obs.Attach(obs.New(), nil)
+	defer obs.Attach(nil, nil)
 	c := NewCompressor(tree, 0, timestat.ModeMeanStddev)
-	c.SetObs(obs.New())
 	c.LoopEnter(int32(loop.Site))
 
 	tmpl := trace.Event{

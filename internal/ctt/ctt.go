@@ -264,8 +264,9 @@ type Compressor struct {
 	events   int64
 	finished bool
 
-	// obs is the attached metrics sink; nil (the default) disables all
-	// observation at the cost of one predictable branch per counter site.
+	// obs is the sink attached (obs.Attach) when the compressor was built;
+	// nil disables all observation at the cost of one predictable branch per
+	// counter site.
 	// Per-event tallies accumulate in tal (plain adds, no atomics) and flush
 	// to the sink once, at Finish — the event hot path never pays an atomic.
 	obs *obs.Sink
@@ -285,7 +286,8 @@ type compTally struct {
 }
 
 // NewCompressor returns a compression sink for one rank. All ranks must share
-// the same tree (SPMD single-binary assumption).
+// the same tree (SPMD single-binary assumption). The compressor reports into
+// the sink attached at this call (obs.Attach), for its whole life.
 func NewCompressor(tree *cst.Tree, rank int, mode timestat.Mode) *Compressor {
 	return &Compressor{
 		tree:   tree,
@@ -294,13 +296,9 @@ func NewCompressor(tree *cst.Tree, rank int, mode timestat.Mode) *Compressor {
 		data:   make([]VData, tree.NumVertices()),
 		cursor: tree.Root,
 		site:   -1,
+		obs:    obs.Attached(),
 	}
 }
-
-// SetObs attaches a metrics sink. A nil sink (the default) disables
-// observation; the hot paths then pay a single nil check per site and keep
-// their allocation-free budgets. Attach before tracing starts.
-func (c *Compressor) SetObs(s *obs.Sink) { c.obs = s }
 
 func (c *Compressor) d(v *cst.Vertex) *VData { return &c.data[v.GID] }
 
@@ -524,7 +522,7 @@ func (c *Compressor) resolveCompletion(ev *trace.Event) {
 			}
 			cached.Peer = int(ev.ReqSrcs[i])
 			c.tal.wildResolved++
-			rec.Instant(ftrace.CatCompress, ftrace.NameWildcard,
+			obs.AttachedRecorder().Instant(ftrace.CatCompress, ftrace.NameWildcard,
 				int32(c.rank), int64(gid), int64(c.reqs.wildLive))
 			c.record(c.tree.ByGID[gid], &cached)
 		}
@@ -624,7 +622,7 @@ func (c *Compressor) Finish() *RankCTT {
 	}
 	sp := c.obs.Start(obs.StageFinish)
 	defer sp.End()
-	tsp := rec.Begin(ftrace.CatCompress, ftrace.NameFinish, int32(c.rank))
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatCompress, ftrace.NameFinish, int32(c.rank))
 	exec := 0
 	for i := range c.data {
 		d := &c.data[i]

@@ -19,24 +19,16 @@ import (
 	"repro/internal/obs"
 )
 
-// sink is the package's attached metrics sink; nil (the default) disables
-// observation. Wired once at startup via SetObs and only read afterwards.
-var sink *obs.Sink
-
-// SetObs attaches a metrics sink recording pool checkout/miss traffic. A nil
-// sink disables observation. Not safe to call concurrently with pool use.
-func SetObs(s *obs.Sink) { sink = s }
-
 var gzipPool = sync.Pool{
 	New: func() any {
-		sink.Inc(obs.PoolGzipNews)
+		obs.Attached().Inc(obs.PoolGzipNews)
 		return gzip.NewWriter(io.Discard)
 	},
 }
 
 // GetGzip returns a pooled gzip writer reset to stream into w.
 func GetGzip(w io.Writer) *gzip.Writer {
-	sink.Inc(obs.PoolGzipGets)
+	obs.Attached().Inc(obs.PoolGzipGets)
 	gz := gzipPool.Get().(*gzip.Writer)
 	gz.Reset(w)
 	return gz
@@ -59,7 +51,7 @@ const FlateLevel = flate.DefaultCompression
 
 var flatePool = sync.Pool{
 	New: func() any {
-		sink.Inc(obs.PoolFlateNews)
+		obs.Attached().Inc(obs.PoolFlateNews)
 		fw, err := flate.NewWriter(io.Discard, FlateLevel)
 		if err != nil {
 			// Unreachable: FlateLevel is a compile-time valid constant.
@@ -73,7 +65,7 @@ var flatePool = sync.Pool{
 // the gzip pool, this amortizes the ~1.4MB of deflate state per writer across
 // every frame the blocked encoder compresses.
 func GetFlate(w io.Writer) *flate.Writer {
-	sink.Inc(obs.PoolFlateGets)
+	obs.Attached().Inc(obs.PoolFlateGets)
 	fw := flatePool.Get().(*flate.Writer)
 	fw.Reset(w)
 	return fw
@@ -93,7 +85,7 @@ var emptySrc = bytes.NewReader(nil)
 
 var inflatePool = sync.Pool{
 	New: func() any {
-		sink.Inc(obs.PoolInflateNews)
+		obs.Attached().Inc(obs.PoolInflateNews)
 		return flate.NewReader(emptySrc)
 	},
 }
@@ -102,7 +94,7 @@ var inflatePool = sync.Pool{
 // preset dictionary. The stdlib guarantees the value implements
 // flate.Resetter, which is what makes the pool possible.
 func GetFlateReader(r io.Reader) io.ReadCloser {
-	sink.Inc(obs.PoolInflateGets)
+	obs.Attached().Inc(obs.PoolInflateGets)
 	fr := inflatePool.Get().(io.ReadCloser)
 	if err := fr.(flate.Resetter).Reset(r, nil); err != nil {
 		// Reset with a nil dictionary cannot fail; keep the reader usable
@@ -128,14 +120,14 @@ const bufioSize = 1 << 16
 
 var bufioPool = sync.Pool{
 	New: func() any {
-		sink.Inc(obs.PoolBufioNews)
+		obs.Attached().Inc(obs.PoolBufioNews)
 		return bufio.NewWriterSize(io.Discard, bufioSize)
 	},
 }
 
 // GetBufio returns a pooled 64KB bufio.Writer reset to w.
 func GetBufio(w io.Writer) *bufio.Writer {
-	sink.Inc(obs.PoolBufioGets)
+	obs.Attached().Inc(obs.PoolBufioGets)
 	bw := bufioPool.Get().(*bufio.Writer)
 	bw.Reset(w)
 	return bw
@@ -152,7 +144,7 @@ func PutBufio(bw *bufio.Writer) {
 
 var bufioReaderPool = sync.Pool{
 	New: func() any {
-		sink.Inc(obs.PoolReaderNews)
+		obs.Attached().Inc(obs.PoolReaderNews)
 		return bufio.NewReaderSize(nil, bufioSize)
 	},
 }
@@ -162,7 +154,7 @@ var bufioReaderPool = sync.Pool{
 // decodes (bench harness cells, round-trip tests) from re-allocating the
 // buffer each time.
 func GetBufioReader(r io.Reader) *bufio.Reader {
-	sink.Inc(obs.PoolReaderGets)
+	obs.Attached().Inc(obs.PoolReaderGets)
 	br := bufioReaderPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	return br
@@ -179,14 +171,14 @@ func PutBufioReader(br *bufio.Reader) {
 
 var bufPool = sync.Pool{
 	New: func() any {
-		sink.Inc(obs.PoolBufferNews)
+		obs.Attached().Inc(obs.PoolBufferNews)
 		return new(bytes.Buffer)
 	},
 }
 
 // GetBuffer returns a pooled empty bytes.Buffer.
 func GetBuffer() *bytes.Buffer {
-	sink.Inc(obs.PoolBufferGets)
+	obs.Attached().Inc(obs.PoolBufferGets)
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
 	return b

@@ -69,14 +69,14 @@ func TestMergeAllSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMergeAllSteadyStateAllocsObserved re-runs the merge reduction budget
-// with the package sink attached: per-pair tallies accumulate in plain
+// with a sink attached: per-pair tallies accumulate in plain
 // mergeState fields and flush to atomics once per pair, and the per-depth
 // pair timings are two time.Now calls plus an atomic histogram observe —
 // none of which touch the heap, so the budget is unchanged from sink-off.
 func TestMergeAllSteadyStateAllocsObserved(t *testing.T) {
 	_, ctts, _ := collect(t, jacobiSrc, 64)
-	SetObs(obs.New())
-	defer SetObs(nil)
+	obs.Attach(obs.New(), nil)
+	defer obs.Attach(nil, nil)
 	step := func() {
 		if _, err := All(ctts, 0); err != nil {
 			t.Fatal(err)

@@ -52,7 +52,7 @@ func (m *Merged) EncodeBlockedFrames(out io.Writer, workers, frameSize int) (int
 	if err := bw.Close(); err != nil {
 		return 0, err
 	}
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.EncBlockedTraces)
 		sink.Add(obs.EncBytesBlocked, cw.n)
 	}

@@ -344,8 +344,8 @@ func mergeCounters(t *testing.T, name string, n int) *obs.Sink {
 	t.Helper()
 	_, ctts, _ := collect(t, npb.Get(name).Source(n, npb.Small), n)
 	s := obs.New()
-	SetObs(s)
-	defer SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 	if _, err := All(ctts, 1); err != nil {
 		t.Fatal(err)
 	}

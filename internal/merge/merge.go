@@ -264,7 +264,7 @@ func (x *leafCtx) scratchLeaf(i int) *Merged {
 		x.scratchSets = make([]rankset.Set, ne)
 		fresh = true
 	} else {
-		sink.Inc(obs.MergeScratchReuses)
+		obs.Attached().Inc(obs.MergeScratchReuses)
 	}
 	x.scratch.initFromRank(c,
 		x.scratchLists[:nl:nl],
@@ -280,7 +280,7 @@ func (x *leafCtx) pair(a, b *Merged) (*Merged, error) {
 	m, escaped, err := pairEsc(a, b, &x.probe)
 	if escaped && b == x.scratch {
 		x.scratch = nil
-		sink.Inc(obs.MergeScratchRetires)
+		obs.Attached().Inc(obs.MergeScratchRetires)
 	}
 	return m, err
 }
@@ -345,15 +345,15 @@ func pairEsc(a, b *Merged, sc *probeScratch) (_ *Merged, escaped bool, _ error) 
 	noRel := a.noRel || b.noRel
 	a.noRel = noRel
 	st := mergeState{noRel: noRel, fpOn: fingerprintEnabled && !noRel, keyOn: fingerprintEnabled, sc: sc}
-	sink.Inc(obs.MergePairs)
+	obs.Attached().Inc(obs.MergePairs)
 	ranks := a.NumRanks + b.NumRanks
 	// Lane = reduction depth (log2 of the merged span), so Perfetto renders
 	// the reduction tree as one swimlane per level.
-	tsp := rec.Begin(ftrace.CatMerge, ftrace.NamePair, int32(bits.Len(uint(ranks))-1))
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NamePair, int32(bits.Len(uint(ranks))-1))
 	treeFast := st.fpOn && a.uniform && b.uniform && a.treeOK && b.treeOK &&
 		a.treeRel == b.treeRel && a.groups == b.groups
 	if treeFast {
-		sink.Inc(obs.MergeTreeFastHits)
+		obs.Attached().Inc(obs.MergeTreeFastHits)
 		st.pairFast(a, b)
 	} else {
 		st.dirty = true
@@ -393,7 +393,7 @@ type mergeState struct {
 	sc      *probeScratch
 
 	// Per-Pair observation tallies, accumulated in plain fields on the hot
-	// entry loops and flushed to the package sink once per Pair (see obs.go).
+	// entry loops and flushed to the attached sink once per Pair (see obs.go).
 	fpRelHits  int64 // relative-fingerprint fast-path unifications
 	fpAbsHits  int64 // absolute-fingerprint fast-path unifications
 	keyRejects int64 // probes settled by key inequality, made or skipped by the index
@@ -863,7 +863,7 @@ func all(ctts []*ctt.RankCTT, workers int, noRel bool) (*Merged, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		if sink.Enabled() {
+		if sink := obs.Attached(); sink.Enabled() {
 			// Reduction level: 1 merges two leaves, k merges two 2^(k-1)-rank
 			// halves. Spans wider than 2^8 ranks fold into the L8 histogram.
 			t0 := time.Now()
@@ -873,7 +873,7 @@ func all(ctts []*ctt.RankCTT, workers int, noRel bool) (*Merged, error) {
 		}
 		return x.pair(left, right)
 	}
-	sp := sink.Start(obs.StageMerge)
+	sp := obs.Attached().Start(obs.StageMerge)
 	defer sp.End()
 	return reduce(&leafCtx{ctts: ctts, noRel: noRel}, 0, len(ctts), false)
 }

@@ -252,11 +252,11 @@ func (lp *lazyPayloads) fill(slot int) (*ctt.VData, error) {
 	if rest := int(s.end) - d.off; rest != 0 {
 		return nil, fmt.Errorf("merge: lazy payload fill: %d trailing bytes in section ending at offset %d", rest, s.end)
 	}
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.SelLazyFills)
 		sink.Add(obs.SelLazyFillBytes, s.end-s.start)
 	}
-	rec.Instant(ftrace.CatCodec, ftrace.NameLazyFill, 0, int64(slot), s.end-s.start)
+	obs.AttachedRecorder().Instant(ftrace.CatCodec, ftrace.NameLazyFill, 0, int64(slot), s.end-s.start)
 	lp.filled[slot].Store(vd)
 	return vd, nil
 }
@@ -358,7 +358,7 @@ func decodeProjected(payload []byte, p *projection) (*Merged, error) {
 	if err == nil {
 		return m, nil
 	}
-	sink.Inc(obs.SelFallbacks)
+	obs.Attached().Inc(obs.SelFallbacks)
 	return decodePayload(payload, nil)
 }
 
@@ -445,7 +445,7 @@ func (p *projection) finish(d *decoder, m *Merged) error {
 		lz.filled = make([]atomic.Pointer[ctt.VData], len(lz.slots))
 		m.lazy = lz
 	}
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.SelDecodes)
 		sink.Add(obs.SelEntriesEager, p.eager)
 		sink.Add(obs.SelEntriesSkipped, p.skipped)

@@ -263,8 +263,8 @@ func TestDecodeSelectCounters(t *testing.T) {
 	enc := encodeIndexed(t, m0)
 
 	s := obs.New()
-	SetObs(s)
-	defer SetObs(nil)
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
 
 	m, err := DecodeSelectAuto(enc, SelectRanks(0), 1)
 	if err != nil {
@@ -338,8 +338,8 @@ func TestDecodeSelectFallback(t *testing.T) {
 	check := func(t *testing.T, enc []byte, wantFallback bool) {
 		t.Helper()
 		s := obs.New()
-		SetObs(s)
-		defer SetObs(nil)
+		obs.Attach(s, nil)
+		defer obs.Attach(nil, nil)
 		m, err := DecodeSelectAuto(enc, SelectRanks(2), 1)
 		if err != nil {
 			t.Fatal(err)

@@ -87,9 +87,9 @@ func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
 			return 0, err
 		}
 	}
-	sp := sink.Start(obs.StageEncode)
+	sp := obs.Attached().Start(obs.StageEncode)
 	defer sp.End()
-	tsp := rec.Begin(ftrace.CatCodec, ftrace.NameEncode, 0)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatCodec, ftrace.NameEncode, 0)
 	cw := &countingWriter{w: out}
 	bw := encpool.GetBufio(cw)
 	defer encpool.PutBufio(bw)
@@ -137,7 +137,7 @@ func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
 	if err := w.w.Flush(); err != nil {
 		return 0, err
 	}
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.EncTraces)
 		sink.Add(obs.EncBytesRaw, cw.n)
 		sink.Add(obs.EncBytesCST, int64(treeBuf.Len()))
@@ -234,7 +234,7 @@ func (m *Merged) EncodeGzip(out io.Writer) (int64, error) {
 	if err := gz.Close(); err != nil {
 		return 0, err
 	}
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.EncGzipTraces)
 		sink.Add(obs.EncBytesGzip, cw.n)
 	}
@@ -513,7 +513,7 @@ func (c *bcur) header(wantTree bool) (h header) {
 // sections the selection touches decode and the rest stay lazy byte ranges
 // against the body, which the returned tree then retains.
 func decodePayload(payload []byte, p *projection) (*Merged, error) {
-	sp := sink.Start(obs.StageDecode)
+	sp := obs.Attached().Start(obs.StageDecode)
 	defer sp.End()
 	name := ftrace.NameDecode
 	if p != nil {
@@ -524,7 +524,7 @@ func decodePayload(payload []byte, p *projection) (*Merged, error) {
 			p.lz.slots = make([]lazySlot, 0, len(p.lens))
 		}
 	}
-	tsp := rec.Begin(ftrace.CatCodec, name, 0)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatCodec, name, 0)
 	d := &decoder{bcur: bcur{b: payload}}
 	m, err := d.decode(p)
 	if err != nil {
@@ -606,7 +606,7 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 		m.Entries[gid] = es
 		d.nEnt += int64(n)
 	}
-	if sink.Enabled() {
+	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.DecTraces)
 		sink.Add(obs.DecEntries, d.nEnt)
 		sink.Add(obs.DecRecords, d.nRec)

@@ -270,7 +270,7 @@ func (s *Streamer) canonRow(es []Entry, byKey map[fp.Hash]int32) []int32 {
 		one = err == nil && d.SameShape(d0)
 	}
 	if one {
-		sink.Add(obs.ReplayShapeFolds, int64(len(es)-1))
+		obs.Attached().Add(obs.ReplayShapeFolds, int64(len(es)-1))
 		return row // all zero
 	}
 	clear(byKey)
@@ -293,7 +293,7 @@ func (s *Streamer) canonRow(es []Entry, byKey map[fp.Hash]int32) []int32 {
 	if folds == 0 {
 		return nil
 	}
-	sink.Add(obs.ReplayShapeFolds, int64(folds))
+	obs.Attached().Add(obs.ReplayShapeFolds, int64(folds))
 	return row
 }
 
@@ -409,8 +409,8 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 	m := s.byRank[rank]
 	s.mu.Unlock()
 	if m.class != nil {
-		sink.Inc(obs.ReplayRankMemoHits)
-		rec.Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, int64(rank), memoHitRank)
+		obs.Attached().Inc(obs.ReplayRankMemoHits)
+		obs.AttachedRecorder().Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, int64(rank), memoHitRank)
 		return m, false, nil
 	}
 
@@ -428,12 +428,12 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 		// and discards its duplicate — correctness is unaffected (both walks
 		// produce equal steps).
 		s.mu.Unlock()
-		bsp := sink.Start(obs.StageSkeleton)
-		tsp := rec.Begin(ftrace.CatReplay, ftrace.NameSkeleton, 0)
+		bsp := obs.Attached().Start(obs.StageSkeleton)
+		tsp := obs.AttachedRecorder().Begin(ftrace.CatReplay, ftrace.NameSkeleton, 0)
 		steps, err := replay.Skeleton(&sc.view, rank, emit)
 		tsp.End(int64(rank), int64(len(steps)))
 		bsp.End()
-		sink.Inc(obs.ReplaySkeletonBuilds)
+		obs.Attached().Inc(obs.ReplaySkeletonBuilds)
 		if err != nil {
 			return rankMemo{}, emit != nil, err
 		}
@@ -447,8 +447,8 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 	s.byRank[rank] = m
 	s.mu.Unlock()
 	if !built {
-		sink.Inc(obs.ReplayClassReuses)
-		rec.Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, int64(rank), memoHitClass)
+		obs.Attached().Inc(obs.ReplayClassReuses)
+		obs.AttachedRecorder().Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, int64(rank), memoHitClass)
 	}
 	return m, built && emit != nil, nil
 }

@@ -702,8 +702,8 @@ func TestSingleRankReplayFillsOwnSectionsOnly(t *testing.T) {
 		t.Fatalf("rank %d owns %d lazy sections of %d entries: the projection tests nothing", rank, own, countEntries(m))
 	}
 	sk := obs.New()
-	SetObs(sk)
-	defer SetObs(nil)
+	obs.Attach(sk, nil)
+	defer obs.Attach(nil, nil)
 	s := NewStreamer(m)
 	if err := s.Replay(rank, func(*trace.Event) {}); err != nil {
 		t.Fatal(err)

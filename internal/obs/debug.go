@@ -5,9 +5,11 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -65,27 +67,20 @@ type DebugServer struct {
 
 // ServeDebug starts an HTTP server on addr exposing:
 //
-//	/debug/pprof/...  the standard net/http/pprof profile endpoints
-//	/debug/vars       expvar (including the published "cypress" report)
-//	/debug/obs        the sink's Report as standalone indented JSON
+//	/debug/pprof/...           the standard net/http/pprof profile endpoints
+//	/debug/vars                expvar (including the published "cypress" report)
+//	/debug/obs                 the sink's Report as standalone indented JSON
+//	/debug/cypress/trace?sec=N a live flight-recorder capture
 //
 // The server runs on its own goroutine until Close. The sink may be nil;
 // pprof endpoints still work (the process can always be profiled), /debug/obs
-// then serves an empty report.
-func ServeDebug(addr string, s *Sink) (*DebugServer, error) {
-	return ServeDebugTrace(addr, s, nil)
-}
-
-// ServeDebugTrace is ServeDebug plus a live flight-recorder capture endpoint:
-//
-//	/debug/cypress/trace?sec=N
-//
-// marks the recorder's current time, waits N seconds (default 1, capped at
-// 60), and serves the events recorded since the mark as Chrome trace-event
-// JSON — a window into the running pipeline, loadable in Perfetto. With a nil
-// recorder the endpoint answers 404. The wait aborts early when the server is
-// closed, so a pending capture never stalls Close.
-func ServeDebugTrace(addr string, s *Sink, rec *ftrace.Recorder) (*DebugServer, error) {
+// then serves an empty report. The capture endpoint marks the recorder's
+// current time, waits N seconds (default 1, capped at 60), and serves the
+// events recorded since the mark as Chrome trace-event JSON — a window into
+// the running pipeline, loadable in Perfetto. With a nil recorder it answers
+// 404. The wait aborts early when the server is closed, so a pending capture
+// never stalls Close.
+func ServeDebug(addr string, s *Sink, rec *ftrace.Recorder) (*DebugServer, error) {
 	s.Publish("cypress")
 	quit := make(chan struct{})
 	waiting := make(chan struct{}, 1)
@@ -182,4 +177,63 @@ func (d *DebugServer) Close() error {
 		d.closeErr = err
 	})
 	return d.closeErr
+}
+
+// Capture switches observability on for one run of a command, as its
+// -stats, -trace and -debug.addr flags ask, and returns the function that
+// switches it off again. stats or debugAddr attach a fresh sink, tracePath
+// attaches a flight recorder, and debugAddr serves both through ServeDebug.
+// The command defers stop, which writes the sink's text report to report
+// when stats is set (a nil report leaves the reporting to the caller),
+// closes the debug server, writes the recorder's capture to tracePath as
+// Chrome trace-event JSON, and detaches both. What Capture and stop print
+// goes to stderr, prefixed with cmd.
+func Capture(cmd string, stderr io.Writer, stats bool, tracePath, debugAddr string) (stop func(report io.Writer), err error) {
+	var sink *Sink
+	if stats || debugAddr != "" {
+		sink = New()
+	}
+	var rec *ftrace.Recorder
+	if tracePath != "" {
+		rec = ftrace.New(0)
+	}
+	var srv *DebugServer
+	if debugAddr != "" {
+		if srv, err = ServeDebug(debugAddr, sink, rec); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(stderr, "%s: debug server on http://%s/debug/pprof/\n", cmd, srv.Addr)
+	}
+	Attach(sink, rec)
+	return func(report io.Writer) {
+		if stats && report != nil {
+			fmt.Fprintln(report)
+			sink.Report().WriteText(report)
+		}
+		if srv != nil {
+			srv.Close()
+		}
+		if rec != nil {
+			if err := writeChromeFile(rec, tracePath); err != nil {
+				fmt.Fprintf(stderr, "%s: -trace: %v\n", cmd, err)
+			} else {
+				fmt.Fprintf(stderr, "%s: flight-recorder trace: %d events (%d dropped) -> %s\n",
+					cmd, rec.Total(), rec.Drops(), tracePath)
+			}
+		}
+		Attach(nil, nil)
+	}, nil
+}
+
+// writeChromeFile exports rec to path as Chrome trace-event JSON.
+func writeChromeFile(rec *ftrace.Recorder, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteChromeJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -16,7 +16,7 @@ import (
 // down: the same concrete address must be immediately re-bindable, and a
 // second Close must be a safe no-op.
 func TestDebugServerCloseReleasesPort(t *testing.T) {
-	ds, err := ServeDebug("127.0.0.1:0", New())
+	ds, err := ServeDebug("127.0.0.1:0", New(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDebugServerCloseReleasesPort(t *testing.T) {
 func TestDebugServerCloseNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		ds, err := ServeDebug("127.0.0.1:0", New())
+		ds, err := ServeDebug("127.0.0.1:0", New(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestDebugServerCloseNoGoroutineLeak(t *testing.T) {
 func TestDebugTraceEndpoint(t *testing.T) {
 	rec := ftrace.New(0)
 	rec.Instant(ftrace.CatReplay, ftrace.NameMemoHit, 0, 1, 2)
-	ds, err := ServeDebugTrace("127.0.0.1:0", New(), rec)
+	ds, err := ServeDebug("127.0.0.1:0", New(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatalf("bad sec: status %d, want 400", resp.StatusCode)
 	}
 
-	noRec, err := ServeDebug("127.0.0.1:0", New())
+	noRec, err := ServeDebug("127.0.0.1:0", New(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // instead of pinning Close for the full window.
 func TestDebugServerCloseAbortsPendingCapture(t *testing.T) {
 	rec := ftrace.New(0)
-	ds, err := ServeDebugTrace("127.0.0.1:0", New(), rec)
+	ds, err := ServeDebug("127.0.0.1:0", New(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

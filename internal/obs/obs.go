@@ -1,10 +1,11 @@
 // Package obs is the pipeline's zero-overhead-when-disabled metrics core.
 //
-// Every instrumented stage holds a *Sink. A nil sink is the disabled state:
-// all methods are defined on the pointer receiver and begin with a nil check,
-// so the hot paths pay one predictable branch and zero allocations when
-// observation is off — no interface dispatch (the sink is a concrete type),
-// no atomic loads, no time reads. With a sink attached, counters are single
+// Every instrumented stage reports into the one *Sink that Attach installed
+// and Attached returns. A nil sink is the disabled state: all methods are
+// defined on the pointer receiver and begin with a nil check, so the hot
+// paths pay one pointer load, one predictable branch and zero allocations
+// when observation is off — no interface dispatch (the sink is a concrete
+// type), no atomic read-modify-writes, no time reads. With a sink attached, counters are single
 // atomic adds, histograms are one atomic add into a power-of-two bucket, and
 // stage spans are a time.Now pair folded into two atomics; none of it
 // allocates, so the PR1–PR3 allocs/op budgets hold with the sink on as well.

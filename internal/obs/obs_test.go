@@ -243,7 +243,7 @@ func TestConcurrentSink(t *testing.T) {
 func TestServeDebug(t *testing.T) {
 	s := New()
 	s.Add(CompEvents, 5)
-	ds, err := ServeDebug("127.0.0.1:0", s)
+	ds, err := ServeDebug("127.0.0.1:0", s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

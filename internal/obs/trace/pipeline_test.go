@@ -12,14 +12,15 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 	ftrace "repro/internal/obs/trace"
 )
 
 func TestTracedPipelineFixtureCapture(t *testing.T) {
 	rec := ftrace.New(0)
-	bench.EnableTrace(rec)
+	obs.Attach(nil, rec)
 	err := bench.Pipeline()
-	bench.EnableTrace(nil)
+	obs.Attach(nil, nil)
 	if err != nil {
 		t.Fatalf("Pipeline: %v", err)
 	}

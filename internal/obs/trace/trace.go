@@ -25,6 +25,7 @@
 package trace
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -259,7 +260,21 @@ func (r *Recorder) Drops() uint64 {
 func (r *Recorder) emit(k Kind, c Cat, n Name, lane int32, t0, dur, a0, a1 int64) {
 	i := int64(r.cursor.Add(1)) // 1-based sequence
 	s := &r.slots[uint64(i-1)&r.mask]
-	s.seq.Store(-i) // invalidate while the fields are in flux
+	// Claim the slot for this writer alone (a negative seq marks it in
+	// flux): wait out a writer a lap behind that is still filling it, and
+	// give way to a record a lap ahead that already holds it, since the
+	// ring keeps the newest. Two writers never interleave their stores in
+	// one slot, so a published slot is never torn.
+	for {
+		cur := s.seq.Load()
+		if cur >= i {
+			return
+		}
+		if cur >= 0 && s.seq.CompareAndSwap(cur, -i) {
+			break
+		}
+		runtime.Gosched()
+	}
 	s.meta.Store(packMeta(k, c, n, lane))
 	s.t0.Store(t0)
 	s.dur.Store(dur)

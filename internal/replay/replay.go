@@ -65,7 +65,7 @@ func Events(src Source, rank int, emit func(e *trace.Event)) error {
 		n++
 		return nil
 	})
-	sink.Add(obs.ReplayEventsEmitted, n)
+	obs.Attached().Add(obs.ReplayEventsEmitted, n)
 	return err
 }
 
@@ -137,7 +137,7 @@ func EmitSkeleton(steps []Step, recs []*ctt.CommRecord, rank int, emit func(e *t
 	}
 	*ev = trace.Event{} // drop record-aliased slices before pooling
 	evPool.Put(ev)
-	sink.Add(obs.ReplayEventsEmitted, int64(len(steps)))
+	obs.Attached().Add(obs.ReplayEventsEmitted, int64(len(steps)))
 }
 
 // Cursor is a pull iterator over a replay skeleton: the per-rank-iterator
@@ -167,7 +167,7 @@ func (c *Cursor) Next() (*trace.Event, bool) {
 	if c.i >= len(c.steps) {
 		if !c.counted {
 			c.counted = true
-			sink.Add(obs.ReplayEventsEmitted, int64(len(c.steps)))
+			obs.Attached().Add(obs.ReplayEventsEmitted, int64(len(c.steps)))
 		}
 		return nil, false
 	}

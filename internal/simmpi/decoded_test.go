@@ -24,9 +24,9 @@ func TestDecodedPendingBounded(t *testing.T) {
 		t.Run(tc.workload, func(t *testing.T) {
 			seqs := decodedSeqs(t, npb.Get(tc.workload).Source(64, npb.Small), 64)
 			s := obs.New()
-			SetObs(s)
+			obs.Attach(s, nil)
 			_, err := Simulate(seqs, mpisim.DefaultParams())
-			SetObs(nil)
+			obs.Attach(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

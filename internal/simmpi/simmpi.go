@@ -136,7 +136,7 @@ func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
 // workers is ignored: the simulation is one sequential sweep on the calling
 // goroutine. The parameter stays so existing callers keep compiling.
 func SimulateStreamPar(srcs []EventSource, params mpisim.Params, workers int) (Result, error) {
-	sp := sink.Start(obs.StageSimulate)
+	sp := obs.Attached().Start(obs.StageSimulate)
 	defer sp.End()
 	if len(srcs) == 0 {
 		return Result{}, fmt.Errorf("simmpi: no ranks")
@@ -176,7 +176,7 @@ func newEngine(srcs []EventSource, params mpisim.Params) *engine {
 // reported as one sim window span and counted in sim_windows.
 func (en *engine) run() error {
 	for {
-		wsp := rec.Begin(ftrace.CatSim, ftrace.NameWindow, 0)
+		wsp := obs.AttachedRecorder().Begin(ftrace.CatSim, ftrace.NameWindow, 0)
 		progressed := 0
 		remaining := 0
 		for rid := range en.ranks {
@@ -190,7 +190,7 @@ func (en *engine) run() error {
 			}
 		}
 		wsp.End(int64(len(en.ranks)), int64(progressed))
-		if sink.Enabled() {
+		if sink := obs.Attached(); sink.Enabled() {
 			sink.Inc(obs.SimWindows)
 			sink.Observe(obs.HistSimWindowEvents, int64(progressed))
 		}
@@ -240,7 +240,7 @@ func (en *engine) advance(rid int) (int, error) {
 			if !r.have {
 				r.cur = *e
 				r.have = true
-				sink.Inc(obs.SimBlockedCopies)
+				obs.Attached().Inc(obs.SimBlockedCopies)
 			}
 			break
 		}
@@ -274,6 +274,7 @@ func (en *engine) result() Result {
 		unmatched += int64(len(r.pending))
 		pendPeak = max(pendPeak, r.pendMax)
 	}
+	sink := obs.Attached()
 	sink.Add(obs.SimEventsProcessed, processed)
 	sink.Add(obs.SimUnmatchedRecvs, unmatched)
 	sink.SetMax(obs.SimPendingPeak, int64(pendPeak))
@@ -345,7 +346,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 		t0 := r.clock
 		r.clock += p.InjectNS(e.Size)
 		depth := en.shards[e.Peer].push(mkKey(rid, e.Tag), r.clock+p.LatencyNS)
-		if sink.Enabled() {
+		if sink := obs.Attached(); sink.Enabled() {
 			sink.Observe(obs.HistSimQueueDepth, int64(depth))
 			sink.SetMax(obs.SimMatchDepthPeak, int64(depth))
 		}

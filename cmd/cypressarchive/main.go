@@ -28,7 +28,6 @@ import (
 	"os"
 
 	cypress "repro"
-	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -54,7 +53,6 @@ commands:
 func main() {
 	dir := flag.String("dir", "", "corpus directory (created on first add)")
 	cacheBytes := flag.Int64("cache", 0, "decoded-trace cache budget in bytes (0 = default)")
-	workers := flag.Int("par", 0, "CYPB frame codec workers for class and segment files (<= 1 inline)")
 	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the command and write Chrome trace-event JSON to this file (load in Perfetto)")
 	flag.Parse()
 	if *dir == "" || flag.NArg() == 0 {
@@ -66,7 +64,7 @@ func main() {
 	}
 	defer stop(os.Stderr)
 
-	c, err := cypress.OpenCorpus(*dir, cypress.CorpusOptions{CacheBytes: *cacheBytes, Workers: *workers})
+	c, err := cypress.OpenCorpus(*dir, cypress.CorpusOptions{CacheBytes: *cacheBytes})
 	if err != nil {
 		fail(err)
 	}
@@ -158,9 +156,9 @@ func main() {
 }
 
 // addFile ingests one trace file. A bare CYPR stream is stored verbatim;
-// gzip and CYPB containers are decoded and re-encoded into the canonical
-// standalone form first, since the corpus's byte-identity contract covers
-// exactly the bytes it was handed.
+// gzip and CYPB containers are opened and ingested as a trace, which the
+// corpus stores in its canonical standalone encoding: the byte-identity
+// contract covers exactly the bytes the corpus was handed.
 func addFile(c *cypress.Corpus, path string) (cypress.TraceID, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -169,15 +167,11 @@ func addFile(c *cypress.Corpus, path string) (cypress.TraceID, error) {
 	if bytes.HasPrefix(data, []byte("CYPR")) {
 		return c.IngestBytes(data)
 	}
-	m, err := merge.Decode(bytes.NewReader(data))
+	res, err := cypress.OpenTrace(data, 1)
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", path, err)
 	}
-	var buf bytes.Buffer
-	if _, err := m.Encode(&buf); err != nil {
-		return 0, err
-	}
-	return c.IngestBytes(buf.Bytes())
+	return c.Ingest(res)
 }
 
 // getRank serves one rank's event sequence through the rank-projected decode

@@ -5,7 +5,6 @@
 //
 //	cypressc prog.mpl            # dump the CST in indented form
 //	cypressc -o prog.cst prog.mpl  # write the serialized CST file
-//	cypressc -o prog.cstb -block prog.mpl  # same, inside a CYPB block container
 //	cypressc -stats prog.mpl     # vertex-kind statistics only
 //	cypressc -workload CG -procs 64  # compile a built-in NPB skeleton
 package main
@@ -13,20 +12,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 
 	cypress "repro"
-	"repro/internal/blockio"
 	"repro/internal/lang"
 	"repro/internal/npb"
 )
 
 func main() {
 	out := flag.String("o", "", "write the serialized CST to this file")
-	block := flag.Bool("block", false, "wrap the -o output in the CYPB block container (the container is payload-agnostic)")
-	par := flag.Int("par", 0, "compression workers for -block (0 = GOMAXPROCS-derived default)")
 	stats := flag.Bool("stats", false, "print vertex statistics instead of the tree")
 	format := flag.Bool("fmt", false, "pretty-print the program source instead of the tree")
 	workload := flag.String("workload", "", "compile a built-in workload instead of a file")
@@ -80,29 +74,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		var dst io.Writer = f
-		var bw *blockio.Writer
-		if *block {
-			workers := *par
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			bw, err = blockio.NewWriter(f, blockio.WriterOptions{Workers: workers})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cypressc:", err)
-				os.Exit(1)
-			}
-			dst = bw
-		}
-		if err := prog.CST.Encode(dst); err != nil {
+		if err := prog.CST.Encode(f); err != nil {
 			fmt.Fprintln(os.Stderr, "cypressc:", err)
 			os.Exit(1)
-		}
-		if bw != nil {
-			if err := bw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cypressc:", err)
-				os.Exit(1)
-			}
 		}
 		fmt.Printf("wrote %s (%d vertices, hash %x)\n", *out, st.Vertices, prog.CST.Hash())
 		return

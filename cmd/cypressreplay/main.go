@@ -13,13 +13,12 @@
 // The file is opened once with cypress.OpenTrace and every mode runs on the
 // resulting Result's streaming replayer (resolved views + shared replay
 // skeletons, no full per-rank materialization) — there is no other replay
-// path. -par N bounds every parallel phase: the CYPB inflate workers of the
-// trace decode (<= 1 inflates inline), and — where 0 = GOMAXPROCS — the rank
-// fan-out of -rank all and -matrix and the skeleton preparation behind
-// -predict. The LogGP simulation itself is one sequential sweep. The printed
-// output and the predicted times are identical at every -par value. Trace
-// files in any container — raw CYPR, gzip, or the CYPB block container — are
-// sniffed automatically.
+// path. -par N (0 = GOMAXPROCS) bounds the rank fan-out of -rank all and
+// -matrix and the skeleton preparation behind -predict; the trace decode
+// inflates inline and the LogGP simulation is one sequential sweep. The
+// printed output and the predicted times are identical at every -par value.
+// Trace files in any container — raw CYPR, gzip, or the CYPB block container
+// — are sniffed automatically.
 package main
 
 import (
@@ -51,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rankFlag := fs.String("rank", "", "print this rank's decompressed events, or \"all\" for every rank")
 	matrix := fs.Bool("matrix", false, "print the communication volume matrix")
 	predict := fs.Bool("predict", false, "run the LogGP performance prediction")
-	par := fs.Int("par", 1, "worker bound for every parallel phase: CYPB inflate workers (<= 1 inflates inline) and, with 0 = GOMAXPROCS, the -rank all / -matrix rank fan-out and -predict's skeleton preparation; results are identical at every value")
+	par := fs.Int("par", 1, "worker bound (0 = GOMAXPROCS) for the -rank all / -matrix rank fan-out and -predict's skeleton preparation; results are identical at every value")
 	limit := fs.Int("limit", 50, "max events to print per rank (0 = all)")
 	stats := fs.Bool("stats", false, "print the pipeline observability report to stderr at exit")
 	traceFile := fs.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
@@ -88,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		project = []int{r}
 	}
-	res, err := cypress.OpenTrace(data, *par, project...)
+	res, err := cypress.OpenTrace(data, 1, project...)
 	if err != nil {
 		return fail(err)
 	}

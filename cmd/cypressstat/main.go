@@ -1,16 +1,14 @@
 // Command cypressstat inspects a merged CYPRESS trace: per-GID compression
 // ratios, rank-group fragmentation, and stride-compression health — the
-// paper's Table-3-style structural breakdown. It reads a trace file written
-// by cypresstrace (raw, gzip, or CYPB block container, sniffed automatically)
-// or traces a program
-// in-process, in which case -stats can additionally report the live pipeline
-// counters (fingerprint fast-path hits, pool reuse, stage timings).
+// paper's Table-3-style structural breakdown. It reads a trace file
+// cypresstrace wrote in any -format, or traces a program in-process, in which
+// case -stats can additionally report the live pipeline counters (fingerprint
+// fast-path hits, pool reuse, stage timings).
 //
 // Usage:
 //
 //	cypressstat run.cyp                      # structural tables
 //	cypressstat -json run.cyp                # same, as JSON
-//	cypressstat -rank 3 run.cyp              # rank-projected decode economics
 //	cypressstat -workload CG -procs 64       # trace in-process, then inspect
 //	cypressstat -workload LU -procs 64 -stats  # + live pipeline counters
 //	cypressstat -stats prog.mpl              # trace an MPL file in-process
@@ -27,10 +25,8 @@ import (
 	"os"
 
 	cypress "repro"
-	"repro/internal/blockio"
 	"repro/internal/corpus"
 	"repro/internal/inspect"
-	"repro/internal/merge"
 	"repro/internal/npb"
 	"repro/internal/obs"
 	ftrace "repro/internal/obs/trace"
@@ -47,26 +43,13 @@ func main() {
 	stats := flag.Bool("stats", false, "also print the pipeline observability report")
 	workload := flag.String("workload", "", "trace a built-in workload in-process instead of reading a file")
 	procs := flag.Int("procs", 8, "ranks for in-process tracing")
-	par := flag.Int("par", 0, "inflate workers for CYPB trace files (<= 1 inflates inline)")
 	timeline := flag.String("timeline", "", "render a flight-recorder capture (Chrome trace-event JSON from -trace) as a text timeline, then exit")
 	check := flag.Bool("check", false, "with -timeline: validate the capture against the trace-event schema and require a complete (drop-free) capture")
-	rankProj := flag.Int("rank", -1, "decode a trace file through the rank-projected selective path and report the projection economics, then exit")
 	debugAddr := flag.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if *timeline != "" {
 		if err := renderTimeline(*timeline, *check); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *rankProj >= 0 {
-		if flag.NArg() != 1 || isMPL(flag.Arg(0)) {
-			fmt.Fprintln(os.Stderr, "cypressstat: -rank needs a trace-file argument")
-			os.Exit(2)
-		}
-		if err := projectionStats(flag.Arg(0), *rankProj, *par, *jsonOut); err != nil {
 			fail(err)
 		}
 		return
@@ -78,7 +61,7 @@ func main() {
 	}
 	defer stop(nil) // -stats reports on stdout, below the analysis
 
-	var m *merge.Merged
+	var res *cypress.Result
 	var rawCYPR []byte // exact file bytes when the input is a bare CYPR stream
 	switch {
 	case *workload != "":
@@ -91,22 +74,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cypressstat: %s does not support %d processes\n", w.Name, *procs)
 			os.Exit(2)
 		}
-		m = traceInProcess(w.Source(*procs, npb.Paper), *procs)
+		res = traceInProcess(w.Source(*procs, npb.Paper), *procs)
 	case flag.NArg() == 1 && isMPL(flag.Arg(0)):
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fail(err)
 		}
-		m = traceInProcess(string(data), *procs)
+		res = traceInProcess(string(data), *procs)
 	case flag.NArg() == 1:
-		m, rawCYPR = readTraceFile(flag.Arg(0), *par)
+		res, rawCYPR = readTraceFile(flag.Arg(0))
 	default:
 		fmt.Fprintln(os.Stderr, "usage: cypressstat [flags] trace.cyp | prog.mpl  (or -workload NAME)")
 		os.Exit(2)
 	}
 
 	if *fp {
-		sfp, ch, err := fingerprints(m)
+		sfp, ch, err := fingerprints(res)
 		if err != nil {
 			fail(err)
 		}
@@ -126,7 +109,7 @@ func main() {
 		return
 	}
 
-	a := inspect.Analyze(m)
+	a := inspect.Analyze(res.Merged)
 	if *jsonOut {
 		if err := a.WriteJSON(os.Stdout); err != nil {
 			fail(err)
@@ -145,61 +128,6 @@ func main() {
 			fail(err)
 		}
 	}
-}
-
-// projectionStats decodes one rank of a trace file through the selective
-// path and reports the projection economics: whether the file carries a CYPI
-// section index, and how many entries and payload bytes the projection
-// materialized versus skipped at decode time.
-func projectionStats(path string, rank, par int, jsonOut bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	payload, format, err := blockio.Unwrap(data, par)
-	if err != nil {
-		return err
-	}
-	s := obs.New()
-	obs.Attach(s, nil)
-	defer obs.Attach(nil, nil)
-	m, err := merge.DecodeSelectAuto(payload, merge.SelectRanks(rank), par)
-	if err != nil {
-		return err
-	}
-	if rank >= m.NumRanks {
-		fmt.Fprintf(os.Stderr, "cypressstat: rank %d out of range [0,%d)\n", rank, m.NumRanks)
-		os.Exit(2)
-	}
-	indexed := merge.HasSectionIndex(payload)
-	eagerE := s.Value(obs.SelEntriesEager)
-	skipE := s.Value(obs.SelEntriesSkipped)
-	eagerB := s.Value(obs.SelBytesMaterialized)
-	skipB := s.Value(obs.SelBytesSkipped)
-	fellBack := s.Value(obs.SelFallbacks) > 0
-	avoided := 0.0
-	if eagerB+skipB > 0 {
-		avoided = 100 * float64(skipB) / float64(eagerB+skipB)
-	}
-	if jsonOut {
-		fmt.Printf("{\"rank\":%d,\"ranks\":%d,\"container\":%q,\"section_index\":%t,\"fallback_full_decode\":%t,"+
-			"\"entries_materialized\":%d,\"entries_skipped\":%d,"+
-			"\"payload_bytes_materialized\":%d,\"payload_bytes_skipped\":%d}\n",
-			rank, m.NumRanks, format.String(), indexed, fellBack, eagerE, skipE, eagerB, skipB)
-		return nil
-	}
-	fmt.Printf("selective decode: rank %d of %d (container %s)\n", rank, m.NumRanks, format)
-	yn := "no"
-	if indexed {
-		yn = "yes (cross-checked)"
-	}
-	fmt.Printf("  section index    %s\n", yn)
-	if fellBack {
-		fmt.Printf("  NOTE: selective path fell back to a full decode\n")
-	}
-	fmt.Printf("  entries          %d materialized, %d skipped\n", eagerE, skipE)
-	fmt.Printf("  payload bytes    %d materialized, %d skipped (%.1f%% avoided)\n", eagerB, skipB, avoided)
-	return nil
 }
 
 // renderTimeline parses a flight-recorder capture file and prints it as a
@@ -230,13 +158,13 @@ func renderTimeline(path string, check bool) error {
 // dedup class key, invariant across runs with identical communication
 // structure) and the content hash of the trace's canonical standalone
 // encoding (its corpus address, covering the timing payload too).
-func fingerprints(m *merge.Merged) (structural, content uint64, err error) {
-	structural, err = cypress.StructuralFingerprint(m)
+func fingerprints(res *cypress.Result) (structural, content uint64, err error) {
+	structural, err = cypress.StructuralFingerprint(res.Merged)
 	if err != nil {
 		return 0, 0, err
 	}
 	var buf bytes.Buffer
-	if _, err := m.Encode(&buf); err != nil {
+	if _, err := res.WriteTrace(&buf, cypress.FormatRaw); err != nil {
 		return 0, 0, err
 	}
 	return structural, corpus.ContentHash(buf.Bytes()), nil
@@ -253,7 +181,7 @@ func isMPL(path string) bool {
 // traceInProcess compiles and traces src in this process, so the
 // compression-side counters (compressor intake, stride runs, merge
 // fingerprint hits) are live in the -stats report.
-func traceInProcess(src string, procs int) *merge.Merged {
+func traceInProcess(src string, procs int) *cypress.Result {
 	prog, err := cypress.Compile(src)
 	if err != nil {
 		fail(err)
@@ -262,29 +190,24 @@ func traceInProcess(src string, procs int) *merge.Merged {
 	if err != nil {
 		fail(err)
 	}
-	return res.Merged
+	return res
 }
 
-// readTraceFile decodes a trace file. blockio.Unwrap strips the container
-// layer — gzip member, CYPB block container (par inflate workers), or none —
-// so Cypress, Cypress+Gzip, and blocked files all work. For bare CYPR files
-// the exact on-disk bytes are returned too (they are the corpus ingest unit);
+// readTraceFile opens a trace file in any container cypresstrace writes
+// (raw, gzip or CYPB, sniffed by OpenTrace). For bare CYPR files the exact
+// on-disk bytes are returned too (they are the corpus ingest unit);
 // containered inputs return nil raw bytes.
-func readTraceFile(path string, par int) (*merge.Merged, []byte) {
+func readTraceFile(path string) (*cypress.Result, []byte) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
 	}
-	payload, format, err := blockio.Unwrap(data, par)
+	res, err := cypress.OpenTrace(data, 1)
 	if err != nil {
 		fail(err)
 	}
-	m, err := merge.Decode(bytes.NewReader(payload))
-	if err != nil {
-		fail(err)
+	if bytes.HasPrefix(data, []byte("CYPR")) {
+		return res, data
 	}
-	if format == blockio.FormatRaw {
-		return m, data
-	}
-	return m, nil
+	return res, nil
 }

@@ -41,7 +41,7 @@ func TestStructuralFingerprintGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sfp, ch, err := fingerprints(res.Merged)
+		sfp, ch, err := fingerprints(res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestStructuralFingerprintGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sfp2, ch2, err := fingerprints(res2.Merged)
+		sfp2, ch2, err := fingerprints(res2)
 		if err != nil {
 			t.Fatal(err)
 		}

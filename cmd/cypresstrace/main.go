@@ -5,13 +5,14 @@
 // Usage:
 //
 //	cypresstrace -procs 64 -o run.cyp prog.mpl
-//	cypresstrace -workload LU -procs 128 -o lu.cyp -gzip
-//	cypresstrace -workload LU -procs 128 -o lu.cyp -block -par 4
-//	cypresstrace -workload LU -procs 128 -o lu.cyp -index
+//	cypresstrace -workload LU -procs 128 -o lu.cyp -format gzip
+//	cypresstrace -workload LU -procs 128 -o lu.cyp -format block
+//	cypresstrace -workload LU -procs 128 -o lu.cyp -format index
 //	cypresstrace -workload MG -procs 64            # stats only
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,66 +23,79 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	procs := flag.Int("procs", 8, "number of simulated MPI ranks")
-	out := flag.String("o", "", "output trace file (stats only if empty)")
-	useGzip := flag.Bool("gzip", false, "gzip the trace file (Cypress+Gzip)")
-	useBlock := flag.Bool("block", false, "write the CYPB block container (sharded deflate frames + seekable index)")
-	useIndex := flag.Bool("index", false, "append the CYPI section index for rank-projected serving (composes with -gzip)")
-	par := flag.Int("par", 0, "compression workers for -block (0 = GOMAXPROCS-derived default)")
-	workload := flag.String("workload", "", "run a built-in workload instead of a file")
-	hist := flag.Bool("hist", false, "record time histograms instead of mean/stddev")
-	stats := flag.Bool("stats", false, "print the pipeline observability report to stderr at exit")
-	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
-	debugAddr := flag.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
-	flag.Parse()
-	if *useBlock && *useGzip {
-		fmt.Fprintln(os.Stderr, "cypresstrace: -block and -gzip are mutually exclusive")
-		os.Exit(2)
-	}
-	if *useBlock && *useIndex {
-		// The CYPB footer index pins the framed payload length, which a
-		// trailing sidecar would break.
-		fmt.Fprintln(os.Stderr, "cypresstrace: -block and -index are mutually exclusive")
-		os.Exit(2)
-	}
+// formats maps each -format value to the layout it writes.
+var formats = map[string]cypress.Format{
+	"raw":   cypress.FormatRaw,
+	"gzip":  cypress.FormatGzip,
+	"index": cypress.FormatIndexed,
+	"block": cypress.FormatBlocked,
+}
 
-	stop, err := obs.Capture("cypresstrace", os.Stderr, *stats, *traceFile, *debugAddr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, traces the program, writes the
+// trace file and a summary to stdout, diagnostics to stderr, and returns the
+// exit status (0 ok, 1 the program could not be traced or written, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "cypresstrace:", err)
+		return 1
 	}
-	defer stop(os.Stderr)
+	fs := flag.NewFlagSet("cypresstrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 8, "number of simulated MPI ranks")
+	out := fs.String("o", "", "output trace file (stats only if empty)")
+	formatName := fs.String("format", "raw", "trace file layout: raw, gzip (Cypress+Gzip), index (CYPI section index appended) or block (CYPB block container)")
+	workload := fs.String("workload", "", "run a built-in workload instead of a file")
+	hist := fs.Bool("hist", false, "record time histograms instead of mean/stddev")
+	stats := fs.Bool("stats", false, "print the pipeline observability report to stderr at exit")
+	traceFile := fs.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
+	debugAddr := fs.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	format, ok := formats[*formatName]
+	if !ok {
+		fmt.Fprintf(stderr, "cypresstrace: -format wants raw, gzip, index or block, got %q\n", *formatName)
+		return 2
+	}
 
 	var src string
 	switch {
 	case *workload != "":
 		w := npb.Get(*workload)
 		if w == nil {
-			fmt.Fprintf(os.Stderr, "cypresstrace: unknown workload %q (have %v)\n", *workload, npb.Names())
-			os.Exit(2)
+			fmt.Fprintf(stderr, "cypresstrace: unknown workload %q (have %v)\n", *workload, npb.Names())
+			return 2
 		}
 		if !w.ValidProcs(*procs) {
-			fmt.Fprintf(os.Stderr, "cypresstrace: %s does not support %d processes\n", w.Name, *procs)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "cypresstrace: %s does not support %d processes\n", w.Name, *procs)
+			return 2
 		}
 		src = w.Source(*procs, npb.Paper)
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
+	case fs.NArg() == 1:
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		src = string(data)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: cypresstrace [flags] prog.mpl  (or -workload NAME)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: cypresstrace [flags] prog.mpl  (or -workload NAME)")
+		return 2
 	}
+
+	stop, err := obs.Capture("cypresstrace", stderr, *stats, *traceFile, *debugAddr)
+	if err != nil {
+		return fail(err)
+	}
+	defer stop(stderr)
 
 	prog, err := cypress.Compile(src)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	var opts cypress.Options
 	if *hist {
@@ -89,40 +103,26 @@ func main() {
 	}
 	res, err := prog.Trace(*procs, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Printf("ranks=%d events=%d simulated=%.3fms rank-groups=%d\n",
+	fmt.Fprintf(stdout, "ranks=%d events=%d simulated=%.3fms rank-groups=%d\n",
 		res.Merged.NumRanks, res.Merged.EventCount, res.SimulatedNS/1e6, res.Merged.GroupCount())
 
 	var w io.Writer = io.Discard
-	var f *os.File
-	if *out != "" {
-		f, err = os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	var n int64
-	switch {
-	case *useBlock:
-		n, err = res.WriteTraceBlocked(w, *par)
-	case *useIndex:
-		n, err = res.WriteTraceIndexed(w, *useGzip)
-	default:
-		n, err = res.WriteTrace(w, *useGzip)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cypresstrace:", err)
-		os.Exit(1)
-	}
 	where := "(discarded)"
 	if *out != "" {
-		where = *out
+		f, err := os.Create(*out)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		w, where = f, *out
 	}
-	fmt.Printf("compressed trace: %d bytes -> %s (%.1f bytes/event)\n",
+	n, err := res.WriteTrace(w, format)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "compressed trace: %d bytes -> %s (%.1f bytes/event)\n",
 		n, where, float64(n)/float64(res.Merged.EventCount))
+	return 0
 }

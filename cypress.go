@@ -12,7 +12,7 @@
 //	prog, _ := cypress.Compile(src)            // static: CST extraction
 //	res, _ := prog.Trace(64, cypress.Options{})// dynamic: run + compress + merge
 //	seq, _ := res.Replay(3)                    // decompress rank 3
-//	pred, _ := res.Predict()                   // LogGP performance prediction
+//	pred, _ := res.PredictPar(0)               // LogGP performance prediction
 package cypress
 
 import (
@@ -118,7 +118,7 @@ type Result struct {
 }
 
 // Streamer returns the lazily-built streaming replayer over the merged tree.
-// It is shared by Replay, Predict, and CommMatrix, so replay classes and
+// It is shared by Replay, PredictPar and CommMatrixPar, so replay classes and
 // their skeletons are discovered once and reused across every consumer.
 func (r *Result) Streamer() *merge.Streamer {
 	r.streamOnce.Do(func() {
@@ -197,21 +197,15 @@ func (r *Result) ReplayEvents(rank int, emit func(e *trace.Event)) error {
 	return r.Streamer().Replay(rank, emit)
 }
 
-// Predict decompresses every rank and runs the LogGP trace-driven simulator,
-// returning the predicted job performance (paper Figure 14's pipeline). It is
-// PredictPar with the default worker count (GOMAXPROCS) for skeleton
-// preparation.
-func (r *Result) Predict() (simmpi.Result, error) {
-	return r.PredictPar(0)
-}
-
-// PredictPar is Predict with an explicit worker bound on skeleton
-// preparation (workers <= 0 uses GOMAXPROCS); the LogGP simulation that
-// follows is one sequential sweep. Rank sequences are fed to the simulator
-// as pull iterators over shared replay skeletons, so peak memory is
-// O(classes · events-per-rank) instead of O(ranks · events-per-rank). The
-// result is identical at every worker count and identical to simulating
-// materialized sequences (simmpi.Simulate, the test oracle).
+// PredictPar decompresses every rank and runs the LogGP trace-driven
+// simulator, returning the predicted job performance (paper Figure 14's
+// pipeline). workers bounds skeleton preparation (<= 0 uses GOMAXPROCS); the
+// LogGP simulation that follows is one sequential sweep. Rank sequences are
+// fed to the simulator as pull iterators over shared replay skeletons, so
+// peak memory is O(classes · events-per-rank) instead of O(ranks ·
+// events-per-rank). The result is identical at every worker count and
+// identical to simulating materialized sequences (simmpi.Simulate, the test
+// oracle).
 func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 	s := r.Streamer()
 	if err := s.Prepare(workers); err != nil {
@@ -228,41 +222,45 @@ func (r *Result) PredictPar(workers int) (simmpi.Result, error) {
 	return simmpi.SimulateStreamPar(srcs, r.params, workers)
 }
 
-// WriteTrace serializes the merged compressed trace; gzip additionally
-// applies stdlib gzip (the paper's "Cypress+Gzip"). It returns the bytes
-// written.
-func (r *Result) WriteTrace(w io.Writer, gzip bool) (int64, error) {
-	if gzip {
+// Format selects the file layout WriteTrace emits. Every format holds the
+// same trace and OpenTrace reads each of them back.
+type Format int
+
+const (
+	// FormatRaw is the bare v1 encoding (the paper's "Cypress").
+	FormatRaw Format = iota
+	// FormatGzip is the v1 encoding in one gzip member ("Cypress+Gzip").
+	FormatGzip
+	// FormatIndexed is the v1 encoding followed by the CYPI section index.
+	// The body bytes are FormatRaw's; a rank-projected OpenTrace checks every
+	// section boundary it finds against the index.
+	FormatIndexed
+	// FormatBlocked is the v1 encoding inside the CYPB block container:
+	// sharded deflate frames with a seekable frame index in the footer. The
+	// bytes are the same at every compression worker count.
+	FormatBlocked
+)
+
+// WriteTrace serializes the merged compressed trace in format f and returns
+// the bytes written.
+func (r *Result) WriteTrace(w io.Writer, f Format) (int64, error) {
+	switch f {
+	case FormatRaw:
+		return r.Merged.Encode(w)
+	case FormatGzip:
 		return r.Merged.EncodeGzip(w)
+	case FormatIndexed:
+		return r.Merged.EncodeIndexed(w)
+	case FormatBlocked:
+		return r.Merged.EncodeBlocked(w, 0)
 	}
-	return r.Merged.Encode(w)
-}
-
-// WriteTraceIndexed serializes the merged compressed trace with the CYPI
-// section index appended after the standard v1 body (gzip-wrapped when gzip
-// is set). The body bytes are identical to WriteTrace's output and every
-// existing reader decodes them unchanged; a rank-projected OpenTrace
-// additionally checks every section boundary it finds against the index.
-func (r *Result) WriteTraceIndexed(w io.Writer, gzip bool) (int64, error) {
-	if gzip {
-		return r.Merged.EncodeIndexedGzip(w)
-	}
-	return r.Merged.EncodeIndexed(w)
-}
-
-// WriteTraceBlocked serializes the merged compressed trace inside the CYPB
-// block container: sharded deflate frames compressed by a pool of workers
-// (workers <= 0 picks a default from GOMAXPROCS) with a seekable frame index
-// in the footer. The emitted bytes are identical at every worker count.
-// OpenTrace loads it transparently.
-func (r *Result) WriteTraceBlocked(w io.Writer, workers int) (int64, error) {
-	return r.Merged.EncodeBlocked(w, workers)
+	return 0, fmt.Errorf("cypress: unknown trace format %d", f)
 }
 
 // OpenTrace is the one way a stored trace comes back: it decodes a trace file
-// held in memory — written by WriteTrace, WriteTraceIndexed or
-// WriteTraceBlocked; the container layer (gzip, CYPB, or none) is sniffed from
-// the leading magic — into a Result ready for Replay, Predict and CommMatrix.
+// held in memory — written by WriteTrace in any Format; the container layer
+// (gzip, CYPB, or none) is sniffed from the leading magic — into a Result
+// ready for Replay, PredictPar and CommMatrixPar.
 // workers is the CYPB inflate worker count (<= 1 inflates inline, more
 // stripes the frames over that many goroutines); it never changes the decoded
 // trace and other formats ignore it.
@@ -272,7 +270,7 @@ func (r *Result) WriteTraceBlocked(w io.Writer, workers int) (int64, error) {
 // materialized and the rest resolve lazily on first touch, so single-rank
 // serving cost scales with what the query touches, not with trace size;
 // unselected sections are passed over by an allocation-free grammar walk (and
-// checked against the section index of files written by WriteTraceIndexed).
+// checked against the section index of FormatIndexed files).
 // Either way every rank replays identically. The Result retains
 // the payload bytes, so the caller must not modify data afterwards, and its
 // prediction parameters are mpisim.DefaultParams(), as for Corpus.Get.
@@ -288,21 +286,15 @@ func OpenTrace(data []byte, workers int, ranks ...int) (*Result, error) {
 	return &Result{Merged: m, params: mpisim.DefaultParams()}, nil
 }
 
-// CommMatrix accumulates the communication volume matrix (bytes sent from
+// CommMatrixPar accumulates the communication volume matrix (bytes sent from
 // row to column) from the decompressed trace — the analysis behind the
-// paper's Figures 17 and 20. It is CommMatrixPar with the default worker
-// count (GOMAXPROCS) for the rank fan-out. A send event whose peer lies
-// outside [0, ranks) is an error, not a silently dropped sample: replayed
-// sends always carry a concrete peer, so an out-of-range peer means the trace
-// and the rank count disagree.
-func (r *Result) CommMatrix() ([][]int64, error) {
-	return r.CommMatrixPar(0)
-}
-
-// CommMatrixPar is CommMatrix with an explicit worker bound (workers <= 0
-// uses GOMAXPROCS). Ranks are replayed concurrently, each accumulating into
-// its own matrix row in-flight — nothing is materialized and no locking is
+// paper's Figures 17 and 20. workers bounds the rank fan-out (<= 0 uses
+// GOMAXPROCS). Ranks are replayed concurrently, each accumulating into its
+// own matrix row in-flight — nothing is materialized and no locking is
 // needed, because events of one rank arrive in order on a single goroutine.
+// A send event whose peer lies outside [0, ranks) is an error, not a silently
+// dropped sample: replayed sends always carry a concrete peer, so an
+// out-of-range peer means the trace and the rank count disagree.
 func (r *Result) CommMatrixPar(workers int) ([][]int64, error) {
 	s := r.Streamer()
 	n := s.NumRanks()
@@ -374,15 +366,15 @@ func OpenCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 func (c *Corpus) Ingest(r *Result) (TraceID, error) { return c.store.Ingest(r.Merged) }
 
 // IngestBytes adds a trace given its standalone v1 encoding (as written by
-// WriteTrace without gzip). Get reproduces these bytes exactly.
+// WriteTrace in FormatRaw). Get reproduces these bytes exactly.
 func (c *Corpus) IngestBytes(enc []byte) (TraceID, error) { return c.store.IngestBytes(enc) }
 
 // GetBytes reconstructs the standalone v1 encoding of a stored trace,
 // byte-identical to what was ingested.
 func (c *Corpus) GetBytes(id TraceID) ([]byte, error) { return c.store.GetBytes(id) }
 
-// Get returns the decoded trace as a Result ready for Replay, Predict, and
-// CommMatrix, plus a release handle pinning it in the serving cache. Warm
+// Get returns the decoded trace as a Result ready for Replay, PredictPar and
+// CommMatrixPar, plus a release handle pinning it in the serving cache. Warm
 // gets skip decode entirely and share one memoized streamer, so repeated
 // analyses of a hot trace pay no decompression. The Result's prediction
 // parameters are mpisim.DefaultParams(); callers needing others should
@@ -448,9 +440,6 @@ func StructuralFingerprint(m *merge.Merged) (uint64, error) {
 // Workload returns a named NPB/LESlie3d communication skeleton from the
 // built-in registry, or nil.
 func Workload(name string) *npb.Workload { return npb.Get(name) }
-
-// Workloads lists the built-in workload names.
-func Workloads() []string { return npb.Names() }
 
 type teeSink struct {
 	raw  *trace.CollectorSink

@@ -34,7 +34,7 @@ func TestCorpusFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := res.WriteTrace(&buf, false); err != nil {
+		if _, err := res.WriteTrace(&buf, FormatRaw); err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, res)
@@ -124,7 +124,7 @@ func TestCorpusFacade(t *testing.T) {
 	if r0.Streamer() != r1.Streamer() {
 		t.Fatal("corpus-served results do not share the memoized streamer")
 	}
-	if _, err := r1.Predict(); err != nil {
+	if _, err := r1.PredictPar(0); err != nil {
 		t.Fatal(err)
 	}
 	release1()

@@ -55,6 +55,20 @@ var deletedNames = []struct {
 		why:     "per-layer observability wiring",
 		pattern: regexp.MustCompile(`SetObs\(|SetTrace\(|EnableObs\(|EnableTrace\(|ServeDebugTrace|writeTraceFile|obsSink`),
 	},
+	{
+		// One way a trace leaves a Result: WriteTrace(w, Format). The
+		// per-layout writers, the indexed-gzip encoder nothing asks for and
+		// the section-index probe that only cypressstat -rank called are gone.
+		why:     "per-layout trace writers",
+		pattern: regexp.MustCompile(`WriteTraceIndexed|WriteTraceBlocked|EncodeIndexedGzip|HasSectionIndex|projectionStats`),
+	},
+	{
+		// The facade's forwarders: callers pass PredictPar and CommMatrixPar
+		// the 0 the forwarders passed, and the workload registry is
+		// cypress.Workload or npb.Names.
+		why:     "facade forwarders",
+		pattern: regexp.MustCompile(`\b(Predict|CommMatrix|Workloads)\(\)`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

@@ -2,6 +2,7 @@ package cypress
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"reflect"
@@ -121,12 +122,20 @@ func fromCorpusDelta(name string, get func(c *Corpus, id TraceID) (*Result, func
 func getWhole(c *Corpus, id TraceID) (*Result, func(), error) { return c.Get(id) }
 func getRank1(c *Corpus, id TraceID) (*Result, func(), error) { return c.GetProjected(id, 1) }
 
-func writePlain(mem *Result, w io.Writer) (int64, error)   { return mem.WriteTrace(w, false) }
-func writeGzip(mem *Result, w io.Writer) (int64, error)    { return mem.WriteTrace(w, true) }
-func writeBlocked(mem *Result, w io.Writer) (int64, error) { return mem.WriteTraceBlocked(w, 1) }
-func writeIndexed(mem *Result, w io.Writer) (int64, error) { return mem.WriteTraceIndexed(w, false) }
+func writePlain(mem *Result, w io.Writer) (int64, error)   { return mem.WriteTrace(w, FormatRaw) }
+func writeGzip(mem *Result, w io.Writer) (int64, error)    { return mem.WriteTrace(w, FormatGzip) }
+func writeBlocked(mem *Result, w io.Writer) (int64, error) { return mem.WriteTrace(w, FormatBlocked) }
+func writeIndexed(mem *Result, w io.Writer) (int64, error) { return mem.WriteTrace(w, FormatIndexed) }
+
+// writeIndexedGzip wraps an indexed encoding in one gzip member. No Format
+// writes that layout any more, but files older writers left must still open.
+// It reports no byte count: fromBytes reads none.
 func writeIndexedGzip(mem *Result, w io.Writer) (int64, error) {
-	return mem.WriteTraceIndexed(w, true)
+	zw := gzip.NewWriter(w)
+	if _, err := mem.WriteTrace(zw, FormatIndexed); err != nil {
+		return 0, err
+	}
+	return 0, zw.Close()
 }
 
 var readPaths = []readPath{

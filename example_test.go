@@ -1,6 +1,7 @@
 package cypress_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -71,4 +72,46 @@ func main() {
 	// MPI_Init
 	// MPI_Recv(peer=0 size=256 tag=9)
 	// MPI_Finalize
+}
+
+// ExampleResult_WriteTrace writes the compressed trace file and opens it
+// again for replay and LogGP prediction (paper Figures 2 and 14).
+func ExampleResult_WriteTrace() {
+	prog, err := cypress.Compile(`
+func main() {
+	for var i = 0; i < 10; i = i + 1 {
+		if rank == 0 { send(1, 256, 0); }
+		if rank == 1 { recv(0, 256, 0); }
+		allreduce(8);
+	}
+}`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := prog.Trace(2, cypress.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := res.WriteTrace(&file, cypress.FormatRaw); err != nil {
+		log.Fatal(err)
+	}
+	back, err := cypress.OpenTrace(file.Bytes(), 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	seq, err := back.Replay(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mat, err := back.CommMatrixPar(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pred, err := back.PredictPar(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("rank 1 events=%d sent 0->1=%d predicted=%t\n", len(seq), mat[0][1], pred.TotalNS > 0)
+	// Output: rank 1 events=22 sent 0->1=2560 predicted=true
 }

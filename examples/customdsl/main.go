@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, _ := res.WriteTrace(&buf, false)
+	n, _ := res.WriteTrace(&buf, cypress.FormatRaw)
 	fmt.Printf("\n%d ranks, %d events -> %d bytes (%d rank groups)\n",
 		procs, res.Merged.EventCount, n, res.Merged.GroupCount())
 

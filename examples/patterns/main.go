@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mat, err := res.CommMatrix()
+	mat, err := res.CommMatrixPar(0)
 	if err != nil {
 		log.Fatal(err)
 	}

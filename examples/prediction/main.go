@@ -28,7 +28,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pred, err := res.Predict()
+		pred, err := res.PredictPar(0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := res.WriteTrace(&buf, false)
+	n, err := res.WriteTrace(&buf, cypress.FormatRaw)
 	if err != nil {
 		log.Fatal(err)
 	}

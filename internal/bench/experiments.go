@@ -245,7 +245,7 @@ func Fig17(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		mat, err := res.CommMatrix()
+		mat, err := res.CommMatrixPar(0)
 		if err != nil {
 			return err
 		}
@@ -268,7 +268,7 @@ func Fig20(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		mat, err := res.CommMatrix()
+		mat, err := res.CommMatrixPar(0)
 		if err != nil {
 			return err
 		}
@@ -311,7 +311,7 @@ func Fig21(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		pred, err := res.Predict()
+		pred, err := res.PredictPar(0)
 		if err != nil {
 			return err
 		}

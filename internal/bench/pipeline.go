@@ -62,7 +62,7 @@ func Pipeline() error {
 	if err := pipelineCorpus(m); err != nil {
 		return err
 	}
-	_, err = res.Predict()
+	_, err = res.PredictPar(0)
 	return err
 }
 

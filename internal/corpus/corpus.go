@@ -35,7 +35,7 @@
 // compacts every segment, dropping tombstoned runs and unreferenced classes.
 //
 // The read side is Get: a size-bounded, ref-counted LRU of decoded traces
-// (see Cache) fronts reconstruction, so repeated Predict/CommMatrix/replay
+// (see Cache) fronts reconstruction, so repeated PredictPar/CommMatrixPar/replay
 // on a hot trace skip the reassembly and the decode entirely.
 package corpus
 

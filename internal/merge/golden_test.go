@@ -105,7 +105,7 @@ func TestEncodeGoldenPinIndexed(t *testing.T) {
 			if !bytes.HasPrefix(data, plain) {
 				t.Fatalf("%s does not start with the pinned v1 body %s", path, cypPath)
 			}
-			if !HasSectionIndex(data) {
+			if _, _, ok := parseIndex(data); !ok {
 				t.Fatalf("%s carries no valid CYPI sidecar", path)
 			}
 			m, err := Decode(bytes.NewReader(data))

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/blockio"
 	"repro/internal/ctt"
-	"repro/internal/encpool"
 	"repro/internal/obs"
 	ftrace "repro/internal/obs/trace"
 	"repro/internal/rankset"
@@ -165,21 +164,15 @@ func parseIndex(enc []byte) (lens []uint64, bodyEnd int, ok bool) {
 	return lens, start, true
 }
 
-// HasSectionIndex reports whether enc (a bare CYPR payload, container already
-// unwrapped) carries a valid CYPI section-index sidecar.
-func HasSectionIndex(enc []byte) bool {
-	_, _, ok := parseIndex(enc)
-	return ok
-}
-
 // EncodeIndexed writes the merged tree as a standard v1 encoding followed by
 // the CYPI section index and returns the total byte count. The body bytes are
 // identical to Encode's output, so existing decoders read indexed files
 // unchanged (the sidecar rides in the historical trailing-bytes tolerance of
 // raw and gzip streams); DecodeSelectAuto checks every section it parses or
 // walks against the index and falls back to a full decode when they disagree.
-// Indexed output composes with gzip (EncodeIndexedGzip) but not with the CYPB
-// block container, whose footer index already pins the framed payload length.
+// Indexed output is never containered: the CYPB footer index already pins the
+// framed payload length. Indexed files inside a gzip member, which older
+// writers produced, still read like any other gzip trace.
 func (m *Merged) EncodeIndexed(out io.Writer) (int64, error) {
 	var lens []uint64
 	n, err := m.encode(out, &lens)
@@ -191,21 +184,6 @@ func (m *Merged) EncodeIndexed(out io.Writer) (int64, error) {
 		return 0, err
 	}
 	return n + int64(len(side)), nil
-}
-
-// EncodeIndexedGzip is EncodeIndexed wrapped in a gzip member, mirroring
-// EncodeGzip.
-func (m *Merged) EncodeIndexedGzip(out io.Writer) (int64, error) {
-	cw := &countingWriter{w: out}
-	gz := encpool.GetGzip(cw)
-	defer encpool.PutGzip(gz)
-	if _, err := m.EncodeIndexed(gz); err != nil {
-		return 0, err
-	}
-	if err := gz.Close(); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
 }
 
 // lazySlot is one unmaterialized payload: the byte range of its VData section

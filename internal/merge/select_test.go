@@ -2,6 +2,7 @@ package merge
 
 import (
 	"bytes"
+	"compress/gzip"
 	"reflect"
 	"testing"
 
@@ -40,6 +41,21 @@ func encodePlain(t testing.TB, m *Merged) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// gzipped wraps enc in one gzip member, the way older writers stored
+// indexed traces; the reader still accepts such files.
+func gzipped(t testing.TB, enc []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -129,11 +145,11 @@ func TestEncodeIndexedBackwardCompat(t *testing.T) {
 	if !bytes.HasPrefix(indexed, plain) {
 		t.Fatal("indexed encoding does not start with the plain v1 body")
 	}
-	if !HasSectionIndex(indexed) {
-		t.Fatal("HasSectionIndex(indexed) = false")
+	if _, _, ok := parseIndex(indexed); !ok {
+		t.Fatal("indexed encoding carries no valid CYPI sidecar")
 	}
-	if HasSectionIndex(plain) {
-		t.Fatal("HasSectionIndex(plain) = true")
+	if _, _, ok := parseIndex(plain); ok {
+		t.Fatal("plain encoding parses as carrying a CYPI sidecar")
 	}
 
 	// The v1 decoder must accept the indexed file (the sidecar rides in the
@@ -144,12 +160,8 @@ func TestEncodeIndexedBackwardCompat(t *testing.T) {
 		t.Fatal("full Decode of indexed encoding diverges from plain")
 	}
 
-	// Gzip composition: EncodeIndexedGzip -> DecodeGzip-capable full decoder.
-	var gz bytes.Buffer
-	if _, err := m.EncodeIndexedGzip(&gz); err != nil {
-		t.Fatal(err)
-	}
-	got = encodePlain(t, mustDecode(t, gz.Bytes()))
+	// An indexed encoding inside a gzip member reads like any gzip trace.
+	got = encodePlain(t, mustDecode(t, gzipped(t, indexed)))
 	if !bytes.Equal(want, got) {
 		t.Fatal("full Decode of gzip-indexed encoding diverges from plain")
 	}
@@ -383,10 +395,7 @@ func TestDecodeSelectAuto(t *testing.T) {
 	plain := encodePlain(t, m0)
 	want := replaySeq(t, mustDecode(t, plain), 5)
 
-	var gz bytes.Buffer
-	if _, err := m0.EncodeIndexedGzip(&gz); err != nil {
-		t.Fatal(err)
-	}
+	gz := gzipped(t, encodeIndexed(t, m0))
 	var blocked bytes.Buffer
 	if _, err := m0.EncodeBlocked(&blocked, 1); err != nil {
 		t.Fatal(err)
@@ -396,7 +405,7 @@ func TestDecodeSelectAuto(t *testing.T) {
 		data []byte
 	}{
 		{"raw", plain},
-		{"gzip-indexed", gz.Bytes()},
+		{"gzip-indexed", gz},
 		{"blocked", blocked.Bytes()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

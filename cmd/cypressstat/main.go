@@ -119,6 +119,7 @@ func main() {
 	}
 	if *stats {
 		r := obs.Attached().Report()
+		r.Spans = obs.AttachedRecorder().Totals()
 		fmt.Println()
 		if *jsonOut {
 			if err := r.WriteJSON(os.Stdout); err != nil {

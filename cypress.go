@@ -31,6 +31,7 @@ import (
 	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/obs"
+	ftrace "repro/internal/obs/trace"
 	"repro/internal/simmpi"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -149,11 +150,11 @@ func (p *Program) Trace(nprocs int, opts Options) (*Result, error) {
 			sinks[i] = comps[i]
 		}
 	}
-	csp := obs.Attached().Start(obs.StageCompress)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatCompress, ftrace.NameRun, 0)
 	simNS, err := mpisim.Run(nprocs, params, sinks, func(r *mpisim.Rank) {
 		interp.Execute(p.AST, r)
 	})
-	csp.End()
+	tsp.End(int64(nprocs), int64(simNS))
 	if err != nil {
 		return nil, fmt.Errorf("cypress: run: %w", err)
 	}

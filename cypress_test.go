@@ -5,11 +5,13 @@ import (
 	"io"
 	"reflect"
 	"regexp"
+	"slices"
 	"testing"
 
 	"repro/internal/merge"
 	"repro/internal/npb"
 	"repro/internal/obs"
+	ftrace "repro/internal/obs/trace"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
 	"repro/internal/trace"
@@ -65,13 +67,59 @@ func TestObsPipelineWiring(t *testing.T) {
 			s.Value(obs.EncTraces), s.Value(obs.DecTraces),
 			s.Value(obs.EncBytesRaw), s.Value(obs.DecRecords))
 	}
-	if s.Value(obs.PoolBufioGets) == 0 {
-		t.Error("pool counters empty after encode")
-	}
-	r := s.Report()
-	if len(r.Stages) == 0 || len(r.Counters) == 0 {
+	if r := s.Report(); len(r.Counters) == 0 {
 		t.Errorf("report empty: %+v", r)
 	}
+}
+
+// TestStageSpanCounts pins the recorder's per-name totals to the stages a
+// CG-16 run goes through: one finish per rank, one pair per reduction node,
+// one run and one reduction, then one encode, one decode and one simulation
+// for the calls that make them. The totals are the report's only timings.
+func TestStageSpanCounts(t *testing.T) {
+	p, err := Compile(npb.Get("CG").Source(16, npb.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := ftrace.New(0)
+	obs.Attach(obs.New(), rec)
+	defer obs.Attach(nil, nil)
+	count := func(names ...string) int64 {
+		var n int64
+		for _, tot := range rec.Totals() {
+			if slices.Contains(names, tot.Name) {
+				n += tot.Count
+			}
+		}
+		return n
+	}
+	want := func(stage string, got, n int64) {
+		t.Helper()
+		if got != n {
+			t.Errorf("%s spans = %d, want %d (totals %+v)", stage, got, n, rec.Totals())
+		}
+	}
+	res, err := p.Trace(16, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("finish", count("finish"), 16)
+	want("pair", count("pair"), 15)
+	want("run", count("run"), 1)
+	want("reduce", count("reduce"), 1)
+	var buf bytes.Buffer
+	if _, err := res.WriteTrace(&buf, FormatRaw); err != nil {
+		t.Fatal(err)
+	}
+	want("encode", count("encode"), 1)
+	if _, err := OpenTrace(buf.Bytes(), 1); err != nil {
+		t.Fatal(err)
+	}
+	want("decode", count("decode", "decode_select"), 1)
+	if _, err := res.PredictPar(0); err != nil {
+		t.Fatal(err)
+	}
+	want("simulate", count("simulate"), 1)
 }
 
 // TestDetachedSinkStaysQuiet: a sink attached for one traced run hears from

@@ -69,6 +69,30 @@ var deletedNames = []struct {
 		why:     "facade forwarders",
 		pattern: regexp.MustCompile(`\b(Predict|CommMatrix|Workloads)\(\)`),
 	},
+	{
+		// One clock: the flight recorder times every stage and the sink only
+		// counts. The sink's stage timers and its wall-time histograms timed
+		// the same intervals the recorder's spans do.
+		why:     "sink clock",
+		pattern: regexp.MustCompile(`ObserveSince|MergePairHist|StageStats|obs\.Stage|HistIOCompressNS|HistIOInflateNS|HistMergePairL[1-8]|HistCorpusGetNS|"(io_compress|io_inflate|corpus_get)_ns"|merge_pair_ns_l`),
+	},
+	{
+		// sync.Pool misses follow GC timing, not the run, and the byte
+		// ratios divided by every encode rather than the one they compressed.
+		why:     "GC-timed pool counters and encode ratios",
+		pattern: regexp.MustCompile(`Pool(Gzip|Bufio|Reader|Buffer|Flate|Inflate)(Gets|News)|pool_\w+_(gets|news|hit_rate)|enc_(gzip|blocked)_ratio`),
+	},
+	{
+		// The text timeline renders a parsed capture (Capture.WriteText), and
+		// a Report's counters only ever come from the enum.
+		why:     "second timeline and foreign-counter paths",
+		pattern: regexp.MustCompile(`captureOf|knownCounter`),
+	},
+	{
+		// Exported methods nothing in the module called.
+		why:     "dead exported methods",
+		pattern: regexp.MustCompile(`\bRewind\(|\bNowNS\(|\bHashShape\(|\bVirtualExit\b|\bTermCount\(`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

@@ -144,6 +144,3 @@ func MergeAll(traces []*RankTrace, mode Mode, workers int) (*MergedTrace, error)
 
 // SizeBytes reports the serialized size of the merged trace.
 func (m *MergedTrace) SizeBytes() int64 { return SizeBytes(m.Terms) }
-
-// TermCount reports the total term count including nested bodies.
-func (m *MergedTrace) TermCount() int64 { return countTerms(m.Terms) }

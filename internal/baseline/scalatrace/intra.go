@@ -220,10 +220,6 @@ func (c *Compressor) Finish() *RankTrace {
 	return &RankTrace{Rank: c.rank, Terms: c.terms, Events: c.events}
 }
 
-// TermCount reports the current compressed length (n in the paper's
-// complexity analysis).
-func (c *Compressor) TermCount() int64 { return countTerms(c.terms) }
-
 // MemoryBytes estimates live memory, for Figure 16's memory overhead curves.
 func (c *Compressor) MemoryBytes() int64 {
 	// Terms are heap nodes with headers; 160 bytes models the struct plus

@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	ftrace "repro/internal/obs/trace"
 )
 
 // TestObservePipelineReport checks the pass behind `cypressbench -exp none
-// -stats`: one Pipeline run with a sink attached must light up every stage's
-// counters — one per layer that reads the attached sink — and once
-// obs.Attach(nil, nil) detaches it, a second run must add nothing to it.
+// -stats`: one Pipeline run with a sink and a recorder attached must light
+// up every stage's counters — one per layer that reads the attached sink —
+// and time every stage in the recorder's totals; once obs.Attach(nil, nil)
+// detaches the sink, a second run must add nothing to it.
 func TestObservePipelineReport(t *testing.T) {
-	s := obs.New()
-	obs.Attach(s, nil)
+	s, rec := obs.New(), ftrace.New(0)
+	obs.Attach(s, rec)
 	err := Pipeline()
 	obs.Attach(nil, nil)
 	if err != nil {
@@ -26,14 +28,19 @@ func TestObservePipelineReport(t *testing.T) {
 		"corpus_ingests", "corpus_delta_runs", "corpus_stored_bytes",
 		"corpus_cache_hits", "corpus_cache_misses",
 		"replay_events_emitted", "io_frames_encoded", "io_frames_decoded",
-		"pool_flate_gets",
 	} {
 		if r.Counters[key] == 0 {
 			t.Errorf("observation pass left %s empty", key)
 		}
 	}
-	if len(r.Stages) == 0 {
-		t.Error("observation pass recorded no stage timings")
+	spans := map[string]int64{}
+	for _, tot := range rec.Totals() {
+		spans[tot.Name] = tot.Count
+	}
+	for _, name := range []string{"finish", "pair", "reduce", "encode", "deflate", "inflate", "get", "skeleton", "simulate"} {
+		if spans[name] == 0 {
+			t.Errorf("observation pass recorded no %s spans", name)
+		}
 	}
 
 	if err := Pipeline(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/encpool"
 	"repro/internal/obs"
@@ -224,11 +223,6 @@ func (w *Writer) writeFrame(j *encJob) {
 // checksum. Runs on pool workers (or inline for Workers <= 1); lane is the
 // worker index for the flight-recorder swimlane (0 inline).
 func compressFrame(j *encJob, lane int32) {
-	sink := obs.Attached()
-	var t0 time.Time
-	if sink.Enabled() {
-		t0 = time.Now()
-	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatIOEnc, ftrace.NameDeflate, lane)
 	j.dst.Reset()
 	fw := encpool.GetFlate(&j.dst)
@@ -241,9 +235,6 @@ func compressFrame(j *encJob, lane int32) {
 	j.err = werr
 	j.crc = crc32.ChecksumIEEE(j.src)
 	tsp.End(int64(len(j.src)), int64(j.dst.Len()))
-	if sink.Enabled() {
-		sink.ObserveSince(obs.HistIOCompressNS, t0)
-	}
 }
 
 func (w *Writer) worker(lane int32) {

@@ -51,7 +51,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/blockio"
 	"repro/internal/fp"
@@ -689,17 +688,10 @@ func (s *Store) GetProjected(hash uint64, ranks []int) (*Trace, error) {
 // reassemble the bytes, decode them under sel (merge.Joined.Decode), insert.
 func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 	sink := obs.Attached()
-	var t0 time.Time
-	if sink != nil {
-		t0 = time.Now()
-	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCorpus, ftrace.NameCorpusGet, 0)
 	if t, ok := s.cache.Acquire(hash); ok {
 		sink.Inc(obs.CorpusGets)
 		sink.Inc(obs.CorpusCacheHits)
-		if sink != nil {
-			sink.Observe(obs.HistCorpusGetNS, time.Since(t0).Nanoseconds())
-		}
 		tsp.End(1, t.cost)
 		return t, nil
 	}
@@ -713,9 +705,6 @@ func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 		return nil, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 	}
 	t := s.cache.Insert(hash, m, int64(len(j.Enc)))
-	if sink != nil {
-		sink.Observe(obs.HistCorpusGetNS, time.Since(t0).Nanoseconds())
-	}
 	tsp.End(0, int64(len(j.Enc)))
 	return t, nil
 }

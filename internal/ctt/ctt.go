@@ -620,8 +620,6 @@ func (c *Compressor) Finish() *RankCTT {
 	if !c.finished {
 		panic("ctt: Finish before Finalize")
 	}
-	sp := c.obs.Start(obs.StageFinish)
-	defer sp.End()
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCompress, ftrace.NameFinish, int32(c.rank))
 	exec := 0
 	for i := range c.data {

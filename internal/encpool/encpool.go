@@ -15,20 +15,14 @@ import (
 	"compress/gzip"
 	"io"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 var gzipPool = sync.Pool{
-	New: func() any {
-		obs.Attached().Inc(obs.PoolGzipNews)
-		return gzip.NewWriter(io.Discard)
-	},
+	New: func() any { return gzip.NewWriter(io.Discard) },
 }
 
 // GetGzip returns a pooled gzip writer reset to stream into w.
 func GetGzip(w io.Writer) *gzip.Writer {
-	obs.Attached().Inc(obs.PoolGzipGets)
 	gz := gzipPool.Get().(*gzip.Writer)
 	gz.Reset(w)
 	return gz
@@ -51,7 +45,6 @@ const FlateLevel = flate.DefaultCompression
 
 var flatePool = sync.Pool{
 	New: func() any {
-		obs.Attached().Inc(obs.PoolFlateNews)
 		fw, err := flate.NewWriter(io.Discard, FlateLevel)
 		if err != nil {
 			// Unreachable: FlateLevel is a compile-time valid constant.
@@ -65,7 +58,6 @@ var flatePool = sync.Pool{
 // the gzip pool, this amortizes the ~1.4MB of deflate state per writer across
 // every frame the blocked encoder compresses.
 func GetFlate(w io.Writer) *flate.Writer {
-	obs.Attached().Inc(obs.PoolFlateGets)
 	fw := flatePool.Get().(*flate.Writer)
 	fw.Reset(w)
 	return fw
@@ -84,17 +76,13 @@ func PutFlate(fw *flate.Writer) {
 var emptySrc = bytes.NewReader(nil)
 
 var inflatePool = sync.Pool{
-	New: func() any {
-		obs.Attached().Inc(obs.PoolInflateNews)
-		return flate.NewReader(emptySrc)
-	},
+	New: func() any { return flate.NewReader(emptySrc) },
 }
 
 // GetFlateReader returns a pooled raw-deflate reader reset to r with no
 // preset dictionary. The stdlib guarantees the value implements
 // flate.Resetter, which is what makes the pool possible.
 func GetFlateReader(r io.Reader) io.ReadCloser {
-	obs.Attached().Inc(obs.PoolInflateGets)
 	fr := inflatePool.Get().(io.ReadCloser)
 	if err := fr.(flate.Resetter).Reset(r, nil); err != nil {
 		// Reset with a nil dictionary cannot fail; keep the reader usable
@@ -119,15 +107,11 @@ func PutFlateReader(fr io.ReadCloser) {
 const bufioSize = 1 << 16
 
 var bufioPool = sync.Pool{
-	New: func() any {
-		obs.Attached().Inc(obs.PoolBufioNews)
-		return bufio.NewWriterSize(io.Discard, bufioSize)
-	},
+	New: func() any { return bufio.NewWriterSize(io.Discard, bufioSize) },
 }
 
 // GetBufio returns a pooled 64KB bufio.Writer reset to w.
 func GetBufio(w io.Writer) *bufio.Writer {
-	obs.Attached().Inc(obs.PoolBufioGets)
 	bw := bufioPool.Get().(*bufio.Writer)
 	bw.Reset(w)
 	return bw
@@ -143,10 +127,7 @@ func PutBufio(bw *bufio.Writer) {
 }
 
 var bufioReaderPool = sync.Pool{
-	New: func() any {
-		obs.Attached().Inc(obs.PoolReaderNews)
-		return bufio.NewReaderSize(nil, bufioSize)
-	},
+	New: func() any { return bufio.NewReaderSize(nil, bufioSize) },
 }
 
 // GetBufioReader returns a pooled 64KB bufio.Reader reset to r. The decode
@@ -154,7 +135,6 @@ var bufioReaderPool = sync.Pool{
 // decodes (bench harness cells, round-trip tests) from re-allocating the
 // buffer each time.
 func GetBufioReader(r io.Reader) *bufio.Reader {
-	obs.Attached().Inc(obs.PoolReaderGets)
 	br := bufioReaderPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	return br
@@ -170,15 +150,11 @@ func PutBufioReader(br *bufio.Reader) {
 }
 
 var bufPool = sync.Pool{
-	New: func() any {
-		obs.Attached().Inc(obs.PoolBufferNews)
-		return new(bytes.Buffer)
-	},
+	New: func() any { return new(bytes.Buffer) },
 }
 
 // GetBuffer returns a pooled empty bytes.Buffer.
 func GetBuffer() *bytes.Buffer {
-	obs.Attached().Inc(obs.PoolBufferGets)
 	b := bufPool.Get().(*bytes.Buffer)
 	b.Reset()
 	return b

@@ -71,9 +71,9 @@ func Dominators(f *Func) []int {
 
 // PostDominators computes immediate post-dominators over the reversed CFG
 // with a virtual exit node. The returned slice has len(f.Blocks) entries;
-// entry i holds the block ID of i's immediate post-dominator, or VirtualExit
-// when the nearest post-dominator is the function exit itself. The CST
-// builder uses this to validate branch join points.
+// entry i holds the block ID of i's immediate post-dominator, or len(f.Blocks)
+// (the virtual exit) when the nearest post-dominator is the function exit
+// itself. The CST builder uses this to validate branch join points.
 func PostDominators(f *Func) []int {
 	n := len(f.Blocks)
 	if n == 0 {
@@ -167,10 +167,6 @@ func PostDominators(f *Func) []int {
 	}
 	return ipdom[:n]
 }
-
-// VirtualExit is the post-dominator ID representing the function exit.
-// PostDominators returns it for blocks whose only post-dominator is the exit.
-func VirtualExit(f *Func) int { return len(f.Blocks) }
 
 // postOrder returns the blocks of f in CFG post-order from the entry.
 func postOrder(f *Func) []*Block {

@@ -30,7 +30,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/cst"
 	"repro/internal/ctt"
@@ -863,19 +862,12 @@ func all(ctts []*ctt.RankCTT, workers int, noRel bool) (*Merged, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		if sink := obs.Attached(); sink.Enabled() {
-			// Reduction level: 1 merges two leaves, k merges two 2^(k-1)-rank
-			// halves. Spans wider than 2^8 ranks fold into the L8 histogram.
-			t0 := time.Now()
-			m, err := x.pair(left, right)
-			sink.ObserveSince(obs.MergePairHist(bits.Len(uint(hi-lo))-1), t0)
-			return m, err
-		}
 		return x.pair(left, right)
 	}
-	sp := obs.Attached().Start(obs.StageMerge)
-	defer sp.End()
-	return reduce(&leafCtx{ctts: ctts, noRel: noRel}, 0, len(ctts), false)
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NameReduce, 0)
+	m, err := reduce(&leafCtx{ctts: ctts, noRel: noRel}, 0, len(ctts), false)
+	tsp.End(int64(len(ctts)), int64(workers))
+	return m, err
 }
 
 // Serial merges without parallelism, for the ablation benchmark.

@@ -87,8 +87,6 @@ func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
 			return 0, err
 		}
 	}
-	sp := obs.Attached().Start(obs.StageEncode)
-	defer sp.End()
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCodec, ftrace.NameEncode, 0)
 	cw := &countingWriter{w: out}
 	bw := encpool.GetBufio(cw)
@@ -513,8 +511,6 @@ func (c *bcur) header(wantTree bool) (h header) {
 // sections the selection touches decode and the rest stay lazy byte ranges
 // against the body, which the returned tree then retains.
 func decodePayload(payload []byte, p *projection) (*Merged, error) {
-	sp := obs.Attached().Start(obs.StageDecode)
-	defer sp.End()
 	name := ftrace.NameDecode
 	if p != nil {
 		name = ftrace.NameDecodeSelect

@@ -428,11 +428,9 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 		// and discards its duplicate — correctness is unaffected (both walks
 		// produce equal steps).
 		s.mu.Unlock()
-		bsp := obs.Attached().Start(obs.StageSkeleton)
 		tsp := obs.AttachedRecorder().Begin(ftrace.CatReplay, ftrace.NameSkeleton, 0)
 		steps, err := replay.Skeleton(&sc.view, rank, emit)
 		tsp.End(int64(rank), int64(len(steps)))
-		bsp.End()
 		obs.Attached().Inc(obs.ReplaySkeletonBuilds)
 		if err != nil {
 			return rankMemo{}, emit != nil, err

@@ -44,9 +44,6 @@ func (r *Rank) Size() int { return r.rt.n }
 // structure markers alongside the runtime's communication events).
 func (r *Rank) Sink() trace.Sink { return r.sink }
 
-// NowNS returns the rank's synthetic clock.
-func (r *Rank) NowNS() float64 { return r.nowNS }
-
 // Compute advances the local clock by ns of computation.
 func (r *Rank) Compute(ns float64) {
 	if ns < 0 {

@@ -8,7 +8,7 @@ import (
 
 // The process-wide observation switch. Every instrumented layer — the
 // compressor, merge and its codec and streamer, replay, the simulator, the
-// encode pools, the block container and the corpus — reads the attached
+// block container and the corpus — reads the attached
 // sink and recorder from here; nothing else holds a copy except a
 // Compressor, which takes the sink once at construction.
 var (

@@ -69,7 +69,7 @@ type DebugServer struct {
 //
 //	/debug/pprof/...           the standard net/http/pprof profile endpoints
 //	/debug/vars                expvar (including the published "cypress" report)
-//	/debug/obs                 the sink's Report as standalone indented JSON
+//	/debug/obs                 the sink's Report with the recorder's spans, as indented JSON
 //	/debug/cypress/trace?sec=N a live flight-recorder capture
 //
 // The server runs on its own goroutine until Close. The sink may be nil;
@@ -93,7 +93,7 @@ func ServeDebug(addr string, s *Sink, rec *ftrace.Recorder) (*DebugServer, error
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = s.Report().WriteJSON(w)
+		_ = reportOf(s, rec).WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/cypress/trace", func(w http.ResponseWriter, r *http.Request) {
 		if !rec.Enabled() {
@@ -179,22 +179,30 @@ func (d *DebugServer) Close() error {
 	return d.closeErr
 }
 
+// reportOf snapshots s with rec's totals as its spans table.
+func reportOf(s *Sink, rec *ftrace.Recorder) *Report {
+	r := s.Report()
+	r.Spans = rec.Totals()
+	return r
+}
+
 // Capture switches observability on for one run of a command, as its
 // -stats, -trace and -debug.addr flags ask, and returns the function that
-// switches it off again. stats or debugAddr attach a fresh sink, tracePath
-// attaches a flight recorder, and debugAddr serves both through ServeDebug.
-// The command defers stop, which writes the sink's text report to report
-// when stats is set (a nil report leaves the reporting to the caller),
-// closes the debug server, writes the recorder's capture to tracePath as
-// Chrome trace-event JSON, and detaches both. What Capture and stop print
-// goes to stderr, prefixed with cmd.
+// switches it off again. stats or debugAddr attach a fresh sink, any of the
+// three attaches a flight recorder (the one clock the report's spans table
+// and the live capture endpoint read), and debugAddr serves both through
+// ServeDebug. The command defers stop, which writes the text report to
+// report when stats is set (a nil report leaves the reporting to the
+// caller), closes the debug server, writes the recorder's capture to
+// tracePath as Chrome trace-event JSON when one is named, and detaches both.
+// What Capture and stop print goes to stderr, prefixed with cmd.
 func Capture(cmd string, stderr io.Writer, stats bool, tracePath, debugAddr string) (stop func(report io.Writer), err error) {
 	var sink *Sink
 	if stats || debugAddr != "" {
 		sink = New()
 	}
 	var rec *ftrace.Recorder
-	if tracePath != "" {
+	if sink != nil || tracePath != "" {
 		rec = ftrace.New(0)
 	}
 	var srv *DebugServer
@@ -208,12 +216,12 @@ func Capture(cmd string, stderr io.Writer, stats bool, tracePath, debugAddr stri
 	return func(report io.Writer) {
 		if stats && report != nil {
 			fmt.Fprintln(report)
-			sink.Report().WriteText(report)
+			reportOf(sink, rec).WriteText(report)
 		}
 		if srv != nil {
 			srv.Close()
 		}
-		if rec != nil {
+		if tracePath != "" {
 			if err := writeChromeFile(rec, tracePath); err != nil {
 				fmt.Fprintf(stderr, "%s: -trace: %v\n", cmd, err)
 			} else {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -115,6 +117,50 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("recorder-less trace endpoint: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCaptureDebugAddrServesLiveTrace: -debug.addr alone attaches a flight
+// recorder, so the live capture endpoint answers without -trace, and
+// /debug/obs carries the recorder's spans table.
+func TestCaptureDebugAddrServesLiveTrace(t *testing.T) {
+	var stderr bytes.Buffer
+	stop, err := Capture("obstest", &stderr, false, "", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop(nil)
+	addr, ok := strings.CutPrefix(strings.TrimSpace(stderr.String()), "obstest: debug server on http://")
+	if !ok {
+		t.Fatalf("no debug address on stderr: %q", stderr.String())
+	}
+	base := "http://" + strings.TrimSuffix(addr, "/debug/pprof/")
+	AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NamePair, 1).End(2, ftrace.PairPathFP)
+
+	resp, err := http.Get(base + "/debug/cypress/trace?sec=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, perr := ftrace.ReadChromeJSON(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace endpoint without -trace: status %d, want 200", resp.StatusCode)
+	}
+	if perr != nil {
+		t.Fatalf("trace endpoint served unparseable JSON: %v", perr)
+	}
+	if err := c.Validate(false); err != nil {
+		t.Fatalf("live capture invalid: %v", err)
+	}
+
+	resp, err = http.Get(base + "/debug/obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), `"spans"`) || !strings.Contains(string(body), `"pair"`) {
+		t.Errorf("/debug/obs lacks the spans table: %s", body)
 	}
 }
 

@@ -5,28 +5,30 @@
 // defined on the pointer receiver and begin with a nil check, so the hot
 // paths pay one pointer load, one predictable branch and zero allocations
 // when observation is off — no interface dispatch (the sink is a concrete
-// type), no atomic read-modify-writes, no time reads. With a sink attached, counters are single
-// atomic adds, histograms are one atomic add into a power-of-two bucket, and
-// stage spans are a time.Now pair folded into two atomics; none of it
-// allocates, so the PR1–PR3 allocs/op budgets hold with the sink on as well.
+// type), no atomic read-modify-writes. With a sink attached, counters are
+// single atomic adds and histograms one atomic add into a power-of-two
+// bucket; none of it allocates, so the allocs/op budgets hold with the sink
+// on as well.
+//
+// The sink has no clock: it counts and measures sizes. Every stage time
+// comes from the flight recorder (internal/obs/trace), whose per-name
+// totals a Report carries as its spans table.
 //
 // The Sink is safe for concurrent use. The data model is deliberately flat:
-// a fixed enum of counters, a fixed enum of bounded power-of-two histograms,
-// and a fixed enum of stage timers. Report() snapshots everything into a
-// JSON/text-serializable Report, and Publish exposes the same snapshot as an
-// expvar for the -debug.addr endpoints.
+// a fixed enum of counters and a fixed enum of bounded power-of-two
+// histograms. Report() snapshots both into a JSON/text-serializable Report,
+// and Publish exposes the same snapshot as an expvar for the -debug.addr
+// endpoints.
 package obs
 
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Counter enumerates the pipeline's monotonic counters. The groups mirror the
 // pipeline stages: compressor event intake, stride compression, inter-process
-// merge reduction, encode/decode (including buffer-pool traffic), and
-// streaming replay/simulation.
+// merge reduction, encode/decode, and streaming replay/simulation.
 type Counter uint8
 
 const (
@@ -59,7 +61,7 @@ const (
 	MergeScratchReuses   // recycled right-leaf scratch trees served
 	MergeScratchRetires  // scratch trees retired because an entry escaped
 
-	// Encode/decode (internal/merge serialize + internal/encpool).
+	// Encode/decode (internal/merge serialize).
 	EncTraces       // Encode calls
 	EncBytesRaw     // total raw encoded bytes
 	EncBytesCST     // of which: embedded CST section
@@ -69,18 +71,6 @@ const (
 	DecTraces       // Decode calls
 	DecEntries      // entries decoded
 	DecRecords      // comm records decoded
-	PoolGzipGets    // encpool gzip-writer checkouts
-	PoolGzipNews    // of which: constructed fresh (pool miss)
-	PoolBufioGets   // bufio-writer checkouts
-	PoolBufioNews   // pool misses
-	PoolReaderGets  // bufio-reader checkouts
-	PoolReaderNews  // pool misses
-	PoolBufferGets  // staging-buffer checkouts
-	PoolBufferNews  // pool misses
-	PoolFlateGets   // flate-writer checkouts (blocked frame compression)
-	PoolFlateNews   // pool misses
-	PoolInflateGets // flate-reader checkouts (blocked frame decompression)
-	PoolInflateNews // pool misses
 
 	// Block-parallel container I/O (internal/blockio).
 	EncBlockedTraces // EncodeBlocked calls
@@ -165,18 +155,6 @@ var counterNames = [NumCounters]string{
 	DecTraces:            "dec_traces",
 	DecEntries:           "dec_entries",
 	DecRecords:           "dec_records",
-	PoolGzipGets:         "pool_gzip_gets",
-	PoolGzipNews:         "pool_gzip_news",
-	PoolBufioGets:        "pool_bufio_gets",
-	PoolBufioNews:        "pool_bufio_news",
-	PoolReaderGets:       "pool_reader_gets",
-	PoolReaderNews:       "pool_reader_news",
-	PoolBufferGets:       "pool_buffer_gets",
-	PoolBufferNews:       "pool_buffer_news",
-	PoolFlateGets:        "pool_flate_gets",
-	PoolFlateNews:        "pool_flate_news",
-	PoolInflateGets:      "pool_inflate_gets",
-	PoolInflateNews:      "pool_inflate_news",
 	EncBlockedTraces:     "enc_blocked_traces",
 	EncBytesBlocked:      "enc_bytes_blocked",
 	IOFramesEnc:          "io_frames_encoded",
@@ -226,26 +204,12 @@ func (c Counter) String() string {
 type Hist uint8
 
 const (
-	HistReqOccupancy    Hist = iota // live requests at each non-blocking post
-	HistWildcardDepth               // cached wildcard events at each cache insert
-	HistSimQueueDepth               // in-flight message queue depth at each send
-	HistSimWindowEvents             // events processed per simulator sweep
-	HistIOFrameBytes                // compressed bytes per CYPB frame
-	HistIOCompressNS                // wall time deflating one frame
-	HistIOInflateNS                 // wall time inflating one frame
-	// Per-depth merge pair wall times: L1 merges two leaves, L2 merges two
-	// 2-rank trees, and so on; L8 absorbs every deeper level.
-	HistMergePairL1
-	HistMergePairL2
-	HistMergePairL3
-	HistMergePairL4
-	HistMergePairL5
-	HistMergePairL6
-	HistMergePairL7
-	HistMergePairL8
-	// Corpus ingest/serve distributions.
-	HistCorpusDeltaPermille // stored body bytes per mille of the standalone encoding
-	HistCorpusGetNS         // wall time per Store.Get (cache hits and misses)
+	HistReqOccupancy        Hist = iota // live requests at each non-blocking post
+	HistWildcardDepth                   // cached wildcard events at each cache insert
+	HistSimQueueDepth                   // in-flight message queue depth at each send
+	HistSimWindowEvents                 // events processed per simulator sweep
+	HistIOFrameBytes                    // compressed bytes per CYPB frame
+	HistCorpusDeltaPermille             // stored body bytes per mille of the standalone encoding
 
 	NumHists // sentinel; must be last
 )
@@ -256,18 +220,7 @@ var histNames = [NumHists]string{
 	HistSimQueueDepth:       "sim_queue_depth",
 	HistSimWindowEvents:     "sim_window_events",
 	HistIOFrameBytes:        "io_frame_bytes",
-	HistIOCompressNS:        "io_compress_ns",
-	HistIOInflateNS:         "io_inflate_ns",
-	HistMergePairL1:         "merge_pair_ns_l1",
-	HistMergePairL2:         "merge_pair_ns_l2",
-	HistMergePairL3:         "merge_pair_ns_l3",
-	HistMergePairL4:         "merge_pair_ns_l4",
-	HistMergePairL5:         "merge_pair_ns_l5",
-	HistMergePairL6:         "merge_pair_ns_l6",
-	HistMergePairL7:         "merge_pair_ns_l7",
-	HistMergePairL8:         "merge_pair_ns_l8",
 	HistCorpusDeltaPermille: "corpus_delta_permille",
-	HistCorpusGetNS:         "corpus_get_ns",
 }
 
 // String returns the histogram's stable snake_case name.
@@ -276,50 +229,6 @@ func (h Hist) String() string {
 		return histNames[h]
 	}
 	return "unknown_hist"
-}
-
-// MergePairHist maps a reduction level (1 = pair of two leaf trees) to its
-// per-depth timing histogram; levels beyond 8 fold into the last bucket.
-func MergePairHist(level int) Hist {
-	if level < 1 {
-		level = 1
-	}
-	if level > 8 {
-		level = 8
-	}
-	return HistMergePairL1 + Hist(level-1)
-}
-
-// Stage enumerates the coarse pipeline stages with span timers.
-type Stage uint8
-
-const (
-	StageCompress Stage = iota // traced run (event intake)
-	StageFinish                // per-rank Compressor.Finish
-	StageMerge                 // inter-process reduction (merge.All)
-	StageEncode                // trace serialization
-	StageDecode                // trace deserialization
-	StageSkeleton              // replay skeleton construction
-	StageSimulate              // LogGP simulation
-	NumStages                  // sentinel; must be last
-)
-
-var stageNames = [NumStages]string{
-	StageCompress: "compress",
-	StageFinish:   "finish",
-	StageMerge:    "merge",
-	StageEncode:   "encode",
-	StageDecode:   "decode",
-	StageSkeleton: "skeleton",
-	StageSimulate: "simulate",
-}
-
-// String returns the stage's stable name.
-func (st Stage) String() string {
-	if st < NumStages {
-		return stageNames[st]
-	}
-	return "unknown_stage"
 }
 
 // HistBuckets bounds every histogram: bucket 0 holds values <= 0, bucket i
@@ -363,18 +272,11 @@ func (h *Histogram) observe(v int64) {
 	h.sum.Add(v)
 }
 
-// stageRec is one stage timer's accumulators.
-type stageRec struct {
-	count   atomic.Int64
-	totalNS atomic.Int64
-}
-
 // Sink collects pipeline metrics. The zero value is ready for use; a nil
 // *Sink is the disabled state and every method on it is a cheap no-op.
 type Sink struct {
 	counters [NumCounters]atomic.Int64
 	hists    [NumHists]Histogram
-	stages   [NumStages]stageRec
 }
 
 // New returns an empty enabled sink.
@@ -438,43 +340,6 @@ func (s *Sink) HistCount(h Hist) int64 {
 	return n
 }
 
-// Span is an in-flight stage timer token. The zero value (from a nil sink)
-// ends as a no-op.
-type Span struct {
-	s  *Sink
-	st Stage
-	t0 time.Time
-}
-
-// Start opens a span timer for a stage. End it with End; tokens are values
-// and never allocate.
-func (s *Sink) Start(st Stage) Span {
-	if s == nil {
-		return Span{}
-	}
-	return Span{s: s, st: st, t0: time.Now()}
-}
-
-// End closes the span, folding its wall time into the stage's accumulators.
-func (sp Span) End() {
-	if sp.s == nil {
-		return
-	}
-	r := &sp.s.stages[sp.st]
-	r.count.Add(1)
-	r.totalNS.Add(time.Since(sp.t0).Nanoseconds())
-}
-
-// ObserveSince records the nanoseconds elapsed since t0 into a histogram
-// (used by the per-depth merge timings, whose depth is only known at the
-// observation site).
-func (s *Sink) ObserveSince(h Hist, t0 time.Time) {
-	if s == nil {
-		return
-	}
-	s.hists[h].observe(time.Since(t0).Nanoseconds())
-}
-
 // LocalHist is a single-goroutine histogram for hot loops that cannot afford
 // an atomic per observation: Observe is two plain adds into local memory, and
 // FlushHist folds the whole thing into a shared sink histogram with one
@@ -507,25 +372,4 @@ func (s *Sink) FlushHist(h Hist, l *LocalHist) {
 		d.sum.Add(l.sum)
 	}
 	*l = LocalHist{}
-}
-
-// Reset zeroes every counter, histogram, and stage timer.
-func (s *Sink) Reset() {
-	if s == nil {
-		return
-	}
-	for i := range s.counters {
-		s.counters[i].Store(0)
-	}
-	for i := range s.hists {
-		h := &s.hists[i]
-		for j := range h.buckets {
-			h.buckets[j].Store(0)
-		}
-		h.sum.Store(0)
-	}
-	for i := range s.stages {
-		s.stages[i].count.Store(0)
-		s.stages[i].totalNS.Store(0)
-	}
 }

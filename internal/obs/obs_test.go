@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	ftrace "repro/internal/obs/trace"
 )
 
 // TestNilSinkIsSafeAndFree pins the disabled state: every method on a nil
@@ -21,9 +23,6 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 		s.Add(MergePairs, 7)
 		s.SetMax(CompReqPeak, 42)
 		s.Observe(HistReqOccupancy, 3)
-		sp := s.Start(StageMerge)
-		sp.End()
-		s.ObserveSince(HistMergePairL1, time.Time{})
 	})
 	if allocs != 0 {
 		t.Errorf("nil sink allocates %.1f allocs/op, want 0", allocs)
@@ -94,17 +93,16 @@ func TestReportContents(t *testing.T) {
 	s.Add(MergeFPRelHits, 30)
 	s.Add(MergeExhaustiveWalks, 10)
 	s.Add(MergeKeyRejects, 40)
-	s.Add(PoolGzipGets, 4)
-	s.Add(PoolGzipNews, 1)
 	s.SetMax(SimPendingPeak, 2)
 	s.SetMax(SimPendingPeak, 1)
 	for i := 0; i < 100; i++ {
 		s.Observe(HistReqOccupancy, int64(i%7))
 	}
-	sp := s.Start(StageMerge)
-	sp.End()
+	rec := ftrace.New(0)
+	rec.Begin(ftrace.CatMerge, ftrace.NameReduce, 0).End(2, 1)
 
 	r := s.Report()
+	r.Spans = rec.Totals()
 	if r.Counters["comp_events"] != 100 {
 		t.Errorf("comp_events = %d", r.Counters["comp_events"])
 	}
@@ -130,11 +128,8 @@ func TestReportContents(t *testing.T) {
 	if got := r.Rates["merge_key_reject_rate"]; got != 0.5 {
 		t.Errorf("merge_key_reject_rate = %v, want 0.5", got)
 	}
-	if got := r.Rates["pool_gzip_hit_rate"]; got != 0.75 {
-		t.Errorf("pool_gzip_hit_rate = %v, want 0.75", got)
-	}
-	if len(r.Stages) != 1 || r.Stages[0].Name != "merge" || r.Stages[0].Count != 1 {
-		t.Errorf("stages = %+v", r.Stages)
+	if len(r.Spans) != 1 || r.Spans[0].Name != "reduce" || r.Spans[0].Count != 1 {
+		t.Errorf("spans = %+v", r.Spans)
 	}
 	var hist *HistStats
 	for i := range r.Histograms {
@@ -158,13 +153,16 @@ func TestReportContents(t *testing.T) {
 	if back.Counters["comp_merge_hits"] != 90 {
 		t.Errorf("round-trip lost comp_merge_hits: %+v", back.Counters)
 	}
+	if !reflect.DeepEqual(back.Spans, r.Spans) {
+		t.Errorf("round-trip spans = %+v, want %+v", back.Spans, r.Spans)
+	}
 
 	// Text rendering mentions the populated sections.
 	buf.Reset()
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"counters:", "rates:", "stages:", "histograms:", "comp_events", "merge_fp_fast_rate", "sim_pending_peak"} {
+	for _, want := range []string{"counters:", "rates:", "spans:", "histograms:", "comp_events", "merge_fp_fast_rate", "sim_pending_peak"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, buf.String())
 		}
@@ -188,23 +186,6 @@ func TestNamesComplete(t *testing.T) {
 		if h.String() == "" || h.String() == "unknown_hist" {
 			t.Errorf("hist %d has no name", h)
 		}
-	}
-	for st := Stage(0); st < NumStages; st++ {
-		if st.String() == "" || st.String() == "unknown_stage" {
-			t.Errorf("stage %d has no name", st)
-		}
-	}
-}
-
-func TestMergePairHistClamps(t *testing.T) {
-	if MergePairHist(0) != HistMergePairL1 || MergePairHist(1) != HistMergePairL1 {
-		t.Error("low levels should clamp to L1")
-	}
-	if MergePairHist(8) != HistMergePairL8 || MergePairHist(99) != HistMergePairL8 {
-		t.Error("high levels should clamp to L8")
-	}
-	if MergePairHist(3) != HistMergePairL3 {
-		t.Error("mid levels should map directly")
 	}
 }
 
@@ -231,10 +212,6 @@ func TestConcurrentSink(t *testing.T) {
 	}
 	if got := s.Value(CompReqPeak); got != 999 {
 		t.Errorf("concurrent SetMax = %d, want 999", got)
-	}
-	s.Reset()
-	if s.Value(CompEvents) != 0 || s.HistCount(HistSimQueueDepth) != 0 {
-		t.Error("Reset did not clear")
 	}
 }
 

@@ -5,30 +5,27 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	ftrace "repro/internal/obs/trace"
 )
 
 // Report is a point-in-time snapshot of a Sink, serializable to JSON and
 // renderable as text. Counters with value zero are omitted so quiet stages do
 // not drown the interesting ones; derived Rates are recomputed at snapshot
-// time from the counters they summarize.
+// time from the counters they summarize. The sink has no clock: the stage
+// times are the flight recorder's totals, which the caller that holds the
+// recorder puts in Spans.
 type Report struct {
 	// Counters holds every non-zero counter keyed by its stable name.
 	Counters map[string]int64 `json:"counters"`
-	// Rates holds derived hit/fold rates in [0,1] (and byte ratios), keyed by
-	// a stable name. Only rates whose denominators are non-zero appear.
+	// Rates holds derived hit/fold rates in [0,1] (and values per stride
+	// run), keyed by a stable name. Only rates whose denominators are
+	// non-zero appear.
 	Rates map[string]float64 `json:"rates,omitempty"`
-	// Stages lists stage span timers that fired at least once.
-	Stages []StageStats `json:"stages,omitempty"`
+	// Spans holds the flight recorder's per-name totals.
+	Spans ftrace.Totals `json:"spans,omitempty"`
 	// Histograms lists histograms with at least one observation.
 	Histograms []HistStats `json:"histograms,omitempty"`
-}
-
-// StageStats summarizes one stage timer.
-type StageStats struct {
-	Name    string  `json:"name"`
-	Count   int64   `json:"count"`
-	TotalNS int64   `json:"total_ns"`
-	MeanNS  float64 `json:"mean_ns"`
 }
 
 // HistStats summarizes one histogram: observation count, value sum/mean, and
@@ -95,25 +92,6 @@ func (s *Sink) Report() *Report {
 	skHits := vals[ReplayRankMemoHits] + vals[ReplayClassReuses]
 	addRate("replay_skeleton_hit_rate", skHits, skHits+vals[ReplaySkeletonBuilds])
 	addRate("stride_values_per_run", vals[StrideValues], vals[StrideRuns])
-	addRate("enc_gzip_ratio", vals[EncBytesGzip], vals[EncBytesRaw])
-	addRate("enc_blocked_ratio", vals[EncBytesBlocked], vals[EncBytesRaw])
-	addRate("pool_gzip_hit_rate", vals[PoolGzipGets]-vals[PoolGzipNews], vals[PoolGzipGets])
-	addRate("pool_bufio_hit_rate", vals[PoolBufioGets]-vals[PoolBufioNews], vals[PoolBufioGets])
-	addRate("pool_reader_hit_rate", vals[PoolReaderGets]-vals[PoolReaderNews], vals[PoolReaderGets])
-	addRate("pool_buffer_hit_rate", vals[PoolBufferGets]-vals[PoolBufferNews], vals[PoolBufferGets])
-	addRate("pool_flate_hit_rate", vals[PoolFlateGets]-vals[PoolFlateNews], vals[PoolFlateGets])
-	addRate("pool_inflate_hit_rate", vals[PoolInflateGets]-vals[PoolInflateNews], vals[PoolInflateGets])
-
-	for st := Stage(0); st < NumStages; st++ {
-		n := s.stages[st].count.Load()
-		if n == 0 {
-			continue
-		}
-		tot := s.stages[st].totalNS.Load()
-		r.Stages = append(r.Stages, StageStats{
-			Name: st.String(), Count: n, TotalNS: tot, MeanNS: float64(tot) / float64(n),
-		})
-	}
 	for h := Hist(0); h < NumHists; h++ {
 		hs := s.histStats(h)
 		if hs.Count == 0 {
@@ -197,7 +175,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 
 // WriteText renders the report as aligned human-readable text.
 func (r *Report) WriteText(w io.Writer) error {
-	if len(r.Counters) == 0 && len(r.Stages) == 0 && len(r.Histograms) == 0 {
+	if len(r.Counters) == 0 && len(r.Spans) == 0 && len(r.Histograms) == 0 {
 		_, err := fmt.Fprintln(w, "obs: no metrics recorded")
 		return err
 	}
@@ -208,17 +186,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			if v, ok := r.Counters[c.String()]; ok {
 				fmt.Fprintf(w, "  %-32s %12d\n", c.String(), v)
 			}
-		}
-		// Any keys not matching the enum (future/foreign) in sorted order.
-		var extra []string
-		for k := range r.Counters {
-			if !knownCounter(k) {
-				extra = append(extra, k)
-			}
-		}
-		sort.Strings(extra)
-		for _, k := range extra {
-			fmt.Fprintf(w, "  %-32s %12d\n", k, r.Counters[k])
 		}
 	}
 	if len(r.Rates) > 0 {
@@ -232,13 +199,8 @@ func (r *Report) WriteText(w io.Writer) error {
 			fmt.Fprintf(w, "  %-32s %12.4f\n", k, r.Rates[k])
 		}
 	}
-	if len(r.Stages) > 0 {
-		fmt.Fprintln(w, "stages:")
-		fmt.Fprintf(w, "  %-12s %10s %14s %14s\n", "stage", "count", "total_ms", "mean_us")
-		for _, st := range r.Stages {
-			fmt.Fprintf(w, "  %-12s %10d %14.3f %14.2f\n",
-				st.Name, st.Count, float64(st.TotalNS)/1e6, st.MeanNS/1e3)
-		}
+	if err := r.Spans.WriteText(w); err != nil {
+		return err
 	}
 	if len(r.Histograms) > 0 {
 		fmt.Fprintln(w, "histograms:")
@@ -249,14 +211,4 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// knownCounter reports whether name is a defined counter name.
-func knownCounter(name string) bool {
-	for c := Counter(0); c < NumCounters; c++ {
-		if c.String() == name {
-			return true
-		}
-	}
-	return false
 }

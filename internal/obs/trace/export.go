@@ -20,7 +20,9 @@ import (
 // the recorder's total emitted event count, the number dropped to ring
 // wraparound, and a truncated flag. Consumers that need a complete capture
 // (the fixture CI job) must reject truncated files rather than quietly
-// analyzing a window with its head cut off.
+// analyzing a window with its head cut off. It also carries the per-name
+// totals, which stay exact however much of the ring was dropped and, in a
+// live window, cover the whole run rather than the window.
 
 // header mirrors the exported top-level object.
 type header struct {
@@ -34,6 +36,7 @@ type otherData struct {
 	Total     uint64 `json:"total_events"`
 	Drops     uint64 `json:"drops"`
 	Truncated bool   `json:"truncated"`
+	Totals    Totals `json:"totals,omitempty"`
 }
 
 // jsonEvent is one Chrome trace-event record (export and import shape).
@@ -137,41 +140,13 @@ func (r *Recorder) WriteChromeJSONSince(w io.Writer, since int64) error {
 			Total:     r.Total(),
 			Drops:     r.Drops(),
 			Truncated: r.Drops() > 0,
+			Totals:    r.Totals(),
 		},
 		TraceEvents: jsonEventsOf(evs),
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(&h)
-}
-
-// WriteText renders the retained events as a plain-text timeline.
-func (r *Recorder) WriteText(w io.Writer) error {
-	c, err := captureOf(r)
-	if err != nil {
-		return err
-	}
-	return c.WriteText(w)
-}
-
-// captureOf converts a recorder snapshot into the parsed-capture shape, so
-// the text renderer has a single implementation for live and on-disk data.
-func captureOf(r *Recorder) (*Capture, error) {
-	c := &Capture{Total: r.Total(), Drops: r.Drops(), Truncated: r.Drops() > 0}
-	for _, e := range r.Snapshot() {
-		ph := "X"
-		if e.Kind == KindInstant {
-			ph = "i"
-		}
-		an := ArgNames(e.Name)
-		c.Events = append(c.Events, CapturedEvent{
-			Name: e.Name.String(), Cat: e.Cat.String(), Ph: ph,
-			TSUsec: usec(e.Start), DurUsec: usec(e.Dur),
-			PID: int64(e.Cat), TID: int64(e.Lane),
-			Args: map[string]int64{an[0]: e.Arg0, an[1]: e.Arg1, "seq": int64(e.Seq)},
-		})
-	}
-	return c, nil
 }
 
 // CapturedEvent is one non-metadata record of a parsed capture file.
@@ -192,6 +167,7 @@ type Capture struct {
 	Total     uint64
 	Drops     uint64
 	Truncated bool
+	Totals    Totals
 	Events    []CapturedEvent
 	// LaneNames maps (pid,tid) keys ("pid/tid") to thread_name metadata.
 	LaneNames map[string]string
@@ -209,7 +185,7 @@ func ReadChromeJSON(rd io.Reader) (*Capture, error) {
 	}
 	c := &Capture{
 		Total: h.OtherData.Total, Drops: h.OtherData.Drops,
-		Truncated: h.OtherData.Truncated,
+		Truncated: h.OtherData.Truncated, Totals: h.OtherData.Totals,
 		LaneNames: map[string]string{}, CatNames: map[int64]string{},
 	}
 	for _, je := range h.TraceEvents {
@@ -314,11 +290,32 @@ func (c *Capture) Lanes(cat string) []int64 {
 	return out
 }
 
-// WriteText renders the capture as an aligned timeline, one row per event
-// in timestamp order: offset, duration, category/lane, name, args.
+// WriteText renders the per-name totals as the spans table: count, summed
+// duration and mean duration of every name. It writes nothing for no totals.
+func (ts Totals) WriteText(w io.Writer) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	fmt.Fprintln(w, "spans:")
+	fmt.Fprintf(w, "  %-16s %10s %14s %14s\n", "name", "count", "total_ms", "mean_us")
+	for _, t := range ts {
+		if _, err := fmt.Fprintf(w, "  %-16s %10d %14.3f %14.2f\n",
+			t.Name, t.Count, float64(t.TotalNS)/1e6, float64(t.TotalNS)/float64(t.Count)/1e3); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteText renders the capture's spans table, then an aligned timeline,
+// one row per event in timestamp order: offset, duration, category/lane,
+// name, args.
 func (c *Capture) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "flight recorder: %d events captured, %d emitted, %d dropped (truncated=%v)\n",
 		len(c.Events), c.Total, c.Drops, c.Truncated); err != nil {
+		return err
+	}
+	if err := c.Totals.WriteText(w); err != nil {
 		return err
 	}
 	evs := append([]CapturedEvent(nil), c.Events...)

@@ -3,25 +3,28 @@
 // into every stage and exportable as a Chrome trace-event JSON file
 // (loadable in Perfetto or chrome://tracing) or a plain-text timeline.
 //
-// Where internal/obs answers aggregate questions (how many, how long on
-// average), the recorder answers ordering questions: when did this merge
-// pair run, which deflate worker was idle, did the corpus cache miss happen
-// before or after the simulator stalled. It follows the same discipline as
-// obs.Sink: every method is defined on the pointer receiver and starts with
-// a nil check, so a nil *Recorder is the disabled state and instrumented
-// code pays one predictable branch and zero allocations when recording is
-// off.
+// The recorder is the pipeline's one clock: internal/obs counts and sizes,
+// and every stage time comes from here. It answers ordering questions from
+// the ring (when did this merge pair run, which deflate worker was idle, did
+// the corpus cache miss happen before or after the simulator stalled) and
+// aggregate ones from its per-name totals, an exact count and summed
+// duration for every event name that, unlike the ring, never wraps. It
+// follows the same discipline as obs.Sink: every method is defined on the
+// pointer receiver and starts with a nil check, so a nil *Recorder is the
+// disabled state and instrumented code pays one predictable branch and zero
+// allocations when recording is off.
 //
-// With a recorder attached, emitting one event is a handful of atomic
-// stores into a pre-allocated slot — no locks, no allocation, no channel.
-// Writers claim slots from a single atomic cursor; when the ring wraps, the
-// oldest events are overwritten (and counted as drops) rather than blocking
-// the pipeline. Readers validate each slot's sequence number before and
-// after copying it, so a snapshot taken concurrently with writers never
-// yields a torn record; under extreme wrap pressure a slot being rewritten
-// during the copy is simply skipped. The recorder is a diagnostic ring, not
-// an accounting ledger: events on error paths or mid-rewrite may be lost,
-// and Drops() reports how many fell off the back.
+// With a recorder attached, emitting one event is two atomic adds into its
+// name's totals and a handful of atomic stores into a pre-allocated slot —
+// no locks, no allocation, no channel. Writers take sequence numbers from a
+// single atomic cursor; when the ring wraps, the oldest events are
+// overwritten (and counted as drops) rather than blocking the pipeline.
+// Readers validate each slot's sequence number before and after copying it,
+// so a snapshot taken concurrently with writers never yields a torn record;
+// under extreme wrap pressure a slot being rewritten during the copy is
+// simply skipped. The ring is a diagnostic window, not an accounting ledger:
+// events on error paths or mid-rewrite may be lost, and Drops() reports how
+// many fell off the back.
 package trace
 
 import (
@@ -36,8 +39,8 @@ import (
 type Cat uint8
 
 const (
-	CatCompress Cat = iota // per-rank compression (ctt): lane = rank
-	CatMerge               // inter-process reduction: lane = reduction depth
+	CatCompress Cat = iota // per-rank compression (ctt): lane = rank; the run on lane 0
+	CatMerge               // inter-process reduction: lane = reduction depth; the whole reduction on lane 0
 	CatCodec               // trace serialization/deserialization: lane 0
 	CatIOEnc               // CYPB frame deflate: lane = writer worker
 	CatIODec               // CYPB frame inflate: lane = reader worker
@@ -85,6 +88,9 @@ const (
 	NameWindow            // one simulator sweep over every rank: args rank visits, events
 	NameDecodeSelect      // selective decode: args entries materialized, payload bytes skipped
 	NameLazyFill          // lazy payload fill (instant): args slot, section bytes
+	NameRun               // traced run, event intake on every rank: args ranks, simulated ns
+	NameReduce            // whole inter-process reduction: args ranks, workers
+	NameSimulate          // LogGP simulation, the window sweeps nested inside: args ranks, events
 	NumNames              // sentinel; must be last
 )
 
@@ -104,6 +110,9 @@ var nameStrings = [NumNames]string{
 	NameWindow:       "window",
 	NameDecodeSelect: "decode_select",
 	NameLazyFill:     "lazy_fill",
+	NameRun:          "run",
+	NameReduce:       "reduce",
+	NameSimulate:     "simulate",
 }
 
 // String returns the event name's stable string.
@@ -130,6 +139,9 @@ var argNames = [NumNames][2]string{
 	NameWindow:       {"visits", "events"},
 	NameDecodeSelect: {"eager", "skipped_bytes"},
 	NameLazyFill:     {"slot", "bytes"},
+	NameRun:          {"ranks", "sim_ns"},
+	NameReduce:       {"ranks", "workers"},
+	NameSimulate:     {"ranks", "events"},
 }
 
 // ArgNames returns the export labels for an event name's two args.
@@ -190,7 +202,8 @@ type Recorder struct {
 	slots  []slot
 	mask   uint64
 	cursor atomic.Uint64 // total events ever claimed
-	base   time.Time     // timestamp zero; monotonic via time.Since
+	totals [NumNames]struct{ count, ns atomic.Int64 }
+	base   time.Time // timestamp zero; monotonic via time.Since
 }
 
 // DefaultCapacity is the ring size used by New when capacity <= 0: 64 Ki
@@ -256,8 +269,12 @@ func (r *Recorder) Drops() uint64 {
 	return 0
 }
 
-// emit claims the next slot and publishes one record into it.
+// emit adds one record to its name's totals, then claims the next slot and
+// publishes the record into it.
 func (r *Recorder) emit(k Kind, c Cat, n Name, lane int32, t0, dur, a0, a1 int64) {
+	tot := &r.totals[n]
+	tot.count.Add(1)
+	tot.ns.Add(dur)
 	i := int64(r.cursor.Add(1)) // 1-based sequence
 	s := &r.slots[uint64(i-1)&r.mask]
 	// Claim the slot for this writer alone (a negative seq marks it in
@@ -281,6 +298,34 @@ func (r *Recorder) emit(k Kind, c Cat, n Name, lane int32, t0, dur, a0, a1 int64
 	s.a0.Store(a0)
 	s.a1.Store(a1)
 	s.seq.Store(i)
+}
+
+// Total is one event name's exact tally over the recorder's life: how many
+// times it was emitted and the summed duration of those spans (0 for
+// instants).
+type Total struct {
+	Name    string `json:"name"`
+	Count   int64  `json:"count"`
+	TotalNS int64  `json:"total_ns"`
+}
+
+// Totals lists the names emitted at least once, in Name order.
+type Totals []Total
+
+// Totals returns the per-name totals. They cover every event ever emitted,
+// including those the ring has since overwritten. A nil recorder yields nil.
+func (r *Recorder) Totals() Totals {
+	if r == nil {
+		return nil
+	}
+	var out Totals
+	for n := Name(0); n < NumNames; n++ {
+		t := &r.totals[n]
+		if c := t.count.Load(); c != 0 {
+			out = append(out, Total{Name: n.String(), Count: c, TotalNS: t.ns.Load()})
+		}
+	}
+	return out
 }
 
 // Span is an in-flight span token. Tokens are values: they never allocate,

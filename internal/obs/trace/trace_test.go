@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +180,17 @@ func TestConcurrentWriters(t *testing.T) {
 	if got := r.Total(); got != writers*perWriter {
 		t.Fatalf("Total = %d, want %d", got, writers*perWriter)
 	}
+	// The totals count every emit, including writers that gave way to a
+	// newer record in their slot.
+	const hits = writers * ((perWriter + 2) / 3)
+	want := Totals{{Name: "pair", Count: writers*perWriter - hits}, {Name: "memo_hit", Count: hits}}
+	got := r.Totals()
+	for i := range got {
+		got[i].TotalNS = 0
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Totals = %+v, want %+v", got, want)
+	}
 	for _, e := range r.Snapshot() {
 		if e.Cat >= NumCats || e.Name >= NumNames {
 			t.Fatalf("corrupt meta in final snapshot: %+v", e)
@@ -314,19 +326,66 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCaptureWriteText renders a capture read back from its file form: the
+// spans table from the header's totals, then the timeline.
 func TestCaptureWriteText(t *testing.T) {
 	r := New(minCapacity)
 	sp := r.Begin(CatCompress, NameFinish, 12)
 	sp.End(100, 90)
 	r.Instant(CatCompress, NameWildcard, 12, 5, 1)
+	var js bytes.Buffer
+	if err := r.WriteChromeJSON(&js); err != nil {
+		t.Fatalf("WriteChromeJSON: %v", err)
+	}
+	c, err := ReadChromeJSON(&js)
+	if err != nil {
+		t.Fatalf("ReadChromeJSON: %v", err)
+	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := c.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"flight recorder: 2 events", "compress/12", "finish", "wildcard_resolve", "events=100", "executed=90"} {
+	for _, want := range []string{"flight recorder: 2 events", "spans:", "total_ms", "compress/12", "finish", "wildcard_resolve", "events=100", "executed=90"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Index(out, "spans:") > strings.Index(out, "compress/12") {
+		t.Errorf("spans table not above the timeline:\n%s", out)
+	}
+}
+
+// TestTotalsOutliveTheRing: the per-name totals count every emitted event
+// and sum every duration, however many the ring has overwritten, and they
+// survive the file form.
+func TestTotalsOutliveTheRing(t *testing.T) {
+	r := New(minCapacity)
+	const emitted = 5000
+	var wantNS int64
+	for i := int64(1); i <= emitted; i++ {
+		r.emit(KindSpan, CatMerge, NamePair, 1, i, i, 0, 0)
+		wantNS += i
+	}
+	if got := r.Drops(); got != 3976 {
+		t.Fatalf("Drops = %d, want 3976", got)
+	}
+	want := Totals{{Name: "pair", Count: emitted, TotalNS: wantNS}}
+	if got := r.Totals(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Totals = %+v, want %+v", got, want)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChromeJSON(&buf); err != nil {
+		t.Fatalf("WriteChromeJSON: %v", err)
+	}
+	c, err := ReadChromeJSON(&buf)
+	if err != nil {
+		t.Fatalf("ReadChromeJSON: %v", err)
+	}
+	if !reflect.DeepEqual(c.Totals, want) {
+		t.Fatalf("capture Totals = %+v, want %+v", c.Totals, want)
+	}
+	if (*Recorder)(nil).Totals() != nil {
+		t.Fatal("nil recorder has totals")
 	}
 }

@@ -180,14 +180,6 @@ func (c *Cursor) Next() (*trace.Event, bool) {
 // Len returns the total number of events the cursor will yield.
 func (c *Cursor) Len() int { return len(c.steps) }
 
-// Rewind resets the cursor to the start of its skeleton, so one prepared
-// cursor can feed repeated simulations (benchmarks, probes) without
-// re-resolving the rank. Each pass counts toward the sink's emission tally.
-func (c *Cursor) Rewind() {
-	c.i = 0
-	c.counted = false
-}
-
 // synthesize materializes one replayed event from a record occurrence; the
 // single definition shared by Events, EmitSkeleton, and Cursor keeps every
 // replay path byte-identical.

@@ -136,13 +136,14 @@ func Simulate(seqs [][]trace.Event, params mpisim.Params) (Result, error) {
 // workers is ignored: the simulation is one sequential sweep on the calling
 // goroutine. The parameter stays so existing callers keep compiling.
 func SimulateStreamPar(srcs []EventSource, params mpisim.Params, workers int) (Result, error) {
-	sp := obs.Attached().Start(obs.StageSimulate)
-	defer sp.End()
 	if len(srcs) == 0 {
 		return Result{}, fmt.Errorf("simmpi: no ranks")
 	}
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatSim, ftrace.NameSimulate, 0)
 	en := newEngine(srcs, params)
-	if err := en.run(); err != nil {
+	events, err := en.run()
+	tsp.End(int64(len(srcs)), events)
+	if err != nil {
 		return Result{}, err
 	}
 	return en.result(), nil
@@ -172,9 +173,10 @@ func newEngine(srcs []EventSource, params mpisim.Params) *engine {
 }
 
 // run sweeps every rank in order, each processing events until it blocks,
-// until all sources are drained or a sweep makes no progress. Each sweep is
-// reported as one sim window span and counted in sim_windows.
-func (en *engine) run() error {
+// until all sources are drained or a sweep makes no progress, and returns
+// how many events it processed. Each sweep is reported as one sim window
+// span and counted in sim_windows.
+func (en *engine) run() (events int64, err error) {
 	for {
 		wsp := obs.AttachedRecorder().Begin(ftrace.CatSim, ftrace.NameWindow, 0)
 		progressed := 0
@@ -182,7 +184,7 @@ func (en *engine) run() error {
 		for rid := range en.ranks {
 			p, err := en.advance(rid)
 			if err != nil {
-				return err
+				return events, err
 			}
 			progressed += p
 			if !en.ranks[rid].done {
@@ -194,11 +196,12 @@ func (en *engine) run() error {
 			sink.Inc(obs.SimWindows)
 			sink.Observe(obs.HistSimWindowEvents, int64(progressed))
 		}
+		events += int64(progressed)
 		if remaining == 0 {
-			return nil
+			return events, nil
 		}
 		if progressed == 0 {
-			return fmt.Errorf("simmpi: simulation stalled (mismatched trace?): %s", stallState(en.ranks))
+			return events, fmt.Errorf("simmpi: simulation stalled (mismatched trace?): %s", stallState(en.ranks))
 		}
 	}
 }

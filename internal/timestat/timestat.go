@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"repro/internal/fp"
 )
 
 // HistBuckets is the number of log₂ histogram buckets. Bucket i covers
@@ -157,13 +155,6 @@ func (s *Stat) Merge(o *Stat) {
 		}
 	}
 }
-
-// HashShape folds the stat's storage shape (histogram presence) into h. The
-// merge fingerprint covers shape, not the accumulated moments — statistics
-// are volatile payload that merging folds together, so they must not split
-// groups — but shape-mixed record pairs defer to the exhaustive comparison
-// path rather than the O(1) fingerprint match.
-func (s *Stat) HashShape(h fp.Hash) fp.Hash { return h.Bool(s.Hist != nil) }
 
 // Clone returns a deep copy.
 func (s *Stat) Clone() *Stat {

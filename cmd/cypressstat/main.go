@@ -2,8 +2,8 @@
 // ratios, rank-group fragmentation, and stride-compression health — the
 // paper's Table-3-style structural breakdown. It reads a trace file
 // cypresstrace wrote in any -format, or traces a program in-process, in which
-// case -stats can additionally report the live pipeline counters (fingerprint
-// fast-path hits, pool reuse, stage timings).
+// case -stats can additionally report the live pipeline counters (merge key
+// rejects and walks, stage timings).
 //
 // Usage:
 //
@@ -180,8 +180,8 @@ func isMPL(path string) bool {
 }
 
 // traceInProcess compiles and traces src in this process, so the
-// compression-side counters (compressor intake, stride runs, merge
-// fingerprint hits) are live in the -stats report.
+// compression-side counters (compressor intake, stride runs, merge key
+// rejects and walks) are live in the -stats report.
 func traceInProcess(src string, procs int) *cypress.Result {
 	prog, err := cypress.Compile(src)
 	if err != nil {

@@ -93,6 +93,14 @@ var deletedNames = []struct {
 		why:     "dead exported methods",
 		pattern: regexp.MustCompile(`\bRewind\(|\bNowNS\(|\bHashShape\(|\bVirtualExit\b|\bTermCount\(`),
 	},
+	{
+		// One merge decision: an unequal invariant key says no, compatible()
+		// says yes. The rel/abs fingerprints, the whole-tree span, their fast
+		// paths, the toggle that switched them off and their counters are
+		// gone.
+		why:     "fingerprint merge fast paths",
+		pattern: regexp.MustCompile(`FingerprintRel|FingerprintAbs|SpanRel|HashRel|HashAbs|fingerprintEnabled|pairFast|unifyFast|refreshSummary|MergeFPRelHits|MergeTreeFastHits|PairPath`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

@@ -129,11 +129,6 @@ type VData struct {
 	// a record costs one heap allocation per chunk instead of three per
 	// record (record + two stats) as the pointer-per-record layout did.
 	slab recordSlab
-	// fpc memoizes FingerprintRel (see FingerprintRelCached). Valid only
-	// while fpcOK; the merge invalidates it on mutations that change the
-	// fingerprint (RelUnsafe poisoning).
-	fpc   fp.Hash
-	fpcOK bool
 	// keyOK marks key as the memoized InvariantKey (see InvariantKeyCached).
 	// Nothing the merge does changes that key, so it is never invalidated.
 	keyOK bool
@@ -206,9 +201,6 @@ type RankCTT struct {
 	// Executed counts vertices holding dynamic data, precomputed at Finish
 	// so the inter-process merge can size its slabs without rescanning.
 	Executed int
-	// span memoizes SpanRel (valid while spanOK).
-	span   fp.Hash
-	spanOK bool
 }
 
 // SizeBytes estimates the serialized footprint of the whole rank CTT

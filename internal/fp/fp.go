@@ -1,16 +1,16 @@
-// Package fp implements the 64-bit structural fingerprint fold used by the
-// inter-process merge (hash-consing of vertex data): a splitmix64-style
-// pre-mix of each word followed by an FNV-1a-style combine. The pre-mix
-// spreads the small integers that dominate trace data (ranks, tags, sizes,
-// run counts) across the whole word before combining, so sequences differing
-// only in low bits still diverge across the full 64-bit state.
+// Package fp implements the 64-bit structural fingerprint fold behind the
+// merge's invariant key, the replay shape key and the corpus class and
+// content keys: a splitmix64-style pre-mix of each word followed by an
+// FNV-1a-style combine. The pre-mix spreads the small integers that dominate
+// trace data (ranks, tags, sizes, run counts) across the whole word before
+// combining, so sequences differing only in low bits still diverge across the
+// full 64-bit state.
 //
-// Fingerprint equality is used as a stand-in for structural equality during
-// merging: two different canonical streams collide with probability ~2^-64
-// per comparison, and every fast-path use additionally guards on O(1) shape
-// counters (record/run/cycle counts), so a silent collision requires both a
-// 64-bit hash collision and identical shape. See DESIGN.md ("Fingerprint
-// merge") for the losslessness argument.
+// No consumer takes fingerprint equality for structural equality: an unequal
+// merge key proves two payloads incompatible and an equal one only sends the
+// pair to the record walk (DESIGN.md "Keyed merge"), a shape key routes and
+// an element-wise compare confirms, and corpus ingest checks every
+// reconstruction byte for byte.
 package fp
 
 import "encoding/binary"

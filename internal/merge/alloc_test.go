@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ctt"
 	"repro/internal/obs"
@@ -89,36 +90,51 @@ func TestMergeAllSteadyStateAllocsObserved(t *testing.T) {
 	}
 }
 
-// TestPairFingerprintFastPathAllocs drives the whole-tree fingerprint fast
-// path directly: two halves whose rank trees have equal relative spans must
-// merge via the span guard, which only appends rank runs to the left operand's
-// existing entries. The interior ranks of the jacobi stencil are structurally
-// identical, so pairs drawn from them hit the fast path on every vertex.
-func TestPairFingerprintFastPathAllocs(t *testing.T) {
+// TestPairUniformSteadyStateAllocs drives the uniform case directly: two
+// one-rank trees whose every vertex merges, so the pair only walks each
+// payload pair, folds its statistics and appends rank runs to the left
+// operand's existing entries. The interior ranks of the jacobi stencil are
+// structurally identical, so pairs drawn from them merge at every vertex.
+func TestPairUniformSteadyStateAllocs(t *testing.T) {
 	_, ctts, _ := collect(t, jacobiSrc, 16)
-	// Warm pass rel-encodes the leaves so fingerprints are in steady state.
+	// Warm pass rel-encodes the leaves, the steady state above level 0.
 	if _, err := All(ctts, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Interior ranks 3..12: identical control flow and relative peers.
-	x := &leafCtx{ctts: ctts}
+	x := &leafCtx{ctts: ctts, keyOn: true}
 	step := func() {
 		left := x.durableLeaf(5)
 		right := x.scratchLeaf(6)
-		if !left.treeOK || !right.treeOK || left.treeRel != right.treeRel {
-			t.Fatal("interior ranks should share a whole-tree fingerprint")
-		}
-		if _, err := x.pair(left, right); err != nil {
+		m, err := x.pair(left, right)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if m.GroupCount() != executedCount(ctts[5]) {
+			t.Fatalf("%d groups after the pair, want %d: interior ranks should merge at every vertex",
+				m.GroupCount(), executedCount(ctts[5]))
 		}
 	}
 	step()
 	allocs := testing.AllocsPerRun(200, step)
 	// Steady state: the durable left leaf comes out of the chunked slabs
 	// (amortized ~3 allocs/op at chunk 64), the scratch right leaf is
-	// recycled, and the fast-path pair itself allocates nothing.
+	// recycled, and the pair itself allocates nothing.
 	if allocs > 8 {
-		t.Errorf("fingerprint fast-path pair allocates %.1f allocs/op, want <= 8", allocs)
+		t.Errorf("uniform pair allocates %.1f allocs/op, want <= 8", allocs)
+	}
+}
+
+// TestEntrySize pins Entry at three words on 64-bit platforms: rank set,
+// payload, and the ownership bit beside the lazy slot. Every decode
+// allocates every entry of the tree, so its size shows in alloc_mb_per_op;
+// per-payload memos (the invariant key) belong on ctt.VData instead.
+func TestEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want 24", got)
 	}
 }
 
@@ -140,15 +156,14 @@ func TestPairFragmentedSteadyStateAllocs(t *testing.T) {
 				PeerRel: 1, Count: 10,
 				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev),
 			}}}
-			es[i] = Entry{Ranks: rankset.Single(rank0 + i), Data: d, owns: true,
-				fpRel: d.FingerprintRelCached(), fpOK: true}
+			es[i] = Entry{Ranks: rankset.Single(rank0 + i), Data: d, owns: true}
 		}
 		return es
 	}
 	left := append(make([]Entry, 0, nl+nr), entries(nl, 0, 1000)...)
 	a := &Merged{Entries: [][]Entry{nil}}
 	b := &Merged{Entries: [][]Entry{entries(nr, nl, 2000)}, NumRanks: nr}
-	x := &leafCtx{}
+	x := &leafCtx{keyOn: true}
 	step := func() {
 		a.Entries[0], a.NumRanks = left, nl
 		m, err := x.pair(a, b)

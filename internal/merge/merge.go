@@ -9,20 +9,12 @@
 // ranks inside point-to-point records are unified with the relative ranking
 // encoding (current rank ± constant) whenever absolute peers differ.
 //
-// The reduction is fingerprint-accelerated (hash-consing of vertex data, see
-// DESIGN.md "Fingerprint merge"): each entry caches two 64-bit structural
-// fingerprints of its payload, one per unification encoding, so compatible
-// payloads — the overwhelmingly common SPMD case — are recognized in O(1)
-// instead of walking every record. Fingerprint equality plus O(1) shape
-// guards implies the exhaustive walk would succeed with identical per-record
-// decisions; a mismatch falls back to the walk, so fingerprinting never
-// changes grouping, only the cost of discovering it. A third hash, the
-// encoding-invariant key, works the other way round: unequal keys prove two
-// payloads incompatible, so a vertex with many rank groups indexes its left
+// Every merge decision is two steps (see DESIGN.md "Keyed merge"): unequal
+// encoding-invariant keys prove two payloads incompatible; otherwise the
+// record walk compatible() decides, and unify folds. The key can only say
+// no, so the merge is exact. A vertex with many rank groups indexes its left
 // entries by key and a right entry probes only the ones that share its own
-// (see entryLists), instead of walking every group. Whole trees carry a
-// span fingerprint over their entry fingerprints, letting a reduction step
-// over two uniform trees skip even the per-vertex compatibility checks.
+// (see entryLists), instead of walking every group.
 package merge
 
 import (
@@ -41,31 +33,11 @@ import (
 	"repro/internal/timestat"
 )
 
-// fingerprintEnabled gates the fingerprint fast paths. It exists so the
-// equivalence tests can force the exhaustive path and compare outputs; the
-// fast paths are otherwise always on. Toggling it between FromRank and Pair
-// calls over the same trees is not supported (entries built while disabled
-// carry no fingerprints and permanently use the exhaustive path).
-var fingerprintEnabled = true
-
 // Entry is one rank-group's data for a vertex: every rank in Ranks produced
 // exactly this data (paper Figure 13's "<p0,p1: k>" annotations).
 type Entry struct {
 	Ranks *rankset.Set
 	Data  *ctt.VData
-
-	// Fingerprint cache (see DESIGN.md "Fingerprint merge"). fpRel/fpAbs are
-	// the payload's structural fingerprints under the relative and absolute
-	// unification encodings; they are recomputed incrementally — only when a
-	// merge actually changes a record's encoding class — not per comparison.
-	// fpAbs is computed lazily on the first relative-fingerprint mismatch:
-	// identical-SPMD reductions never need it, and it would otherwise double
-	// the leaf fingerprinting cost.
-	fpRel   fp.Hash
-	fpAbs   fp.Hash
-	fpOK    bool // fpRel computed (false for decoded trees)
-	absDone bool // fpAbs/absOK computed
-	absOK   bool // fpAbs valid: no plain p2p record has been rel-encoded
 	// owns marks that Ranks storage belongs exclusively to this entry and may
 	// be extended in place. FromRank shares one Set across all vertices of a
 	// rank, so entries start not owning; the first union copies.
@@ -88,18 +60,6 @@ type Merged struct {
 	Entries [][]Entry
 	// EventCount is the total number of MPI events across all ranks.
 	EventCount int64
-
-	// treeRel spans the per-entry relative fingerprints of the whole tree
-	// (per vertex: entry count, then each entry's fpRel). Two uniform trees
-	// with equal spans merge without any per-vertex comparisons. treeOK is
-	// false when the span is stale or entries lack fingerprints.
-	treeRel fp.Hash
-	treeOK  bool
-	// uniform reports at most one entry per vertex, the precondition for the
-	// whole-tree fast path (positional pairing equals scan-order pairing).
-	uniform bool
-	// groups caches GroupCount as an O(1) shape guard for the span compare.
-	groups int
 	// lazy, when non-nil, holds the retained encoding and the byte ranges of
 	// the payload sections a selective decode skipped (see DecodeSelectAuto).
 	lazy *lazyPayloads
@@ -147,7 +107,6 @@ func (m *Merged) initFromRank(c *ctt.RankCTT, lists [][]Entry, backing []Entry, 
 		Entries:    lists,
 		EventCount: c.EventCount,
 	}
-	fpOn := fingerprintEnabled
 	k := 0
 	for gid := range c.Data {
 		d := &c.Data[gid]
@@ -162,21 +121,9 @@ func (m *Merged) initFromRank(c *ctt.RankCTT, lists [][]Entry, backing []Entry, 
 			sets[k].InitSingle(c.Rank)
 		}
 		*e = Entry{Ranks: &sets[k], Data: d, owns: true}
-		if fpOn {
-			e.fpRel = d.FingerprintRelCached()
-			e.fpOK = true
-		}
 		m.Entries[gid] = backing[k : k+1 : k+1]
 		k++
 	}
-	if fpOn {
-		// The rank tree's memoized span matches refreshSummary's schema
-		// (vertex id, entry count, entry fingerprint per executed vertex).
-		m.treeRel = c.SpanRel()
-	}
-	m.treeOK = fpOn
-	m.uniform = true
-	m.groups = k
 }
 
 // slabChunk is the number of ranks whose durable leaf trees share one set of
@@ -192,18 +139,19 @@ const slabChunk = 64
 // depth-first recursion reaches them. Left-hand leaves — the accumulators
 // that survive as the left spine — are carved durably out of chunked slabs.
 // Right-hand leaves are consumed by the very next Pair and almost never leave
-// anything behind (the fast path copies rank-set values and folds statistics
+// anything behind (a merged entry copies rank-set values and folds statistics
 // by value), so they are all built into one recycled scratch tree; only when
-// a Pair's exhaustive fallback copies an unmergeable scratch entry — whose
-// rank-set pointer then survives inside the left tree — is the scratch
-// retired and reallocated. This halves leaf storage: the dominant term in the
-// reduction's allocation footprint.
+// a Pair appends an unmergeable scratch entry — whose rank-set pointer then
+// survives inside the left tree — is the scratch retired and reallocated.
+// This halves leaf storage: the dominant term in the reduction's allocation
+// footprint.
 //
 // A leafCtx is single-goroutine state: the parallel reduction hands each
 // spawned lane its own.
 type leafCtx struct {
 	ctts  []*ctt.RankCTT
 	noRel bool
+	keyOn bool // see mergeState.keyOn
 
 	// Durable slab cursors, refilled a chunk at a time.
 	merged  []Merged
@@ -276,7 +224,7 @@ func (x *leafCtx) scratchLeaf(i int) *Merged {
 // pair merges b into a, retiring the scratch tree when an unmergeable
 // scratch entry escaped into the survivor.
 func (x *leafCtx) pair(a, b *Merged) (*Merged, error) {
-	m, escaped, err := pairEsc(a, b, &x.probe)
+	m, escaped, err := pairEsc(a, b, &x.probe, x.keyOn)
 	if escaped && b == x.scratch {
 		x.scratch = nil
 		obs.Attached().Inc(obs.MergeScratchRetires)
@@ -284,49 +232,19 @@ func (x *leafCtx) pair(a, b *Merged) (*Merged, error) {
 	return m, err
 }
 
-// refreshSummary recomputes the whole-tree span and shape guards from the
-// cached entry fingerprints. O(vertices + groups); called only after a merge
-// step that changed the entry structure.
-func (m *Merged) refreshSummary() {
-	h := fp.New()
-	ok := true
-	uniform := true
-	groups := 0
-	for gid, es := range m.Entries {
-		if len(es) == 0 {
-			continue
-		}
-		h = h.Word(uint64(gid)).Word(uint64(len(es)))
-		if len(es) > 1 {
-			uniform = false
-		}
-		groups += len(es)
-		for i := range es {
-			if !es[i].fpOK {
-				ok = false
-			}
-			h = h.Word(uint64(es[i].fpRel))
-		}
-	}
-	m.treeRel = h
-	m.treeOK = ok
-	m.uniform = uniform
-	m.groups = groups
-}
-
 // Pair merges b into a and returns a. Both operands are consumed: the
 // result aliases and mutates their data. Trees must be identical (SPMD).
 func Pair(a, b *Merged) (*Merged, error) {
-	m, _, err := pairEsc(a, b, new(probeScratch))
+	m, _, err := pairEsc(a, b, new(probeScratch), true)
 	return m, err
 }
 
 // pairEsc is Pair, additionally reporting whether any of b's entries escaped
-// into the survivor (an unmergeable entry copied by the exhaustive fallback,
-// whose rank-set pointer then stays reachable from a). The reduction uses
-// this to decide whether b's scratch storage is safe to recycle. sc is
-// working storage the caller may hand to its next Pair.
-func pairEsc(a, b *Merged, sc *probeScratch) (_ *Merged, escaped bool, _ error) {
+// into the survivor (an unmergeable entry appended to a's list, whose
+// rank-set pointer then stays reachable from a). The reduction uses this to
+// decide whether b's scratch storage is safe to recycle. sc is working
+// storage the caller may hand to its next Pair; keyOn is mergeState.keyOn.
+func pairEsc(a, b *Merged, sc *probeScratch, keyOn bool) (_ *Merged, escaped bool, _ error) {
 	if a.TreeHash != b.TreeHash {
 		return nil, false, fmt.Errorf("merge: CST hash mismatch: %x vs %x", a.TreeHash, b.TreeHash)
 	}
@@ -343,35 +261,17 @@ func pairEsc(a, b *Merged, sc *probeScratch) (_ *Merged, escaped bool, _ error) 
 	}
 	noRel := a.noRel || b.noRel
 	a.noRel = noRel
-	st := mergeState{noRel: noRel, fpOn: fingerprintEnabled && !noRel, keyOn: fingerprintEnabled, sc: sc}
+	st := mergeState{noRel: noRel, keyOn: keyOn, sc: sc}
 	obs.Attached().Inc(obs.MergePairs)
 	ranks := a.NumRanks + b.NumRanks
 	// Lane = reduction depth (log2 of the merged span), so Perfetto renders
 	// the reduction tree as one swimlane per level.
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NamePair, int32(bits.Len(uint(ranks))-1))
-	treeFast := st.fpOn && a.uniform && b.uniform && a.treeOK && b.treeOK &&
-		a.treeRel == b.treeRel && a.groups == b.groups
-	if treeFast {
-		obs.Attached().Inc(obs.MergeTreeFastHits)
-		st.pairFast(a, b)
-	} else {
-		st.dirty = true
-		for gid := range a.Entries {
-			a.Entries[gid] = st.entryLists(a.Entries[gid], b.Entries[gid])
-		}
+	for gid := range a.Entries {
+		a.Entries[gid] = st.entryLists(a.Entries[gid], b.Entries[gid])
 	}
 	st.flush()
-	path := int64(ftrace.PairPathWalk)
-	switch {
-	case treeFast:
-		path = ftrace.PairPathTreeFast
-	case st.walks == 0:
-		path = ftrace.PairPathFP
-	}
-	tsp.End(int64(ranks), path)
-	if st.dirty {
-		a.refreshSummary()
-	}
+	tsp.End(int64(ranks), st.walkRejects)
 	a.NumRanks += b.NumRanks
 	a.EventCount += b.EventCount
 	return a, st.escaped, nil
@@ -381,24 +281,21 @@ func pairEsc(a, b *Merged, sc *probeScratch) (_ *Merged, escaped bool, _ error) 
 // longer-lived scratch behind it.
 type mergeState struct {
 	noRel bool
-	fpOn  bool
 	// keyOn lets key inequality reject a probe, one at a time in tryMerge
-	// and wholesale through entryLists' index. It follows fingerprintEnabled
-	// alone — the key holds under noRel too — so the exhaustive reference
-	// bypasses it together with the fingerprints.
+	// and wholesale through entryLists' index. Every merge entry point sets
+	// it (the key holds under noRel too); with it off, every probe is a walk,
+	// which is the scan the tests hold the keyed probe to.
 	keyOn   bool
-	dirty   bool // entry structure changed; whole-tree span needs refresh
 	escaped bool // an entry of b was copied into a (see pairEsc)
 	sc      *probeScratch
 
 	// Per-Pair observation tallies, accumulated in plain fields on the hot
 	// entry loops and flushed to the attached sink once per Pair (see obs.go).
-	fpRelHits  int64 // relative-fingerprint fast-path unifications
-	fpAbsHits  int64 // absolute-fingerprint fast-path unifications
-	keyRejects int64 // probes settled by key inequality, made or skipped by the index
-	walks      int64 // comparisons that fell back to the exhaustive walk
-	unmerged   int64 // right entries appended unmerged (new rank group)
-	poisonings int64 // records poisoned RelUnsafe by an absolute unification
+	keyRejects  int64 // probes settled by key inequality, made or skipped by the index
+	walks       int64 // compatible() calls
+	walkRejects int64 // walks compatible() refused
+	unmerged    int64 // right entries appended unmerged (new rank group)
+	poisonings  int64 // records poisoned RelUnsafe by an absolute unification
 }
 
 // indexMin is the left-list length from which entryLists probes through the
@@ -410,9 +307,9 @@ type mergeState struct {
 // / 3.6; LU-128 never has eight groups at a vertex and stays on the scan.
 const indexMin = 8
 
-// probeScratch is entryLists' working storage: the rel buffer of the
-// exhaustive walk and the key index of the vertex being merged. One per
-// reduction lane (leafCtx), so a steady-state Pair allocates none of it.
+// probeScratch is entryLists' working storage: the rel buffer of the walk
+// and the key index of the vertex being merged. One per reduction lane
+// (leafCtx), so a steady-state Pair allocates none of it.
 type probeScratch struct {
 	relBuf []bool
 	// chains maps a key to the first and last left index carrying it; next
@@ -459,44 +356,14 @@ func (sc *probeScratch) first(key fp.Hash) int32 {
 	return -1
 }
 
-// pairFast merges two uniform trees whose span fingerprints matched. Every
-// vertex is expected to hit the O(1) fast path; a vertex that does not
-// (possible only under a 64-bit span collision) falls back to the exhaustive
-// list merge, preserving correctness.
-func (st *mergeState) pairFast(a, b *Merged) {
-	for gid := range a.Entries {
-		la, lb := a.Entries[gid], b.Entries[gid]
-		if len(lb) == 0 {
-			continue
-		}
-		if len(la) == 1 && len(lb) == 1 {
-			ea, eb := &la[0], &lb[0]
-			// The whole-tree span compare already guarded on the total group
-			// count, so the per-entry shape guard is redundant here; the
-			// entry fingerprint alone decides.
-			if ea.fpRel == eb.fpRel {
-				if unifyFastRel(ea.Data, eb.Data) {
-					ea.invalidateAbs()
-				}
-				mergeRanks(ea, eb)
-				st.fpRelHits++
-				continue
-			}
-		}
-		a.Entries[gid] = st.entryLists(la, lb)
-		st.dirty = true
-	}
-}
-
 // entryLists folds right-hand entries into the left-hand list, unifying
 // rank groups whose data is compatible. Left entries are probed in order and
-// the first compatible one wins, exactly as the exhaustive-only merge did.
-// From indexMin left entries on, a right entry probes only the left entries
-// that share its invariant key: every entry the index leaves out has an
-// unequal key and so would have been rejected, which makes the winner, each
-// rel/abs/poison decision and the output bytes those of the full scan. The
-// entries left out are tallied as key rejects, so hits, rejects and walks
-// still add up to the probes the scan would have made.
+// the first compatible one wins. From indexMin left entries on, a right entry
+// probes only the left entries that share its invariant key: every entry the
+// index leaves out has an unequal key and so would have been rejected, which
+// makes the winner, each rel/abs/poison decision and the output bytes those
+// of the full scan. The entries left out are tallied as key rejects, so
+// rejects and walks still add up to the probes the scan would have made.
 func (st *mergeState) entryLists(left, right []Entry) []Entry {
 	sc := st.sc
 	indexed := false
@@ -541,83 +408,25 @@ func (st *mergeState) entryLists(left, right []Entry) []Entry {
 	return left
 }
 
-// shapeEq is the O(1) shape guard accompanying every fingerprint compare:
-// a silent fingerprint collision must also exhibit identical record, cycle,
-// and control-vector counts to be accepted (see DESIGN.md).
-func shapeEq(a, b *ctt.VData) bool {
-	return len(a.Records) == len(b.Records) && len(a.Cycles) == len(b.Cycles) &&
-		a.Counts.Len() == b.Counts.Len() && a.Taken.Len() == b.Taken.Len()
-}
-
 // tryMerge unifies re into le when their payloads are compatible, reporting
-// whether it did. Three outcomes: fingerprint equality takes the O(1) fast
-// paths; key inequality proves the payloads incompatible; anything else
-// falls back to the exhaustive walk. The merge decision is always exactly
-// the one compatible() would make.
+// whether it did: unequal keys prove them incompatible, and otherwise the
+// walk decides.
 func (st *mergeState) tryMerge(le, re *Entry) bool {
-	fast := st.fpOn && le.fpOK && re.fpOK && shapeEq(le.Data, re.Data)
-	if fast && le.fpRel == re.fpRel {
-		if unifyFastRel(le.Data, re.Data) {
-			le.invalidateAbs()
-		}
-		mergeRanks(le, re)
-		st.fpRelHits++
-		return true
-	}
-	// Ahead of the absolute fingerprints, which a rejected pair need not hash.
 	if st.keyOn && le.Data.InvariantKeyCached() != re.Data.InvariantKeyCached() {
 		st.keyRejects++
 		return false
 	}
-	if fast {
-		le.ensureAbs()
-		re.ensureAbs()
-		if le.absOK && re.absOK && le.fpAbs == re.fpAbs {
-			if unifyFastAbs(le.Data, re.Data) {
-				// Poisoned records changed class; recompute the stale
-				// relative fingerprint (absolute peers are unchanged).
-				le.Data.InvalidateFingerprint()
-				le.fpRel = le.Data.FingerprintRelCached()
-				st.poisonings++
-			}
-			mergeRanks(le, re)
-			st.fpAbsHits++
-			return true
-		}
-	}
 	st.walks++
 	rel, ok := st.compatible(le.Data, re.Data)
 	if !ok {
+		st.walkRejects++
 		return false
 	}
-	poisoned, relSet := unify(le.Data, re.Data, rel)
-	if relSet {
-		le.invalidateAbs()
-	}
-	if poisoned {
+	if unify(le.Data, re.Data, rel) {
 		st.poisonings++
-		if st.fpOn && le.fpOK {
-			le.Data.InvalidateFingerprint()
-			le.fpRel = le.Data.FingerprintRelCached()
-		}
 	}
 	mergeRanks(le, re)
 	return true
-}
-
-// ensureAbs computes the entry's absolute fingerprint on first use.
-func (e *Entry) ensureAbs() {
-	if !e.absDone {
-		e.fpAbs, e.absOK = e.Data.FingerprintAbs()
-		e.absDone = true
-	}
-}
-
-// invalidateAbs marks the absolute fingerprint stale after a record was
-// rel-encoded (its absolute peer no longer identifies the group).
-func (e *Entry) invalidateAbs() {
-	e.absDone = true
-	e.absOK = false
 }
 
 // mergeRanks extends le's rank set with re's. The reduction always merges a
@@ -631,58 +440,6 @@ func mergeRanks(le, re *Entry) {
 	}
 	le.Ranks = rankset.Union(le.Ranks, re.Ranks)
 	le.owns = true
-}
-
-// unifyFastRel applies the relative-encoding unification to a payload pair
-// whose relative fingerprints matched, mirroring unify()'s flag discipline
-// per encoding class, and folds b's time statistics into a. It reports
-// whether a plain p2p record became rel-encoded (invalidating fpAbs).
-func unifyFastRel(a, b *ctt.VData) (absInvalid bool) {
-	rb := b.Records
-	for i, r := range a.Records {
-		o := rb[i]
-		// Records already rel-encoded by an earlier reduction level — the
-		// steady state from level 1 up — need no class decision at all.
-		if !r.RelEncoded {
-			switch {
-			case r.Peers != nil:
-				// Peer-pattern records rel-unify (offsets are rank-relative).
-				r.RelEncoded = true
-			case r.Ev.Op.IsPointToPoint() && !r.RelUnsafe:
-				// Plain: equal PeerRel, rel-unify.
-				r.RelEncoded = true
-				absInvalid = true
-				// RelUnsafe records matched on absolute peer: no change.
-				// Collectives matched on absolute peer: no change.
-			}
-		}
-		r.Time.Merge(&o.Time)
-		r.Compute.Merge(&o.Compute)
-	}
-	return absInvalid
-}
-
-// unifyFastAbs applies the absolute-encoding unification to a payload pair
-// whose absolute fingerprints matched: patterns still rel-unify, plain p2p
-// records keep their absolute peer but are poisoned RelUnsafe when their
-// relative encodings disagree (the surviving PeerRel would be stale for the
-// widened group). Reports whether any record was poisoned.
-func unifyFastAbs(a, b *ctt.VData) (poisoned bool) {
-	rb := b.Records
-	for i, r := range a.Records {
-		o := rb[i]
-		if r.Peers != nil {
-			r.RelEncoded = true
-		} else if r.Ev.Op.IsPointToPoint() && !r.RelUnsafe {
-			if o.RelUnsafe || r.PeerRel != o.PeerRel {
-				r.RelUnsafe = true
-				poisoned = true
-			}
-		}
-		r.Time.Merge(&o.Time)
-		r.Compute.Merge(&o.Compute)
-	}
-	return poisoned
 }
 
 // compatible reports whether two vertex-data payloads are mergeable, and for
@@ -766,15 +523,11 @@ func recordCompatible(a, b *ctt.CommRecord, noRel bool) (rel, ok bool) {
 // relative encoding where needed. Records that unify absolutely despite
 // disagreeing relative encodings are poisoned RelUnsafe (their PeerRel is
 // stale for the widened group; see recordCompatible). It reports whether any
-// record was poisoned and whether any plain p2p record became rel-encoded,
-// so the caller can refresh the entry's fingerprint cache incrementally.
-func unify(a, b *ctt.VData, rel []bool) (poisoned, relSet bool) {
+// record was poisoned.
+func unify(a, b *ctt.VData, rel []bool) (poisoned bool) {
 	for i := range a.Records {
 		ra, rb := a.Records[i], b.Records[i]
 		if rel[i] {
-			if !ra.RelEncoded && ra.Peers == nil {
-				relSet = true
-			}
 			ra.RelEncoded = true
 		} else if ra.Ev.Op.IsPointToPoint() && ra.Peers == nil && !ra.RelUnsafe {
 			if rb.RelUnsafe || ra.PeerRel != rb.PeerRel {
@@ -785,24 +538,22 @@ func unify(a, b *ctt.VData, rel []bool) (poisoned, relSet bool) {
 		ra.Time.Merge(&rb.Time)
 		ra.Compute.Merge(&rb.Compute)
 	}
-	return poisoned, relSet
+	return poisoned
 }
 
 // AllNoRelative is All with the relative-ranking encoding disabled, for the
 // ablation benchmark quantifying how much that encoding contributes. It uses
 // the same parallel binary reduction as All, so the ablation isolates the
-// encoding's effect rather than also changing the merge schedule. (The
-// fingerprint fast paths are also bypassed: they encode the relative-first
-// unification policy, which is exactly what this ablation removes.)
+// encoding's effect rather than also changing the merge schedule.
 func AllNoRelative(ctts []*ctt.RankCTT, workers int) (*Merged, error) {
-	return all(ctts, workers, true)
+	return all(ctts, workers, true, true)
 }
 
 // All merges the per-rank trees of a job into one tree using a parallel
 // binary reduction (paper: "We can use a parallel algorithm to merge all the
 // CTTs", giving O(n log P)). workers <= 0 uses GOMAXPROCS.
 func All(ctts []*ctt.RankCTT, workers int) (*Merged, error) {
-	return all(ctts, workers, false)
+	return all(ctts, workers, false, true)
 }
 
 // all is the shared reduction behind All and AllNoRelative. A bounded
@@ -815,8 +566,9 @@ func All(ctts []*ctt.RankCTT, workers int) (*Merged, error) {
 // die young instead of sitting in an up-front array until the reduction
 // passes them. Each spawned goroutine gets its own leafCtx; the recursion's
 // in-order schedule guarantees a lane's scratch leaf is consumed by the very
-// next Pair on that lane before another scratch leaf is built.
-func all(ctts []*ctt.RankCTT, workers int, noRel bool) (*Merged, error) {
+// next Pair on that lane before another scratch leaf is built. keyOn is
+// mergeState.keyOn.
+func all(ctts []*ctt.RankCTT, workers int, noRel, keyOn bool) (*Merged, error) {
 	if len(ctts) == 0 {
 		return nil, fmt.Errorf("merge: no trees")
 	}
@@ -843,7 +595,7 @@ func all(ctts []*ctt.RankCTT, workers int, noRel bool) (*Merged, error) {
 				go func() {
 					defer wg.Done()
 					defer func() { <-sem }()
-					left, lerr = reduce(&leafCtx{ctts: ctts, noRel: noRel}, lo, mid, false)
+					left, lerr = reduce(&leafCtx{ctts: ctts, noRel: noRel, keyOn: keyOn}, lo, mid, false)
 				}()
 			default:
 				left, lerr = reduce(x, lo, mid, false)
@@ -865,13 +617,16 @@ func all(ctts []*ctt.RankCTT, workers int, noRel bool) (*Merged, error) {
 		return x.pair(left, right)
 	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NameReduce, 0)
-	m, err := reduce(&leafCtx{ctts: ctts, noRel: noRel}, 0, len(ctts), false)
+	m, err := reduce(&leafCtx{ctts: ctts, noRel: noRel, keyOn: keyOn}, 0, len(ctts), false)
 	tsp.End(int64(len(ctts)), int64(workers))
 	return m, err
 }
 
 // Serial merges without parallelism, for the ablation benchmark.
-func Serial(ctts []*ctt.RankCTT) (*Merged, error) {
+func Serial(ctts []*ctt.RankCTT) (*Merged, error) { return serial(ctts, true) }
+
+// serial is Serial with mergeState.keyOn as a parameter.
+func serial(ctts []*ctt.RankCTT, keyOn bool) (*Merged, error) {
 	if len(ctts) == 0 {
 		return nil, fmt.Errorf("merge: no trees")
 	}
@@ -879,7 +634,7 @@ func Serial(ctts []*ctt.RankCTT) (*Merged, error) {
 	var sc probeScratch
 	for _, c := range ctts[1:] {
 		var err error
-		acc, _, err = pairEsc(acc, FromRank(c), &sc)
+		acc, _, err = pairEsc(acc, FromRank(c), &sc, keyOn)
 		if err != nil {
 			return nil, err
 		}

@@ -37,9 +37,8 @@ func main() {
 
 // ringCTTs builds n per-rank CTTs by driving each compressor directly with a
 // synthetic wraparound-ring event stream — no simulator, so streaming tests
-// scale to 1024 ranks in milliseconds. Unlike directDriveCTTs it emits
-// MPI_Init/Finalize events (replay expects them on the root's record list)
-// and keeps iteration counts uniform so the trace is simulatable.
+// scale to 1024 ranks in milliseconds. Unlike directDriveCTTs it keeps
+// iteration counts uniform so the trace is simulatable.
 func ringCTTs(t testing.TB, n, iters int) []*ctt.RankCTT {
 	t.Helper()
 	prog, err := lang.Parse(ringSrcStream)

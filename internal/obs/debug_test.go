@@ -135,7 +135,7 @@ func TestCaptureDebugAddrServesLiveTrace(t *testing.T) {
 		t.Fatalf("no debug address on stderr: %q", stderr.String())
 	}
 	base := "http://" + strings.TrimSuffix(addr, "/debug/pprof/")
-	AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NamePair, 1).End(2, ftrace.PairPathFP)
+	AttachedRecorder().Begin(ftrace.CatMerge, ftrace.NamePair, 1).End(2, 0)
 
 	resp, err := http.Get(base + "/debug/cypress/trace?sec=0")
 	if err != nil {

@@ -51,11 +51,9 @@ const (
 
 	// Inter-process merge reduction (internal/merge).
 	MergePairs           // Pair invocations
-	MergeTreeFastHits    // whole-tree span fast-path pairs
-	MergeFPRelHits       // per-entry relative-fingerprint fast-path unifications
-	MergeFPAbsHits       // per-entry absolute-fingerprint fast-path unifications
 	MergeKeyRejects      // entry comparisons settled by invariant-key inequality (proven incompatible)
-	MergeExhaustiveWalks // entry comparisons that fell back to the full walk
+	MergeWalks           // entry comparisons the record walk (compatible) decided
+	MergeWalkRejects     // of which: walks that refused the pair
 	MergeEntriesUnmerged // right-hand entries appended unmerged (new rank group)
 	MergePoisonings      // abs-merge RelUnsafe poisonings
 	MergeScratchReuses   // recycled right-leaf scratch trees served
@@ -137,11 +135,9 @@ var counterNames = [NumCounters]string{
 	StrideBytesSaved:     "stride_bytes_saved",
 	StrideIncompressible: "stride_incompressible_vectors",
 	MergePairs:           "merge_pairs",
-	MergeTreeFastHits:    "merge_tree_fast_hits",
-	MergeFPRelHits:       "merge_fp_rel_hits",
-	MergeFPAbsHits:       "merge_fp_abs_hits",
 	MergeKeyRejects:      "merge_key_rejects",
-	MergeExhaustiveWalks: "merge_exhaustive_walks",
+	MergeWalks:           "merge_walks",
+	MergeWalkRejects:     "merge_walk_rejects",
 	MergeEntriesUnmerged: "merge_entries_unmerged",
 	MergePoisonings:      "merge_abs_poisonings",
 	MergeScratchReuses:   "merge_scratch_reuses",

@@ -90,8 +90,8 @@ func TestReportContents(t *testing.T) {
 	s.Add(CompEvents, 100)
 	s.Add(CompMergeHits, 90)
 	s.Add(CompNewRecords, 10)
-	s.Add(MergeFPRelHits, 30)
-	s.Add(MergeExhaustiveWalks, 10)
+	s.Add(MergeWalks, 40)
+	s.Add(MergeWalkRejects, 10)
 	s.Add(MergeKeyRejects, 40)
 	s.SetMax(SimPendingPeak, 2)
 	s.SetMax(SimPendingPeak, 1)
@@ -121,10 +121,8 @@ func TestReportContents(t *testing.T) {
 	if got := r.Rates["comp_fold_rate"]; got != 0.9 {
 		t.Errorf("comp_fold_rate = %v, want 0.9", got)
 	}
-	// Hits, key rejects and walks share one denominator: all probes.
-	if got := r.Rates["merge_fp_fast_rate"]; got != 0.375 {
-		t.Errorf("merge_fp_fast_rate = %v, want 0.375", got)
-	}
+	// Key rejects and walks share one denominator: all probes. Walk
+	// rejects are a share of the walks, not a third kind of probe.
 	if got := r.Rates["merge_key_reject_rate"]; got != 0.5 {
 		t.Errorf("merge_key_reject_rate = %v, want 0.5", got)
 	}
@@ -162,7 +160,7 @@ func TestReportContents(t *testing.T) {
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"counters:", "rates:", "spans:", "histograms:", "comp_events", "merge_fp_fast_rate", "sim_pending_peak"} {
+	for _, want := range []string{"counters:", "rates:", "spans:", "histograms:", "comp_events", "merge_key_reject_rate", "sim_pending_peak"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, buf.String())
 		}

@@ -79,16 +79,11 @@ func (s *Sink) Report() *Report {
 	}
 	addRate("comp_fold_rate",
 		vals[CompMergeHits]+vals[CompPeerPatternFolds]+vals[CompCycleFolds], vals[CompEvents])
-	// Every probe of a right entry against a left one ends one of three ways
-	// — fingerprint hit, key reject, walk — and the rates are shares of all
-	// three. A low fast rate beside a high key-reject rate reads "the groups
-	// differ in an operation parameter and cannot fold"; a low one with no
-	// key rejects to explain it, "they differ only in peer".
-	fpHits := vals[MergeFPRelHits] + vals[MergeFPAbsHits]
-	probes := fpHits + vals[MergeKeyRejects] + vals[MergeExhaustiveWalks]
-	addRate("merge_fp_fast_rate", fpHits, probes)
-	addRate("merge_key_reject_rate", vals[MergeKeyRejects], probes)
-	addRate("merge_tree_fast_rate", vals[MergeTreeFastHits], vals[MergePairs])
+	// Every probe of a right entry against a left one is settled by the key
+	// or by a walk. A high key-reject rate reads "the groups differ in an
+	// operation parameter and cannot fold"; walk rejects with no key rejects
+	// to explain them, "they differ only in peer".
+	addRate("merge_key_reject_rate", vals[MergeKeyRejects], vals[MergeKeyRejects]+vals[MergeWalks])
 	skHits := vals[ReplayRankMemoHits] + vals[ReplayClassReuses]
 	addRate("replay_skeleton_hit_rate", skHits, skHits+vals[ReplaySkeletonBuilds])
 	addRate("stride_values_per_run", vals[StrideValues], vals[StrideRuns])

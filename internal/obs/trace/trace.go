@@ -76,7 +76,7 @@ const (
 	NameNone         Name = iota
 	NameFinish            // compressor Finish: args events, executed vertices
 	NameWildcard          // wildcard receive resolved (instant): args site gid, still-cached
-	NamePair              // one merge pair: args ranks merged, path (see PairPath*)
+	NamePair              // one merge pair: args ranks merged, walks compatible() refused
 	NameEncode            // trace serialization: args bytes out, ranks
 	NameDecode            // trace deserialization: args entries, events
 	NameDeflate           // one CYPB frame compressed: args usize, csize
@@ -127,7 +127,7 @@ func (n Name) String() string {
 var argNames = [NumNames][2]string{
 	NameFinish:       {"events", "executed"},
 	NameWildcard:     {"site", "cached"},
-	NamePair:         {"ranks", "path"},
+	NamePair:         {"ranks", "walk_rejects"},
 	NameEncode:       {"bytes", "ranks"},
 	NameDecode:       {"entries", "events"},
 	NameDeflate:      {"usize", "csize"},
@@ -151,13 +151,6 @@ func ArgNames(n Name) [2]string {
 	}
 	return [2]string{"arg0", "arg1"}
 }
-
-// NamePair path annotations (arg1): how the pair was unified.
-const (
-	PairPathWalk     = 0 // at least one entry fell back to the exhaustive walk
-	PairPathFP       = 1 // all unifications took a per-entry fingerprint fast path
-	PairPathTreeFast = 2 // whole-tree span short-circuit, no per-entry work
-)
 
 // NameIngest mode annotations (arg1).
 const (

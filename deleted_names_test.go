@@ -40,6 +40,13 @@ var deletedNames = []struct {
 		pattern: regexp.MustCompile(`PatchPayload|JoinEncoded|uvarintWords`),
 	},
 	{
+		// One representative read: a class decodes its representative once
+		// into a merge.Ref, and reassembly copies the Ref's bytes. The cursor
+		// that decoded the representative again on every read is gone.
+		why:     "per-read representative decode",
+		pattern: regexp.MustCompile(`refWord|refRest`),
+	},
+	{
 		// One performance record: the ledger in benchmark/ times the
 		// pipeline; internal/bench regenerates the paper and runs one
 		// observed pass. The micro-report trajectory, its single-run diff

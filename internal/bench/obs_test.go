@@ -26,7 +26,7 @@ func TestObservePipelineReport(t *testing.T) {
 		"comp_events", "stride_values", "merge_pairs",
 		"enc_traces", "dec_traces", "sim_events_processed",
 		"corpus_ingests", "corpus_delta_runs", "corpus_stored_bytes",
-		"corpus_cache_hits", "corpus_cache_misses",
+		"corpus_cache_hits", "corpus_cache_misses", "corpus_patched_words",
 		"replay_events_emitted", "io_frames_encoded", "io_frames_decoded",
 	} {
 		if r.Counters[key] == 0 {

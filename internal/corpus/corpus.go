@@ -17,7 +17,8 @@
 // The structure of a class is walked once, when the class enters memory
 // (ingest of its first run, or Open): the walk leaves a merge.Plan, and every
 // read of every run of the class reassembles along it without parsing the
-// structure again.
+// structure again. The representative payload is decoded at the same moment
+// into a merge.Ref, so a read copies every word the run left unchanged.
 //
 // On-disk layout (all inside one directory):
 //
@@ -96,10 +97,11 @@ type Options struct {
 
 // class is one structural equivalence class resident in memory: the read
 // plan of its structure stream (which holds the stream and the class key) and
-// the representative payload every run of the class is a delta against.
+// the decoded representative payload every run of the class is a delta
+// against.
 type class struct {
-	plan       *merge.Plan
-	repPayload []byte
+	plan *merge.Plan
+	ref  *merge.Ref
 }
 
 // runLoc locates one live run record. Records in sealed segments are
@@ -390,7 +392,8 @@ func (s *Store) dropAccounting(loc runLoc) {
 // readClassFile loads and validates one class file. The CYPB frames guard the
 // streams; the declared key sits outside them, and what guards it is the walk
 // that builds the class's plan: the structure must walk to its last byte and
-// fold to the key the file declares.
+// fold to the key the file declares. The representative must decode as a
+// uvarint vector.
 func readClassFile(path string, workers int) (*class, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -423,17 +426,21 @@ func readClassFile(path string, workers int) (*class, error) {
 	if plan.ClassKey() != vals[0] {
 		return nil, errors.New("class key does not match stored structure")
 	}
-	return &class{plan: plan, repPayload: payload[structLen:]}, nil
+	ref, err := merge.NewRef(payload[structLen:])
+	if err != nil {
+		return nil, err
+	}
+	return &class{plan: plan, ref: ref}, nil
 }
 
-// writeClassFile persists a new class.
-func (s *Store) writeClassFile(c *class) error {
+// writeClassFile persists a new class with its representative payload.
+func (s *Store) writeClassFile(c *class, repPayload []byte) error {
 	var buf bytes.Buffer
 	buf.Write(classMagic[:])
 	buf.WriteByte(formatVersion)
 	var tmp [binary.MaxVarintLen64]byte
 	structure := c.plan.Structure()
-	for _, v := range []uint64{c.plan.ClassKey(), uint64(len(structure)), uint64(len(c.repPayload))} {
+	for _, v := range []uint64{c.plan.ClassKey(), uint64(len(structure)), uint64(len(repPayload))} {
 		buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 	}
 	w, err := blockio.NewWriter(&buf, blockio.WriterOptions{Workers: s.opt.Workers})
@@ -443,7 +450,7 @@ func (s *Store) writeClassFile(c *class) error {
 	if _, err := w.Write(structure); err != nil {
 		return err
 	}
-	if _, err := w.Write(c.repPayload); err != nil {
+	if _, err := w.Write(repPayload); err != nil {
 		return err
 	}
 	if err := w.Close(); err != nil {
@@ -533,17 +540,21 @@ func (s *Store) IngestBytes(enc []byte) (uint64, error) {
 		switch {
 		case ok && bytes.Equal(c.plan.Structure(), sp.Structure):
 			// Established class: store the payload residue.
-			if d, err := merge.DeltaPayload(sp.Payload, c.repPayload); err == nil &&
+			if d, err := merge.DeltaPayload(sp.Payload, c.ref); err == nil &&
 				s.verifyDelta(c, d, enc) {
 				rec = record{hash: h, flags: flagDelta, classK: key, fullLen: len(enc), body: d}
 			}
 		case !ok:
 			// First run of its class: the class file carries the structure and
 			// this payload as representative; the run itself is a self-delta.
-			c = &class{plan: sp.Plan, repPayload: sp.Payload}
-			if d, err := merge.DeltaPayload(sp.Payload, c.repPayload); err == nil &&
+			ref, err := merge.NewRef(sp.Payload)
+			if err != nil {
+				break
+			}
+			c = &class{plan: sp.Plan, ref: ref}
+			if d, err := merge.DeltaPayload(sp.Payload, c.ref); err == nil &&
 				s.verifyDelta(c, d, enc) {
-				if err := s.writeClassFile(c); err != nil {
+				if err := s.writeClassFile(c, sp.Payload); err != nil {
 					return 0, fmt.Errorf("corpus: ingest: %w", err)
 				}
 				s.classes[key] = c
@@ -580,7 +591,7 @@ func (s *Store) IngestBytes(enc []byte) (uint64, error) {
 // verifyDelta proves byte identity before committing to delta storage: the
 // exact reconstruction path of Get must reproduce enc.
 func (s *Store) verifyDelta(c *class, delta, enc []byte) bool {
-	j, err := c.plan.Reassemble(c.repPayload, delta, len(enc))
+	j, err := c.plan.Reassemble(c.ref, delta, len(enc))
 	return err == nil && bytes.Equal(j.Enc, enc)
 }
 
@@ -653,7 +664,7 @@ func (s *Store) reassemble(hash uint64) (merge.Joined, error) {
 		if !ok {
 			return merge.Joined{}, fmt.Errorf("corpus: trace %016x references missing class %016x", hash, rec.classK)
 		}
-		if j, err = c.plan.Reassemble(c.repPayload, rec.body, rec.fullLen); err != nil {
+		if j, err = c.plan.Reassemble(c.ref, rec.body, rec.fullLen); err != nil {
 			return merge.Joined{}, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 		}
 	default:

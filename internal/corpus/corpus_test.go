@@ -1197,3 +1197,167 @@ func mustGetBytes(t testing.TB, st *corpus.Store, h uint64) []byte {
 	}
 	return enc
 }
+
+// TestPatchedWordsCounted: a cold get patches exactly the words whose delta
+// token is not zero — none for the first run of a class, whose record is a
+// self-delta, and for a perturbed later run the non-zero tokens of its
+// DeltaPayload against the first — before and after a reopen rebuilds the
+// class's Ref from its file.
+func TestPatchedWordsCounted(t *testing.T) {
+	const ranks = 16
+	encs := [][]byte{
+		encodeBytes(t, simMerged(t, multiPhaseSrc, ranks, 0)),
+		encodeBytes(t, simMerged(t, multiPhaseSrc, ranks, 1)),
+	}
+	var payloads [2][]byte
+	for i, enc := range encs {
+		sp, err := merge.SplitEncoded(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[i] = sp.Payload
+	}
+	ref, err := merge.NewRef(payloads[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := merge.DeltaPayload(payloads[1], ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{0, nonZeroTokens(t, delta)}
+	if want[1] == 0 {
+		t.Fatal("the second run's timings equal the first's")
+	}
+
+	dir := t.TempDir()
+	st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes []uint64
+	for _, enc := range encs {
+		h, err := st.IngestBytes(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, h)
+	}
+	s := obs.New()
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
+	for pass := 0; pass < 2; pass++ {
+		for i, h := range hashes {
+			for _, get := range []func() error{
+				func() error { _, err := st.GetBytes(h); return err },
+				func() error {
+					tr, err := st.GetProjected(h, []int{3})
+					if err == nil {
+						tr.Release()
+					}
+					return err
+				},
+			} {
+				before := s.Value(obs.CorpusPatchedWords)
+				if err := get(); err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Value(obs.CorpusPatchedWords) - before; got != want[i] {
+					t.Errorf("pass %d run %d: a cold get patched %d words, want %d", pass, i, got, want[i])
+				}
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = corpus.Open(dir, corpus.Options{CacheBytes: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nonZeroTokens counts the tokens of a well-formed delta that are not zero.
+func nonZeroTokens(t testing.TB, delta []byte) int64 {
+	t.Helper()
+	next := func() uint64 {
+		v, n := binary.Uvarint(delta)
+		if n <= 0 {
+			t.Fatal("malformed delta")
+		}
+		delta = delta[n:]
+		return v
+	}
+	var nz int64
+	for words := next(); words > 0; words-- {
+		if next() != 0 {
+			next()
+			nz++
+		}
+	}
+	return nz
+}
+
+// TestClassRepresentativeChecked: a class file whose representative payload
+// is not a uvarint vector fails Open, under intact CYPB frames, instead of
+// failing every later read of the class.
+func TestClassRepresentativeChecked(t *testing.T) {
+	dir := t.TempDir()
+	st, err := corpus.Open(dir, corpus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.IngestBytes(encodeBytes(t, simMerged(t, multiPhaseSrc, 7, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "class-*.cyps"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("class files: %v, %v", names, err)
+	}
+	orig, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "CYPS", version, key, structLen, repLen, then CYPB(structure ++ rep).
+	at := 5
+	for i := 0; i < 3; i++ {
+		_, n := binary.Uvarint(orig[at:])
+		if n <= 0 {
+			t.Fatal("short class header")
+		}
+		at += n
+	}
+	payload, _, err := blockio.Unwrap(orig[at:], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[len(payload)-1] |= 0x80 // the last word never ends
+	var buf bytes.Buffer
+	buf.Write(orig[:at])
+	w, err := blockio.NewWriter(&buf, blockio.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(names[0], buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = corpus.Open(dir, corpus.Options{})
+	if err == nil {
+		st.Close()
+		t.Fatal("a class file with a malformed representative opened")
+	}
+	if !strings.Contains(err.Error(), "delta ref") {
+		t.Fatalf("Open = %v, want the representative's verdict", err)
+	}
+}

@@ -508,7 +508,7 @@ func (c *Compressor) resolveCompletion(ev *trace.Event) {
 			panic(fmt.Sprintf("ctt: completion of unknown request %d", id))
 		}
 		reqs[i] = gid
-		if cached, isWild := c.reqs.takeWild(id); isWild {
+		if cached := c.reqs.takeWild(id); cached != nil {
 			if ev.ReqSrcs == nil {
 				panic("ctt: wildcard completion without resolved sources")
 			}
@@ -516,7 +516,7 @@ func (c *Compressor) resolveCompletion(ev *trace.Event) {
 			c.tal.wildResolved++
 			obs.AttachedRecorder().Instant(ftrace.CatCompress, ftrace.NameWildcard,
 				int32(c.rank), int64(gid), int64(c.reqs.wildLive))
-			c.record(c.tree.ByGID[gid], &cached)
+			c.record(c.tree.ByGID[gid], cached)
 		}
 		c.reqs.del(id)
 	}

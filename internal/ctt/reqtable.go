@@ -165,29 +165,32 @@ func (t *reqTable) putWild(id int32, ev *trace.Event) {
 	t.wildLive++
 }
 
-// takeWild removes and returns the cached wildcard event of id, if any.
-func (t *reqTable) takeWild(id int32) (trace.Event, bool) {
-	if len(t.slots) == 0 {
-		return trace.Event{}, false
+// takeWild removes the cached wildcard event of id and returns it, or nil when
+// none is cached. A ring event is returned in place: it stays valid until the
+// next putWild, and nothing is copied for the common request that never
+// cached one.
+func (t *reqTable) takeWild(id int32) *trace.Event {
+	if t.wildLive == 0 {
+		return nil
 	}
 	s := &t.slots[id&t.mask]
 	if s.id == id {
 		if s.wild == 0 {
-			return trace.Event{}, false
+			return nil
 		}
 		idx := s.wild - 1
-		ev := t.wildSlots[idx]
 		t.freeWild = append(t.freeWild, idx)
 		s.wild = 0
 		t.wildLive--
-		return ev, true
+		return &t.wildSlots[idx]
 	}
 	ev, ok := t.overflowWild[id]
-	if ok {
-		delete(t.overflowWild, id)
-		t.wildLive--
+	if !ok {
+		return nil
 	}
-	return ev, ok
+	delete(t.overflowWild, id)
+	t.wildLive--
+	return &ev
 }
 
 // memoryBytes estimates the table's live memory for MemoryBytes.

@@ -27,9 +27,11 @@ package merge
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/fp"
+	"repro/internal/obs"
 	"repro/internal/timestat"
 )
 
@@ -314,41 +316,90 @@ type Joined struct {
 // a misaligned pair just XORs unrelated words and encodes longer. A
 // representative with fewer words than the run reads as zero past its end.
 
-// refWord reads the representative's next word: zero once it is exhausted.
-func refWord(r *bcur) uint64 {
-	if r.off == len(r.b) {
+// Ref is a class representative's payload stream, held minimally encoded
+// together with where each of its words starts. A class builds its Ref once,
+// when it enters memory, so that a read copies an unchanged word's bytes
+// instead of decoding and re-encoding it.
+type Ref struct {
+	enc  []byte
+	offs []uint32 // offs[i] is where word i starts in enc; offs[len(offs)-1] == len(enc)
+}
+
+// NewRef indexes a representative payload stream, which must be a
+// well-formed uvarint vector from end to end. A word encoded non-minimally
+// reads as the same value, and the Ref holds it re-encoded minimally. A
+// minimal stream (as every SplitEncoded payload that passed ingest's verify
+// is) is held in place, so the caller must not modify payload afterwards.
+func NewRef(payload []byte) (*Ref, error) {
+	if len(payload) > math.MaxUint32 {
+		return nil, fmt.Errorf("merge: delta ref: %d bytes is too long", len(payload))
+	}
+	n := 0
+	for _, b := range payload {
+		n += int(^b >> 7) // a uvarint ends at its one byte below 0x80
+	}
+	r := &Ref{enc: payload, offs: make([]uint32, 1, n+1)}
+	start, minimal := 0, true
+	for i, b := range payload {
+		if b >= 0x80 {
+			continue
+		}
+		if size := i + 1 - start; size > binary.MaxVarintLen64 || size == binary.MaxVarintLen64 && b > 1 {
+			return nil, fmt.Errorf("merge: delta ref: oversized uvarint at offset %d", start)
+		}
+		// A longer uvarint than needed ends in a zero byte.
+		minimal = minimal && (i == start || b != 0)
+		start = i + 1
+		r.offs = append(r.offs, uint32(start))
+	}
+	if start != len(payload) {
+		return nil, fmt.Errorf("merge: delta ref: truncated uvarint at offset %d", start)
+	}
+	if !minimal {
+		enc := make([]byte, 0, len(payload))
+		for _, at := range r.offs[:len(r.offs)-1] {
+			v, _ := binary.Uvarint(payload[at:])
+			enc = binary.AppendUvarint(enc, v)
+		}
+		return NewRef(enc)
+	}
+	return r, nil
+}
+
+// word is the representative's i-th word: zero past its end.
+func (r *Ref) word(i int) uint64 {
+	if i >= len(r.offs)-1 {
 		return 0
 	}
-	return r.u()
+	v, _ := binary.Uvarint(r.enc[r.offs[i]:])
+	return v
 }
 
-// refRest walks whatever the run left of the representative, so that a
-// representative is either a well-formed uvarint vector from end to end or an
-// error, whichever run it is read against.
-func refRest(r *bcur) error {
-	for r.err == nil && r.off < len(r.b) {
-		r.u()
+// appendWords appends the encoding of words [i, j) to out in one copy, a zero
+// byte for each word past the representative's end.
+func (r *Ref) appendWords(out []byte, i, j int) []byte {
+	n := len(r.offs) - 1
+	out = append(out, r.enc[r.offs[min(i, n)]:r.offs[min(j, n)]]...)
+	for k := max(i, n); k < j; k++ {
+		out = append(out, 0)
 	}
-	if r.err != nil {
-		return fmt.Errorf("merge: delta ref: %w", r.err)
-	}
-	return nil
+	return out
 }
 
-// DeltaPayload encodes payload as a word-wise XOR delta against ref. Both
-// arguments must be well-formed uvarint streams (SplitEncoded payloads always
-// are). Reassembling the delta against the same ref reproduces payload
-// whenever payload is minimally encoded — corpus ingest verifies that round
-// trip before committing a delta.
-func DeltaPayload(payload, ref []byte) ([]byte, error) {
+// DeltaPayload encodes payload as a word-wise XOR delta against ref. payload
+// must be a well-formed uvarint stream (SplitEncoded payloads always are).
+// Reassembling the delta against the same ref reproduces payload whenever
+// payload is minimally encoded — corpus ingest verifies that round trip
+// before committing a delta.
+func DeltaPayload(payload []byte, ref *Ref) ([]byte, error) {
 	// The word count leads the delta but is known last: the body is written
 	// behind room for the longest count and the count is laid right before it.
 	const room = binary.MaxVarintLen64
 	out := make([]byte, room, room+len(payload)/4)
-	pc, rc := &bcur{b: payload}, &bcur{b: ref}
-	words := uint64(0)
+	pc := &bcur{b: payload}
+	words := 0
 	for ; pc.off < len(payload); words++ {
-		x := pc.u() ^ refWord(rc)
+		x := pc.u() ^ ref.word(words)
 		if pc.err != nil {
 			return nil, fmt.Errorf("merge: delta payload: %w", pc.err)
 		}
@@ -360,81 +411,97 @@ func DeltaPayload(payload, ref []byte) ([]byte, error) {
 		out = binary.AppendUvarint(out, uint64(ntz)+1)
 		out = binary.AppendUvarint(out, x>>uint(ntz))
 	}
-	if err := refRest(rc); err != nil {
-		return nil, err
-	}
 	var count [room]byte
-	start := room - binary.PutUvarint(count[:], words)
+	start := room - binary.PutUvarint(count[:], uint64(words))
 	copy(out[start:room], count[:])
 	return out[start:], nil
 }
 
 // patcher streams the words of a delta-coded payload: each is the delta's
 // next token XORed onto the representative's next word. Failures latch in the
-// two cursors; left counts the words the delta still declares.
+// delta cursor; left counts the words the delta still declares, and patched
+// the words whose token was not zero.
 type patcher struct {
-	d, r bcur
-	left uint64
+	d       bcur
+	ref     *Ref
+	next    int // index of the run's next word
+	left    uint64
+	patched int64
 }
 
-func (w *patcher) word() uint64 {
-	if w.left == 0 {
-		w.d.fail("merge: patch: the delta holds fewer words than the structure has volatile fields")
-		return 0
-	}
-	w.left--
-	if d := &w.d; d.err == nil && d.off < len(d.b) && d.b[d.off] == 0 {
-		d.off++ // the one-byte token of an unchanged word, by far the commonest
-		return refWord(&w.r)
-	}
-	var x uint64
-	if t := w.d.u(); t != 0 {
-		m := w.d.u()
-		sh := uint(t - 1)
-		switch {
-		case t > 64:
-			w.d.fail("merge: patch: shift %d out of range", t)
-		case sh > 0 && m>>(64-sh) != 0:
-			w.d.fail("merge: patch: word overflows shift %d at offset %d", sh, w.d.off)
+// words appends the run's next n words to out. A run of zero tokens, the
+// commonest case by far, copies the representative's bytes in one append;
+// any other token is XORed onto the representative's word and the result
+// re-encoded minimally.
+func (w *patcher) words(out []byte, n uint64) []byte {
+	d := &w.d
+	for n > 0 && d.err == nil {
+		if w.left == 0 {
+			d.fail("merge: patch: the delta holds fewer words than the structure has volatile fields")
+			break
 		}
-		x = m << sh
-	}
-	return x ^ refWord(&w.r)
-}
-
-// volatile appends one record's volatile suffix (skipVolatile's grammar) to
-// out, every word re-encoded minimally.
-func (w *patcher) volatile(out []byte, hist bool) []byte {
-	for k := 0; k < 6; k++ {
-		out = binary.AppendUvarint(out, w.word())
-	}
-	if !hist {
-		return out
-	}
-	nz := w.word()
-	out = binary.AppendUvarint(out, nz)
-	if nz > timestat.HistBuckets {
-		w.d.fail("merge: patch: implausible histogram bucket count %d", nz)
-	}
-	for j := uint64(0); j < 2*nz && w.d.err == nil; j++ {
-		out = binary.AppendUvarint(out, w.word())
+		k, lim := 0, min(n, w.left)
+		for uint64(k) < lim && d.off+k < len(d.b) && d.b[d.off+k] == 0 {
+			k++
+		}
+		if k > 0 {
+			out = w.ref.appendWords(out, w.next, w.next+k)
+			d.off += k
+			w.next += k
+			w.left -= uint64(k)
+			n -= uint64(k)
+			continue
+		}
+		var x uint64
+		if t := d.u(); t != 0 {
+			m := d.u()
+			sh := uint(t - 1)
+			switch {
+			case t > 64:
+				d.fail("merge: patch: shift %d out of range", t)
+			case sh > 0 && m>>(64-sh) != 0:
+				d.fail("merge: patch: word overflows shift %d at offset %d", sh, d.off)
+			}
+			x = m << sh
+			w.patched++
+		}
+		out = binary.AppendUvarint(out, x^w.ref.word(w.next))
+		w.next++
+		w.left--
+		n--
 	}
 	return out
 }
 
+// volatile appends one record's volatile suffix (skipVolatile's grammar) to
+// out: six words, and in histogram mode a bucket count and two words a bucket.
+func (w *patcher) volatile(out []byte, hist bool) []byte {
+	if !hist {
+		return w.words(out, 6)
+	}
+	out = w.words(out, 6)
+	at := len(out)
+	out = w.words(out, 1)
+	nz, _ := binary.Uvarint(out[at:])
+	if nz > timestat.HistBuckets {
+		w.d.fail("merge: patch: implausible histogram bucket count %d", nz)
+	}
+	return w.words(out, 2*nz)
+}
+
 // Reassemble rebuilds the standalone encoding of one run of the plan's class
-// from the class representative's payload stream and the run's DeltaPayload
-// against it, in one pass: representative words, delta tokens and structure
-// runs stream straight into the output, which is allocated once at sizeHint
-// (the run's recorded encoding length; a wrong hint costs a regrow, nothing
-// else). The delta must be consumed exactly and declare exactly as many words
-// as the structure has volatile fields, and the representative must be a
-// well-formed uvarint vector to its end, or it is an error. The result is
+// from the class representative and the run's DeltaPayload against it, in
+// one pass: representative bytes, patched words and structure runs stream
+// straight into the output, which is allocated once at sizeHint (the run's
+// recorded encoding length; a wrong hint costs a regrow, nothing else). The
+// delta must be consumed exactly and declare exactly as many words as the
+// structure has volatile fields, or it is an error. The result is
 // byte-identical to SplitEncoded's input whenever that input's payload was
 // minimally encoded, and carries the length of every VData section as this
-// pass wrote it.
-func (p *Plan) Reassemble(ref, delta []byte, sizeHint int) (Joined, error) {
-	w := patcher{d: bcur{b: delta}, r: bcur{b: ref}}
+// pass wrote it. Each reassembly adds the words it patched to the attached
+// sink's corpus_patched_words.
+func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int) (Joined, error) {
+	w := patcher{d: bcur{b: delta}, ref: ref}
 	w.left = w.d.u()
 	// Every word costs the delta at least one byte and the output at most ten.
 	if w.d.err == nil && w.left > uint64(len(delta)) {
@@ -471,8 +538,6 @@ func (p *Plan) Reassemble(ref, delta []byte, sizeHint int) (Joined, error) {
 	if rest := len(delta) - w.d.off; rest != 0 {
 		return Joined{}, fmt.Errorf("merge: patch: %d trailing delta bytes", rest)
 	}
-	if err := refRest(&w.r); err != nil {
-		return Joined{}, err
-	}
+	obs.Attached().Add(obs.CorpusPatchedWords, w.patched)
 	return Joined{Enc: out, lens: lens}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/timestat"
 )
 
@@ -136,7 +137,7 @@ func TestDeltaPayloadRoundTrip(t *testing.T) {
 		{"empty-ref", nil},
 		{"foreign-ref", sp2.Payload},
 	} {
-		d, err := DeltaPayload(p, tc.ref)
+		d, err := DeltaPayload(p, mustRef(t, tc.ref))
 		if err != nil {
 			t.Fatalf("%s: delta: %v", tc.name, err)
 		}
@@ -150,7 +151,7 @@ func TestDeltaPayloadRoundTrip(t *testing.T) {
 	}
 
 	// The self-delta must be tiny: one byte per word plus the count header.
-	d, err := DeltaPayload(p, p)
+	d, err := DeltaPayload(p, mustRef(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,17 +216,61 @@ func sectionLens(enc []byte) ([]uint64, error) {
 	return lens, c.err
 }
 
-// reassembleBoth runs Plan.Reassemble and the two-pass reference over the
-// same three streams and holds them to one verdict: both fail, or both
-// produce the same bytes, and the section lengths the fused pass reports are
-// the ones a skip-walk of those bytes finds. It returns the bytes, nil when
-// both failed.
+// mustRef is NewRef of a representative the test knows to be well formed.
+func mustRef(t testing.TB, payload []byte) *Ref {
+	t.Helper()
+	ref, err := NewRef(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// checkRef holds NewRef's verdict on ref to a whole-vector decode's, and its
+// Ref to the words that decode finds, each minimally encoded.
+func checkRef(t testing.TB, r *Ref, err error, ref []byte) {
+	t.Helper()
+	words, werr := uvarintWords(ref)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("verdicts differ: NewRef %v, uvarintWords %v", err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if len(r.offs) != len(words)+1 {
+		t.Fatalf("the Ref holds %d words, want %d", len(r.offs)-1, len(words))
+	}
+	var enc []byte
+	for i, w := range words {
+		if got := r.word(i); got != w {
+			t.Fatalf("word %d reads %d, want %d", i, got, w)
+		}
+		enc = binary.AppendUvarint(enc, w)
+		if int(r.offs[i+1]) != len(enc) {
+			t.Fatalf("word %d ends at %d, want %d", i, r.offs[i+1], len(enc))
+		}
+	}
+	if !bytes.Equal(r.enc, enc) {
+		t.Fatal("the Ref's bytes are not its words' minimal encoding")
+	}
+}
+
+// reassembleBoth runs NewRef + Plan.Reassemble and the two-pass reference
+// over the same three streams and holds them to one verdict: both fail, or
+// both produce the same bytes, and the section lengths the fused pass reports
+// are the ones a skip-walk of those bytes finds. It returns the bytes, nil
+// when both failed.
 func reassembleBoth(t testing.TB, structure, ref, delta []byte) []byte {
 	t.Helper()
+	r, rerr := NewRef(ref)
+	checkRef(t, r, rerr, ref)
 	var got Joined
 	plan, gerr := PlanStructure(structure)
 	if gerr == nil {
-		got, gerr = plan.Reassemble(ref, delta, len(structure)+len(ref))
+		gerr = rerr
+	}
+	if gerr == nil {
+		got, gerr = plan.Reassemble(r, delta, len(structure)+len(ref))
 	}
 	var want []byte
 	payload, werr := PatchPayload(delta, ref)
@@ -233,7 +278,7 @@ func reassembleBoth(t testing.TB, structure, ref, delta []byte) []byte {
 		want, werr = JoinEncoded(structure, payload)
 	}
 	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("verdicts differ: Reassemble %v, PatchPayload+JoinEncoded %v", gerr, werr)
+		t.Fatalf("verdicts differ: NewRef+Reassemble %v, PatchPayload+JoinEncoded %v", gerr, werr)
 	}
 	if gerr != nil {
 		return nil
@@ -274,12 +319,52 @@ func perturb(t testing.TB, payload []byte) []byte {
 	return out
 }
 
-// reassembleSeeds are (structure, ref, delta) triples from traced runs: a
-// self-delta, a delta against a perturbed representative, against an empty
-// and a foreign one, in mean/stddev and in histogram mode.
-func reassembleSeeds(t testing.TB) [][3][]byte {
+// alternate returns payload (a uvarint vector) with every other word's low
+// bit flipped, so that a delta against it alternates zero and non-zero tokens
+// inside every record.
+func alternate(t testing.TB, payload []byte) []byte {
 	t.Helper()
-	var seeds [][3][]byte
+	words, err := uvarintWords(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for i, w := range words {
+		out = binary.AppendUvarint(out, w^uint64(i&1))
+	}
+	return out
+}
+
+// deltaTokens walks a well-formed delta and counts its words and how many of
+// their tokens are not zero.
+func deltaTokens(t testing.TB, delta []byte) (words, nonZero int64) {
+	t.Helper()
+	c := &bcur{b: delta}
+	for n := c.u(); uint64(words) < n && c.err == nil; words++ {
+		if c.u() != 0 {
+			c.u()
+			nonZero++
+		}
+	}
+	if c.err != nil || c.off != len(delta) {
+		t.Fatalf("malformed delta: %v", c.err)
+	}
+	return words, nonZero
+}
+
+// reassembleSeed is a (structure, ref, delta) triple from a traced run.
+type reassembleSeed struct {
+	name                  string
+	structure, ref, delta []byte
+}
+
+// reassembleSeeds are the triples of a self-delta (every token zero), a delta
+// against a perturbed representative, against one whose every other word
+// differs (tokens alternate inside each record), against an empty and a
+// foreign one, in mean/stddev and in histogram mode.
+func reassembleSeeds(t testing.TB) []reassembleSeed {
+	t.Helper()
+	var seeds []reassembleSeed
 	_, foreign, _ := collect(t, `func main() { barrier(); }`, 2)
 	mf, err := All(foreign, 0)
 	if err != nil {
@@ -302,18 +387,25 @@ func reassembleSeeds(t testing.TB) [][3][]byte {
 		if sp.Hist != (mode == timestat.ModeHistogram) {
 			t.Fatalf("mode %v encoded with histogram flag %v", mode, sp.Hist)
 		}
-		refs := [][]byte{sp.Payload, nil, spf.Payload}
-		if mode == timestat.ModeMeanStddev {
-			// In histogram mode a word is also a bucket count, and a perturbed
-			// one is another grammar, not another run.
-			refs = append(refs, perturb(t, sp.Payload))
+		prefix := "mean/"
+		if sp.Hist {
+			prefix = "hist/"
 		}
-		for _, ref := range refs {
-			d, err := DeltaPayload(sp.Payload, ref)
+		add := func(name string, ref []byte) {
+			d, err := DeltaPayload(sp.Payload, mustRef(t, ref))
 			if err != nil {
 				t.Fatal(err)
 			}
-			seeds = append(seeds, [3][]byte{sp.Structure, ref, d})
+			seeds = append(seeds, reassembleSeed{prefix + name, sp.Structure, ref, d})
+		}
+		add("self", sp.Payload)
+		add("empty-ref", nil)
+		add("foreign", spf.Payload)
+		add("alternating", alternate(t, sp.Payload))
+		if mode == timestat.ModeMeanStddev {
+			// In histogram mode a word is also a bucket count, and a perturbed
+			// one is another grammar, not another run.
+			add("perturbed", perturb(t, sp.Payload))
 		}
 	}
 	return seeds
@@ -321,26 +413,45 @@ func reassembleSeeds(t testing.TB) [][3][]byte {
 
 // TestReassembleMatchesReference: on every seed the fused pass succeeds, is
 // byte-identical to the two-pass reference and to the encoding that was split,
-// and the plan a structure-only walk builds is the plan the split left.
+// patches exactly the words whose token is not zero, and the plan a
+// structure-only walk builds is the plan the split left.
 func TestReassembleMatchesReference(t *testing.T) {
-	for i, seed := range reassembleSeeds(t) {
-		enc := reassembleBoth(t, seed[0], seed[1], seed[2])
+	s := obs.New()
+	obs.Attach(s, nil)
+	defer obs.Attach(nil, nil)
+	for _, seed := range reassembleSeeds(t) {
+		before := s.Value(obs.CorpusPatchedWords)
+		enc := reassembleBoth(t, seed.structure, seed.ref, seed.delta)
 		if enc == nil {
-			t.Fatalf("seed %d: reassembly failed", i)
+			t.Fatalf("%s: reassembly failed", seed.name)
+		}
+		words, nonZero := deltaTokens(t, seed.delta)
+		if got := s.Value(obs.CorpusPatchedWords) - before; got != nonZero {
+			t.Errorf("%s: reassembly patched %d words, the delta has %d non-zero tokens", seed.name, got, nonZero)
+		}
+		switch seed.name {
+		case "mean/self", "hist/self":
+			if nonZero != 0 {
+				t.Errorf("%s: %d non-zero tokens in a self-delta", seed.name, nonZero)
+			}
+		case "mean/alternating", "hist/alternating":
+			if nonZero != words/2 {
+				t.Errorf("%s: %d of %d tokens non-zero, want every other one", seed.name, nonZero, words)
+			}
 		}
 		sp, err := SplitEncoded(enc)
 		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
+			t.Fatalf("%s: %v", seed.name, err)
 		}
-		if !bytes.Equal(sp.Structure, seed[0]) {
-			t.Fatalf("seed %d: reassembled bytes split to another structure", i)
+		if !bytes.Equal(sp.Structure, seed.structure) {
+			t.Fatalf("%s: reassembled bytes split to another structure", seed.name)
 		}
 		plan, err := PlanStructure(sp.Structure)
 		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
+			t.Fatalf("%s: %v", seed.name, err)
 		}
 		if !reflect.DeepEqual(plan, sp.Plan) {
-			t.Fatalf("seed %d: PlanStructure and SplitEncoded disagree on the plan", i)
+			t.Fatalf("%s: PlanStructure and SplitEncoded disagree on the plan", seed.name)
 		}
 	}
 }
@@ -351,7 +462,7 @@ func TestReassembleMatchesReference(t *testing.T) {
 // (even past the words the run uses), a structure stream cut short.
 func TestReassembleRejects(t *testing.T) {
 	seed := reassembleSeeds(t)[0]
-	structure, ref, delta := seed[0], seed[1], seed[2]
+	structure, ref, delta := seed.structure, seed.ref, seed.delta
 	words, n := binary.Uvarint(delta)
 	recount := func(w uint64) []byte { return append(binary.AppendUvarint(nil, w), delta[n:]...) }
 	for _, tc := range []struct {
@@ -380,6 +491,22 @@ func TestReassembleRejects(t *testing.T) {
 	if enc := reassembleBoth(t, structure, append([]byte{ref[0] | 0x80, 0}, ref[1:]...), delta); enc == nil {
 		t.Error("a non-minimal representative varint was refused")
 	}
+	refWords, err := uvarintWords(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var padded []byte // every word that can be one byte longer than it needs
+	for _, w := range refWords {
+		e := binary.AppendUvarint(nil, w)
+		if len(e) < binary.MaxVarintLen64 {
+			e[len(e)-1] |= 0x80
+			e = append(e, 0)
+		}
+		padded = append(padded, e...)
+	}
+	if enc := reassembleBoth(t, structure, padded, delta); enc == nil {
+		t.Error("a representative of non-minimal varints was refused")
+	}
 }
 
 // FuzzReassemble holds Plan.Reassemble to the two-pass reference on arbitrary
@@ -387,7 +514,7 @@ func TestReassembleRejects(t *testing.T) {
 // lengths equal to those of an index-less skip-walk of the result.
 func FuzzReassemble(f *testing.F) {
 	for _, s := range reassembleSeeds(f) {
-		f.Add(s[0], s[1], s[2])
+		f.Add(s.structure, s.ref, s.delta)
 	}
 	f.Fuzz(func(t *testing.T, structure, ref, delta []byte) {
 		reassembleBoth(t, structure, ref, delta)

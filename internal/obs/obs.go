@@ -106,6 +106,11 @@ const (
 	// single records of sealed segments; with IOFramesDec it says whether a
 	// cold get paid for its record or for its neighbours too.
 	CorpusSegInflated
+	// CorpusPatchedWords counts payload words reassembly patched (at every
+	// cold get, and at ingest's verify): words whose delta token was not
+	// zero, so they were XORed onto the class representative's and
+	// re-encoded. Every other word is a byte copy.
+	CorpusPatchedWords
 
 	// Selective decode with projection pushdown (merge.DecodeSelectAuto).
 	SelDecodes           // selective decodes served by the projection walk
@@ -178,6 +183,7 @@ var counterNames = [NumCounters]string{
 	CorpusCacheMisses:    "corpus_cache_misses",
 	CorpusCacheEvicts:    "corpus_cache_evicts",
 	CorpusSegInflated:    "corpus_seg_inflated_bytes",
+	CorpusPatchedWords:   "corpus_patched_words",
 	SelDecodes:           "sel_decodes",
 	SelFallbacks:         "sel_fallbacks",
 	SelEntriesEager:      "sel_entries_eager",

@@ -108,6 +108,20 @@ var deletedNames = []struct {
 		why:     "fingerprint merge fast paths",
 		pattern: regexp.MustCompile(`FingerprintRel|FingerprintAbs|SpanRel|HashRel|HashAbs|fingerprintEnabled|pairFast|unifyFast|refreshSummary|MergeFPRelHits|MergeTreeFastHits|PairPath`),
 	},
+	{
+		// One resolution: lang.Check gives every call its target, so the
+		// interpreter reads a call's Intrinsic instead of asking the table
+		// by name.
+		why:     "name-keyed intrinsic query",
+		pattern: regexp.MustCompile(`IsCommIntrinsic`),
+	},
+	{
+		// One environment: every local lives in a frame slot lang.Check
+		// assigned. The interpreter's per-block string-keyed scope and its
+		// lookup up the parent chain are gone.
+		why:     "string-keyed interpreter scope",
+		pattern: regexp.MustCompile(`type scope\b|\*scope\b|&scope\{|env\.lookup\(`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

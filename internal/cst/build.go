@@ -34,10 +34,7 @@ func Build(p *ir.Program) (*Tree, error) {
 		return nil, fmt.Errorf("cst: program has no main")
 	}
 
-	b := &builder{
-		prog:      p.Source,
-		recursive: recursionCycle(p),
-	}
+	b := &builder{recursive: recursionCycle(p)}
 	root := &Vertex{Kind: KindRoot, Site: lang.NoNode, Arm: NoArm}
 	if err := b.expandBody(mainFn, root, nil); err != nil {
 		return nil, err
@@ -52,6 +49,7 @@ func Build(p *ir.Program) (*Tree, error) {
 }
 
 // recursionCycle returns the set of user functions on call-graph cycles.
+// Its Check also writes each call's resolved target, which the builder reads.
 func recursionCycle(p *ir.Program) map[string]bool {
 	rec, err := lang.Check(p.Source)
 	if err != nil {
@@ -68,7 +66,6 @@ type frame struct {
 }
 
 type builder struct {
-	prog      *lang.Program
 	recursive map[string]bool
 }
 
@@ -190,11 +187,11 @@ func (b *builder) call(call *lang.CallExpr, parent *Vertex, stack []frame) error
 		parent.addChild(&Vertex{Kind: KindComm, Site: call.ID(), Arm: NoArm, Op: op})
 		return nil
 	}
-	if lang.IsIntrinsic(call.Name) {
+	if call.Intrinsic != nil {
 		return nil // compute/min/max/log2 never reach the tracer
 	}
-	callee, ok := b.prog.ByName[call.Name]
-	if !ok {
+	callee := call.Func
+	if callee == nil {
 		return fmt.Errorf("cst: call to unknown function %q", call.Name)
 	}
 	// Recursion cut: a call to a function currently being expanded becomes a

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lang"
 	"repro/internal/mpisim"
+	"repro/internal/npb"
 	"repro/internal/trace"
 )
 
@@ -394,5 +396,244 @@ func TestParseErrorSurfaces(t *testing.T) {
 	}
 	if _, err := RunProgram("func notmain() { }", 1, mpisim.Params{}, nil); err == nil {
 		t.Fatal("check error not surfaced")
+	}
+}
+
+// runChecked parses and checks src, failing the test on an error.
+func runChecked(t testing.TB, src string, n int, sinks []trace.Sink) {
+	t.Helper()
+	if _, err := RunProgram(src, n, mpisim.Params{}, sinks); err != nil {
+		t.Fatalf("RunProgram: %v", err)
+	}
+}
+
+// computed returns the compute(x) arguments rank 0 ran, in order: each
+// compute advances the clock by exactly its argument under zero noise, and
+// the next event's ComputeNS is the sum since the previous one, so every
+// compute is followed by a barrier to read it back alone.
+func computed(t *testing.T, src string) []int64 {
+	t.Helper()
+	col := &trace.CollectorSink{}
+	runChecked(t, src, 1, []trace.Sink{col})
+	var got []int64
+	for _, e := range col.Events {
+		if e.Op == trace.OpBarrier {
+			got = append(got, int64(e.ComputeNS))
+		}
+	}
+	return got
+}
+
+func TestSlotResolution(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      []int64
+	}{
+		{"shadowing in an inner block", `
+func main() {
+	var x = 1;
+	if x > 0 {
+		var x = 2;
+		x = x + 10;
+		compute(x); barrier();
+	}
+	compute(x); barrier();
+}`, []int64{12, 1}},
+		{"outer read before inner var of the same name", `
+func main() {
+	var x = 5;
+	{
+		compute(x); barrier();
+		var x = x + 1;
+		compute(x); barrier();
+	}
+	compute(x); barrier();
+}`, []int64{5, 6, 5}},
+		{"sibling blocks and consecutive loops reuse slots", `
+func main() {
+	var keep = 7;
+	{ var a = 100; compute(a); barrier(); }
+	{ var b = 3; compute(b + keep); barrier(); }
+	for var i = 0; i < 2; i = i + 1 { var s = i * 10; compute(s + 1); barrier(); }
+	for var j = 5; j < 6; j = j + 1 { compute(j); barrier(); }
+	compute(keep); barrier();
+}`, []int64{100, 10, 1, 11, 5, 7}},
+		{"parameters and a callee's own frame", `
+func add(a, b) { var s = a + b; return s; }
+func main() {
+	var s = 40;
+	var t = add(s, 2);
+	compute(t); barrier();
+	compute(s); barrier();
+}`, []int64{42, 40}},
+		{"each recursive activation has its own frame", `
+func fact(n) {
+	var here = n;
+	if n <= 1 { return 1; }
+	var rest = fact(n - 1);
+	return here * rest;
+}
+func main() { compute(fact(5)); barrier(); }`, []int64{120}},
+		{"arguments evaluated across nested calls", `
+func pair(a, b) { return a * 100 + b; }
+func inc(x) { var y = x + 1; return y; }
+func main() { compute(pair(inc(1), inc(inc(3)))); barrier(); }`, []int64{205}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := computed(t, c.src)
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Fatalf("computed %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+func TestExecuteUncheckedPanics(t *testing.T) {
+	prog, err := lang.Parse(`func main() { var x = 1; compute(x); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mpisim.Run(1, mpisim.Params{}, nil, func(r *mpisim.Rank) { Execute(prog, r) })
+	if err == nil || !strings.Contains(err.Error(), "run lang.Check before Execute") {
+		t.Fatalf("unchecked program: err = %v", err)
+	}
+}
+
+func TestWaitOnCompletedRequestFails(t *testing.T) {
+	for _, done := range []string{"waitsome()", "testany()", "wait(h)"} {
+		src := fmt.Sprintf(`
+func main() {
+	var h = isend(rank, 8, 0);
+	recv(rank, 8, 0);
+	var n = %s;
+	wait(h);
+}`, strings.Replace(done, "wait(h)", "0; wait(h)", 1))
+		_, err := RunProgram(src, 1, mpisim.Params{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "unknown request") || !strings.Contains(err.Error(), "6:") {
+			t.Errorf("wait after %s: err = %v, want a positioned unknown-request error", done, err)
+		}
+	}
+}
+
+func TestRequestTableHoldsOnlyPending(t *testing.T) {
+	prog, err := lang.Parse(`
+func main() {
+	var peer = (rank + 1) % size;
+	var from = (rank + size - 1) % size;
+	for var i = 0; i < 8; i = i + 1 {
+		irecv(from, 128, i);
+		isend(peer, 128, i);
+		var done = 0;
+		while done < 2 {
+			done = done + waitsome();
+		}
+	}
+	irecv(from, 8, 99);
+	send(peer, 8, 99);
+	var got = 0;
+	while got == 0 { got = testany(); }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lang.Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	left := make([]int, n)
+	if _, err := mpisim.Run(n, mpisim.Params{}, nil, func(r *mpisim.Rank) {
+		ex := newExecutor(r)
+		r.Init()
+		ex.callUser(prog.ByName["main"], 0)
+		left[r.ID()] = len(ex.pending)
+		r.Finalize()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for rank, k := range left {
+		if k != 0 {
+			t.Errorf("rank %d: %d completed handles left in the request table", rank, k)
+		}
+	}
+}
+
+// TestLoopBodyAllocs budgets the steady state of the slot stack: once it has
+// grown to the deepest frame, a loop body of var, assign, arithmetic and one
+// user call allocates nothing per iteration.
+func TestLoopBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	src := `
+func sq(v) { var w = v * v; return w; }
+func main() {
+	var acc = 0;
+	for var i = 0; i < %d; i = i + 1 {
+		var x = i + 1;
+		acc = acc + sq(x) %% 7;
+	}
+}`
+	measure := func(iters int) float64 {
+		prog, err := lang.Parse(fmt.Sprintf(src, iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lang.Check(prog); err != nil {
+			t.Fatal(err)
+		}
+		var allocs float64
+		if _, err := mpisim.Run(1, mpisim.Params{}, []trace.Sink{trace.NopSink{}}, func(r *mpisim.Rank) {
+			ex := newExecutor(r)
+			allocs = testing.AllocsPerRun(20, func() { ex.callUser(prog.ByName["main"], 0) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return allocs
+	}
+	if short, long := measure(10), measure(1010); long != short {
+		t.Fatalf("1000 more iterations allocate %v more (%v vs %v), want 0", long-short, long, short)
+	}
+}
+
+// eventCounter discards the stream and counts its events.
+type eventCounter struct {
+	trace.NopSink
+	n *int64
+}
+
+func (c eventCounter) Event(*trace.Event) { *c.n++ }
+
+// BenchmarkLiveRun times the untraced run the paper's overhead divides by:
+// the interpreter and the MPI runtime on 64 ranks, the sink discarding.
+func BenchmarkLiveRun(b *testing.B) {
+	for _, name := range []string{"SP", "MG", "CG"} {
+		b.Run(name, func(b *testing.B) {
+			const n = 64
+			prog, err := lang.Parse(npb.Get(name).Source(n, npb.Paper))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := lang.Check(prog); err != nil {
+				b.Fatal(err)
+			}
+			counts := make([]int64, n)
+			sinks := make([]trace.Sink, n)
+			for i := range sinks {
+				sinks[i] = eventCounter{n: &counts[i]}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) { Execute(prog, r) }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var events int64
+			for _, c := range counts {
+				events += c
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
 	}
 }

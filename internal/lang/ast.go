@@ -33,6 +33,9 @@ type Program struct {
 	ByName map[string]*FuncDecl
 	// NumNodes is one past the largest NodeID assigned.
 	NumNodes int32
+	// Resolved is set by a successful Check: every name below it carries
+	// its frame slot and every call its target.
+	Resolved bool
 }
 
 // FuncDecl is a function definition.
@@ -41,6 +44,10 @@ type FuncDecl struct {
 	Name   string
 	Params []string
 	Body   *Block
+	// FrameSize is the number of slots a call of the function needs:
+	// the parameters first, then the locals, sibling blocks sharing slots
+	// (set by Check).
+	FrameSize int
 }
 
 // Block is a brace-delimited statement list.
@@ -60,6 +67,7 @@ type VarStmt struct {
 	base
 	Name string
 	Init Expr
+	Slot int // frame slot of the new variable (set by Check)
 }
 
 // AssignStmt assigns to an existing variable: x = expr;
@@ -67,6 +75,7 @@ type AssignStmt struct {
 	base
 	Name  string
 	Value Expr
+	Slot  int // frame slot of the assigned variable (set by Check)
 }
 
 // IfStmt is a two-way branch; Else may be nil, a *Block, or another *IfStmt
@@ -133,6 +142,7 @@ type IntLit struct {
 type Ident struct {
 	base
 	Name string
+	Slot int // frame slot (set by Check); -1 for the predeclared rank and size
 }
 
 // AnyLit is the ANY wildcard source literal.
@@ -184,6 +194,10 @@ type CallExpr struct {
 	base
 	Name string
 	Args []Expr
+	// Check resolves the callee: Func for a user function, Intrinsic for a
+	// builtin. The other stays nil.
+	Func      *FuncDecl
+	Intrinsic *Intrinsic
 }
 
 func (*IntLit) expr()     {}
@@ -193,9 +207,37 @@ func (*BinaryExpr) expr() {}
 func (*UnaryExpr) expr()  {}
 func (*CallExpr) expr()   {}
 
+// Builtin identifies an intrinsic, so a resolved call dispatches without
+// its name.
+type Builtin uint8
+
+const (
+	BuiltinSend Builtin = iota
+	BuiltinRecv
+	BuiltinIsend
+	BuiltinIrecv
+	BuiltinWait
+	BuiltinWaitall
+	BuiltinWaitsome
+	BuiltinTestany
+	BuiltinBarrier
+	BuiltinBcast
+	BuiltinReduce
+	BuiltinAllreduce
+	BuiltinGather
+	BuiltinScatter
+	BuiltinAllgather
+	BuiltinAlltoall
+	BuiltinCompute
+	BuiltinMin
+	BuiltinMax
+	BuiltinLog2
+)
+
 // Intrinsic describes a builtin callable.
 type Intrinsic struct {
 	Name   string
+	Code   Builtin
 	Arity  int
 	IsComm bool // emits an MPI event
 	HasRet bool // produces a value
@@ -204,39 +246,33 @@ type Intrinsic struct {
 // Intrinsics is the builtin table. Communication intrinsics mirror the MPI
 // routines the paper's runtime intercepts; compute advances the synthetic
 // compute clock; min/max/log2 are arithmetic helpers.
-var Intrinsics = map[string]Intrinsic{
-	"send":      {"send", 3, true, false},    // send(dest, bytes, tag)
-	"recv":      {"recv", 3, true, false},    // recv(src|ANY, bytes, tag)
-	"isend":     {"isend", 3, true, true},    // req = isend(dest, bytes, tag)
-	"irecv":     {"irecv", 3, true, true},    // req = irecv(src|ANY, bytes, tag)
-	"wait":      {"wait", 1, true, false},    // wait(req)
-	"waitall":   {"waitall", 0, true, false}, // waits all pending requests
-	"waitsome":  {"waitsome", 0, true, true}, // completes >=1 pending, returns count
-	"testany":   {"testany", 0, true, true},  // completes <=1 pending, returns 0/1
-	"barrier":   {"barrier", 0, true, false},
-	"bcast":     {"bcast", 2, true, false},     // bcast(root, bytes)
-	"reduce":    {"reduce", 2, true, false},    // reduce(root, bytes)
-	"allreduce": {"allreduce", 1, true, false}, // allreduce(bytes)
-	"gather":    {"gather", 2, true, false},
-	"scatter":   {"scatter", 2, true, false},
-	"allgather": {"allgather", 1, true, false},
-	"alltoall":  {"alltoall", 1, true, false},
-	"compute":   {"compute", 1, false, false}, // compute(ns)
-	"min":       {"min", 2, false, true},
-	"max":       {"max", 2, false, true},
-	"log2":      {"log2", 1, false, true}, // floor(log2(x)), x >= 1
+var Intrinsics = map[string]*Intrinsic{
+	"send":      {"send", BuiltinSend, 3, true, false},        // send(dest, bytes, tag)
+	"recv":      {"recv", BuiltinRecv, 3, true, false},        // recv(src|ANY, bytes, tag)
+	"isend":     {"isend", BuiltinIsend, 3, true, true},       // req = isend(dest, bytes, tag)
+	"irecv":     {"irecv", BuiltinIrecv, 3, true, true},       // req = irecv(src|ANY, bytes, tag)
+	"wait":      {"wait", BuiltinWait, 1, true, false},        // wait(req)
+	"waitall":   {"waitall", BuiltinWaitall, 0, true, false},  // waits all pending requests
+	"waitsome":  {"waitsome", BuiltinWaitsome, 0, true, true}, // completes >=1 pending, returns count
+	"testany":   {"testany", BuiltinTestany, 0, true, true},   // completes <=1 pending, returns 0/1
+	"barrier":   {"barrier", BuiltinBarrier, 0, true, false},
+	"bcast":     {"bcast", BuiltinBcast, 2, true, false},         // bcast(root, bytes)
+	"reduce":    {"reduce", BuiltinReduce, 2, true, false},       // reduce(root, bytes)
+	"allreduce": {"allreduce", BuiltinAllreduce, 1, true, false}, // allreduce(bytes)
+	"gather":    {"gather", BuiltinGather, 2, true, false},
+	"scatter":   {"scatter", BuiltinScatter, 2, true, false},
+	"allgather": {"allgather", BuiltinAllgather, 1, true, false},
+	"alltoall":  {"alltoall", BuiltinAlltoall, 1, true, false},
+	"compute":   {"compute", BuiltinCompute, 1, false, false}, // compute(ns)
+	"min":       {"min", BuiltinMin, 2, false, true},
+	"max":       {"max", BuiltinMax, 2, false, true},
+	"log2":      {"log2", BuiltinLog2, 1, false, true}, // floor(log2(x)), x >= 1
 }
 
 // IsIntrinsic reports whether name is a builtin.
 func IsIntrinsic(name string) bool {
 	_, ok := Intrinsics[name]
 	return ok
-}
-
-// IsCommIntrinsic reports whether name is a communication intrinsic.
-func IsCommIntrinsic(name string) bool {
-	in, ok := Intrinsics[name]
-	return ok && in.IsComm
 }
 
 // Error is a positioned front-end error.

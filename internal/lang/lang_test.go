@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -367,19 +368,24 @@ func solo() { barrier(); }
 }
 
 func TestIntrinsicTable(t *testing.T) {
-	if !IsIntrinsic("send") || !IsCommIntrinsic("alltoall") {
+	if !IsIntrinsic("send") || !Intrinsics["alltoall"].IsComm {
 		t.Fatal("intrinsic lookup broken")
 	}
-	if IsCommIntrinsic("compute") || IsCommIntrinsic("min") {
+	if Intrinsics["compute"].IsComm || Intrinsics["min"].IsComm {
 		t.Fatal("compute/min must not be comm intrinsics")
 	}
 	if IsIntrinsic("nosuch") {
 		t.Fatal("unknown intrinsic reported")
 	}
+	codes := map[Builtin]string{}
 	for name, in := range Intrinsics {
 		if in.Name != name {
 			t.Errorf("intrinsic %q has mismatched Name %q", name, in.Name)
 		}
+		if other, dup := codes[in.Code]; dup {
+			t.Errorf("intrinsics %q and %q share code %d", name, other, in.Code)
+		}
+		codes[in.Code] = name
 	}
 }
 
@@ -409,5 +415,136 @@ func main() {
 }`)
 	if _, err := Check(prog); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// resolution lists what Check wrote into prog, in source order: each
+// function's frame size, each name with its slot ("x@2" a read, "var x@2" a
+// declaration, "x=@2" an assignment) and each call with its target.
+func resolution(prog *Program) []string {
+	var out []string
+	var expr func(Expr)
+	expr = func(e Expr) {
+		switch e := e.(type) {
+		case *Ident:
+			out = append(out, fmt.Sprintf("%s@%d", e.Name, e.Slot))
+		case *UnaryExpr:
+			expr(e.X)
+		case *BinaryExpr:
+			expr(e.L)
+			expr(e.R)
+		case *CallExpr:
+			for _, a := range e.Args {
+				expr(a)
+			}
+			switch {
+			case e.Func != nil:
+				out = append(out, fmt.Sprintf("call %s->func %s", e.Name, e.Func.Name))
+			case e.Intrinsic != nil:
+				out = append(out, fmt.Sprintf("call %s->builtin %d", e.Name, e.Intrinsic.Code))
+			default:
+				out = append(out, "call "+e.Name+" unresolved")
+			}
+		}
+	}
+	var stmt func(Stmt)
+	stmt = func(s Stmt) {
+		switch s := s.(type) {
+		case *Block:
+			for _, st := range s.Stmts {
+				stmt(st)
+			}
+		case *VarStmt:
+			expr(s.Init)
+			out = append(out, fmt.Sprintf("var %s@%d", s.Name, s.Slot))
+		case *AssignStmt:
+			expr(s.Value)
+			out = append(out, fmt.Sprintf("%s=@%d", s.Name, s.Slot))
+		case *IfStmt:
+			expr(s.Cond)
+			stmt(s.Then)
+			if s.Else != nil {
+				stmt(s.Else)
+			}
+		case *ForStmt:
+			if s.Init != nil {
+				stmt(s.Init)
+			}
+			expr(s.Cond)
+			stmt(s.Body)
+			if s.Post != nil {
+				stmt(s.Post)
+			}
+		case *WhileStmt:
+			expr(s.Cond)
+			stmt(s.Body)
+		case *ReturnStmt:
+			if s.Value != nil {
+				expr(s.Value)
+			}
+		case *ExprStmt:
+			expr(s.X)
+		}
+	}
+	for _, fn := range prog.Funcs {
+		out = append(out, fmt.Sprintf("func %s frame %d", fn.Name, fn.FrameSize))
+		stmt(fn.Body)
+	}
+	return out
+}
+
+func TestCheckResolvesSlots(t *testing.T) {
+	prog := mustParse(t, `
+func f(a, b) {
+	var x = a + b;
+	if x > 0 {
+		var x = x + rank;
+		x = x * 2;
+	}
+	{ var y = 1; }
+	for var i = 0; i < 2; i = i + 1 { var z = i; }
+	for var j = 0; j < size; j = j + 1 { compute(j); }
+	{ var w = x; var x = 9; compute(x + w); }
+	return x;
+}
+func main() { var r = f(1, 2); compute(r); }`)
+	if prog.Resolved {
+		t.Fatal("parsed program reads as resolved")
+	}
+	if _, err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	if !prog.Resolved {
+		t.Fatal("checked program not marked resolved")
+	}
+	compute := fmt.Sprintf("call compute->builtin %d", BuiltinCompute)
+	want := []string{
+		"func f frame 5",
+		// Parameters take the first slots.
+		"a@0", "b@1", "var x@2",
+		// The inner x reads the outer one in its own initializer, then
+		// shadows it in a fresh slot.
+		"x@2", "x@2", "rank@-1", "var x@3", "x@3", "x=@3",
+		// A sibling block and two consecutive loops reuse slot 3.
+		"var y@3",
+		"var i@3", "i@3", "i@3", "var z@4", "i@3", "i=@3",
+		"var j@3", "j@3", "size@-1", "j@3", compute, "j@3", "j=@3",
+		// A read of the outer x before the block's own var x.
+		"x@2", "var w@3", "var x@4", "x@4", "w@3", compute,
+		"x@2",
+		"func main frame 1",
+		"call f->func f", "var r@0", "r@0", compute,
+	}
+	got := resolution(prog)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("resolution:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	// cst.Build checks the same AST a second time: it must write the same
+	// values.
+	if _, err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	if again := resolution(prog); strings.Join(again, "\n") != strings.Join(got, "\n") {
+		t.Fatalf("second Check wrote different values:\n%s", strings.Join(again, "\n"))
 	}
 }

@@ -162,10 +162,10 @@ func TestWaitsomeAndTestany(t *testing.T) {
 		r.Send(peer, 8, 1)
 		done := 0
 		for done < 2 {
-			done += r.Waitsome()
+			done += len(r.Waitsome())
 		}
-		if r.Testany() != 0 {
-			t.Error("testany on empty pending must return 0")
+		if r.Testany() != nil {
+			t.Error("testany on empty pending must return nil")
 		}
 	})
 }

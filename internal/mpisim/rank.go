@@ -265,12 +265,12 @@ func (r *Rank) Waitall() {
 
 // Waitsome blocks until at least one pending request completes, then also
 // reaps every other request that can complete without blocking. It returns
-// the number completed (0 only when nothing was pending).
-func (r *Rank) Waitsome() int {
+// the completed requests (none only when nothing was pending).
+func (r *Rank) Waitsome() []*Request {
 	start := r.nowNS
 	if len(r.pending) == 0 {
 		r.emit(completionEvent(trace.OpWaitsome, nil), start)
-		return 0
+		return nil
 	}
 	var doneReqs []*Request
 	// Block on the first pending request, then sweep the rest.
@@ -288,22 +288,22 @@ func (r *Rank) Waitsome() int {
 	}
 	r.removePending(doneSet)
 	r.emit(completionEvent(trace.OpWaitsome, doneReqs), start)
-	return len(doneReqs)
+	return doneReqs
 }
 
 // Testany attempts to complete at most one pending request without blocking.
-// It returns 1 on completion, 0 otherwise.
-func (r *Rank) Testany() int {
+// It returns the completed request, or nil.
+func (r *Rank) Testany() *Request {
 	start := r.nowNS
 	for _, q := range r.pending {
 		if r.tryComplete(q) {
 			r.removePending(map[*Request]bool{q: true})
 			r.emit(completionEvent(trace.OpTestany, []*Request{q}), start)
-			return 1
+			return q
 		}
 	}
 	r.emit(completionEvent(trace.OpTestany, nil), start)
-	return 0
+	return nil
 }
 
 // PendingCount returns the number of incomplete request handles, used by

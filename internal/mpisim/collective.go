@@ -9,15 +9,11 @@ import (
 )
 
 // collSync synchronizes collectives: every rank in the world communicator
-// must call the same collective with the same root and size; the runtime
-// aborts on mismatched operations, which in real MPI would deadlock or
-// corrupt data.
+// must call the same collective with the same root and size; a mismatched
+// call panics its rank, which in real MPI would deadlock or corrupt data.
 type collSync struct {
-	rt      *Runtime
 	mu      sync.Mutex
-	cond    *sync.Cond
 	arrived int
-	gen     uint64
 	op      trace.Op
 	root    int
 	size    int
@@ -25,60 +21,45 @@ type collSync struct {
 	finish  float64
 }
 
-func newCollSync(rt *Runtime) *collSync {
-	c := &collSync{rt: rt}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// enter blocks rank r until all ranks join the collective and returns the
-// common finish time of the operation.
+// enter parks rank r until all ranks join the collective and returns the
+// common finish time of the operation. The last to join wakes the rest.
 func (c *collSync) enter(r *Rank, op trace.Op, root, size int) float64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.arrived == 0 {
 		c.op, c.root, c.size = op, root, size
 	} else if c.op != op || c.root != root || c.size != size {
-		err := fmt.Errorf("mpisim: collective mismatch: rank %d called %v(root=%d,size=%d) while others called %v(root=%d,size=%d)",
-			r.id, op, root, size, c.op, c.root, c.size)
-		c.mu.Unlock()
-		c.rt.abort(err)
-		c.mu.Lock()
-		panic(errAborted)
+		defer c.mu.Unlock()
+		panic(fmt.Sprintf("mpisim: collective mismatch: rank %d called %v(root=%d,size=%d) while others called %v(root=%d,size=%d)",
+			r.id, op, root, size, c.op, c.root, c.size))
 	}
 	c.arrived++
 	c.maxNow = math.Max(c.maxNow, r.nowNS)
-	if c.arrived == c.rt.n {
-		c.finish = c.maxNow + c.cost(op, size)
-		c.arrived = 0
-		c.maxNow = 0
-		c.gen++
-		c.rt.noteProgress()
-		c.cond.Broadcast()
+	if c.arrived < r.rt.n {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		c.mu.Unlock()
+		r.park(forColl, 0, 0)
 		return c.finish
 	}
-	myGen := c.gen
-	for c.gen == myGen {
-		c.rt.markBlocked(+1)
-		c.cond.Wait()
-		c.rt.markBlocked(-1)
-		if c.rt.failureErr() != nil {
-			panic(errAborted)
+	defer c.mu.Unlock()
+	c.finish = c.maxNow + CollectiveCostNS(r.rt.params, r.rt.n, op, size)
+	c.arrived = 0
+	c.maxNow = 0
+	for _, w := range r.rt.ranks {
+		if w != r {
+			w.mu.Lock()
+			w.wake()
+			w.mu.Unlock()
 		}
 	}
 	return c.finish
 }
 
-// cost models collective completion time with binomial-tree decompositions,
-// the same decomposition the LogGP replay simulator applies (paper Section V
-// cites [23] for decomposing collectives into point-to-point operations).
-func (c *collSync) cost(op trace.Op, size int) float64 {
-	return CollectiveCostNS(c.rt.params, c.rt.n, op, size)
-}
-
 // CollectiveCostNS is the shared binomial-tree LogGP cost model for
-// collective operations; the SIM-MPI replay simulator uses the same formulas
-// so predictions are model-consistent with the synthetic "measurements".
+// collective operations (paper Section V cites [23] for decomposing
+// collectives into point-to-point operations); the SIM-MPI replay simulator
+// uses the same formulas so predictions are model-consistent with the
+// synthetic "measurements".
 func CollectiveCostNS(p Params, nRanks int, op trace.Op, size int) float64 {
 	n := float64(nRanks)
 	logn := math.Ceil(math.Log2(math.Max(n, 2)))

@@ -1,13 +1,20 @@
-// Package mpisim is a deterministic-enough MPI runtime simulator: it runs one
+// Package mpisim is a deterministic MPI runtime simulator: it runs one
 // goroutine per rank, matches point-to-point messages by (source, tag) with
 // wildcard-source support, synchronizes collectives, tracks request handles
 // for non-blocking operations, and advances a per-rank LogGP-based synthetic
 // clock. A trace.Sink attached to each rank observes every communication
 // event, playing the role of the paper's PMPI interposition layer.
 //
+// A run is a function of the program, the rank count and Params, not of the
+// Go scheduler. A receive from a named source matches as soon as its message
+// is there, in the sender's order. The choices that depend on arrival (a
+// wildcard receive, Testany, and the requests Waitsome reaps after its first)
+// wait until no rank runs, then take the smallest availNS, ties to the lowest
+// source. No rank running and none able to choose is exactly a deadlock.
+//
 // The simulator substitutes for the real MPI library the paper's runtime
 // intercepts. The compressors only consume the observed event stream, so
-// fidelity of the *pattern* (matching, ordering, wildcard nondeterminism,
+// fidelity of the *pattern* (matching, ordering, wildcard resolution,
 // request completion) is what matters, not byte transport.
 package mpisim
 
@@ -16,7 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -53,26 +60,19 @@ type message struct {
 	availNS        float64 // earliest time the payload is visible at the receiver
 }
 
-// mailbox holds arrived-but-unconsumed messages for one destination rank.
-type mailbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	msgs []message
-}
-
 // Runtime is one simulated MPI job.
 type Runtime struct {
 	n      int
 	params Params
-	boxes  []*mailbox
-	coll   *collSync
+	ranks  []*Rank
+	coll   collSync
 
-	mu       sync.Mutex
-	active   int
-	blocked  int
-	progress uint64
-	failure  error
-	done     chan struct{}
+	// running counts the ranks that are neither parked nor finished. A waker
+	// counts the rank it wakes before that rank runs, so 0 means exactly that
+	// no rank can move: every arrival-dependent choice is made then.
+	running atomic.Int64
+	next    int  // the rank quiesce offers the next choice to first
+	dead    bool // quiesce found no rank able to move: parked ranks unwind
 }
 
 // Run executes body on n ranks and returns the maximum synthetic clock (ns)
@@ -86,60 +86,49 @@ func Run(n int, params Params, sinks []trace.Sink, body func(r *Rank)) (float64,
 	if sinks != nil && len(sinks) != n {
 		return 0, fmt.Errorf("mpisim: %d sinks for %d ranks", len(sinks), n)
 	}
-	rt := &Runtime{n: n, params: params, active: n, done: make(chan struct{})}
-	rt.boxes = make([]*mailbox, n)
-	for i := range rt.boxes {
-		mb := &mailbox{}
-		mb.cond = sync.NewCond(&mb.mu)
-		rt.boxes[i] = mb
+	rt := &Runtime{n: n, params: params, ranks: make([]*Rank, n)}
+	rt.running.Store(int64(n))
+	for i := range rt.ranks {
+		r := &Rank{rt: rt, id: i, sink: trace.NopSink{}}
+		if sinks != nil {
+			r.sink = sinks[i]
+		}
+		r.cond.L = &r.mu
+		rt.ranks[i] = r
 	}
-	rt.coll = newCollSync(rt)
 
 	var wg sync.WaitGroup
 	finals := make([]float64, n)
 	panics := make([]error, n)
-	for i := 0; i < n; i++ {
+	for _, r := range rt.ranks {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
-					if r == errAborted {
-						panics[id] = rt.failureErr()
-					} else {
-						panics[id] = fmt.Errorf("mpisim: rank %d panicked: %v", id, r)
-						rt.abort(panics[id])
-					}
+				p := recover()
+				if p == errAborted {
+					return // woken uncounted by quiesce's deadlock verdict
 				}
-				rt.mu.Lock()
-				rt.active--
-				rt.progress++
-				rt.mu.Unlock()
-				rt.wakeAll()
+				if p != nil {
+					panics[r.id] = fmt.Errorf("mpisim: rank %d panicked: %v", r.id, p)
+				}
+				if rt.running.Add(-1) == 0 {
+					rt.quiesce()
+				}
 			}()
-			rank := &Rank{rt: rt, id: id}
-			if sinks != nil {
-				rank.sink = sinks[id]
-			} else {
-				rank.sink = trace.NopSink{}
-			}
-			body(rank)
-			finals[id] = rank.nowNS
-		}(i)
+			body(r)
+			finals[r.id] = r.nowNS
+		}()
 	}
-
-	watchdogDone := make(chan struct{})
-	go rt.watchdog(watchdogDone)
 	wg.Wait()
-	close(watchdogDone)
 
 	for _, err := range panics {
 		if err != nil {
 			return 0, err
 		}
 	}
-	if err := rt.failureErr(); err != nil {
-		return 0, err
+	if rt.dead {
+		return 0, ErrDeadlock
 	}
 	maxT := 0.0
 	for _, t := range finals {
@@ -150,70 +139,35 @@ func Run(n int, params Params, sinks []trace.Sink, body func(r *Rank)) (float64,
 
 var errAborted = errors.New("mpisim: aborted")
 
-func (rt *Runtime) failureErr() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.failure
-}
-
-func (rt *Runtime) abort(err error) {
-	rt.mu.Lock()
-	if rt.failure == nil {
-		rt.failure = err
-	}
-	rt.mu.Unlock()
-	rt.wakeAll()
-}
-
-func (rt *Runtime) wakeAll() {
-	for _, mb := range rt.boxes {
-		mb.cond.Broadcast()
-	}
-	rt.coll.cond.Broadcast()
-}
-
-// watchdog declares deadlock when every active rank stays blocked with no
-// progress across two consecutive samples.
-func (rt *Runtime) watchdog(done chan struct{}) {
-	var lastProgress uint64
-	var stuck int
-	for {
-		select {
-		case <-done:
+// quiesce runs when no rank is running. Parked ranks that wait to make an
+// arrival-dependent choice take turns in rank order, round robin: only the
+// first one that can choose is woken, and it chooses before any other rank
+// runs. If ranks are parked and none can choose, the job is deadlocked, and
+// every parked rank is woken, uncounted, to unwind with errAborted.
+func (rt *Runtime) quiesce() {
+	parked := false
+	for i := range rt.n {
+		r := rt.ranks[(rt.next+i)%rt.n]
+		r.mu.Lock()
+		if r.parked && (r.wait == forQuiet || r.wait == forAny && r.find(trace.AnySource, r.waitTag) >= 0) {
+			rt.next = r.id + 1
+			r.wake()
+			r.mu.Unlock()
 			return
-		case <-time.After(25 * time.Millisecond):
 		}
-		rt.mu.Lock()
-		allBlocked := rt.active > 0 && rt.blocked >= rt.active
-		progress := rt.progress
-		rt.mu.Unlock()
-		if allBlocked && progress == lastProgress {
-			stuck++
-			if stuck >= 3 {
-				rt.abort(ErrDeadlock)
-				return
-			}
-		} else {
-			stuck = 0
-		}
-		lastProgress = progress
+		parked = parked || r.parked
+		r.mu.Unlock()
 	}
-}
-
-// markBlocked adjusts the blocked-rank count around condition waits.
-func (rt *Runtime) markBlocked(delta int) {
-	rt.mu.Lock()
-	rt.blocked += delta
-	if delta < 0 {
-		rt.progress++
+	if !parked {
+		return
 	}
-	rt.mu.Unlock()
-}
-
-func (rt *Runtime) noteProgress() {
-	rt.mu.Lock()
-	rt.progress++
-	rt.mu.Unlock()
+	rt.dead = true
+	for _, r := range rt.ranks {
+		r.mu.Lock()
+		r.parked = false
+		r.cond.Signal()
+		r.mu.Unlock()
+	}
 }
 
 // noise returns a deterministic pseudo-random factor in [1-f, 1+f] derived

@@ -3,6 +3,8 @@ package mpisim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -19,7 +21,27 @@ type Rank struct {
 
 	nextReq int32
 	pending []*Request
+
+	// mu guards the arrived messages and the parking state; a parked rank
+	// sleeps on cond until a waker clears parked.
+	mu      sync.Mutex
+	cond    sync.Cond
+	msgs    []message // arrived, unconsumed messages in arrival order
+	parked  bool
+	wait    waitKind
+	waitSrc int // forPeer, forAny: the receive's source and tag
+	waitTag int
 }
+
+// waitKind says what a parked rank waits for, and so who wakes it.
+type waitKind uint8
+
+const (
+	forPeer  waitKind = iota // a message from (waitSrc, waitTag): its sender
+	forAny                   // any message with waitTag: quiesce, once one is there
+	forQuiet                 // no rank running: quiesce
+	forColl                  // the rest of the collective: its last arrival
+)
 
 // Request is a non-blocking operation handle.
 type Request struct {
@@ -83,7 +105,7 @@ func (r *Rank) p2pCost(size int) float64 {
 }
 
 // Send performs a blocking standard-mode send. Sends are eager: the payload
-// is buffered at the receiver's mailbox and the call returns after the local
+// joins the receiver's arrived messages and the call returns after the local
 // injection cost, matching small-message MPI behavior.
 func (r *Rank) Send(dest, size, tag int) {
 	r.checkPeer(dest, false)
@@ -95,13 +117,13 @@ func (r *Rank) Send(dest, size, tag int) {
 func (r *Rank) deliver(dest, size, tag int) {
 	cost := r.p2pCost(size)
 	r.nowNS += cost
-	avail := r.nowNS + r.rt.params.LatencyNS
-	mb := r.rt.boxes[dest]
-	mb.mu.Lock()
-	mb.msgs = append(mb.msgs, message{src: r.id, tag: tag, size: size, availNS: avail})
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-	r.rt.noteProgress()
+	d := r.rt.ranks[dest]
+	d.mu.Lock()
+	d.msgs = append(d.msgs, message{src: r.id, tag: tag, size: size, availNS: r.nowNS + r.rt.params.LatencyNS})
+	if d.parked && d.wait == forPeer && d.waitSrc == r.id && d.waitTag == tag {
+		d.wake()
+	}
+	d.mu.Unlock()
 }
 
 // Recv performs a blocking receive; src may be trace.AnySource. It returns
@@ -119,29 +141,77 @@ func (r *Rank) Recv(src, size, tag int) int {
 	return msg.src
 }
 
+// park blocks r, whose mu is held, until a waker clears r.parked. If r was
+// the last rank running, it runs quiesce itself before it sleeps.
+func (r *Rank) park(kind waitKind, src, tag int) {
+	r.parked, r.wait, r.waitSrc, r.waitTag = true, kind, src, tag
+	if r.rt.running.Add(-1) == 0 {
+		r.mu.Unlock()
+		r.rt.quiesce()
+		r.mu.Lock()
+	}
+	for r.parked {
+		r.cond.Wait()
+	}
+	if r.rt.dead {
+		panic(errAborted)
+	}
+}
+
+// wake lets parked r run again, counting it as running first; r.mu is held.
+func (r *Rank) wake() {
+	r.parked = false
+	r.rt.running.Add(1)
+	r.cond.Signal()
+}
+
+// find returns the index of the message a receive of (src, tag) takes, or
+// -1: a named source's first in sending order, or for trace.AnySource the
+// one with the smallest availNS, ties to the lowest source. r.mu is held.
+func (r *Rank) find(src, tag int) int {
+	best := -1
+	for i, m := range r.msgs {
+		if m.tag != tag || src != trace.AnySource && m.src != src {
+			continue
+		}
+		if src != trace.AnySource {
+			return i
+		}
+		if best < 0 || m.availNS < r.msgs[best].availNS ||
+			m.availNS == r.msgs[best].availNS && m.src < r.msgs[best].src {
+			best = i
+		}
+	}
+	return best
+}
+
+// take consumes the message at index i of r.msgs; r.mu is held.
+func (r *Rank) take(i, size int) message {
+	m := r.msgs[i]
+	if m.size != size {
+		panic(fmt.Sprintf("mpisim: rank %d: size mismatch recv(%d) vs send(%d) from %d tag %d",
+			r.id, size, m.size, m.src, m.tag))
+	}
+	r.msgs = append(r.msgs[:i], r.msgs[i+1:]...)
+	return m
+}
+
 // match blocks until a message matching (src, tag, size) is available and
-// consumes the first match in arrival order.
+// consumes it. A named source matches as soon as its message is there; a
+// wildcard chooses once no rank runs.
 func (r *Rank) match(src, tag, size int) message {
-	mb := r.rt.boxes[r.id]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	kind := forPeer
+	if src == trace.AnySource {
+		kind = forAny
+		r.park(kind, src, tag)
+	}
 	for {
-		for i, m := range mb.msgs {
-			if (src == trace.AnySource || m.src == src) && m.tag == tag {
-				if m.size != size {
-					panic(fmt.Sprintf("mpisim: rank %d: size mismatch recv(%d) vs send(%d) from %d tag %d",
-						r.id, size, m.size, m.src, tag))
-				}
-				mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-				return m
-			}
+		if i := r.find(src, tag); i >= 0 {
+			return r.take(i, size)
 		}
-		r.rt.markBlocked(+1)
-		mb.cond.Wait()
-		r.rt.markBlocked(-1)
-		if r.rt.failureErr() != nil {
-			panic(errAborted)
-		}
+		r.park(kind, src, tag)
 	}
 }
 
@@ -177,53 +247,49 @@ func (r *Rank) Irecv(src, size, tag int) *Request {
 
 // complete blocks until req is done, consuming its message if a receive.
 func (r *Rank) complete(req *Request) {
-	if req.done {
-		return
+	if !req.done {
+		r.fill(req, r.match(req.src, req.tag, req.size))
 	}
-	msg := r.match(req.src, req.tag, req.size)
-	req.done = true
-	req.matched = msg.src
-	req.availNS = msg.availNS
-	r.nowNS = math.Max(r.nowNS, msg.availNS)
 }
 
-// tryComplete attempts non-blocking completion; it reports success.
-func (r *Rank) tryComplete(req *Request) bool {
-	if req.done {
-		return true
-	}
-	mb := r.rt.boxes[r.id]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i, m := range mb.msgs {
-		if (req.src == trace.AnySource || m.src == req.src) && m.tag == req.tag {
-			if m.size != req.size {
-				panic(fmt.Sprintf("mpisim: rank %d: size mismatch irecv(%d) vs send(%d)",
-					r.id, req.size, m.size))
-			}
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-			req.done = true
-			req.matched = m.src
-			req.availNS = m.availNS
-			r.nowNS = math.Max(r.nowNS, m.availNS)
-			return true
+// fill marks receive req done with message m.
+func (r *Rank) fill(req *Request, m message) {
+	req.done = true
+	req.matched = m.src
+	req.availNS = m.availNS
+	r.nowNS = math.Max(r.nowNS, m.availNS)
+}
+
+// ready reports whether req is done, completing it if its message is there;
+// r.mu is held.
+func (r *Rank) ready(req *Request) bool {
+	if !req.done {
+		if i := r.find(req.src, req.tag); i >= 0 {
+			r.fill(req, r.take(i, req.size))
 		}
 	}
-	return false
+	return req.done
 }
 
-// removePending drops completed requests from the pending list.
-func (r *Rank) removePending(done map[*Request]bool) {
+// sweep parks r until no rank runs, so what has arrived is a function of the
+// program and not of the Go scheduler. It then completes, in posted order, up
+// to limit pending requests that need not block, and returns them.
+func (r *Rank) sweep(limit int) []*Request {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.park(forQuiet, 0, 0)
+	var done []*Request
 	kept := r.pending[:0]
 	for _, q := range r.pending {
-		if !done[q] {
+		if len(done) < limit && r.ready(q) {
+			done = append(done, q)
+		} else {
 			kept = append(kept, q)
 		}
 	}
-	for i := len(kept); i < len(r.pending); i++ {
-		r.pending[i] = nil
-	}
+	clear(r.pending[len(kept):])
 	r.pending = kept
+	return done
 }
 
 // completionEvent builds the Reqs/ReqSrcs lists for a completion operation.
@@ -248,7 +314,7 @@ func completionEvent(op trace.Op, reqs []*Request) *trace.Event {
 func (r *Rank) Wait(req *Request) {
 	start := r.nowNS
 	r.complete(req)
-	r.removePending(map[*Request]bool{req: true})
+	r.pending = slices.DeleteFunc(r.pending, func(q *Request) bool { return q == req })
 	r.emit(completionEvent(trace.OpWait, []*Request{req}), start)
 }
 
@@ -263,47 +329,31 @@ func (r *Rank) Waitall() {
 	r.emit(completionEvent(trace.OpWaitall, reqs), start)
 }
 
-// Waitsome blocks until at least one pending request completes, then also
-// reaps every other request that can complete without blocking. It returns
-// the completed requests (none only when nothing was pending).
+// Waitsome blocks until the first pending request completes, then, once no
+// rank runs, also reaps every other request that can complete without
+// blocking. It returns the completed requests (none only when nothing was
+// pending).
 func (r *Rank) Waitsome() []*Request {
 	start := r.nowNS
-	if len(r.pending) == 0 {
-		r.emit(completionEvent(trace.OpWaitsome, nil), start)
-		return nil
+	var done []*Request
+	if len(r.pending) > 0 {
+		r.complete(r.pending[0])
+		done = r.sweep(len(r.pending))
 	}
-	var doneReqs []*Request
-	// Block on the first pending request, then sweep the rest.
-	first := r.pending[0]
-	r.complete(first)
-	doneReqs = append(doneReqs, first)
-	for _, q := range r.pending[1:] {
-		if r.tryComplete(q) {
-			doneReqs = append(doneReqs, q)
-		}
-	}
-	doneSet := map[*Request]bool{}
-	for _, q := range doneReqs {
-		doneSet[q] = true
-	}
-	r.removePending(doneSet)
-	r.emit(completionEvent(trace.OpWaitsome, doneReqs), start)
-	return doneReqs
+	r.emit(completionEvent(trace.OpWaitsome, done), start)
+	return done
 }
 
-// Testany attempts to complete at most one pending request without blocking.
-// It returns the completed request, or nil.
+// Testany completes at most one pending request, the first in posted order
+// that can complete once no rank runs. It returns that request, or nil.
 func (r *Rank) Testany() *Request {
 	start := r.nowNS
-	for _, q := range r.pending {
-		if r.tryComplete(q) {
-			r.removePending(map[*Request]bool{q: true})
-			r.emit(completionEvent(trace.OpTestany, []*Request{q}), start)
-			return q
-		}
+	done := r.sweep(1)
+	r.emit(completionEvent(trace.OpTestany, done), start)
+	if len(done) == 0 {
+		return nil
 	}
-	r.emit(completionEvent(trace.OpTestany, nil), start)
-	return nil
+	return done[0]
 }
 
 // PendingCount returns the number of incomplete request handles, used by

@@ -456,8 +456,9 @@ func main() {
 
 func TestRoundTripWaitsomePartialCompletion(t *testing.T) {
 	// Partial completion (paper Section IV-A: MPI_Waitsome etc. recorded via
-	// GIDs): the number of requests each waitsome reaps is nondeterministic,
-	// but the recorded trace must still replay its own run exactly.
+	// GIDs): the number of requests each waitsome reaps depends on what has
+	// arrived once no rank runs, not on the program text, and the recorded
+	// trace must replay its own run exactly.
 	raw, rep := roundTrip(t, `
 func main() {
 	var peer = (rank + 1) % size;

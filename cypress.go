@@ -268,13 +268,13 @@ func (r *Result) WriteTrace(w io.Writer, f Format) (int64, error) {
 //
 // With no ranks every timing payload is decoded up front. With ranks the
 // projection is pushed into the decoder: only those ranks' payloads are
-// materialized and the rest resolve lazily on first touch, so single-rank
-// serving cost scales with what the query touches, not with trace size;
-// unselected sections are passed over by an allocation-free grammar walk (and
-// checked against the section index of FormatIndexed files).
-// Either way every rank replays identically. The Result retains
-// the payload bytes, so the caller must not modify data afterwards, and its
-// prediction parameters are mpisim.DefaultParams(), as for Corpus.Get.
+// decoded, so single-rank serving cost scales with what the query touches,
+// not with trace size; unselected sections are passed over by an
+// allocation-free grammar walk (and checked against the section index of
+// FormatIndexed files). Such a Result serves those ranks alone: Replay of
+// any other rank, PredictPar, CommMatrixPar and WriteTrace return an error.
+// The Result keeps nothing of data, and its prediction parameters are
+// mpisim.DefaultParams(), as for Corpus.Get.
 func OpenTrace(data []byte, workers int, ranks ...int) (*Result, error) {
 	sel := merge.SelectAll()
 	if len(ranks) > 0 {
@@ -391,11 +391,10 @@ func (c *Corpus) Get(id TraceID) (r *Result, release func(), err error) {
 }
 
 // GetProjected is Get with a rank projection pushed into the decode: on a
-// cache miss only the listed ranks' timing payloads are materialized, and the
-// remainder fill lazily on first touch (see corpus.Store.GetProjected). The
-// projected tree shares the same serving-cache residency as Get's — warm
-// gets of either kind hit it — so projection changes decode cost, never
-// correctness or cache behavior.
+// cache miss only the listed ranks' timing payloads are decoded, and the
+// Result serves those ranks alone, as OpenTrace's does (see
+// corpus.Store.GetProjected). A projected tree never enters the serving
+// cache; a resident whole trace serves a projected get as a hit.
 func (c *Corpus) GetProjected(id TraceID, ranks ...int) (r *Result, release func(), err error) {
 	tr, err := c.store.GetProjected(id, ranks)
 	if err != nil {

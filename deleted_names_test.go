@@ -129,6 +129,14 @@ var deletedNames = []struct {
 		why:     "wall-clock deadlock detection",
 		pattern: regexp.MustCompile(`watchdog|markBlocked|noteProgress|time\.After\(`),
 	},
+	{
+		// One read per projection: a projected decode keeps no encoding and
+		// serves its selected ranks alone. The fill-on-first-touch arena, its
+		// lock and publish array, and the calls that filled through it are
+		// gone.
+		why:     "lazy payload fill",
+		pattern: regexp.MustCompile(`lazyPayloads|lazySlot|entryData\(|Materialize\(|SelLazyFill|NameLazyFill`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

@@ -19,21 +19,22 @@ import (
 // Result fresh from the in-memory run's bytes — never by copying mem, whose
 // streamOnce may have fired, which would silently replay the in-memory tree.
 // prior is another run of the same program on a slightly different network:
-// the same structural class, other timings. A new read path is one more row
-// of readPaths.
+// the same structural class, other timings. ranks is the projection the path
+// decodes under, nil for a whole trace. A new read path is one more row of
+// readPaths.
 type readPath struct {
-	name string
-	open func(t *testing.T, mem, prior *Result) (res *Result, release func())
+	name  string
+	ranks []int
+	open  func(t *testing.T, mem, prior *Result) (res *Result, release func())
 }
 
 // fromBytes is a read path that writes mem with write and opens the bytes
 // with OpenTrace — the constructor the CLIs use. With no ranks every section
-// decodes eagerly. Every rank is replayed afterwards either way: with rank 1
-// projected it is served from eagerly decoded sections and most others from
-// lazily filled ones; with noRank projected nothing is selected, so every
-// section, rank 1's included, is a lazy fill.
+// decodes; with ranks only the sections those ranks touch do, and the Result
+// serves those ranks alone. noRank selects no section. The bytes are zeroed
+// once opened: the Result must keep nothing of them.
 func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error), ranks ...int) readPath {
-	return readPath{name, func(t *testing.T, mem, _ *Result) (*Result, func()) {
+	return readPath{name, ranks, func(t *testing.T, mem, _ *Result) (*Result, func()) {
 		var buf bytes.Buffer
 		if _, err := write(mem, &buf); err != nil {
 			t.Fatalf("write: %v", err)
@@ -42,6 +43,7 @@ func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error),
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
+		clear(buf.Bytes())
 		return res, func() {}
 	}}
 }
@@ -49,10 +51,19 @@ func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error),
 // noRank is a rank no run has: projecting it selects no section.
 const noRank = -1
 
+// getRanks serves id from c: whole with no ranks, projected onto ranks
+// otherwise.
+func getRanks(c *Corpus, id TraceID, ranks []int) (*Result, func(), error) {
+	if ranks == nil {
+		return c.Get(id)
+	}
+	return c.GetProjected(id, ranks...)
+}
+
 // fromCorpus is a read path that ingests mem into an empty corpus and serves
-// it back cold with get.
-func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), error)) readPath {
-	return readPath{name, func(t *testing.T, mem, _ *Result) (*Result, func()) {
+// it back cold, projected onto ranks when there are any.
+func fromCorpus(name string, ranks ...int) readPath {
+	return readPath{name, ranks, func(t *testing.T, mem, _ *Result) (*Result, func()) {
 		c, err := OpenCorpus(t.TempDir(), CorpusOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +72,7 @@ func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), e
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		res, release, err := get(c, id)
+		res, release, err := getRanks(c, id, ranks)
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
@@ -77,11 +88,11 @@ func fromCorpus(name string, get func(c *Corpus, id TraceID) (*Result, func(), e
 // fromCorpusDelta is the read path of a run that is not the first of its
 // class: prior is ingested first and becomes the class representative, mem is
 // stored as a delta against it, and the corpus is closed and reopened before
-// mem is served cold with get — so the class's read plan is built from the
-// class file, and the record is read out of a sealed segment that holds two,
-// by the frames that cover it.
-func fromCorpusDelta(name string, get func(c *Corpus, id TraceID) (*Result, func(), error)) readPath {
-	return readPath{name, func(t *testing.T, mem, prior *Result) (*Result, func()) {
+// mem is served cold — so the class's read plan is built from the class
+// file, and the record is read out of a sealed segment that holds two, by the
+// frames that cover it.
+func fromCorpusDelta(name string, ranks ...int) readPath {
+	return readPath{name, ranks, func(t *testing.T, mem, prior *Result) (*Result, func()) {
 		dir := t.TempDir()
 		c, err := OpenCorpus(dir, CorpusOptions{})
 		if err != nil {
@@ -106,7 +117,7 @@ func fromCorpusDelta(name string, get func(c *Corpus, id TraceID) (*Result, func
 		if st, err := c.Stats(); err != nil || st.Segments != 1 || st.Runs != 2 {
 			t.Fatalf("the two runs are not in one sealed segment: %+v, %v", st, err)
 		}
-		res, release, err := get(c, id)
+		res, release, err := getRanks(c, id, ranks)
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
@@ -118,9 +129,6 @@ func fromCorpusDelta(name string, get func(c *Corpus, id TraceID) (*Result, func
 		}
 	}}
 }
-
-func getWhole(c *Corpus, id TraceID) (*Result, func(), error) { return c.Get(id) }
-func getRank1(c *Corpus, id TraceID) (*Result, func(), error) { return c.GetProjected(id, 1) }
 
 func writePlain(mem *Result, w io.Writer) (int64, error)   { return mem.WriteTrace(w, FormatRaw) }
 func writeGzip(mem *Result, w io.Writer) (int64, error)    { return mem.WriteTrace(w, FormatGzip) }
@@ -148,13 +156,11 @@ var readPaths = []readPath{
 	fromBytes("select/plain/rank1", writePlain, 1),
 	fromBytes("select/plain/none", writePlain, noRank),
 	fromBytes("select/cypb/rank1", writeBlocked, 1),
-	fromCorpus("corpus/get", getWhole),
-	fromCorpus("corpus/get-projected", getRank1),
-	fromCorpus("corpus/get-projected/none", func(c *Corpus, id TraceID) (*Result, func(), error) {
-		return c.GetProjected(id, noRank)
-	}),
-	fromCorpusDelta("corpus/get/delta", getWhole),
-	fromCorpusDelta("corpus/get-projected/delta", getRank1),
+	fromCorpus("corpus/get"),
+	fromCorpus("corpus/get-projected", 1),
+	fromCorpus("corpus/get-projected/none", noRank),
+	fromCorpusDelta("corpus/get/delta"),
+	fromCorpusDelta("corpus/get-projected/delta", 1),
 }
 
 // diffEvents compares two replayed sequences field for field. Request lists
@@ -234,12 +240,22 @@ func TestDecodedMatchesInMemory(t *testing.T) {
 						defer release()
 						for rank := 0; rank < n; rank++ {
 							got, err := res.Replay(rank)
+							if rp.ranks != nil && !slices.Contains(rp.ranks, rank) {
+								if err == nil {
+									t.Fatalf("rank %d is outside the projection and replays", rank)
+								}
+								continue
+							}
 							if err != nil {
 								t.Fatalf("rank %d: %v", rank, err)
 							}
 							if err := diffEvents(wantSeqs[rank], got); err != nil {
 								t.Fatalf("rank %d: %v", rank, err)
 							}
+						}
+						if rp.ranks != nil {
+							refusesWholeTree(t, res)
+							return
 						}
 						gotPred, err := res.PredictPar(1)
 						if err != nil {
@@ -252,6 +268,23 @@ func TestDecodedMatchesInMemory(t *testing.T) {
 					})
 				}
 			})
+		}
+	}
+}
+
+// refusesWholeTree checks that every use of a projected Result that reads
+// all ranks returns an error, and none panics.
+func refusesWholeTree(t *testing.T, res *Result) {
+	t.Helper()
+	if _, err := res.PredictPar(1); err == nil {
+		t.Error("PredictPar over a projection returned no error")
+	}
+	if _, err := res.CommMatrixPar(1); err == nil {
+		t.Error("CommMatrixPar over a projection returned no error")
+	}
+	for _, f := range []Format{FormatRaw, FormatGzip, FormatIndexed, FormatBlocked} {
+		if _, err := res.WriteTrace(io.Discard, f); err == nil {
+			t.Errorf("WriteTrace format %d of a projection returned no error", f)
 		}
 	}
 }

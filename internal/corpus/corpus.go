@@ -686,17 +686,16 @@ func (s *Store) Get(hash uint64) (*Trace, error) {
 
 // GetProjected is Get with a rank projection pushed into the decode: on a
 // cache miss the trace is reconstructed once but only the selected ranks'
-// timing payloads are materialized; the rest fill lazily from the retained
-// encoding on first touch. The projected tree enters the same serving cache
-// at the same cost as the full tree (the lazy form retains the whole
-// encoding), so a later Get or differently-ranked GetProjected of a resident
-// trace is a cache hit that self-heals payload coverage on demand.
+// timing payloads are decoded, and the tree serves those ranks alone (see
+// merge.DecodeSelectAuto). Such a tree is never cached, so a later Get still
+// decodes the whole trace. A resident whole trace serves a projected get too.
 func (s *Store) GetProjected(hash uint64, ranks []int) (*Trace, error) {
 	return s.get(hash, merge.SelectRanks(ranks...))
 }
 
 // get is the shared body of Get and GetProjected: cache acquire, else
-// reassemble the bytes, decode them under sel (merge.Joined.Decode), insert.
+// reassemble the bytes and decode them under sel (merge.Joined.Decode). Only
+// a whole tree enters the cache; a projected one goes to its caller alone.
 func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 	sink := obs.Attached()
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCorpus, ftrace.NameCorpusGet, 0)
@@ -715,9 +714,12 @@ func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 	}
-	t := s.cache.Insert(hash, m, int64(len(j.Enc)))
-	tsp.End(0, int64(len(j.Enc)))
-	return t, nil
+	cost := int64(len(j.Enc))
+	defer tsp.End(0, cost)
+	if !sel.All() {
+		return &Trace{Merged: m, hash: hash, cost: cost}, nil
+	}
+	return s.cache.Insert(hash, m, cost), nil
 }
 
 // Delete removes a trace from the corpus by appending a tombstone. The bytes

@@ -21,6 +21,7 @@ import (
 	"repro/internal/merge"
 	"repro/internal/mpisim"
 	"repro/internal/obs"
+	"repro/internal/simmpi"
 	"repro/internal/timestat"
 	"repro/internal/trace"
 )
@@ -585,13 +586,13 @@ func main() {
 // TestColdProjectedGetAllocs bounds what a cold single-rank get of a delta
 // run allocates: the reassembled encoding once (fullLen), a small constant
 // multiple of the entry count (the entry and rank-set slabs, the section
-// lengths, the lazy slots), and a constant (CST, slab chunks). No term in the
+// lengths), and a constant (CST, slab chunks). No term in the
 // payload's word count and no second copy of the encoding — the two-pass read
 // path this replaced decoded the representative into a []uint64 and built an
 // intermediate payload on every get, 2.3 MB here where the budget is 1.4 MB.
 func TestColdProjectedGetAllocs(t *testing.T) {
 	const (
-		perEntry = 256
+		perEntry = 224
 		fixed    = 160 << 10
 	)
 	st, err := corpus.Open(t.TempDir(), corpus.Options{CacheBytes: -1})
@@ -767,9 +768,10 @@ func resealUncut(t testing.TB, dir string) {
 }
 
 // serves reports whether every read of r from st is the ingested run: the
-// bytes, and the replay of every rank through Get and through a cold
-// GetProjected. A read that fails is returned as the error; a read that
-// succeeds with anything else fails the test there and then.
+// bytes, the replay of every rank through Get, and the replay of rank 1
+// through a cold GetProjected onto it. A read that fails is returned as the
+// error; a read that succeeds with anything else fails the test there and
+// then.
 func serves(t testing.TB, what string, st *corpus.Store, r *storedRun) error {
 	t.Helper()
 	got, err := st.GetBytes(r.hash)
@@ -779,25 +781,29 @@ func serves(t testing.TB, what string, st *corpus.Store, r *storedRun) error {
 	if !bytes.Equal(got, r.enc) {
 		t.Fatalf("%s: GetBytes served wrong bytes", what)
 	}
-	for _, get := range []struct {
-		name string
-		fn   func() (*corpus.Trace, error)
-	}{
-		{"Get", func() (*corpus.Trace, error) { return st.Get(r.hash) }},
-		{"GetProjected", func() (*corpus.Trace, error) { return st.GetProjected(r.hash, []int{1}) }},
-	} {
-		tr, err := get.fn()
-		if err != nil {
-			return err
-		}
-		seqs, err := rankSequences(tr.Merged)
-		tr.Release()
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(seqs, r.seqs) {
-			t.Fatalf("%s: %s replays a wrong trace", what, get.name)
-		}
+	tr, err := st.Get(r.hash)
+	if err != nil {
+		return err
+	}
+	seqs, err := rankSequences(tr.Merged)
+	tr.Release()
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(seqs, r.seqs) {
+		t.Fatalf("%s: Get replays a wrong trace", what)
+	}
+	if tr, err = st.GetProjected(r.hash, []int{1}); err != nil {
+		return err
+	}
+	var seq []trace.Event
+	err = tr.Streamer().Replay(1, func(e *trace.Event) { seq = append(seq, *e) })
+	tr.Release()
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(seq, r.seqs[1]) {
+		t.Fatalf("%s: GetProjected replays a wrong rank 1", what)
 	}
 	return nil
 }
@@ -1125,10 +1131,12 @@ func replayRank(t testing.TB, tr *corpus.Trace, rank int) []trace.Event {
 	return out
 }
 
-// TestGetProjected: a rank-projected get replays the selected rank
-// identically to a full get, shares the full tree's cache residency (one
-// decode, one cost accounting), and self-heals when an unselected rank of
-// the resident projected tree is touched later.
+// TestGetProjected: a cold rank-projected get replays the selected rank
+// identically to the ingested tree, refuses every other rank, and stays out
+// of the serving cache. A whole get after it is a miss that hands out a whole
+// tree — every rank replays the ingested sequences and the prediction is
+// bit-equal — and is the one resident entry; a projected get of the resident
+// trace is then a hit on that whole tree.
 func TestGetProjected(t *testing.T) {
 	st, err := corpus.Open(t.TempDir(), corpus.Options{})
 	if err != nil {
@@ -1136,7 +1144,13 @@ func TestGetProjected(t *testing.T) {
 	}
 	defer st.Close()
 	const ranks = 8
-	h, err := st.IngestBytes(encodeBytes(t, simMerged(t, multiPhaseSrc, ranks, 0)))
+	m := simMerged(t, multiPhaseSrc, ranks, 0)
+	want, err := rankSequences(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPred := predict(t, m)
+	h, err := st.IngestBytes(encodeBytes(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1145,57 +1159,75 @@ func TestGetProjected(t *testing.T) {
 	obs.Attach(s, nil)
 	defer obs.Attach(nil, nil)
 
-	// Cold projected get: decodes selectively, enters the serving cache.
 	proj, err := st.GetProjected(h, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer proj.Release()
-	if misses := s.Value(obs.CorpusCacheMisses); misses != 1 {
-		t.Fatalf("cache misses = %d, want 1", misses)
+	if got := replayRank(t, proj, 3); !reflect.DeepEqual(got, want[3]) {
+		t.Fatalf("rank 3: projected replay diverges (%d vs %d events)", len(got), len(want[3]))
+	}
+	for _, rank := range []int{0, ranks - 1} {
+		if err := proj.Streamer().Replay(rank, func(*trace.Event) {}); err == nil {
+			t.Fatalf("rank %d is outside the projection and replays", rank)
+		}
+	}
+	if stats, err := st.Stats(); err != nil || stats.CacheEntries != 0 {
+		t.Fatalf("a projected get entered the cache: %+v, %v", stats, err)
 	}
 
-	// A full Get of the resident trace is a cache hit on the same tree.
 	full, err := st.Get(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer full.Release()
-	if hits := s.Value(obs.CorpusCacheHits); hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
+	got, err := rankSequences(full.Merged)
+	if err != nil {
+		t.Fatalf("Get after a projected get: %v", err)
 	}
-	if full.Merged != proj.Merged {
-		t.Fatal("projected and full gets of a resident trace do not share one tree")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Get after a projected get replays a wrong trace")
+	}
+	if gotPred := predict(t, full.Merged); !reflect.DeepEqual(gotPred, wantPred) {
+		t.Fatalf("prediction differs from the ingested tree's: total %v vs %v ns", gotPred.TotalNS, wantPred.TotalNS)
+	}
+	if stats, err := st.Stats(); err != nil || stats.CacheEntries != 1 {
+		t.Fatalf("cache holds %d entries, want the whole get's 1 (%v)", stats.CacheEntries, err)
 	}
 
-	// Reference sequences from an independent full decode.
-	ref, err := merge.Decode(bytes.NewReader(mustGetBytes(t, st, h)))
+	again, err := st.GetProjected(h, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rank := range []int{3, 0, ranks - 1} {
-		var want []trace.Event
-		if err := merge.NewStreamer(ref).Replay(rank, func(e *trace.Event) {
-			want = append(want, *e)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// rank 3 is the selected slice; the others exercise lazy self-healing
-		// of the shared resident tree.
-		got := replayRank(t, proj, rank)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rank %d: projected replay diverges (%d vs %d events)", rank, len(got), len(want))
-		}
+	defer again.Release()
+	if again.Merged != full.Merged {
+		t.Fatal("a projected get of a resident trace is not served by it")
+	}
+	if hits, misses := s.Value(obs.CorpusCacheHits), s.Value(obs.CorpusCacheMisses); hits != 1 || misses != 2 {
+		t.Fatalf("hit/miss = %d/%d, want 1/2", hits, misses)
 	}
 }
 
-func mustGetBytes(t testing.TB, st *corpus.Store, h uint64) []byte {
+// predict runs the LogGP simulation over every rank of m.
+func predict(t testing.TB, m *merge.Merged) simmpi.Result {
 	t.Helper()
-	enc, err := st.GetBytes(h)
+	s := merge.NewStreamer(m)
+	if err := s.Prepare(1); err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]simmpi.EventSource, m.NumRanks)
+	for rank := range srcs {
+		cur, err := s.Cursor(rank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[rank] = cur
+	}
+	res, err := simmpi.SimulateStreamPar(srcs, mpisim.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return enc
+	return res
 }
 
 // TestPatchedWordsCounted: a cold get patches exactly the words whose delta

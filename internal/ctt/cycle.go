@@ -89,7 +89,7 @@ func (d *VData) closeCycle(cs *cycleState) {
 	}
 	d.Cycles = append(d.Cycles, Cycle{Start: int32(oc.start), Len: int32(oc.length), Reps: oc.reps})
 	cs.frozen = oc.start + oc.length
-	// Materialize the partial repetition (records fully consumed, then the
+	// Expand the partial repetition (records fully consumed, then the
 	// one partially consumed). Their time statistics were folded into the
 	// block records; the copies carry mean-seeded stats so sample counts
 	// stay consistent with occurrence counts.

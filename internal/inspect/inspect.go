@@ -114,11 +114,9 @@ type Analysis struct {
 // Analyze derives the structural breakdown of m. The result depends only on
 // the merged data, never on merge schedule or timing.
 func Analyze(m *merge.Merged) *Analysis {
-	// Analyze reads every payload, so a selectively decoded tree (corpus
-	// GetProjected, merge.DecodeSelectAuto) is materialized up front. A fill
-	// error leaves that entry's Data nil and the guard below keeps it out
-	// of the tally; trees whose encoding full Decode accepts cannot hit it.
-	_ = m.Materialize()
+	// A projected tree (corpus GetProjected, merge.DecodeSelectAuto) holds
+	// no payload for the entries outside its selection; the guard below
+	// keeps them out of the tally.
 	a := &Analysis{}
 	a.Summary.NumRanks = m.NumRanks
 	a.Summary.EventCount = m.EventCount

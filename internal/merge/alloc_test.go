@@ -126,7 +126,7 @@ func TestPairUniformSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEntrySize pins Entry at three words on 64-bit platforms: rank set,
-// payload, and the ownership bit beside the lazy slot. Every decode
+// payload, and the ownership bit. Every decode
 // allocates every entry of the tree, so its size shows in alloc_mb_per_op;
 // per-payload memos (the invariant key) belong on ctt.VData instead.
 func TestEntrySize(t *testing.T) {

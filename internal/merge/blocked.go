@@ -38,6 +38,10 @@ func (m *Merged) EncodeBlocked(out io.Writer, workers int) (int64, error) {
 // the decode pipeline and random access finer granularity at a small size
 // cost (deflate restarts its window per frame).
 func (m *Merged) EncodeBlockedFrames(out io.Writer, workers, frameSize int) (int64, error) {
+	// Refused before the container writes its header or starts its workers.
+	if err := m.whole("encode"); err != nil {
+		return 0, err
+	}
 	if workers <= 0 {
 		workers = defaultIOWorkers()
 	}

@@ -42,11 +42,6 @@ type Entry struct {
 	// be extended in place. FromRank shares one Set across all vertices of a
 	// rank, so entries start not owning; the first union copies.
 	owns bool
-	// lazy is non-zero for an entry whose payload DecodeSelectAuto skipped: Data
-	// stays nil until the section is materialized from slot lazy-1 of the
-	// tree's lazyPayloads (see entryData). Zero for eagerly decoded and
-	// merge-built entries.
-	lazy int32
 }
 
 // Merged is a job-wide compressed trace tree.
@@ -60,9 +55,10 @@ type Merged struct {
 	Entries [][]Entry
 	// EventCount is the total number of MPI events across all ranks.
 	EventCount int64
-	// lazy, when non-nil, holds the retained encoding and the byte ranges of
-	// the payload sections a selective decode skipped (see DecodeSelectAuto).
-	lazy *lazyPayloads
+	// proj, when non-nil, is the rank projection a selective decode served
+	// (see DecodeSelectAuto): an entry no selected rank belongs to has a nil
+	// Data, and only the selected ranks replay.
+	proj *Selection
 }
 
 // executedCount returns the number of vertices holding dynamic data, using
@@ -251,12 +247,11 @@ func pairEsc(a, b *Merged, sc *probeScratch, keyOn bool) (_ *Merged, escaped boo
 	if len(a.Entries) != len(b.Entries) {
 		return nil, false, fmt.Errorf("merge: vertex count mismatch: %d vs %d", len(a.Entries), len(b.Entries))
 	}
-	// Merging reads and mutates payloads in place, so projected trees must be
-	// whole first.
-	if err := a.Materialize(); err != nil {
+	// Merging reads and mutates every payload in place.
+	if err := a.whole("merge"); err != nil {
 		return nil, false, err
 	}
-	if err := b.Materialize(); err != nil {
+	if err := b.whole("merge"); err != nil {
 		return nil, false, err
 	}
 	noRel := a.noRel || b.noRel
@@ -658,21 +653,17 @@ type rankView struct {
 	rank int
 }
 
-// ForRank returns a replay source for one rank of the merged tree.
+// ForRank returns a replay source for one rank of the merged tree. On a
+// projected tree only a selected rank's source is whole: replay.Source has no
+// error channel, so a vertex whose payload the projection skipped reads as
+// unexecuted. The Streamer refuses such a rank instead.
 func (m *Merged) ForRank(rank int) rankView { return rankView{m, rank} }
 
 func (v rankView) data(gid int32) *ctt.VData {
 	es := v.m.Entries[gid]
 	for i := range es {
 		if es[i].Ranks.Contains(v.rank) {
-			d, err := v.m.entryData(&es[i])
-			if err != nil {
-				// replay.Source has no error channel; a corrupt lazy section
-				// reads as unexecuted here. The Streamer path surfaces the
-				// error instead, and Materialize reports it directly.
-				return nil
-			}
-			return d
+			return es[i].Data
 		}
 	}
 	return nil
@@ -717,11 +708,6 @@ func (v rankView) Cycles(gid int32) []ctt.Cycle {
 func (m *Merged) statMode() timestat.Mode {
 	for _, es := range m.Entries {
 		for _, e := range es {
-			if e.Data == nil {
-				// Unmaterialized lazy payload; encode materializes the whole
-				// tree before calling here.
-				continue
-			}
 			for _, r := range e.Data.Records {
 				if r.Time.Hist != nil {
 					return timestat.ModeHistogram

@@ -5,13 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/blockio"
-	"repro/internal/ctt"
 	"repro/internal/obs"
-	ftrace "repro/internal/obs/trace"
 	"repro/internal/rankset"
 	"repro/internal/timestat"
 )
@@ -20,10 +16,9 @@ import (
 // (tiny) structure stream — header, CST, rank sets — with the (large) per-entry
 // VData timing payloads, so even a single-rank query historically paid a
 // full-tree payload decode. DecodeSelectAuto pushes the rank projection into
-// the decoder: structure decodes fully, but a payload section is materialized
-// only when its entry's rank set intersects the selection; everything else is
-// recorded as a byte range against the retained encoding and filled lazily on
-// first touch.
+// the decoder: structure decodes fully, but a payload section is decoded only
+// when its entry's rank set intersects the selection; everything else is
+// passed over, and the tree serves the selected ranks alone.
 //
 // Skipped sections of a file are not decoded, but they are walked: an
 // allocation-free grammar walk over the raw bytes finds each section's end.
@@ -36,20 +31,19 @@ import (
 // by is the one it did not read: the section lengths Plan.Reassemble observed
 // while writing the very bytes being decoded (Joined.Decode).
 
-// Selection names the ranks a selective decode must materialize payloads for.
+// Selection names the ranks a selective decode must decode payloads for.
 // The zero value selects nothing (structure-only decode).
 type Selection struct {
 	all   bool
 	ranks []int // sorted, deduplicated
 }
 
-// SelectAll selects every rank: DecodeSelectAuto materializes all payloads
-// eagerly, matching a full Decode.
+// SelectAll selects every rank: DecodeSelectAuto decodes all payloads,
+// matching a full Decode.
 func SelectAll() Selection { return Selection{all: true} }
 
 // SelectRanks selects the given ranks. With no arguments the selection is
-// empty and DecodeSelectAuto decodes structure only, leaving every payload
-// lazy.
+// empty and DecodeSelectAuto decodes structure only: the tree serves no rank.
 func SelectRanks(ranks ...int) Selection {
 	rs := append([]int(nil), ranks...)
 	sort.Ints(rs)
@@ -186,99 +180,20 @@ func (m *Merged) EncodeIndexed(out io.Writer) (int64, error) {
 	return n + int64(len(side)), nil
 }
 
-// lazySlot is one unmaterialized payload: the byte range of its VData section
-// within the retained encoding, and the vertex the section belongs to (a fill
-// happens long after the walk that knew it).
-type lazySlot struct {
-	start, end int64
-	gid        int32
-}
-
-// lazyPayloads is the decoder-owned arena behind a selectively decoded tree:
-// the retained body bytes, one slot per skipped entry, and the fill decoder
-// whose slabs every on-demand fill is carved from.
-type lazyPayloads struct {
-	body  []byte // payload[:bodyEnd]; aliases DecodeSelectAuto's unwrapped payload
-	mode  timestat.Mode
-	slots []lazySlot
-	// filled publishes completed fills; entryData's fast path is one atomic
-	// load, so concurrent replay over a projected tree stays lock-free after
-	// first touch.
-	filled []atomic.Pointer[ctt.VData]
-
-	mu  sync.Mutex
-	dec decoder // fill decoder, guarded by mu (fills share its slabs)
-}
-
-// fill decodes slot's payload section on first touch and publishes it.
-func (lp *lazyPayloads) fill(slot int) (*ctt.VData, error) {
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	if vd := lp.filled[slot].Load(); vd != nil {
-		return vd, nil
-	}
-	s := lp.slots[slot]
-	d := &lp.dec
-	// A fresh cursor bounded at the section's end: offsets in errors stay
-	// absolute, and the latched error of any prior fill is gone.
-	d.bcur = bcur{b: lp.body[:s.end], off: int(s.start)}
-	vd := d.vdata()
-	d.decodeVData(vd, s.gid, lp.mode)
-	if d.err != nil {
-		return nil, fmt.Errorf("merge: lazy payload fill: %w", d.err)
-	}
-	if rest := int(s.end) - d.off; rest != 0 {
-		return nil, fmt.Errorf("merge: lazy payload fill: %d trailing bytes in section ending at offset %d", rest, s.end)
-	}
-	if sink := obs.Attached(); sink.Enabled() {
-		sink.Inc(obs.SelLazyFills)
-		sink.Add(obs.SelLazyFillBytes, s.end-s.start)
-	}
-	obs.AttachedRecorder().Instant(ftrace.CatCodec, ftrace.NameLazyFill, 0, int64(slot), s.end-s.start)
-	lp.filled[slot].Store(vd)
-	return vd, nil
-}
-
-// entryData returns e's payload, filling it from the retained encoding on
-// first touch when the tree was decoded selectively. The fast paths — an
-// eagerly decoded entry, or a lazy entry already filled — are a field check
-// plus at most one atomic load, so replay loops stay allocation-free.
-func (m *Merged) entryData(e *Entry) (*ctt.VData, error) {
-	if e.lazy == 0 {
-		return e.Data, nil
-	}
-	slot := int(e.lazy - 1)
-	if vd := m.lazy.filled[slot].Load(); vd != nil {
-		return vd, nil
-	}
-	return m.lazy.fill(slot)
-}
-
-// Materialize fills every unmaterialized payload of a selectively decoded
-// tree and publishes each into its Entry.Data, after which the tree behaves
-// exactly like a full Decode. It is NOT safe to call concurrently with
-// readers of the same tree (Entry.Data is plain-written); Encode and Pair,
-// which call it implicitly, already require exclusive access. Concurrent
-// replay never needs it — the Streamer routes through entryData's atomic
-// path. On a fully decoded tree Materialize returns immediately.
-func (m *Merged) Materialize() error {
-	if m.lazy == nil {
+// whole reports an error when m is a projection: op reads every payload.
+func (m *Merged) whole(op string) error {
+	if m.proj == nil {
 		return nil
 	}
-	for gid := range m.Entries {
-		es := m.Entries[gid]
-		for i := range es {
-			if es[i].lazy == 0 || es[i].Data != nil {
-				continue
-			}
-			vd, err := m.entryData(&es[i])
-			if err != nil {
-				return err
-			}
-			es[i].Data = vd
-		}
+	return fmt.Errorf("merge: %s reads every rank, the tree is a projection onto ranks %v", op, m.proj.ranks)
+}
+
+// serves reports an error when m is a projection that does not select rank.
+func (m *Merged) serves(rank int) error {
+	if m.proj == nil || m.proj.Contains(rank) {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("merge: rank %d is outside the projection onto ranks %v", rank, m.proj.ranks)
 }
 
 // DecodeSelectAuto decodes a trace held in memory — in any container
@@ -287,18 +202,17 @@ func (m *Merged) Materialize() error {
 // lanes, <= 1 inline) — with the rank projection sel pushed into the decoder.
 // Containered inputs pay one unwrap into a fresh payload buffer; bare input
 // is served zero-copy. The structure stream is decoded fully, but a timing
-// payload is materialized only when its entry's rank set intersects sel;
-// every other entry records its payload's byte range and is filled lazily on
-// first touch through entryData. The returned tree therefore retains the
-// payload — the caller must not modify data afterwards.
+// payload is decoded only when its entry's rank set intersects sel; every
+// other section is walked for its framing and dropped, leaving the entry's
+// Data nil. The returned tree keeps nothing of data.
 //
-// Skipped sections are validated for framing only; their contents are
-// re-validated when (if ever) they are filled, so a projected decode of a
-// corrupt file can surface the corruption at replay time rather than decode
-// time. Any failure in the selective walk itself — including index-less
+// Unless sel is SelectAll the tree is a projection: the Streamer replays and
+// iterates the selected ranks only, and every operation that reads all
+// payloads — Prepare, ReplayAll, Encode and its variants, Pair — returns an
+// error. Any failure in the selective walk itself — including index-less
 // inputs whose grammar walk trips — reruns the same decoder over the same
 // bytes with the projection off, so DecodeSelectAuto succeeds on everything
-// Decode succeeds on.
+// Decode succeeds on, and returns the same projection either way.
 func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) {
 	payload, _, err := blockio.Unwrap(data, workers)
 	if err != nil {
@@ -307,7 +221,7 @@ func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) 
 	// A CYPI sidecar, if any, is cut off: the decoder runs over the body alone.
 	lens, bodyEnd, indexed := parseIndex(payload)
 	return decodeProjected(payload, &projection{
-		sel: sel, indexed: indexed, lens: lens, lz: &lazyPayloads{body: payload[:bodyEnd]},
+		sel: sel, indexed: indexed, lens: lens, body: payload[:bodyEnd],
 	})
 }
 
@@ -324,34 +238,40 @@ func (j Joined) Decode(sel Selection) (*Merged, error) {
 		return DecodeSelectAuto(j.Enc, sel, 1)
 	}
 	return decodeProjected(j.Enc, &projection{
-		sel: sel, indexed: true, seek: true, lens: j.lens, lz: &lazyPayloads{body: j.Enc},
+		sel: sel, indexed: true, seek: true, lens: j.lens, body: j.Enc,
 	})
 }
 
 // decodeProjected decodes p's body under p and, should the selective walk
 // fail for any reason — including index-less inputs whose grammar walk trips —
-// reruns the same decoder over payload with the projection off.
+// reruns the same decoder over payload with the projection off. Either tree
+// is marked with the projection.
 func decodeProjected(payload []byte, p *projection) (*Merged, error) {
-	m, err := decodePayload(p.lz.body, p)
-	if err == nil {
-		return m, nil
+	m, err := decodePayload(p.body, p)
+	if err != nil {
+		obs.Attached().Inc(obs.SelFallbacks)
+		if m, err = decodePayload(payload, nil); err != nil {
+			return nil, err
+		}
 	}
-	obs.Attached().Inc(obs.SelFallbacks)
-	return decodePayload(payload, nil)
+	if !p.sel.all {
+		sel := p.sel
+		m.proj = &sel
+	}
+	return m, nil
 }
 
 // projection is the per-call state of a selective decode: the selection, the
-// section lengths when the encoding comes with them (a CYPI sidecar, or the
-// lengths Reassemble observed), and the lazy arena under construction (decode
-// sets its stat mode from the header). The decoder's cursor runs over
-// lz.body, so the offsets it stops at are the slots' byte ranges.
+// body the decoder's cursor runs over, and the section lengths when the
+// encoding comes with them (a CYPI sidecar, or the lengths Reassemble
+// observed).
 type projection struct {
 	sel     Selection
+	body    []byte
 	indexed bool
 	seek    bool     // lens may move the cursor over unselected sections
 	lens    []uint64 // consumed in stream order; next is lens[li]
 	li      int
-	lz      *lazyPayloads
 
 	eager, skipped   int64 // entries
 	eagerB, skippedB int64 // payload bytes
@@ -359,7 +279,7 @@ type projection struct {
 
 // section handles entry e's payload section, the cursor standing at its first
 // byte: decode it when e's ranks intersect the selection, otherwise find its
-// end and leave e a lazy slot. The end of a skipped section is found by
+// end and leave e's Data nil. The end of a skipped section is found by
 // walking its grammar, and the index entry, when there is one, must name
 // exactly where the walk stopped: a table that came with the input is a
 // cross-check, never a seek, because a skip the stream has not confirmed would
@@ -367,8 +287,7 @@ type projection struct {
 // lengths wrong one by one but right in sum decoded "cleanly" into a
 // misaligned tree). Only Reassemble's own table (p.seek) moves the cursor
 // without a walk. Failures latch in d.err.
-func (p *projection) section(d *decoder, e *Entry, gid int32) {
-	mode := p.lz.mode
+func (p *projection) section(d *decoder, e *Entry, gid int32, mode timestat.Mode) {
 	start := int64(d.off)
 	eager := p.sel.matches(e.Ranks)
 	switch {
@@ -399,18 +318,16 @@ func (p *projection) section(d *decoder, e *Entry, gid int32) {
 	if eager {
 		p.eager++
 		p.eagerB += end - start
-		return
+	} else {
+		p.skipped++
+		p.skippedB += end - start
 	}
-	p.lz.slots = append(p.lz.slots, lazySlot{start: start, end: end, gid: gid})
-	e.lazy = int32(len(p.lz.slots))
-	p.skipped++
-	p.skippedB += end - start
 }
 
 // finish closes a selective decode: the index must list exactly the stream's
 // sections and sit right behind them (a mismatch falls back to the full
-// decode), and the lazy arena is attached when any section was skipped.
-func (p *projection) finish(d *decoder, m *Merged) error {
+// decode).
+func (p *projection) finish(d *decoder) error {
 	if p.indexed {
 		if p.li != len(p.lens) {
 			return fmt.Errorf("merge: section index lists %d entries, stream has %d", len(p.lens), p.li)
@@ -418,10 +335,6 @@ func (p *projection) finish(d *decoder, m *Merged) error {
 		if rest := len(d.b) - d.off; rest != 0 {
 			return fmt.Errorf("merge: %d stray bytes between entries and section index", rest)
 		}
-	}
-	if lz := p.lz; len(lz.slots) > 0 {
-		lz.filled = make([]atomic.Pointer[ctt.VData], len(lz.slots))
-		m.lazy = lz
 	}
 	if sink := obs.Attached(); sink.Enabled() {
 		sink.Inc(obs.SelDecodes)

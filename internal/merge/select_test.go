@@ -3,6 +3,7 @@ package merge
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"reflect"
 	"testing"
 
@@ -86,8 +87,8 @@ func replaySeq(t testing.TB, m *Merged, rank int) []trace.Event {
 	return out
 }
 
-// streamSeq replays one rank through the Streamer (the path that surfaces
-// lazy-fill errors).
+// streamSeq replays one rank through the Streamer (the path that refuses a
+// rank a projection does not serve).
 func streamSeq(t testing.TB, m *Merged, rank int) []trace.Event {
 	t.Helper()
 	var out []trace.Event
@@ -178,9 +179,8 @@ func mustDecode(t testing.TB, enc []byte) *Merged {
 
 // TestDecodeSelectEquivalence is the core projection contract: for any
 // selection, over both indexed and index-less encodings, a selective decode
-// replays every rank identically to a full decode — selected ranks from
-// eagerly materialized payloads, unselected ranks through lazy fills — and
-// materializing the projected tree re-encodes to the full tree's exact bytes.
+// replays every selected rank identically to a full decode, and refuses
+// every other rank and every whole-tree operation with an error.
 func TestDecodeSelectEquivalence(t *testing.T) {
 	fixtures := []struct {
 		name  string
@@ -230,35 +230,38 @@ func TestDecodeSelectEquivalence(t *testing.T) {
 							t.Fatalf("projected shape %d ranks/%d vertices, want %d/%d",
 								m.NumRanks, len(m.Entries), full.NumRanks, len(full.Entries))
 						}
-						// Selected ranks replay from eager payloads.
+						s := NewStreamer(m)
 						for r := 0; r < fx.ranks; r++ {
 							if !sc.sel.Contains(r) {
+								if err := s.Replay(r, func(*trace.Event) {}); err == nil {
+									t.Fatalf("unselected rank %d replays", r)
+								}
 								continue
 							}
 							if got := replaySeq(t, m, r); !reflect.DeepEqual(got, wantSeq[r]) {
-								t.Fatalf("selected rank %d: %d events, want %d", r, len(got), len(wantSeq[r]))
-							}
-						}
-						// Unselected ranks replay through on-demand lazy fills,
-						// on both the Streamer and the rankView path.
-						for r := 0; r < fx.ranks; r++ {
-							if sc.sel.Contains(r) {
-								continue
+								t.Fatalf("selected rank %d via rankView: %d events, want %d", r, len(got), len(wantSeq[r]))
 							}
 							if got := streamSeq(t, m, r); !reflect.DeepEqual(got, wantSeq[r]) {
-								t.Fatalf("lazy rank %d via streamer: %d events, want %d", r, len(got), len(wantSeq[r]))
+								t.Fatalf("selected rank %d via streamer: %d events, want %d", r, len(got), len(wantSeq[r]))
 							}
-							if got := replaySeq(t, m, r); !reflect.DeepEqual(got, wantSeq[r]) {
-								t.Fatalf("lazy rank %d via rankView: %d events, want %d", r, len(got), len(wantSeq[r]))
+						}
+						if sc.sel.All() {
+							if got := encodePlain(t, m); !bytes.Equal(got, canon) {
+								t.Fatalf("SelectAll tree re-encodes to %d bytes, want the full tree's %d", len(got), len(canon))
 							}
-							break // one lazy rank exercises the fill path
+							return
 						}
-						if err := m.Materialize(); err != nil {
-							t.Fatal(err)
+						if _, err := m.Encode(io.Discard); err == nil {
+							t.Fatal("a projected tree encodes")
 						}
-						if got := encodePlain(t, m); !bytes.Equal(got, canon) {
-							t.Fatalf("materialized projected tree re-encodes to %d bytes, want the full tree's %d",
-								len(got), len(canon))
+						if err := s.Prepare(1); err == nil {
+							t.Fatal("Prepare over a projected tree returned no error")
+						}
+						if err := s.ReplayAll(1, func(int, *trace.Event) {}); err == nil {
+							t.Fatal("ReplayAll over a projected tree returned no error")
+						}
+						if _, err := Pair(m, mustDecode(t, plain)); err == nil {
+							t.Fatal("Pair took a projected tree")
 						}
 					})
 				}
@@ -268,8 +271,8 @@ func TestDecodeSelectEquivalence(t *testing.T) {
 }
 
 // TestDecodeSelectCounters pins the projection telemetry: every entry is
-// either eager or skipped, skipped bytes are real, and replaying an
-// unselected rank fills lazily.
+// either eager or skipped, skipped bytes are real, and every skipped entry
+// is left without a payload.
 func TestDecodeSelectCounters(t *testing.T) {
 	m0 := buildMerged(t, divergentSrc, 8)
 	enc := encodeIndexed(t, m0)
@@ -313,16 +316,16 @@ func TestDecodeSelectCounters(t *testing.T) {
 		t.Fatalf("sel_fallbacks = %d after SelectAll, want 0", got)
 	}
 
-	// Touching an unselected rank fills its payloads from the retained bytes.
-	streamSeq(t, m, 3)
-	fills := s.Value(obs.SelLazyFills)
-	if fills == 0 || s.Value(obs.SelLazyFillBytes) == 0 {
-		t.Fatal("replaying an unselected rank recorded no lazy fills")
+	var bare int64
+	for _, es := range m.Entries {
+		for i := range es {
+			if es[i].Data == nil {
+				bare++
+			}
+		}
 	}
-	// Fills are once-per-slot: replaying again must not re-fill.
-	streamSeq(t, m, 3)
-	if got := s.Value(obs.SelLazyFills); got != fills {
-		t.Fatalf("second replay re-filled: %d fills, want %d", got, fills)
+	if bare != skipped {
+		t.Fatalf("%d entries have no payload, %d were skipped", bare, skipped)
 	}
 
 	// The counters must also surface in the rendered report.
@@ -330,7 +333,7 @@ func TestDecodeSelectCounters(t *testing.T) {
 	if err := s.Report().WriteText(&rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sel_decodes", "sel_entries_skipped", "sel_lazy_fills"} {
+	for _, name := range []string{"sel_decodes", "sel_entries_skipped", "sel_bytes_skipped"} {
 		if !bytes.Contains(rep.Bytes(), []byte(name)) {
 			t.Fatalf("report omits %s:\n%s", name, rep.String())
 		}
@@ -344,7 +347,6 @@ func TestDecodeSelectCounters(t *testing.T) {
 func TestDecodeSelectFallback(t *testing.T) {
 	m0 := buildMerged(t, jacobiSrc, 7)
 	plain := encodePlain(t, m0)
-	canon := encodePlain(t, mustDecode(t, plain))
 	want := replaySeq(t, mustDecode(t, plain), 2)
 
 	check := func(t *testing.T, enc []byte, wantFallback bool) {
@@ -359,14 +361,8 @@ func TestDecodeSelectFallback(t *testing.T) {
 		if wantFallback && s.Value(obs.SelFallbacks) == 0 {
 			t.Fatal("expected a fallback to the full decoder")
 		}
-		if got := replaySeq(t, m, 2); !reflect.DeepEqual(got, want) {
+		if got := streamSeq(t, m, 2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("rank 2 replay diverges (%d vs %d events)", len(got), len(want))
-		}
-		if err := m.Materialize(); err != nil {
-			t.Fatal(err)
-		}
-		if got := encodePlain(t, m); !bytes.Equal(got, canon) {
-			t.Fatal("re-encode diverges from canonical bytes")
 		}
 	}
 
@@ -438,8 +434,8 @@ func TestDecodeSelectStructureAllocs(t *testing.T) {
 	}
 	small, large := measure(16), measure(64)
 	// Full Decode of the 16-rank fixture budgets 80 allocs (TestDecodeAllocs);
-	// structure-only decode replaces every VData materialization with slot
-	// bookkeeping and must come in under the same bound at 4x the ranks.
+	// structure-only decode decodes no VData and must come in under the same
+	// bound at 4x the ranks.
 	if small > 80 || large > 80 {
 		t.Errorf("structure-only DecodeSelectAuto allocates %.1f (16 ranks) / %.1f (64 ranks) allocs/op, want <= 80", small, large)
 	}
@@ -450,8 +446,8 @@ func TestDecodeSelectStructureAllocs(t *testing.T) {
 
 // FuzzDecodeSelect checks the selective decoder against the full decoder on
 // arbitrary bytes: whenever full Decode accepts an input, DecodeSelectAuto must
-// accept it too (the fallback guarantees this), replay selected ranks
-// identically, and materialize back to the full tree's exact re-encoding.
+// accept it too (the fallback guarantees this), replay each selected rank
+// identically, and refuse every unselected rank and Encode with an error.
 // When full Decode rejects an input the only requirement is no panic —
 // skipped sections are framing-validated only, so the selective path may
 // legitimately accept streams whose payload contents are corrupt.
@@ -479,38 +475,33 @@ func FuzzDecodeSelect(f *testing.F) {
 		if err != nil {
 			t.Fatalf("DecodeSelectAuto rejects input Decode accepts: %v", err)
 		}
-		if full.NumRanks > 0 && replayBounded(full) {
-			for _, r := range sel.Ranks() {
-				if r >= full.NumRanks {
-					continue
+		if _, err := m.Encode(io.Discard); err == nil {
+			t.Fatal("a projected tree encodes")
+		}
+		// A header may claim 2^24 ranks, and a Streamer sizes its rank memo
+		// by the claim.
+		if !replayBounded(full) || m.NumRanks > 1<<16 {
+			return
+		}
+		// Selected ranks are below 256, so the first 257 ranks hold every
+		// one of them and at least one rank outside the selection.
+		s := NewStreamer(m)
+		for r := 0; r < min(m.NumRanks, 257); r++ {
+			if !sel.Contains(r) {
+				if err := s.Replay(r, func(*trace.Event) {}); err == nil {
+					t.Fatalf("unselected rank %d replays", r)
 				}
-				var want, got []trace.Event
-				wantErr := replay.Events(full.ForRank(r), r, func(e *trace.Event) {
-					want = append(want, *e)
-				})
-				gotErr := replay.Events(m.ForRank(r), r, func(e *trace.Event) {
-					got = append(got, *e)
-				})
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("rank %d: full err=%v, projected err=%v", r, wantErr, gotErr)
-				}
-				if wantErr == nil && !reflect.DeepEqual(want, got) {
-					t.Fatalf("rank %d: projected replay diverges (%d vs %d events)", r, len(got), len(want))
-				}
+				continue
 			}
-		}
-		if err := m.Materialize(); err != nil {
-			t.Fatalf("Materialize failed on input full Decode accepts: %v", err)
-		}
-		var bFull, bSel bytes.Buffer
-		if _, err := full.Encode(&bFull); err != nil {
-			t.Fatalf("re-encode of full tree failed: %v", err)
-		}
-		if _, err := m.Encode(&bSel); err != nil {
-			t.Fatalf("re-encode of projected tree failed: %v", err)
-		}
-		if !bytes.Equal(bFull.Bytes(), bSel.Bytes()) {
-			t.Fatalf("projected re-encode diverges from full (%d vs %d bytes)", bSel.Len(), bFull.Len())
+			var want, got []trace.Event
+			wantErr := replay.Events(full.ForRank(r), r, func(e *trace.Event) { want = append(want, *e) })
+			gotErr := s.Replay(r, func(e *trace.Event) { got = append(got, *e) })
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("rank %d: full err=%v, projected err=%v", r, wantErr, gotErr)
+			}
+			if wantErr == nil && !reflect.DeepEqual(want, got) {
+				t.Fatalf("rank %d: projected replay diverges (%d vs %d events)", r, len(got), len(want))
+			}
 		}
 	})
 }

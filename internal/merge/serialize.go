@@ -79,13 +79,11 @@ func (m *Merged) Encode(out io.Writer) (int64, error) {
 
 // encode is the shared body of Encode and EncodeIndexed. When entryLens is
 // non-nil, the byte length of each entry's VData section is appended to it in
-// stream order — the raw material of the CYPI section index. A selectively
-// decoded tree is materialized first: encoding visits every payload.
+// stream order — the raw material of the CYPI section index. A projected
+// tree does not encode: encoding visits every payload.
 func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
-	if m.lazy != nil {
-		if err := m.Materialize(); err != nil {
-			return 0, err
-		}
+	if err := m.whole("encode"); err != nil {
+		return 0, err
 	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCodec, ftrace.NameEncode, 0)
 	cw := &countingWriter{w: out}
@@ -508,17 +506,11 @@ func (c *bcur) header(wantTree bool) (h header) {
 // With p nil every payload section is decoded in stream order and bytes
 // after the last vertex section are tolerated (the CYPI sidecar rides there).
 // With a projection, payload is its body (the encoding less any sidecar): the
-// sections the selection touches decode and the rest stay lazy byte ranges
-// against the body, which the returned tree then retains.
+// sections the selection touches decode and the rest are passed over.
 func decodePayload(payload []byte, p *projection) (*Merged, error) {
 	name := ftrace.NameDecode
 	if p != nil {
 		name = ftrace.NameDecodeSelect
-		if p.indexed && !p.sel.all {
-			// The table bounds the slot count up front; without one the slice
-			// grows with the skip walk.
-			p.lz.slots = make([]lazySlot, 0, len(p.lens))
-		}
 	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCodec, name, 0)
 	d := &decoder{bcur: bcur{b: payload}}
@@ -530,7 +522,7 @@ func decodePayload(payload []byte, p *projection) (*Merged, error) {
 		tsp.End(int64(len(m.Entries)), m.EventCount)
 		return m, nil
 	}
-	if err := p.finish(d, m); err != nil {
+	if err := p.finish(d); err != nil {
 		return nil, err
 	}
 	tsp.End(p.eager, p.skippedB)
@@ -540,7 +532,7 @@ func decodePayload(payload []byte, p *projection) (*Merged, error) {
 // decode parses the bare CYPR stream under d's cursor — the one loop that
 // decodes vertex entry lists. With a nil projection every payload section is
 // decoded in stream order; with one, p.section decodes the sections the
-// selection touches and leaves the rest as lazy byte ranges.
+// selection touches and passes over the rest.
 func (d *decoder) decode(p *projection) (*Merged, error) {
 	h := d.header(true)
 	if d.err != nil {
@@ -553,9 +545,6 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 	mode := timestat.ModeMeanStddev
 	if h.hist {
 		mode = timestat.ModeHistogram
-	}
-	if p != nil {
-		p.lz.mode = mode
 	}
 	for gid := range m.Entries {
 		n := d.u()
@@ -585,7 +574,7 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 					e.Data = d.vdata()
 					d.decodeVData(e.Data, int32(gid), mode)
 				} else if d.err == nil {
-					p.section(d, e, int32(gid))
+					p.section(d, e, int32(gid), mode)
 				}
 				if d.err != nil {
 					return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)

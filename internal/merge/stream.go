@@ -28,9 +28,8 @@
 // resolved to — exactly: a 64-bit fingerprint routes, an element-wise compare
 // confirms. Resolving one rank on its own (a single-rank Replay or Cursor,
 // say on a projected tree) costs O(groups) Contains calls per multi-group
-// vertex, builds no table and fills no payload but the rank's own. The
-// all-rank paths (Prepare, ReplayAll) would pay that scan P times over, so
-// they first build two tables, once:
+// vertex and builds no table. The all-rank paths (Prepare, ReplayAll) would
+// pay that scan P times over, so they first build two tables, once:
 //
 //   - the RANK TABLE: per multi-group vertex one []int32 of NumRanks cells
 //     naming the entry each rank belongs to, filled in one pass over the
@@ -42,8 +41,11 @@
 //     the vector it hashes and compares, which is all it takes to turn the
 //     exact-vector lookup into a same-shape lookup. Building the rows reads
 //     every payload of the vertex, as the all-rank replay behind it is about
-//     to. A lazy payload that fails to fill maps to itself, and the error
-//     surfaces from resolve, for exactly the ranks that select it.
+//     to.
+//
+// A projected tree (DecodeSelectAuto) holds the payloads of its selected
+// ranks only: Replay and Cursor refuse any other rank, and Prepare and
+// ReplayAll refuse the tree.
 //
 // Soundness: every element of a selection vector names an entry whose shape
 // equals the shape of the rank's own entry at that vertex, whichever path
@@ -60,6 +62,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -242,7 +245,7 @@ func (s *Streamer) buildTable() {
 			if len(es) < 2 {
 				continue
 			}
-			canon[gid] = s.canonRow(es, byKey)
+			canon[gid] = canonRow(es, byKey)
 			if cells+n > maxTableCells {
 				continue
 			}
@@ -259,15 +262,12 @@ func (s *Streamer) buildTable() {
 // replay shape; nil when no two entries share one. The common case needs no
 // index: every entry has entry 0's shape (rank groups split by a message size
 // or a peer). Otherwise byKey — the caller's map, cleared and reused from
-// vertex to vertex — holds the first entry of each ShapeKey. An entry whose
-// payload does not fill maps to itself.
-func (s *Streamer) canonRow(es []Entry, byKey map[fp.Hash]int32) []int32 {
+// vertex to vertex — holds the first entry of each ShapeKey.
+func canonRow(es []Entry, byKey map[fp.Hash]int32) []int32 {
 	row := make([]int32, len(es))
-	d0, err := s.m.entryData(&es[0])
-	one := err == nil
+	one := true
 	for i := 1; one && i < len(es); i++ {
-		d, err := s.m.entryData(&es[i])
-		one = err == nil && d.SameShape(d0)
+		one = es[i].Data.SameShape(es[0].Data)
 	}
 	if one {
 		obs.Attached().Add(obs.ReplayShapeFolds, int64(len(es)-1))
@@ -277,15 +277,12 @@ func (s *Streamer) canonRow(es []Entry, byKey map[fp.Hash]int32) []int32 {
 	folds := 0
 	for i := range es {
 		row[i] = int32(i)
-		d, err := s.m.entryData(&es[i])
-		if err != nil {
-			continue
-		}
+		d := es[i].Data
 		key := d.ShapeKey()
 		j, seen := byKey[key]
 		if !seen {
 			byKey[key] = int32(i)
-		} else if dj, _ := s.m.entryData(&es[j]); d.SameShape(dj) { // es[j] filled when it was indexed
+		} else if d.SameShape(es[j].Data) {
 			row[i] = j
 			folds++
 		}
@@ -330,9 +327,8 @@ func tableRow(es []Entry, n int) []int32 {
 // rank table where it has a row, else a scan of the vertex's entry list for
 // the first one containing rank. The view holds the rank's own payload; the
 // vector names the rank's canonical entry where the vertex has a canonical
-// row. On a selectively decoded tree this is where lazy payload sections are
-// filled (and where a corrupt skipped section surfaces its error).
-func (s *Streamer) resolve(rank int, sc *resolveScratch) (fp.Hash, error) {
+// row.
+func (s *Streamer) resolve(rank int, sc *resolveScratch) fp.Hash {
 	var tab, canon [][]int32
 	if t := s.table.Load(); t != nil {
 		tab, canon = *t, s.canon
@@ -357,10 +353,7 @@ func (s *Streamer) resolve(rank int, sc *resolveScratch) (fp.Hash, error) {
 		if i < 0 {
 			continue
 		}
-		d, err := s.m.entryData(&es[i])
-		if err != nil {
-			return h, fmt.Errorf("merge: resolving rank %d at vertex %d: %w", rank, gid, err)
-		}
+		d := es[i].Data
 		data[gid] = d
 		sc.nrec += len(d.Records)
 		if canon != nil && canon[gid] != nil {
@@ -369,30 +362,18 @@ func (s *Streamer) resolve(rank int, sc *resolveScratch) (fp.Hash, error) {
 		sc.sel[gid] = int32(i)
 		h = h.Word(uint64(gid)).Word(uint64(i))
 	}
-	return h, nil
+	return h
 }
 
 // lookup returns the memoized class whose selection vector equals sel, or nil.
 // Caller holds s.mu.
 func (s *Streamer) lookup(h fp.Hash, sel []int32) *replayClass {
 	for _, c := range s.classes[h] {
-		if selEqual(c.sel, sel) {
+		if slices.Equal(c.sel, sel) {
 			return c
 		}
 	}
 	return nil
-}
-
-func selEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // bound returns rank's class and bound table, from the rank memo or, on
@@ -405,6 +386,9 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 	if rank < 0 || rank >= s.m.NumRanks {
 		return rankMemo{}, false, fmt.Errorf("merge: replay rank %d out of range [0,%d)", rank, s.m.NumRanks)
 	}
+	if err := s.m.serves(rank); err != nil {
+		return rankMemo{}, false, err
+	}
 	s.mu.Lock()
 	m := s.byRank[rank]
 	s.mu.Unlock()
@@ -414,10 +398,7 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 		return m, false, nil
 	}
 
-	h, err := s.resolve(rank, sc)
-	if err != nil {
-		return rankMemo{}, false, err
-	}
+	h := s.resolve(rank, sc)
 	m.recs = sc.table()
 	built := false
 	s.mu.Lock()
@@ -487,6 +468,9 @@ func (s *Streamer) Cursor(rank int) (*replay.Cursor, error) {
 // subsequent Cursor and Replay calls O(1) in the tree; both also build
 // lazily, so Prepare is an optimization, not a requirement.
 func (s *Streamer) Prepare(workers int) error {
+	if err := s.m.whole("prepare"); err != nil {
+		return err
+	}
 	s.buildTable()
 	return s.forEachRank(workers, nil, func(s *Streamer, rank int, sc *resolveScratch) error {
 		_, _, err := s.bound(rank, sc, nil)
@@ -500,6 +484,9 @@ func (s *Streamer) Prepare(workers int) error {
 // per-rank accumulation (one matrix row per rank, say) needs no locking. The
 // first error stops no other lanes but is the one returned.
 func (s *Streamer) ReplayAll(workers int, fn func(rank int, e *trace.Event)) error {
+	if err := s.m.whole("replay of every rank"); err != nil {
+		return err
+	}
 	s.buildTable()
 	return s.forEachRank(workers, fn, func(s *Streamer, rank int, sc *resolveScratch) error {
 		sc.rank = rank

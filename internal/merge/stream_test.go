@@ -3,7 +3,6 @@ package merge
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
-	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
 	"repro/internal/timestat"
@@ -496,9 +494,7 @@ func TestStreamerTableAllocs(t *testing.T) {
 	emit := func(e *trace.Event) {}
 	allocs := testing.AllocsPerRun(100, func() {
 		for rank := 0; rank < n; rank++ {
-			if _, err := s.resolve(rank, sc); err != nil {
-				t.Fatal(err)
-			}
+			s.resolve(rank, sc)
 			if err := s.Replay(rank, emit); err != nil {
 				t.Fatal(err)
 			}
@@ -623,97 +619,5 @@ func TestReplayClassesFollowShapes(t *testing.T) {
 		if cc := replayClasses(t, tc.name, tc.n); cc != tc.want {
 			t.Errorf("%s-%d: %d replay classes, want %d", tc.name, tc.n, cc, tc.want)
 		}
-	}
-}
-
-// TestCanonRowsSurviveFailedFill breaks one lazy payload section of a
-// rank-projected tree and builds the canonical rows over it. The entry whose
-// payload cannot fill maps to itself, the build neither fails nor panics, and
-// the error comes out of resolve for exactly the ranks that select the entry:
-// every other rank replays what it replays on the intact tree.
-func TestCanonRowsSurviveFailedFill(t *testing.T) {
-	enc := encodePlain(t, buildMerged(t, shapeSplitSrc, 8))
-	intact := mustDecode(t, enc)
-	m, err := DecodeSelectAuto(enc, SelectRanks(0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var broken *Entry
-	gid := -1
-	for g, es := range m.Entries {
-		if len(es) == 4 && es[2].lazy != 0 {
-			gid, broken = g, &es[2]
-			break
-		}
-	}
-	if broken == nil {
-		t.Fatal("rank-0 projection of shapeSplitSrc left no four-entry leaf lazy")
-	}
-	m.lazy.slots[broken.lazy-1].end-- // the section now ends inside its last field
-
-	s := NewStreamer(m)
-	s.buildTable()
-	if row := s.canon[gid]; row == nil || row[0] != 0 || row[1] != 0 || row[2] != 2 || row[3] != 0 {
-		t.Fatalf("canonical row %v, want [0 0 2 0]: the entry that cannot fill stands for itself", row)
-	}
-	for rank := 0; rank < m.NumRanks; rank++ {
-		var got []trace.Event
-		err := s.Replay(rank, func(e *trace.Event) { got = append(got, *e) })
-		if broken.Ranks.Contains(rank) {
-			if err == nil || !strings.Contains(err.Error(), "lazy payload fill") {
-				t.Errorf("rank %d selects the broken section: err = %v, want its fill error", rank, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("rank %d does not select the broken section: %v", rank, err)
-		} else if !reflect.DeepEqual(rankViewSeq(t, intact, rank), got) {
-			t.Errorf("rank %d differs from the intact tree's replay", rank)
-		}
-	}
-	if err := NewStreamer(m).ReplayAll(1, func(int, *trace.Event) {}); err == nil {
-		t.Error("ReplayAll over a tree with a broken section returned no error")
-	}
-}
-
-// TestSingleRankReplayFillsOwnSectionsOnly: on a rank-projected tree a
-// single-rank Replay or Cursor builds no table and no canonical rows, so the
-// only lazy sections it fills are the ones its rank's own entries hold.
-func TestSingleRankReplayFillsOwnSectionsOnly(t *testing.T) {
-	const n, rank = 16, 5
-	m0 := npbMerged(t, "SP", n)
-	m, err := DecodeSelectAuto(encodePlain(t, m0), SelectRanks(0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var own int64
-	for _, es := range m.Entries {
-		for i := range es {
-			if es[i].Ranks.Contains(rank) {
-				if es[i].lazy != 0 {
-					own++
-				}
-				break
-			}
-		}
-	}
-	if own == 0 || own == int64(countEntries(m)) {
-		t.Fatalf("rank %d owns %d lazy sections of %d entries: the projection tests nothing", rank, own, countEntries(m))
-	}
-	sk := obs.New()
-	obs.Attach(sk, nil)
-	defer obs.Attach(nil, nil)
-	s := NewStreamer(m)
-	if err := s.Replay(rank, func(*trace.Event) {}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Cursor(rank); err != nil {
-		t.Fatal(err)
-	}
-	if got := sk.Value(obs.SelLazyFills); got != own {
-		t.Errorf("single-rank replay filled %d lazy sections, rank %d owns %d", got, rank, own)
-	}
-	if s.table.Load() != nil || s.canon != nil {
-		t.Error("a single-rank replay built the all-rank tables")
 	}
 }

@@ -116,11 +116,9 @@ const (
 	SelDecodes           // selective decodes served by the projection walk
 	SelFallbacks         // DecodeSelectAuto calls that fell back to a full decode
 	SelEntriesEager      // entries whose payload decoded eagerly (selection hit)
-	SelEntriesSkipped    // entries left as lazy payload offsets
+	SelEntriesSkipped    // entries whose payload was passed over
 	SelBytesMaterialized // payload bytes decoded eagerly
 	SelBytesSkipped      // payload bytes skipped at decode time
-	SelLazyFills         // skipped payload sections filled on first touch
-	SelLazyFillBytes     // payload bytes filled lazily
 
 	NumCounters // sentinel; must be last
 )
@@ -190,8 +188,6 @@ var counterNames = [NumCounters]string{
 	SelEntriesSkipped:    "sel_entries_skipped",
 	SelBytesMaterialized: "sel_bytes_materialized",
 	SelBytesSkipped:      "sel_bytes_skipped",
-	SelLazyFills:         "sel_lazy_fills",
-	SelLazyFillBytes:     "sel_lazy_fill_bytes",
 }
 
 // String returns the counter's stable snake_case name (the JSON/expvar key).

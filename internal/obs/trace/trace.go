@@ -87,7 +87,6 @@ const (
 	NameMemoHit           // replay class memo hit (instant): args rank, 0
 	NameWindow            // one simulator sweep over every rank: args rank visits, events
 	NameDecodeSelect      // selective decode: args entries materialized, payload bytes skipped
-	NameLazyFill          // lazy payload fill (instant): args slot, section bytes
 	NameRun               // traced run, event intake on every rank: args ranks, simulated ns
 	NameReduce            // whole inter-process reduction: args ranks, workers
 	NameSimulate          // LogGP simulation, the window sweeps nested inside: args ranks, events
@@ -109,7 +108,6 @@ var nameStrings = [NumNames]string{
 	NameMemoHit:      "memo_hit",
 	NameWindow:       "window",
 	NameDecodeSelect: "decode_select",
-	NameLazyFill:     "lazy_fill",
 	NameRun:          "run",
 	NameReduce:       "reduce",
 	NameSimulate:     "simulate",
@@ -138,7 +136,6 @@ var argNames = [NumNames][2]string{
 	NameMemoHit:      {"rank", "arg1"},
 	NameWindow:       {"visits", "events"},
 	NameDecodeSelect: {"eager", "skipped_bytes"},
-	NameLazyFill:     {"slot", "bytes"},
 	NameRun:          {"ranks", "sim_ns"},
 	NameReduce:       {"ranks", "workers"},
 	NameSimulate:     {"ranks", "events"},

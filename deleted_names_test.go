@@ -137,6 +137,14 @@ var deletedNames = []struct {
 		why:     "lazy payload fill",
 		pattern: regexp.MustCompile(`lazyPayloads|lazySlot|entryData\(|Materialize\(|SelLazyFill|NameLazyFill`),
 	},
+	{
+		// One record allocator per compressor: the rank's arena, which takes
+		// back what a cycle fold drops. The per-vertex slab that rounded
+		// every leaf up to its next chunk, and the VData method that carved
+		// from it, are gone.
+		why:     "per-vertex record slab",
+		pattern: regexp.MustCompile(`recordSlab|recordChunkMax|\.NewRecord\(`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

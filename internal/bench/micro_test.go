@@ -122,10 +122,17 @@ func (r *recorder) Finalize() { r.s.ops = append(r.s.ops, sinkOp{kind: kFinalize
 // recordStream compiles src, runs it on n simulated ranks, and returns the
 // CST plus rank 0's recorded sink stream.
 func recordStream(b *testing.B, src string, n int) (*cst.Tree, *sinkStream) {
-	b.Helper()
+	tree, streams := recordStreams(b, src, n)
+	return tree, streams[0]
+}
+
+// recordStreams compiles src, runs it on n simulated ranks, and returns the
+// CST plus every rank's recorded sink stream.
+func recordStreams(tb testing.TB, src string, n int) (*cst.Tree, []*sinkStream) {
+	tb.Helper()
 	p, err := cypress.Compile(src)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	recs := make([]*recorder, n)
 	sinks := make([]trace.Sink, n)
@@ -136,9 +143,13 @@ func recordStream(b *testing.B, src string, n int) (*cst.Tree, *sinkStream) {
 	if _, err := mpisim.Run(n, mpisim.DefaultParams(), sinks, func(r *mpisim.Rank) {
 		interp.Execute(p.AST, r)
 	}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return p.CST, &recs[0].s
+	streams := make([]*sinkStream, n)
+	for i, r := range recs {
+		streams[i] = &r.s
+	}
+	return p.CST, streams
 }
 
 // isendRingSrc exercises the non-blocking hot path: every iteration posts an

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cst"
+	"repro/internal/interp"
+	"repro/internal/mpisim"
 	"repro/internal/obs"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -261,5 +263,49 @@ func TestFinishAllocs(t *testing.T) {
 	const budget = 4
 	if got := float64(after.Mallocs-before.Mallocs) / (ranks - 1); got > budget {
 		t.Fatalf("Finish allocates %.1f objects a rank on a %d-vertex tree, budget %d", got, tree.NumVertices(), budget)
+	}
+}
+
+// TestCycleFoldRecordAllocs pins the record arena's reuse. A cycle fold drops
+// the duplicate block and the newest record; the arena takes them back and
+// later records, on any leaf, reuse them. So the slots a rank's arena hands
+// out exceed the records its trace keeps by at most one fold's worth,
+// maxCycleLen+1. Each of the twelve phases below creates five records on
+// the bcast leaf, folds three of them away and closes its cycle when the
+// next phase starts, while the sibling allreduce leaf appends one record a
+// phase; without reuse the arena would hand out 74 slots for 38 records.
+func TestCycleFoldRecordAllocs(t *testing.T) {
+	prog, tree := compile(t, `
+func main() {
+	for var p = 0; p < 12; p = p + 1 {
+		for var it = 0; it < 3; it = it + 1 {
+			for var l = 0; l < 2; l = l + 1 { bcast(0, 100 * p + l); }
+		}
+		allreduce(8 + p);
+	}
+}`)
+	for _, sink := range []*obs.Sink{nil, obs.New()} {
+		obs.Attach(sink, nil)
+		c := NewCompressor(tree, 0, timestat.ModeMeanStddev)
+		if _, err := mpisim.Run(1, mpisim.DefaultParams(), []trace.Sink{c}, func(r *mpisim.Rank) {
+			interp.Execute(prog, r)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		obs.Attach(nil, nil)
+		rt := c.Finish()
+		kept, cycles := 0, 0
+		for i := range rt.Data {
+			kept += len(rt.Data[i].Records)
+			cycles += len(rt.Data[i].Cycles)
+		}
+		if cycles != 12 {
+			t.Fatalf("sink attached %v: %d cycles, want one a phase (12)", sink != nil, cycles)
+		}
+		carved := (c.recs.chunks-1)*recordChunk + len(c.recs.chunk)
+		if carved > kept+maxCycleLen+1 {
+			t.Errorf("sink attached %v: arena handed out %d record slots for %d kept records, budget %d",
+				sink != nil, carved, kept, kept+maxCycleLen+1)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package ctt
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/cst"
 	"repro/internal/fp"
@@ -41,7 +42,7 @@ type CommRecord struct {
 	Count   int64
 	// Time and Compute are embedded by value: a fresh record costs zero
 	// timestat heap allocations (timestat.Make), and records pack densely in
-	// the slab chunks below.
+	// the compressor's and the decoder's arena chunks (arena.go).
 	Time timestat.Stat
 	// Compute summarizes the sequential computation time preceding each
 	// folded event. The paper feeds SIM-MPI a separately-acquired
@@ -124,50 +125,10 @@ type VData struct {
 	// one place both the compressor and replay can name without a lookup table;
 	// replay recomputes it, so it is not part of the finished tree.
 	reach int64
-	// slab backs the records pointed at by Records: records are carved out
-	// of chunked arrays instead of being allocated one by one, so appending
-	// a record costs one heap allocation per chunk instead of three per
-	// record (record + two stats) as the pointer-per-record layout did.
-	slab recordSlab
 	// keyOK marks key as the memoized InvariantKey (see InvariantKeyCached).
 	// Nothing the merge does changes that key, so it is never invalidated.
 	keyOK bool
 	key   fp.Hash
-}
-
-// recordChunkMax caps slab chunk growth.
-const recordChunkMax = 256
-
-// recordSlab is a per-vertex chunked arena for CommRecords. Chunks have
-// fixed capacity, so record pointers stay stable as the slab grows; chunk
-// sizes grow geometrically (2, 8, 32, 128, 256, 256, ...) so one-record
-// leaves — the common case — pay for two slots, while hot leaves amortize
-// allocation across hundreds of records.
-type recordSlab struct {
-	chunks [][]CommRecord
-}
-
-func (s *recordSlab) alloc() *CommRecord {
-	k := len(s.chunks)
-	if k == 0 || len(s.chunks[k-1]) == cap(s.chunks[k-1]) {
-		size := 2 << uint(2*k) // 2, 8, 32, 128, then capped
-		if size > recordChunkMax {
-			size = recordChunkMax
-		}
-		s.chunks = append(s.chunks, make([]CommRecord, 0, size))
-		k++
-	}
-	c := &s.chunks[k-1]
-	*c = append(*c, CommRecord{})
-	return &(*c)[len(*c)-1]
-}
-
-// NewRecord carves a zeroed record out of the vertex's slab and appends it
-// to Records. Callers fill in the fields afterwards.
-func (d *VData) NewRecord() *CommRecord {
-	r := d.slab.alloc()
-	d.Records = append(d.Records, r)
-	return r
 }
 
 // Executed reports whether the vertex holds any dynamic data.
@@ -253,6 +214,7 @@ type Compressor struct {
 	// new-record path, so the steady state is allocation-free.
 	reqScratch []int32
 
+	recs     recordArena // every record of the rank's leaves
 	events   int64
 	finished bool
 
@@ -332,7 +294,7 @@ func (c *Compressor) BranchEnter(site int32, arm int8) {
 		c.stack = append(c.stack, frame{kind: fSkip})
 		return
 	}
-	first := c.firstArm(site)
+	first, armV := c.branchArms(site, arm)
 	if first == nil {
 		// Whole branch pruned: no reach bookkeeping needed.
 		c.skip++
@@ -342,10 +304,6 @@ func (c *Compressor) BranchEnter(site int32, arm int8) {
 	fd := c.d(first)
 	idx := fd.reach
 	fd.reach++
-	armV := first
-	if first.Arm != arm {
-		armV = c.cursor.Child(lang.NodeID(site), arm)
-	}
 	if armV == nil {
 		// This arm was pruned (comm-free); the reach counter still advanced.
 		c.skip++
@@ -362,18 +320,30 @@ func (c *Compressor) BranchSkip(site int32) {
 	if c.skip > 0 {
 		return
 	}
-	if first := c.firstArm(site); first != nil {
+	if first, _ := c.branchArms(site, cst.NoArm); first != nil {
 		c.d(first).reach++
 	}
 }
 
-// firstArm returns the vertex that holds the reach counter of a branch site
-// under the cursor: its then-arm, else its else-arm, nil when both are pruned.
-func (c *Compressor) firstArm(site int32) *cst.Vertex {
-	if v := c.cursor.Child(lang.NodeID(site), 0); v != nil {
-		return v
+// branchArms returns, for a branch site under the cursor, the vertex that
+// holds the site's reach counter (its then-arm, else its else-arm, nil when
+// both are pruned) and the vertex of arm (nil when pruned). The arms of one
+// site are adjacent siblings (cst's checkChildren), so one scan finds both.
+func (c *Compressor) branchArms(site int32, arm int8) (first, armV *cst.Vertex) {
+	kids := c.cursor.Children
+	for i, v := range kids {
+		if v.Site != lang.NodeID(site) {
+			continue
+		}
+		if v.Arm == arm {
+			return v, v
+		}
+		if i+1 < len(kids) && kids[i+1].Site == v.Site && kids[i+1].Arm == arm {
+			return v, kids[i+1]
+		}
+		return v, nil
 	}
-	return c.cursor.Child(lang.NodeID(site), 1)
+	return nil, nil
 }
 
 // CallEnter implements trace.Sink.
@@ -534,7 +504,7 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	dur, comp := ev.DurationNS, ev.ComputeNS
 	// Open record cycles consume matching events first; a mismatch closes
 	// the cycle and falls through to the ordinary paths.
-	if d.cyc.open != nil && d.tryFoldCycle(&d.cyc, ev, dur, comp) {
+	if d.cyc.open != nil && c.tryFoldCycle(d, ev, dur, comp) {
 		c.tal.cycleFolds++
 		return
 	}
@@ -573,7 +543,7 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 			}
 		}
 	}
-	rec := d.NewRecord()
+	rec := c.newRecord(d)
 	rec.Ev = *ev
 	rec.Ev.GID = v.GID // the CommRecord.Ev invariant; raw Init/Finalize arrive with -1
 	rec.Ev.DurationNS = 0
@@ -592,7 +562,15 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	rec.Compute = timestat.Make(timestat.ModeMeanStddev)
 	rec.Compute.Add(comp)
 	c.tal.newRecords++
-	d.tryOpenCycle(&d.cyc)
+	c.tryOpenCycle(d)
+}
+
+// newRecord appends a zeroed record from the rank's arena to d's records.
+// Callers fill in the fields afterwards.
+func (c *Compressor) newRecord(d *VData) *CommRecord {
+	r := c.recs.alloc()
+	d.Records = append(d.Records, r)
+	return r
 }
 
 // Finalize implements trace.Sink.
@@ -618,7 +596,7 @@ func (c *Compressor) Finish() *RankCTT {
 		d := &c.data[i]
 		d.reach = 0
 		if d.cyc.open != nil {
-			d.closeCycle(&d.cyc)
+			c.closeCycle(d)
 		}
 		for _, r := range d.Records {
 			if r.Peers != nil {
@@ -686,15 +664,28 @@ func (c *Compressor) strideStats(v *stride.Vector) {
 	}
 }
 
-// MemoryBytes estimates the live memory the compressor holds, for the
+// MemoryBytes reports the heap the compressor holds, by capacity, for the
 // intra-process overhead experiment (paper Figure 16's memory curves).
 func (c *Compressor) MemoryBytes() int64 {
-	var n int64 = int64(len(c.data)) * 72 // VData headers: 64 + the reach counter
+	const ptr = int64(unsafe.Sizeof(uintptr(0)))
+	n := int64(unsafe.Sizeof(*c))
+	n += int64(cap(c.data)) * int64(unsafe.Sizeof(VData{}))
+	n += int64(c.recs.chunks) * recordChunk * int64(unsafe.Sizeof(CommRecord{}))
+	n += int64(cap(c.recs.free)) * ptr
 	for i := range c.data {
-		n += c.data[i].SizeBytes()
+		d := &c.data[i]
+		n += int64(cap(d.Records)) * ptr
+		n += int64(cap(d.Cycles)) * int64(unsafe.Sizeof(Cycle{}))
+		n += d.Counts.HeapBytes() + d.Taken.HeapBytes()
+		for _, r := range d.Records {
+			n += 4 * int64(cap(r.Ev.Reqs)+cap(r.Ev.ReqSrcs)+cap(r.Time.Hist)+cap(r.Compute.Hist))
+			if p := r.Peers; p != nil {
+				n += int64(unsafe.Sizeof(*p)) + 4*int64(cap(p.Period)+cap(p.raw))
+			}
+		}
 	}
-	n += int64(len(c.stack)) * 24
+	n += int64(cap(c.stack)) * int64(unsafe.Sizeof(frame{}))
 	n += c.reqs.memoryBytes()
-	n += int64(cap(c.reqScratch)) * 4
+	n += 4 * int64(cap(c.reqScratch))
 	return n
 }

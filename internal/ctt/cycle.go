@@ -54,14 +54,14 @@ func recordsCycleEqual(a, b *CommRecord) bool {
 
 // tryFoldCycle attempts to consume ev as the next occurrence of an open
 // cycle. It reports whether the event was absorbed.
-func (d *VData) tryFoldCycle(cs *cycleState, ev *trace.Event, dur, comp float64) bool {
-	oc := cs.open
+func (c *Compressor) tryFoldCycle(d *VData, ev *trace.Event, dur, comp float64) bool {
+	oc := d.cyc.open
 	if oc == nil {
 		return false
 	}
 	target := d.Records[oc.start+oc.pos]
 	if target.Peers != nil || !target.Ev.SameParams(ev) {
-		d.closeCycle(cs)
+		c.closeCycle(d)
 		return false
 	}
 	target.Time.Add(dur)
@@ -81,7 +81,8 @@ func (d *VData) tryFoldCycle(cs *cycleState, ev *trace.Event, dur, comp float64)
 // closeCycle commits an open cycle: the completed repetitions become a Cycle
 // annotation, and any partial final repetition is materialized as fresh
 // trailing records so occurrence counts stay exact.
-func (d *VData) closeCycle(cs *cycleState) {
+func (c *Compressor) closeCycle(d *VData) {
+	cs := &d.cyc
 	oc := cs.open
 	cs.open = nil
 	if oc == nil {
@@ -94,7 +95,7 @@ func (d *VData) closeCycle(cs *cycleState) {
 	// block records; the copies carry mean-seeded stats so sample counts
 	// stay consistent with occurrence counts.
 	appendPartial := func(src *CommRecord, count int64) {
-		cp := d.NewRecord()
+		cp := c.newRecord(d)
 		cp.Ev = src.Ev
 		cp.PeerRel = src.PeerRel
 		cp.Count = count
@@ -114,8 +115,10 @@ func (d *VData) closeCycle(cs *cycleState) {
 // tryOpenCycle checks, after a fresh record was appended at index n-1,
 // whether the tail now shows two equal consecutive blocks followed by the
 // new record matching the block head; if so it collapses the duplicate
-// block and opens a cycle.
-func (d *VData) tryOpenCycle(cs *cycleState) {
+// block, hands its records and the newest back to the arena, and opens a
+// cycle.
+func (c *Compressor) tryOpenCycle(d *VData) {
+	cs := &d.cyc
 	n := len(d.Records)
 	newest := d.Records[n-1]
 	if newest.Peers != nil {
@@ -151,6 +154,7 @@ func (d *VData) tryOpenCycle(cs *cycleState) {
 		// newest's single occurrence folds into the block head.
 		d.Records[start].Time.Merge(&newest.Time)
 		d.Records[start].Compute.Merge(&newest.Compute)
+		c.recs.release(d.Records[start+k : n])
 		d.Records = d.Records[:start+k]
 		oc := &openCycle{start: start, length: k, reps: 2, pos: 0, occ: 1}
 		if d.Records[start].Count == 1 {

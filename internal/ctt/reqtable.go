@@ -196,7 +196,7 @@ func (t *reqTable) takeWild(id int32) *trace.Event {
 // memoryBytes estimates the table's live memory for MemoryBytes.
 func (t *reqTable) memoryBytes() int64 {
 	n := int64(cap(t.slots)) * 12
-	n += int64(cap(t.wildSlots)) * 112
+	n += int64(cap(t.wildSlots)) * 120 // unsafe.Sizeof(trace.Event{})
 	n += int64(cap(t.freeWild)) * 4
 	n += int64(len(t.overflowGID)) * 16
 	n += int64(len(t.overflowWild)) * 120

@@ -437,6 +437,27 @@ func main() {
 }`, 2)
 }
 
+func TestRoundTripCycleReuseAcrossLeaves(t *testing.T) {
+	// The bcast and send leaves fold a three-record cycle, handing their
+	// duplicate blocks back to the rank's record arena, while the sibling
+	// allreduce leaf creates a record every iteration and so reuses those
+	// slots; the loop then ends two records into a repetition, so the cycles
+	// close on a partial one.
+	src := `
+func main() {
+	for var k = 0; k < 17; k = k + 1 {
+		var l = k % 3 + 1;
+		bcast(0, 100 * l);
+		if rank + l < size { send(rank + l, 1000 * l, 0); }
+		if rank - l >= 0 { recv(rank - l, 1000 * l, 0); }
+		allreduce(8 * k);
+	}
+}`
+	for _, n := range []int{2, 6} {
+		assertLossless(t, src, n)
+	}
+}
+
 func TestRoundTripNestedCycles(t *testing.T) {
 	// Two separate periodic phases on the same leaf: two cycles in sequence.
 	assertLossless(t, `

@@ -16,6 +16,7 @@ package stride
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"repro/internal/fp"
 )
@@ -107,12 +108,20 @@ func (v *Vector) Runs() []Run { return v.view() }
 // continues its arithmetic progression. Appends that extend a run — every
 // append after the second in a constant-stride sequence — are allocation-free.
 func (v *Vector) Append(x int64) {
+	var last *Run
+	if v.nr > 0 {
+		last = v.lastRun()
+	}
+	v.appendAfter(last, x)
+}
+
+// appendAfter appends x to v, whose final run is last (nil when v is empty).
+func (v *Vector) appendAfter(last *Run, x int64) {
 	v.n++
-	if v.nr == 0 {
+	if last == nil {
 		v.pushRun(Run{First: x, Count: 1})
 		return
 	}
-	last := v.lastRun()
 	switch last.Count {
 	case 1:
 		// A singleton can adopt any stride.
@@ -292,6 +301,10 @@ func (v *Vector) Sum() int64 {
 // comparisons between compressors are conservative for CYPRESS.
 func (v *Vector) SizeBytes() int64 { return int64(v.nr) * 24 }
 
+// HeapBytes is the heap the vector holds outside its own struct: the spilled
+// run storage, by capacity.
+func (v *Vector) HeapBytes() int64 { return int64(cap(v.heap)) * int64(unsafe.Sizeof(Run{})) }
+
 // String renders the vector in the paper's tuple notation.
 func (v *Vector) String() string {
 	var b strings.Builder
@@ -318,13 +331,14 @@ type Set struct {
 
 // Add inserts x, which must be greater than every element already present.
 func (s *Set) Add(x int64) {
-	if s.n > 0 {
-		last := s.lastRun().Last()
-		if x <= last {
-			panic(fmt.Sprintf("stride: Set.Add out of order: %d after %d", x, last))
+	var last *Run
+	if s.nr > 0 {
+		last = s.lastRun()
+		if x <= last.Last() {
+			panic(fmt.Sprintf("stride: Set.Add out of order: %d after %d", x, last.Last()))
 		}
 	}
-	s.Append(x)
+	s.appendAfter(last, x)
 }
 
 // Contains reports whether x is in the set using binary search over runs.

@@ -167,7 +167,7 @@ func addFile(c *cypress.Corpus, path string) (cypress.TraceID, error) {
 	if bytes.HasPrefix(data, []byte("CYPR")) {
 		return c.IngestBytes(data)
 	}
-	res, err := cypress.OpenTrace(data, 1)
+	res, err := cypress.OpenTrace(data)
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", path, err)
 	}

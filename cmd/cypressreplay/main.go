@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		project = []int{r}
 	}
-	res, err := cypress.OpenTrace(data, 1, project...)
+	res, err := cypress.OpenTrace(data, project...)
 	if err != nil {
 		return fail(err)
 	}

@@ -203,7 +203,7 @@ func readTraceFile(path string) (*cypress.Result, []byte) {
 	if err != nil {
 		fail(err)
 	}
-	res, err := cypress.OpenTrace(data, 1)
+	res, err := cypress.OpenTrace(data)
 	if err != nil {
 		fail(err)
 	}

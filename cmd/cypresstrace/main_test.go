@@ -69,7 +69,7 @@ func TestFormatsWriteTheirEncoding(t *testing.T) {
 			if !bytes.Equal(data, enc.Bytes()) {
 				t.Fatalf("-format %s wrote %d bytes that differ from the encoder's %d", tc.format, len(data), enc.Len())
 			}
-			res, err := cypress.OpenTrace(data, 1)
+			res, err := cypress.OpenTrace(data)
 			if err != nil {
 				t.Fatal(err)
 			}

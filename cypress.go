@@ -261,10 +261,8 @@ func (r *Result) WriteTrace(w io.Writer, f Format) (int64, error) {
 // OpenTrace is the one way a stored trace comes back: it decodes a trace file
 // held in memory — written by WriteTrace in any Format; the container layer
 // (gzip, CYPB, or none) is sniffed from the leading magic — into a Result
-// ready for Replay, PredictPar and CommMatrixPar.
-// workers is the CYPB inflate worker count (<= 1 inflates inline, more
-// stripes the frames over that many goroutines); it never changes the decoded
-// trace and other formats ignore it.
+// ready for Replay, PredictPar and CommMatrixPar. It runs on the caller's
+// goroutine.
 //
 // With no ranks every timing payload is decoded up front. With ranks the
 // projection is pushed into the decoder: only those ranks' payloads are
@@ -275,12 +273,12 @@ func (r *Result) WriteTrace(w io.Writer, f Format) (int64, error) {
 // any other rank, PredictPar, CommMatrixPar and WriteTrace return an error.
 // The Result keeps nothing of data, and its prediction parameters are
 // mpisim.DefaultParams(), as for Corpus.Get.
-func OpenTrace(data []byte, workers int, ranks ...int) (*Result, error) {
+func OpenTrace(data []byte, ranks ...int) (*Result, error) {
 	sel := merge.SelectAll()
 	if len(ranks) > 0 {
 		sel = merge.SelectRanks(ranks...)
 	}
-	m, err := merge.DecodeSelectAuto(data, sel, workers)
+	m, err := merge.DecodeSelectAuto(data, sel, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +339,8 @@ type CorpusOptions struct {
 	// CacheBytes bounds the decoded-trace serving cache (0 = 64 MiB,
 	// negative disables caching).
 	CacheBytes int64
-	// Workers bounds the CYPB frame codecs of class and segment containers.
+	// Workers bounds the deflate workers that write class and segment
+	// containers (<= 1 deflates inline). Reads always inflate inline.
 	Workers int
 }
 

@@ -96,7 +96,7 @@ func TestCorpusFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenTrace(encs[0], 1)
+	opened, err := OpenTrace(encs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

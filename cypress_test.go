@@ -58,7 +58,7 @@ func TestObsPipelineWiring(t *testing.T) {
 	if _, err := res.WriteTrace(&buf, FormatRaw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenTrace(buf.Bytes(), 1); err != nil {
+	if _, err := OpenTrace(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Value(obs.EncTraces) != 1 || s.Value(obs.DecTraces) != 1 ||
@@ -112,7 +112,7 @@ func TestStageSpanCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("encode", count("encode"), 1)
-	if _, err := OpenTrace(buf.Bytes(), 1); err != nil {
+	if _, err := OpenTrace(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	want("decode", count("decode", "decode_select"), 1)
@@ -228,7 +228,7 @@ func TestWriteReadTrace(t *testing.T) {
 	if err != nil || n != int64(buf.Len()) {
 		t.Fatalf("write: %v (%d vs %d)", err, n, buf.Len())
 	}
-	back, err := OpenTrace(buf.Bytes(), 1)
+	back, err := OpenTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +286,8 @@ func TestOneReaderOneVerdict(t *testing.T) {
 		{"cypb/garbage", garbage(blocked.Bytes()), false},
 		{"cypb/truncated", truncated(blocked.Bytes()), false},
 	} {
-		_, full := OpenTrace(tc.in, 1)
-		_, projected := OpenTrace(tc.in, 2, 0)
+		_, full := OpenTrace(tc.in)
+		_, projected := OpenTrace(tc.in, 0)
 		_, stream := merge.Decode(bytes.NewReader(tc.in))
 		for how, err := range map[string]error{"OpenTrace": full, "OpenTrace(rank 0)": projected, "merge.Decode": stream} {
 			if (err == nil) != tc.ok {

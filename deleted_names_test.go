@@ -145,6 +145,14 @@ var deletedNames = []struct {
 		why:     "per-vertex record slab",
 		pattern: regexp.MustCompile(`recordSlab|recordChunkMax|\.NewRecord\(`),
 	},
+	{
+		// Reads inflate on the caller's goroutine, and blockio owns the two
+		// codec pools a workload measures (its flate writer and inflate
+		// reader). The shared pool package, its gzip, bufio and buffer pools,
+		// and the inflate lanes the pipeline pass asked for are gone.
+		why:     "codec buffer pools and inflate lanes",
+		pattern: regexp.MustCompile(`internal/encpool|GetBufio|GetBuffer|GetGzip|pipeDecWorkers`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

@@ -39,7 +39,7 @@ func fromBytes(name string, write func(mem *Result, w io.Writer) (int64, error),
 		if _, err := write(mem, &buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		res, err := OpenTrace(buf.Bytes(), 1, ranks...)
+		res, err := OpenTrace(buf.Bytes(), ranks...)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}

@@ -96,7 +96,7 @@ func main() {
 	if _, err := res.WriteTrace(&file, cypress.FormatRaw); err != nil {
 		log.Fatal(err)
 	}
-	back, err := cypress.OpenTrace(file.Bytes(), 1)
+	back, err := cypress.OpenTrace(file.Bytes())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"compress/gzip"
 
-	"repro/internal/encpool"
 	"repro/internal/trace"
 )
 
@@ -24,11 +23,10 @@ type Writer struct {
 	finished bool
 }
 
-// NewWriter returns a sink for one rank. The gzip writer comes from a shared
-// pool (deflate state is ~1.4MB per writer); Finalize returns it.
+// NewWriter returns a sink for one rank.
 func NewWriter() *Writer {
 	w := &Writer{}
-	w.gz = encpool.GetGzip(&w.buf)
+	w.gz = gzip.NewWriter(&w.buf)
 	w.tw = trace.NewWriter(w.gz)
 	return w
 }
@@ -58,7 +56,6 @@ func (w *Writer) Finalize() {
 	if err != nil {
 		panic("rawgzip: " + err.Error())
 	}
-	encpool.PutGzip(w.gz)
 	w.gz = nil
 	w.rawBytes = n
 	w.finished = true

@@ -21,12 +21,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Worker counts of the pipeline's parallel stages. Small fixed values rather
-// than GOMAXPROCS so the captured swimlane set is stable across machines (the
-// fixture-capture test asserts per-worker lanes exist).
+// The deflate worker count is a small fixed value rather than GOMAXPROCS so
+// the captured swimlane set is stable across machines (the fixture-capture
+// test asserts per-worker lanes exist).
 const (
 	pipeEncWorkers = 4
-	pipeDecWorkers = 2
 	pipeFrameSize  = 1 << 12 // small frames so several flow through every worker
 )
 
@@ -49,13 +48,13 @@ func Pipeline() error {
 	if _, err := m.EncodeBlockedFrames(&blocked, pipeEncWorkers, pipeFrameSize); err != nil {
 		return err
 	}
-	res, err := cypress.OpenTrace(blocked.Bytes(), pipeDecWorkers)
+	res, err := cypress.OpenTrace(blocked.Bytes())
 	if err != nil {
 		return err
 	}
 	// The merged ring compresses to under one frame, so the round-trip above
 	// lights up one worker lane. Soak the container with enough incompressible
-	// frames that every deflate and inflate worker records traffic.
+	// frames that every deflate worker records traffic.
 	if err := containerSoak(); err != nil {
 		return err
 	}
@@ -68,7 +67,7 @@ func Pipeline() error {
 
 // containerSoak round-trips a deterministic pseudo-random payload through a
 // blocked container: 32 frames of LCG noise resist deflate enough that the
-// worker pools stay busy and every enc/dec lane shows up in the capture.
+// worker pool stays busy and every deflate lane shows up in the capture.
 func containerSoak() error {
 	const frames = 32
 	payload := make([]byte, frames*pipeFrameSize)
@@ -88,7 +87,7 @@ func containerSoak() error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	got, _, err := blockio.Unwrap(buf.Bytes(), pipeDecWorkers)
+	got, _, err := blockio.Unwrap(buf.Bytes())
 	if err != nil {
 		return err
 	}

@@ -40,9 +40,8 @@ func TestFrameEncodeAllocs(t *testing.T) {
 }
 
 // TestFrameDecodeAllocs pins the allocation cost of Unwrap on a container:
-// one index, one payload buffer and, per lane, its reusable reader state and
-// pooled inflater — inline decode must stay within a few allocations per
-// frame, and striping adds only the per-lane goroutine setup.
+// one index, one payload buffer and the pooled inflater — decode must stay
+// within a few allocations per frame.
 func TestFrameDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
@@ -50,21 +49,14 @@ func TestFrameDecodeAllocs(t *testing.T) {
 	payload := testPayload(64 << 10)
 	enc := encode(t, payload, WriterOptions{FrameSize: 4 << 10, Workers: 1})
 	nFrames := 16.0
-	for _, workers := range []int{0, 2} {
-		avg := testing.AllocsPerRun(20, func() {
-			got, _, err := Unwrap(enc, workers)
-			if err != nil || len(got) != len(payload) {
-				t.Fatalf("Unwrap: %d bytes, %v", len(got), err)
-			}
-		})
-		perFrame := avg / nFrames
-		budget := 4.0
-		if workers > 0 {
-			budget = 16.0
+	avg := testing.AllocsPerRun(20, func() {
+		got, _, err := Unwrap(enc)
+		if err != nil || len(got) != len(payload) {
+			t.Fatalf("Unwrap: %d bytes, %v", len(got), err)
 		}
-		if perFrame > budget {
-			t.Fatalf("workers=%d: decode allocs/frame = %.1f (%.0f total), budget %.0f",
-				workers, perFrame, avg, budget)
-		}
+	})
+	const budget = 4.0
+	if perFrame := avg / nFrames; perFrame > budget {
+		t.Fatalf("decode allocs/frame = %.1f (%.0f total), budget %.0f", perFrame, avg, budget)
 	}
 }

@@ -43,10 +43,10 @@
 //
 // Determinism: the boundaries are a function of FrameSize and the payload
 // offsets at which Cut was called (the Cut positions are part of the input)
-// and each frame is compressed at the fixed encpool.FlateLevel, so the
+// and each frame is compressed at the fixed flateLevel, so the
 // emitted container is byte-identical for that input regardless of the worker
-// count or the caller's Write chunking; the worker count never changes what
-// Unwrap or ReadRange return either.
+// count or the caller's Write chunking. Reads inflate on the caller's
+// goroutine.
 package blockio
 
 // Magic is the 4-byte container header magic.

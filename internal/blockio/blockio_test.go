@@ -60,24 +60,24 @@ func encode(t testing.TB, payload []byte, opt WriterOptions) []byte {
 	return buf.Bytes()
 }
 
-// decode reads a CYPB container back with the given worker setting. Damage
+// decode reads a CYPB container back. Damage
 // to the leading magic makes Unwrap sniff some other format; for a caller
 // that expects a container that is as much an error as any other. Every
 // container any test decodes is also read whole through the range reader,
 // which must reach Unwrap's verdict: refuse what it refuses, and return the
 // same bytes for what it accepts.
-func decode(t testing.TB, enc []byte, workers int) ([]byte, error) {
+func decode(t testing.TB, enc []byte) ([]byte, error) {
 	t.Helper()
-	payload, format, err := Unwrap(enc, workers)
+	payload, format, err := Unwrap(enc)
 	if err == nil && format != FormatBlocked {
 		err = fmt.Errorf("sniffed %v, want a CYPB container", format)
 	}
-	ranged, rerr := readRange(enc, 0, -1, workers)
+	ranged, rerr := readRange(enc, 0, -1)
 	if (err == nil) != (rerr == nil) {
-		t.Fatalf("workers=%d: Unwrap says %v, the range reader %v", workers, err, rerr)
+		t.Fatalf("Unwrap says %v, the range reader %v", err, rerr)
 	}
 	if err == nil && !bytes.Equal(ranged, payload) {
-		t.Fatalf("workers=%d: Unwrap and a whole-payload range read return different bytes", workers)
+		t.Fatal("Unwrap and a whole-payload range read return different bytes")
 	}
 	return payload, err
 }
@@ -85,7 +85,7 @@ func decode(t testing.TB, enc []byte, workers int) ([]byte, error) {
 // readRange is the range reader end to end over a container held in memory:
 // Scan, then ReadRange of [off, off+n), sliced down to the range. n < 0 asks
 // for everything from off on.
-func readRange(enc []byte, off, n, workers int) ([]byte, error) {
+func readRange(enc []byte, off, n int) ([]byte, error) {
 	x, err := Scan(enc)
 	if err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func readRange(enc []byte, off, n, workers int) ([]byte, error) {
 	if n < 0 {
 		n = x.Len() - off
 	}
-	p, at, err := x.ReadRange(bytes.NewReader(enc), off, n, workers)
+	p, at, err := x.ReadRange(bytes.NewReader(enc), off, n)
 	if err != nil {
 		return nil, err
 	}
@@ -145,17 +145,15 @@ func TestRoundTripSizes(t *testing.T) {
 	const frame = 4 << 10
 	for _, n := range []int{0, 1, 100, frame - 1, frame, frame + 1, 3 * frame, 10*frame + 137} {
 		for _, encW := range []int{1, 3} {
-			for _, decW := range []int{0, 1, 2, 5} {
-				payload := testPayload(n)
-				enc := encode(t, payload, WriterOptions{FrameSize: frame, Workers: encW})
-				got, err := decode(t, enc, decW)
-				if err != nil {
-					t.Fatalf("n=%d encW=%d decW=%d: %v", n, encW, decW, err)
-				}
-				if !bytes.Equal(got, payload) {
-					t.Fatalf("n=%d encW=%d decW=%d: payload mismatch (%d vs %d bytes)",
-						n, encW, decW, len(got), len(payload))
-				}
+			payload := testPayload(n)
+			enc := encode(t, payload, WriterOptions{FrameSize: frame, Workers: encW})
+			got, err := decode(t, enc)
+			if err != nil {
+				t.Fatalf("n=%d encW=%d: %v", n, encW, err)
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("n=%d encW=%d: payload mismatch (%d vs %d bytes)",
+					n, encW, len(got), len(payload))
 			}
 		}
 	}
@@ -180,38 +178,27 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if bytes.Equal(base, other) {
 		t.Fatal("different frame sizes produced identical containers")
 	}
-	got, err := decode(t, other, 1)
+	got, err := decode(t, other)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("16KB-frame container failed to round-trip: %v", err)
-	}
-	// The read side holds the same claim: worker count never changes the
-	// bytes Unwrap returns.
-	for _, workers := range []int{2, 4, 7, 64} {
-		got, err := decode(t, base, workers)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("Unwrap workers=%d differs from workers=1: %v", workers, err)
-		}
 	}
 }
 
 func TestCorruptionDetected(t *testing.T) {
 	payload := testPayload(40 << 10)
 	enc := encode(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: 2})
-	for _, workers := range []int{0, 2} {
-		// Flip one byte at every offset band: header, frame bodies, footer.
-		for _, off := range []int{0, 3, 10, len(enc) / 4, len(enc) / 2, len(enc) - 20, len(enc) - 3} {
-			mut := append([]byte(nil), enc...)
-			mut[off] ^= 0x5a
-			got, err := decode(t, mut, workers)
-			if err == nil && bytes.Equal(got, payload) {
-				// Flips inside deflate padding bits can be harmless; only a
-				// silent wrong payload is a failure.
-				continue
-			}
-			if err == nil {
-				t.Fatalf("workers=%d off=%d: corruption decoded silently to %d differing bytes",
-					workers, off, len(got))
-			}
+	// Flip one byte at every offset band: header, frame bodies, footer.
+	for _, off := range []int{0, 3, 10, len(enc) / 4, len(enc) / 2, len(enc) - 20, len(enc) - 3} {
+		mut := append([]byte(nil), enc...)
+		mut[off] ^= 0x5a
+		got, err := decode(t, mut)
+		if err == nil && bytes.Equal(got, payload) {
+			// Flips inside deflate padding bits can be harmless; only a
+			// silent wrong payload is a failure.
+			continue
+		}
+		if err == nil {
+			t.Fatalf("off=%d: corruption decoded silently to %d differing bytes", off, len(got))
 		}
 	}
 }
@@ -219,13 +206,10 @@ func TestCorruptionDetected(t *testing.T) {
 func TestTruncationDetected(t *testing.T) {
 	payload := testPayload(40 << 10)
 	enc := encode(t, payload, WriterOptions{FrameSize: 8 << 10, Workers: 1})
-	for _, workers := range []int{0, 1} {
-		for cut := 0; cut < len(enc); cut += 97 {
-			got, err := decode(t, enc[:cut], workers)
-			if err == nil {
-				t.Fatalf("workers=%d: truncation at %d/%d decoded silently (%d bytes)",
-					workers, cut, len(enc), len(got))
-			}
+	for cut := 0; cut < len(enc); cut += 97 {
+		got, err := decode(t, enc[:cut])
+		if err == nil {
+			t.Fatalf("truncation at %d/%d decoded silently (%d bytes)", cut, len(enc), len(got))
 		}
 	}
 }
@@ -250,10 +234,8 @@ func TestMangledFooter(t *testing.T) {
 	for off := footerStart; off < len(enc); off++ {
 		mut := append([]byte(nil), enc...)
 		mut[off] ^= 0x11
-		for _, workers := range []int{0, 2} {
-			if _, err := decode(t, mut, workers); err == nil {
-				t.Fatalf("workers=%d: mangled footer byte %d accepted", workers, off)
-			}
+		if _, err := decode(t, mut); err == nil {
+			t.Fatalf("mangled footer byte %d accepted", off)
 		}
 	}
 }
@@ -339,10 +321,8 @@ func TestFrameTiling(t *testing.T) {
 		{"offset outside the file", withFooter(body, []frameMeta{metas[0], metas[1], {off: 1 << 40, usize: metas[2].usize, csize: metas[2].csize, crc: metas[2].crc}})},
 		{"trailing bytes after the trailer", append(append([]byte(nil), enc...), 0)},
 	} {
-		for _, workers := range []int{1, 4} {
-			if _, err := decode(t, tc.enc, workers); err == nil {
-				t.Errorf("%s: accepted at workers=%d", tc.name, workers)
-			}
+		if _, err := decode(t, tc.enc); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
@@ -398,8 +378,8 @@ func TestHostileSizesStayCheap(t *testing.T) {
 			name string
 			fn   func() error
 		}{
-			{"Unwrap", func() error { _, _, err := Unwrap(tc.enc, 4); return err }},
-			{"range read", func() error { _, err := readRange(tc.enc, 0, -1, 4); return err }},
+			{"Unwrap", func() error { _, _, err := Unwrap(tc.enc); return err }},
+			{"range read", func() error { _, err := readRange(tc.enc, 0, -1); return err }},
 		} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -435,7 +415,7 @@ func TestSniffFormats(t *testing.T) {
 		{"short", []byte{'C'}, FormatRaw},
 	}
 	for _, tc := range cases {
-		got, format, err := Unwrap(tc.in, 1)
+		got, format, err := Unwrap(tc.in)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -459,7 +439,7 @@ func ExampleWriter() {
 	w, _ := NewWriter(&buf, WriterOptions{FrameSize: 8 << 10, Workers: 4})
 	io.WriteString(w, "payload bytes")
 	w.Close()
-	out, format, _ := Unwrap(buf.Bytes(), 1)
+	out, format, _ := Unwrap(buf.Bytes())
 	fmt.Println(format, string(out))
 	// Output: blocked payload bytes
 }
@@ -493,65 +473,56 @@ func cutLayouts() []struct {
 }
 
 // TestReadRangeMatchesUnwrap: whatever the frame layout, every range read
-// returns the same bytes as that slice of what Unwrap returns, at either
-// worker setting on either side.
+// returns the same bytes as that slice of what Unwrap returns.
 func TestReadRangeMatchesUnwrap(t *testing.T) {
 	for _, lay := range cutLayouts() {
 		enc := encodeCuts(t, lay.payload, WriterOptions{FrameSize: lay.frame, Workers: 2}, 1000, lay.cuts)
-		for _, workers := range []int{1, 4} {
-			whole, err := decode(t, enc, workers)
-			if err != nil || !bytes.Equal(whole, lay.payload) {
-				t.Fatalf("%s: workers=%d: container does not round-trip: %v", lay.name, workers, err)
-			}
-			x, err := Scan(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Offsets worth reading from and to: both ends, and either side of
-			// every frame boundary.
-			seen := map[int]bool{}
-			var marks []int
-			for _, f := range x.frames {
-				for _, m := range []int{f.uoff - 1, f.uoff, f.uoff + 1, f.uoff + f.usize - 1, f.uoff + f.usize} {
-					if m >= 0 && m <= len(whole) && !seen[m] {
-						seen[m] = true
-						marks = append(marks, m)
-					}
+		whole, err := decode(t, enc)
+		if err != nil || !bytes.Equal(whole, lay.payload) {
+			t.Fatalf("%s: container does not round-trip: %v", lay.name, err)
+		}
+		x, err := Scan(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Offsets worth reading from and to: both ends, and either side of
+		// every frame boundary.
+		seen := map[int]bool{}
+		var marks []int
+		for _, f := range x.frames {
+			for _, m := range []int{f.uoff - 1, f.uoff, f.uoff + 1, f.uoff + f.usize - 1, f.uoff + f.usize} {
+				if m >= 0 && m <= len(whole) && !seen[m] {
+					seen[m] = true
+					marks = append(marks, m)
 				}
 			}
-			if len(x.frames) == 0 {
-				marks = []int{0}
-			}
-			// Few enough marks: all pairs. The 4-worker pass over a dense
-			// layout reads every third pair.
-			step := 1
-			if workers > 1 && len(marks) > 64 {
-				step = 3
-			}
-			src, reads := bytes.NewReader(enc), 0
-			for i, off := range marks {
-				for j := i; j < len(marks); j += step {
-					n := marks[j] - off
-					if n < 0 {
-						continue
-					}
-					p, at, err := x.ReadRange(src, off, n, workers)
-					if err != nil {
-						t.Fatalf("%s: workers=%d: [%d, +%d): %v", lay.name, workers, off, n, err)
-					}
-					if got := p[off-at:][:n]; !bytes.Equal(got, whole[off:off+n]) {
-						t.Fatalf("%s: workers=%d: [%d, +%d) differs from Unwrap's slice", lay.name, workers, off, n)
-					}
-					reads++
+		}
+		if len(x.frames) == 0 {
+			marks = []int{0}
+		}
+		src, reads := bytes.NewReader(enc), 0
+		for i, off := range marks {
+			for _, end := range marks[i:] {
+				n := end - off
+				if n < 0 {
+					continue
 				}
-			}
-			if reads == 0 {
-				t.Fatalf("%s: no range was read", lay.name)
-			}
-			for _, bad := range [][2]int{{-1, 1}, {0, -1}, {0, len(whole) + 1}, {len(whole), 1}, {len(whole) + 1, 0}} {
-				if _, _, err := x.ReadRange(src, bad[0], bad[1], workers); err == nil {
-					t.Fatalf("%s: range [%d, +%d) of a %d-byte payload accepted", lay.name, bad[0], bad[1], len(whole))
+				p, at, err := x.ReadRange(src, off, n)
+				if err != nil {
+					t.Fatalf("%s: [%d, +%d): %v", lay.name, off, n, err)
 				}
+				if got := p[off-at:][:n]; !bytes.Equal(got, whole[off:off+n]) {
+					t.Fatalf("%s: [%d, +%d) differs from Unwrap's slice", lay.name, off, n)
+				}
+				reads++
+			}
+		}
+		if reads == 0 {
+			t.Fatalf("%s: no range was read", lay.name)
+		}
+		for _, bad := range [][2]int{{-1, 1}, {0, -1}, {0, len(whole) + 1}, {len(whole), 1}, {len(whole) + 1, 0}} {
+			if _, _, err := x.ReadRange(src, bad[0], bad[1]); err == nil {
+				t.Fatalf("%s: range [%d, +%d) of a %d-byte payload accepted", lay.name, bad[0], bad[1], len(whole))
 			}
 		}
 	}
@@ -574,7 +545,7 @@ func TestReadRangeReadsItsFramesOnly(t *testing.T) {
 	}
 	src := bytes.NewReader(enc)
 	for i, start := 0, 0; i < len(cuts); start, i = cuts[i], i+1 {
-		p, at, err := x.ReadRange(src, start, cuts[i]-start, 1)
+		p, at, err := x.ReadRange(src, start, cuts[i]-start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,7 +561,7 @@ func TestReadRangeReadsItsFramesOnly(t *testing.T) {
 			msrc := bytes.NewReader(mut)
 			for j := range x.frames {
 				fj := &x.frames[j]
-				p, _, err := x.ReadRange(msrc, fj.uoff, fj.usize, 1)
+				p, _, err := x.ReadRange(msrc, fj.uoff, fj.usize)
 				switch {
 				case err == nil && !bytes.Equal(p, payload[fj.uoff:][:fj.usize]):
 					t.Fatalf("byte %d of frame %d flipped: frame %d read back wrong", pos, k, j)

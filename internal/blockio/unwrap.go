@@ -2,6 +2,7 @@ package blockio
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -9,9 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
-	"sync"
 
-	"repro/internal/encpool"
 	"repro/internal/obs"
 	ftrace "repro/internal/obs/trace"
 )
@@ -54,17 +53,14 @@ func (f Format) String() string {
 //     must tile header to terminator to footer exactly, and every frame must
 //     inflate to its declared length and CRC-32.
 //
-// workers bounds the CYPB inflate lanes: <= 1 inflates inline with no
-// goroutines, more stripes the frames over that many (frame i on lane
-// i mod workers). It never changes the returned bytes; other formats ignore
-// it.
-func Unwrap(data []byte, workers int) ([]byte, Format, error) {
+// Frames inflate in order on the caller's goroutine.
+func Unwrap(data []byte) ([]byte, Format, error) {
 	switch {
 	case len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b:
 		payload, err := gunzip(data)
 		return payload, FormatGzip, err
 	case len(data) >= len(Magic) && [4]byte(data[:4]) == Magic:
-		payload, err := unblock(data, workers)
+		payload, err := unblock(data)
 		return payload, FormatBlocked, err
 	}
 	return data, FormatRaw, nil
@@ -214,31 +210,25 @@ func Scan(data []byte) (*Index, error) {
 	return x, nil
 }
 
-// lane is one inflate worker's reusable state.
-type lane struct {
-	id  int32 // flight-recorder swimlane
-	src bytes.Reader
-	one [1]byte
-}
-
 // inflate is the per-frame step — index entry plus the frame's deflate bytes to
 // verified payload: it decompresses body straight into dst, which is sized to
 // the declared length, and verifies that exact length and the checksum.
-func (l *lane) inflate(f *frame, body, dst []byte) error {
-	tsp := obs.AttachedRecorder().Begin(ftrace.CatIODec, ftrace.NameInflate, l.id)
-	l.src.Reset(body)
-	fr := encpool.GetFlateReader(&l.src)
-	_, err := io.ReadFull(fr, dst)
+func (in *inflater) inflate(f *frame, body, dst []byte) error {
+	tsp := obs.AttachedRecorder().Begin(ftrace.CatIODec, ftrace.NameInflate, 0)
+	in.src.Reset(body)
+	err := in.fr.(flate.Resetter).Reset(&in.src, nil)
+	if err == nil {
+		_, err = io.ReadFull(in.fr, dst)
+	}
 	if err == nil {
 		// The deflate stream must produce exactly usize bytes and then end:
 		// its closing block carries no payload, so the CRC does not guard it.
-		if k, rerr := fr.Read(l.one[:]); k != 0 {
+		if k, rerr := in.fr.Read(in.one[:]); k != 0 {
 			err = fmt.Errorf("longer than declared %d bytes", f.usize)
 		} else if rerr != io.EOF {
 			err = fmt.Errorf("after the declared %d bytes: %w", f.usize, rerr)
 		}
 	}
-	encpool.PutFlateReader(fr)
 	switch {
 	case err == io.EOF:
 		err = io.ErrUnexpectedEOF
@@ -250,48 +240,22 @@ func (l *lane) inflate(f *frame, body, dst []byte) error {
 	return err
 }
 
-// inflateFrames inflates frames [lo, hi) into one buffer sized by the index.
-// data holds their container bytes; data[0] sits at container offset base.
-func (x *Index) inflateFrames(lo, hi int, data []byte, base, workers int) ([]byte, error) {
+// inflateFrames inflates frames [lo, hi), in order, into one buffer sized by
+// the index. data holds their container bytes; data[0] sits at container
+// offset base.
+func (x *Index) inflateFrames(lo, hi int, data []byte, base int) ([]byte, error) {
 	frames := x.frames[lo:hi]
 	at, end := 0, 0 // payload offsets the frames span
 	if n := len(frames); n > 0 {
 		at, end = frames[0].uoff, frames[n-1].uoff+frames[n-1].usize
 	}
 	payload := make([]byte, end-at)
-	if workers > len(frames) {
-		workers = len(frames)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Static striping: the lane a frame lands on depends only on its index,
-	// so a traced run records the same swimlanes every time.
-	stripe := func(w int) error {
-		l := lane{id: int32(w)}
-		for i := w; i < len(frames); i += workers {
-			f := &frames[i]
-			if err := l.inflate(f, data[f.boff-base:][:f.csize], payload[f.uoff-at:][:f.usize]); err != nil {
-				return fmt.Errorf("blockio: frame %d: %w", lo+i, err)
-			}
-		}
-		return nil
-	}
-	// Lane 0 runs on the caller, so one worker means no goroutines at all.
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = stripe(w)
-		}(w)
-	}
-	errs[0] = stripe(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	in := getInflater()
+	defer putInflater(in)
+	for i := range frames {
+		f := &frames[i]
+		if err := in.inflate(f, data[f.boff-base:][:f.csize], payload[f.uoff-at:][:f.usize]); err != nil {
+			return nil, fmt.Errorf("blockio: frame %d: %w", lo+i, err)
 		}
 	}
 	return payload, nil
@@ -299,12 +263,12 @@ func (x *Index) inflateFrames(lo, hi int, data []byte, base, workers int) ([]byt
 
 // unblock reads a whole CYPB container: the index sizes the payload once and
 // every frame inflates from its sub-slice of data into its slot.
-func unblock(data []byte, workers int) ([]byte, error) {
+func unblock(data []byte) ([]byte, error) {
 	x, err := Scan(data)
 	if err != nil {
 		return nil, err
 	}
-	return x.inflateFrames(0, len(x.frames), data, 0, workers)
+	return x.inflateFrames(0, len(x.frames), data, 0)
 }
 
 // ReadRange inflates only the frames covering payload bytes [off, off+n),
@@ -314,7 +278,7 @@ func unblock(data []byte, workers int) ([]byte, error) {
 // and at off+n it is p. Every covering frame is held to the index again (header,
 // length, CRC-32): bytes that changed under src since Scan are an error, and
 // damage to any other frame is not seen at all.
-func (x *Index) ReadRange(src io.ReaderAt, off, n, workers int) (p []byte, at int, err error) {
+func (x *Index) ReadRange(src io.ReaderAt, off, n int) (p []byte, at int, err error) {
 	if off < 0 || n < 0 || off > x.total-n {
 		return nil, 0, fmt.Errorf("blockio: range [%d, %d+%d) outside a payload of %d bytes", off, off, n, x.total)
 	}
@@ -338,6 +302,6 @@ func (x *Index) ReadRange(src io.ReaderAt, off, n, workers int) (p []byte, at in
 			return nil, 0, fmt.Errorf("blockio: frame %d: header no longer matches the index", i)
 		}
 	}
-	p, err = x.inflateFrames(lo, hi, span, first.off, workers)
+	p, err = x.inflateFrames(lo, hi, span, first.off)
 	return p, first.uoff, err
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/encpool"
 	"repro/internal/obs"
 	ftrace "repro/internal/obs/trace"
 )
@@ -225,10 +224,10 @@ func (w *Writer) writeFrame(j *encJob) {
 func compressFrame(j *encJob, lane int32) {
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatIOEnc, ftrace.NameDeflate, lane)
 	j.dst.Reset()
-	fw := encpool.GetFlate(&j.dst)
+	fw := getFlate(&j.dst)
 	_, werr := fw.Write(j.src)
 	cerr := fw.Close()
-	encpool.PutFlate(fw)
+	flateWriters.Put(fw)
 	if werr == nil {
 		werr = cerr
 	}

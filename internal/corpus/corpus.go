@@ -90,8 +90,8 @@ type Options struct {
 	// encoding size of resident traces; 0 means 64 MiB, negative disables
 	// the cache.
 	CacheBytes int64
-	// Workers bounds the CYPB frame codecs used for class and segment
-	// containers; values <= 1 deflate and inflate inline.
+	// Workers bounds the deflate workers that write class and segment
+	// containers; values <= 1 deflate inline. Reads always inflate inline.
 	Workers int
 }
 
@@ -204,7 +204,7 @@ func (s *Store) load() error {
 		name := e.Name()
 		switch {
 		case strings.HasPrefix(name, "class-") && strings.HasSuffix(name, ".cyps"):
-			c, err := readClassFile(filepath.Join(s.dir, name), s.opt.Workers)
+			c, err := readClassFile(filepath.Join(s.dir, name))
 			if err != nil {
 				return fmt.Errorf("corpus: %s: %w", name, err)
 			}
@@ -394,7 +394,7 @@ func (s *Store) dropAccounting(loc runLoc) {
 // that builds the class's plan: the structure must walk to its last byte and
 // fold to the key the file declares. The representative must decode as a
 // uvarint vector.
-func readClassFile(path string, workers int) (*class, error) {
+func readClassFile(path string) (*class, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -411,7 +411,7 @@ func readClassFile(path string, workers int) (*class, error) {
 		}
 		vals[i], b = v, b[n:]
 	}
-	payload, _, err := unblock(b, workers)
+	payload, _, err := unblock(b)
 	if err != nil {
 		return nil, fmt.Errorf("class container: %w", err)
 	}
@@ -469,7 +469,7 @@ func (s *Store) readSegment(n int) ([]byte, error) {
 	if len(raw) < segHeaderLen || !bytes.Equal(raw[:4], segMagic[:]) || raw[4] != formatVersion {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: bad header", n)
 	}
-	payload, idx, err := unblock(raw[segHeaderLen:], s.opt.Workers)
+	payload, idx, err := unblock(raw[segHeaderLen:])
 	if err != nil {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
 	}
@@ -485,7 +485,7 @@ func (s *Store) readSealed(n int, off int64, rawLen int) ([]byte, error) {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	defer f.Close()
-	p, at, err := s.frames[n].ReadRange(io.NewSectionReader(f, segHeaderLen, 1<<62), int(off), rawLen, s.opt.Workers)
+	p, at, err := s.frames[n].ReadRange(io.NewSectionReader(f, segHeaderLen, 1<<62), int(off), rawLen)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: seg-%06d.cypd: %w", n, err)
 	}
@@ -495,12 +495,12 @@ func (s *Store) readSealed(n int, off int64, rawLen int) ([]byte, error) {
 
 // unblock inflates the CYPB container a class or segment file carries after
 // its own header — Scan refuses any other layer — and returns its frame table.
-func unblock(b []byte, workers int) ([]byte, *blockio.Index, error) {
+func unblock(b []byte) ([]byte, *blockio.Index, error) {
 	idx, err := blockio.Scan(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, _, err := blockio.Unwrap(b, workers)
+	payload, _, err := blockio.Unwrap(b)
 	return payload, idx, err
 }
 

@@ -744,7 +744,7 @@ func resealUncut(t testing.TB, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, format, err := blockio.Unwrap(raw[5:], 1)
+	payload, format, err := blockio.Unwrap(raw[5:])
 	if err != nil || format != blockio.FormatBlocked {
 		t.Fatalf("segment container: %v, %v", format, err)
 	}
@@ -1364,7 +1364,7 @@ func TestClassRepresentativeChecked(t *testing.T) {
 		}
 		at += n
 	}
-	payload, _, err := blockio.Unwrap(orig[at:], 1)
+	payload, _, err := blockio.Unwrap(orig[at:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ type brokenTree struct {
 
 func TestDecodeRejectsBrokenSiblings(t *testing.T) {
 	for _, b := range brokenSiblings() {
-		_, err := Decode(bytes.NewReader(encoded(t, b.tree)))
+		_, err := Decode(encoded(t, b.tree))
 		if err == nil || !strings.Contains(err.Error(), b.want) {
 			t.Errorf("Decode = %v, want error containing %q\n%s", err, b.want, b.tree.Dump())
 		}
@@ -119,7 +119,7 @@ func TestDecodeRejectsBrokenSiblings(t *testing.T) {
 		handTree(arm(7, 1), arm(7, 0), comm(7)),
 		handTree(arm(7, 0), arm(8, 0), arm(8, 1), arm(9, 1)),
 	} {
-		if _, err := Decode(bytes.NewReader(encoded(t, tree))); err != nil {
+		if _, err := Decode(encoded(t, tree)); err != nil {
 			t.Errorf("Decode: %v\n%s", err, tree.Dump())
 		}
 	}
@@ -141,7 +141,7 @@ func f(n) { if n > 0 { bcast(0, 8); f(n - 1); } }`} {
 	}
 	f.Add([]byte(magic + " 1 main\n0 0 -1 -1 0 0 0 -1 \"\"\n0\n"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tree, err := Decode(bytes.NewReader(in))
+		tree, err := Decode(in)
 		if err != nil {
 			return
 		}
@@ -161,7 +161,7 @@ func f(n) { if n > 0 { bcast(0, 8); f(n - 1); } }`} {
 			}
 		})
 		enc := encoded(t, tree)
-		again, err := Decode(bytes.NewReader(enc))
+		again, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("decode of re-encoded tree: %v", err)
 		}

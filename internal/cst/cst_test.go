@@ -283,7 +283,7 @@ func f(n) { if n > 0 { bcast(0, 8); f(n - 1); } }`} {
 		if err := tree.Encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(&buf)
+		got, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("decode: %v\n%s", err, tree.Dump())
 		}
@@ -304,15 +304,20 @@ func f(n) { if n > 0 { bcast(0, 8); f(n - 1); } }`} {
 }
 
 func TestDecodeErrors(t *testing.T) {
+	const oneVertex = "CYPRESS-CST v1 1 main\n0 0 -1 -1 0 0 0 -1 \"\"\n0\n"
+	if _, err := Decode([]byte(oneVertex)); err != nil {
+		t.Fatalf("Decode(%q): %v", oneVertex, err)
+	}
 	cases := []string{
 		"",
 		"WRONG MAGIC\n",
 		"CYPRESS-CST v1 nonsense\n",
 		"CYPRESS-CST v1 99999999999 main\n",
 		"CYPRESS-CST v1 2 main\n0 0 -1 -1 0 0 -1 \"\"\n1\n", // truncated: missing child
+		oneVertex + "x\n", // bytes after the last vertex
 	}
 	for _, s := range cases {
-		if _, err := Decode(strings.NewReader(s)); err == nil {
+		if _, err := Decode([]byte(s)); err == nil {
 			t.Errorf("Decode(%q) should fail", s)
 		}
 	}
@@ -381,7 +386,7 @@ func TestTreeHashMemoMatchesRecompute(t *testing.T) {
 	seen := map[uint64]string{}
 	for name, tree := range trees {
 		want := tree.computeHash()
-		decoded, err := Decode(bytes.NewReader(encoded(t, tree)))
+		decoded, err := Decode(encoded(t, tree))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/encpool"
 	"repro/internal/lang"
 	"repro/internal/trace"
 )
@@ -85,33 +84,28 @@ func parseInt(b []byte) (int64, bool) {
 	return v, true
 }
 
-// readLine returns the next newline-terminated line without the terminator.
-// The slice aliases the reader's buffer and is valid until the next read.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	switch {
-	case err == nil:
-		return line[:len(line)-1], nil
-	case err == io.EOF && len(line) > 0:
-		return line, nil
-	case err == bufio.ErrBufferFull:
-		return nil, fmt.Errorf("cst: line too long")
-	default:
-		return nil, err
+// nextLine splits the next newline-terminated line off b, without the
+// terminator; a last line may lack one. ok is false when b is empty.
+func nextLine(b []byte) (line, rest []byte, ok bool) {
+	if len(b) == 0 {
+		return nil, nil, false
 	}
+	if i := bytes.IndexByte(b, '\n'); i >= 0 {
+		return b[:i], b[i+1:], true
+	}
+	return b, nil, true
 }
 
-// Decode reads a tree written by Encode. The parser is hand-rolled over the
-// line format and builds all vertices in one slab: decoding is part of every
-// downstream consumer's open path (replay, prediction, the bench harness),
-// so it stays allocation-lean.
-func Decode(r io.Reader) (*Tree, error) {
-	br := encpool.GetBufioReader(r)
-	defer encpool.PutBufioReader(br)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("cst: reading header: %w", err)
+// Decode parses a tree written by Encode; the tree must end where data does.
+// The parser is hand-rolled over the line format and builds all vertices in
+// one slab: decoding is part of every downstream consumer's open path
+// (replay, prediction, the bench harness), so it stays allocation-lean.
+func Decode(data []byte) (*Tree, error) {
+	hline, data, ok := nextLine(data)
+	if !ok {
+		return nil, fmt.Errorf("cst: reading header: %w", io.ErrUnexpectedEOF)
 	}
+	header := string(hline)
 	if !strings.HasPrefix(header, magic) {
 		return nil, fmt.Errorf("cst: bad magic %q", strings.TrimSpace(header))
 	}
@@ -136,9 +130,9 @@ func Decode(r io.Reader) (*Tree, error) {
 	var stack []pending
 	var targets map[*Vertex]int32
 	for i := 0; i < n; i++ {
-		line, err := readLine(br)
-		if err != nil {
-			return nil, fmt.Errorf("cst: vertex %d: %w", i, err)
+		var line, cline []byte
+		if line, data, ok = nextLine(data); !ok {
+			return nil, fmt.Errorf("cst: vertex %d: %w", i, io.ErrUnexpectedEOF)
 		}
 		// Eight space-separated integers, then the %q-quoted callee.
 		var nums [8]int64
@@ -160,9 +154,8 @@ func Decode(r io.Reader) (*Tree, error) {
 				return nil, fmt.Errorf("cst: vertex %d: bad callee %q: %w", i, line, err)
 			}
 		}
-		cline, err := readLine(br)
-		if err != nil {
-			return nil, fmt.Errorf("cst: vertex %d child count: %w", i, err)
+		if cline, data, ok = nextLine(data); !ok {
+			return nil, fmt.Errorf("cst: vertex %d child count: %w", i, io.ErrUnexpectedEOF)
 		}
 		nc, ok := parseInt(cline)
 		if !ok || nc < 0 {
@@ -205,6 +198,9 @@ func Decode(r io.Reader) (*Tree, error) {
 	}
 	if len(stack) != 0 {
 		return nil, fmt.Errorf("cst: truncated tree: %d vertices still expect children", len(stack))
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("cst: %d bytes after the last vertex", len(data))
 	}
 	for v, tg := range targets {
 		if int(tg) >= len(t.ByGID) {

@@ -8,10 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultIOWorkers picks the worker count for block-parallel encode and
-// decode when the caller passes 0: the scheduler's parallelism, capped so a
-// wide machine does not spin up more compressors than a trace has frames to
-// feed.
+// defaultIOWorkers picks the worker count for block-parallel encode when the
+// caller passes 0: the scheduler's parallelism, capped so a wide machine does
+// not spin up more compressors than a trace has frames to feed.
 func defaultIOWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {

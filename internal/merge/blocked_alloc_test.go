@@ -37,10 +37,8 @@ func TestEncodeBlockedAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeBlockedAllocs pins the decode side: inline CYPB decode adds the
-// frame index, the payload buffer and one lane's pooled inflater to the raw
-// path's cost, and striping over two lanes adds only the fixed goroutine
-// setup, not a per-frame cost.
+// TestDecodeBlockedAllocs pins the decode side: CYPB decode adds the frame
+// index, the payload buffer and the pooled inflater to the raw path's cost.
 func TestDecodeBlockedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
@@ -55,23 +53,13 @@ func TestDecodeBlockedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := blk.Bytes()
-	for _, tc := range []struct {
-		workers int
-		budget  float64
-	}{
-		{1, 90},
-		{2, 120},
-	} {
-		step := func() {
-			if _, err := DecodeSelectAuto(data, SelectAll(), tc.workers); err != nil {
-				t.Fatal(err)
-			}
+	step := func() {
+		if _, err := DecodeSelectAuto(data, SelectAll(), 0); err != nil {
+			t.Fatal(err)
 		}
-		step() // warm the pools
-		allocs := testing.AllocsPerRun(100, step)
-		if allocs > tc.budget {
-			t.Errorf("DecodeSelectAuto(workers=%d) allocates %.1f allocs/op, want <= %.0f",
-				tc.workers, allocs, tc.budget)
-		}
+	}
+	step() // warm the pools
+	if allocs := testing.AllocsPerRun(100, step); allocs > 90 {
+		t.Errorf("DecodeSelectAuto allocates %.1f allocs/op, want <= 90", allocs)
 	}
 }

@@ -43,14 +43,11 @@ func blockedSeeds(f *testing.F) [][]byte {
 //  1. Robustness: blockio.Unwrap and the decode never panic; malformed
 //     containers (truncated frames, corrupted bodies, mangled footers) return
 //     an error.
-//  2. Worker identity: Unwrap inline and Unwrap striped over four lanes accept
-//     exactly the same inputs and return identical bytes — worker count may
-//     never change what a container unwraps to.
-//  3. Range identity: on every container Unwrap accepts, the range reader
+//  2. Range identity: on every container Unwrap accepts, the range reader
 //     (Scan, then ReadRange of a range the input's own bytes choose) returns
 //     that slice of Unwrap's payload. On one Unwrap refuses it never panics:
 //     it errors, or — the damage lying in frames the range does not touch —
-//     returns the range's exact length, the same at either worker count.
+//     returns the range's exact length.
 func FuzzDecodeBlocked(f *testing.F) {
 	for _, s := range blockedSeeds(f) {
 		f.Add(s)
@@ -58,21 +55,14 @@ func FuzzDecodeBlocked(f *testing.F) {
 	f.Add([]byte("CYPB"))
 	f.Add([]byte("CYPB\x01\x80\x02\x00"))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		inline, format, inlineErr := blockio.Unwrap(in, 1)
-		striped, _, stripedErr := blockio.Unwrap(in, 4)
-		if (inlineErr == nil) != (stripedErr == nil) {
-			t.Fatalf("inline err=%v, striped err=%v", inlineErr, stripedErr)
-		}
+		payload, format, err := blockio.Unwrap(in)
 		if format == blockio.FormatBlocked {
-			fuzzRange(t, in, inline, inlineErr == nil)
+			fuzzRange(t, in, payload, err == nil)
 		}
-		if inlineErr != nil {
+		if err != nil {
 			return
 		}
-		if !bytes.Equal(inline, striped) {
-			t.Fatalf("inline and striped unwraps diverge: %d vs %d bytes", len(inline), len(striped))
-		}
-		m, err := DecodeSelectAuto(in, SelectAll(), 4)
+		m, err := DecodeSelectAuto(in, SelectAll(), 0)
 		if err != nil {
 			return
 		}
@@ -98,25 +88,17 @@ func fuzzRange(t *testing.T, in, payload []byte, accepted bool) {
 	h := fp.New().Bytes(in)
 	off := int(uint64(h) % uint64(x.Len()+1))
 	n := int(uint64(h.Bytes(in[len(in)/2:])) % uint64(x.Len()-off+1))
-	var reads [2][]byte
-	var ok [2]bool
-	for i, workers := range []int{1, 4} {
-		p, at, err := x.ReadRange(bytes.NewReader(in), off, n, workers)
-		if err != nil {
-			if accepted {
-				t.Fatalf("workers=%d: range [%d, +%d) of an accepted container: %v", workers, off, n, err)
-			}
-			continue
+	p, at, err := x.ReadRange(bytes.NewReader(in), off, n)
+	if err != nil {
+		if accepted {
+			t.Fatalf("range [%d, +%d) of an accepted container: %v", off, n, err)
 		}
-		if off < at || off-at+n > len(p) {
-			t.Fatalf("workers=%d: range [%d, +%d) answered with %d bytes from %d", workers, off, n, len(p), at)
-		}
-		reads[i], ok[i] = p[off-at:][:n], true
-		if accepted && !bytes.Equal(reads[i], payload[off:off+n]) {
-			t.Fatalf("workers=%d: range [%d, +%d) differs from Unwrap's slice", workers, off, n)
-		}
+		return
 	}
-	if ok[0] != ok[1] || !bytes.Equal(reads[0], reads[1]) {
-		t.Fatalf("range [%d, +%d): inline and striped reads diverge", off, n)
+	if off < at || off-at+n > len(p) {
+		t.Fatalf("range [%d, +%d) answered with %d bytes from %d", off, n, len(p), at)
+	}
+	if accepted && !bytes.Equal(p[off-at:][:n], payload[off:off+n]) {
+		t.Fatalf("range [%d, +%d) differs from Unwrap's slice", off, n)
 	}
 }

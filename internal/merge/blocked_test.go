@@ -29,8 +29,7 @@ func blockedFixture(t testing.TB, ranks int) *Merged {
 
 // TestEncodeBlockedRoundTrip pins the tentpole contract at three scales:
 // EncodeBlocked -> decode yields a tree DeepEqual to the decode of the plain
-// encoding, inflating inline or striped over lanes alike, and the re-encoded
-// bytes agree exactly.
+// encoding, and the re-encoded bytes agree exactly.
 func TestEncodeBlockedRoundTrip(t *testing.T) {
 	for _, ranks := range []int{7, 64, 1024} {
 		m := blockedFixture(t, ranks)
@@ -56,21 +55,19 @@ func TestEncodeBlockedRoundTrip(t *testing.T) {
 		if _, err := want.Encode(&wantRe); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{-1, 1, 2} {
-			got, err := DecodeSelectAuto(blocked.Bytes(), SelectAll(), workers)
-			if err != nil {
-				t.Fatalf("ranks=%d workers=%d: %v", ranks, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("ranks=%d workers=%d: blocked decode differs from sequential decode", ranks, workers)
-			}
-			var re bytes.Buffer
-			if _, err := got.Encode(&re); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re.Bytes(), wantRe.Bytes()) {
-				t.Fatalf("ranks=%d workers=%d: re-encode differs from the sequential path's", ranks, workers)
-			}
+		got, err := DecodeSelectAuto(blocked.Bytes(), SelectAll(), 0)
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ranks=%d: blocked decode differs from the plain decode", ranks)
+		}
+		var re bytes.Buffer
+		if _, err := got.Encode(&re); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), wantRe.Bytes()) {
+			t.Fatalf("ranks=%d: re-encode differs from the plain path's", ranks)
 		}
 	}
 }
@@ -169,7 +166,7 @@ func TestDecodeBlockedTruncation(t *testing.T) {
 	}
 	enc := buf.Bytes()
 	for cut := 0; cut < len(enc); cut += 61 {
-		if _, err := DecodeSelectAuto(enc[:cut], SelectAll(), 2); err == nil {
+		if _, err := DecodeSelectAuto(enc[:cut], SelectAll(), 0); err == nil {
 			t.Fatalf("truncation at %d/%d decoded silently", cut, len(enc))
 		}
 	}

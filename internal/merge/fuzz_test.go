@@ -292,6 +292,7 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	dup, split := brokenCSTSeeds(f)
 	f.Add(dup)
 	f.Add(split)
+	f.Add(cstTailSeed(f))
 	f.Add([]byte{})
 	f.Add([]byte("CYPRESS-MERGE"))
 	for _, s := range hostileRankSeeds(f) {

@@ -270,24 +270,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-
-	// The header's CST length field, and the encoding re-emitted with that
-	// field declaring pad more bytes than the CST text uses (the pad bytes
-	// inserted so every later offset still lines up). The pad outruns the
-	// 64KB read-ahead cst.Decode buffers, which is what leaves bytes behind
-	// for the exact-consumption check to see.
-	lenOff := len(fileMagic)
-	for i := 0; i < 5; i++ { // version, tree hash, ranks, events, hist flag
-		_, n := binary.Uvarint(full[lenOff:])
-		lenOff += n
-	}
-	treeLen, n := binary.Uvarint(full[lenOff:])
-	treeEnd := lenOff + n + int(treeLen)
-	const pad = 1 << 17
-	slack := binary.AppendUvarint(bytes.Clone(full[:lenOff]), treeLen+pad)
-	slack = append(slack, full[lenOff+n:treeEnd]...)
-	slack = append(slack, make([]byte, pad)...)
-	slack = append(slack, full[treeEnd:]...)
+	slack := padCST(full, make([]byte, 1<<17))
 
 	for _, tc := range []struct {
 		name string
@@ -305,7 +288,7 @@ func TestDecodeErrors(t *testing.T) {
 		// A CST shorter than its declared length used to decode from
 		// wherever the CST parser's read-ahead ended, while SplitEncoded
 		// refused the same bytes.
-		{"CST under-consumes its declared length", slack, "under-consumed"},
+		{"CST under-consumes its declared length", slack, "after the last vertex"},
 	} {
 		for name, decode := range map[string]func([]byte) error{
 			"Decode": func(in []byte) error { _, err := Decode(bytes.NewReader(in)); return err },
@@ -320,8 +303,51 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := SplitEncoded(slack); err == nil || !strings.Contains(err.Error(), "under-consumed") {
+	if _, err := SplitEncoded(slack); err == nil || !strings.Contains(err.Error(), "after the last vertex") {
 		t.Errorf("SplitEncoded of the under-consumed CST = %v, want the decoder's verdict", err)
+	}
+}
+
+// padCST re-emits enc with its header's CST length declaring len(pad) more
+// bytes than the CST text uses, and pad inserted after the text so every
+// later offset still lines up.
+func padCST(enc, pad []byte) []byte {
+	lenOff := len(fileMagic)
+	for i := 0; i < 5; i++ { // version, tree hash, ranks, events, hist flag
+		_, n := binary.Uvarint(enc[lenOff:])
+		lenOff += n
+	}
+	treeLen, n := binary.Uvarint(enc[lenOff:])
+	treeEnd := lenOff + n + int(treeLen)
+	out := binary.AppendUvarint(bytes.Clone(enc[:lenOff]), treeLen+uint64(len(pad)))
+	out = append(out, enc[lenOff+n:treeEnd]...)
+	out = append(out, pad...)
+	return append(out, enc[treeEnd:]...)
+}
+
+// cstTailSeed is a 16-rank encoding whose declared CST region ends with a
+// line the CST text does not hold.
+func cstTailSeed(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if _, err := blockedFixture(t, 16).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return padCST(buf.Bytes(), []byte("x\n"))
+}
+
+// TestCSTRegionConsumedExactly: the vertex sections start at the declared CST
+// boundary, so bytes the CST text leaves before it belong to no grammar. Every
+// reader of the header refuses them, however few.
+func TestCSTRegionConsumedExactly(t *testing.T) {
+	in := cstTailSeed(t)
+	for name, read := range map[string]func() error{
+		"Decode":           func() error { _, err := Decode(bytes.NewReader(in)); return err },
+		"DecodeSelectAuto": func() error { _, err := DecodeSelectAuto(in, SelectRanks(0), 0); return err },
+		"SplitEncoded":     func() error { _, err := SplitEncoded(in); return err },
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "2 bytes after the last vertex") {
+			t.Errorf("%s = %v, want the trailing CST bytes refused", name, err)
+		}
 	}
 }
 

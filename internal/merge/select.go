@@ -198,8 +198,10 @@ func (m *Merged) serves(rank int) error {
 
 // DecodeSelectAuto decodes a trace held in memory — in any container
 // cypresstrace writes: bare CYPR (with or without the CYPI sidecar), gzip, or
-// the CYPB block container (see blockio.Unwrap; workers are its inflate
-// lanes, <= 1 inline) — with the rank projection sel pushed into the decoder.
+// the CYPB block container (see blockio.Unwrap) — with the rank projection sel
+// pushed into the decoder. workers is ignored: every read inflates on the
+// caller's goroutine. The argument stays only because the ledger benchmark
+// calls this signature.
 // Containered inputs pay one unwrap into a fresh payload buffer; bare input
 // is served zero-copy. The structure stream is decoded fully, but a timing
 // payload is decoded only when its entry's rank set intersects sel; every
@@ -213,8 +215,8 @@ func (m *Merged) serves(rank int) error {
 // inputs whose grammar walk trips — reruns the same decoder over the same
 // bytes with the projection off, so DecodeSelectAuto succeeds on everything
 // Decode succeeds on, and returns the same projection either way.
-func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) {
-	payload, _, err := blockio.Unwrap(data, workers)
+func DecodeSelectAuto(data []byte, sel Selection, _ int) (*Merged, error) {
+	payload, _, err := blockio.Unwrap(data)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +237,7 @@ func DecodeSelectAuto(data []byte, sel Selection, workers int) (*Merged, error) 
 // stream must end together, and any disagreement reruns the full decode.
 func (j Joined) Decode(sel Selection) (*Merged, error) {
 	if j.lens == nil {
-		return DecodeSelectAuto(j.Enc, sel, 1)
+		return DecodeSelectAuto(j.Enc, sel, 0)
 	}
 	return decodeProjected(j.Enc, &projection{
 		sel: sel, indexed: true, seek: true, lens: j.lens, body: j.Enc,

@@ -3,6 +3,7 @@ package merge
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/blockio"
 	"repro/internal/cst"
 	"repro/internal/ctt"
-	"repro/internal/encpool"
 	"repro/internal/obs"
 	ftrace "repro/internal/obs/trace"
 	"repro/internal/rankset"
@@ -69,10 +69,7 @@ func (w *writer) runs(rs []stride.Run) {
 	}
 }
 
-// Encode writes the merged tree to w and returns the byte count. The bufio
-// writer and CST staging buffer come from shared pools, so repeated encodes
-// (per-cell artifact finishing in the bench harness) do not re-allocate 64KB
-// of buffering each time.
+// Encode writes the merged tree to w and returns the byte count.
 func (m *Merged) Encode(out io.Writer) (int64, error) {
 	return m.encode(out, nil)
 }
@@ -87,9 +84,7 @@ func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
 	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCodec, ftrace.NameEncode, 0)
 	cw := &countingWriter{w: out}
-	bw := encpool.GetBufio(cw)
-	defer encpool.PutBufio(bw)
-	w := &writer{w: bw}
+	w := &writer{w: bufio.NewWriter(cw)}
 	if _, err := cw.Write(fileMagic[:]); err != nil {
 		return 0, err
 	}
@@ -104,9 +99,8 @@ func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
 		w.u(0)
 	}
 	// Embed the CST text form, length-prefixed.
-	treeBuf := encpool.GetBuffer()
-	defer encpool.PutBuffer(treeBuf)
-	if err := m.Tree.Encode(treeBuf); err != nil {
+	var treeBuf bytes.Buffer
+	if err := m.Tree.Encode(&treeBuf); err != nil {
 		return 0, err
 	}
 	w.u(uint64(treeBuf.Len()))
@@ -219,11 +213,9 @@ func encodeVData(w *writer, d *ctt.VData, hist bool) {
 }
 
 // EncodeGzip writes the gzip-compressed form and returns the byte count.
-// The gzip writer is pooled.
 func (m *Merged) EncodeGzip(out io.Writer) (int64, error) {
 	cw := &countingWriter{w: out}
-	gz := encpool.GetGzip(cw)
-	defer encpool.PutGzip(gz)
+	gz := gzip.NewWriter(cw)
 	if _, err := m.Encode(gz); err != nil {
 		return 0, err
 	}
@@ -424,7 +416,7 @@ func Decode(in io.Reader) (*Merged, error) {
 	if err != nil {
 		return nil, fmt.Errorf("merge: reading trace: %w", err)
 	}
-	payload, _, err := blockio.Unwrap(data, 1)
+	payload, _, err := blockio.Unwrap(data)
 	if err != nil {
 		return nil, err
 	}
@@ -480,16 +472,12 @@ func (c *bcur) header(wantTree bool) (h header) {
 	}
 	treeEnd := c.off + int(treeLen)
 	if wantTree {
-		rd := bytes.NewReader(c.b[c.off:treeEnd])
-		tree, err := cst.Decode(rd)
+		// The vertex sections start at the declared CST boundary, and
+		// cst.Decode refuses bytes after its last vertex, so a CST that stops
+		// short of the boundary is an error.
+		tree, err := cst.Decode(c.b[c.off:treeEnd])
 		if err != nil {
 			c.fail("merge: embedded CST at offset %d: %w", c.off, err)
-			return h
-		}
-		// The vertex sections start at the declared CST boundary, so a CST
-		// that stops short of it leaves bytes no grammar accounts for.
-		if rd.Len() != 0 {
-			c.fail("merge: embedded CST at offset %d under-consumed (%d trailing bytes)", c.off, rd.Len())
 			return h
 		}
 		if got := tree.Hash(); got != h.treeHash {

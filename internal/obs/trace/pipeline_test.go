@@ -3,7 +3,7 @@ package trace_test
 // Fixture capture test: run the 64-rank pipeline pass that backs
 // `cypressbench -exp none -trace` and assert the capture the CI job ships to
 // Perfetto is complete and structurally rich — every stage category present, real
-// per-worker swimlanes for the parallel stages, zero drops, and a clean
+// per-worker swimlanes for the parallel encode, zero drops, and a clean
 // export → parse → validate round-trip. This is the in-process twin of the
 // CI fixture job's CLI-level check (cypressstat -timeline -check).
 
@@ -61,15 +61,16 @@ func TestTracedPipelineFixtureCapture(t *testing.T) {
 		}
 	}
 
-	// Parallel stages must show real per-worker swimlanes, not one collapsed
-	// lane. The pipeline pins 4 enc / 2 dec workers and frames small enough
-	// that several flow through each. The simulator is one sequential sweep,
-	// so "sim" is only required as a category above.
+	// The parallel stage must show real per-worker swimlanes, not one
+	// collapsed lane. The pipeline pins 4 deflate workers and frames small
+	// enough that several flow through each. Reads inflate on the caller's
+	// goroutine, so "blockio.dec" records on lane 0 alone. The simulator is
+	// one sequential sweep, so "sim" is only required as a category above.
 	if lanes := c.Lanes("blockio.enc"); len(lanes) < 2 {
 		t.Errorf("blockio.enc has lanes %v, want >= 2 worker lanes", lanes)
 	}
-	if lanes := c.Lanes("blockio.dec"); len(lanes) < 2 {
-		t.Errorf("blockio.dec has lanes %v, want >= 2 worker lanes", lanes)
+	if lanes := c.Lanes("blockio.dec"); len(lanes) != 1 || lanes[0] != 0 {
+		t.Errorf("blockio.dec has lanes %v, want lane 0 only", lanes)
 	}
 
 	// Every lane of every category must carry thread_name metadata so

@@ -153,6 +153,14 @@ var deletedNames = []struct {
 		why:     "codec buffer pools and inflate lanes",
 		pattern: regexp.MustCompile(`internal/encpool|GetBufio|GetBuffer|GetGzip|pipeDecWorkers`),
 	},
+	{
+		// One verdict on a structure marker: the interpreter marks only the
+		// sites the CST keeps, and a marker whose site has no child under the
+		// compressor's cursor panics. The depth counter that stepped over
+		// markers inside pruned regions, and its frame kind, are gone.
+		why:     "pruned-region skip depth",
+		pattern: regexp.MustCompile(`\bfSkip\b|\bc\.skip\b`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

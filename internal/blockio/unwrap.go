@@ -60,7 +60,11 @@ func Unwrap(data []byte) ([]byte, Format, error) {
 		payload, err := gunzip(data)
 		return payload, FormatGzip, err
 	case len(data) >= len(Magic) && [4]byte(data[:4]) == Magic:
-		payload, err := unblock(data)
+		x, err := Scan(data)
+		if err != nil {
+			return nil, FormatBlocked, err
+		}
+		payload, err := x.Inflate(data)
 		return payload, FormatBlocked, err
 	}
 	return data, FormatRaw, nil
@@ -261,13 +265,10 @@ func (x *Index) inflateFrames(lo, hi int, data []byte, base int) ([]byte, error)
 	return payload, nil
 }
 
-// unblock reads a whole CYPB container: the index sizes the payload once and
-// every frame inflates from its sub-slice of data into its slot.
-func unblock(data []byte) ([]byte, error) {
-	x, err := Scan(data)
-	if err != nil {
-		return nil, err
-	}
+// Inflate reads the whole payload of data, the container Scan returned x
+// for: the index sizes the payload once and every frame inflates from its
+// sub-slice of data into its slot, held to its length and CRC-32.
+func (x *Index) Inflate(data []byte) ([]byte, error) {
 	return x.inflateFrames(0, len(x.frames), data, 0)
 }
 

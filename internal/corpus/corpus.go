@@ -500,7 +500,7 @@ func unblock(b []byte) ([]byte, *blockio.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, _, err := blockio.Unwrap(b)
+	payload, err := idx.Inflate(b)
 	return payload, idx, err
 }
 

@@ -15,7 +15,9 @@ import (
 // natural-loop analysis on the CFG (Algorithm 1's loop identification).
 // The inter-procedural phase expands call sites bottom-up over the program
 // call graph (Algorithm 2), converting recursion into pseudo-loop structure.
-// Finally comm-free subtrees are pruned and GIDs are assigned in pre-order.
+// Finally comm-free subtrees are pruned, every loop, branch-arm and call
+// site is marked on the AST with whether it survived (markSites), and GIDs
+// are assigned in pre-order.
 func Build(p *ir.Program) (*Tree, error) {
 	// Validate the structured lowering against real CFG analyses: every
 	// source loop must be exactly the set of natural loops, and every branch
@@ -40,6 +42,9 @@ func Build(p *ir.Program) (*Tree, error) {
 		return nil, err
 	}
 	prune(root)
+	if err := markSites(b.sites); err != nil {
+		return nil, err
+	}
 	t := &Tree{Root: root, FuncName: "main"}
 	assignGIDs(t)
 	if err := root.checkChildren(map[uint64]bool{}); err != nil {
@@ -67,6 +72,20 @@ type frame struct {
 
 type builder struct {
 	recursive map[string]bool
+	// sites pairs every loop, branch-arm and call vertex, in every calling
+	// context, with the AST node it expands, for markSites.
+	sites []siteVertex
+}
+
+type siteVertex struct {
+	node lang.Node
+	v    *Vertex
+}
+
+// add appends c to parent as the vertex of the AST site node.
+func (b *builder) add(parent *Vertex, node lang.Node, c *Vertex) *Vertex {
+	b.sites = append(b.sites, siteVertex{node, c})
+	return parent.addChild(c)
 }
 
 // expandBody appends the CST of fn's body to parent. stack holds the
@@ -108,7 +127,7 @@ func (b *builder) stmt(s lang.Stmt, parent *Vertex, stack []frame) (bool, error)
 		return b.blockStop(s, parent, stack)
 	case *lang.IfStmt:
 		// Conditions are pure (checked), so no leaves precede the arms.
-		arm0 := parent.addChild(&Vertex{Kind: KindBranch, Site: s.ID(), Arm: 0})
+		arm0 := b.add(parent, s, &Vertex{Kind: KindBranch, Site: s.ID(), Arm: 0})
 		thenStop, err := b.blockStop(s.Then, arm0, stack)
 		if err != nil {
 			return false, err
@@ -116,7 +135,7 @@ func (b *builder) stmt(s lang.Stmt, parent *Vertex, stack []frame) (bool, error)
 		arm0.Returns = thenStop
 		elseStop := false
 		if s.Else != nil {
-			arm1 := parent.addChild(&Vertex{Kind: KindBranch, Site: s.ID(), Arm: 1})
+			arm1 := b.add(parent, s, &Vertex{Kind: KindBranch, Site: s.ID(), Arm: 1})
 			elseStop, err = b.stmt(s.Else, arm1, stack)
 			if err != nil {
 				return false, err
@@ -132,7 +151,7 @@ func (b *builder) stmt(s lang.Stmt, parent *Vertex, stack []frame) (bool, error)
 				return false, err
 			}
 		}
-		loop := parent.addChild(&Vertex{Kind: KindLoop, Site: s.ID(), Arm: NoArm})
+		loop := b.add(parent, s, &Vertex{Kind: KindLoop, Site: s.ID(), Arm: NoArm})
 		bodyStop, err := b.blockStop(s.Body, loop, stack)
 		if err != nil {
 			return false, err
@@ -147,7 +166,7 @@ func (b *builder) stmt(s lang.Stmt, parent *Vertex, stack []frame) (bool, error)
 		}
 		return false, nil
 	case *lang.WhileStmt:
-		loop := parent.addChild(&Vertex{Kind: KindLoop, Site: s.ID(), Arm: NoArm})
+		loop := b.add(parent, s, &Vertex{Kind: KindLoop, Site: s.ID(), Arm: NoArm})
 		bodyStop, err := b.blockStop(s.Body, loop, stack)
 		loop.Returns = bodyStop
 		return false, err
@@ -199,14 +218,14 @@ func (b *builder) call(call *lang.CallExpr, parent *Vertex, stack []frame) error
 	// internal recursive calls become branch-outcome-recording vertices).
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i].name == call.Name {
-			parent.addChild(&Vertex{
+			b.add(parent, call, &Vertex{
 				Kind: KindRecCall, Site: call.ID(), Arm: NoArm,
 				Callee: call.Name, Target: stack[i].vertex,
 			})
 			return nil
 		}
 	}
-	v := parent.addChild(&Vertex{
+	v := b.add(parent, call, &Vertex{
 		Kind: KindCall, Site: call.ID(), Arm: NoArm,
 		Callee:    call.Name,
 		Recursive: b.recursive[call.Name],
@@ -276,7 +295,8 @@ func keepReturns(root *Vertex) {
 
 // keepRecCalls marks RecCall vertices (and their ancestor chains) as live when
 // their target's subtree contains communication: re-entering that subtree can
-// produce events even though the RecCall itself is a leaf.
+// produce events even though the RecCall itself is a leaf. Keeping one RecCall
+// can give another's target communication, so it runs to a fixed point.
 func keepRecCalls(root *Vertex) {
 	var recCalls []*Vertex
 	var collect func(v *Vertex)
@@ -289,13 +309,53 @@ func keepRecCalls(root *Vertex) {
 		}
 	}
 	collect(root)
-	for _, rc := range recCalls {
-		if rc.Target.hasComm {
-			for v := rc; v != nil && !v.hasComm; v = v.Parent {
-				v.hasComm = true
+	for changed := true; changed; {
+		changed = false
+		for _, rc := range recCalls {
+			if rc.Target.hasComm && !rc.hasComm {
+				for v := rc; v != nil && !v.hasComm; v = v.Parent {
+					v.hasComm = true
+				}
+				changed = true
 			}
 		}
 	}
+}
+
+// markSites writes onto every loop, if and user-call node whether the pruned
+// CST keeps its vertex, arm by arm for an if. The interpreter emits structure
+// markers only for marked sites, as the paper instruments only CST vertices
+// (Figure 9). Whether a vertex survives depends on what its subtree and its
+// callees can reach, not on the calling context, so every expansion of a site
+// must agree; one that does not is an error, since the runtime could not mark
+// the site for one context without marking it for all.
+func markSites(sites []siteVertex) error {
+	type key struct {
+		node lang.Node
+		arm  int8
+	}
+	kept := make(map[key]bool, len(sites))
+	for _, s := range sites {
+		k := key{s.node, max(s.v.Arm, 0)}
+		if prev, seen := kept[k]; seen && prev != s.v.hasComm {
+			return fmt.Errorf("cst: %s site %d (arm %d) at %s is kept in one calling context and pruned in another",
+				s.v.Kind, s.node.ID(), k.arm, s.node.Pos())
+		}
+		kept[k] = s.v.hasComm
+	}
+	for k, keep := range kept {
+		switch n := k.node.(type) {
+		case *lang.IfStmt:
+			n.ArmMarked[k.arm] = keep
+		case *lang.ForStmt:
+			n.Marked = keep
+		case *lang.WhileStmt:
+			n.Marked = keep
+		case *lang.CallExpr:
+			n.Marked = keep
+		}
+	}
+	return nil
 }
 
 // assignGIDs numbers vertices in pre-order and fills the GID index.

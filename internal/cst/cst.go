@@ -90,7 +90,8 @@ type Vertex struct {
 }
 
 // Child returns the child with the given site and arm, or nil. The runtime
-// cursor uses this for descent; nil means the subtree was pruned (comm-free).
+// cursor uses this for descent; the interpreter marks only the sites the CST
+// keeps, so a marker whose site has no child is a protocol error.
 // It scans Children in program order: the widest vertex of any npb CST at
 // paper scale has 16 children (DESIGN.md §5), where a scan beats hashing the
 // key, and markers arrive in program order, so hits come early.

@@ -412,3 +412,17 @@ func TestTreeHashMemoMatchesRecompute(t *testing.T) {
 		seen[want] = name
 	}
 }
+
+// TestMarkSitesRejectsContextDependentSite: a site pruned in one expansion
+// and kept in another cannot be marked, so Build fails rather than hand the
+// runtime a marker the compressor could place in only one context.
+func TestMarkSitesRejectsContextDependentSite(t *testing.T) {
+	loop := &lang.ForStmt{}
+	err := markSites([]siteVertex{
+		{loop, &Vertex{Kind: KindLoop, Arm: NoArm, hasComm: true}},
+		{loop, &Vertex{Kind: KindLoop, Arm: NoArm}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "kept in one calling context and pruned in another") {
+		t.Fatalf("err = %v", err)
+	}
+}

@@ -179,14 +179,18 @@ func halo() { for var k = 0; k < 2; k = k + 1 { barrier(); } }`)
 		c := NewCompressor(tree, 0, timestat.ModeMeanStddev)
 		c.LoopEnter(int32(loop.Site))
 		// One even and one odd iteration of the outer loop: each if takes its
-		// kept arm once and its pruned arm once, the third is never taken.
+		// kept arm once and arrives as a skip once (its pruned arm), the
+		// third is never taken.
 		step := func() {
 			for arm := int8(0); arm < 2; arm++ {
 				c.LoopIter(int32(loop.Site))
-				c.BranchEnter(thenOnly, arm)
+				kept, pruned := thenOnly, elseOnly
+				if arm == 1 {
+					kept, pruned = elseOnly, thenOnly
+				}
+				c.BranchEnter(kept, arm)
 				c.StructExit()
-				c.BranchEnter(elseOnly, arm)
-				c.StructExit()
+				c.BranchSkip(pruned)
 				c.BranchSkip(skipped)
 				c.CallEnter(call)
 				c.LoopEnter(inner)

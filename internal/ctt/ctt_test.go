@@ -1,6 +1,8 @@
 package ctt
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cst"
@@ -382,6 +384,50 @@ func main() {
 	rawEstimate := c.EventCount * 20 // ~20B/event raw
 	if size >= rawEstimate/10 {
 		t.Fatalf("CTT size %dB not ≪ raw %dB", size, rawEstimate)
+	}
+}
+
+// TestMarkerWithoutSitePanics holds the compressor to the static marks: the
+// interpreter emits markers only for sites the CST keeps, so a marker whose
+// site has no child under the cursor names the site and the vertex in a
+// panic instead of being stepped over.
+func TestMarkerWithoutSitePanics(t *testing.T) {
+	prog, tree := compile(t, `
+func main() {
+	for var i = 0; i < 2; i = i + 1 { compute(1); }
+	if rank == 0 { compute(1); } else { barrier(); }
+	if rank == 1 { compute(1); }
+	idle();
+}
+func idle() { compute(1); }`)
+	body := prog.ByName["main"].Body.Stmts
+	loop := int32(body[0].ID())
+	armed := int32(body[1].ID())
+	bare := int32(body[2].ID())
+	call := int32(body[3].(*lang.ExprStmt).X.ID())
+	if tree.Root.Child(lang.NodeID(armed), 1) == nil {
+		t.Fatalf("else arm of site %d pruned:\n%s", armed, tree.Dump())
+	}
+	for _, tc := range []struct {
+		name   string
+		marker func(c *Compressor)
+		want   string
+	}{
+		{"loop", func(c *Compressor) { c.LoopEnter(loop) }, fmt.Sprintf("loop marker for site %d has no CST child under vertex 0", loop)},
+		{"pruned arm", func(c *Compressor) { c.BranchEnter(armed, 0) }, fmt.Sprintf("branch arm 0 marker for site %d has no CST child under vertex 0", armed)},
+		{"pruned if", func(c *Compressor) { c.BranchSkip(bare) }, fmt.Sprintf("branch skip marker for site %d has no CST child under vertex 0", bare)},
+		{"call", func(c *Compressor) { c.CallEnter(call) }, fmt.Sprintf("call marker for site %d has no CST child under vertex 0", call)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCompressor(tree, 0, timestat.ModeMeanStddev)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want it to contain %q", msg, tc.want)
+				}
+			}()
+			tc.marker(c)
+		})
 	}
 }
 

@@ -2,9 +2,12 @@ package interp
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/cst"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
@@ -29,16 +32,38 @@ func (m *markerSink) CommSite(int32)        {}
 func (m *markerSink) Event(e *trace.Event)  { m.script = append(m.script, e.Op.String()) }
 func (m *markerSink) Finalize()             { m.script = append(m.script, "FIN") }
 
+// compile parses and checks src and builds its CST, which marks the sites
+// the interpreter brackets with structure markers.
+func compile(tb testing.TB, src string) *lang.Program {
+	tb.Helper()
+	prog, err := lang.Parse(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := lang.Check(prog); err != nil {
+		tb.Fatal(err)
+	}
+	irProg, err := ir.Lower(prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := cst.Build(irProg); err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
 func runMarked(t *testing.T, src string, n int) []*markerSink {
 	t.Helper()
+	prog := compile(t, src)
 	sinks := make([]trace.Sink, n)
 	ms := make([]*markerSink, n)
 	for i := range sinks {
 		ms[i] = &markerSink{}
 		sinks[i] = ms[i]
 	}
-	if _, err := RunProgram(src, n, mpisim.Params{}, sinks); err != nil {
-		t.Fatalf("RunProgram: %v", err)
+	if _, err := mpisim.Run(n, mpisim.Params{}, sinks, func(r *mpisim.Rank) { Execute(prog, r) }); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	return ms
 }
@@ -141,6 +166,27 @@ func main() {
 	}
 	if !strings.Contains(strings.Join(ms[1].script, " "), "/1") {
 		t.Fatalf("rank 1 should take arm 1: %v", ms[1].script)
+	}
+}
+
+// TestOnlyKeptSitesMarked checks that structures the CST pruned run without
+// markers, and that taking the pruned arm of a kept if arrives as BranchSkip.
+func TestOnlyKeptSitesMarked(t *testing.T) {
+	ms := runMarked(t, `
+func main() {
+	for var i = 0; i < 2; i = i + 1 { compute(1); }
+	idle();
+	if rank == 0 { compute(1); } else { send(0, 8, 0); }
+	if rank == 0 { recv(1, 8, 0); }
+}
+func idle() { var n = 2; while n > 0 { n = n - 1; } }`, 2)
+	for rank, want := range []string{
+		`^MPI_Init B0\d+ B\+\d+/0 MPI_Recv X MPI_Finalize FIN$`,
+		`^MPI_Init B\+\d+/1 MPI_Send X B0\d+ MPI_Finalize FIN$`,
+	} {
+		if got := strings.Join(ms[rank].script, " "); !regexp.MustCompile(want).MatchString(got) {
+			t.Errorf("rank %d script = %s, want %s", rank, got, want)
+		}
 	}
 }
 
@@ -605,18 +651,13 @@ type eventCounter struct {
 func (c eventCounter) Event(*trace.Event) { *c.n++ }
 
 // BenchmarkLiveRun times the untraced run the paper's overhead divides by:
-// the interpreter and the MPI runtime on 64 ranks, the sink discarding.
+// the interpreter and the MPI runtime on 64 ranks, the sink discarding the
+// markers of the sites the CST keeps.
 func BenchmarkLiveRun(b *testing.B) {
 	for _, name := range []string{"SP", "MG", "CG"} {
 		b.Run(name, func(b *testing.B) {
 			const n = 64
-			prog, err := lang.Parse(npb.Get(name).Source(n, npb.Paper))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := lang.Check(prog); err != nil {
-				b.Fatal(err)
-			}
+			prog := compile(b, npb.Get(name).Source(n, npb.Paper))
 			counts := make([]int64, n)
 			sinks := make([]trace.Sink, n)
 			for i := range sinks {

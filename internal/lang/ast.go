@@ -85,6 +85,10 @@ type IfStmt struct {
 	Cond Expr
 	Then *Block
 	Else Stmt
+	// ArmMarked is indexed by arm (0 = then, 1 = else): the CST keeps that
+	// arm, so the interpreter brackets it with structure markers (set by
+	// cst.Build, like Marked below).
+	ArmMarked [2]bool
 }
 
 // ForStmt is a C-style loop: for init; cond; post { body }.
@@ -96,13 +100,17 @@ type ForStmt struct {
 	Cond Expr
 	Post Stmt // AssignStmt
 	Body *Block
+	// Marked is set by cst.Build when the CST keeps the loop: only then does
+	// the interpreter bracket it with structure markers.
+	Marked bool
 }
 
 // WhileStmt is a condition-controlled loop.
 type WhileStmt struct {
 	base
-	Cond Expr
-	Body *Block
+	Cond   Expr
+	Body   *Block
+	Marked bool // see ForStmt.Marked
 }
 
 // ReturnStmt exits the current function; Value may be nil.
@@ -198,6 +206,9 @@ type CallExpr struct {
 	// builtin. The other stays nil.
 	Func      *FuncDecl
 	Intrinsic *Intrinsic
+	// Marked is set by cst.Build when the CST keeps this user-function call
+	// site: only then does the interpreter bracket the call with markers.
+	Marked bool
 }
 
 func (*IntLit) expr()     {}

@@ -8,13 +8,18 @@ package trace
 // entered and left; the MPI runtime drives Event for every communication
 // call. All methods are called from the owning rank's goroutine only.
 //
+// Structure markers come only for the sites the pruned CST keeps: a loop,
+// branch arm or call the CST dropped as comm-free runs without any (the
+// compiler instruments only CST vertices, paper Figure 9).
+//
 // Protocol:
 //   - Loops: LoopEnter once per activation, LoopIter before each iteration's
 //     body, StructExit when the loop completes (possibly after 0 iterations).
-//   - Branches: BranchEnter + StructExit around an executed arm; BranchSkip
-//     when the condition selects no arm (if without else). The skip marker
-//     keeps branch reach counters consistent for replay.
-//   - Calls: CallEnter + StructExit around user-defined function bodies.
+//   - Branches: BranchEnter + StructExit around an executed kept arm;
+//     BranchSkip when a kept if runs no kept arm — its condition selects no
+//     arm (if without else) or an arm the CST pruned. The skip marker keeps
+//     branch reach counters consistent for replay.
+//   - Calls: CallEnter + StructExit around kept user-defined function calls.
 //   - Event once per MPI call, after it completes locally.
 //   - Finalize at MPI_Finalize, before the rank exits.
 type Sink interface {

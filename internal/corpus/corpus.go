@@ -591,7 +591,7 @@ func (s *Store) IngestBytes(enc []byte) (uint64, error) {
 // verifyDelta proves byte identity before committing to delta storage: the
 // exact reconstruction path of Get must reproduce enc.
 func (s *Store) verifyDelta(c *class, delta, enc []byte) bool {
-	j, err := c.plan.Reassemble(c.ref, delta, len(enc))
+	j, err := c.plan.Reassemble(c.ref, delta, len(enc), merge.SelectAll())
 	return err == nil && bytes.Equal(j.Enc, enc)
 }
 
@@ -632,15 +632,16 @@ func (s *Store) readRecordAt(loc runLoc) (record, error) {
 // hash. The result is byte-identical to the ingested encoding; any
 // divergence (corrupt store) is an error.
 func (s *Store) GetBytes(hash uint64) ([]byte, error) {
-	j, err := s.reassemble(hash)
+	j, err := s.reassemble(hash, merge.SelectAll())
 	return j.Enc, err
 }
 
 // reassemble is the one reconstruction behind GetBytes, Get and GetProjected:
-// the record re-validated, a delta run rejoined along its class's plan, and
-// the result held to its content hash before anything decodes it. A run
-// stored in full has no plan; its Joined is the bare bytes.
-func (s *Store) reassemble(hash uint64) (merge.Joined, error) {
+// the record re-validated, a delta run rejoined along its class's plan under
+// sel (merge.Plan.Reassemble writes only the selected groups but hashes every
+// byte), and the content hash checked before anything decodes the result. A
+// run stored in full has no plan; its Joined is the bare bytes.
+func (s *Store) reassemble(hash uint64, sel merge.Selection) (merge.Joined, error) {
 	obs.Attached().Inc(obs.CorpusGets)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -659,18 +660,19 @@ func (s *Store) reassemble(hash uint64) (merge.Joined, error) {
 	switch {
 	case rec.flags&flagFull != 0:
 		j.Enc = append([]byte{}, rec.body...)
+		j.Hash = ContentHash(j.Enc)
 	case rec.flags&flagDelta != 0:
 		c, ok := s.classes[rec.classK]
 		if !ok {
 			return merge.Joined{}, fmt.Errorf("corpus: trace %016x references missing class %016x", hash, rec.classK)
 		}
-		if j, err = c.plan.Reassemble(c.ref, rec.body, rec.fullLen); err != nil {
+		if j, err = c.plan.Reassemble(c.ref, rec.body, rec.fullLen, sel); err != nil {
 			return merge.Joined{}, fmt.Errorf("corpus: trace %016x: %w", hash, err)
 		}
 	default:
 		return merge.Joined{}, fmt.Errorf("corpus: trace %016x has no stored form (flags %#x)", hash, rec.flags)
 	}
-	if ContentHash(j.Enc) != hash {
+	if j.Hash != hash {
 		return merge.Joined{}, fmt.Errorf("corpus: trace %016x reconstruction does not match its content hash", hash)
 	}
 	return j, nil
@@ -684,17 +686,18 @@ func (s *Store) Get(hash uint64) (*Trace, error) {
 	return s.get(hash, merge.SelectAll())
 }
 
-// GetProjected is Get with a rank projection pushed into the decode: on a
-// cache miss the trace is reconstructed once but only the selected ranks'
-// timing payloads are decoded, and the tree serves those ranks alone (see
-// merge.DecodeSelectAuto). Such a tree is never cached, so a later Get still
-// decodes the whole trace. A resident whole trace serves a projected get too.
+// GetProjected is Get with a rank projection pushed into the read: on a
+// cache miss every byte of the trace is reconstructed and hashed, but only the
+// groups of the selected ranks are written and decoded, and the tree serves
+// those ranks alone (see merge.Plan.Reassemble and merge.DecodeSelectAuto).
+// Such a tree is never cached, so a later Get still decodes the whole trace.
+// A resident whole trace serves a projected get too.
 func (s *Store) GetProjected(hash uint64, ranks []int) (*Trace, error) {
 	return s.get(hash, merge.SelectRanks(ranks...))
 }
 
 // get is the shared body of Get and GetProjected: cache acquire, else
-// reassemble the bytes and decode them under sel (merge.Joined.Decode). Only
+// reassemble the bytes under sel and decode them (merge.Joined.Decode). Only
 // a whole tree enters the cache; a projected one goes to its caller alone.
 func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 	sink := obs.Attached()
@@ -706,7 +709,7 @@ func (s *Store) get(hash uint64, sel merge.Selection) (*Trace, error) {
 		return t, nil
 	}
 	sink.Inc(obs.CorpusCacheMisses)
-	j, err := s.reassemble(hash)
+	j, err := s.reassemble(hash, sel)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -584,29 +585,49 @@ func main() {
 }`
 
 // TestColdProjectedGetAllocs bounds what a cold single-rank get of a delta
-// run allocates: the reassembled encoding once (fullLen), a small constant
-// multiple of the entry count (the entry and rank-set slabs, the section
-// lengths), and a constant (CST, slab chunks). No term in the
-// payload's word count and no second copy of the encoding — the two-pass read
-// path this replaced decoded the representative into a []uint64 and built an
-// intermediate payload on every get, 2.3 MB here where the budget is 1.4 MB.
+// run allocates: its record, read whole (every byte is hashed), and beyond
+// that a constant — the CST and the rank's own groups. The reassembly writes
+// only those groups and the decoder carves only them, so the allocations a get
+// makes stay flat while the rank count, and with it the encoding and its
+// entry count, grows fourfold; only the record's bytes grow with it.
 func TestColdProjectedGetAllocs(t *testing.T) {
-	const (
-		perEntry = 224
-		fixed    = 160 << 10
-	)
+	const beyondRecord = 24 << 10
+	small, large := coldProjectedGet(t, 256), coldProjectedGet(t, 1024)
+	for _, g := range []getAllocs{small, large} {
+		if g.bytes-g.stored > beyondRecord {
+			t.Errorf("cold projected get at %d ranks allocates %d B/op beside its %d-byte record, budget %d",
+				g.ranks, g.bytes-g.stored, g.stored, beyondRecord)
+		}
+	}
+	if float64(large.allocs) > 1.1*float64(small.allocs) {
+		t.Errorf("cold projected get allocates %d times at 256 ranks, %d at 1024", small.allocs, large.allocs)
+	}
+}
+
+// getAllocs is what one cold GetProjected of rank 1 allocates on average,
+// and the bytes of the record it reads.
+type getAllocs struct {
+	ranks                 int
+	bytes, allocs, stored int64
+}
+
+// coldProjectedGet ingests the shard workload on ranks ranks into a cacheless
+// store and measures GetProjected of rank 1 on it.
+func coldProjectedGet(t *testing.T, ranks int) getAllocs {
+	t.Helper()
 	st, err := corpus.Open(t.TempDir(), corpus.Options{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	m := simMerged(t, shardSrc, 1024, 0)
+	m := simMerged(t, shardSrc, ranks, 0)
 	enc := encodeBytes(t, m)
 	h, err := st.IngestBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats, err := st.Stats(); err != nil || stats.DeltaRuns != 1 {
+	stats, err := st.Stats()
+	if err != nil || stats.DeltaRuns != 1 {
 		t.Fatalf("fixture was not stored as a delta run: %+v, %v", stats, err)
 	}
 	get := func() {
@@ -624,14 +645,116 @@ func TestColdProjectedGetAllocs(t *testing.T) {
 		get()
 	}
 	runtime.ReadMemStats(&after)
-	got := int64(after.TotalAlloc-before.TotalAlloc) / gets
-	entries := int64(m.GroupCount())
-	budget := int64(len(enc)) + perEntry*entries + fixed
-	t.Logf("cold projected get: %d B/op; fullLen %d, %d entries, budget %d", got, len(enc), entries, budget)
-	if got > budget {
-		t.Fatalf("cold projected get allocates %d B/op, budget %d (fullLen %d + %d x %d entries + %d)",
-			got, budget, len(enc), perEntry, entries, fixed)
+	g := getAllocs{ranks: ranks, stored: stats.StoredBytes,
+		bytes:  int64(after.TotalAlloc-before.TotalAlloc) / gets,
+		allocs: int64(after.Mallocs-before.Mallocs) / gets}
+	t.Logf("cold projected get, %d ranks: %d B/op, %d allocs/op; fullLen %d, record %d B, %d entries",
+		ranks, g.bytes, g.allocs, len(enc), g.stored, m.GroupCount())
+	return g
+}
+
+// TestProjectedGetHashesUnselected: a projected get writes only the selected
+// groups but hashes every byte, so damage the record CRC cannot see — a delta
+// token rewritten and the CRC recomputed — fails GetProjected on the content
+// hash even where it changes only a group outside the selection.
+func TestProjectedGetHashesUnselected(t *testing.T) {
+	dir := t.TempDir()
+	st, err := corpus.Open(dir, corpus.Options{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer st.Close()
+	var encs [2][]byte
+	var hashes [2]uint64
+	for run := range encs {
+		encs[run] = encodeBytes(t, simMerged(t, shardSrc, 64, run))
+		if hashes[run], err = st.IngestBytes(encs[run]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := merge.SplitEncoded(encs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := merge.SplitEncoded(encs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := merge.NewRef(rep.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := merge.DeltaPayload(sp.Payload, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := merge.SelectRanks(1)
+	want, err := sp.Plan.Reassemble(ref, delta, 0, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip the low bit of a non-zero token's significand, which keeps the
+	// delta's length and word count, at the first such word past the middle
+	// that lies outside rank 1's groups: the projected bytes stay the same.
+	c := bytes.NewReader(delta)
+	words, _ := binary.ReadUvarint(c)
+	var bad []byte
+	for w := uint64(0); w < words && bad == nil; w++ {
+		if tok, _ := binary.ReadUvarint(c); tok == 0 {
+			continue
+		}
+		binary.ReadUvarint(c)
+		if w < words/2 {
+			continue
+		}
+		mut := append([]byte(nil), delta...)
+		mut[len(delta)-c.Len()-1] ^= 1
+		j, err := sp.Plan.Reassemble(ref, mut, 0, sel)
+		if err == nil && bytes.Equal(j.Enc, want.Enc) {
+			bad = mut
+		}
+	}
+	if bad == nil {
+		t.Fatal("no delta word outside rank 1's groups to damage")
+	}
+
+	// The record sits in the active log: rewrite its body and its CRC, which
+	// covers the content hash through the body.
+	path := filepath.Join(dir, "active.cypl")
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(log, delta)
+	if at < 0 {
+		t.Fatal("run 1's delta is not in the active log")
+	}
+	from := bytes.LastIndex(log[:at], binary.LittleEndian.AppendUint64(nil, hashes[1]))
+	if from < 0 {
+		t.Fatal("run 1's record is not in the active log")
+	}
+	copy(log[at:], bad)
+	end := at + len(bad)
+	binary.LittleEndian.PutUint32(log[end:], crc32.ChecksumIEEE(log[from:end]))
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if tr, err := st.GetProjected(hashes[1], []int{1}); err == nil || !strings.Contains(err.Error(), "content hash") {
+		if err == nil {
+			tr.Release()
+		}
+		t.Fatalf("GetProjected of the damaged run: %v, want a content hash mismatch", err)
+	}
+	if _, err := st.GetBytes(hashes[1]); err == nil {
+		t.Fatal("GetBytes serves the damaged run")
+	}
+	tr, err := st.GetProjected(hashes[0], []int{1})
+	if err != nil {
+		t.Fatalf("the undamaged run no longer reads: %v", err)
+	}
+	tr.Release()
 }
 
 // rankSequences replays every rank of m through a fresh streamer; the first

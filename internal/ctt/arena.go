@@ -1,53 +1,5 @@
 package ctt
 
-// arenaChunk is the allocation granularity of RecordArena.
-const arenaChunk = 256
-
-// RecordArena is a chunked allocator for record lists, used by the streaming
-// decoder. The decoder knows each vertex's record count up front, so the
-// arena carves exact-length pointer slices backed by shared value chunks:
-// two heap allocations per ~256 records instead of one value chunk plus one
-// pointer slice per vertex.
-//
-// Record pointers remain stable for the lifetime of the arena (chunks are
-// never moved), matching the *CommRecord aliasing the rest of the package
-// relies on.
-type RecordArena struct {
-	recs []CommRecord  // current value chunk; len = used, cap = chunk size
-	ptrs []*CommRecord // current pointer chunk; carved into returned slices
-}
-
-// Alloc returns a length-n list of pointers to n zeroed records. The
-// returned slice has capacity n (appending to it never clobbers later
-// allocations). Requests larger than the chunk size get a dedicated chunk.
-func (a *RecordArena) Alloc(n int) []*CommRecord {
-	if n == 0 {
-		return nil
-	}
-	if cap(a.recs)-len(a.recs) < n {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		a.recs = make([]CommRecord, 0, size)
-	}
-	if cap(a.ptrs)-len(a.ptrs) < n {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		a.ptrs = make([]*CommRecord, 0, size)
-	}
-	rbase, pbase := len(a.recs), len(a.ptrs)
-	a.recs = a.recs[:rbase+n]
-	a.ptrs = a.ptrs[:pbase+n]
-	out := a.ptrs[pbase : pbase+n : pbase+n]
-	for i := range out {
-		out[i] = &a.recs[rbase+i]
-	}
-	return out
-}
-
 // recordChunk is the chunk size of the compressor's recordArena: a rank
 // keeps few records (an MG-512 rank about 25) and all its leaves share one
 // arena, so only the rank's last chunk has unused slots.

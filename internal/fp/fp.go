@@ -51,7 +51,8 @@ func (h Hash) Bool(b bool) Hash {
 // zero-padded tail word, and finally the length, so slices that differ only
 // in trailing zero bytes (or in length) still diverge. One Bytes call folds
 // one logical value — chaining calls over a split buffer is not equivalent to
-// folding the concatenation, by design (each call seals its length).
+// folding the concatenation, by design (each call seals its length). A value
+// that arrives in pieces folds through a Stream.
 func (h Hash) Bytes(b []byte) Hash {
 	n := len(b)
 	for len(b) >= 8 {
@@ -64,4 +65,47 @@ func (h Hash) Bytes(b []byte) Hash {
 		h = h.Word(binary.LittleEndian.Uint64(tail[:]))
 	}
 	return h.Word(uint64(n))
+}
+
+// Stream folds one byte sequence handed over in pieces: after any split of b
+// into Writes, Sum equals the Bytes fold of b onto the state the Stream
+// started from. It holds back at most one partial word between Writes.
+type Stream struct {
+	h    Hash
+	n    uint64  // bytes written
+	tail [8]byte // the partial word, tail[:n%8]
+}
+
+// NewStream returns a Stream whose Sum over b is New().Bytes(b).
+func NewStream() Stream { return Stream{h: offset64} }
+
+// Write folds b, the next piece of the sequence.
+func (s *Stream) Write(b []byte) {
+	if k := int(s.n % 8); k > 0 {
+		c := copy(s.tail[k:], b)
+		s.n += uint64(c)
+		b = b[c:]
+		if k+c < 8 {
+			return
+		}
+		s.h = s.h.Word(binary.LittleEndian.Uint64(s.tail[:]))
+	}
+	s.n += uint64(len(b))
+	for len(b) >= 8 {
+		s.h = s.h.Word(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	copy(s.tail[:], b)
+}
+
+// Sum is the fold of everything written so far, sealed as Bytes seals it:
+// the zero-padded partial word, then the length. Writing may go on after it.
+func (s *Stream) Sum() Hash {
+	h := s.h
+	if k := s.n % 8; k > 0 {
+		var w [8]byte
+		copy(w[:], s.tail[:k])
+		h = h.Word(binary.LittleEndian.Uint64(w[:]))
+	}
+	return h.Word(s.n)
 }

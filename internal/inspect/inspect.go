@@ -115,8 +115,7 @@ type Analysis struct {
 // the merged data, never on merge schedule or timing.
 func Analyze(m *merge.Merged) *Analysis {
 	// A projected tree (corpus GetProjected, merge.DecodeSelectAuto) holds
-	// no payload for the entries outside its selection; the guard below
-	// keeps them out of the tally.
+	// only its selection's groups, so its tally counts those alone.
 	a := &Analysis{}
 	a.Summary.NumRanks = m.NumRanks
 	a.Summary.EventCount = m.EventCount
@@ -138,9 +137,6 @@ func Analyze(m *merge.Merged) *Analysis {
 		clear(keys)
 		clear(shapes)
 		for _, e := range es {
-			if e.Data == nil {
-				continue
-			}
 			keys[e.Data.InvariantKey()] = struct{}{}
 			shapes[e.Data.ShapeKey()] = struct{}{}
 			nr := e.Ranks.Len()

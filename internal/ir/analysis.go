@@ -271,8 +271,11 @@ func collectNaturalLoop(body map[*Block]bool, n, h *Block) {
 // VerifyLoopAnnotations cross-checks the dominator-based loop finder against
 // the lowering annotations: every annotated loop header must be discovered
 // with exactly its annotation, and no unannotated loops may exist (MPL has
-// no goto, so all loops are structured). This is a safety net for the static
-// analysis, mirroring how the paper trusts LLVM's LoopInfo.
+// no goto, so all loops are structured). The one annotated header that is no
+// natural loop is one no path leads back to: a loop whose body always
+// returns or breaks has no back edge, and runs its body at most once. This is
+// a safety net for the static analysis, mirroring how the paper trusts LLVM's
+// LoopInfo.
 func VerifyLoopAnnotations(f *Func) error {
 	loops := NaturalLoops(f)
 	found := map[lang.NodeID]bool{}
@@ -286,13 +289,30 @@ func VerifyLoopAnnotations(f *Func) error {
 		found[l.Site] = true
 	}
 	for _, b := range f.Blocks {
-		if b.LoopSite != lang.NoNode && !found[b.LoopSite] {
-			// A loop whose body is statically unreachable can drop its back
-			// edge; MPL lowering always emits one, so this is an error.
+		if b.LoopSite != lang.NoNode && !found[b.LoopSite] && returnsTo(b) {
 			return fmt.Errorf("ir: %s: annotated loop @%d not found by dominator analysis", f.Name, b.LoopSite)
 		}
 	}
 	return nil
+}
+
+// returnsTo reports whether some path of one or more edges leads from b back
+// to b.
+func returnsTo(b *Block) bool {
+	seen := map[*Block]bool{}
+	stack := append([]*Block(nil), b.Succs...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == b {
+			return true
+		}
+		if !seen[n] {
+			seen[n] = true
+			stack = append(stack, n.Succs...)
+		}
+	}
+	return false
 }
 
 // CallGraph is the program call graph (PCG) over user-defined functions.

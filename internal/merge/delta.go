@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/fp"
 	"repro/internal/obs"
@@ -70,12 +71,14 @@ type Plan struct {
 	structure []byte
 	key       uint64
 	hist      bool
+	verts     []int         // structure offset of each vertex section (its entry count), GID order
 	cuts      []int         // structure offset of each record's volatile suffix, stream order
 	secs      []planSection // one per entry, stream order
 }
 
 // planSection is one entry's VData section in structure coordinates, and how
-// many records (cuts) it holds.
+// many records (cuts) it holds. Its rank set runs from where the section
+// before it ends, or from behind its vertex's entry count, to start.
 type planSection struct {
 	start, end, ncuts int
 }
@@ -144,17 +147,24 @@ func (p *Plan) walk(c *bcur, nverts int, volatile func()) (verts []int) {
 	return verts
 }
 
-// seal attaches the finished structure stream and folds the class key over
-// it: verts[0] is where the header/CST prefix ends and each vertex section
-// runs to the start of the next.
+// seal attaches the finished structure stream and its vertex table and folds
+// the class key over it: the header/CST prefix ends where the first vertex
+// section starts and each vertex section runs to the start of the next.
 func (p *Plan) seal(structure []byte, verts []int) {
-	p.structure = structure
-	verts = append(verts, len(structure))
-	h := fp.New().Word(uint64(fp.New().Bytes(structure[:verts[0]])))
-	for i := 1; i < len(verts); i++ {
-		h = h.Word(uint64(fp.New().Bytes(structure[verts[i-1]:verts[i]])))
+	p.structure, p.verts = structure, verts
+	h := fp.New().Word(uint64(fp.New().Bytes(structure[:p.vert(0)])))
+	for g := range verts {
+		h = h.Word(uint64(fp.New().Bytes(structure[p.vert(g):p.vert(g+1)])))
 	}
 	p.key = uint64(h)
+}
+
+// vert is where vertex section g starts; the end of the stream past the last.
+func (p *Plan) vert(g int) int {
+	if g < len(p.verts) {
+		return p.verts[g]
+	}
+	return len(p.structure)
 }
 
 // skipRuns walks one run-length list (rank sets, loop/taken vectors). The
@@ -288,16 +298,24 @@ func SplitEncoded(enc []byte) (*SplitTrace, error) {
 	return s, nil
 }
 
-// Joined is a standalone v1 encoding written by Plan.Reassemble, together
-// with what the pass that wrote it knows about its layout. Decode uses that
-// knowledge; it never leaves the package and is never read from anywhere, so
-// a Joined built by hand ({Enc: bytes}) simply has none.
+// Joined is a v1 encoding written by Plan.Reassemble, together with what the
+// pass that wrote it knows about it. Decode uses that knowledge; it never
+// leaves the package and is never read from anywhere, so a Joined built by
+// hand ({Enc: bytes}) simply has none.
 type Joined struct {
+	// Enc is the standalone encoding, less every group outside the selection
+	// it was written under.
 	Enc []byte
+	// Hash is the fp.Bytes fold (from fp.New) of the whole standalone
+	// encoding, every group included: the content hash of the run.
+	Hash uint64
 
-	// lens is the byte length of every entry's VData section in Enc, in
-	// stream order — nil when Enc was not written by Reassemble.
+	written bool      // by Reassemble; false for a Joined built by hand
+	sel     Selection // the selection Enc was written under
+	// lens is the byte length of every VData section in Enc, in stream order.
 	lens []uint64
+	// skipped and skippedB count the groups left out and their section bytes.
+	skipped, skippedB int64
 }
 
 // Payload streams are pure uvarint vectors (skipVolatile's invariant), which
@@ -492,15 +510,24 @@ func (w *patcher) volatile(out []byte, hist bool) []byte {
 // Reassemble rebuilds the standalone encoding of one run of the plan's class
 // from the class representative and the run's DeltaPayload against it, in
 // one pass: representative bytes, patched words and structure runs stream
-// straight into the output, which is allocated once at sizeHint (the run's
-// recorded encoding length; a wrong hint costs a regrow, nothing else). The
-// delta must be consumed exactly and declare exactly as many words as the
-// structure has volatile fields, or it is an error. The result is
-// byte-identical to SplitEncoded's input whenever that input's payload was
+// straight into the output, and every byte is folded into the content hash
+// (Joined.Hash) as it is produced. The delta must be consumed exactly and
+// declare exactly as many words as the structure has volatile fields, or it is
+// an error. Under SelectAll the output is allocated once at sizeHint (the
+// run's recorded encoding length; a wrong hint costs a regrow, nothing else),
+// is byte-identical to SplitEncoded's input whenever that input's payload was
 // minimally encoded, and carries the length of every VData section as this
-// pass wrote it. Each reassembly adds the words it patched to the attached
-// sink's corpus_patched_words.
-func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int) (Joined, error) {
+// pass wrote it.
+//
+// Under a projection every byte is still produced and hashed, but a group no
+// selected rank belongs to (Selection.matches on the group's rank set, read
+// from the structure stream as the decoder reads it) is not kept: its bytes
+// are dropped as soon as they are hashed, and each vertex's entry count is
+// rewritten to the groups kept. Enc is then the v1 encoding of the projected
+// tree, which Joined.Decode reads under the same selection; a rank set that
+// does not parse is an error. Each reassembly adds the words it patched to the
+// attached sink's corpus_patched_words.
+func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int, sel Selection) (Joined, error) {
 	w := patcher{d: bcur{b: delta}, ref: ref}
 	w.left = w.d.u()
 	// Every word costs the delta at least one byte and the output at most ten.
@@ -511,26 +538,73 @@ func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int) (Joined, error) 
 		return Joined{}, w.d.err
 	}
 	st := p.structure
-	out := make([]byte, 0, min(max(sizeHint, 0), len(st)+binary.MaxVarintLen64*int(w.left)))
-	lens := make([]uint64, len(p.secs))
-	pos, cuts := 0, p.cuts
-	for i, sec := range p.secs {
-		out = append(out, st[pos:sec.start]...)
-		pos = sec.start
-		begin := len(out)
-		for _, cut := range cuts[:sec.ncuts] {
-			out = append(out, st[pos:cut]...)
-			pos = cut
-			out = w.volatile(out, p.hist)
-			if w.d.err != nil {
-				return Joined{}, w.d.err
+	j := Joined{written: true, sel: sel}
+	// A projection holds the header, the entry counts and its own groups; the
+	// room past them takes the group being hashed.
+	size := p.vert(0) + len(p.verts) + 4<<10
+	if sel.all {
+		size = min(max(sizeHint, 0), len(st)+binary.MaxVarintLen64*int(w.left))
+		j.lens = make([]uint64, 0, len(p.secs))
+	}
+	out := make([]byte, 0, size)
+	hs := fp.NewStream()
+	out = append(out, st[:p.vert(0)]...)
+	hs.Write(out)
+	pick := decoder{bcur: bcur{b: st}} // reads rank sets for a projection
+	pos, secs, cuts := p.vert(0), p.secs, p.cuts
+	for g := range p.verts {
+		// The entry count, hashed as stored; a projection writes its own.
+		_, n := binary.Uvarint(st[pos:])
+		if n <= 0 {
+			return Joined{}, fmt.Errorf("merge: entry count of vertex %d at structure offset %d", g, pos)
+		}
+		hs.Write(st[pos : pos+n])
+		if sel.all {
+			out = append(out, st[pos:pos+n]...)
+		}
+		at := len(out)
+		pos += n
+		kept := 0
+		for end := p.vert(g + 1); len(secs) > 0 && secs[0].start < end; secs = secs[1:] {
+			sec := secs[0]
+			keep := sel.all
+			if !keep {
+				pick.off = pos
+				if keep = pick.picks(sel, pick.setRuns()); pick.err != nil {
+					return Joined{}, fmt.Errorf("merge: rank set of vertex %d: %w", g, pick.err)
+				}
+			}
+			begin := len(out)
+			out = append(out, st[pos:sec.start]...)
+			pos = sec.start
+			body := len(out)
+			for _, cut := range cuts[:sec.ncuts] {
+				out = append(out, st[pos:cut]...)
+				pos = cut
+				out = w.volatile(out, p.hist)
+				if w.d.err != nil {
+					return Joined{}, w.d.err
+				}
+			}
+			cuts = cuts[sec.ncuts:]
+			out = append(out, st[pos:sec.end]...)
+			pos = sec.end
+			hs.Write(out[begin:])
+			if keep {
+				j.lens = append(j.lens, uint64(len(out)-body))
+				kept++
+			} else {
+				j.skipped++
+				j.skippedB += int64(len(out) - body)
+				out = out[:begin]
 			}
 		}
-		cuts = cuts[sec.ncuts:]
-		out = append(out, st[pos:sec.end]...)
-		pos = sec.end
-		lens[i] = uint64(len(out) - begin)
+		if !sel.all {
+			var cnt [binary.MaxVarintLen64]byte
+			out = slices.Insert(out, at, cnt[:binary.PutUvarint(cnt[:], uint64(kept))]...)
+		}
 	}
+	hs.Write(st[pos:])
 	out = append(out, st[pos:]...)
 	if w.left != 0 {
 		return Joined{}, fmt.Errorf("merge: patch: %d delta words beyond the structure's volatile fields", w.left)
@@ -539,5 +613,6 @@ func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int) (Joined, error) 
 		return Joined{}, fmt.Errorf("merge: patch: %d trailing delta bytes", rest)
 	}
 	obs.Attached().Add(obs.CorpusPatchedWords, w.patched)
-	return Joined{Enc: out, lens: lens}, nil
+	j.Enc, j.Hash = out, uint64(hs.Sum())
+	return j, nil
 }

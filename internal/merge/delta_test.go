@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fp"
 	"repro/internal/obs"
 	"repro/internal/timestat"
 )
@@ -270,7 +271,7 @@ func reassembleBoth(t testing.TB, structure, ref, delta []byte) []byte {
 		gerr = rerr
 	}
 	if gerr == nil {
-		got, gerr = plan.Reassemble(r, delta, len(structure)+len(ref))
+		got, gerr = plan.Reassemble(r, delta, len(structure)+len(ref), SelectAll())
 	}
 	var want []byte
 	payload, werr := PatchPayload(delta, ref)
@@ -293,7 +294,54 @@ func reassembleBoth(t testing.TB, structure, ref, delta []byte) []byte {
 	if !slices.Equal(got.lens, lens) {
 		t.Fatalf("Reassemble reports section lengths %v, a skip-walk finds %v", got.lens, lens)
 	}
+	if got.Hash != uint64(fp.New().Bytes(want)) {
+		t.Fatal("Reassemble's hash is not the fold of the bytes it wrote")
+	}
 	return want
+}
+
+// checkProjections holds projected reassemblies of the triple, whose whole
+// reassembly is whole, to the whole one and to the selective decoder: each
+// hashes the whole encoding, and whenever DecodeSelectAuto accepts the whole
+// encoding, decoding the projected one gives the same tree.
+func checkProjections(t testing.TB, structure, ref, delta, whole []byte) {
+	t.Helper()
+	plan, err := PlanStructure(structure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []Selection{SelectRanks(), SelectRanks(1), SelectRanks(0, 5)} {
+		checkProjection(t, plan, r, delta, whole, sel)
+	}
+}
+
+func checkProjection(t testing.TB, plan *Plan, r *Ref, delta, whole []byte, sel Selection) {
+	t.Helper()
+	j, err := plan.Reassemble(r, delta, 0, sel)
+	if err != nil {
+		if _, derr := Decode(bytes.NewReader(whole)); derr == nil {
+			t.Fatalf("%v: projected Reassemble fails (%v) on an encoding that decodes", sel, err)
+		}
+		return
+	}
+	if j.Hash != uint64(fp.New().Bytes(whole)) {
+		t.Fatalf("%v: projected Reassemble hashes other bytes than the whole encoding", sel)
+	}
+	want, err := DecodeSelectAuto(whole, sel, 0)
+	if err != nil {
+		return
+	}
+	got, err := j.Decode(sel)
+	if err != nil {
+		t.Fatalf("%v: the projected encoding does not decode: %v", sel, err)
+	}
+	if !reflect.DeepEqual(got.Entries, want.Entries) || !reflect.DeepEqual(got.proj, want.proj) {
+		t.Fatalf("%v: the projected encoding decodes to another tree than the selective decoder's", sel)
+	}
 }
 
 // perturb returns payload (a uvarint vector) with every third word changed:
@@ -429,6 +477,7 @@ func TestReassembleMatchesReference(t *testing.T) {
 		if got := s.Value(obs.CorpusPatchedWords) - before; got != nonZero {
 			t.Errorf("%s: reassembly patched %d words, the delta has %d non-zero tokens", seed.name, got, nonZero)
 		}
+		checkProjections(t, seed.structure, seed.ref, seed.delta, enc)
 		switch seed.name {
 		case "mean/self", "hist/self":
 			if nonZero != 0 {
@@ -510,14 +559,18 @@ func TestReassembleRejects(t *testing.T) {
 }
 
 // FuzzReassemble holds Plan.Reassemble to the two-pass reference on arbitrary
-// (structure, ref, delta) triples: one verdict, identical bytes, and section
-// lengths equal to those of an index-less skip-walk of the result.
+// (structure, ref, delta) triples: one verdict, identical bytes, section
+// lengths equal to those of an index-less skip-walk of the result, and the
+// hash of those bytes; a projected reassembly of the triple hashes the same
+// bytes and decodes as the selective decoder does (checkProjections).
 func FuzzReassemble(f *testing.F) {
 	for _, s := range reassembleSeeds(f) {
 		f.Add(s.structure, s.ref, s.delta)
 	}
 	f.Fuzz(func(t *testing.T, structure, ref, delta []byte) {
-		reassembleBoth(t, structure, ref, delta)
+		if whole := reassembleBoth(t, structure, ref, delta); whole != nil {
+			checkProjections(t, structure, ref, delta, whole)
+		}
 	})
 }
 

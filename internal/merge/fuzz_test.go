@@ -384,7 +384,9 @@ const replayAllBudget = 64
 //     its own (Replay on a fresh Streamer: the Contains scan, raw selection
 //     vectors) and for all ranks resolved through the rank table and the
 //     canonical rows — ReplayAll on another fresh Streamer, and on the first,
-//     where canonical vectors meet the raw ones already memoized.
+//     where canonical vectors meet the raw ones already memoized — and for
+//     rank 0 of a projection onto it, which replays by a walk of the rank's
+//     resolved view.
 func FuzzReplayDecoded(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -431,6 +433,18 @@ func FuzzReplayDecoded(f *testing.F) {
 				t.Fatalf("rank %d: streamer sequence differs from rankView (%d vs %d events)",
 					rank, len(got), len(want[rank]))
 			}
+		}
+		pm, err := DecodeSelectAuto(in, SelectRanks(0), 0)
+		if err != nil {
+			t.Fatalf("DecodeSelectAuto rejects input Decode accepts: %v", err)
+		}
+		var got []trace.Event
+		gotErr := NewStreamer(pm).Replay(0, func(e *trace.Event) { got = append(got, *e) })
+		if (gotErr == nil) != (firstBad > 0) {
+			t.Fatalf("rank 0 of a projection: err=%v, rankView fails first at rank %d", gotErr, firstBad)
+		}
+		if gotErr == nil && !reflect.DeepEqual(want[0], got) {
+			t.Fatalf("rank 0 of a projection: %d events, rankView %d", len(got), len(want[0]))
 		}
 		if m.NumRanks > replayAllBudget {
 			return

@@ -56,8 +56,8 @@ type Merged struct {
 	// EventCount is the total number of MPI events across all ranks.
 	EventCount int64
 	// proj, when non-nil, is the rank projection a selective decode served
-	// (see DecodeSelectAuto): an entry no selected rank belongs to has a nil
-	// Data, and only the selected ranks replay.
+	// (see DecodeSelectAuto): Entries lists only the groups a selected rank
+	// belongs to, and only the selected ranks replay.
 	proj *Selection
 }
 
@@ -655,7 +655,7 @@ type rankView struct {
 
 // ForRank returns a replay source for one rank of the merged tree. On a
 // projected tree only a selected rank's source is whole: replay.Source has no
-// error channel, so a vertex whose payload the projection skipped reads as
+// error channel, so a vertex whose group the projection dropped reads as
 // unexecuted. The Streamer refuses such a rank instead.
 func (m *Merged) ForRank(rank int) rankView { return rankView{m, rank} }
 

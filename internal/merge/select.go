@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/blockio"
+	"repro/internal/ctt"
 	"repro/internal/obs"
 	"repro/internal/rankset"
 	"repro/internal/timestat"
@@ -70,6 +72,19 @@ func (s Selection) Contains(rank int) bool {
 	}
 	i := sort.SearchInts(s.ranks, rank)
 	return i < len(s.ranks) && s.ranks[i] == rank
+}
+
+// equal reports whether s and o select the same ranks.
+func (s Selection) equal(o Selection) bool {
+	return s.all == o.all && slices.Equal(s.ranks, o.ranks)
+}
+
+// String renders the selection for errors: "all ranks" or "ranks [1 3]".
+func (s Selection) String() string {
+	if s.all {
+		return "all ranks"
+	}
+	return fmt.Sprintf("ranks %v", s.ranks)
 }
 
 // matches reports whether any selected rank is a member of set.
@@ -205,16 +220,19 @@ func (m *Merged) serves(rank int) error {
 // Containered inputs pay one unwrap into a fresh payload buffer; bare input
 // is served zero-copy. The structure stream is decoded fully, but a timing
 // payload is decoded only when its entry's rank set intersects sel; every
-// other section is walked for its framing and dropped, leaving the entry's
-// Data nil. The returned tree keeps nothing of data.
+// other section is walked for its framing and its group dropped: the tree's
+// entry lists hold the selected ranks' groups alone, and only those groups'
+// entries and rank sets are allocated. The returned tree keeps nothing of
+// data.
 //
 // Unless sel is SelectAll the tree is a projection: the Streamer replays and
 // iterates the selected ranks only, and every operation that reads all
 // payloads — Prepare, ReplayAll, Encode and its variants, Pair — returns an
 // error. Any failure in the selective walk itself — including index-less
 // inputs whose grammar walk trips — reruns the same decoder over the same
-// bytes with the projection off, so DecodeSelectAuto succeeds on everything
-// Decode succeeds on, and returns the same projection either way.
+// bytes with the projection off and then drops the unselected groups, so
+// DecodeSelectAuto succeeds on everything Decode succeeds on, and returns the
+// same projection either way.
 func DecodeSelectAuto(data []byte, sel Selection, _ int) (*Merged, error) {
 	payload, _, err := blockio.Unwrap(data)
 	if err != nil {
@@ -227,27 +245,34 @@ func DecodeSelectAuto(data []byte, sel Selection, _ int) (*Merged, error) {
 	})
 }
 
-// Decode is DecodeSelectAuto over the joined encoding, except that sections
-// outside the selection are not walked: the decoder seeks over each by the
-// length Reassemble observed while writing it. That is sound where seeking by
-// a CYPI sidecar is not, because the table is not input — it was produced by
-// the pass that produced the bytes, from a structure stream whose grammar was
-// walked when its plan was built. It is still held to everything an index is:
-// a section that is parsed must end where the table says, the table and the
-// stream must end together, and any disagreement reruns the full decode.
+// Decode decodes the joined encoding under sel. A Joined that Reassemble
+// wrote holds only the groups of the selection it was written under, which
+// sel must equal; its section table is held against every section, and a
+// failure is an error: the bytes were hashed whole before anything decoded
+// them, and a partial buffer has no full decode to fall back to. A Joined
+// built by hand is DecodeSelectAuto over Enc.
 func (j Joined) Decode(sel Selection) (*Merged, error) {
-	if j.lens == nil {
+	if !j.written {
 		return DecodeSelectAuto(j.Enc, sel, 0)
 	}
-	return decodeProjected(j.Enc, &projection{
-		sel: sel, indexed: true, seek: true, lens: j.lens, body: j.Enc,
-	})
+	if !sel.equal(j.sel) {
+		return nil, fmt.Errorf("merge: an encoding reassembled for %v decoded for %v", j.sel, sel)
+	}
+	p := &projection{sel: sel, indexed: true, lens: j.lens, body: j.Enc,
+		skipped: j.skipped, skippedB: j.skippedB}
+	m, err := decodePayload(j.Enc, p)
+	if err != nil {
+		return nil, err
+	}
+	p.mark(m)
+	return m, nil
 }
 
 // decodeProjected decodes p's body under p and, should the selective walk
 // fail for any reason — including index-less inputs whose grammar walk trips —
-// reruns the same decoder over payload with the projection off. Either tree
-// is marked with the projection.
+// reruns the same decoder over payload with the projection off and keeps the
+// selected groups of what it decoded. Either tree is marked with the
+// projection.
 func decodeProjected(payload []byte, p *projection) (*Merged, error) {
 	m, err := decodePayload(p.body, p)
 	if err != nil {
@@ -255,23 +280,30 @@ func decodeProjected(payload []byte, p *projection) (*Merged, error) {
 		if m, err = decodePayload(payload, nil); err != nil {
 			return nil, err
 		}
+		for gid, es := range m.Entries {
+			m.Entries[gid] = slices.DeleteFunc(es, func(e Entry) bool { return !p.sel.matches(e.Ranks) })
+		}
 	}
+	p.mark(m)
+	return m, nil
+}
+
+// mark records p's selection on m unless it selects every rank.
+func (p *projection) mark(m *Merged) {
 	if !p.sel.all {
 		sel := p.sel
 		m.proj = &sel
 	}
-	return m, nil
 }
 
 // projection is the per-call state of a selective decode: the selection, the
 // body the decoder's cursor runs over, and the section lengths when the
 // encoding comes with them (a CYPI sidecar, or the lengths Reassemble
-// observed).
+// observed). The counters start at what Reassemble left out, if anything.
 type projection struct {
 	sel     Selection
 	body    []byte
 	indexed bool
-	seek    bool     // lens may move the cursor over unselected sections
 	lens    []uint64 // consumed in stream order; next is lens[li]
 	li      int
 
@@ -279,41 +311,36 @@ type projection struct {
 	eagerB, skippedB int64 // payload bytes
 }
 
-// section handles entry e's payload section, the cursor standing at its first
-// byte: decode it when e's ranks intersect the selection, otherwise find its
-// end and leave e's Data nil. The end of a skipped section is found by
-// walking its grammar, and the index entry, when there is one, must name
-// exactly where the walk stopped: a table that came with the input is a
-// cross-check, never a seek, because a skip the stream has not confirmed would
-// have every later rank set parsed from an unverified offset (fuzz-found:
-// lengths wrong one by one but right in sum decoded "cleanly" into a
-// misaligned tree). Only Reassemble's own table (p.seek) moves the cursor
-// without a walk. Failures latch in d.err.
-func (p *projection) section(d *decoder, e *Entry, gid int32, mode timestat.Mode) {
+// section handles one group's payload section, the cursor standing at its
+// first byte: decode it when the group is kept, otherwise find its end and
+// return nil. The end of a skipped section is found by walking its grammar,
+// and the index entry, when there is one, must name exactly where the walk
+// stopped: a table that came with the input is a cross-check, never a seek,
+// because a skip the stream has not confirmed would have every later rank set
+// parsed from an unverified offset (fuzz-found: lengths wrong one by one but
+// right in sum decoded "cleanly" into a misaligned tree). Failures latch in
+// d.err.
+func (p *projection) section(d *decoder, eager bool, gid int32, mode timestat.Mode) (data *ctt.VData) {
 	start := int64(d.off)
-	eager := p.sel.matches(e.Ranks)
-	switch {
-	case eager:
-		e.Data = d.vdata()
-		d.decodeVData(e.Data, gid, mode)
-	case p.seek && p.li < len(p.lens) && p.lens[p.li] <= uint64(len(d.b)-d.off):
-		d.off += int(p.lens[p.li])
-	default:
+	if eager {
+		data = &d.vds.carve(1, 1)[0]
+		d.decodeVData(data, gid, mode)
+	} else {
 		hist := mode == timestat.ModeHistogram
 		walkVData(&d.bcur, func() { skipVolatile(&d.bcur, hist) })
 	}
 	if d.err != nil {
-		return
+		return nil
 	}
 	end := int64(d.off)
 	if p.indexed {
 		if p.li >= len(p.lens) {
 			d.fail("section index lists %d entries, stream has more", len(p.lens))
-			return
+			return nil
 		}
 		if want := p.lens[p.li]; want != uint64(end-start) {
 			d.fail("section index length %d disagrees with the %d-byte section at offset %d", want, end-start, start)
-			return
+			return nil
 		}
 		p.li++
 	}
@@ -324,6 +351,7 @@ func (p *projection) section(d *decoder, e *Entry, gid int32, mode timestat.Mode
 		p.skipped++
 		p.skippedB += end - start
 	}
+	return data
 }
 
 // finish closes a selective decode: the index must list exactly the stream's

@@ -270,9 +270,9 @@ func TestDecodeSelectEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecodeSelectCounters pins the projection telemetry: every entry is
-// either eager or skipped, skipped bytes are real, and every skipped entry
-// is left without a payload.
+// TestDecodeSelectCounters pins the projection telemetry: every declared
+// entry is either eager or skipped, skipped bytes are real, and the tree holds
+// exactly the eager entries, each with its payload.
 func TestDecodeSelectCounters(t *testing.T) {
 	m0 := buildMerged(t, divergentSrc, 8)
 	enc := encodeIndexed(t, m0)
@@ -292,8 +292,11 @@ func TestDecodeSelectCounters(t *testing.T) {
 		t.Fatalf("sel_fallbacks = %d, want 0", got)
 	}
 	eager, skipped := s.Value(obs.SelEntriesEager), s.Value(obs.SelEntriesSkipped)
-	if total := int64(countEntries(m)); eager+skipped != total {
-		t.Fatalf("eager %d + skipped %d != %d entries", eager, skipped, total)
+	if declared := int64(countEntries(m0)); eager+skipped != declared {
+		t.Fatalf("eager %d + skipped %d != %d declared entries", eager, skipped, declared)
+	}
+	if held := int64(countEntries(m)); eager != held {
+		t.Fatalf("eager %d != %d entries in the tree", eager, held)
 	}
 	if eager == 0 || skipped == 0 {
 		t.Fatalf("rank-0 projection of divergent tree: eager=%d skipped=%d, want both > 0", eager, skipped)
@@ -316,16 +319,12 @@ func TestDecodeSelectCounters(t *testing.T) {
 		t.Fatalf("sel_fallbacks = %d after SelectAll, want 0", got)
 	}
 
-	var bare int64
-	for _, es := range m.Entries {
+	for gid, es := range m.Entries {
 		for i := range es {
-			if es[i].Data == nil {
-				bare++
+			if es[i].Data == nil || !es[i].Ranks.Contains(0) {
+				t.Fatalf("vertex %d entry %d: payload %v, ranks %v; want rank 0's decoded group", gid, i, es[i].Data != nil, es[i].Ranks)
 			}
 		}
-	}
-	if bare != skipped {
-		t.Fatalf("%d entries have no payload, %d were skipped", bare, skipped)
 	}
 
 	// The counters must also surface in the rendered report.

@@ -274,8 +274,13 @@ func (c *bcur) i() int64 {
 
 func (c *bcur) f() float64 { return math.Float64frombits(c.u()) }
 
-// decodeChunk is the allocation granularity of the decoder's slabs.
-const decodeChunk = 64
+// decodeChunk is the largest chunk of the decoder's entry, rank-set and
+// payload slabs, and a quarter of its int32 slab's; recordChunk is its record
+// slabs'.
+const (
+	decodeChunk = 64
+	recordChunk = 256
+)
 
 // decodeEager caps how many list elements the decoder allocates before any of
 // them has decoded successfully. Element counts in the file are untrusted: a
@@ -294,15 +299,20 @@ const maxEntries = 1 << 24
 // entries, rank sets, vertex payloads, records, int32 lists — instead of a
 // few heap objects per entry, mirroring the slab economics of the merge's
 // encode side. The scratch run buffer is reused across every run list in the
-// file; callers consume it before the next read.
+// file; callers consume it before the next read. So are the scratch rank set
+// a projection tests each group's ranks in, and the list a vertex's kept
+// entries gather in before they are carved.
 type decoder struct {
 	bcur
 	runsBuf []stride.Run
-	entSlab []Entry
-	setSlab []rankset.Set
-	vdSlab  []ctt.VData
-	i32Slab []int32
-	arena   ctt.RecordArena
+	scratch rankset.Set
+	kept    []Entry
+	ents    slab[Entry]
+	sets    slab[rankset.Set]
+	vds     slab[ctt.VData]
+	i32s    slab[int32]
+	recs    slab[ctt.CommRecord]
+	ptrs    slab[*ctt.CommRecord]
 
 	// Observation tallies, flushed to the sink once per Decode.
 	nEnt int64
@@ -361,48 +371,77 @@ func (d *decoder) setRuns() []stride.Run {
 	return runs
 }
 
-// entries carves a length-n entry list out of the entry slab.
-func (d *decoder) entries(n int) []Entry {
-	if len(d.entSlab) < n {
-		size := decodeChunk
-		if n > size {
-			size = n
-		}
-		d.entSlab = make([]Entry, size)
-		d.setSlab = make([]rankset.Set, size)
+// picks reports whether the group whose rank runs were just read holds a
+// rank sel selects, testing them in the decoder's one scratch set.
+func (d *decoder) picks(sel Selection, runs []stride.Run) bool {
+	d.scratch.Load(runs)
+	return sel.matches(&d.scratch)
+}
+
+// slab carves values of one type out of shared chunks. A chunk holds at
+// least the request and the caller's estimate of what is still to come
+// (capped at decodeEager: counts in the file are untrusted); past that,
+// chunks double from next up to most. A decode that keeps every group starts
+// at most; a projection starts at slabFirst, so one that keeps a few groups
+// allocates a few values, not a chunk's worth of each type.
+type slab[T any] struct {
+	free       []T
+	next, most int
+}
+
+// slabFirst is the first chunk of a projection's slabs.
+const slabFirst = 4
+
+// start readies s for chunks of up to most values.
+func (s *slab[T]) start(most int, all bool) {
+	s.most, s.next = most, min(slabFirst, most)
+	if all {
+		s.next = most
 	}
-	out := d.entSlab[:n:n]
-	d.entSlab = d.entSlab[n:]
-	for k := range out {
-		out[k].Ranks = &d.setSlab[k]
+}
+
+// carve returns n zeroed values, want of them expected before long.
+func (s *slab[T]) carve(n, want int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, min(want, decodeEager), s.next))
+		s.next = min(2*s.next, s.most)
 	}
-	d.setSlab = d.setSlab[n:]
+	out := s.free[:n:n]
+	s.free = s.free[n:]
 	return out
 }
 
-// vdata carves one vertex payload out of the payload slab.
-func (d *decoder) vdata() *ctt.VData {
-	if len(d.vdSlab) == 0 {
-		d.vdSlab = make([]ctt.VData, decodeChunk)
-	}
-	v := &d.vdSlab[0]
-	d.vdSlab = d.vdSlab[1:]
-	return v
+// startSlabs sizes the slabs for a decode that keeps every group (all) or
+// only a projection's.
+func (d *decoder) startSlabs(all bool) {
+	d.ents.start(decodeChunk, all)
+	d.sets.start(decodeChunk, all)
+	d.vds.start(decodeChunk, all)
+	d.i32s.start(4*decodeChunk, all)
+	d.recs.start(recordChunk, all)
+	d.ptrs.start(recordChunk, all)
 }
 
-// ints carves a length-n int32 list (request lists, peer periods) out of the
-// shared int32 slab.
-func (d *decoder) ints(n int) []int32 {
-	if len(d.i32Slab) < n {
-		size := 4 * decodeChunk
-		if n > size {
-			size = n
-		}
-		d.i32Slab = make([]int32, size)
+// entries carves an exact-length copy of es out of the entry slab; nil when
+// es is empty.
+func (d *decoder) entries(es []Entry) []Entry {
+	if len(es) == 0 {
+		return nil
 	}
-	out := d.i32Slab[:n:n]
-	d.i32Slab = d.i32Slab[n:]
+	out := d.ents.carve(len(es), len(es))
+	copy(out, es)
 	return out
+}
+
+// records carves a length-n list of pointers to n zeroed records: the list
+// from the pointer slab, the records from the record slab. The list has
+// capacity n, so appending to it never clobbers a later one.
+func (d *decoder) records(n int) []*ctt.CommRecord {
+	ptrs, recs := d.ptrs.carve(n, n), d.recs.carve(n, n)
+	for i := range ptrs {
+		ptrs[i] = &recs[i]
+	}
+	return ptrs
 }
 
 // Decode reads a merged tree written by any encoder — the container layer
@@ -534,6 +573,8 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 	if h.hist {
 		mode = timestat.ModeHistogram
 	}
+	all := p == nil || p.sel.all
+	d.startSlabs(all)
 	for gid := range m.Entries {
 		n := d.u()
 		if d.err != nil {
@@ -542,41 +583,38 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 		if n > maxEntries {
 			return nil, fmt.Errorf("merge: vertex %d: implausible entry count %d at offset %d", gid, n, d.off)
 		}
-		if n == 0 {
-			continue
-		}
-		// Lists up to decodeEager carve an exact-length block; larger declared
-		// counts earn their storage batch by batch (see decodeEager).
-		var es []Entry
-		if n > decodeEager {
-			es = make([]Entry, 0, decodeEager)
-		}
-		decoded := 0
-		for rem := n; rem > 0; {
-			b := min(rem, decodeEager)
-			chunk := d.entries(int(b))
-			for k := range chunk {
-				e := &chunk[k]
-				e.Ranks.Load(d.setRuns())
-				if p == nil {
-					e.Data = d.vdata()
-					d.decodeVData(e.Data, int32(gid), mode)
-				} else if d.err == nil {
-					p.section(d, e, int32(gid), mode)
+		// A group's entry and rank set are carved only when it is kept, and
+		// the kept list grows only as its entries parse: a declared count
+		// earns its storage entry by entry (see decodeEager).
+		kept := d.kept[:0]
+		for k := uint64(0); k < n; k++ {
+			runs := d.setRuns()
+			keep := all || d.picks(p.sel, runs)
+			var e Entry
+			if keep && d.err == nil {
+				want := 1 // a projection keeps a group or two a vertex
+				if all {
+					want = int(n - k)
 				}
-				if d.err != nil {
-					return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, decoded+k, d.err)
-				}
+				e.Ranks = &d.sets.carve(1, want)[0]
+				e.Ranks.Load(runs)
 			}
-			if es == nil {
-				es = chunk
-			} else {
-				es = append(es, chunk...)
+			switch {
+			case p == nil:
+				e.Data = &d.vds.carve(1, 1)[0]
+				d.decodeVData(e.Data, int32(gid), mode)
+			case d.err == nil:
+				e.Data = p.section(d, keep, int32(gid), mode)
 			}
-			decoded += int(b)
-			rem -= b
+			if d.err != nil {
+				return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, k, d.err)
+			}
+			if keep {
+				kept = append(kept, e)
+			}
 		}
-		m.Entries[gid] = es
+		d.kept = kept
+		m.Entries[gid] = d.entries(kept)
 		d.nEnt += int64(n)
 	}
 	if sink := obs.Attached(); sink.Enabled() {
@@ -624,16 +662,16 @@ func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 		return
 	}
 	d.nRec += int64(n)
-	// Records decode into the decoder's shared arena: each vertex's record
-	// count is known up front, so the arena carves exact-length pointer lists
+	// Records decode into the decoder's record slabs: each vertex's record
+	// count is known up front, so they carve exact-length pointer lists
 	// backed by chunked record storage. Counts above decodeEager are earned
-	// batch by batch like entry lists.
+	// batch by batch.
 	if n > decodeEager {
 		vd.Records = make([]*ctt.CommRecord, 0, decodeEager)
 	}
 	for rem := n; rem > 0; {
 		b := min(rem, decodeEager)
-		chunk := d.arena.Alloc(int(b))
+		chunk := d.records(int(b))
 		for _, rec := range chunk {
 			d.record(rec, gid, mode)
 			if d.err != nil {
@@ -672,7 +710,7 @@ func (d *decoder) record(rec *ctt.CommRecord, gid int32, mode timestat.Mode) {
 		return
 	}
 	if nq > 0 {
-		rec.Ev.Reqs = d.ints(int(nq))
+		rec.Ev.Reqs = d.i32s.carve(int(nq), int(nq))
 		for j := range rec.Ev.Reqs {
 			rec.Ev.Reqs[j] = int32(d.i())
 		}
@@ -685,7 +723,7 @@ func (d *decoder) record(rec *ctt.CommRecord, gid int32, mode timestat.Mode) {
 		if d.err != nil {
 			return
 		}
-		period := d.ints(int(np))
+		period := d.i32s.carve(int(np), int(np))
 		for j := range period {
 			period[j] = int32(d.i())
 		}

@@ -376,6 +376,15 @@ func (s *Streamer) lookup(h fp.Hash, sel []int32) *replayClass {
 	return nil
 }
 
+// check reports an error when rank is out of range or outside the tree's
+// projection.
+func (s *Streamer) check(rank int) error {
+	if rank < 0 || rank >= s.m.NumRanks {
+		return fmt.Errorf("merge: replay rank %d out of range [0,%d)", rank, s.m.NumRanks)
+	}
+	return s.m.serves(rank)
+}
+
 // bound returns rank's class and bound table, from the rank memo or, on
 // first contact with the rank, by resolving it into sc; first contact with
 // its class builds and memoizes the skeleton. When emit is non-nil and the
@@ -383,10 +392,7 @@ func (s *Streamer) lookup(h fp.Hash, sel []int32) *replayClass {
 // events into emit and the returned bool is true (the caller must not emit
 // again).
 func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) (rankMemo, bool, error) {
-	if rank < 0 || rank >= s.m.NumRanks {
-		return rankMemo{}, false, fmt.Errorf("merge: replay rank %d out of range [0,%d)", rank, s.m.NumRanks)
-	}
-	if err := s.m.serves(rank); err != nil {
+	if err := s.check(rank); err != nil {
 		return rankMemo{}, false, err
 	}
 	s.mu.Lock()
@@ -435,12 +441,21 @@ func (s *Streamer) bound(rank int, sc *resolveScratch, emit func(*trace.Event)) 
 // Replay streams rank's exact event sequence into emit. The first rank of
 // each class pays one tree walk (which doubles as the skeleton build); every
 // later rank of the class is a flat scan over the shared skeleton through its
-// own bound records. The event pointer is only valid during the callback.
-// The emitted sequence is byte-identical to replay.Events over ForRank(rank).
+// own bound records. A projected tree serves its few ranks once each, so
+// there a replay walks the rank's resolved view and memoizes nothing. The
+// event pointer is only valid during the callback. The emitted sequence is
+// byte-identical to replay.Events over ForRank(rank).
 func (s *Streamer) Replay(rank int, emit func(e *trace.Event)) error {
 	sc := s.scratch.Get().(*resolveScratch)
+	defer s.scratch.Put(sc)
+	if s.m.proj != nil {
+		if err := s.check(rank); err != nil {
+			return err
+		}
+		s.resolve(rank, sc)
+		return replay.Events(&sc.view, rank, emit)
+	}
 	m, emitted, err := s.bound(rank, sc, emit)
-	s.scratch.Put(sc)
 	if err != nil || emitted {
 		return err
 	}

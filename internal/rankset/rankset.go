@@ -196,10 +196,12 @@ func (s *Set) Equal(o *Set) bool { return s.s.Equal(&o.s.Vector) }
 func (s *Set) Hash(h fp.Hash) fp.Hash { return s.s.Vector.Hash(h) }
 
 // Load (re)builds the set in place from serialized runs, reusing the
-// receiver's storage. Used by the slab-backed decoder, which carves Set
-// values out of chunks instead of allocating one per entry.
+// receiver's storage, spilled runs included (see stride.Vector.Reset). Used
+// by the slab-backed decoder, which carves Set values out of chunks instead of
+// allocating one per entry, and tests every rank set of a projected decode in
+// one scratch Set.
 func (s *Set) Load(runs []stride.Run) {
-	s.s = stride.Set{}
+	s.s.Reset()
 	for _, r := range runs {
 		s.s.AppendRun(r)
 	}

@@ -194,6 +194,25 @@ func collect(root) {
 }`, 5)
 }
 
+// TestRoundTripLoopBodyReturns: a loop whose body always returns has no
+// back edge, so the dominator analysis finds no loop at its header; it must
+// still compile and replay exactly, in while and for form, whether the body
+// is comm-free and skipped or holds a collective and runs once.
+func TestRoundTripLoopBodyReturns(t *testing.T) {
+	for _, src := range []string{`
+func main() { var x = find(5); allreduce(8 + x); }
+func find(n) { barrier(); while n > 100 { return 0; } return n; }`, `
+func main() { var x = find(5); allreduce(8 + x); }
+func find(n) { barrier(); for var i = 0; i < n - 100; i = i + 1 { return 0; } return n; }`, `
+func main() { var x = find(5); allreduce(8 + x); }
+func find(n) { barrier(); while n > 1 { allreduce(16); return 0; } return n; }`, `
+func main() { var x = find(5); allreduce(8 + x); }
+func find(n) { barrier(); for var i = 0; i < n; i = i + 1 { bcast(0, 32); return 0; } return n; }`,
+	} {
+		assertLossless(t, src, 4)
+	}
+}
+
 func TestRoundTripEarlyReturn(t *testing.T) {
 	// The return arm is comm-free; replay must still skip the allreduce on
 	// even passes rather than shifting events between iterations.

@@ -97,6 +97,16 @@ func (v *Vector) popRun() {
 	}
 }
 
+// Reset empties v and keeps its run storage for the runs appended next.
+// Copies of a spilled v share that storage, so a vector that has been copied
+// must not be reset.
+func (v *Vector) Reset() {
+	if v.heap != nil {
+		v.heap = v.heap[:0]
+	}
+	v.nr, v.n = 0, 0
+}
+
 // Len returns the number of logical values stored.
 func (v *Vector) Len() int64 { return v.n }
 

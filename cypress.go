@@ -1,11 +1,10 @@
 // Package cypress is a full reimplementation of CYPRESS (Zhai et al.,
 // SC 2014): hybrid static-dynamic, top-down communication trace compression
 // for message-passing programs, together with every substrate the paper's
-// pipeline needs — an MPL frontend and CFG analyses standing in for
-// C + LLVM, a goroutine MPI runtime standing in for the cluster, dynamic-only
-// baseline compressors (ScalaTrace, ScalaTrace-2, Gzip), a sequence-
-// preserving replay engine, and a LogGP trace-driven performance simulator
-// standing in for SIM-MPI.
+// pipeline needs — an MPL frontend standing in for C + LLVM, a goroutine MPI
+// runtime standing in for the cluster, dynamic-only baseline compressors
+// (ScalaTrace, ScalaTrace-2, Gzip), a sequence-preserving replay engine, and
+// a LogGP trace-driven performance simulator standing in for SIM-MPI.
 //
 // The typical pipeline mirrors the paper's Figure 2:
 //
@@ -25,7 +24,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
@@ -37,19 +35,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Program is a compiled MPL program: AST, CFG-level IR, and the extracted
-// communication structure tree.
+// Program is a compiled MPL program: its checked AST and the communication
+// structure tree extracted from it.
 type Program struct {
 	Source string
 	AST    *lang.Program
-	IR     *ir.Program
 	CST    *cst.Tree
 	// Recursive lists the user functions on call-graph cycles.
 	Recursive map[string]bool
 }
 
-// Compile parses, checks, lowers, and runs the static analysis module on an
-// MPL source program (paper Section III).
+// Compile parses and checks an MPL source program and runs the static
+// analysis module on it (paper Section III).
 func Compile(src string) (*Program, error) {
 	ast, err := lang.Parse(src)
 	if err != nil {
@@ -59,15 +56,11 @@ func Compile(src string) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cypress: check: %w", err)
 	}
-	irProg, err := ir.Lower(ast)
-	if err != nil {
-		return nil, fmt.Errorf("cypress: lower: %w", err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(ast)
 	if err != nil {
 		return nil, fmt.Errorf("cypress: cst: %w", err)
 	}
-	return &Program{Source: src, AST: ast, IR: irProg, CST: tree, Recursive: rec}, nil
+	return &Program{Source: src, AST: ast, CST: tree, Recursive: rec}, nil
 }
 
 // TimeMode selects how communication times are summarized in records.

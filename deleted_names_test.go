@@ -161,6 +161,22 @@ var deletedNames = []struct {
 		why:     "pruned-region skip depth",
 		pattern: regexp.MustCompile(`\bfSkip\b|\bc\.skip\b`),
 	},
+	{
+		// One static representation: cst.Build reads the checked AST. The
+		// CFG lowering, its loop verification, the branch-join check and the
+		// call graph nothing read are gone; the CFG lives on in
+		// internal/cst's tests as the oracle the CST is held to.
+		why:     "CFG lowering on the compile path",
+		pattern: regexp.MustCompile(`internal/ir|ir\.Lower|VerifyLoopAnnotations|BuildCallGraph|recursionCycle|verifyBranchJoins`),
+	},
+	{
+		// One check per Compile: lang.Check writes its resolution and each
+		// function's Recursive into the AST, and cst.Build reads them; only
+		// the callers that hold source run Check.
+		why:     "second lang.Check",
+		pattern: regexp.MustCompile(`lang\.Check\(`),
+		allowed: []string{"cypress.go", "internal/bench/experiments.go", "internal/interp/interp.go"},
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

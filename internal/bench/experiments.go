@@ -10,7 +10,6 @@ import (
 
 	cypress "repro"
 	"repro/internal/cst"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/npb"
 	"repro/internal/trace"
@@ -24,8 +23,8 @@ var appFootprint = map[string]int64{
 	"LESlie3d": 20 << 30,
 }
 
-// Table1 regenerates the compilation-overhead table: time to compile each
-// NPB skeleton without and with the CST construction pass.
+// Table1 regenerates the compilation-overhead table: time to parse and check
+// each NPB skeleton without and with the CST construction pass.
 func Table1(w io.Writer, cfg Config) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table I: compilation overhead of the CST pass")
@@ -49,14 +48,10 @@ func Table1(w io.Writer, cfg Config) error {
 			if _, err := lang.Check(prog); err != nil {
 				return err
 			}
-			irProg, err := ir.Lower(prog)
-			if err != nil {
-				return err
-			}
 			if d := time.Since(t0); d < base {
 				base = d
 			}
-			tree, err := cst.Build(irProg)
+			tree, err := cst.Build(prog)
 			if err != nil {
 				return err
 			}

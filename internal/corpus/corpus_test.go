@@ -17,7 +17,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
@@ -86,11 +85,7 @@ func simMerged(t testing.TB, src string, ranks, run int) *merge.Merged {
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +263,7 @@ func spmdMerged(t testing.TB, ranks, run int) *merge.Merged {
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,42 +3,28 @@ package cst
 import (
 	"fmt"
 
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/trace"
 )
 
-// Build constructs the program CST for a checked MPL program lowered to IR.
+// Build constructs the program CST from a checked MPL program.
 //
 // The intra-procedural phase derives each procedure's tree from its
-// structured control flow and validates it against the dominator-based
-// natural-loop analysis on the CFG (Algorithm 1's loop identification).
-// The inter-procedural phase expands call sites bottom-up over the program
-// call graph (Algorithm 2), converting recursion into pseudo-loop structure.
-// Finally comm-free subtrees are pruned, every loop, branch-arm and call
-// site is marked on the AST with whether it survived (markSites), and GIDs
-// are assigned in pre-order.
-func Build(p *ir.Program) (*Tree, error) {
-	// Validate the structured lowering against real CFG analyses: every
-	// source loop must be exactly the set of natural loops, and every branch
-	// join must post-dominate its branch block.
-	for _, f := range p.Funcs {
-		if err := ir.VerifyLoopAnnotations(f); err != nil {
-			return nil, err
-		}
-		if err := verifyBranchJoins(f); err != nil {
-			return nil, err
-		}
+// structured control flow (Algorithm 1): MPL has no goto, so its loop
+// statements are exactly the natural loops of its CFG, which the package's
+// tests check on every program they build. The inter-procedural phase
+// expands call sites top-down from main (Algorithm 2), cutting recursion
+// into pseudo-loop structure. Finally comm-free subtrees are pruned, every
+// loop, branch-arm and call site is marked on the AST with whether it
+// survived (markSites), and GIDs are assigned in pre-order.
+func Build(p *lang.Program) (*Tree, error) {
+	if !p.Resolved {
+		return nil, fmt.Errorf("cst: program is not checked")
 	}
-
-	mainFn, ok := p.Source.ByName["main"]
-	if !ok {
-		return nil, fmt.Errorf("cst: program has no main")
-	}
-
-	b := &builder{recursive: recursionCycle(p)}
+	b := &builder{}
 	root := &Vertex{Kind: KindRoot, Site: lang.NoNode, Arm: NoArm}
-	if err := b.expandBody(mainFn, root, nil); err != nil {
+	// Check refuses a program without main, so a resolved one has it.
+	if err := b.expandBody(p.ByName["main"], root, nil); err != nil {
 		return nil, err
 	}
 	prune(root)
@@ -53,25 +39,12 @@ func Build(p *ir.Program) (*Tree, error) {
 	return t, nil
 }
 
-// recursionCycle returns the set of user functions on call-graph cycles.
-// Its Check also writes each call's resolved target, which the builder reads.
-func recursionCycle(p *ir.Program) map[string]bool {
-	rec, err := lang.Check(p.Source)
-	if err != nil {
-		// The program was checked before lowering; a failure here indicates
-		// the IR and source diverged.
-		panic(fmt.Sprintf("cst: source no longer checks: %v", err))
-	}
-	return rec
-}
-
 type frame struct {
 	name   string
 	vertex *Vertex
 }
 
 type builder struct {
-	recursive map[string]bool
 	// sites pairs every loop, branch-arm and call vertex, in every calling
 	// context, with the AST node it expands, for markSites.
 	sites []siteVertex
@@ -99,9 +72,9 @@ func (b *builder) expandBody(fn *lang.FuncDecl, parent *Vertex, stack []frame) e
 }
 
 func (b *builder) block(blk *lang.Block, parent *Vertex, stack []frame) error {
-	// Statements after an unconditional return are statically unreachable
-	// (mirroring the IR's reachability pruning), so the stop flag both ends
-	// the walk and is reported upward by blockStop.
+	// Statements after an unconditional return are statically unreachable,
+	// so the stop flag both ends the walk and is reported upward by
+	// blockStop.
 	_, err := b.blockStop(blk, parent, stack)
 	return err
 }
@@ -228,7 +201,7 @@ func (b *builder) call(call *lang.CallExpr, parent *Vertex, stack []frame) error
 	v := b.add(parent, call, &Vertex{
 		Kind: KindCall, Site: call.ID(), Arm: NoArm,
 		Callee:    call.Name,
-		Recursive: b.recursive[call.Name],
+		Recursive: callee.Recursive,
 	})
 	return b.expandBody(callee, v, stack)
 }
@@ -365,23 +338,4 @@ func assignGIDs(t *Tree) {
 		v.GID = int32(len(t.ByGID))
 		t.ByGID = append(t.ByGID, v)
 	})
-}
-
-// verifyBranchJoins checks, for every non-loop conditional branch, that the
-// immediate post-dominator of the branch block is a valid join: both arms
-// must reach it without passing through the branch block again. This guards
-// the assumption that MPL lowering produces structured branches.
-func verifyBranchJoins(f *ir.Func) error {
-	ipdom := ir.PostDominators(f)
-	for _, blk := range f.Blocks {
-		cb, ok := blk.Term.(*ir.CondBr)
-		if !ok || cb.IsLoopCond {
-			continue
-		}
-		j := ipdom[blk.ID]
-		if j == blk.ID {
-			return fmt.Errorf("ir: %s: branch block b%d post-dominates itself", f.Name, blk.ID)
-		}
-	}
-	return nil
 }

@@ -7,13 +7,15 @@
 // of the program, so the runtime can track the currently-executing vertex
 // with a cursor and "fill in" event details top-down.
 //
-// Construction follows the paper:
-//   - an intra-procedural pass builds one tree per procedure from its control
-//     structure (Algorithm 1); the dominator-based loop identification over
-//     the CFG (ir.NaturalLoops) validates every loop vertex;
-//   - a bottom-up inter-procedural pass over the program call graph expands
-//     user-function call sites with copies of their callees' trees
-//     (Algorithm 2);
+// Construction follows the paper, on the checked MPL AST instead of LLVM's
+// CFG:
+//   - each procedure's tree comes from its control structure (Algorithm 1).
+//     MPL's control flow is structured, so its loop statements are exactly
+//     the natural loops of its CFG; the package's tests lower every program
+//     they build to a CFG and check each loop and branch vertex against it;
+//   - call sites are expanded top-down from main with copies of their
+//     callees' trees (Algorithm 2), a stack of the expansions in progress
+//     cutting recursion;
 //   - recursive calls are converted into pseudo-loop structures: the call
 //     vertex that enters a recursion cycle acts as a loop recording recursion
 //     depth, and calls back to an in-progress function become RecCall

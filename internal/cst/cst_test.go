@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/npb"
 	"repro/internal/trace"
@@ -14,22 +13,23 @@ import (
 
 func build(t testing.TB, src string) *Tree {
 	t.Helper()
-	ast, err := lang.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if _, err := lang.Check(ast); err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	p, err := ir.Lower(ast)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	tree, err := Build(p)
+	tree, err := Build(checked(t, src))
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	return tree
+}
+
+// TestBuildRefusesUncheckedProgram: Build reads the resolution lang.Check
+// writes into the AST, so a program that was only parsed is an error.
+func TestBuildRefusesUncheckedProgram(t *testing.T) {
+	prog, err := lang.Parse(`func main() { barrier(); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(prog); err == nil || !strings.Contains(err.Error(), "not checked") {
+		t.Fatalf("Build of an unchecked program: err = %v", err)
+	}
 }
 
 // Paper Figure 5.
@@ -257,6 +257,24 @@ func next(i) { allreduce(8); return i + 1; }`)
 	}
 	if len(loop.Children) != 1 || loop.Children[0].Kind != KindCall || loop.Children[0].Callee != "next" {
 		t.Fatalf("post call must live inside the loop:\n%s", tree.Dump())
+	}
+}
+
+// TestCallsHoistedInEvaluationOrder: calls in one expression become call
+// vertices in evaluation order, arguments before the call that consumes them.
+func TestCallsHoistedInEvaluationOrder(t *testing.T) {
+	tree := build(t, `
+func main() { var x = g(h(1)) + h(2); compute(x); }
+func g(a) { barrier(); return a; }
+func h(a) { allreduce(8); return a; }`)
+	var names []string
+	tree.Walk(func(v *Vertex, _ int) {
+		if v.Kind == KindCall {
+			names = append(names, v.Callee)
+		}
+	})
+	if got := strings.Join(names, " "); got != "h g h" {
+		t.Fatalf("call vertices = %q, want \"h g h\"\n%s", got, tree.Dump())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
@@ -32,11 +31,7 @@ func compile(t *testing.T, src string) (*lang.Program, *cst.Tree) {
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cst"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/timestat"
@@ -24,11 +23,7 @@ func compile(t testing.TB, src string) (*lang.Program, *cst.Tree) {
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatalf("cst: %v", err)
 	}

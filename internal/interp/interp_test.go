@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cst"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
@@ -43,11 +42,7 @@ func compile(tb testing.TB, src string) *lang.Program {
 	if _, err := lang.Check(prog); err != nil {
 		tb.Fatal(err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := cst.Build(irProg); err != nil {
+	if _, err := cst.Build(prog); err != nil {
 		tb.Fatal(err)
 	}
 	return prog

@@ -48,6 +48,8 @@ type FuncDecl struct {
 	// the parameters first, then the locals, sibling blocks sharing slots
 	// (set by Check).
 	FrameSize int
+	// Recursive is set by Check when the function is on a call-graph cycle.
+	Recursive bool
 }
 
 // Block is a brace-delimited statement list.

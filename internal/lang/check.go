@@ -9,8 +9,8 @@ import "fmt"
 //
 // Resolution is written into the AST, so the interpreter never looks a name
 // up: every variable reference, declaration and assignment gets its slot in
-// the function's frame, every function its FrameSize, and every call its
-// callee. Checking the same AST again writes the same values.
+// the function's frame, every function its FrameSize and Recursive, and every
+// call its callee. Checking the same AST again writes the same values.
 func Check(prog *Program) (recursive map[string]bool, err error) {
 	if _, ok := prog.ByName["main"]; !ok {
 		return nil, fmt.Errorf("program has no func main")
@@ -202,13 +202,13 @@ func (c *checker) checkExpr(e Expr) error {
 // structure tree from the runtime event stream.
 func (c *checker) checkCond(e Expr) error {
 	var impure error
-	walkExprCalls(e, func(name string) {
+	WalkCallsInEvalOrder(e, func(call *CallExpr) {
 		if impure != nil {
 			return
 		}
-		in, ok := Intrinsics[name]
-		if !ok || in.IsComm || name == "compute" {
-			impure = errf(e.Pos(), "condition must be pure: call to %q not allowed here", name)
+		in, ok := Intrinsics[call.Name]
+		if !ok || in.IsComm || call.Name == "compute" {
+			impure = errf(e.Pos(), "condition must be pure: call to %q not allowed here", call.Name)
 		}
 	})
 	if impure != nil {
@@ -254,16 +254,17 @@ func (c *checker) checkCall(e *CallExpr) error {
 }
 
 // findRecursive returns the functions on call-graph cycles (including
-// self-recursion) via Tarjan's strongly connected components.
+// self-recursion) via Tarjan's strongly connected components, and sets each
+// function's Recursive to match.
 func findRecursive(prog *Program) map[string]bool {
 	// Build adjacency: function -> called user functions.
 	callees := map[string][]string{}
 	for _, fn := range prog.Funcs {
 		seen := map[string]bool{}
-		walkCalls(fn.Body, func(name string) {
-			if _, ok := prog.ByName[name]; ok && !seen[name] {
-				seen[name] = true
-				callees[fn.Name] = append(callees[fn.Name], name)
+		walkCalls(fn.Body, func(call *CallExpr) {
+			if call.Func != nil && !seen[call.Name] {
+				seen[call.Name] = true
+				callees[fn.Name] = append(callees[fn.Name], call.Name)
 			}
 		})
 	}
@@ -323,22 +324,25 @@ func findRecursive(prog *Program) map[string]bool {
 			strongconnect(fn.Name)
 		}
 	}
+	for _, fn := range prog.Funcs {
+		fn.Recursive = rec[fn.Name]
+	}
 	return rec
 }
 
-// walkCalls visits every call-site name in a statement tree.
-func walkCalls(s Stmt, f func(name string)) {
+// walkCalls visits every call in a statement tree.
+func walkCalls(s Stmt, f func(*CallExpr)) {
 	switch s := s.(type) {
 	case *Block:
 		for _, st := range s.Stmts {
 			walkCalls(st, f)
 		}
 	case *VarStmt:
-		walkExprCalls(s.Init, f)
+		WalkCallsInEvalOrder(s.Init, f)
 	case *AssignStmt:
-		walkExprCalls(s.Value, f)
+		WalkCallsInEvalOrder(s.Value, f)
 	case *IfStmt:
-		walkExprCalls(s.Cond, f)
+		WalkCallsInEvalOrder(s.Cond, f)
 		walkCalls(s.Then, f)
 		if s.Else != nil {
 			walkCalls(s.Else, f)
@@ -347,27 +351,27 @@ func walkCalls(s Stmt, f func(name string)) {
 		if s.Init != nil {
 			walkCalls(s.Init, f)
 		}
-		walkExprCalls(s.Cond, f)
+		WalkCallsInEvalOrder(s.Cond, f)
 		if s.Post != nil {
 			walkCalls(s.Post, f)
 		}
 		walkCalls(s.Body, f)
 	case *WhileStmt:
-		walkExprCalls(s.Cond, f)
+		WalkCallsInEvalOrder(s.Cond, f)
 		walkCalls(s.Body, f)
 	case *ReturnStmt:
 		if s.Value != nil {
-			walkExprCalls(s.Value, f)
+			WalkCallsInEvalOrder(s.Value, f)
 		}
 	case *ExprStmt:
-		walkExprCalls(s.X, f)
+		WalkCallsInEvalOrder(s.X, f)
 	}
 }
 
 // WalkCallsInEvalOrder visits every call expression within e in evaluation
 // order: arguments before the call that consumes them, left to right. This is
-// the order the lowerer hoists call instructions and the order the
-// interpreter executes them, so the CST builder uses it to lay out leaves.
+// the order the interpreter executes them, so the CST builder uses it to lay
+// out leaves.
 func WalkCallsInEvalOrder(e Expr, f func(*CallExpr)) {
 	switch e := e.(type) {
 	case *UnaryExpr:
@@ -380,20 +384,5 @@ func WalkCallsInEvalOrder(e Expr, f func(*CallExpr)) {
 			WalkCallsInEvalOrder(a, f)
 		}
 		f(e)
-	}
-}
-
-func walkExprCalls(e Expr, f func(name string)) {
-	switch e := e.(type) {
-	case *UnaryExpr:
-		walkExprCalls(e.X, f)
-	case *BinaryExpr:
-		walkExprCalls(e.L, f)
-		walkExprCalls(e.R, f)
-	case *CallExpr:
-		f(e.Name)
-		for _, a := range e.Args {
-			walkExprCalls(a, f)
-		}
 	}
 }

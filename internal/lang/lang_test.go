@@ -364,6 +364,9 @@ func solo() { barrier(); }
 		if rec[name] != want {
 			t.Errorf("recursive[%q] = %v, want %v", name, rec[name], want)
 		}
+		if got := prog.ByName[name].Recursive; got != want {
+			t.Errorf("%s.Recursive = %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -539,8 +542,7 @@ func main() { var r = f(1, 2); compute(r); }`)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("resolution:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	// cst.Build checks the same AST a second time: it must write the same
-	// values.
+	// Checking the same AST a second time must write the same values.
 	if _, err := Check(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/replay"
@@ -45,11 +44,7 @@ func collectMode(t testing.TB, src string, n int, mode timestat.Mode) (*cst.Tree
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatalf("cst: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cst"
 	"repro/internal/ctt"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/npb"
@@ -93,11 +92,7 @@ func ringCTTs(t testing.TB, n, iters int) []*ctt.RankCTT {
 
 func buildTree(t testing.TB, prog *lang.Program) *cst.Tree {
 	t.Helper()
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cst"
 	"repro/internal/ctt"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/npb"
 	"repro/internal/replay"
@@ -196,11 +195,7 @@ func directDriveCTTs(t *testing.T, n int) ([]*ctt.RankCTT, [][]trace.Event) {
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
@@ -85,11 +84,7 @@ func TestAllWorkloadsRunCompressAndReplay(t *testing.T) {
 			if _, err := lang.Check(prog); err != nil {
 				t.Fatalf("check: %v\n%s", err, src)
 			}
-			irProg, err := ir.Lower(prog)
-			if err != nil {
-				t.Fatalf("lower: %v", err)
-			}
-			tree, err := cst.Build(irProg)
+			tree, err := cst.Build(prog)
 			if err != nil {
 				t.Fatalf("cst: %v", err)
 			}
@@ -254,8 +249,7 @@ func TestMGIrregularAcrossRanks(t *testing.T) {
 		if _, err := lang.Check(prog); err != nil {
 			t.Fatal(err)
 		}
-		irProg, _ := ir.Lower(prog)
-		tree, err := cst.Build(irProg)
+		tree, err := cst.Build(prog)
 		if err != nil {
 			t.Fatal(err)
 		}

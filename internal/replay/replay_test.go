@@ -8,7 +8,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/mpisim"
 	"repro/internal/timestat"
@@ -42,11 +41,7 @@ func compress(t *testing.T, src string, n int) (raw [][]trace.Event, ctts []*ctt
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatalf("cst: %v", err)
 	}
@@ -195,9 +190,9 @@ func collect(root) {
 }
 
 // TestRoundTripLoopBodyReturns: a loop whose body always returns has no
-// back edge, so the dominator analysis finds no loop at its header; it must
-// still compile and replay exactly, in while and for form, whether the body
-// is comm-free and skipped or holds a collective and runs once.
+// back edge, so it heads no natural loop; it must still compile and replay
+// exactly, in while and for form, whether the body is comm-free and skipped
+// or holds a collective and runs once, and inside a loop that re-enters it.
 func TestRoundTripLoopBodyReturns(t *testing.T) {
 	for _, src := range []string{`
 func main() { var x = find(5); allreduce(8 + x); }
@@ -207,7 +202,13 @@ func find(n) { barrier(); for var i = 0; i < n - 100; i = i + 1 { return 0; } re
 func main() { var x = find(5); allreduce(8 + x); }
 func find(n) { barrier(); while n > 1 { allreduce(16); return 0; } return n; }`, `
 func main() { var x = find(5); allreduce(8 + x); }
-func find(n) { barrier(); for var i = 0; i < n; i = i + 1 { bcast(0, 32); return 0; } return n; }`,
+func find(n) { barrier(); for var i = 0; i < n; i = i + 1 { bcast(0, 32); return 0; } return n; }`, `
+func main() {
+	for var i = 0; i < 3; i = i + 1 {
+		while i > 100 { barrier(); return; }
+		allreduce(8);
+	}
+}`,
 	} {
 		assertLossless(t, src, 4)
 	}

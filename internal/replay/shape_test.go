@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cst"
 	"repro/internal/ctt"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -19,11 +18,10 @@ func buildTree(t *testing.T, src string) *cst.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
+	if _, err := lang.Check(prog); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatal(err)
 	}

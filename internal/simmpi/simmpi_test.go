@@ -9,7 +9,6 @@ import (
 	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/merge"
 	"repro/internal/mpisim"
@@ -29,11 +28,7 @@ func traceMerged(t testing.TB, src string, n int) (m *merge.Merged, measured flo
 	if _, err := lang.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	irProg, err := ir.Lower(prog)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	tree, err := cst.Build(irProg)
+	tree, err := cst.Build(prog)
 	if err != nil {
 		t.Fatalf("cst: %v", err)
 	}

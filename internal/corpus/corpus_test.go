@@ -602,18 +602,18 @@ type getAllocs struct {
 	bytes, allocs, stored int64
 }
 
-// coldProjectedGet ingests the shard workload on ranks ranks into a cacheless
-// store and measures GetProjected of rank 1 on it.
-func coldProjectedGet(t *testing.T, ranks int) getAllocs {
+// shardStore ingests the shard workload on ranks ranks into a cacheless store,
+// where it must be stored as a delta run, and returns the store (closed when
+// the test ends), the run's hash, the store's stats and the merged tree.
+func shardStore(t testing.TB, ranks int) (*corpus.Store, uint64, corpus.Stats, *merge.Merged) {
 	t.Helper()
 	st, err := corpus.Open(t.TempDir(), corpus.Options{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	t.Cleanup(func() { st.Close() })
 	m := simMerged(t, shardSrc, ranks, 0)
-	enc := encodeBytes(t, m)
-	h, err := st.IngestBytes(enc)
+	h, err := st.IngestBytes(encodeBytes(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,6 +621,14 @@ func coldProjectedGet(t *testing.T, ranks int) getAllocs {
 	if err != nil || stats.DeltaRuns != 1 {
 		t.Fatalf("fixture was not stored as a delta run: %+v, %v", stats, err)
 	}
+	return st, h, stats, m
+}
+
+// coldProjectedGet ingests the shard workload on ranks ranks into a cacheless
+// store and measures GetProjected of rank 1 on it.
+func coldProjectedGet(t *testing.T, ranks int) getAllocs {
+	t.Helper()
+	st, h, stats, m := shardStore(t, ranks)
 	get := func() {
 		tr, err := st.GetProjected(h, []int{1})
 		if err != nil {
@@ -640,8 +648,24 @@ func coldProjectedGet(t *testing.T, ranks int) getAllocs {
 		bytes:  int64(after.TotalAlloc-before.TotalAlloc) / gets,
 		allocs: int64(after.Mallocs-before.Mallocs) / gets}
 	t.Logf("cold projected get, %d ranks: %d B/op, %d allocs/op; fullLen %d, record %d B, %d entries",
-		ranks, g.bytes, g.allocs, len(enc), g.stored, m.GroupCount())
+		ranks, g.bytes, g.allocs, stats.LogicalBytes, g.stored, m.GroupCount())
 	return g
+}
+
+// BenchmarkColdProjectedGet is one cold GetProjected of rank 1 from a
+// cacheless store holding the shard workload on 1024 ranks as a delta run:
+// read the record, reassemble and hash it, decode rank 1's groups.
+func BenchmarkColdProjectedGet(b *testing.B) {
+	st, h, _, _ := shardStore(b, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := st.GetProjected(h, []int{1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.Release()
+	}
 }
 
 // TestProjectedGetHashesUnselected: a projected get writes only the selected

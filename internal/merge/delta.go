@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/fp"
 	"repro/internal/obs"
+	"repro/internal/stride"
 	"repro/internal/timestat"
 )
 
@@ -64,23 +65,45 @@ func (s *SplitTrace) ClassKey() uint64 { return s.Plan.key }
 // Plan is what one walk of a structural class's structure stream learns, kept
 // so that no read of the class has to walk it again: where every record's
 // volatile suffix goes back in (the cut table), where every entry's VData
-// section lies (the section table), whether suffixes carry histogram buckets,
-// and the class key. The offsets only mean something against the stream they
-// were taken from, so the plan holds it.
+// section lies and which ranks its rank set spans (the section table), whether
+// suffixes carry histogram buckets, and the class key. The offsets only mean
+// something against the stream they were taken from, so the plan holds it.
+// The walk reads every rank set once, for its range; a projected Reassemble
+// parses a set again only when a selected rank lies in that range.
 type Plan struct {
 	structure []byte
 	key       uint64
 	hist      bool
 	verts     []int         // structure offset of each vertex section (its entry count), GID order
-	cuts      []int         // structure offset of each record's volatile suffix, stream order
+	cuts      []uint32      // structure offset of each record's volatile suffix, stream order
 	secs      []planSection // one per entry, stream order
 }
 
-// planSection is one entry's VData section in structure coordinates, and how
-// many records (cuts) it holds. Its rank set runs from where the section
-// before it ends, or from behind its vertex's entry count, to start.
+// planSection is one entry's VData section in structure coordinates, how many
+// records (cuts) it holds, and the least and greatest rank of its rank set
+// (skipRuns). The rank set runs from where the section before it ends, or
+// from behind its vertex's entry count, to start. The fields, like the cut
+// table's offsets, are 32 bits wide because the plan keeps one section per
+// group of the class (11 931 on SP-1024) and one cut per record for as long
+// as the class is open; a structure stream of 4 GiB or more has no plan.
 type planSection struct {
-	start, end, ncuts int
+	start, end, ncuts uint32
+	lo, hi            int32
+}
+
+// rankFloor and rankCeil are the widest range a plan section can hold. A
+// section whose range starts at rankFloor is one the plan cannot vouch for,
+// and a projection always parses its rank set.
+const (
+	rankFloor = math.MinInt32
+	rankCeil  = math.MaxInt32
+)
+
+// mayHold reports whether the section's rank set can hold a rank sel selects:
+// whether a selected rank lies in its range, or the plan cannot vouch for the
+// range. Only then does a projection parse the set.
+func (s *planSection) mayHold(sel Selection) bool {
+	return s.lo == rankFloor || sel.anyIn(int(s.lo), int(s.hi))
 }
 
 // Structure returns the structure stream the plan was built from. The caller
@@ -123,7 +146,7 @@ func PlanStructure(structure []byte) (*Plan, error) {
 func (p *Plan) walk(c *bcur, nverts int, volatile func()) (verts []int) {
 	removed := 0 // volatile bytes consumed so far
 	cut := func() {
-		p.cuts = append(p.cuts, c.off-removed)
+		p.cuts = append(p.cuts, uint32(c.off-removed)) // walk fails a stream past 4 GiB
 		if volatile != nil {
 			at := c.off
 			volatile()
@@ -137,11 +160,15 @@ func (p *Plan) walk(c *bcur, nverts int, volatile func()) (verts []int) {
 			c.fail("merge: implausible entry count %d at offset %d", n, c.off)
 		}
 		for k := uint64(0); k < n && c.err == nil; k++ {
-			c.skipRuns() // rank set
-			sec := planSection{start: c.off - removed, ncuts: len(p.cuts)}
+			lo, hi := c.skipRuns() // rank set
+			start, ncuts := c.off-removed, len(p.cuts)
 			walkVData(c, cut)
-			sec.end, sec.ncuts = c.off-removed, len(p.cuts)-sec.ncuts
-			p.secs = append(p.secs, sec)
+			if end := c.off - removed; end > math.MaxUint32 {
+				c.fail("merge: structure stream longer than 4 GiB at offset %d", c.off)
+			} else {
+				p.secs = append(p.secs, planSection{start: uint32(start), end: uint32(end),
+					ncuts: uint32(len(p.cuts) - ncuts), lo: lo, hi: hi})
+			}
 		}
 	}
 	return verts
@@ -167,20 +194,42 @@ func (p *Plan) vert(g int) int {
 	return len(p.structure)
 }
 
-// skipRuns walks one run-length list (rank sets, loop/taken vectors). The
-// count cap mirrors the decoder's plausibility bound; the walk itself is
-// allocation-free, and each element consumes at least three bytes, so a
-// hostile count degrades into a fast cursor error.
-func (c *bcur) skipRuns() {
+// skipRuns walks one run-length list (rank sets, loop/taken vectors) and
+// returns the least and greatest value of the list read as a rank set, lo >
+// hi for an empty list. The count cap mirrors the decoder's plausibility
+// bound; the walk itself is allocation-free, and each element consumes at
+// least three bytes, so a hostile count degrades into a fast cursor error.
+// The range holds each run to the checks decoder.setRuns makes; a list that
+// fails one, or has a value outside (rankFloor, rankCeil), returns the widest
+// range, so that every projection still parses such a rank set and fails or
+// matches exactly as the decoder does.
+func (c *bcur) skipRuns() (lo, hi int32) {
 	n := c.u()
 	if n > 1<<20 {
 		c.fail("merge: implausible run count %d at offset %d", n, c.off)
 	}
+	first, last := int64(rankCeil), int64(rankFloor)
+	ok := true
 	for j := uint64(0); j < n && c.err == nil; j++ {
-		c.i()
-		c.i()
-		c.u()
+		r := stride.Run{First: c.i(), Stride: c.i(), Count: int64(c.u())}
+		switch {
+		case !ok:
+		case r.Count < 1, r.Count > 1 && r.Stride < 1, j > 0 && r.First <= last:
+			ok = false // setRuns refuses the set
+		case r.First <= rankFloor, r.Count > rankCeil, r.Count > 1 && r.Stride > rankCeil:
+			ok = false
+		default:
+			if j == 0 {
+				first = r.First
+			}
+			last = r.Last() // under 2^62: no overflow
+			ok = last < rankCeil
+		}
 	}
+	if !ok {
+		return rankFloor, rankCeil
+	}
+	return int32(first), int32(last)
 }
 
 // skipVolatile walks one record's volatile suffix: sample count, four time
@@ -316,6 +365,8 @@ type Joined struct {
 	lens []uint64
 	// skipped and skippedB count the groups left out and their section bytes.
 	skipped, skippedB int64
+	// parsed counts the rank sets the pass parsed to test the selection.
+	parsed int64
 }
 
 // Payload streams are pure uvarint vectors (skipVolatile's invariant), which
@@ -507,26 +558,39 @@ func (w *patcher) volatile(out []byte, hist bool) []byte {
 	return w.words(out, 2*nz)
 }
 
+// hashWindow is how many bytes of dropped groups a projected Reassemble
+// gathers before it folds them into the content hash in one Write. A Write
+// costs about as much as folding 120 bytes (fp.Stream over SP-1024's 828 KB:
+// 0.86 ms in 21 000 pieces, 0.21 ms in one), and a group there is 70 bytes.
+// The window, the kept groups of one rank and the group being written fit in
+// the 4 KiB of room the projected output is allocated with.
+const hashWindow = 1 << 10
+
 // Reassemble rebuilds the standalone encoding of one run of the plan's class
 // from the class representative and the run's DeltaPayload against it, in
 // one pass: representative bytes, patched words and structure runs stream
 // straight into the output, and every byte is folded into the content hash
-// (Joined.Hash) as it is produced. The delta must be consumed exactly and
-// declare exactly as many words as the structure has volatile fields, or it is
-// an error. Under SelectAll the output is allocated once at sizeHint (the
-// run's recorded encoding length; a wrong hint costs a regrow, nothing else),
-// is byte-identical to SplitEncoded's input whenever that input's payload was
-// minimally encoded, and carries the length of every VData section as this
-// pass wrote it.
+// (Joined.Hash). The delta must be consumed exactly and declare exactly as
+// many words as the structure has volatile fields, or it is an error. Under
+// SelectAll the output is allocated once at sizeHint (the run's recorded
+// encoding length; a wrong hint costs a regrow, nothing else), is hashed once
+// when it is complete, is byte-identical to SplitEncoded's input whenever
+// that input's payload was minimally encoded, and carries the length of every
+// VData section as this pass wrote it. No rank set is parsed.
 //
 // Under a projection every byte is still produced and hashed, but a group no
-// selected rank belongs to (Selection.matches on the group's rank set, read
-// from the structure stream as the decoder reads it) is not kept: its bytes
-// are dropped as soon as they are hashed, and each vertex's entry count is
-// rewritten to the groups kept. Enc is then the v1 encoding of the projected
-// tree, which Joined.Decode reads under the same selection; a rank set that
-// does not parse is an error. Each reassembly adds the words it patched to the
-// attached sink's corpus_patched_words.
+// selected rank belongs to is not kept, and each vertex's entry count is
+// rewritten to the groups kept. Which groups those are is settled by the
+// plan's rank ranges first: a group whose range holds no selected rank is
+// dropped unparsed, and only the rank sets of the others are parsed from the
+// structure stream and tested (Selection.matches), as the decoder would; a
+// rank set that does not parse is an error (the plan gives such a set the
+// widest range, so it is always parsed). The bytes of dropped groups gather
+// behind the kept ones and are hashed hashWindow bytes at a time; a kept
+// group is hashed with them and moves down over them. Enc is then the v1
+// encoding of the projected tree, which Joined.Decode reads under the same
+// selection. Each reassembly adds the words it patched to the attached sink's
+// corpus_patched_words.
 func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int, sel Selection) (Joined, error) {
 	w := patcher{d: bcur{b: delta}, ref: ref}
 	w.left = w.d.u()
@@ -540,7 +604,7 @@ func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int, sel Selection) (
 	st := p.structure
 	j := Joined{written: true, sel: sel}
 	// A projection holds the header, the entry counts and its own groups; the
-	// room past them takes the group being hashed.
+	// room past them takes the window being hashed.
 	size := p.vert(0) + len(p.verts) + 4<<10
 	if sel.all {
 		size = min(max(sizeHint, 0), len(st)+binary.MaxVarintLen64*int(w.left))
@@ -549,38 +613,44 @@ func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int, sel Selection) (
 	out := make([]byte, 0, size)
 	hs := fp.NewStream()
 	out = append(out, st[:p.vert(0)]...)
-	hs.Write(out)
+	// Under a projection out[:hashed] is hashed and kept, and out[hashed:] is
+	// the window: bytes produced but not yet hashed, kept only if they are the
+	// group just written. Under SelectAll nothing is hashed before the end.
+	hashed := 0
+	if !sel.all {
+		hs.Write(out)
+		hashed = len(out)
+	}
 	pick := decoder{bcur: bcur{b: st}} // reads rank sets for a projection
 	pos, secs, cuts := p.vert(0), p.secs, p.cuts
 	for g := range p.verts {
-		// The entry count, hashed as stored; a projection writes its own.
+		// The entry count, written as stored; a projection hashes it with the
+		// window and writes its own at the end of the vertex.
 		_, n := binary.Uvarint(st[pos:])
 		if n <= 0 {
 			return Joined{}, fmt.Errorf("merge: entry count of vertex %d at structure offset %d", g, pos)
 		}
-		hs.Write(st[pos : pos+n])
-		if sel.all {
-			out = append(out, st[pos:pos+n]...)
-		}
-		at := len(out)
+		at := hashed
+		out = append(out, st[pos:pos+n]...)
 		pos += n
 		kept := 0
-		for end := p.vert(g + 1); len(secs) > 0 && secs[0].start < end; secs = secs[1:] {
-			sec := secs[0]
+		for end := p.vert(g + 1); len(secs) > 0 && int(secs[0].start) < end; secs = secs[1:] {
+			sec := &secs[0]
 			keep := sel.all
-			if !keep {
+			if !keep && sec.mayHold(sel) {
 				pick.off = pos
+				j.parsed++
 				if keep = pick.picks(sel, pick.setRuns()); pick.err != nil {
 					return Joined{}, fmt.Errorf("merge: rank set of vertex %d: %w", g, pick.err)
 				}
 			}
 			begin := len(out)
 			out = append(out, st[pos:sec.start]...)
-			pos = sec.start
+			pos = int(sec.start)
 			body := len(out)
 			for _, cut := range cuts[:sec.ncuts] {
 				out = append(out, st[pos:cut]...)
-				pos = cut
+				pos = int(cut)
 				out = w.volatile(out, p.hist)
 				if w.d.err != nil {
 					return Joined{}, w.d.err
@@ -588,24 +658,38 @@ func (p *Plan) Reassemble(ref *Ref, delta []byte, sizeHint int, sel Selection) (
 			}
 			cuts = cuts[sec.ncuts:]
 			out = append(out, st[pos:sec.end]...)
-			pos = sec.end
-			hs.Write(out[begin:])
-			if keep {
+			pos = int(sec.end)
+			switch {
+			case sel.all:
+				j.lens = append(j.lens, uint64(len(out)-body))
+			case keep:
 				j.lens = append(j.lens, uint64(len(out)-body))
 				kept++
-			} else {
+				hs.Write(out[hashed:])
+				hashed += copy(out[hashed:], out[begin:])
+				out = out[:hashed]
+			default:
 				j.skipped++
 				j.skippedB += int64(len(out) - body)
-				out = out[:begin]
+				if len(out)-hashed >= hashWindow {
+					hs.Write(out[hashed:])
+					out = out[:hashed]
+				}
 			}
 		}
 		if !sel.all {
 			var cnt [binary.MaxVarintLen64]byte
-			out = slices.Insert(out, at, cnt[:binary.PutUvarint(cnt[:], uint64(kept))]...)
+			c := cnt[:binary.PutUvarint(cnt[:], uint64(kept))]
+			out = slices.Insert(out, at, c...)
+			hashed += len(c)
 		}
 	}
-	hs.Write(st[pos:])
+	tail := len(out)
 	out = append(out, st[pos:]...)
+	hs.Write(out[hashed:])
+	if !sel.all {
+		out = out[:hashed+copy(out[hashed:], out[tail:])]
+	}
 	if w.left != 0 {
 		return Joined{}, fmt.Errorf("merge: patch: %d delta words beyond the structure's volatile fields", w.left)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fp"
@@ -314,7 +315,14 @@ func checkProjections(t testing.TB, structure, ref, delta, whole []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sel := range []Selection{SelectRanks(), SelectRanks(1), SelectRanks(0, 5)} {
+	c := &bcur{b: structure}
+	n := c.header(false).numRanks
+	for _, sel := range []Selection{
+		SelectRanks(), SelectRanks(1), SelectRanks(0, 5),
+		SelectRanks(n - 1), // the last rank
+		SelectRanks(n),     // a rank no group holds
+		SelectRanks(0, n-1),
+	} {
 		checkProjection(t, plan, r, delta, whole, sel)
 	}
 }
@@ -564,14 +572,156 @@ func TestReassembleRejects(t *testing.T) {
 // hash of those bytes; a projected reassembly of the triple hashes the same
 // bytes and decodes as the selective decoder does (checkProjections).
 func FuzzReassemble(f *testing.F) {
-	for _, s := range reassembleSeeds(f) {
+	seeds := reassembleSeeds(f)
+	for _, s := range seeds {
 		f.Add(s.structure, s.ref, s.delta)
 	}
+	s := seeds[0]
+	plan, err := PlanStructure(s.structure)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(disorderRankSet(f, plan, 0), s.ref, s.delta)
 	f.Fuzz(func(t *testing.T, structure, ref, delta []byte) {
 		if whole := reassembleBoth(t, structure, ref, delta); whole != nil {
 			checkProjections(t, structure, ref, delta, whole)
 		}
 	})
+}
+
+// shardSrc is a workload whose records do not fold across ranks (every rank
+// sends its own message size, the SP case), so the entry count grows with the
+// rank count and most groups hold one rank.
+const shardSrc = `
+func main() {
+	for var k = 0; k < 4; k = k + 1 {
+		send((rank + 1) % size, 64 + 8 * rank, 1);
+		recv((rank + size - 1) % size, 64 + 8 * ((rank + size - 1) % size), 1);
+		send((rank + 2) % size, 32 + 8 * rank, 2);
+		recv((rank + size - 2) % size, 32 + 8 * ((rank + size - 2) % size), 2);
+		allreduce(8);
+	}
+	barrier();
+}`
+
+// shardFixture is the shard workload on 1024 ranks: its merged tree, the split
+// of its encoding, a Ref of its payload and its self-delta against that Ref.
+func shardFixture(t testing.TB) (*Merged, *SplitTrace, *Ref, []byte) {
+	t.Helper()
+	_, ctts, _ := collect(t, shardSrc, 1024)
+	m, err := All(ctts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := SplitEncoded(deltaEncBytes(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := mustRef(t, sp.Payload)
+	delta, err := DeltaPayload(sp.Payload, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, sp, ref, delta
+}
+
+// disorderRankSet returns the plan's structure stream with the rank set of one
+// group rewritten out of order: the first group whose least rank is at least
+// from gets two one-rank runs, the greater first. The stream still walks, so
+// it still has a plan.
+func disorderRankSet(t testing.TB, plan *Plan, from int64) []byte {
+	t.Helper()
+	st := plan.structure
+	for k, sec := range plan.secs {
+		// The set runs from the previous section's end, or from behind the
+		// entry count of a vertex that starts after it.
+		start := int(sec.start)
+		i, _ := slices.BinarySearch(plan.verts, start)
+		v := plan.verts[i-1]
+		_, n := binary.Uvarint(st[v:])
+		at := v + n
+		if k > 0 && int(plan.secs[k-1].end) > v {
+			at = int(plan.secs[k-1].end)
+		}
+		d := decoder{bcur: bcur{b: st, off: at}}
+		runs := d.setRuns()
+		if d.err != nil || d.off != start {
+			t.Fatalf("rank set of group %d does not parse to its section: %v", k, d.err)
+		}
+		if len(runs) == 0 || runs[0].First < from {
+			continue
+		}
+		r := runs[0].First
+		set := binary.AppendUvarint(nil, 2)
+		for _, first := range []int64{r + 1, r} {
+			set = binary.AppendVarint(set, first)
+			set = binary.AppendVarint(set, 1)
+			set = binary.AppendUvarint(set, 1)
+		}
+		return slices.Concat(st[:at], set, st[start:])
+	}
+	t.Fatalf("no group holds only ranks from %d", from)
+	return nil
+}
+
+// TestProjectionParsesInRangeSets: a projected Reassemble parses the rank set
+// of a group only when a selected rank lies between the set's least and
+// greatest rank. On the shard workload, rank 1 lies in few groups' ranges, and
+// those are the only sets the pass parses; a whole reassembly parses none.
+func TestProjectionParsesInRangeSets(t *testing.T) {
+	m, sp, ref, delta := shardFixture(t)
+	total, inRange := 0, 0
+	for _, es := range m.Entries {
+		for _, e := range es {
+			runs := e.Ranks.Runs()
+			total++
+			if runs[0].First <= 1 && 1 <= runs[len(runs)-1].Last() {
+				inRange++
+			}
+		}
+	}
+	if total != len(sp.Plan.secs) || inRange*10 > total {
+		t.Fatalf("%d groups, %d sections, %d ranges hold rank 1: the fixture no longer spreads its ranks",
+			total, len(sp.Plan.secs), inRange)
+	}
+	j, err := sp.Plan.Reassemble(ref, delta, 0, SelectRanks(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.parsed != int64(inRange) {
+		t.Errorf("projected Reassemble parsed %d rank sets of %d; %d ranges hold rank 1", j.parsed, total, inRange)
+	}
+	all, err := sp.Plan.Reassemble(ref, delta, 0, SelectAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.parsed != 0 {
+		t.Errorf("whole Reassemble parsed %d rank sets", all.parsed)
+	}
+	if j.Hash != all.Hash {
+		t.Error("projected and whole Reassemble hash differently")
+	}
+	t.Logf("rank 1: %d of %d rank sets parsed", j.parsed, total)
+}
+
+// TestProjectionRefusesDisorderedSet: a rank set out of order fails a
+// projected Reassemble even in a group whose ranks lie far from the
+// selection, as the decoder would refuse it: the plan cannot vouch for the
+// range of a set the decoder refuses, so that set is always parsed.
+func TestProjectionRefusesDisorderedSet(t *testing.T) {
+	_, sp, ref, delta := shardFixture(t)
+	plan, err := PlanStructure(disorderRankSet(t, sp.Plan, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []Selection{SelectRanks(1), SelectRanks()} {
+		if _, err := plan.Reassemble(ref, delta, 0, sel); err == nil || !strings.Contains(err.Error(), "out of order") {
+			t.Errorf("%v: projected Reassemble of a disordered rank set: %v", sel, err)
+		}
+	}
+	if _, err := plan.Reassemble(ref, delta, 0, SelectAll()); err != nil {
+		t.Errorf("whole Reassemble, which parses no rank set: %v", err)
+	}
 }
 
 // The two-pass reference Plan.Reassemble is held against: decode the whole

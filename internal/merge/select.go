@@ -74,6 +74,16 @@ func (s Selection) Contains(rank int) bool {
 	return i < len(s.ranks) && s.ranks[i] == rank
 }
 
+// anyIn reports whether a selected rank lies in [lo, hi], by a binary search
+// of the sorted ranks.
+func (s Selection) anyIn(lo, hi int) bool {
+	if s.all {
+		return true
+	}
+	i, _ := slices.BinarySearch(s.ranks, lo)
+	return i < len(s.ranks) && s.ranks[i] <= hi
+}
+
 // equal reports whether s and o select the same ranks.
 func (s Selection) equal(o Selection) bool {
 	return s.all == o.all && slices.Equal(s.ranks, o.ranks)

@@ -58,10 +58,7 @@ func main() {
 	if *dir == "" || flag.NArg() == 0 {
 		usage()
 	}
-	stop, err := obs.Capture("cypressarchive", os.Stderr, false, *traceFile, "")
-	if err != nil {
-		fail(err)
-	}
+	stop := obs.Capture("cypressarchive", os.Stderr, false, *traceFile)
 	defer stop(os.Stderr)
 
 	c, err := cypress.OpenCorpus(*dir, cypress.CorpusOptions{CacheBytes: *cacheBytes})

@@ -41,10 +41,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	traceFile := flag.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
 	stats := flag.Bool("stats", false, "print the pipeline observability report to stderr at exit")
-	debugAddr := flag.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	if err := mainErr(*exp, *quick, *full, *workers, *cpuprofile, *memprofile, *traceFile, *stats, *debugAddr); err != nil {
+	if err := mainErr(*exp, *quick, *full, *workers, *cpuprofile, *memprofile, *traceFile, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "cypressbench:", err)
 		os.Exit(1)
 	}
@@ -52,11 +51,8 @@ func main() {
 
 // mainErr is the flag-free body, separated so deferred profile writers run
 // before the process exits (os.Exit skips defers).
-func mainErr(exp string, quick, full bool, workers int, cpuprofile, memprofile, traceFile string, stats bool, debugAddr string) error {
-	stop, err := obs.Capture("cypressbench", os.Stderr, stats, traceFile, debugAddr)
-	if err != nil {
-		return err
-	}
+func mainErr(exp string, quick, full bool, workers int, cpuprofile, memprofile, traceFile string, stats bool) error {
+	stop := obs.Capture("cypressbench", os.Stderr, stats, traceFile)
 	defer stop(os.Stderr)
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)

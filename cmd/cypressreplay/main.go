@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	limit := fs.Int("limit", 50, "max events to print per rank (0 = all)")
 	stats := fs.Bool("stats", false, "print the pipeline observability report to stderr at exit")
 	traceFile := fs.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
-	debugAddr := fs.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -65,10 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: cypressreplay [flags] trace.cyp")
 		return 2
 	}
-	stop, err := obs.Capture("cypressreplay", stderr, *stats, *traceFile, *debugAddr)
-	if err != nil {
-		return fail(err)
-	}
+	stop := obs.Capture("cypressreplay", stderr, *stats, *traceFile)
 	defer stop(stderr)
 	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {

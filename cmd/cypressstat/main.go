@@ -45,7 +45,6 @@ func main() {
 	procs := flag.Int("procs", 8, "ranks for in-process tracing")
 	timeline := flag.String("timeline", "", "render a flight-recorder capture (Chrome trace-event JSON from -trace) as a text timeline, then exit")
 	check := flag.Bool("check", false, "with -timeline: validate the capture against the trace-event schema and require a complete (drop-free) capture")
-	debugAddr := flag.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if *timeline != "" {
@@ -55,10 +54,7 @@ func main() {
 		return
 	}
 
-	stop, err := obs.Capture("cypressstat", os.Stderr, *stats, "", *debugAddr)
-	if err != nil {
-		fail(err)
-	}
+	stop := obs.Capture("cypressstat", os.Stderr, *stats, "")
 	defer stop(nil) // -stats reports on stdout, below the analysis
 
 	var res *cypress.Result

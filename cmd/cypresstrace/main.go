@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hist := fs.Bool("hist", false, "record time histograms instead of mean/stddev")
 	stats := fs.Bool("stats", false, "print the pipeline observability report to stderr at exit")
 	traceFile := fs.String("trace", "", "capture a flight-recorder timeline of the run and write Chrome trace-event JSON to this file (load in Perfetto)")
-	debugAddr := fs.String("debug.addr", "", "serve pprof/expvar/obs on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -87,10 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stop, err := obs.Capture("cypresstrace", stderr, *stats, *traceFile, *debugAddr)
-	if err != nil {
-		return fail(err)
-	}
+	stop := obs.Capture("cypresstrace", stderr, *stats, *traceFile)
 	defer stop(stderr)
 
 	prog, err := cypress.Compile(src)

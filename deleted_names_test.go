@@ -177,6 +177,14 @@ var deletedNames = []struct {
 		pattern: regexp.MustCompile(`lang\.Check\(`),
 		allowed: []string{"cypress.go", "internal/bench/experiments.go", "internal/interp/interp.go"},
 	},
+	{
+		// No live HTTP server: -stats and -trace describe a run whole, and
+		// cypressbench -cpuprofile/-memprofile profiles it. The -debug.addr
+		// server, its expvar registry and the live trace window are gone, so
+		// no program that imports the module links net/http.
+		why:     "live debug server",
+		pattern: regexp.MustCompile(`ServeDebug|DebugServer|\.Publish\(|WriteChromeJSONSince|debug\.addr|"(net/http|expvar|net/http/pprof)"`),
+	},
 }
 
 // TestDeletedNamesStayDeleted scans the root module's non-test Go files

@@ -13,15 +13,15 @@ import (
 // structured control flow (Algorithm 1): MPL has no goto, so its loop
 // statements are exactly the natural loops of its CFG, which the package's
 // tests check on every program they build. The inter-procedural phase
-// expands call sites top-down from main (Algorithm 2), cutting recursion
-// into pseudo-loop structure. Finally comm-free subtrees are pruned, every
+// copies pruned callee trees to call sites (Algorithm 2), expanding calls
+// into a recursion cycle top-down into pseudo-loop structure. Finally every
 // loop, branch-arm and call site is marked on the AST with whether it
-// survived (markSites), and GIDs are assigned in pre-order.
+// survived pruning (markSites), and GIDs are assigned in pre-order.
 func Build(p *lang.Program) (*Tree, error) {
 	if !p.Resolved {
 		return nil, fmt.Errorf("cst: program is not checked")
 	}
-	b := &builder{}
+	b := &builder{pruned: map[*lang.FuncDecl]*Vertex{}}
 	root := &Vertex{Kind: KindRoot, Site: lang.NoNode, Arm: NoArm}
 	// Check refuses a program without main, so a resolved one has it.
 	if err := b.expandBody(p.ByName["main"], root, nil); err != nil {
@@ -44,10 +44,20 @@ type frame struct {
 	vertex *Vertex
 }
 
+// vertexBudget bounds the vertices one Build creates, pruned ones included:
+// over 1000x the 112 that BT, the largest npb skeleton, creates (it keeps
+// 78). A 30-level call chain whose tree doubles at each level is refused at
+// level 16 after about 55 ms and 21 MB (go1.24, 2-vCPU linux/amd64).
+const vertexBudget = 1 << 17
+
 type builder struct {
 	// sites pairs every loop, branch-arm and call vertex, in every calling
 	// context, with the AST node it expands, for markSites.
 	sites []siteVertex
+	// pruned holds the pruned body of each function on no call cycle, built
+	// once under a parentless call vertex.
+	pruned   map[*lang.FuncDecl]*Vertex
+	vertices int // created so far, against vertexBudget
 }
 
 type siteVertex struct {
@@ -58,24 +68,14 @@ type siteVertex struct {
 // add appends c to parent as the vertex of the AST site node.
 func (b *builder) add(parent *Vertex, node lang.Node, c *Vertex) *Vertex {
 	b.sites = append(b.sites, siteVertex{node, c})
+	b.vertices++
 	return parent.addChild(c)
 }
 
 // expandBody appends the CST of fn's body to parent. stack holds the
 // in-progress function expansions for recursion cutting.
 func (b *builder) expandBody(fn *lang.FuncDecl, parent *Vertex, stack []frame) error {
-	stack = append(stack, frame{fn.Name, parent})
-	if len(stack) > 256 {
-		return fmt.Errorf("cst: call expansion deeper than 256 frames; mutual recursion cycle not cut?")
-	}
-	return b.block(fn.Body, parent, stack)
-}
-
-func (b *builder) block(blk *lang.Block, parent *Vertex, stack []frame) error {
-	// Statements after an unconditional return are statically unreachable,
-	// so the stop flag both ends the walk and is reported upward by
-	// blockStop.
-	_, err := b.blockStop(blk, parent, stack)
+	_, err := b.blockStop(fn.Body, parent, append(stack, frame{fn.Name, parent}))
 	return err
 }
 
@@ -177,6 +177,7 @@ func (b *builder) exprCalls(e lang.Expr, parent *Vertex, stack []frame) error {
 func (b *builder) call(call *lang.CallExpr, parent *Vertex, stack []frame) error {
 	if op := trace.OpByName(call.Name); op != trace.OpNone {
 		parent.addChild(&Vertex{Kind: KindComm, Site: call.ID(), Arm: NoArm, Op: op})
+		b.vertices++
 		return nil
 	}
 	if call.Intrinsic != nil {
@@ -203,7 +204,46 @@ func (b *builder) call(call *lang.CallExpr, parent *Vertex, stack []frame) error
 		Callee:    call.Name,
 		Recursive: callee.Recursive,
 	})
-	return b.expandBody(callee, v, stack)
+	var err error
+	if callee.Recursive {
+		err = b.expandBody(callee, v, stack)
+	} else {
+		err = b.inline(callee, v)
+	}
+	if err == nil && b.vertices > vertexBudget {
+		err = fmt.Errorf("cst: call to %s at %s exceeds the budget of %d vertices", call.Name, call.Pos(), vertexBudget)
+	}
+	return err
+}
+
+// inline copies fn's pruned body under v, building it on first use. fn is on
+// no call cycle, so every RecCall in its expansion targets a vertex inside
+// it, and one pruned tree serves every calling context. Pruning is
+// idempotent: the copies prune to themselves again inside the caller's tree.
+func (b *builder) inline(fn *lang.FuncDecl, v *Vertex) error {
+	body := b.pruned[fn]
+	if body == nil {
+		body = &Vertex{Kind: KindCall, Site: lang.NoNode, Arm: NoArm, Callee: fn.Name}
+		if err := b.expandBody(fn, body, nil); err != nil {
+			return err
+		}
+		prune(body)
+		b.pruned[fn] = body
+	}
+	b.instantiate(body, v, map[*Vertex]*Vertex{})
+	return nil
+}
+
+// instantiate appends a copy of from's children to to, pointing each RecCall
+// in the copy at the copy of its target (copies maps a vertex to its copy).
+func (b *builder) instantiate(from, to *Vertex, copies map[*Vertex]*Vertex) {
+	for _, c := range from.Children {
+		n := *c
+		n.Children, n.Target = nil, copies[c.Target] // copies[nil] is nil
+		copies[c] = to.addChild(&n)
+		b.vertices++
+		b.instantiate(c, &n, copies)
+	}
 }
 
 // prune removes every subtree that cannot produce an MPI event: the two-step

@@ -444,6 +444,8 @@ func FuzzBuild(f *testing.F) {
 	for _, w := range npb.All() {
 		f.Add(w.Source(16, npb.Small))
 	}
+	f.Add(callChain(30, "compute(1);"))
+	f.Add(callChain(30, "barrier();"))
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := lang.Parse(src)
 		if err != nil {

@@ -595,9 +595,7 @@ func (c *Compressor) Finish() *RankCTT {
 
 // flushTally folds the per-event tallies into the shared sink in one batch
 // of atomic adds. Called once, at Finish; until then the compressor's event
-// counters are local to the rank (the -debug.addr live view therefore shows
-// compressor counters per finished rank, while merge/encode/replay counters
-// stream in continuously).
+// counters are local to the rank.
 func (c *Compressor) flushTally() {
 	if c.obs == nil {
 		return

@@ -339,11 +339,17 @@ func checkProjection(t testing.TB, plan *Plan, r *Ref, delta, whole []byte, sel 
 	if j.Hash != uint64(fp.New().Bytes(whole)) {
 		t.Fatalf("%v: projected Reassemble hashes other bytes than the whole encoding", sel)
 	}
-	want, err := DecodeSelectAuto(whole, sel, 0)
-	if err != nil {
+	// The projection's verdict is the selective decoder's: a rank set it
+	// refuses (a malformed run count or stride, runs out of order) fails the
+	// projection wherever that set lies, not only when its group is kept.
+	want, werr := DecodeSelectAuto(whole, sel, 0)
+	got, err := j.Decode(sel)
+	if werr != nil {
+		if err == nil {
+			t.Fatalf("%v: the selective decoder refuses the whole encoding (%v), but its projection reassembles and decodes", sel, werr)
+		}
 		return
 	}
-	got, err := j.Decode(sel)
 	if err != nil {
 		t.Fatalf("%v: the projected encoding does not decode: %v", sel, err)
 	}

@@ -17,8 +17,7 @@
 // The Sink is safe for concurrent use. The data model is deliberately flat:
 // a fixed enum of counters and a fixed enum of bounded power-of-two
 // histograms. Report() snapshots both into a JSON/text-serializable Report,
-// and Publish exposes the same snapshot as an expvar for the -debug.addr
-// endpoints.
+// which -stats prints through Capture.
 package obs
 
 import (
@@ -190,7 +189,7 @@ var counterNames = [NumCounters]string{
 	SelBytesSkipped:      "sel_bytes_skipped",
 }
 
-// String returns the counter's stable snake_case name (the JSON/expvar key).
+// String returns the counter's stable snake_case name (the JSON key).
 func (c Counter) String() string {
 	if c < NumCounters {
 		return counterNames[c]

@@ -3,9 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"reflect"
 	"strings"
 	"sync"
@@ -210,51 +207,5 @@ func TestConcurrentSink(t *testing.T) {
 	}
 	if got := s.Value(CompReqPeak); got != 999 {
 		t.Errorf("concurrent SetMax = %d, want 999", got)
-	}
-}
-
-// TestServeDebug spins the debug endpoint up on an ephemeral port and checks
-// that expvar, the standalone obs report, and the pprof index all answer.
-func TestServeDebug(t *testing.T) {
-	s := New()
-	s.Add(CompEvents, 5)
-	ds, err := ServeDebug("127.0.0.1:0", s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", ds.Addr, path))
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if body := get("/debug/obs"); !strings.Contains(body, "comp_events") {
-		t.Errorf("/debug/obs missing counters: %s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, "cypress") {
-		t.Errorf("/debug/vars missing published sink: %.200s", body)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "profile") {
-		t.Errorf("/debug/pprof/ index looks wrong: %.200s", body)
-	}
-
-	// Rebinding the published name to a fresh sink must not panic and must
-	// serve the new sink's numbers.
-	s2 := New()
-	s2.Add(CompEvents, 77)
-	s2.Publish("cypress")
-	if body := get("/debug/vars"); !strings.Contains(body, "77") {
-		t.Errorf("rebound expvar still serves old sink: %.300s", body)
 	}
 }

@@ -21,8 +21,7 @@ import (
 // wraparound, and a truncated flag. Consumers that need a complete capture
 // (the fixture CI job) must reject truncated files rather than quietly
 // analyzing a window with its head cut off. It also carries the per-name
-// totals, which stay exact however much of the ring was dropped and, in a
-// live window, cover the whole run rather than the window.
+// totals, which stay exact however much of the ring was dropped.
 
 // header mirrors the exported top-level object.
 type header struct {
@@ -116,23 +115,6 @@ func jsonEventsOf(evs []Event) []jsonEvent {
 // WriteChromeJSON exports every currently-retained event as Chrome
 // trace-event JSON. A nil recorder writes an empty (but valid) capture.
 func (r *Recorder) WriteChromeJSON(w io.Writer) error {
-	return r.WriteChromeJSONSince(w, 0)
-}
-
-// WriteChromeJSONSince exports only events starting at or after the given
-// recorder timestamp (from Now) — the live-capture endpoint uses this to
-// serve just the observation window.
-func (r *Recorder) WriteChromeJSONSince(w io.Writer, since int64) error {
-	evs := r.Snapshot()
-	if since > 0 {
-		kept := evs[:0]
-		for _, e := range evs {
-			if e.Start >= since {
-				kept = append(kept, e)
-			}
-		}
-		evs = kept
-	}
 	h := header{
 		DisplayTimeUnit: "ns",
 		OtherData: otherData{
@@ -142,7 +124,7 @@ func (r *Recorder) WriteChromeJSONSince(w io.Writer, since int64) error {
 			Truncated: r.Drops() > 0,
 			Totals:    r.Totals(),
 		},
-		TraceEvents: jsonEventsOf(evs),
+		TraceEvents: jsonEventsOf(r.Snapshot()),
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

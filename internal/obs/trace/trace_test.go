@@ -278,27 +278,6 @@ func TestTruncatedCaptureHeader(t *testing.T) {
 	}
 }
 
-func TestWriteChromeJSONSince(t *testing.T) {
-	r := New(minCapacity)
-	r.Instant(CatReplay, NameMemoHit, 0, 1, 1)
-	mark := r.Now()
-	r.Instant(CatReplay, NameMemoHit, 0, 2, 2)
-	var buf bytes.Buffer
-	if err := r.WriteChromeJSONSince(&buf, mark); err != nil {
-		t.Fatalf("WriteChromeJSONSince: %v", err)
-	}
-	c, err := ReadChromeJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadChromeJSON: %v", err)
-	}
-	if len(c.Events) != 1 {
-		t.Fatalf("since-export kept %d events, want 1", len(c.Events))
-	}
-	if c.Events[0].Args["rank"] != 2 {
-		t.Fatalf("since-export kept the wrong event: %v", c.Events[0].Args)
-	}
-}
-
 func TestValidateRejectsMalformed(t *testing.T) {
 	base := func() *Capture {
 		return &Capture{Events: []CapturedEvent{

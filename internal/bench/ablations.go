@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/ctt"
@@ -18,7 +19,7 @@ import (
 //
 //  1. relative ranking encoding on/off: merged size and rank-group count on
 //     a stencil workload, where the encoding does all the work;
-//  2. parallel vs serial P-way merge: wall time of the reduction;
+//  2. the P-way merge's tree shape and its parallelism, measured apart;
 //  3. histogram vs mean/stddev time recording: trace size cost of the
 //     richer timing mode.
 func Ablations(w io.Writer, cfg Config) error {
@@ -98,30 +99,40 @@ func ablateRelative(w io.Writer, cfg Config) error {
 	return nil
 }
 
+// ablateParallelMerge separates the two things a P-way merge's speed-up
+// mixes: the shape of the reduction (merge.Serial is a left fold, merge.All a
+// pairwise tree) and the workers that run the tree's pairs. Each variant
+// merges a fresh set of per-rank trees, best of three.
 func ablateParallelMerge(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 2: parallel vs serial P-way merge (LU)")
-	wl := npb.Get("LU")
+	fmt.Fprintln(w, "Ablation 2: P-way merge, tree shape vs parallelism (SP)")
+	wl := npb.Get("SP")
 	n := cfg.procsFor(wl)[len(cfg.procsFor(wl))-1]
-	par, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
-	if err != nil {
-		return err
+	variants := []struct {
+		name  string
+		merge func([]*ctt.RankCTT) (*merge.Merged, error)
+	}{
+		{"left fold (merge.Serial)", merge.Serial},
+		{"tree, 1 worker", func(c []*ctt.RankCTT) (*merge.Merged, error) { return merge.All(c, 1) }},
+		{"tree, 2 workers", func(c []*ctt.RankCTT) (*merge.Merged, error) { return merge.All(c, 2) }},
 	}
-	t0 := time.Now()
-	if _, err := merge.All(par, 0); err != nil {
-		return err
+	secs := make([]float64, len(variants))
+	for i, v := range variants {
+		secs[i] = math.Inf(1)
+		for range 3 {
+			ctts, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
+			if err != nil {
+				return err
+			}
+			t0 := time.Now()
+			if _, err := v.merge(ctts); err != nil {
+				return err
+			}
+			secs[i] = min(secs[i], time.Since(t0).Seconds())
+		}
+		fmt.Fprintf(w, "  P=%d  %-24s %7.2fms  x%.2f vs left fold\n", n, v.name, 1e3*secs[i], secs[0]/secs[i])
 	}
-	parSec := time.Since(t0).Seconds()
-	ser, err := runCTTs(wl, n, cfg, timestat.ModeMeanStddev)
-	if err != nil {
-		return err
-	}
-	t0 = time.Now()
-	if _, err := merge.Serial(ser); err != nil {
-		return err
-	}
-	serSec := time.Since(t0).Seconds()
-	fmt.Fprintf(w, "  P=%d  parallel=%.4fs  serial=%.4fs  speedup=%.2fx\n",
-		n, parSec, serSec, serSec/parSec)
+	fmt.Fprintf(w, "  tree shape x%.2f, parallelism x%.2f (tree, 1 → 2 workers)\n",
+		secs[0]/secs[1], secs[1]/secs[2])
 	return nil
 }
 

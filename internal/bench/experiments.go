@@ -11,6 +11,7 @@ import (
 	cypress "repro"
 	"repro/internal/cst"
 	"repro/internal/lang"
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/trace"
 )
@@ -321,5 +322,51 @@ func Fig21(w io.Writer, cfg Config) error {
 		return err
 	}
 	fmt.Fprintf(w, "average prediction error: %.2f%%\n", sumErr/float64(rows))
-	return nil
+	return fig21BySource(w, cfg)
+}
+
+// fig21BySource splits each skeleton's signed prediction error by source.
+// The engine error, simmpi over a run's raw streams against its live clock,
+// is 0: both engines price from mpisim's cost table, and root
+// TestRawStreamsReproduceLiveClock holds them to ==. So on a run at
+// NoiseFrac 0 the prediction from the compressed trace misses the live clock
+// by the compression error alone, and the noise column is what the default
+// NoiseFrac adds to the total.
+func fig21BySource(w io.Writer, cfg Config) error {
+	n := 64
+	if cfg.Quick {
+		n = 16
+	}
+	fmt.Fprintf(w, "Prediction error by source, %d ranks (signed, %% of the live clock; engine error 0)\n", n)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintln(tw, "Prog\tLive(ms)\tCompression(%)\tNoise(%)\tTotal(%)\t")
+	quiet := mpisim.DefaultParams()
+	quiet.NoiseFrac = 0
+	for _, wl := range npb.All() {
+		p, err := compileWorkload(wl, n, cfg.scale())
+		if err != nil {
+			return err
+		}
+		res0, err := p.Trace(n, cypress.Options{Params: &quiet, MergeWorkers: cfg.Workers})
+		if err != nil {
+			return err
+		}
+		pred0, err := res0.PredictPar(0)
+		if err != nil {
+			return err
+		}
+		res, err := p.Trace(n, cypress.Options{MergeWorkers: cfg.Workers})
+		if err != nil {
+			return err
+		}
+		pred, err := res.PredictPar(0)
+		if err != nil {
+			return err
+		}
+		live := res0.SimulatedNS
+		comp := 100 * (pred0.TotalNS - live) / live
+		total := 100 * (pred.TotalNS - res.SimulatedNS) / res.SimulatedNS
+		fmt.Fprintf(tw, "%s\t%.2f\t%+.1f\t%+.1f\t%+.1f\t\n", wl.Name, live/1e6, comp, total-comp, total)
+	}
+	return tw.Flush()
 }

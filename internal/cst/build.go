@@ -45,19 +45,17 @@ type frame struct {
 }
 
 // vertexBudget bounds the vertices one Build creates, pruned ones included:
-// over 1000x the 112 that BT, the largest npb skeleton, creates (it keeps
-// 78). A 30-level call chain whose tree doubles at each level is refused at
-// level 16 after about 55 ms and 21 MB (go1.24, 2-vCPU linux/amd64).
+// over 1000x the 77 that BT, the largest npb skeleton, creates (it keeps all
+// of them). A 30-level call chain whose tree doubles at each level is refused
+// at level 15 after about 150 ms and 19 MB (go1.24, 2-vCPU linux/amd64).
 const vertexBudget = 1 << 17
 
 type builder struct {
 	// sites pairs every loop, branch-arm and call vertex, in every calling
 	// context, with the AST node it expands, for markSites.
-	sites []siteVertex
-	// pruned holds the pruned body of each function on no call cycle, built
-	// once under a parentless call vertex.
-	pruned   map[*lang.FuncDecl]*Vertex
-	vertices int // created so far, against vertexBudget
+	sites    []siteVertex
+	pruned   map[*lang.FuncDecl]*Vertex // first call vertex of each function on no call cycle
+	vertices int                        // created so far, against vertexBudget
 }
 
 type siteVertex struct {
@@ -216,33 +214,38 @@ func (b *builder) call(call *lang.CallExpr, parent *Vertex, stack []frame) error
 	return err
 }
 
-// inline copies fn's pruned body under v, building it on first use. fn is on
-// no call cycle, so every RecCall in its expansion targets a vertex inside
-// it, and one pruned tree serves every calling context. Pruning is
-// idempotent: the copies prune to themselves again inside the caller's tree.
+// inline expands fn's body under v. fn is on no call cycle, so every RecCall
+// in its expansion targets a vertex inside it, and one pruned tree serves
+// every calling context: the first call expands and prunes the body in place
+// and later calls copy it. Pruning is idempotent: instance and copies prune
+// to themselves again inside the caller's tree.
 func (b *builder) inline(fn *lang.FuncDecl, v *Vertex) error {
-	body := b.pruned[fn]
-	if body == nil {
-		body = &Vertex{Kind: KindCall, Site: lang.NoNode, Arm: NoArm, Callee: fn.Name}
-		if err := b.expandBody(fn, body, nil); err != nil {
-			return err
-		}
-		prune(body)
-		b.pruned[fn] = body
+	if first := b.pruned[fn]; first != nil {
+		b.instantiate(first, v)
+		return nil
 	}
-	b.instantiate(body, v, map[*Vertex]*Vertex{})
-	return nil
+	b.pruned[fn] = v
+	err := b.expandBody(fn, v, nil)
+	prune(v)
+	return err
 }
 
-// instantiate appends a copy of from's children to to, pointing each RecCall
-// in the copy at the copy of its target (copies maps a vertex to its copy).
-func (b *builder) instantiate(from, to *Vertex, copies map[*Vertex]*Vertex) {
+// instantiate appends a copy of from's children to to. A RecCall's target is
+// one of its ancestors inside from's tree, so its copy points at the copy as
+// many levels above it.
+func (b *builder) instantiate(from, to *Vertex) {
 	for _, c := range from.Children {
 		n := *c
-		n.Children, n.Target = nil, copies[c.Target] // copies[nil] is nil
-		copies[c] = to.addChild(&n)
+		n.Children = make([]*Vertex, 0, len(c.Children))
+		to.addChild(&n)
+		if c.Target != nil {
+			n.Target = &n
+			for u := c; u != c.Target; u = u.Parent {
+				n.Target = n.Target.Parent
+			}
+		}
 		b.vertices++
-		b.instantiate(c, &n, copies)
+		b.instantiate(c, &n)
 	}
 }
 
@@ -262,10 +265,7 @@ func prune(root *Vertex) {
 				kept = append(kept, c)
 			}
 		}
-		// Zero trailing pointers so pruned subtrees can be collected.
-		for i := len(kept); i < len(v.Children); i++ {
-			v.Children[i] = nil
-		}
+		clear(v.Children[len(kept):]) // so pruned subtrees can be collected
 		v.Children = kept
 	}
 	rec(root)

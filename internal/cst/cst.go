@@ -13,9 +13,9 @@
 //     MPL's control flow is structured, so its loop statements are exactly
 //     the natural loops of its CFG; the package's tests lower every program
 //     they build to a CFG and check each loop and branch vertex against it;
-//   - call sites get copies of their callees' pruned trees (Algorithm 2),
-//     built once per function on no call cycle; calls into a recursion cycle
-//     expand top-down, a stack of the expansions in progress cutting it;
+//   - call sites get their callees' pruned trees (Algorithm 2): a function on
+//     no call cycle is expanded in place at its first call and copied at the
+//     others; calls into a recursion cycle expand top-down, cut by a stack;
 //   - recursive calls are converted into pseudo-loop structures: the call
 //     vertex that enters a recursion cycle acts as a loop recording recursion
 //     depth, and calls back to an in-progress function become RecCall

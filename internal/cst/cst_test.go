@@ -444,3 +444,22 @@ func TestMarkSitesRejectsContextDependentSite(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// BenchmarkBuildNPB builds the CSTs of the nine npb skeletons at 1024 ranks;
+// one op is one pass over all nine, so allocs/op is the static side's
+// allocation per program set.
+func BenchmarkBuildNPB(b *testing.B) {
+	var progs []*lang.Program
+	for _, w := range npb.All() {
+		progs = append(progs, checked(b, w.Source(1024, npb.Paper)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := Build(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -42,7 +42,7 @@ func (c *collSync) enter(r *Rank, op trace.Op, root, size int) float64 {
 		return c.finish
 	}
 	defer c.mu.Unlock()
-	c.finish = c.maxNow + CollectiveCostNS(r.rt.params, r.rt.n, op, size)
+	c.finish = c.maxNow + r.rt.params.CollectiveCostNS(r.rt.n, op, size)
 	c.arrived = 0
 	c.maxNow = 0
 	for _, w := range r.rt.ranks {
@@ -55,36 +55,11 @@ func (c *collSync) enter(r *Rank, op trace.Op, root, size int) float64 {
 	return c.finish
 }
 
-// CollectiveCostNS is the shared binomial-tree LogGP cost model for
-// collective operations (paper Section V cites [23] for decomposing
-// collectives into point-to-point operations); the SIM-MPI replay simulator
-// uses the same formulas so predictions are model-consistent with the
-// synthetic "measurements".
-func CollectiveCostNS(p Params, nRanks int, op trace.Op, size int) float64 {
-	n := float64(nRanks)
-	logn := math.Ceil(math.Log2(math.Max(n, 2)))
-	perMsg := p.OverheadNS + p.LatencyNS + p.GapPerByteNS*float64(size)
-	switch op {
-	case trace.OpBarrier, trace.OpFinalize:
-		return 2*p.LatencyNS + p.OverheadNS*logn
-	case trace.OpBcast, trace.OpReduce, trace.OpScatter, trace.OpGather:
-		return logn * perMsg
-	case trace.OpAllreduce:
-		return 2 * logn * perMsg
-	case trace.OpAllgather:
-		return (n-1)*(p.OverheadNS+p.GapPerByteNS*float64(size)) + logn*p.LatencyNS
-	case trace.OpAlltoall:
-		return (n-1)*(p.OverheadNS+p.GapPerByteNS*float64(size)) + p.LatencyNS
-	}
-	panic(fmt.Sprintf("mpisim: no cost model for %v", op))
-}
-
 // collective runs the synchronization and advances the local clock with
 // per-rank jitter.
 func (r *Rank) collective(op trace.Op, root, size int) {
 	finish := r.rt.coll.enter(r, op, root, size)
-	r.seq++
-	r.nowNS = finish + (finish-r.nowNS)*(r.rt.params.noise(r.id, r.seq)-1)
+	r.nowNS = finish + (finish-r.nowNS)*(r.noise()-1)
 	if r.nowNS < finish {
 		r.nowNS = finish
 	}

@@ -28,29 +28,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Params is the synthetic communication cost model (LogGP: latency L,
-// per-message overhead o, per-byte gap G) plus a deterministic noise term.
-type Params struct {
-	LatencyNS    float64 // L: wire latency per message
-	OverheadNS   float64 // o: CPU overhead per send/recv posting
-	GapPerByteNS float64 // G: per-byte cost
-	NoiseFrac    float64 // +-fraction of deterministic pseudo-noise per op
-}
-
-// DefaultParams models a QDR-InfiniBand-class network, the paper's testbed
-// fabric: ~1.5us latency, ~3GB/s effective per-byte cost.
-func DefaultParams() Params {
-	return Params{LatencyNS: 1500, OverheadNS: 400, GapPerByteNS: 0.33, NoiseFrac: 0.02}
-}
-
-// InjectNS is the sender-side cost of injecting one message of size bytes
-// (LogGP: o + G·size), before noise. It is shared by the runtime's p2pCost
-// and the simmpi trace-driven engine so both sides of a prediction
-// experiment price point-to-point traffic from one formula.
-func (p Params) InjectNS(size int) float64 {
-	return p.OverheadNS + p.GapPerByteNS*float64(size)
-}
-
 // ErrDeadlock is returned by Run when no rank can make progress.
 var ErrDeadlock = errors.New("mpisim: deadlock: all active ranks blocked")
 
@@ -168,21 +145,4 @@ func (rt *Runtime) quiesce() {
 		r.cond.Signal()
 		r.mu.Unlock()
 	}
-}
-
-// noise returns a deterministic pseudo-random factor in [1-f, 1+f] derived
-// from (rank, seq) with a splitmix64 hash, keeping runs reproducible without
-// math/rand global state.
-func (p Params) noise(rank int, seq uint64) float64 {
-	if p.NoiseFrac == 0 {
-		return 1
-	}
-	x := uint64(rank+1)*0x9E3779B97F4A7C15 ^ seq*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	u := float64(x>>11) / float64(1<<53) // [0,1)
-	return 1 + p.NoiseFrac*(2*u-1)
 }

@@ -2,7 +2,6 @@ package mpisim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -45,15 +44,13 @@ const (
 
 // Request is a non-blocking operation handle.
 type Request struct {
-	ID       int32
-	isSend   bool
-	src      int // requested source (possibly trace.AnySource) for receives
-	tag      int
-	size     int
-	done     bool
-	matched  int     // resolved source for receives, -1 for sends
-	availNS  float64 // completion availability time
-	wildcard bool
+	ID      int32
+	isSend  bool
+	src     int // requested source (possibly trace.AnySource) for receives
+	tag     int
+	size    int
+	done    bool
+	matched int // resolved source for receives, -1 for sends
 }
 
 // ID returns the rank id.
@@ -71,8 +68,7 @@ func (r *Rank) Compute(ns float64) {
 	if ns < 0 {
 		panic(fmt.Sprintf("mpisim: negative compute time %f", ns))
 	}
-	r.seq++
-	d := ns * r.rt.params.noise(r.id, r.seq)
+	d := ns * r.noise()
 	r.nowNS += d
 	r.computeNS += d
 }
@@ -96,12 +92,10 @@ func (r *Rank) emit(e *trace.Event, startNS float64) {
 	r.sink.Event(e)
 }
 
-// p2pCost is the sender-side cost of injecting a message: the shared LogGP
-// injection formula with this rank's deterministic noise applied.
-func (r *Rank) p2pCost(size int) float64 {
-	p := r.rt.params
+// noise advances the rank's op sequence and returns the op's noise factor.
+func (r *Rank) noise() float64 {
 	r.seq++
-	return p.InjectNS(size) * p.noise(r.id, r.seq)
+	return r.rt.params.noise(r.id, r.seq)
 }
 
 // Send performs a blocking standard-mode send. Sends are eager: the payload
@@ -115,11 +109,10 @@ func (r *Rank) Send(dest, size, tag int) {
 }
 
 func (r *Rank) deliver(dest, size, tag int) {
-	cost := r.p2pCost(size)
-	r.nowNS += cost
+	r.nowNS += r.rt.params.InjectNS(size, r.noise())
 	d := r.rt.ranks[dest]
 	d.mu.Lock()
-	d.msgs = append(d.msgs, message{src: r.id, tag: tag, size: size, availNS: r.nowNS + r.rt.params.LatencyNS})
+	d.msgs = append(d.msgs, message{src: r.id, tag: tag, size: size, availNS: r.rt.params.ArrivalNS(r.nowNS)})
 	if d.parked && d.wait == forPeer && d.waitSrc == r.id && d.waitTag == tag {
 		d.wake()
 	}
@@ -132,9 +125,7 @@ func (r *Rank) Recv(src, size, tag int) int {
 	r.checkPeer(src, true)
 	start := r.nowNS
 	msg := r.match(src, tag, size)
-	p := r.rt.params
-	r.seq++
-	r.nowNS = math.Max(r.nowNS+p.OverheadNS*p.noise(r.id, r.seq), msg.availNS)
+	r.nowNS = r.rt.params.RecvDoneNS(r.nowNS, msg.availNS, r.noise())
 	e := &trace.Event{Op: trace.OpRecv, Size: size, Peer: msg.src, Tag: tag, ReqID: -1,
 		Wildcard: src == trace.AnySource}
 	r.emit(e, start)
@@ -220,8 +211,7 @@ func (r *Rank) Isend(dest, size, tag int) *Request {
 	r.checkPeer(dest, false)
 	start := r.nowNS
 	r.deliver(dest, size, tag)
-	req := &Request{ID: r.nextReq, isSend: true, tag: tag, size: size,
-		done: true, matched: -1, availNS: r.nowNS}
+	req := &Request{ID: r.nextReq, isSend: true, tag: tag, size: size, done: true, matched: -1}
 	r.nextReq++
 	r.pending = append(r.pending, req)
 	r.emit(&trace.Event{Op: trace.OpIsend, Size: size, Peer: dest, Tag: tag, ReqID: req.ID}, start)
@@ -232,16 +222,12 @@ func (r *Rank) Isend(dest, size, tag int) *Request {
 func (r *Rank) Irecv(src, size, tag int) *Request {
 	r.checkPeer(src, true)
 	start := r.nowNS
-	p := r.rt.params
-	r.seq++
-	r.nowNS += p.OverheadNS * p.noise(r.id, r.seq) / 2
-	req := &Request{ID: r.nextReq, src: src, tag: tag, size: size, matched: -1,
-		wildcard: src == trace.AnySource}
+	r.nowNS += r.rt.params.IrecvPostNS(r.noise())
+	req := &Request{ID: r.nextReq, src: src, tag: tag, size: size, matched: -1}
 	r.nextReq++
 	r.pending = append(r.pending, req)
-	e := &trace.Event{Op: trace.OpIrecv, Size: size, Peer: src, Tag: tag, ReqID: req.ID,
-		Wildcard: req.wildcard}
-	r.emit(e, start)
+	r.emit(&trace.Event{Op: trace.OpIrecv, Size: size, Peer: src, Tag: tag, ReqID: req.ID,
+		Wildcard: src == trace.AnySource}, start)
 	return req
 }
 
@@ -256,8 +242,7 @@ func (r *Rank) complete(req *Request) {
 func (r *Rank) fill(req *Request, m message) {
 	req.done = true
 	req.matched = m.src
-	req.availNS = m.availNS
-	r.nowNS = math.Max(r.nowNS, m.availNS)
+	r.nowNS = r.rt.params.WaitDoneNS(r.nowNS, m.availNS)
 }
 
 // ready reports whether req is done, completing it if its message is there;

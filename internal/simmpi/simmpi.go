@@ -6,10 +6,10 @@
 // The simulator is a conservative discrete-event engine: each rank advances a
 // local clock through its event sequence; point-to-point completions couple
 // to the matching sender's injection time plus latency, and collectives
-// join all ranks under the binomial-tree cost model shared with package
-// mpisim. Point-to-point matches resolve through per-destination match
-// tables keyed by (source, tag). One sequential sweep drives the engine —
-// see DESIGN.md "Simulation".
+// join all ranks. Every cost comes from the cost table in package mpisim,
+// the one the live runtime charges. Point-to-point matches resolve through
+// per-destination match tables keyed by (source, tag). One sequential sweep
+// drives the engine — see DESIGN.md "Simulation".
 package simmpi
 
 import (
@@ -301,10 +301,26 @@ func stallState(ranks []simRank) string {
 	return "all done"
 }
 
-// completeRecvs checks that every receive in r.toComplete has a queued
-// message on its chain, and if so pops them all in completion order into
-// r.avails. It pops nothing unless the whole completion can finish.
-func completeRecvs(r *simRank) bool {
+// completeRecvs finds the pending receives completion e names by poster GID
+// (a GID with no pending receive is a completed send: no wait). If each has
+// a queued message on its chain, it pops them all in completion order into
+// r.avails, drops them from r.pending and returns true; otherwise it changes
+// nothing.
+func completeRecvs(r *simRank, e *trace.Event) bool {
+	r.toComplete = r.toComplete[:0]
+	r.used = r.used[:0]
+	for range r.pending {
+		r.used = append(r.used, false)
+	}
+	for _, gid := range e.Reqs {
+		for i := range r.pending {
+			if !r.used[i] && r.pending[i].gid == gid {
+				r.toComplete = append(r.toComplete, i)
+				r.used[i] = true
+				break
+			}
+		}
+	}
 	// Entry i needs its chain to hold every earlier same-chain completion
 	// plus itself. Pending lists are short, so the quadratic scan beats the
 	// historical per-event count map.
@@ -324,102 +340,72 @@ func completeRecvs(r *simRank) bool {
 	for _, pi := range r.toComplete {
 		r.avails = append(r.avails, r.pending[pi].q.pop())
 	}
+	if len(r.toComplete) > 0 {
+		kept := r.pending[:0]
+		for i := range r.pending {
+			if !r.used[i] {
+				kept = append(kept, r.pending[i])
+			}
+		}
+		r.pending = kept
+	}
 	return true
 }
 
 // step attempts to process one event; it returns false when the event must
 // wait for progress elsewhere. Every clock/comm/compute update is a function
 // of rank-local state plus values read from the rank's own match table or
-// collective group.
+// collective group, priced by the cost table at noise 1.
 func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 	p := en.params
-	// Compute time precedes the call.
-	advCompute := func() {
-		r.clock += e.ComputeNS
-		r.compute += e.ComputeNS
-	}
-
 	switch {
-	case e.Op == trace.OpInit:
-		advCompute()
-		return true, nil
 	case e.Op == trace.OpSend || e.Op == trace.OpIsend:
 		// Isend differs only in request bookkeeping; sends complete locally.
-		advCompute()
-		t0 := r.clock
-		r.clock += p.InjectNS(e.Size)
-		depth := en.shards[e.Peer].push(mkKey(rid, e.Tag), r.clock+p.LatencyNS)
+		t0 := r.enter(e)
+		r.clock += p.InjectNS(e.Size, 1)
+		depth := en.shards[e.Peer].push(mkKey(rid, e.Tag), p.ArrivalNS(r.clock))
 		if sink := obs.Attached(); sink.Enabled() {
 			sink.Observe(obs.HistSimQueueDepth, int64(depth))
 			sink.SetMax(obs.SimMatchDepthPeak, int64(depth))
 		}
 		r.comm += r.clock - t0
-		return true, nil
 	case e.Op == trace.OpIrecv:
-		advCompute()
-		t0 := r.clock
-		r.clock += p.OverheadNS / 2
+		t0 := r.enter(e)
+		r.clock += p.IrecvPostNS(1)
 		r.pending = append(r.pending, pendingRecv{gid: e.GID, q: en.shards[rid].chain(mkKey(e.Peer, e.Tag))})
 		r.pendMax = max(r.pendMax, len(r.pending))
 		r.comm += r.clock - t0
-		return true, nil
 	case e.Op == trace.OpRecv:
 		avail, ok := en.shards[rid].tryPop(mkKey(e.Peer, e.Tag))
 		if !ok {
 			return false, nil // matching send not simulated yet
 		}
-		advCompute()
-		t0 := r.clock
-		r.clock = math.Max(r.clock+p.OverheadNS, avail)
+		t0 := r.enter(e)
+		r.clock = p.RecvDoneNS(r.clock, avail, 1)
 		r.comm += r.clock - t0
-		return true, nil
 	case e.Op.IsCompletion():
-		// Determine which pending receives complete here, by poster GID.
-		r.toComplete = r.toComplete[:0]
-		r.used = r.used[:0]
-		for range r.pending {
-			r.used = append(r.used, false)
+		if !completeRecvs(r, e) {
+			return false, nil // a named message not sent yet
 		}
-		for _, gid := range e.Reqs {
-			for i := range r.pending {
-				if r.used[i] || r.pending[i].gid != gid {
-					continue
-				}
-				r.toComplete = append(r.toComplete, i)
-				r.used[i] = true
-				break
-			}
-			// GIDs without a pending receive are completed sends: no wait.
-		}
-		// All needed messages must be available before the wait can finish.
-		if !completeRecvs(r) {
-			return false, nil
-		}
-		advCompute()
-		t0 := r.clock
+		t0 := r.enter(e)
 		for _, avail := range r.avails {
-			r.clock = math.Max(r.clock, avail)
-		}
-		r.clock += p.OverheadNS / 2
-		// Drop completed receives from pending, preserving order.
-		if len(r.toComplete) > 0 {
-			kept := r.pending[:0]
-			for i := range r.pending {
-				if !r.used[i] {
-					kept = append(kept, r.pending[i])
-				}
-			}
-			r.pending = kept
+			r.clock = p.WaitDoneNS(r.clock, avail)
 		}
 		r.comm += r.clock - t0
-		return true, nil
 	case e.Op.IsCollective() || e.Op == trace.OpFinalize:
 		return en.stepColl(r, rid, e)
 	default:
-		// Anything without timing semantics.
-		advCompute()
-		return true, nil
+		r.enter(e) // no timing semantics beyond the compute before it
 	}
+	return true, nil
+}
+
+// enter charges the compute time that precedes e's call and returns the clock
+// at which the call starts.
+func (r *simRank) enter(e *trace.Event) float64 {
+	r.clock += e.ComputeNS
+	r.compute += e.ComputeNS
+	return r.clock
 }
 
 // stepColl folds one rank's arrival into its next collective group. The
@@ -429,8 +415,7 @@ func (en *engine) step(r *simRank, rid int, e *trace.Event) (bool, error) {
 func (en *engine) stepColl(r *simRank, rid int, e *trace.Event) (bool, error) {
 	g := en.coll(r.collIdx)
 	if !r.inColl {
-		r.clock += e.ComputeNS
-		r.compute += e.ComputeNS
+		r.enter(e)
 		if g.arrived == 0 {
 			g.op, g.size = e.Op, e.Size
 		} else if g.op != e.Op || g.size != e.Size {
@@ -441,7 +426,7 @@ func (en *engine) stepColl(r *simRank, rid int, e *trace.Event) (bool, error) {
 		g.maxT = math.Max(g.maxT, r.clock)
 		r.inColl = true
 		if g.arrived == en.n {
-			g.finish = g.maxT + mpisim.CollectiveCostNS(en.params, en.n, e.Op, e.Size)
+			g.finish = g.maxT + en.params.CollectiveCostNS(en.n, e.Op, e.Size)
 			g.done = true
 		}
 	}

@@ -146,6 +146,14 @@ var deletedNames = []struct {
 		pattern: regexp.MustCompile(`recordSlab|recordChunkMax|\.NewRecord\(`),
 	},
 	{
+		// One payload layout per rank: a compressor keeps a table per payload
+		// kind (cst.Payload), a RankCTT serves replay itself, and the merge's
+		// scratch leaves survive every Pair. The adapter, the escape report
+		// and the retire counter it fed are gone.
+		why:     "per-vertex rank payload and scratch retirement",
+		pattern: regexp.MustCompile(`RankSource|pairEsc|MergeScratchRetires|merge_scratch_retires`),
+	},
+	{
 		// Reads inflate on the caller's goroutine, and blockio owns the two
 		// codec pools a workload measures (its flate writer and inflate
 		// reader). The shared pool package, its gzip, bufio and buffer pools,

@@ -371,11 +371,13 @@ func markSites(sites []siteVertex) error {
 	return nil
 }
 
-// assignGIDs numbers vertices in pre-order and fills the GID index.
+// assignGIDs numbers vertices in pre-order, fills the GID index and numbers
+// each payload table.
 func assignGIDs(t *Tree) {
 	t.ByGID = t.ByGID[:0]
 	t.Walk(func(v *Vertex, _ int) {
 		v.GID = int32(len(t.ByGID))
 		t.ByGID = append(t.ByGID, v)
 	})
+	t.assignOrds()
 }

@@ -323,8 +323,11 @@ func checkCFG(prog *lang.Program, tree *Tree) error {
 }
 
 // testPrograms returns every string literal in this directory's test files
-// that parses and checks as MPL, keyed by its position, so the oracle and
-// FuzzBuild cover each program a test here builds without a second list.
+// that parses and checks as MPL, so the oracle and FuzzBuild cover each
+// program a test here builds without a second list. A program is keyed by
+// the declaration that holds it (a test function, or a package-level
+// variable) and its ordinal among that declaration's programs, a name that
+// stays put when lines are added above it.
 func testPrograms(tb testing.TB) map[string]string {
 	tb.Helper()
 	files, err := filepath.Glob("*_test.go")
@@ -338,24 +341,45 @@ func testPrograms(tb testing.TB) map[string]string {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		goast.Inspect(file, func(n goast.Node) bool {
-			lit, ok := n.(*goast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			src, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if prog, err := lang.Parse(src); err == nil {
-				if _, err := lang.Check(prog); err == nil {
-					srcs[fset.Position(lit.Pos()).String()] = src
+		for _, decl := range file.Decls {
+			owner := declName(decl)
+			ordinal := 0
+			goast.Inspect(decl, func(n goast.Node) bool {
+				lit, ok := n.(*goast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
 				}
-			}
-			return true
-		})
+				src, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if prog, err := lang.Parse(src); err == nil {
+					if _, err := lang.Check(prog); err == nil {
+						srcs[fmt.Sprintf("%s/%d", owner, ordinal)] = src
+						ordinal++
+					}
+				}
+				return true
+			})
+		}
 	}
 	return srcs
+}
+
+// declName names a top-level declaration: a function by its name, anything
+// else by its first declared name.
+func declName(decl goast.Decl) string {
+	switch d := decl.(type) {
+	case *goast.FuncDecl:
+		return d.Name.Name
+	case *goast.GenDecl:
+		for _, spec := range d.Specs {
+			if vs, ok := spec.(*goast.ValueSpec); ok && len(vs.Names) > 0 {
+				return vs.Names[0].Name
+			}
+		}
+	}
+	return "decl"
 }
 
 // checked parses and checks src, as Build requires.

@@ -51,7 +51,12 @@ const (
 
 var kindNames = [...]string{"Root", "Loop", "Br", "Call", "Comm", "RecCall"}
 
-func (k Kind) String() string { return kindNames[k] }
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", k)
+}
 
 // NoArm marks vertices that are not branch arms.
 const NoArm int8 = -1
@@ -82,6 +87,10 @@ type Vertex struct {
 	// keeping the decompressed sequence aligned with what actually ran.
 	// Vertices with Returns set survive pruning even when comm-free.
 	Returns bool
+	// Ord is the vertex's index in the per-rank table its Payload names
+	// (Tree.NumLeaves or Tree.NumCtl entries), -1 when it has none. Build
+	// and Decode assign it in pre-order, so it is a function of the tree.
+	Ord int32
 	// Target is the ancestor vertex a RecCall loops back to.
 	Target *Vertex
 
@@ -89,6 +98,39 @@ type Vertex struct {
 	Children []*Vertex
 
 	hasComm bool
+}
+
+// Payload names the per-rank table that holds a vertex's runtime data. A
+// rank keeps one table per payload kind, indexed by Vertex.Ord, so a vertex
+// costs a rank only what its kind records.
+type Payload uint8
+
+const (
+	// NoPayload: a non-recursive call or a RecCall records nothing of its
+	// own (a RecCall counts on its Target).
+	NoPayload Payload = iota
+	// LeafPayload: a comm leaf, or the root (MPI_Init and MPI_Finalize),
+	// holds run-length records.
+	LeafPayload
+	// CtlPayload: a loop or recursive call holds per-activation counts, a
+	// branch arm the reach indices it was taken at; both are one stride
+	// vector.
+	CtlPayload
+)
+
+// Payload reports which per-rank table holds v's data.
+func (v *Vertex) Payload() Payload {
+	switch v.Kind {
+	case KindRoot, KindComm:
+		return LeafPayload
+	case KindLoop, KindBranch:
+		return CtlPayload
+	case KindCall:
+		if v.Recursive {
+			return CtlPayload
+		}
+	}
+	return NoPayload
 }
 
 // Child returns the child with the given site and arm, or nil. The runtime
@@ -151,6 +193,8 @@ type Tree struct {
 	ByGID []*Vertex
 	// FuncName records the program entry function ("main").
 	FuncName string
+	// nLeaf and nCtl size the per-rank payload tables (see Payload).
+	nLeaf, nCtl int
 
 	hashOnce sync.Once // guards hash, see Hash
 	hash     uint64
@@ -158,6 +202,29 @@ type Tree struct {
 
 // NumVertices returns the number of vertices after pruning.
 func (t *Tree) NumVertices() int { return len(t.ByGID) }
+
+// NumLeaves returns the number of vertices with a LeafPayload.
+func (t *Tree) NumLeaves() int { return t.nLeaf }
+
+// NumCtl returns the number of vertices with a CtlPayload.
+func (t *Tree) NumCtl() int { return t.nCtl }
+
+// assignOrds numbers each vertex within its payload kind, in GID order.
+func (t *Tree) assignOrds() {
+	t.nLeaf, t.nCtl = 0, 0
+	for _, v := range t.ByGID {
+		switch v.Payload() {
+		case LeafPayload:
+			v.Ord = int32(t.nLeaf)
+			t.nLeaf++
+		case CtlPayload:
+			v.Ord = int32(t.nCtl)
+			t.nCtl++
+		default:
+			v.Ord = -1
+		}
+	}
+}
 
 // Walk visits vertices in pre-order.
 func (t *Tree) Walk(f func(v *Vertex, depth int)) {

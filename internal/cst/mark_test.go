@@ -241,7 +241,7 @@ func TestMarksMatchCST(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, c := range comps {
-				seq, err := replay.Sequence(replay.RankSource{C: c.Finish()}, i)
+				seq, err := replay.Sequence(c.Finish(), i)
 				if err != nil {
 					t.Fatalf("rank %d: %v", i, err)
 				}

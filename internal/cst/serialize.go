@@ -211,6 +211,7 @@ func Decode(data []byte) (*Tree, error) {
 	if err := t.Root.checkChildren(map[uint64]bool{}); err != nil {
 		return nil, err
 	}
+	t.assignOrds()
 	return t, nil
 }
 

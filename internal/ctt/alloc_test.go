@@ -4,10 +4,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cst"
 	"repro/internal/interp"
 	"repro/internal/mpisim"
+	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/timestat"
 	"repro/internal/trace"
@@ -155,8 +157,9 @@ func main() {
 
 // TestStructureMarkersNoAllocs pins the marker paths the way the tests above
 // pin Event: descent is a scan of the cursor's children and a branch site's
-// reach counter is a field of its first arm's VData, so neither a steady
-// stream of markers nor the first visit to a branch site touches the heap.
+// reach counter is its first arm's slot of the compressor's counter table, so
+// neither a steady stream of markers nor the first visit to a branch site
+// touches the heap.
 func TestStructureMarkersNoAllocs(t *testing.T) {
 	t.Run("steady", func(t *testing.T) {
 		_, tree := compile(t, `
@@ -299,9 +302,9 @@ func main() {
 		obs.Attach(nil, nil)
 		rt := c.Finish()
 		kept, cycles := 0, 0
-		for i := range rt.Data {
-			kept += len(rt.Data[i].Records)
-			cycles += len(rt.Data[i].Cycles)
+		for i := range rt.Leaves {
+			kept += len(rt.Leaves[i].Records)
+			cycles += len(rt.Leaves[i].Cycles)
 		}
 		if cycles != 12 {
 			t.Fatalf("sink attached %v: %d cycles, want one a phase (12)", sink != nil, cycles)
@@ -310,6 +313,50 @@ func main() {
 		if carved > kept+maxCycleLen+1 {
 			t.Errorf("sink attached %v: arena handed out %d record slots for %d kept records, budget %d",
 				sink != nil, carved, kept, kept+maxCycleLen+1)
+		}
+	}
+}
+
+// TestCompressorStateBytes pins what a rank pays before its first event.
+// NewCompressor sizes one table per payload kind (cst.Payload): a comm leaf
+// or the root costs a Leaf and its cycle state, a loop, recursive call or
+// branch arm one stride vector and one counter, and a non-recursive call or
+// RecCall nothing. On the nine npb skeletons at 64 ranks the bytes it
+// allocates a rank stay within a budget derived from the CST's kind counts,
+// each allocation allowed a quarter more for its size class. A per-vertex
+// layout, every vertex carrying every kind's fields (272 bytes a vertex),
+// exceeds the budget on every skeleton.
+func TestCompressorStateBytes(t *testing.T) {
+	const ranks = 64
+	alloc := func(n uintptr) uint64 { return uint64(n + n/4 + 16) }
+	for _, w := range npb.All() {
+		_, tree := compile(t, w.Source(ranks, npb.Small))
+		var leaves, ctl uintptr
+		tree.Walk(func(v *cst.Vertex, _ int) {
+			switch {
+			case v.Kind == cst.KindRoot, v.Kind == cst.KindComm:
+				leaves++
+			case v.Kind == cst.KindLoop, v.Kind == cst.KindBranch, v.Kind == cst.KindCall && v.Recursive:
+				ctl++
+			}
+		})
+		budget := alloc(unsafe.Sizeof(Compressor{})) +
+			alloc(leaves*unsafe.Sizeof(Leaf{})) + alloc(leaves*unsafe.Sizeof(cycleState{})) +
+			alloc(ctl*unsafe.Sizeof(Ctl{})) + alloc(ctl*8)
+		comps := make([]*Compressor, ranks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := range comps {
+			comps[r] = NewCompressor(tree, r, timestat.ModeMeanStddev)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(comps)
+		perRank := (after.TotalAlloc - before.TotalAlloc) / ranks
+		t.Logf("%s-%d: %d vertices (%d leaves, %d control): %d B a rank, budget %d",
+			w.Name, ranks, tree.NumVertices(), leaves, ctl, perRank, budget)
+		if perRank > budget {
+			t.Errorf("%s-%d: NewCompressor allocates %d B a rank, budget %d for %d leaves and %d control vertices",
+				w.Name, ranks, perRank, budget, leaves, ctl)
 		}
 	}
 }

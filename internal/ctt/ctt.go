@@ -1,15 +1,16 @@
 // Package ctt implements the Compressed Trace Tree and CYPRESS's intra-process
 // on-the-fly trace compression (paper Section IV-A).
 //
-// A Compressor mirrors the static CST: one data slot per CST vertex, plus a
-// cursor that always points at the vertex currently being executed, driven by
-// the structure markers the instrumented program emits. Each incoming MPI
-// event is "filled in" at its leaf and merged with the previous record when
-// all parameters except time match. Loop vertices record per-activation
-// iteration counts and branch-arm vertices record taken indices, both
-// stride-compressed. Request handles of non-blocking operations are mapped to
-// their poster's GID so completion records are replayable, and wildcard
-// receives are cached until their source is resolved at completion.
+// A Compressor mirrors the static CST: one payload table per vertex kind
+// (cst.Payload) with a slot per vertex of that kind, plus a cursor that always
+// points at the vertex currently being executed, driven by the structure
+// markers the instrumented program emits. Each incoming MPI event is "filled
+// in" at its leaf and merged with the previous record when all parameters
+// except time match. Loop vertices record per-activation iteration counts and
+// branch-arm vertices record taken indices, both stride-compressed. Request
+// handles of non-blocking operations are mapped to their poster's GID so
+// completion records are replayable, and wildcard receives are cached until
+// their source is resolved at completion.
 package ctt
 
 import (
@@ -102,60 +103,112 @@ func (r *CommRecord) SizeBytes() int64 {
 	return n
 }
 
-// VData is the runtime data of one CTT vertex.
-type VData struct {
-	// Records is the run-length event list for comm leaves (and for the
-	// root, which holds the MPI_Init and MPI_Finalize events).
+// Leaf is the runtime data of a comm leaf, or of the root, which holds the
+// MPI_Init and MPI_Finalize events.
+type Leaf struct {
+	// Records is the run-length event list.
 	Records []*CommRecord
-	// Counts holds per-activation iteration counts for loop vertices and
-	// recursion depths for recursive (pseudo-loop) call vertices.
-	Counts stride.Vector
-	// Taken holds, for branch-arm vertices, the branch-site reach indices at
-	// which this arm was taken.
-	Taken stride.Set
 	// Cycles marks repeating record blocks (see Cycle).
 	Cycles []Cycle
 
-	// open is the in-progress activation's iteration count.
-	open int64
-	// cyc tracks in-progress record-cycle folding.
-	cyc cycleState
-	// reach counts how often the branch site was reached. It is used only on
-	// the site's first arm vertex (arm 0, or arm 1 when arm 0 was pruned), the
-	// one place both the compressor and replay can name without a lookup table;
-	// replay recomputes it, so it is not part of the finished tree.
-	reach int64
-	// keyOK marks key as the memoized InvariantKey (see InvariantKeyCached).
-	// Nothing the merge does changes that key, so it is never invalidated.
-	keyOK bool
-	key   fp.Hash
+	// key is the memoized InvariantKey (see VData.InvariantKeyCached).
+	key fp.Hash
+}
+
+// Ctl is the runtime data of a loop or recursive call — per-activation
+// iteration counts or recursion depths, in its Vector — or of a branch arm:
+// the branch-site reach indices at which the arm was taken. A stride.Set is
+// a stride.Vector whose Add keeps it strictly increasing, so one table of
+// sets serves both.
+type Ctl struct {
+	stride.Set
+
+	// key is the memoized InvariantKey (see VData.InvariantKeyCached).
+	key fp.Hash
+}
+
+// VData is the runtime data of one CTT vertex, as a view onto the table of
+// its payload kind (cst.Payload): a comm leaf's or the root's Leaf, or the
+// Ctl of a loop, recursive call or branch arm. A vertex of the tree sets at
+// most one of them; a vertex that recorded nothing sets neither. The view is
+// two pointers and is passed by value: the merge keeps one in every entry and
+// aliases the rank's tables through it.
+type VData struct {
+	Leaf *Leaf
+	Ctl  *Ctl
+}
+
+// Records returns the vertex's records, nil on a vertex that is no leaf.
+func (d VData) Records() []*CommRecord {
+	if d.Leaf == nil {
+		return nil
+	}
+	return d.Leaf.Records
+}
+
+// Cycles returns the vertex's record cycles, nil on a vertex that is no leaf.
+func (d VData) Cycles() []Cycle {
+	if d.Leaf == nil {
+		return nil
+	}
+	return d.Leaf.Cycles
+}
+
+// Counts returns the control vector as a plain vector — a loop's or
+// pseudo-loop's activation counts, an arm's taken indices — nil when the
+// vertex has none.
+func (d VData) Counts() *stride.Vector {
+	if d.Ctl == nil {
+		return nil
+	}
+	return &d.Ctl.Vector
+}
+
+// Taken returns the control vector as a set — an arm's taken indices — nil
+// when the vertex has none.
+func (d VData) Taken() *stride.Set {
+	if d.Ctl == nil {
+		return nil
+	}
+	return &d.Ctl.Set
+}
+
+// ctlLen is the length of the control vector, 0 when there is none.
+func (d VData) ctlLen() int64 {
+	if d.Ctl == nil {
+		return 0
+	}
+	return d.Ctl.Len()
 }
 
 // Executed reports whether the vertex holds any dynamic data.
-func (d *VData) Executed() bool {
-	return len(d.Records) != 0 || d.Counts.Len() != 0 || d.Taken.Len() != 0
+func (d VData) Executed() bool {
+	return len(d.Records()) != 0 || d.ctlLen() != 0
 }
 
 // SizeBytes estimates the serialized footprint of the vertex data.
-func (d *VData) SizeBytes() int64 {
+func (d VData) SizeBytes() int64 {
 	var n int64
-	for _, r := range d.Records {
+	for _, r := range d.Records() {
 		n += r.SizeBytes()
 	}
-	n += d.Counts.SizeBytes()
-	n += d.Taken.SizeBytes()
-	n += 24 * int64(len(d.Cycles))
+	if d.Ctl != nil {
+		n += d.Ctl.SizeBytes()
+	}
+	n += 24 * int64(len(d.Cycles()))
 	return n
 }
 
 // RankCTT is a finished per-rank compressed trace tree, ready for
-// inter-process merging or replay.
+// inter-process merging or replay. It implements replay.Source.
 type RankCTT struct {
 	Rank     int
-	Tree     *cst.Tree
+	CST      *cst.Tree
 	TreeHash uint64
-	// Data is indexed by CST vertex GID.
-	Data []VData
+	// Leaves is indexed by the Ord of the CST's LeafPayload vertices, Ctl by
+	// that of its CtlPayload vertices (cst.Payload).
+	Leaves []Leaf
+	Ctl    []Ctl
 	// EventCount is the number of MPI events the rank produced (for
 	// compression-ratio accounting).
 	EventCount int64
@@ -164,12 +217,42 @@ type RankCTT struct {
 	Executed int
 }
 
+// Data returns the view of vertex gid's data.
+func (c *RankCTT) Data(gid int32) VData {
+	v := c.CST.ByGID[gid]
+	switch v.Payload() {
+	case cst.LeafPayload:
+		return VData{Leaf: &c.Leaves[v.Ord]}
+	case cst.CtlPayload:
+		return VData{Ctl: &c.Ctl[v.Ord]}
+	}
+	return VData{}
+}
+
+// Tree implements replay.Source.
+func (c *RankCTT) Tree() *cst.Tree { return c.CST }
+
+// Counts implements replay.Source.
+func (c *RankCTT) Counts(gid int32) *stride.Vector { return c.Data(gid).Counts() }
+
+// Taken implements replay.Source.
+func (c *RankCTT) Taken(gid int32) *stride.Set { return c.Data(gid).Taken() }
+
+// Records implements replay.Source.
+func (c *RankCTT) Records(gid int32) []*CommRecord { return c.Data(gid).Records() }
+
+// Cycles implements replay.Source.
+func (c *RankCTT) Cycles(gid int32) []Cycle { return c.Data(gid).Cycles() }
+
 // SizeBytes estimates the serialized footprint of the whole rank CTT
 // (excluding the shared CST, which is stored once per job).
 func (c *RankCTT) SizeBytes() int64 {
 	var n int64
-	for i := range c.Data {
-		n += c.Data[i].SizeBytes()
+	for i := range c.Leaves {
+		n += VData{Leaf: &c.Leaves[i]}.SizeBytes()
+	}
+	for i := range c.Ctl {
+		n += c.Ctl[i].SizeBytes()
 	}
 	return n
 }
@@ -199,7 +282,20 @@ type Compressor struct {
 	rank int
 	mode timestat.Mode
 
-	data   []VData
+	// leaves and ctl are the rank's payload tables (see RankCTT), handed to
+	// the RankCTT at Finish.
+	leaves []Leaf
+	ctl    []Ctl
+	// ctr is the compressor's working counter per CtlPayload vertex: a
+	// loop's or recursive call's in-progress iteration count, and on a
+	// branch site's first arm vertex (arm 0, or arm 1 when arm 0 was pruned)
+	// how often the site was reached — the one place both the compressor and
+	// replay can name without a lookup table. Replay recomputes reach counts,
+	// so none of it is part of the finished tree.
+	ctr []int64
+	// cyc tracks in-progress record-cycle folding per leaf.
+	cyc []cycleState
+
 	cursor *cst.Vertex
 	stack  []frame
 
@@ -241,18 +337,20 @@ type compTally struct {
 // the same tree (SPMD single-binary assumption). The compressor reports into
 // the sink attached at this call (obs.Attach), for its whole life.
 func NewCompressor(tree *cst.Tree, rank int, mode timestat.Mode) *Compressor {
+	nl, nc := tree.NumLeaves(), tree.NumCtl()
 	return &Compressor{
 		tree:   tree,
 		rank:   rank,
 		mode:   mode,
-		data:   make([]VData, tree.NumVertices()),
+		leaves: make([]Leaf, nl),
+		ctl:    make([]Ctl, nc),
+		ctr:    make([]int64, nc),
+		cyc:    make([]cycleState, nl),
 		cursor: tree.Root,
 		site:   -1,
 		obs:    obs.Attached(),
 	}
 }
-
-func (c *Compressor) d(v *cst.Vertex) *VData { return &c.data[v.GID] }
 
 // noSite panics on a structure marker whose site has no child under the
 // cursor. The interpreter emits markers only for the sites the CST keeps
@@ -269,10 +367,10 @@ func (c *Compressor) LoopEnter(site int32) {
 	if child == nil {
 		c.noSite("loop", site)
 	}
-	d := c.d(child)
-	c.stack = append(c.stack, frame{kind: fLoop, prev: c.cursor, entered: child, savedOpen: d.open})
+	open := &c.ctr[child.Ord]
+	c.stack = append(c.stack, frame{kind: fLoop, prev: c.cursor, entered: child, savedOpen: *open})
 	c.cursor = child
-	d.open = 0
+	*open = 0
 }
 
 // LoopIter implements trace.Sink.
@@ -281,7 +379,7 @@ func (c *Compressor) LoopIter(site int32) {
 		panic(fmt.Sprintf("ctt: loop iteration marker for site %d at vertex %d (%v)",
 			site, c.cursor.GID, c.cursor.Kind))
 	}
-	c.d(c.cursor).open++
+	c.ctr[c.cursor.Ord]++
 }
 
 // BranchEnter implements trace.Sink.
@@ -290,9 +388,9 @@ func (c *Compressor) BranchEnter(site int32, arm int8) {
 	if armV == nil {
 		c.noSite(fmt.Sprintf("branch arm %d", arm), site)
 	}
-	fd := c.d(first)
-	c.d(armV).Taken.Add(fd.reach)
-	fd.reach++
+	reach := &c.ctr[first.Ord]
+	c.ctl[armV.Ord].Add(*reach)
+	*reach++
 	c.stack = append(c.stack, frame{kind: fBranch, prev: c.cursor, entered: armV})
 	c.cursor = armV
 }
@@ -303,7 +401,7 @@ func (c *Compressor) BranchSkip(site int32) {
 	if first == nil {
 		c.noSite("branch skip", site)
 	}
-	c.d(first).reach++
+	c.ctr[first.Ord]++
 }
 
 // branchArms returns, for a branch site under the cursor, the vertex that
@@ -340,11 +438,11 @@ func (c *Compressor) CallEnter(site int32) {
 		c.cursor = child
 		if child.Recursive {
 			// Pseudo-loop activation: recursion depth starts at one level.
-			c.d(child).open = 1
+			c.ctr[child.Ord] = 1
 		}
 	case cst.KindRecCall:
 		// Loop back: one more recursion level on the matching ancestor.
-		c.d(child.Target).open++
+		c.ctr[child.Target.Ord]++
 		c.stack = append(c.stack, frame{kind: fRecCall, prev: c.cursor, entered: child})
 		c.cursor = child.Target
 	default:
@@ -361,14 +459,14 @@ func (c *Compressor) StructExit() {
 	c.stack = c.stack[:len(c.stack)-1]
 	switch f.kind {
 	case fLoop:
-		d := c.d(f.entered)
-		d.Counts.Append(d.open)
-		d.open = f.savedOpen
+		o := f.entered.Ord
+		c.ctl[o].Vector.Append(c.ctr[o])
+		c.ctr[o] = f.savedOpen
 		c.cursor = f.prev
 	case fCall:
 		if f.entered.Recursive {
-			d := c.d(f.entered)
-			d.Counts.Append(d.open)
+			o := f.entered.Ord
+			c.ctl[o].Vector.Append(c.ctr[o])
 		}
 		c.cursor = f.prev
 	default:
@@ -470,18 +568,18 @@ func (c *Compressor) resolveCompletion(ev *trace.Event) {
 // only read: the comparisons below ignore GID, request id and times, so the
 // event takes its canonical form only when a new record retains it.
 func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
-	d := c.d(v)
+	d, cs := &c.leaves[v.Ord], &c.cyc[v.Ord]
 	dur, comp := ev.DurationNS, ev.ComputeNS
 	// Open record cycles consume matching events first; a mismatch closes
 	// the cycle and falls through to the ordinary paths.
-	if d.cyc.open != nil && c.tryFoldCycle(d, ev, dur, comp) {
+	if cs.open != nil && c.tryFoldCycle(d, cs, ev, dur, comp) {
 		c.tal.cycleFolds++
 		return
 	}
 	n := len(d.Records)
 	// Only the last unfrozen record is a merge candidate: the paper's
 	// window of one, the width that keeps replay order exact.
-	if n > d.cyc.frozen && n > 0 {
+	if n > cs.frozen && n > 0 {
 		if last := d.Records[n-1]; last.Peers == nil && last.Ev.SameParams(ev) {
 			last.Count++
 			last.Time.Add(dur)
@@ -497,7 +595,7 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	// Peer-pattern folding: a point-to-point record whose parameters match
 	// except for the partner extends the last record's peer cycle instead
 	// of opening a new record (CG butterflies, MG level neighbors).
-	if n > d.cyc.frozen && n > 0 && ev.Op.IsPointToPoint() {
+	if n > cs.frozen && n > 0 && ev.Op.IsPointToPoint() {
 		last := d.Records[n-1]
 		if last.Ev.Op.IsPointToPoint() && last.Ev.SameParamsExceptPeer(ev) {
 			if last.Peers == nil {
@@ -532,12 +630,12 @@ func (c *Compressor) record(v *cst.Vertex, ev *trace.Event) {
 	rec.Compute = timestat.Make(timestat.ModeMeanStddev)
 	rec.Compute.Add(comp)
 	c.tal.newRecords++
-	c.tryOpenCycle(d)
+	c.tryOpenCycle(d, cs)
 }
 
 // newRecord appends a zeroed record from the rank's arena to d's records.
 // Callers fill in the fields afterwards.
-func (c *Compressor) newRecord(d *VData) *CommRecord {
+func (c *Compressor) newRecord(d *Leaf) *CommRecord {
 	r := c.recs.alloc()
 	d.Records = append(d.Records, r)
 	return r
@@ -562,32 +660,37 @@ func (c *Compressor) Finish() *RankCTT {
 	}
 	tsp := obs.AttachedRecorder().Begin(ftrace.CatCompress, ftrace.NameFinish, int32(c.rank))
 	exec := 0
-	for i := range c.data {
-		d := &c.data[i]
-		d.reach = 0
-		if d.cyc.open != nil {
-			c.closeCycle(d)
+	for i := range c.leaves {
+		d := &c.leaves[i]
+		if c.cyc[i].open != nil {
+			c.closeCycle(d, &c.cyc[i])
 		}
 		for _, r := range d.Records {
 			if r.Peers != nil {
 				r.Peers.Compress()
 			}
 		}
-		if d.Executed() {
+		if len(d.Records) != 0 {
+			exec++
+		}
+	}
+	for i := range c.ctl {
+		v := &c.ctl[i].Vector
+		if v.Len() != 0 {
 			exec++
 		}
 		if c.obs.Enabled() {
-			c.strideStats(&d.Counts)
-			c.strideStats(&d.Taken.Vector)
+			c.strideStats(v)
 		}
 	}
 	c.flushTally()
 	tsp.End(c.events, int64(exec))
 	return &RankCTT{
 		Rank:       c.rank,
-		Tree:       c.tree,
+		CST:        c.tree,
 		TreeHash:   c.tree.Hash(),
-		Data:       c.data,
+		Leaves:     c.leaves,
+		Ctl:        c.ctl,
 		EventCount: c.events,
 		Executed:   exec,
 	}
@@ -637,14 +740,22 @@ func (c *Compressor) strideStats(v *stride.Vector) {
 func (c *Compressor) MemoryBytes() int64 {
 	const ptr = int64(unsafe.Sizeof(uintptr(0)))
 	n := int64(unsafe.Sizeof(*c))
-	n += int64(cap(c.data)) * int64(unsafe.Sizeof(VData{}))
+	n += int64(cap(c.leaves)) * int64(unsafe.Sizeof(Leaf{}))
+	n += int64(cap(c.ctl)) * int64(unsafe.Sizeof(Ctl{}))
+	n += int64(cap(c.ctr)) * 8
+	n += int64(cap(c.cyc)) * int64(unsafe.Sizeof(cycleState{}))
 	n += int64(c.recs.chunks) * recordChunk * int64(unsafe.Sizeof(CommRecord{}))
 	n += int64(cap(c.recs.free)) * ptr
-	for i := range c.data {
-		d := &c.data[i]
+	for i := range c.ctl {
+		n += c.ctl[i].HeapBytes()
+	}
+	for i := range c.leaves {
+		d := &c.leaves[i]
 		n += int64(cap(d.Records)) * ptr
 		n += int64(cap(d.Cycles)) * int64(unsafe.Sizeof(Cycle{}))
-		n += d.Counts.HeapBytes() + d.Taken.HeapBytes()
+		if oc := c.cyc[i].open; oc != nil {
+			n += int64(unsafe.Sizeof(*oc))
+		}
 		for _, r := range d.Records {
 			n += 4 * int64(cap(r.Ev.Reqs)+cap(r.Ev.ReqSrcs)+cap(r.Time.Hist)+cap(r.Compute.Hist))
 			if p := r.Peers; p != nil {

@@ -73,11 +73,11 @@ func main() {
 	}
 }`, 2)
 	leaf := findLeaf(tree, trace.OpBcast)
-	d := ctts[0].Data[leaf.GID]
-	if len(d.Records) != 1 {
-		t.Fatalf("records = %d, want 1", len(d.Records))
+	d := ctts[0].Data(leaf.GID)
+	if len(d.Records()) != 1 {
+		t.Fatalf("records = %d, want 1", len(d.Records()))
 	}
-	r := d.Records[0]
+	r := d.Records()[0]
 	if r.Count != 100 || r.Ev.Size != 4096 || r.Ev.Peer != 0 {
 		t.Fatalf("record = %+v", r)
 	}
@@ -86,9 +86,9 @@ func main() {
 	}
 	// Loop vertex has one activation of 100 iterations.
 	loop := tree.Root.Children[0]
-	ld := ctts[0].Data[loop.GID]
-	if ld.Counts.Len() != 1 || ld.Counts.At(0) != 100 {
-		t.Fatalf("loop counts = %s", ld.Counts.String())
+	ld := ctts[0].Data(loop.GID)
+	if ld.Counts().Len() != 1 || ld.Counts().At(0) != 100 {
+		t.Fatalf("loop counts = %s", ld.Counts().String())
 	}
 }
 
@@ -100,9 +100,9 @@ func main() {
 	}
 }`, 1)
 	leaf := findLeaf(tree, trace.OpBcast)
-	d := ctts[0].Data[leaf.GID]
-	if len(d.Records) != 10 {
-		t.Fatalf("records = %d, want 10 (sizes all differ)", len(d.Records))
+	d := ctts[0].Data(leaf.GID)
+	if len(d.Records()) != 10 {
+		t.Fatalf("records = %d, want 10 (sizes all differ)", len(d.Records()))
 	}
 }
 
@@ -128,28 +128,28 @@ func main() {
 			inner = c
 		}
 	}
-	od := ctts[0].Data[outer.GID]
-	id := ctts[0].Data[inner.GID]
-	if od.Counts.String() != "[<8>]" {
-		t.Fatalf("outer counts = %s", od.Counts.String())
+	od := ctts[0].Data(outer.GID)
+	id := ctts[0].Data(inner.GID)
+	if od.Counts().String() != "[<8>]" {
+		t.Fatalf("outer counts = %s", od.Counts().String())
 	}
 	// Inner iteration counts 0,1,...,7 compress to a single stride run
 	// (paper Figure 10's <0,k-1,1>).
-	if id.Counts.String() != "[<0,7,1>]" {
-		t.Fatalf("inner counts = %s", id.Counts.String())
+	if id.Counts().String() != "[<0,7,1>]" {
+		t.Fatalf("inner counts = %s", id.Counts().String())
 	}
 	// n = k(k-1)/2 total inner executions on the isend leaf.
 	leaf := findLeaf(tree, trace.OpIsend)
-	ld := ctts[0].Data[leaf.GID]
+	ld := ctts[0].Data(leaf.GID)
 	var total int64
-	for _, r := range ld.Records {
+	for _, r := range ld.Records() {
 		total += r.Count
 	}
 	if total != k*(k-1)/2 {
 		t.Fatalf("isend executions = %d, want %d", total, k*(k-1)/2)
 	}
-	if len(ld.Records) != 1 {
-		t.Fatalf("isend records = %d, want 1", len(ld.Records))
+	if len(ld.Records()) != 1 {
+		t.Fatalf("isend records = %d, want 1", len(ld.Records()))
 	}
 }
 
@@ -170,28 +170,28 @@ func main() {
 	loop := tree.Root.Children[0]
 	arm0 := loop.Children[0]
 	arm1 := loop.Children[1]
-	d0 := ctts[0].Data[arm0.GID]
-	d1 := ctts[0].Data[arm1.GID]
-	if d0.Taken.String() != "[<0,8,2>]" {
-		t.Fatalf("arm0 taken = %s, want [<0,8,2>]", d0.Taken.String())
+	d0 := ctts[0].Data(arm0.GID)
+	d1 := ctts[0].Data(arm1.GID)
+	if d0.Ctl.String() != "[<0,8,2>]" {
+		t.Fatalf("arm0 taken = %s, want [<0,8,2>]", d0.Ctl.String())
 	}
-	if d1.Taken.String() != "[<1,9,2>]" {
-		t.Fatalf("arm1 taken = %s, want [<1,9,2>]", d1.Taken.String())
+	if d1.Ctl.String() != "[<1,9,2>]" {
+		t.Fatalf("arm1 taken = %s, want [<1,9,2>]", d1.Ctl.String())
 	}
 	// Waitall executed 10 times; its request lists alternate between
 	// {isend} and {irecv}. Record-cycle folding collapses the alternation
 	// into a 2-record block repeated 5 times.
 	wa := findLeaf(tree, trace.OpWaitall)
-	wd := ctts[0].Data[wa.GID]
-	if len(wd.Records) != 2 {
-		t.Fatalf("waitall records = %d, want 2 (cycle-folded)", len(wd.Records))
+	wd := ctts[0].Data(wa.GID)
+	if len(wd.Records()) != 2 {
+		t.Fatalf("waitall records = %d, want 2 (cycle-folded)", len(wd.Records()))
 	}
-	if len(wd.Cycles) != 1 || wd.Cycles[0] != (Cycle{Start: 0, Len: 2, Reps: 5}) {
-		t.Fatalf("waitall cycles = %+v, want one {0,2,5}", wd.Cycles)
+	if len(wd.Cycles()) != 1 || wd.Cycles()[0] != (Cycle{Start: 0, Len: 2, Reps: 5}) {
+		t.Fatalf("waitall cycles = %+v, want one {0,2,5}", wd.Cycles())
 	}
 	var total int64
-	for _, r := range wd.Records {
-		total += r.Count * wd.Cycles[0].Reps
+	for _, r := range wd.Records() {
+		total += r.Count * wd.Cycles()[0].Reps
 	}
 	if total != 10 {
 		t.Fatalf("waitall executions = %d", total)
@@ -199,7 +199,7 @@ func main() {
 	// Request ids must have been rewritten to the poster leaves' GIDs.
 	isendGID := findLeaf(tree, trace.OpIsend).GID
 	irecvGID := findLeaf(tree, trace.OpIrecv).GID
-	for i, r := range wd.Records {
+	for i, r := range wd.Records() {
 		want := isendGID
 		if i%2 == 1 {
 			want = irecvGID
@@ -226,20 +226,20 @@ func main() {
 }`, 1)
 	loop := tree.Root.Children[0]
 	arm := loop.Children[0]
-	d := ctts[0].Data[arm.GID]
-	if d.Taken.String() != "[<3,4,1>]" {
-		t.Fatalf("taken = %s, want [<3,4,1>]", d.Taken.String())
+	d := ctts[0].Data(arm.GID)
+	if d.Ctl.String() != "[<3,4,1>]" {
+		t.Fatalf("taken = %s, want [<3,4,1>]", d.Ctl.String())
 	}
 }
 
 func TestInitFinalizeOnRoot(t *testing.T) {
 	tree, ctts := run(t, `func main() { barrier(); }`, 2)
-	rd := ctts[0].Data[tree.Root.GID]
-	if len(rd.Records) != 2 {
-		t.Fatalf("root records = %d, want 2 (init+finalize)", len(rd.Records))
+	rd := ctts[0].Data(tree.Root.GID)
+	if len(rd.Records()) != 2 {
+		t.Fatalf("root records = %d, want 2 (init+finalize)", len(rd.Records()))
 	}
-	if rd.Records[0].Ev.Op != trace.OpInit || rd.Records[1].Ev.Op != trace.OpFinalize {
-		t.Fatalf("root records = %v, %v", rd.Records[0].Ev.Op, rd.Records[1].Ev.Op)
+	if rd.Records()[0].Ev.Op != trace.OpInit || rd.Records()[1].Ev.Op != trace.OpFinalize {
+		t.Fatalf("root records = %v, %v", rd.Records()[0].Ev.Op, rd.Records()[1].Ev.Op)
 	}
 }
 
@@ -251,11 +251,11 @@ func main() {
 }`, 4)
 	sendLeaf := findLeaf(tree, trace.OpSend)
 	for rank := 0; rank < 3; rank++ {
-		d := ctts[rank].Data[sendLeaf.GID]
-		if len(d.Records) != 1 {
-			t.Fatalf("rank %d send records = %d", rank, len(d.Records))
+		d := ctts[rank].Data(sendLeaf.GID)
+		if len(d.Records()) != 1 {
+			t.Fatalf("rank %d send records = %d", rank, len(d.Records()))
 		}
-		r := d.Records[0]
+		r := d.Records()[0]
 		if r.PeerRel != 1 {
 			t.Fatalf("rank %d PeerRel = %d, want +1", rank, r.PeerRel)
 		}
@@ -264,7 +264,7 @@ func main() {
 		}
 	}
 	// Rank 3 never executes the send arm.
-	if len(ctts[3].Data[sendLeaf.GID].Records) != 0 {
+	if len(ctts[3].Data(sendLeaf.GID).Records()) != 0 {
 		t.Fatal("rank 3 must have no send records")
 	}
 }
@@ -287,7 +287,7 @@ func main() {
 		if v.Kind != cst.KindComm || v.Op != trace.OpIrecv {
 			return
 		}
-		for _, r := range ctts[0].Data[v.GID].Records {
+		for _, r := range ctts[0].Data(v.GID).Records() {
 			total += r.Count
 			peers[r.Ev.Peer] = true
 			if !r.Ev.Wildcard {
@@ -306,7 +306,7 @@ func main() {
 	}
 	// The waitall record must not retain per-rank resolved sources.
 	wa := findLeaf(tree, trace.OpWaitall)
-	for _, r := range ctts[0].Data[wa.GID].Records {
+	for _, r := range ctts[0].Data(wa.GID).Records() {
 		if r.Ev.ReqSrcs != nil {
 			t.Fatal("completion record kept ReqSrcs")
 		}
@@ -335,20 +335,20 @@ func f(n) {
 	if len(callVs) != 2 {
 		t.Fatalf("recursive call vertices = %d\n%s", len(callVs), tree.Dump())
 	}
-	d0 := ctts[0].Data[callVs[0].GID]
-	d1 := ctts[0].Data[callVs[1].GID]
-	if d0.Counts.String() != "[<5>]" {
-		t.Fatalf("f(4) levels = %s, want [<5>]", d0.Counts.String())
+	d0 := ctts[0].Data(callVs[0].GID)
+	d1 := ctts[0].Data(callVs[1].GID)
+	if d0.Counts().String() != "[<5>]" {
+		t.Fatalf("f(4) levels = %s, want [<5>]", d0.Counts().String())
 	}
-	if d1.Counts.String() != "[<3>]" {
-		t.Fatalf("f(2) levels = %s, want [<3>]", d1.Counts.String())
+	if d1.Counts().String() != "[<3>]" {
+		t.Fatalf("f(2) levels = %s, want [<3>]", d1.Counts().String())
 	}
 	// Total bcasts recorded: 4 + 2.
 	leaf := findLeaf(tree, trace.OpBcast)
 	var total int64
 	for _, v := range tree.ByGID {
 		if v.Kind == cst.KindComm && v.Op == trace.OpBcast {
-			for _, r := range ctts[0].Data[v.GID].Records {
+			for _, r := range ctts[0].Data(v.GID).Records() {
 				total += r.Count
 			}
 		}
@@ -451,7 +451,7 @@ func main() {
 	}
 	c := comp.Finish()
 	leaf := findLeaf(tree, trace.OpAllreduce)
-	rec := c.Data[leaf.GID].Records[0]
+	rec := c.Data(leaf.GID).Records()[0]
 	if rec.Time.Hist == nil {
 		t.Fatal("histogram mode lost the histogram")
 	}
@@ -502,9 +502,9 @@ func f(n) {
 	if retArm == nil {
 		t.Fatalf("return arm pruned:\n%s", tree.Dump())
 	}
-	d := ctts[0].Data[retArm.GID]
-	if d.Taken.String() != "[<3,4,1>]" {
-		t.Fatalf("return arm taken = %s", d.Taken.String())
+	d := ctts[0].Data(retArm.GID)
+	if d.Ctl.String() != "[<3,4,1>]" {
+		t.Fatalf("return arm taken = %s", d.Ctl.String())
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // Cycle marks a repeating block of records: Records[Start : Start+Len]
 // repeat Reps times, each record occurring Count times per repetition.
-// Cycle ranges within one VData are disjoint and ascending.
+// Cycle ranges within one Leaf are disjoint and ascending.
 type Cycle struct {
 	Start, Len int32
 	Reps       int64
@@ -36,7 +36,8 @@ type openCycle struct {
 // record appends (MG-style level counts are well under it).
 const maxCycleLen = 16
 
-// cycleState lives beside VData during compression.
+// cycleState is a leaf's cycle-folding state during compression; the
+// Compressor keeps one per leaf, beside the rank's Leaf table.
 type cycleState struct {
 	open *openCycle
 	// frozen is the index past the last closed cycle: records below it are
@@ -54,14 +55,14 @@ func recordsCycleEqual(a, b *CommRecord) bool {
 
 // tryFoldCycle attempts to consume ev as the next occurrence of an open
 // cycle. It reports whether the event was absorbed.
-func (c *Compressor) tryFoldCycle(d *VData, ev *trace.Event, dur, comp float64) bool {
-	oc := d.cyc.open
+func (c *Compressor) tryFoldCycle(d *Leaf, cs *cycleState, ev *trace.Event, dur, comp float64) bool {
+	oc := cs.open
 	if oc == nil {
 		return false
 	}
 	target := d.Records[oc.start+oc.pos]
 	if target.Peers != nil || !target.Ev.SameParams(ev) {
-		c.closeCycle(d)
+		c.closeCycle(d, cs)
 		return false
 	}
 	target.Time.Add(dur)
@@ -81,8 +82,7 @@ func (c *Compressor) tryFoldCycle(d *VData, ev *trace.Event, dur, comp float64) 
 // closeCycle commits an open cycle: the completed repetitions become a Cycle
 // annotation, and any partial final repetition is materialized as fresh
 // trailing records so occurrence counts stay exact.
-func (c *Compressor) closeCycle(d *VData) {
-	cs := &d.cyc
+func (c *Compressor) closeCycle(d *Leaf, cs *cycleState) {
 	oc := cs.open
 	cs.open = nil
 	if oc == nil {
@@ -117,8 +117,7 @@ func (c *Compressor) closeCycle(d *VData) {
 // new record matching the block head; if so it collapses the duplicate
 // block, hands its records and the newest back to the arena, and opens a
 // cycle.
-func (c *Compressor) tryOpenCycle(d *VData) {
-	cs := &d.cyc
+func (c *Compressor) tryOpenCycle(d *Leaf, cs *cycleState) {
 	n := len(d.Records)
 	newest := d.Records[n-1]
 	if newest.Peers != nil {

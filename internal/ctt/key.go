@@ -72,76 +72,92 @@ func hashPattern(h fp.Hash, p *PeerPattern) fp.Hash {
 
 // hashControl folds the control-flow payload and record/cycle shape shared by
 // the invariant key and the shape key.
-func (d *VData) hashControl(h fp.Hash) fp.Hash {
-	// Manual empty-vector folds: comm leaves — the bulk of all vertices —
-	// have empty Counts and Taken, and the single length word the Hash
-	// method would fold is cheaper produced inline than via the call.
-	if d.Counts.Len() == 0 {
+func (d VData) hashControl(h fp.Hash) fp.Hash {
+	// Manual empty-vector fold: comm leaves — the bulk of all vertices —
+	// have no control vector, and the single length word the Hash method
+	// would fold is cheaper produced inline than via the call.
+	if d.ctlLen() == 0 {
 		h = h.Word(0)
 	} else {
-		h = d.Counts.Hash(h)
+		h = d.Ctl.Vector.Hash(h)
 	}
-	if d.Taken.Len() == 0 {
-		h = h.Word(0)
-	} else {
-		h = d.Taken.Vector.Hash(h)
-	}
-	h = h.Word(uint64(len(d.Cycles)))
-	for _, c := range d.Cycles {
+	cycles := d.Cycles()
+	h = h.Word(uint64(len(cycles)))
+	for _, c := range cycles {
 		h = h.Word(uint64(c.Start)).Word(uint64(c.Len)).Int(c.Reps)
 	}
-	return h.Word(uint64(len(d.Records)))
+	return h.Word(uint64(len(d.Records())))
 }
 
 // InvariantKey returns the payload's encoding-invariant key (see the file
 // header): payloads merge.compatible accepts have equal keys, and no
 // unification changes a payload's key.
-func (d *VData) InvariantKey() fp.Hash {
+func (d VData) InvariantKey() fp.Hash {
 	h := d.hashControl(fp.New())
-	for _, r := range d.Records {
+	for _, r := range d.Records() {
 		h = r.hashInvariant(h)
 	}
 	return h
 }
 
-// InvariantKeyCached returns InvariantKey, memoized on the payload. It is for
-// finished vertex data only, and needs no invalidation, since unification
-// leaves the key alone.
-func (d *VData) InvariantKeyCached() fp.Hash {
-	if !d.keyOK {
-		d.key = d.InvariantKey()
-		d.keyOK = true
+// InvariantKeyCached returns InvariantKey, memoized on the payload: its Leaf
+// or its Ctl. It is for finished vertex data only, and needs no
+// invalidation, since unification leaves the key alone. The memo reads 0
+// until it is computed, so a key that hashes to 0 is recomputed at every
+// call: slower, never wrong.
+func (d VData) InvariantKeyCached() fp.Hash {
+	var memo *fp.Hash
+	switch {
+	case d.Leaf != nil && d.Ctl == nil:
+		memo = &d.Leaf.key
+	case d.Ctl != nil && d.Leaf == nil:
+		memo = &d.Ctl.key
+	default:
+		return d.InvariantKey()
 	}
-	return d.key
+	if *memo == 0 {
+		*memo = d.InvariantKey()
+	}
+	return *memo
 }
 
 // ShapeKey returns the payload's replay-shape key (see the file header):
 // payloads that are SameShape have equal keys.
-func (d *VData) ShapeKey() fp.Hash {
+func (d VData) ShapeKey() fp.Hash {
 	h := d.hashControl(fp.New())
-	for _, r := range d.Records {
+	for _, r := range d.Records() {
 		h = h.Int(r.Count)
 	}
 	return h
 }
 
+// CtlEqual reports whether d and o hold equal control vectors, run-wise as
+// stride.Vector.Equal compares; a missing vector equals an empty one.
+func (d VData) CtlEqual(o VData) bool {
+	if d.Ctl == nil || o.Ctl == nil {
+		return d.ctlLen() == 0 && o.ctlLen() == 0
+	}
+	return d.Ctl.Vector.Equal(&o.Ctl.Vector)
+}
+
 // SameShape reports whether d and o agree on everything the replay walk
-// reads: Counts, Taken, Cycles, the number of records and each record's
+// reads: the control vector, Cycles, the number of records and each record's
 // Count. The vectors compare run-wise, as stride.Vector.Equal does, so two
 // decoded payloads that spell one sequence in different runs are not the same
 // shape — which costs a shared skeleton, never a wrong one.
-func (d *VData) SameShape(o *VData) bool {
-	if len(d.Records) != len(o.Records) || len(d.Cycles) != len(o.Cycles) ||
-		!d.Counts.Equal(&o.Counts) || !d.Taken.Vector.Equal(&o.Taken.Vector) {
+func (d VData) SameShape(o VData) bool {
+	dr, or := d.Records(), o.Records()
+	dc, oc := d.Cycles(), o.Cycles()
+	if len(dr) != len(or) || len(dc) != len(oc) || !d.CtlEqual(o) {
 		return false
 	}
-	for i, c := range d.Cycles {
-		if c != o.Cycles[i] {
+	for i, c := range dc {
+		if c != oc[i] {
 			return false
 		}
 	}
-	for i, r := range d.Records {
-		if r.Count != o.Records[i].Count {
+	for i, r := range dr {
+		if r.Count != or[i].Count {
 			return false
 		}
 	}

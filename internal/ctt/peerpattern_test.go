@@ -134,11 +134,11 @@ func main() {
 	}
 }`, 8)
 	leaf := findLeaf(tree, trace.OpSend)
-	d := ctts[0].Data[leaf.GID]
-	if len(d.Records) != 1 {
-		t.Fatalf("send records = %d, want 1 (peer pattern)", len(d.Records))
+	d := ctts[0].Data(leaf.GID)
+	if len(d.Records()) != 1 {
+		t.Fatalf("send records = %d, want 1 (peer pattern)", len(d.Records()))
 	}
-	rec := d.Records[0]
+	rec := d.Records()[0]
 	if rec.Peers == nil {
 		t.Fatal("record lacks a peer pattern")
 	}
@@ -173,11 +173,11 @@ func main() {
 	}
 }`, 4)
 	leaf := findLeaf(tree, trace.OpSend)
-	d := ctts[0].Data[leaf.GID]
-	if len(d.Records) < 2 {
-		t.Fatalf("varying sizes must split records, got %d", len(d.Records))
+	d := ctts[0].Data(leaf.GID)
+	if len(d.Records()) < 2 {
+		t.Fatalf("varying sizes must split records, got %d", len(d.Records()))
 	}
-	for _, r := range d.Records {
+	for _, r := range d.Records() {
 		if r.Peers != nil {
 			t.Fatal("size-varying occurrences must not fold into one pattern")
 		}

@@ -141,7 +141,7 @@ func Analyze(m *merge.Merged) *Analysis {
 			shapes[e.Data.ShapeKey()] = struct{}{}
 			nr := e.Ranks.Len()
 			a.Summary.SizeBytes += e.Data.SizeBytes() + e.Ranks.SizeBytes()
-			for _, r := range e.Data.Records {
+			for _, r := range e.Data.Records() {
 				leaf.Records++
 				leaf.Events += r.Count * int64(nr)
 				if r.Peers != nil {
@@ -151,17 +151,11 @@ func Analyze(m *merge.Merged) *Analysis {
 				}
 				leaf.Bytes += r.SizeBytes()
 			}
-			if n := e.Data.Counts.Len(); n > 0 {
-				st.Values += n
-				st.Runs += int64(e.Data.Counts.RunCount())
-				st.RawBytes += e.Data.Counts.RawBytes()
-				st.EncBytes += e.Data.Counts.SizeBytes()
-			}
-			if n := e.Data.Taken.Len(); n > 0 {
-				st.Values += n
-				st.Runs += int64(e.Data.Taken.RunCount())
-				st.RawBytes += e.Data.Taken.RawBytes()
-				st.EncBytes += e.Data.Taken.SizeBytes()
+			if c := e.Data.Counts(); c != nil && c.Len() > 0 {
+				st.Values += c.Len()
+				st.Runs += int64(c.RunCount())
+				st.RawBytes += c.RawBytes()
+				st.EncBytes += c.SizeBytes()
 			}
 		}
 		a.Summary.Records += leaf.Records

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/ctt"
+	"repro/internal/npb"
 	"repro/internal/obs"
 	"repro/internal/rankset"
 	"repro/internal/timestat"
@@ -125,10 +126,10 @@ func TestPairUniformSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEntrySize pins Entry at three words on 64-bit platforms: rank set,
-// payload, and the ownership bit. Every decode
-// allocates every entry of the tree, so its size shows in alloc_mb_per_op;
-// per-payload memos (the invariant key) belong on ctt.VData instead.
+// TestEntrySize pins Entry at three words on 64-bit platforms: rank set and
+// the two-pointer payload view. Every decode allocates every entry of the
+// tree, so its size shows in alloc_mb_per_op; per-payload memos (the
+// invariant key) belong on ctt.Leaf instead.
 func TestEntrySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
@@ -151,12 +152,12 @@ func TestPairFragmentedSteadyStateAllocs(t *testing.T) {
 	entries := func(n, rank0, size0 int) []Entry {
 		es := make([]Entry, n)
 		for i := range es {
-			d := &ctt.VData{Records: []*ctt.CommRecord{{
+			d := &ctt.Leaf{Records: []*ctt.CommRecord{{
 				Ev:      trace.Event{Op: trace.OpSend, Size: size0 + i, Peer: rank0 + i + 1},
 				PeerRel: 1, Count: 10,
 				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev),
 			}}}
-			es[i] = Entry{Ranks: rankset.Single(rank0 + i), Data: d, owns: true}
+			es[i] = Entry{Ranks: rankset.Single(rank0 + i), Data: ctt.VData{Leaf: d}}
 		}
 		return es
 	}
@@ -180,5 +181,73 @@ func TestPairFragmentedSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
 		t.Errorf("steady-state fragmented pair allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestScratchLeafSurvivesSplit: SP splits its leaves into a rank group per
+// message size, so right leaves append entries to the left tree unmerged all
+// through the reduction. An appended entry takes its own copy of its one-rank
+// set, which leaves nothing of the scratch storage in the left tree, so a
+// single-worker reduction allocates one scratch leaf and reuses it for every
+// other right leaf. The output is that of the same reduction tree built from
+// FromRank leaves and Pair, which recycles nothing.
+func TestScratchLeafSurvivesSplit(t *testing.T) {
+	const n = 256
+	src := npb.Get("SP").Source(n, npb.Small)
+	_, ctts, _ := collect(t, src, n)
+	s := obs.New()
+	obs.Attach(s, nil)
+	m, err := All(ctts, 1)
+	obs.Attach(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Value(obs.MergeEntriesUnmerged) == 0 {
+		t.Fatalf("SP-%d merged without a split; the fixture no longer fragments", n)
+	}
+	var rightLeaves func(lo, hi int, right bool) int64
+	rightLeaves = func(lo, hi int, right bool) int64 {
+		if hi-lo == 1 {
+			if right {
+				return 1
+			}
+			return 0
+		}
+		mid := (lo + hi) / 2
+		return rightLeaves(lo, mid, false) + rightLeaves(mid, hi, true)
+	}
+	if got, want := s.Value(obs.MergeScratchReuses), rightLeaves(0, n, false)-1; got != want {
+		t.Errorf("SP-%d: %d scratch reuses, want %d (one scratch leaf for the lane)", n, got, want)
+	}
+	_, fresh, _ := collect(t, src, n) // merging consumed the first trees
+	var reduce func(lo, hi int) (*Merged, error)
+	reduce = func(lo, hi int) (*Merged, error) {
+		if hi-lo == 1 {
+			return FromRank(fresh[lo]), nil
+		}
+		mid := (lo + hi) / 2
+		a, err := reduce(lo, mid)
+		if err != nil {
+			return nil, err
+		}
+		b, err := reduce(mid, hi)
+		if err != nil {
+			return nil, err
+		}
+		return Pair(a, b)
+	}
+	ref, err := reduce(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if _, err := m.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("SP-%d: the reduction encodes %d bytes that differ from the fresh-leaf reduction's %d", n, got.Len(), want.Len())
 	}
 }

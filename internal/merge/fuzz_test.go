@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cst"
 	"repro/internal/rankset"
 	"repro/internal/replay"
 	"repro/internal/stride"
@@ -229,8 +230,8 @@ func shapeSeeds(t testing.TB) [][]byte {
 		}
 		edited := false
 		for _, es := range m.Entries {
-			if len(es) == 4 && len(es[1].Data.Records) == 2 {
-				es[1].Data.Records[0].Count, es[1].Data.Records[1].Count = counts[0], counts[1]
+			if len(es) == 4 && len(es[1].Data.Records()) == 2 {
+				es[1].Data.Records()[0].Count, es[1].Data.Records()[1].Count = counts[0], counts[1]
 				edited = true
 				break
 			}
@@ -340,9 +341,16 @@ func replayBounded(m *Merged) bool {
 		return false
 	}
 	var total int64
-	for _, es := range m.Entries {
+	for gid, es := range m.Entries {
+		if m.Tree.ByGID[gid].Kind == cst.KindBranch {
+			continue // a taken set, not activation counts
+		}
 		for i := range es {
-			for _, r := range es[i].Data.Counts.Runs() {
+			c := es[i].Data.Counts()
+			if c == nil {
+				continue
+			}
+			for _, r := range c.Runs() {
 				if r.Count <= 0 {
 					continue
 				}

@@ -74,14 +74,33 @@ func randRecord(rng *rand.Rand) *ctt.CommRecord {
 	return r
 }
 
-func randVData(rng *rand.Rand) *ctt.VData {
-	d := &ctt.VData{}
-	for k := rng.Intn(3); k > 0; k-- {
-		d.Counts.Append(int64(rng.Intn(3)))
+// payload is a test's editable vertex payload, records and control vector
+// at once: its view is the ctt.VData the merge reads. A vertex of a tree
+// sets one of the two; the keys and the walk read both, so the generators
+// below exercise them together.
+type payload struct {
+	ctt.Leaf
+	Ctl ctt.Ctl
+	// noCtl drops the control vector from the view, where an empty one and
+	// none must read alike.
+	noCtl bool
+}
+
+func (p *payload) view() ctt.VData {
+	if p.noCtl {
+		return ctt.VData{Leaf: &p.Leaf}
 	}
-	for k, x := rng.Intn(3), int64(0); k > 0; k-- {
-		x += int64(1 + rng.Intn(2))
-		d.Taken.Add(x)
+	return ctt.VData{Leaf: &p.Leaf, Ctl: &p.Ctl}
+}
+
+func (p *payload) InvariantKey() fp.Hash     { return p.view().InvariantKey() }
+func (p *payload) ShapeKey() fp.Hash         { return p.view().ShapeKey() }
+func (p *payload) SameShape(o *payload) bool { return p.view().SameShape(o.view()) }
+
+func randVData(rng *rand.Rand) *payload {
+	d := &payload{}
+	for k := rng.Intn(3); k > 0; k-- {
+		d.Ctl.Vector.Append(int64(rng.Intn(3)))
 	}
 	for k := rng.Intn(3); k > 0; k-- {
 		d.Records = append(d.Records, randRecord(rng))
@@ -94,13 +113,10 @@ func randVData(rng *rand.Rand) *ctt.VData {
 
 // cloneVData deep-copies everything compatible() and the unifiers read or
 // write.
-func cloneVData(d *ctt.VData) *ctt.VData {
-	c := &ctt.VData{Cycles: append([]ctt.Cycle(nil), d.Cycles...)}
-	for _, x := range d.Counts.Values() {
-		c.Counts.Append(x)
-	}
-	for _, x := range d.Taken.Values() {
-		c.Taken.Add(x)
+func cloneVData(d *payload) *payload {
+	c := &payload{Leaf: ctt.Leaf{Cycles: append([]ctt.Cycle(nil), d.Cycles...)}}
+	for _, x := range d.Ctl.Values() {
+		c.Ctl.Vector.Append(x)
 	}
 	for _, r := range d.Records {
 		cr := *r
@@ -116,11 +132,11 @@ func cloneVData(d *ctt.VData) *ctt.VData {
 
 // mutate changes one thing about d: a field compatible() compares, a field
 // only one encoding compares, or a field it ignores.
-func mutate(rng *rand.Rand, d *ctt.VData) {
+func mutate(rng *rand.Rand, d *payload) {
 	if len(d.Records) == 0 || rng.Intn(8) == 0 {
 		switch rng.Intn(3) {
 		case 0:
-			d.Counts.Append(int64(rng.Intn(3)))
+			d.Ctl.Vector.Append(int64(rng.Intn(3)))
 		case 1:
 			d.Records = append(d.Records, randRecord(rng))
 		case 2:
@@ -175,7 +191,7 @@ func TestCompatibleImpliesEqualKeys(t *testing.T) {
 	accepted, distinct := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		a := randVData(rng)
-		var b *ctt.VData
+		var b *payload
 		switch rng.Intn(4) {
 		case 0:
 			b = randVData(rng)
@@ -191,11 +207,11 @@ func TestCompatibleImpliesEqualKeys(t *testing.T) {
 		}
 		for _, noRel := range []bool{false, true} {
 			st := mergeState{noRel: noRel, sc: &sc}
-			if _, ok := st.compatible(a, b); ok {
+			if _, ok := st.compatible(a.view(), b.view()); ok {
 				accepted++
 				if ka != kb {
 					t.Fatalf("trial %d noRel=%v: compatible payloads have keys %x and %x\na: %s\nb: %s",
-						trial, noRel, ka, kb, dumpVData(a), dumpVData(b))
+						trial, noRel, ka, kb, dumpVData(a.view()), dumpVData(b.view()))
 				}
 			}
 		}
@@ -223,18 +239,18 @@ func TestUnifyKeepsKey(t *testing.T) {
 			continue
 		}
 		want := a.InvariantKey()
-		check := func(how string, d *ctt.VData) {
+		check := func(how string, d *payload) {
 			if got := d.InvariantKey(); got != want {
 				t.Fatalf("trial %d: %s moved the key %x -> %x\nbefore: %s\nafter:  %s\nother:  %s",
-					trial, how, want, got, dumpVData(a), dumpVData(d), dumpVData(b))
+					trial, how, want, got, dumpVData(a.view()), dumpVData(d.view()), dumpVData(b.view()))
 			}
 		}
 		for _, noRel := range []bool{false, true} {
 			st := mergeState{noRel: noRel, sc: &sc}
-			if rel, ok := st.compatible(a, b); ok {
+			if rel, ok := st.compatible(a.view(), b.view()); ok {
 				walked++
 				d := cloneVData(a)
-				unify(d, b, rel)
+				unify(d.view(), b.view(), rel)
 				check(fmt.Sprintf("unify(noRel=%v)", noRel), d)
 			}
 		}
@@ -244,9 +260,9 @@ func TestUnifyKeepsKey(t *testing.T) {
 	}
 }
 
-func dumpVData(d *ctt.VData) string {
-	s := fmt.Sprintf("counts=%v taken=%v cycles=%v", d.Counts.String(), d.Taken.String(), d.Cycles)
-	for _, r := range d.Records {
+func dumpVData(d ctt.VData) string {
+	s := fmt.Sprintf("ctl=%v cycles=%v", d.Ctl.String(), d.Cycles())
+	for _, r := range d.Records() {
 		s += fmt.Sprintf(" {op=%v size=%d tag=%d comm=%d peer=%d rel=%d n=%d wild=%v reqs=%v enc=%v unsafe=%v pat=%v hist=%v/%v}",
 			r.Ev.Op, r.Ev.Size, r.Ev.Tag, r.Ev.Comm, r.Ev.Peer, r.PeerRel, r.Count, r.Ev.Wildcard,
 			r.Ev.Reqs, r.RelEncoded, r.RelUnsafe, r.Peers, r.Time.Hist != nil, r.Compute.Hist != nil)
@@ -264,10 +280,10 @@ func dumpVData(d *ctt.VData) string {
 // ranks, same encoding marks, and tallies that add up to the scan's walks.
 func TestEntryListsMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	build := func(ds []*ctt.VData, base int) []Entry {
+	build := func(ds []*payload, base int) []Entry {
 		es := make([]Entry, len(ds))
 		for i, d := range ds {
-			es[i] = Entry{Ranks: rankset.Single(base + i), Data: cloneVData(d), owns: true}
+			es[i] = Entry{Ranks: rankset.Single(base + i), Data: cloneVData(d).view()}
 		}
 		return es
 	}
@@ -281,9 +297,9 @@ func TestEntryListsMatchesScan(t *testing.T) {
 	var indexedLists, multiChoice int
 	for trial := 0; trial < 3000; trial++ {
 		// A few templates, mutated, so that keys repeat within a list.
-		templates := []*ctt.VData{randVData(rng), randVData(rng), randVData(rng)}
-		draw := func(n int) []*ctt.VData {
-			ds := make([]*ctt.VData, n)
+		templates := []*payload{randVData(rng), randVData(rng), randVData(rng)}
+		draw := func(n int) []*payload {
+			ds := make([]*payload, n)
 			for i := range ds {
 				ds[i] = cloneVData(templates[rng.Intn(len(templates))])
 				if rng.Intn(3) > 0 {
@@ -315,7 +331,7 @@ func TestEntryListsMatchesScan(t *testing.T) {
 		for _, r := range rds {
 			n := 0
 			for _, l := range lds {
-				if _, ok := scan.compatible(l, r); ok {
+				if _, ok := scan.compatible(l.view(), r.view()); ok {
 					n++
 				}
 			}
@@ -406,36 +422,37 @@ func TestMergeWalksFollowGroups(t *testing.T) {
 // the encoding marks must not move it; pattern presence and period, a
 // collective's root and every signature field must.
 func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
-	base := func() *ctt.VData {
-		return &ctt.VData{Records: []*ctt.CommRecord{
+	base := func() *payload {
+		return &payload{Leaf: ctt.Leaf{Records: []*ctt.CommRecord{
 			{Ev: trace.Event{Op: trace.OpSend, Size: 64, Peer: 3, Tag: 1}, PeerRel: 1, Count: 2,
 				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
 			{Ev: trace.Event{Op: trace.OpReduce, Size: 8, Peer: 0}, Count: 1,
 				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
-		}}
+		}}}
 	}
 	want := base().InvariantKey()
 	for _, tc := range []struct {
 		name string
-		edit func(d *ctt.VData)
+		edit func(d *payload)
 		same bool
 	}{
-		{"histogram stats", func(d *ctt.VData) { d.Records[0].Time = timestat.Make(timestat.ModeHistogram) }, true},
-		{"p2p absolute peer", func(d *ctt.VData) { d.Records[0].Ev.Peer = 9 }, true},
-		{"p2p relative peer", func(d *ctt.VData) { d.Records[0].PeerRel = -4 }, true},
-		{"rel-encoded", func(d *ctt.VData) { d.Records[0].RelEncoded = true }, true},
-		{"rel-unsafe", func(d *ctt.VData) { d.Records[0].RelUnsafe = true }, true},
-		{"pattern presence", func(d *ctt.VData) { d.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}} }, false},
-		{"collective root", func(d *ctt.VData) { d.Records[1].Ev.Peer = 1 }, false},
-		{"size", func(d *ctt.VData) { d.Records[0].Ev.Size = 65 }, false},
-		{"tag", func(d *ctt.VData) { d.Records[0].Ev.Tag = 2 }, false},
-		{"comm", func(d *ctt.VData) { d.Records[0].Ev.Comm = 1 }, false},
-		{"run length", func(d *ctt.VData) { d.Records[0].Count = 3 }, false},
-		{"wildcard", func(d *ctt.VData) { d.Records[0].Ev.Wildcard = true }, false},
-		{"request list", func(d *ctt.VData) { d.Records[1].Ev.Reqs = []int32{4} }, false},
-		{"loop counts", func(d *ctt.VData) { d.Counts.Append(5) }, false},
-		{"taken set", func(d *ctt.VData) { d.Taken.Add(2) }, false},
-		{"cycles", func(d *ctt.VData) { d.Cycles = []ctt.Cycle{{Len: 2, Reps: 3}} }, false},
+		{"histogram stats", func(d *payload) { d.Records[0].Time = timestat.Make(timestat.ModeHistogram) }, true},
+		{"p2p absolute peer", func(d *payload) { d.Records[0].Ev.Peer = 9 }, true},
+		{"p2p relative peer", func(d *payload) { d.Records[0].PeerRel = -4 }, true},
+		{"rel-encoded", func(d *payload) { d.Records[0].RelEncoded = true }, true},
+		{"rel-unsafe", func(d *payload) { d.Records[0].RelUnsafe = true }, true},
+		{"pattern presence", func(d *payload) { d.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}} }, false},
+		{"collective root", func(d *payload) { d.Records[1].Ev.Peer = 1 }, false},
+		{"size", func(d *payload) { d.Records[0].Ev.Size = 65 }, false},
+		{"tag", func(d *payload) { d.Records[0].Ev.Tag = 2 }, false},
+		{"comm", func(d *payload) { d.Records[0].Ev.Comm = 1 }, false},
+		{"run length", func(d *payload) { d.Records[0].Count = 3 }, false},
+		{"wildcard", func(d *payload) { d.Records[0].Ev.Wildcard = true }, false},
+		{"request list", func(d *payload) { d.Records[1].Ev.Reqs = []int32{4} }, false},
+		{"loop counts", func(d *payload) { d.Ctl.Vector.Append(5) }, false},
+		{"taken set", func(d *payload) { d.Ctl.Add(2) }, false},
+		{"no control vector", func(d *payload) { d.noCtl = true }, true},
+		{"cycles", func(d *payload) { d.Cycles = []ctt.Cycle{{Len: 2, Reps: 3}} }, false},
 	} {
 		d := base()
 		tc.edit(d)
@@ -450,7 +467,7 @@ func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
 	// on every pair.
 	var sc probeScratch
 	st := mergeState{sc: &sc}
-	withPeriod := func(period ...int32) *ctt.VData {
+	withPeriod := func(period ...int32) *payload {
 		d := base()
 		d.Records[0].Peers = &ctt.PeerPattern{Period: period}
 		return d
@@ -458,7 +475,7 @@ func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
 	p := withPeriod(1, -1)
 	for _, tc := range []struct {
 		name string
-		q    *ctt.VData
+		q    *payload
 		same bool
 	}{
 		{"equal period", withPeriod(1, -1), true},
@@ -469,7 +486,7 @@ func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
 		if got := p.InvariantKey() == tc.q.InvariantKey(); got != tc.same {
 			t.Errorf("%s: key equal = %v, want %v", tc.name, got, tc.same)
 		}
-		if _, ok := st.compatible(p, tc.q); ok != tc.same {
+		if _, ok := st.compatible(p.view(), tc.q.view()); ok != tc.same {
 			t.Errorf("%s: compatible = %v, want %v", tc.name, ok, tc.same)
 		}
 	}
@@ -484,36 +501,37 @@ func TestInvariantKeyIgnoresWhatCompatibleIgnores(t *testing.T) {
 // reads moves both, and nothing it only copies into an event moves either —
 // which is what lets ranks split by a size, a tag or a peer share a skeleton.
 func TestShapeKeyReadsWhatTheWalkReads(t *testing.T) {
-	base := func() *ctt.VData {
-		return &ctt.VData{Records: []*ctt.CommRecord{
+	base := func() *payload {
+		return &payload{Leaf: ctt.Leaf{Records: []*ctt.CommRecord{
 			{Ev: trace.Event{Op: trace.OpSend, Size: 64, Peer: 3, Tag: 1}, PeerRel: 1, Count: 2,
 				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
 			{Ev: trace.Event{Op: trace.OpReduce, Size: 8, Peer: 0}, Count: 1,
 				Time: timestat.Make(timestat.ModeMeanStddev), Compute: timestat.Make(timestat.ModeMeanStddev)},
-		}}
+		}}}
 	}
 	want := base()
 	for _, tc := range []struct {
 		name string
-		edit func(d *ctt.VData)
+		edit func(d *payload)
 		same bool
 	}{
-		{"operation", func(d *ctt.VData) { d.Records[0].Ev.Op = trace.OpIsend }, true},
-		{"size", func(d *ctt.VData) { d.Records[0].Ev.Size = 65 }, true},
-		{"tag", func(d *ctt.VData) { d.Records[0].Ev.Tag = 2 }, true},
-		{"comm", func(d *ctt.VData) { d.Records[0].Ev.Comm = 1 }, true},
-		{"absolute peer", func(d *ctt.VData) { d.Records[0].Ev.Peer = 9 }, true},
-		{"relative peer", func(d *ctt.VData) { d.Records[0].PeerRel = -4 }, true},
-		{"peer pattern", func(d *ctt.VData) { d.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}} }, true},
-		{"wildcard", func(d *ctt.VData) { d.Records[0].Ev.Wildcard = true }, true},
-		{"request list", func(d *ctt.VData) { d.Records[1].Ev.Reqs = []int32{4} }, true},
-		{"histogram stats", func(d *ctt.VData) { d.Records[0].Time = timestat.Make(timestat.ModeHistogram) }, true},
-		{"run length", func(d *ctt.VData) { d.Records[0].Count = 3 }, false},
-		{"run lengths swapped", func(d *ctt.VData) { d.Records[0].Count, d.Records[1].Count = 1, 2 }, false},
-		{"record count", func(d *ctt.VData) { d.Records = d.Records[:1] }, false},
-		{"loop counts", func(d *ctt.VData) { d.Counts.Append(5) }, false},
-		{"taken set", func(d *ctt.VData) { d.Taken.Add(2) }, false},
-		{"cycles", func(d *ctt.VData) { d.Cycles = []ctt.Cycle{{Len: 2, Reps: 3}} }, false},
+		{"operation", func(d *payload) { d.Records[0].Ev.Op = trace.OpIsend }, true},
+		{"size", func(d *payload) { d.Records[0].Ev.Size = 65 }, true},
+		{"tag", func(d *payload) { d.Records[0].Ev.Tag = 2 }, true},
+		{"comm", func(d *payload) { d.Records[0].Ev.Comm = 1 }, true},
+		{"absolute peer", func(d *payload) { d.Records[0].Ev.Peer = 9 }, true},
+		{"relative peer", func(d *payload) { d.Records[0].PeerRel = -4 }, true},
+		{"peer pattern", func(d *payload) { d.Records[0].Peers = &ctt.PeerPattern{Period: []int32{1, -1}} }, true},
+		{"wildcard", func(d *payload) { d.Records[0].Ev.Wildcard = true }, true},
+		{"request list", func(d *payload) { d.Records[1].Ev.Reqs = []int32{4} }, true},
+		{"histogram stats", func(d *payload) { d.Records[0].Time = timestat.Make(timestat.ModeHistogram) }, true},
+		{"run length", func(d *payload) { d.Records[0].Count = 3 }, false},
+		{"run lengths swapped", func(d *payload) { d.Records[0].Count, d.Records[1].Count = 1, 2 }, false},
+		{"record count", func(d *payload) { d.Records = d.Records[:1] }, false},
+		{"loop counts", func(d *payload) { d.Ctl.Vector.Append(5) }, false},
+		{"taken set", func(d *payload) { d.Ctl.Add(2) }, false},
+		{"no control vector", func(d *payload) { d.noCtl = true }, true},
+		{"cycles", func(d *payload) { d.Cycles = []ctt.Cycle{{Len: 2, Reps: 3}} }, false},
 	} {
 		d := base()
 		tc.edit(d)

@@ -34,14 +34,14 @@ import (
 )
 
 // Entry is one rank-group's data for a vertex: every rank in Ranks produced
-// exactly this data (paper Figure 13's "<p0,p1: k>" annotations).
+// exactly this data (paper Figure 13's "<p0,p1: k>" annotations). Data is a
+// view onto payload storage: a rank's tables while the merge runs (no
+// per-rank, per-vertex copy), the decoder's slabs after a decode. Ranks
+// belongs to this entry alone on every path that builds one, so the merge
+// extends it in place (mergeRanks).
 type Entry struct {
 	Ranks *rankset.Set
-	Data  *ctt.VData
-	// owns marks that Ranks storage belongs exclusively to this entry and may
-	// be extended in place. FromRank shares one Set across all vertices of a
-	// rank, so entries start not owning; the first union copies.
-	owns bool
+	Data  ctt.VData
 }
 
 // Merged is a job-wide compressed trace tree.
@@ -68,8 +68,8 @@ func executedCount(c *ctt.RankCTT) int {
 		return c.Executed
 	}
 	n := 0
-	for gid := range c.Data {
-		if c.Data[gid].Executed() {
+	for gid := range c.CST.ByGID {
+		if c.Data(int32(gid)).Executed() {
 			n++
 		}
 	}
@@ -78,34 +78,34 @@ func executedCount(c *ctt.RankCTT) int {
 
 // FromRank wraps a single rank's CTT as a one-rank merged tree. All entries
 // of the rank share one backing slice and one rank-set slab — a handful of
-// allocations per rank instead of a few per vertex — and every entry owns
-// its set, so the reduction above extends rank sets in place at every level.
+// allocations per rank instead of a few per vertex — and every entry has its
+// own set, so the reduction above extends rank sets in place at every level.
 // (The parallel reduction batches further, carving leaf trees out of chunked
 // slabs and recycling right-leaf storage; see leafCtx.)
 func FromRank(c *ctt.RankCTT) *Merged {
 	n := executedCount(c)
 	m := &Merged{}
-	m.initFromRank(c, make([][]Entry, len(c.Data)), make([]Entry, n), make([]rankset.Set, n), true)
+	m.initFromRank(c, make([][]Entry, c.CST.NumVertices()), make([]Entry, n), make([]rankset.Set, n), true)
 	return m
 }
 
 // initFromRank populates m as the one-rank tree of c, writing entries into
-// the provided backing storage: lists (len(c.Data) slice headers), backing
+// the provided backing storage: lists (one slice header per vertex), backing
 // and sets (executedCount(c) elements each). fresh says the backing is
 // zero-valued; recycled scratch storage (fresh=false) is reset as it is
 // rewritten, so every word of m's state after the call is independent of the
 // storage's previous use.
 func (m *Merged) initFromRank(c *ctt.RankCTT, lists [][]Entry, backing []Entry, sets []rankset.Set, fresh bool) {
 	*m = Merged{
-		Tree:       c.Tree,
+		Tree:       c.CST,
 		TreeHash:   c.TreeHash,
 		NumRanks:   1,
 		Entries:    lists,
 		EventCount: c.EventCount,
 	}
 	k := 0
-	for gid := range c.Data {
-		d := &c.Data[gid]
+	for gid := range m.Entries {
+		d := c.Data(int32(gid))
 		if !d.Executed() {
 			m.Entries[gid] = nil
 			continue
@@ -116,7 +116,7 @@ func (m *Merged) initFromRank(c *ctt.RankCTT, lists [][]Entry, backing []Entry, 
 		} else {
 			sets[k].InitSingle(c.Rank)
 		}
-		*e = Entry{Ranks: &sets[k], Data: d, owns: true}
+		*e = Entry{Ranks: &sets[k], Data: d}
 		m.Entries[gid] = backing[k : k+1 : k+1]
 		k++
 	}
@@ -134,13 +134,12 @@ const slabChunk = 64
 // leafCtx builds the leaf trees of one reduction lane lazily, as the
 // depth-first recursion reaches them. Left-hand leaves — the accumulators
 // that survive as the left spine — are carved durably out of chunked slabs.
-// Right-hand leaves are consumed by the very next Pair and almost never leave
-// anything behind (a merged entry copies rank-set values and folds statistics
-// by value), so they are all built into one recycled scratch tree; only when
-// a Pair appends an unmergeable scratch entry — whose rank-set pointer then
-// survives inside the left tree — is the scratch retired and reallocated.
-// This halves leaf storage: the dominant term in the reduction's allocation
-// footprint.
+// Right-hand leaves are consumed by the very next Pair and leave nothing of
+// their storage behind: a merged entry copies rank-set values and folds
+// statistics by value, and an unmergeable entry the Pair appends to the left
+// tree gets its own copy of its one-rank set (entryLists). So every right
+// leaf of a lane is built into one recycled scratch tree. This halves leaf
+// storage: the dominant term in the reduction's allocation footprint.
 //
 // A leafCtx is single-goroutine state: the parallel reduction hands each
 // spawned lane its own.
@@ -155,12 +154,15 @@ type leafCtx struct {
 	entries []Entry
 	sets    []rankset.Set
 
-	// Recycled right-leaf storage; scratch is nil when retired or not yet
-	// allocated.
+	// Recycled right-leaf storage; scratch is nil until the lane's first
+	// right leaf.
 	scratch        *Merged
 	scratchLists   [][]Entry
 	scratchEntries []Entry
 	scratchSets    []rankset.Set
+	// copies is the slab the rank sets of entries a Pair appends from the
+	// scratch leaf are carved from (see mergeState.copies).
+	copies []rankset.Set
 
 	// probe is the lane's entryLists scratch, reused by every Pair on it.
 	probe probeScratch
@@ -169,7 +171,7 @@ type leafCtx struct {
 // durableLeaf builds rank i's leaf tree out of the chunked slabs.
 func (x *leafCtx) durableLeaf(i int) *Merged {
 	c := x.ctts[i]
-	nl, ne := len(c.Data), executedCount(c)
+	nl, ne := c.CST.NumVertices(), executedCount(c)
 	if len(x.merged) == 0 {
 		x.merged = make([]Merged, slabChunk)
 	}
@@ -196,15 +198,17 @@ func (x *leafCtx) durableLeaf(i int) *Merged {
 }
 
 // scratchLeaf builds rank i's leaf tree into the recycled scratch storage.
+// The storage is sized for every vertex of the tree, so whichever vertices a
+// rank executed, one scratch serves the whole lane.
 func (x *leafCtx) scratchLeaf(i int) *Merged {
 	c := x.ctts[i]
-	nl, ne := len(c.Data), executedCount(c)
+	nl, ne := c.CST.NumVertices(), executedCount(c)
 	fresh := false
-	if x.scratch == nil || len(x.scratchLists) < nl || len(x.scratchEntries) < ne {
+	if x.scratch == nil || len(x.scratchLists) < nl {
 		x.scratch = new(Merged)
 		x.scratchLists = make([][]Entry, nl)
-		x.scratchEntries = make([]Entry, ne)
-		x.scratchSets = make([]rankset.Set, ne)
+		x.scratchEntries = make([]Entry, nl)
+		x.scratchSets = make([]rankset.Set, nl)
 		fresh = true
 	} else {
 		obs.Attached().Inc(obs.MergeScratchReuses)
@@ -217,46 +221,42 @@ func (x *leafCtx) scratchLeaf(i int) *Merged {
 	return x.scratch
 }
 
-// pair merges b into a, retiring the scratch tree when an unmergeable
-// scratch entry escaped into the survivor.
+// pair merges b into a; b is the lane's scratch tree when it is a right leaf.
 func (x *leafCtx) pair(a, b *Merged) (*Merged, error) {
-	m, escaped, err := pairEsc(a, b, &x.probe, x.keyOn)
-	if escaped && b == x.scratch {
-		x.scratch = nil
-		obs.Attached().Inc(obs.MergeScratchRetires)
+	var copies *[]rankset.Set
+	if b == x.scratch {
+		copies = &x.copies
 	}
-	return m, err
+	return pair(a, b, &x.probe, x.keyOn, copies)
 }
 
 // Pair merges b into a and returns a. Both operands are consumed: the
 // result aliases and mutates their data. Trees must be identical (SPMD).
 func Pair(a, b *Merged) (*Merged, error) {
-	m, _, err := pairEsc(a, b, new(probeScratch), true)
-	return m, err
+	return pair(a, b, new(probeScratch), true, nil)
 }
 
-// pairEsc is Pair, additionally reporting whether any of b's entries escaped
-// into the survivor (an unmergeable entry appended to a's list, whose
-// rank-set pointer then stays reachable from a). The reduction uses this to
-// decide whether b's scratch storage is safe to recycle. sc is working
-// storage the caller may hand to its next Pair; keyOn is mergeState.keyOn.
-func pairEsc(a, b *Merged, sc *probeScratch, keyOn bool) (_ *Merged, escaped bool, _ error) {
+// pair is Pair with its working storage and configuration: sc is storage the
+// caller may hand to its next Pair, keyOn is mergeState.keyOn, and copies is
+// mergeState.copies, non-nil when b's rank sets are recycled storage that
+// must not survive in a.
+func pair(a, b *Merged, sc *probeScratch, keyOn bool, copies *[]rankset.Set) (*Merged, error) {
 	if a.TreeHash != b.TreeHash {
-		return nil, false, fmt.Errorf("merge: CST hash mismatch: %x vs %x", a.TreeHash, b.TreeHash)
+		return nil, fmt.Errorf("merge: CST hash mismatch: %x vs %x", a.TreeHash, b.TreeHash)
 	}
 	if len(a.Entries) != len(b.Entries) {
-		return nil, false, fmt.Errorf("merge: vertex count mismatch: %d vs %d", len(a.Entries), len(b.Entries))
+		return nil, fmt.Errorf("merge: vertex count mismatch: %d vs %d", len(a.Entries), len(b.Entries))
 	}
 	// Merging reads and mutates every payload in place.
 	if err := a.whole("merge"); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if err := b.whole("merge"); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	noRel := a.noRel || b.noRel
 	a.noRel = noRel
-	st := mergeState{noRel: noRel, keyOn: keyOn, sc: sc}
+	st := mergeState{noRel: noRel, keyOn: keyOn, copies: copies, sc: sc}
 	obs.Attached().Inc(obs.MergePairs)
 	ranks := a.NumRanks + b.NumRanks
 	// Lane = reduction depth (log2 of the merged span), so Perfetto renders
@@ -269,7 +269,7 @@ func pairEsc(a, b *Merged, sc *probeScratch, keyOn bool) (_ *Merged, escaped boo
 	tsp.End(int64(ranks), st.walkRejects)
 	a.NumRanks += b.NumRanks
 	a.EventCount += b.EventCount
-	return a, st.escaped, nil
+	return a, nil
 }
 
 // mergeState carries one Pair's configuration and tallies; sc is the
@@ -280,9 +280,12 @@ type mergeState struct {
 	// and wholesale through entryLists' index. Every merge entry point sets
 	// it (the key holds under noRel too); with it off, every probe is a walk,
 	// which is the scan the tests hold the keyed probe to.
-	keyOn   bool
-	escaped bool // an entry of b was copied into a (see pairEsc)
-	sc      *probeScratch
+	keyOn bool
+	// copies is set when the right tree is a lane's recycled scratch leaf:
+	// an entry appended unmerged gets a copy of its rank set carved from
+	// this slab, so nothing of the scratch storage survives in the left tree.
+	copies *[]rankset.Set
+	sc     *probeScratch
 
 	// Per-Pair observation tallies, accumulated in plain fields on the hot
 	// entry loops and flushed to the attached sink once per Pair (see obs.go).
@@ -395,8 +398,11 @@ func (st *mergeState) entryLists(left, right []Entry) []Entry {
 			}
 		}
 		if at < 0 {
-			left = append(left, *re)
-			st.escaped = true
+			e := *re
+			if st.copies != nil {
+				e.Ranks = st.copySet(e.Ranks)
+			}
+			left = append(left, e)
 			st.unmerged++
 		}
 	}
@@ -424,17 +430,28 @@ func (st *mergeState) tryMerge(le, re *Entry) bool {
 	return true
 }
 
+// copySet returns a copy of s carved from the lane's copy slab.
+func (st *mergeState) copySet(s *rankset.Set) *rankset.Set {
+	slab := st.copies
+	if len(*slab) == 0 {
+		*slab = make([]rankset.Set, slabChunk)
+	}
+	c := &(*slab)[0]
+	*slab = (*slab)[1:]
+	c.Load(s.Runs())
+	return c
+}
+
 // mergeRanks extends le's rank set with re's. The reduction always merges a
 // lower-rank half with a higher-rank half, so the in-place append fast path
-// applies at every level once the entry owns its storage; the append's run
-// structure is canonical (identical to rebuilding from sorted members), so
-// serialized rank sets are byte-stable regardless of which path ran.
+// applies at every level (an entry's set is its own, see Entry); the append's
+// run structure is canonical (identical to rebuilding from sorted members),
+// so serialized rank sets are byte-stable regardless of which path ran.
 func mergeRanks(le, re *Entry) {
-	if le.owns && le.Ranks.TryAppend(re.Ranks) {
+	if le.Ranks.TryAppend(re.Ranks) {
 		return
 	}
 	le.Ranks = rankset.Union(le.Ranks, re.Ranks)
-	le.owns = true
 }
 
 // compatible reports whether two vertex-data payloads are mergeable, and for
@@ -443,24 +460,26 @@ func mergeRanks(le, re *Entry) {
 // data (loop counts, taken sets) and pairwise-compatible records. The
 // returned slice aliases the state's scratch buffer and is valid until the
 // next call.
-func (st *mergeState) compatible(a, b *ctt.VData) ([]bool, bool) {
-	if !a.Counts.Equal(&b.Counts) || !a.Taken.Vector.Equal(&b.Taken.Vector) {
+func (st *mergeState) compatible(a, b ctt.VData) ([]bool, bool) {
+	if !a.CtlEqual(b) {
 		return nil, false
 	}
-	if len(a.Records) != len(b.Records) || len(a.Cycles) != len(b.Cycles) {
+	ar, br := a.Records(), b.Records()
+	ac, bc := a.Cycles(), b.Cycles()
+	if len(ar) != len(br) || len(ac) != len(bc) {
 		return nil, false
 	}
-	for i := range a.Cycles {
-		if a.Cycles[i] != b.Cycles[i] {
+	for i := range ac {
+		if ac[i] != bc[i] {
 			return nil, false
 		}
 	}
-	if cap(st.sc.relBuf) < len(a.Records) {
-		st.sc.relBuf = make([]bool, len(a.Records))
+	if cap(st.sc.relBuf) < len(ar) {
+		st.sc.relBuf = make([]bool, len(ar))
 	}
-	rel := st.sc.relBuf[:len(a.Records)]
-	for i := range a.Records {
-		r, ok := recordCompatible(a.Records[i], b.Records[i], st.noRel)
+	rel := st.sc.relBuf[:len(ar)]
+	for i := range ar {
+		r, ok := recordCompatible(ar[i], br[i], st.noRel)
 		if !ok {
 			return nil, false
 		}
@@ -519,9 +538,10 @@ func recordCompatible(a, b *ctt.CommRecord, noRel bool) (rel, ok bool) {
 // disagreeing relative encodings are poisoned RelUnsafe (their PeerRel is
 // stale for the widened group; see recordCompatible). It reports whether any
 // record was poisoned.
-func unify(a, b *ctt.VData, rel []bool) (poisoned bool) {
-	for i := range a.Records {
-		ra, rb := a.Records[i], b.Records[i]
+func unify(a, b ctt.VData, rel []bool) (poisoned bool) {
+	ar, br := a.Records(), b.Records()
+	for i := range ar {
+		ra, rb := ar[i], br[i]
 		if rel[i] {
 			ra.RelEncoded = true
 		} else if ra.Ev.Op.IsPointToPoint() && ra.Peers == nil && !ra.RelUnsafe {
@@ -629,7 +649,7 @@ func serial(ctts []*ctt.RankCTT, keyOn bool) (*Merged, error) {
 	var sc probeScratch
 	for _, c := range ctts[1:] {
 		var err error
-		acc, _, err = pairEsc(acc, FromRank(c), &sc, keyOn)
+		acc, err = pair(acc, FromRank(c), &sc, keyOn, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -659,56 +679,38 @@ type rankView struct {
 // unexecuted. The Streamer refuses such a rank instead.
 func (m *Merged) ForRank(rank int) rankView { return rankView{m, rank} }
 
-func (v rankView) data(gid int32) *ctt.VData {
+// data returns the rank's payload at gid, the zero view when the rank never
+// executed the vertex.
+func (v rankView) data(gid int32) ctt.VData {
 	es := v.m.Entries[gid]
 	for i := range es {
 		if es[i].Ranks.Contains(v.rank) {
 			return es[i].Data
 		}
 	}
-	return nil
+	return ctt.VData{}
 }
 
 // Tree implements replay.Source.
 func (v rankView) Tree() *cst.Tree { return v.m.Tree }
 
 // Counts implements replay.Source.
-func (v rankView) Counts(gid int32) *stride.Vector {
-	if d := v.data(gid); d != nil {
-		return &d.Counts
-	}
-	return nil
-}
+func (v rankView) Counts(gid int32) *stride.Vector { return v.data(gid).Counts() }
 
 // Taken implements replay.Source.
-func (v rankView) Taken(gid int32) *stride.Set {
-	if d := v.data(gid); d != nil {
-		return &d.Taken
-	}
-	return nil
-}
+func (v rankView) Taken(gid int32) *stride.Set { return v.data(gid).Taken() }
 
 // Records implements replay.Source.
-func (v rankView) Records(gid int32) []*ctt.CommRecord {
-	if d := v.data(gid); d != nil {
-		return d.Records
-	}
-	return nil
-}
+func (v rankView) Records(gid int32) []*ctt.CommRecord { return v.data(gid).Records() }
 
 // Cycles implements replay.Source.
-func (v rankView) Cycles(gid int32) []ctt.Cycle {
-	if d := v.data(gid); d != nil {
-		return d.Cycles
-	}
-	return nil
-}
+func (v rankView) Cycles(gid int32) []ctt.Cycle { return v.data(gid).Cycles() }
 
 // statMode guesses the timestat mode from the first record (for encode).
 func (m *Merged) statMode() timestat.Mode {
 	for _, es := range m.Entries {
 		for _, e := range es {
-			for _, r := range e.Data.Records {
+			for _, r := range e.Data.Records() {
 				if r.Time.Hist != nil {
 					return timestat.ModeHistogram
 				}

@@ -105,8 +105,8 @@ func TestJacobiMergeGroups(t *testing.T) {
 	if loopEntries[0].Ranks.Len() != n {
 		t.Fatalf("loop group covers %d ranks", loopEntries[0].Ranks.Len())
 	}
-	if loopEntries[0].Data.Counts.String() != "[<10>]" {
-		t.Fatalf("merged loop counts = %s", loopEntries[0].Data.Counts.String())
+	if loopEntries[0].Data.Counts().String() != "[<10>]" {
+		t.Fatalf("merged loop counts = %s", loopEntries[0].Data.Counts().String())
 	}
 	// The first send leaf (rank < size-1): ranks 0..n-2 share one relative-
 	// encoded record group.
@@ -123,7 +123,7 @@ func TestJacobiMergeGroups(t *testing.T) {
 	if se[0].Ranks.Len() != n-1 {
 		t.Fatalf("send group covers %d ranks, want %d", se[0].Ranks.Len(), n-1)
 	}
-	rec := se[0].Data.Records[0]
+	rec := se[0].Data.Records()[0]
 	if !rec.RelEncoded || rec.PeerRel != 1 {
 		t.Fatalf("send record not relative-encoded: %+v", rec)
 	}
@@ -404,7 +404,7 @@ func TestCollectiveRootsStayAbsolute(t *testing.T) {
 	if len(es) != 1 {
 		t.Fatalf("bcast entries = %d, want 1", len(es))
 	}
-	rec := es[0].Data.Records[0]
+	rec := es[0].Data.Records()[0]
 	if rec.RelEncoded || rec.Ev.Peer != 0 {
 		t.Fatalf("collective root mishandled: %+v", rec)
 	}

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/blockio"
+	"repro/internal/cst"
 	"repro/internal/ctt"
 	"repro/internal/obs"
 	"repro/internal/rankset"
@@ -330,27 +331,26 @@ type projection struct {
 // parsed from an unverified offset (fuzz-found: lengths wrong one by one but
 // right in sum decoded "cleanly" into a misaligned tree). Failures latch in
 // d.err.
-func (p *projection) section(d *decoder, eager bool, gid int32, mode timestat.Mode) (data *ctt.VData) {
+func (p *projection) section(d *decoder, eager bool, v *cst.Vertex, mode timestat.Mode) (data ctt.VData) {
 	start := int64(d.off)
 	if eager {
-		data = &d.vds.carve(1, 1)[0]
-		d.decodeVData(data, gid, mode)
+		data = d.decodeVData(v, mode)
 	} else {
 		hist := mode == timestat.ModeHistogram
 		walkVData(&d.bcur, func() { skipVolatile(&d.bcur, hist) })
 	}
 	if d.err != nil {
-		return nil
+		return ctt.VData{}
 	}
 	end := int64(d.off)
 	if p.indexed {
 		if p.li >= len(p.lens) {
 			d.fail("section index lists %d entries, stream has more", len(p.lens))
-			return nil
+			return ctt.VData{}
 		}
 		if want := p.lens[p.li]; want != uint64(end-start) {
 			d.fail("section index length %d disagrees with the %d-byte section at offset %d", want, end-start, start)
-			return nil
+			return ctt.VData{}
 		}
 		p.li++
 	}

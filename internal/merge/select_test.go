@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ctt"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -321,8 +322,8 @@ func TestDecodeSelectCounters(t *testing.T) {
 
 	for gid, es := range m.Entries {
 		for i := range es {
-			if es[i].Data == nil || !es[i].Ranks.Contains(0) {
-				t.Fatalf("vertex %d entry %d: payload %v, ranks %v; want rank 0's decoded group", gid, i, es[i].Data != nil, es[i].Ranks)
+			if (es[i].Data == ctt.VData{}) || !es[i].Ranks.Contains(0) {
+				t.Fatalf("vertex %d entry %d: payload %v, ranks %v; want rank 0's decoded group", gid, i, es[i].Data != ctt.VData{}, es[i].Ranks)
 			}
 		}
 	}

@@ -115,7 +115,7 @@ func (m *Merged) encode(out io.Writer, entryLens *[]uint64) (int64, error) {
 		for _, e := range es {
 			w.runs(e.Ranks.Runs())
 			pre := w.n
-			encodeVData(w, e.Data, hist)
+			encodeVData(w, e.Data, m.Tree.ByGID[gid], hist)
 			if entryLens != nil {
 				*entryLens = append(*entryLens, uint64(w.n-pre))
 			}
@@ -148,17 +148,29 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func encodeVData(w *writer, d *ctt.VData, hist bool) {
-	w.runs(d.Counts.Runs())
-	w.runs(d.Taken.Runs())
-	w.u(uint64(len(d.Cycles)))
-	for _, cy := range d.Cycles {
+// encodeVData writes one payload section of vertex v. The section spells out
+// loop counts and a taken set for every vertex; v's kind says which of the
+// two its control vector is, and the other is empty.
+func encodeVData(w *writer, d ctt.VData, v *cst.Vertex, hist bool) {
+	var counts, taken []stride.Run
+	if d.Ctl != nil {
+		if v.Kind == cst.KindBranch {
+			taken = d.Ctl.Runs()
+		} else {
+			counts = d.Ctl.Runs()
+		}
+	}
+	w.runs(counts)
+	w.runs(taken)
+	cycles, records := d.Cycles(), d.Records()
+	w.u(uint64(len(cycles)))
+	for _, cy := range cycles {
 		w.u(uint64(cy.Start))
 		w.u(uint64(cy.Len))
 		w.u(uint64(cy.Reps))
 	}
-	w.u(uint64(len(d.Records)))
-	for _, r := range d.Records {
+	w.u(uint64(len(records)))
+	for _, r := range records {
 		flags := uint64(0)
 		if r.Ev.Wildcard {
 			flags |= 1
@@ -296,9 +308,9 @@ const maxEntries = 1 << 24
 
 // decoder carries the varint cursor plus the slab arenas the decoded tree is
 // carved from. A merged trace is decoded into a handful of shared chunks —
-// entries, rank sets, vertex payloads, records, int32 lists — instead of a
-// few heap objects per entry, mirroring the slab economics of the merge's
-// encode side. The scratch run buffer is reused across every run list in the
+// entries, rank sets, leaf and control payloads, records, int32 lists —
+// instead of a few heap objects per entry, mirroring the slab economics of
+// the merge's encode side. The scratch run buffer is reused across every run list in the
 // file; callers consume it before the next read. So are the scratch rank set
 // a projection tests each group's ranks in, and the list a vertex's kept
 // entries gather in before they are carved.
@@ -309,7 +321,8 @@ type decoder struct {
 	kept    []Entry
 	ents    slab[Entry]
 	sets    slab[rankset.Set]
-	vds     slab[ctt.VData]
+	leaves  slab[ctt.Leaf]
+	ctls    slab[ctt.Ctl]
 	i32s    slab[int32]
 	recs    slab[ctt.CommRecord]
 	ptrs    slab[*ctt.CommRecord]
@@ -416,7 +429,8 @@ func (s *slab[T]) carve(n, want int) []T {
 func (d *decoder) startSlabs(all bool) {
 	d.ents.start(decodeChunk, all)
 	d.sets.start(decodeChunk, all)
-	d.vds.start(decodeChunk, all)
+	d.leaves.start(decodeChunk, all)
+	d.ctls.start(decodeChunk, all)
 	d.i32s.start(4*decodeChunk, all)
 	d.recs.start(recordChunk, all)
 	d.ptrs.start(recordChunk, all)
@@ -587,6 +601,7 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 		// the kept list grows only as its entries parse: a declared count
 		// earns its storage entry by entry (see decodeEager).
 		kept := d.kept[:0]
+		v := h.tree.ByGID[gid]
 		for k := uint64(0); k < n; k++ {
 			runs := d.setRuns()
 			keep := all || d.picks(p.sel, runs)
@@ -601,10 +616,9 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 			}
 			switch {
 			case p == nil:
-				e.Data = &d.vds.carve(1, 1)[0]
-				d.decodeVData(e.Data, int32(gid), mode)
+				e.Data = d.decodeVData(v, mode)
 			case d.err == nil:
-				e.Data = p.section(d, keep, int32(gid), mode)
+				e.Data = p.section(d, keep, v, mode)
 			}
 			if d.err != nil {
 				return nil, fmt.Errorf("merge: vertex %d entry %d: %w", gid, k, d.err)
@@ -625,33 +639,59 @@ func (d *decoder) decode(p *projection) (*Merged, error) {
 	return m, nil
 }
 
-// decodeVData decodes one payload section of vertex gid. The GID is not on
-// the wire — a record's call site is the vertex it is stored under — so every
-// decode path passes it down and record restores Ev.GID from it.
-func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
-	for _, run := range d.runs() {
-		vd.Counts.AppendRun(run)
+// decodeVData decodes one payload section of vertex v into the payload its
+// kind holds (cst.Payload), carved from the decoder's slabs; a section that
+// holds data v's kind does not record is an error. The GID is not on the
+// wire — a record's call site is the vertex it is stored under — so every
+// decode path passes the vertex down and record restores Ev.GID from it.
+func (d *decoder) decodeVData(v *cst.Vertex, mode timestat.Mode) (vd ctt.VData) {
+	switch v.Payload() {
+	case cst.LeafPayload:
+		vd.Leaf = &d.leaves.carve(1, 1)[0]
+	case cst.CtlPayload:
+		vd.Ctl = &d.ctls.carve(1, 1)[0]
 	}
-	for _, run := range d.setRuns() {
-		vd.Taken.AppendRun(run)
+	taken := v.Kind == cst.KindBranch
+	if runs := d.runs(); len(runs) > 0 {
+		if vd.Ctl == nil || taken {
+			d.fail("loop counts on a %v vertex at offset %d", v.Kind, d.off)
+			return vd
+		}
+		for _, run := range runs {
+			vd.Ctl.Vector.AppendRun(run)
+		}
+	}
+	if runs := d.setRuns(); len(runs) > 0 {
+		if !taken {
+			d.fail("taken set on a %v vertex at offset %d", v.Kind, d.off)
+			return vd
+		}
+		for _, run := range runs {
+			vd.Ctl.AppendRun(run)
+		}
 	}
 	nc := d.u()
 	if nc > 1<<24 {
 		d.fail("implausible cycle count %d at offset %d", nc, d.off)
 	}
 	if d.err != nil {
-		return
+		return vd
 	}
+	l := vd.Leaf
 	if nc > 0 {
-		vd.Cycles = make([]ctt.Cycle, 0, min(nc, decodeEager))
+		if l == nil {
+			d.fail("record cycles on a %v vertex at offset %d", v.Kind, d.off)
+			return vd
+		}
+		l.Cycles = make([]ctt.Cycle, 0, min(nc, decodeEager))
 		for j := uint64(0); j < nc; j++ {
 			cy := ctt.Cycle{
 				Start: int32(d.u()), Len: int32(d.u()), Reps: int64(d.u()),
 			}
 			if d.err != nil {
-				return
+				return vd
 			}
-			vd.Cycles = append(vd.Cycles, cy)
+			l.Cycles = append(l.Cycles, cy)
 		}
 	}
 	n := d.u()
@@ -659,7 +699,11 @@ func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 		d.fail("implausible record count %d at offset %d", n, d.off)
 	}
 	if d.err != nil {
-		return
+		return vd
+	}
+	if n > 0 && l == nil {
+		d.fail("records on a %v vertex at offset %d", v.Kind, d.off)
+		return vd
 	}
 	d.nRec += int64(n)
 	// Records decode into the decoder's record slabs: each vertex's record
@@ -667,24 +711,25 @@ func (d *decoder) decodeVData(vd *ctt.VData, gid int32, mode timestat.Mode) {
 	// backed by chunked record storage. Counts above decodeEager are earned
 	// batch by batch.
 	if n > decodeEager {
-		vd.Records = make([]*ctt.CommRecord, 0, decodeEager)
+		l.Records = make([]*ctt.CommRecord, 0, decodeEager)
 	}
 	for rem := n; rem > 0; {
 		b := min(rem, decodeEager)
 		chunk := d.records(int(b))
 		for _, rec := range chunk {
-			d.record(rec, gid, mode)
+			d.record(rec, v.GID, mode)
 			if d.err != nil {
-				return
+				return vd
 			}
 		}
-		if vd.Records == nil {
-			vd.Records = chunk
+		if l.Records == nil {
+			l.Records = chunk
 		} else {
-			vd.Records = append(vd.Records, chunk...)
+			l.Records = append(l.Records, chunk...)
 		}
 		rem -= b
 	}
+	return vd
 }
 
 // record decodes one comm record of vertex gid in place.

@@ -5,7 +5,7 @@
 // vertex — once per Counts, Taken, Records, and Cycles call, at every vertex
 // visit of every loop iteration. The Streamer below replaces that with a
 // per-rank RESOLVED VIEW: one pass over Merged.Entries produces a flat
-// []*ctt.VData indexed by gid, turning every accessor into an O(1) index.
+// []ctt.VData indexed by gid, turning every accessor into an O(1) index.
 // View storage is pooled and reused across ranks, so resolving rank r+1
 // costs zero allocations after rank r.
 //
@@ -81,43 +81,23 @@ import (
 // rankView's per-accessor scan over the vertex's entry list.
 type Resolved struct {
 	tree *cst.Tree
-	data []*ctt.VData // indexed by gid; nil when the rank never executed it
+	data []ctt.VData // indexed by gid; the zero view when the rank never executed it
 }
 
 // Tree implements replay.Source.
 func (r *Resolved) Tree() *cst.Tree { return r.tree }
 
 // Counts implements replay.Source.
-func (r *Resolved) Counts(gid int32) *stride.Vector {
-	if d := r.data[gid]; d != nil {
-		return &d.Counts
-	}
-	return nil
-}
+func (r *Resolved) Counts(gid int32) *stride.Vector { return r.data[gid].Counts() }
 
 // Taken implements replay.Source.
-func (r *Resolved) Taken(gid int32) *stride.Set {
-	if d := r.data[gid]; d != nil {
-		return &d.Taken
-	}
-	return nil
-}
+func (r *Resolved) Taken(gid int32) *stride.Set { return r.data[gid].Taken() }
 
 // Records implements replay.Source.
-func (r *Resolved) Records(gid int32) []*ctt.CommRecord {
-	if d := r.data[gid]; d != nil {
-		return d.Records
-	}
-	return nil
-}
+func (r *Resolved) Records(gid int32) []*ctt.CommRecord { return r.data[gid].Records() }
 
 // Cycles implements replay.Source.
-func (r *Resolved) Cycles(gid int32) []ctt.Cycle {
-	if d := r.data[gid]; d != nil {
-		return d.Cycles
-	}
-	return nil
-}
+func (r *Resolved) Cycles(gid int32) []ctt.Cycle { return r.data[gid].Cycles() }
 
 // replayClass is one replay class: the ranks whose resolved views have one
 // shape, sharing one memoized replay skeleton.
@@ -165,9 +145,7 @@ func (sc *resolveScratch) table() []*ctt.CommRecord {
 	}
 	start := len(sc.slab)
 	for _, d := range sc.view.data {
-		if d != nil {
-			sc.slab = append(sc.slab, d.Records...)
-		}
+		sc.slab = append(sc.slab, d.Records()...)
 	}
 	return sc.slab[start:len(sc.slab):len(sc.slab)]
 }
@@ -220,7 +198,7 @@ func NewStreamer(m *Merged) *Streamer {
 	}
 	nv := len(m.Entries)
 	s.scratch.New = func() any {
-		sc := &resolveScratch{view: Resolved{tree: m.Tree, data: make([]*ctt.VData, nv)}, sel: make([]int32, nv)}
+		sc := &resolveScratch{view: Resolved{tree: m.Tree, data: make([]ctt.VData, nv)}, sel: make([]int32, nv)}
 		sc.emit = func(e *trace.Event) { sc.fn(sc.rank, e) }
 		return sc
 	}
@@ -337,7 +315,7 @@ func (s *Streamer) resolve(rank int, sc *resolveScratch) fp.Hash {
 	sc.nrec = 0
 	h := fp.New()
 	for gid, es := range s.m.Entries {
-		data[gid] = nil
+		data[gid] = ctt.VData{}
 		sc.sel[gid] = -1
 		i := -1
 		if tab != nil && tab[gid] != nil {
@@ -355,7 +333,7 @@ func (s *Streamer) resolve(rank int, sc *resolveScratch) fp.Hash {
 		}
 		d := es[i].Data
 		data[gid] = d
-		sc.nrec += len(d.Records)
+		sc.nrec += len(d.Records())
 		if canon != nil && canon[gid] != nil {
 			i = int(canon[gid][i])
 		}

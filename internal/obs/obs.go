@@ -56,7 +56,6 @@ const (
 	MergeEntriesUnmerged // right-hand entries appended unmerged (new rank group)
 	MergePoisonings      // abs-merge RelUnsafe poisonings
 	MergeScratchReuses   // recycled right-leaf scratch trees served
-	MergeScratchRetires  // scratch trees retired because an entry escaped
 
 	// Encode/decode (internal/merge serialize).
 	EncTraces       // Encode calls
@@ -143,7 +142,6 @@ var counterNames = [NumCounters]string{
 	MergeEntriesUnmerged: "merge_entries_unmerged",
 	MergePoisonings:      "merge_abs_poisonings",
 	MergeScratchReuses:   "merge_scratch_reuses",
-	MergeScratchRetires:  "merge_scratch_retires",
 	EncTraces:            "enc_traces",
 	EncBytesRaw:          "enc_bytes_raw",
 	EncBytesCST:          "enc_bytes_cst",

@@ -17,8 +17,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Source provides one rank's view of a compressed trace tree. Both the
-// per-rank ctt.RankCTT and the post-merge tree implement it.
+// Source provides one rank's view of a compressed trace tree. The per-rank
+// *ctt.RankCTT implements it, and so do the post-merge tree's views.
 type Source interface {
 	Tree() *cst.Tree
 	// Counts returns the loop/pseudo-loop activation counts for a vertex,
@@ -31,26 +31,6 @@ type Source interface {
 	// Cycles returns the record-cycle annotations for a leaf.
 	Cycles(gid int32) []ctt.Cycle
 }
-
-// RankSource adapts a per-rank CTT to the Source interface.
-type RankSource struct {
-	C *ctt.RankCTT
-}
-
-// Tree implements Source.
-func (s RankSource) Tree() *cst.Tree { return s.C.Tree }
-
-// Counts implements Source.
-func (s RankSource) Counts(gid int32) *stride.Vector { return &s.C.Data[gid].Counts }
-
-// Taken implements Source.
-func (s RankSource) Taken(gid int32) *stride.Set { return &s.C.Data[gid].Taken }
-
-// Records implements Source.
-func (s RankSource) Records(gid int32) []*ctt.CommRecord { return s.C.Data[gid].Records }
-
-// Cycles implements Source.
-func (s RankSource) Cycles(gid int32) []ctt.Cycle { return s.C.Data[gid].Cycles }
 
 // Events decompresses rank's event sequence, invoking emit for each event in
 // original program order. Recursion (pseudo-loop) replay is approximate, as

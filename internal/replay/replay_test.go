@@ -74,9 +74,9 @@ func roundTrip(t *testing.T, src string, n int) (raw [][]trace.Event, rep [][]tr
 	raw, ctts := compress(t, src, n)
 	rep = make([][]trace.Event, n)
 	for i, c := range ctts {
-		seq, err := Sequence(RankSource{c}, i)
+		seq, err := Sequence(c, i)
 		if err != nil {
-			t.Fatalf("rank %d replay: %v\n%s", i, err, c.Tree.Dump())
+			t.Fatalf("rank %d replay: %v\n%s", i, err, c.CST.Dump())
 		}
 		rep[i] = seq
 	}
@@ -92,7 +92,7 @@ func TestReplayerStateDense(t *testing.T) {
 		_, ctts := compress(t, "func main() {\n\tfor var i = 0; i < 3; i = i + 1 {\n"+strings.Repeat(
 			"\t\tif i < 2 { barrier(); } else { allreduce(8); }\n\t\tfor var k = 0; k < 2; k = k + 1 { bcast(0, 8); }\n",
 			sites)+"\t}\n}", 2)
-		src := RankSource{ctts[0]}
+		src := ctts[0]
 		events := 0
 		step := func(int32, int, *ctt.CommRecord, int64) error { events++; return nil }
 		allocs := testing.AllocsPerRun(10, func() {

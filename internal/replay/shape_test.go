@@ -42,8 +42,8 @@ func bind(src Source) (recs []*ctt.CommRecord) {
 // expansion — (record index, occurrence) in order — computed here from the
 // records and the cycle, not by the walk.
 type leafView struct {
-	src  RankSource
-	leaf *ctt.VData
+	src  *ctt.RankCTT
+	leaf ctt.VData
 	want [][2]int
 }
 
@@ -56,10 +56,10 @@ func genLeafView(rng, fields *rand.Rand, tree *cst.Tree, loop, leaf *cst.Vertex)
 	rec := func(op trace.Op) *ctt.CommRecord {
 		return &ctt.CommRecord{Ev: trace.Event{Op: op, Peer: trace.NoPeer, GID: -1}, Count: 1, Time: stat(), Compute: stat()}
 	}
-	c := &ctt.RankCTT{Tree: tree, Data: make([]ctt.VData, tree.NumVertices())}
-	c.Data[tree.Root.GID].Records = []*ctt.CommRecord{rec(trace.OpInit), rec(trace.OpFinalize)}
+	c := &ctt.RankCTT{CST: tree, Leaves: make([]ctt.Leaf, tree.NumLeaves()), Ctl: make([]ctt.Ctl, tree.NumCtl())}
+	c.Data(tree.Root.GID).Leaf.Records = []*ctt.CommRecord{rec(trace.OpInit), rec(trace.OpFinalize)}
 
-	d := &c.Data[leaf.GID]
+	d := c.Data(leaf.GID).Leaf
 	n := 1 + rng.Intn(4)
 	for i := 0; i < n; i++ {
 		r := rec(trace.OpSend)
@@ -89,8 +89,8 @@ func genLeafView(rng, fields *rand.Rand, tree *cst.Tree, loop, leaf *cst.Vertex)
 		}
 		i += block
 	}
-	c.Data[loop.GID].Counts.Append(int64(len(want)))
-	return leafView{src: RankSource{c}, leaf: d, want: want}
+	c.Data(loop.GID).Ctl.Vector.Append(int64(len(want)))
+	return leafView{src: c, leaf: ctt.VData{Leaf: d}, want: want}
 }
 
 // TestSameShapeIsSameSteps is the contract between ctt.VData.SameShape and
